@@ -30,11 +30,12 @@ from .phase import (
     osp12_exponential_sector,
 )
 from .superlie import SuperAlgebra, build_osp, build_osp12
-from .supermatrix import ParityPatternError, SuperMatrix, commutator
+from .supermatrix import ExpmNotConvergedError, ParityPatternError, SuperMatrix, commutator
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ExpmNotConvergedError",
     "GrassmannElement",
     "GradedPolynomial",
     "HolonomyPair",

@@ -27,10 +27,13 @@ from .group import (
     sector_representative,
 )
 from .phase import check_closure, exponential_sector_moduli, osp12_exponential_sector
-from .superlie import build_osp, build_osp12
+from .superlie import MAX_OSP_SIZE, build_osp, build_osp12
 from .supermatrix import commutator
 
 DEFAULT_TOL = 1e-10
+
+# commands whose --m/--n build the osp(m|2n) algebra (moduli only samples bodies)
+ALGEBRA_COMMANDS = ("jacobi", "membership", "closure")
 
 
 @dataclass
@@ -55,6 +58,8 @@ class RunConfig:
             raise UsageError("tolerance must be positive")
         if self.samples < 1:
             raise UsageError("sample count must be positive")
+        if self.command in ALGEBRA_COMMANDS and self.m + 2 * self.n > MAX_OSP_SIZE:
+            raise UsageError(f"{self.command} builds osp(m|2n) only for m + 2n <= {MAX_OSP_SIZE}")
 
 
 class UsageError(ValueError):
@@ -76,6 +81,15 @@ def _emit(cfg: RunConfig, report: dict, text_lines: list[str]) -> None:
 def _rng_for(cfg: RunConfig, sample_index: int = 0):
     # deterministic per-sample seeding: seed xor index
     return np.random.default_rng(cfg.seed ^ sample_index)
+
+
+def _moduli_counts(cfg: RunConfig, m: int, n: int, samples: int) -> list[tuple[int, int]]:
+    """(closed-form, brute-force) moduli counts for seeded commuting bodies."""
+    counts = []
+    for k in range(samples):
+        bodies = sample_commuting_bodies(m, n, _rng_for(cfg, k))
+        counts.append((fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies)))
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -194,16 +208,10 @@ def cmd_sectors(cfg: RunConfig) -> int:
 
 
 def cmd_moduli(cfg: RunConfig) -> int:
-    mismatches = 0
-    rows = []
-    for k in range(cfg.samples):
-        rng = _rng_for(cfg, k)
-        bodies = sample_commuting_bodies(cfg.m, cfg.n, rng)
-        closed = fermionic_moduli_count(*bodies)
-        brute = fermionic_moduli_count_bruteforce(*bodies)
-        if closed != brute:
-            mismatches += 1
-        rows.append({"sample": k, "closed_form": closed, "bruteforce": brute})
+    counts = _moduli_counts(cfg, cfg.m, cfg.n, cfg.samples)
+    mismatches = sum(closed != brute for closed, brute in counts)
+    rows = [{"sample": k, "closed_form": closed, "bruteforce": brute}
+            for k, (closed, brute) in enumerate(counts)]
     passed = mismatches == 0
     data = {
         "command": "moduli",
@@ -299,12 +307,8 @@ def cmd_report(cfg: RunConfig) -> int:
         "passed": sec_ok,
     }
     failures += 0 if sec_ok else 1
-    mismatches = 0
-    for k in range(min(cfg.samples, 50)):
-        rng_k = _rng_for(cfg, k)
-        bodies = sample_commuting_bodies(1, 1, rng_k)
-        if fermionic_moduli_count(*bodies) != fermionic_moduli_count_bruteforce(*bodies):
-            mismatches += 1
+    mismatches = sum(closed != brute
+                     for closed, brute in _moduli_counts(cfg, 1, 1, min(cfg.samples, 50)))
     results["moduli"] = {"mismatches": mismatches, "passed": mismatches == 0}
     failures += 0 if mismatches == 0 else 1
     closure = check_closure(build_osp12(), tol=1e-12)

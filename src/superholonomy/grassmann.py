@@ -40,6 +40,29 @@ def merge_sign(p: int, q: int) -> int:
     return -1 if s & 1 else 1
 
 
+def graded_dot(xs: Iterable["GrassmannElement"], ys: Iterable["GrassmannElement"],
+               n: int) -> "GrassmannElement":
+    """sum_j xs[j] * ys[j] in B_n, accumulated into one coefficient table.
+
+    This is the package's one graded product loop: element products and
+    Grassmann matrix products both reduce to it.  Pairs are visited in the
+    order j, then monomials of xs[j], then monomials of ys[j], so the
+    floating-point sums and the term order of the result are fixed.
+    """
+    acc: dict[int, float] = {}
+    for x, y in zip(xs, ys):
+        yt = y.terms
+        if not yt:
+            continue
+        for p, a in x.terms.items():
+            for q, b in yt.items():
+                if p & q:
+                    continue  # repeated generator -> nilpotent
+                key = p | q
+                acc[key] = acc.get(key, 0.0) + merge_sign(p, q) * a * b
+    return GrassmannElement(n, acc)
+
+
 class GrassmannElement:
     """Immutable element of B_N in canonical form (no zero coefficients)."""
 
@@ -183,14 +206,7 @@ class GrassmannElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, float] = {}
-        for p, a in self.terms.items():
-            for q, b in o.terms.items():
-                if p & q:
-                    continue  # repeated generator -> nilpotent
-                key = p | q
-                acc[key] = acc.get(key, 0.0) + merge_sign(p, q) * a * b
-        return GrassmannElement(self.n, acc)
+        return graded_dot((self,), (o,), self.n)
 
     def __rmul__(self, other) -> "GrassmannElement":
         if isinstance(other, (int, float)):

@@ -29,6 +29,7 @@ from .supermatrix import (
     gmat_scale,
     gmat_transpose,
     gmat_zero,
+    scaling_squaring_expm,
 )
 from .superlie import (
     SIGMA0,
@@ -347,22 +348,10 @@ def fermionic_moduli_count_bruteforce(a0, b0, A0, B0) -> int:
     return solution_dim - orbit_dim
 
 
-def _real_expm(mat: np.ndarray, terms: int = 40) -> np.ndarray:
-    """Small dense exponential by scaling and squaring (numpy only)."""
+def _real_expm(mat: np.ndarray) -> np.ndarray:
+    """Small dense exponential through the shared scaling-and-squaring loop."""
     mat = np.asarray(mat, dtype=float)
-    norm = np.abs(mat).sum(axis=0).max(initial=0.0)
-    s = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    x = mat / (2.0 ** s)
-    out = np.eye(mat.shape[0])
-    term = np.eye(mat.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ x / k
-        out = out + term
-        if np.abs(term).max() < 1e-18:
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
+    return scaling_squaring_expm(mat, np.eye(mat.shape[0]), mat, lambda t: np.abs(t).max())
 
 
 def random_so(m: int, rng, scale: float = 1.0) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .grassmann import GrassmannElement, merge_sign
+from .group import matrix_rank
 from .superlie import SuperAlgebra
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
@@ -174,6 +175,7 @@ class GradedPolynomial:
         if isinstance(other, (int, float)):
             return GradedPolynomial(self.ctx, {k: c * other for k, c in self.terms.items()})
         self._check(other)
+        # not grassmann.graded_dot: keys pair an exponent tuple with the odd mask
         out: dict = {}
         for (e1, m1), c1 in self.terms.items():
             for (e2, m2), c2 in other.terms.items():
@@ -309,31 +311,25 @@ class GradedPolynomial:
 # flatness constraints
 # ----------------------------------------------------------------------
 
-def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None,
-                         bosonic_same_cycle: bool = False
+def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None
                          ) -> tuple[list[GradedPolynomial], list[GradedPolynomial]]:
     """The constraints expressing [A_1, A_2} = 0 for a homogeneous pair.
 
         G^a     = f_bc^a A_1^b A_2^c + f_{alpha beta}^a psi_1^alpha psi_2^beta
         G^alpha = f_{a beta}^alpha (A_1^a psi_2^beta - A_2^a psi_1^beta)
-
-    bosonic_same_cycle=True builds the A_1^b A_1^c variant instead; its
-    bosonic part is then identically zero by antisymmetry of f, so that form
-    cannot detect a non-commuting bosonic pair (kept for documentation).
     """
     if ctx is None:
         ctx = PhaseSpace.from_algebra(alg)
     ev, od = alg.even_indices, alg.odd_indices
     f = alg.f
     even_constraints = []
-    second_cycle = 1 if bosonic_same_cycle else 2
     for a_pos, a_idx in enumerate(ev):
         poly = ctx.zero()
         for b_pos, b_idx in enumerate(ev):
             for c_pos, c_idx in enumerate(ev):
                 coeff = f[b_idx, c_idx, a_idx]
                 if coeff:
-                    poly = poly + ctx.A(1, b_pos) * ctx.A(second_cycle, c_pos) * coeff
+                    poly = poly + ctx.A(1, b_pos) * ctx.A(2, c_pos) * coeff
         for al_pos, al_idx in enumerate(od):
             for be_pos, be_idx in enumerate(od):
                 coeff = f[al_idx, be_idx, a_idx]
@@ -460,10 +456,7 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float],
     """det and rank of c^a f_{a alpha}^beta, with the moduli count attached."""
     block = alg.ff_block(c)
     det = float(np.linalg.det(block))
-    svals = np.linalg.svd(block, compute_uv=False)
-    rank = 0
-    if svals.size and svals[0] > 0:
-        rank = int(np.count_nonzero(svals / svals[0] > threshold))
+    rank = matrix_rank(block, threshold)
     n_odd = len(alg.odd_indices)
     c_vec = np.asarray(c, dtype=float)
     ev = alg.even_indices
@@ -504,11 +497,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     coordinates (which equals 2(n_odd - r)).
     """
     ctx = PhaseSpace.from_algebra(alg)
-    block = alg.ff_block(c)
-    svals = np.linalg.svd(block, compute_uv=False)
-    r = 0
-    if svals.size and svals[0] > 0:
-        r = int(np.count_nonzero(svals / svals[0] > tol))
+    r = matrix_rank(alg.ff_block(c), tol)
     if len(chi_choice) != r:
         raise ValueError(f"need exactly r = {r} gauge conditions, got {len(chi_choice)}")
     n_odd = ctx.n_odd
@@ -563,9 +552,8 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     pairing_ok = abs(pairing_det) > tol
     # the fixed surface and the pulled-back quadratic constraint
     stacked = np.vstack([g_ind, chi_rows])
-    _, svals2, vt = np.linalg.svd(stacked)
-    cutoff = max(svals2) * tol if svals2.size and max(svals2) > 0 else tol
-    kernel = vt[np.sum(svals2 > cutoff):].T
+    _, _, vt = np.linalg.svd(stacked)
+    kernel = vt[matrix_rank(stacked, tol):].T
     free = kernel.shape[1]
     od = alg.odd_indices
     residual = 0.0

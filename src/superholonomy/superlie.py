@@ -24,6 +24,9 @@ SIGMA2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_PLUS = SIGMA0 + SIGMA2
 EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# build_osp keeps the defining representation at desk scale: m + 2n <= this
+MAX_OSP_SIZE = 8
+
 
 def symplectic_form(two_n: int) -> np.ndarray:
     """C with C^T = -C and C^2 = -I; the 2x2 case is the epsilon matrix."""
@@ -426,8 +429,8 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    if m + 2 * n > 8:
-        raise ValueError("desk-scale builder capped at m + 2n <= 8")
+    if m + 2 * n > MAX_OSP_SIZE:
+        raise ValueError(f"desk-scale builder capped at m + 2n <= {MAX_OSP_SIZE}")
     two_n = 2 * n
     d = m + two_n
     C = symplectic_form(two_n)

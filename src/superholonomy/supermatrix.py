@@ -19,13 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement, merge_sign
+from .grassmann import GrassmannElement, graded_dot
 
 GMatrix = list[list[GrassmannElement]]
 
 
 class ParityPatternError(ValueError):
     """An entry violates the block parity pattern."""
+
+
+class ExpmNotConvergedError(ArithmeticError):
+    """The Taylor series of an exponential did not reach its cutoff in time."""
 
 
 # ----------------------------------------------------------------------
@@ -42,23 +46,9 @@ def gmat_from_real(mat: np.ndarray, n: int) -> GMatrix:
 
 
 def gmat_mul(x: GMatrix, y: GMatrix) -> GMatrix:
-    rows, inner, cols = len(x), len(y), len(y[0])
     n = x[0][0].n
-    out = []
-    for i in range(rows):
-        row = []
-        for k in range(cols):
-            acc: dict[int, float] = {}
-            for j in range(inner):
-                for p, a in x[i][j].terms.items():
-                    for q, b in y[j][k].terms.items():
-                        if p & q:
-                            continue
-                        key = p | q
-                        acc[key] = acc.get(key, 0.0) + merge_sign(p, q) * a * b
-            row.append(GrassmannElement(n, acc))
-        out.append(row)
-    return out
+    cols = list(zip(*y))
+    return [[graded_dot(row, col, n) for col in cols] for row in x]
 
 
 def gmat_transpose(x: GMatrix) -> GMatrix:
@@ -105,6 +95,37 @@ def gmat_inverse(x: GMatrix) -> GMatrix:
             break
         acc = gmat_add(acc, power)
     return gmat_mul(acc, b_inv)
+
+
+def scaling_squaring_expm(x, identity, body: np.ndarray, size,
+                          term_cutoff: float = 1e-22, max_terms: int = 80):
+    """exp(x) by scaling and squaring around a Taylor kernel.
+
+    x is a real square array or an even SuperMatrix (anything with ``@``,
+    ``+`` and scalar ``*``), body its real part and size(t) the largest
+    absolute coefficient of t.  x is scaled by 2^-s until the 1-norm of the
+    body is at most 1/2, the series is summed until a term falls below
+    term_cutoff, and the sum is squared s times (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 2005).  Soul parts are nilpotent, so they only lengthen the
+    series by finitely many orders.  Raises ExpmNotConvergedError when
+    max_terms terms do not reach the cutoff.
+    """
+    norm = float(np.abs(body).sum(axis=0).max(initial=0.0))
+    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    x = x * (0.5 ** squarings)
+    acc = term = identity
+    for k in range(1, max_terms + 1):
+        term = (term @ x) * (1.0 / k)
+        if size(term) < term_cutoff:
+            break
+        acc = acc + term
+    else:
+        raise ExpmNotConvergedError(
+            f"Taylor terms still above {term_cutoff:g} after {max_terms} terms"
+        )
+    for _ in range(squarings):
+        acc = acc @ acc
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -223,32 +244,9 @@ class SuperMatrix:
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_compatible(other)
-        d = self.m + self.n
-        ngen = self.ngen
-        out = []
-        for i in range(d):
-            xrow = self.rows[i]
-            row = []
-            for k in range(d):
-                acc: dict[int, float] = {}
-                for j in range(d):
-                    xt = xrow[j].terms
-                    if not xt:
-                        continue
-                    yt = other.rows[j][k].terms
-                    if not yt:
-                        continue
-                    for p, a in xt.items():
-                        for q, b in yt.items():
-                            if p & q:
-                                continue
-                            key = p | q
-                            acc[key] = acc.get(key, 0.0) + merge_sign(p, q) * a * b
-                row.append(GrassmannElement(ngen, acc))
-            out.append(row)
         # block parity adds mod 2; the constructor asserts the pattern
-        return SuperMatrix(self.m, self.n, out,
-                           parity=(self.parity + other.parity) % 2, ngen=ngen)
+        return SuperMatrix(self.m, self.n, gmat_mul(self.rows, other.rows),
+                           parity=(self.parity + other.parity) % 2, ngen=self.ngen)
 
     def supertranspose(self) -> "SuperMatrix":
         """Graded transpose: blocks (a, xi, chi, A) -> (a^T, chi^T, -xi^T, A^T).
@@ -300,32 +298,12 @@ class SuperMatrix:
         bottom_left = gmat_scale(gmat_mul(S_inv, gmat_mul(sg, sbar_inv)), -1.0)
         return SuperMatrix.from_blocks(sbar_inv, top_right, bottom_left, Sbar_inv)
 
-    def conjugate(self, S: "SuperMatrix") -> "SuperMatrix":
-        return S @ self @ S.inverse()
-
     def expm(self, term_cutoff: float = 1e-22, max_terms: int = 80) -> "SuperMatrix":
-        """exp(X) by scaling and squaring with a Taylor kernel.
-
-        Soul contributions terminate at the generator count; the body part is
-        scaled so the Taylor series converges rapidly, then squared back.
-        """
+        """exp(X) through scaling_squaring_expm (even parity pattern only)."""
         if self.parity != 0:
             raise ValueError("expm requires the even parity pattern")
-        norm = float(np.abs(self.body()).sum(axis=0).max(initial=0.0))
-        squarings = 0
-        if norm > 0.5:
-            squarings = max(0, int(math.ceil(math.log2(norm / 0.5))))
-        x = self * (0.5 ** squarings)
-        acc = SuperMatrix.identity(self.m, self.n, self.ngen)
-        term = acc
-        for k in range(1, max_terms + 1):
-            term = (term @ x) * (1.0 / k)
-            if term.max_abs() < term_cutoff:
-                break
-            acc = acc + term
-        for _ in range(squarings):
-            acc = acc @ acc
-        return acc
+        return scaling_squaring_expm(self, SuperMatrix.identity(self.m, self.n, self.ngen),
+                                     self.body(), SuperMatrix.max_abs, term_cutoff, max_terms)
 
     # ------------------------------------------------------------------
     # comparisons / io

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from superholonomy.cli import main
 
 
@@ -28,6 +30,21 @@ class TestJacobi:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["max_residual"] <= 1e-12
+
+
+class TestOversizedAlgebra:
+    @pytest.mark.parametrize("command", ["jacobi", "membership", "closure"])
+    def test_usage_error(self, capsys, command):
+        code = main([command, "--m", "5", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+    def test_moduli_builds_no_algebra(self, capsys):
+        code, out = run(capsys, "moduli", "--m", "5", "--n", "2", "--samples", "5")
+        assert code == 0
+        assert "osp(5|4)" in out
 
 
 class TestSectors:

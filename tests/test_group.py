@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from superholonomy.grassmann import GrassmannElement
+from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement
 from superholonomy.group import (
     HolonomyPair,
     HypothesisError,
@@ -24,7 +25,9 @@ from superholonomy.group import (
     rotation,
     sample_commuting_bodies,
     sector_representative,
+    _real_expm,
 )
+from superholonomy.superlie import SIGMA_PLUS, symplectic_form
 from superholonomy.supermatrix import SuperMatrix, commutator, gmat_from_real
 
 
@@ -410,3 +413,58 @@ class TestNonExponentialFamily:
         for A in fam.connection(1)[:5]:
             b = A.body()
             assert np.abs(_supertranspose_body(b, 1) @ H + H @ b).max() < 1e-3
+
+
+def _so(m, scale, seed):
+    K = np.random.default_rng(seed).uniform(-scale, scale, (m, m))
+    return K - K.T
+
+
+def _sp(two_n, scale, seed):
+    S = np.random.default_rng(seed).uniform(-scale, scale, (two_n, two_n))
+    return symplectic_form(two_n) @ (S + S.T)
+
+
+def _sp_nilpotent(two_n, c):
+    S = np.zeros((two_n, two_n))
+    S[0, 0] = c
+    return symplectic_form(two_n) @ S
+
+
+# (m, 2n, so(m) block, sp(2n) block): rotations, symplectic and parabolic
+# generators, with 1-norms from 0.3 (no squaring) to about 8 (four squarings)
+EXPM_GENERATORS = {
+    "so2": (2, 2, _so(2, 1.0, 1), np.zeros((2, 2))),
+    "so3-large": (3, 2, _so(3, 3.0, 2), np.zeros((2, 2))),
+    "so4": (4, 2, _so(4, 1.0, 3), np.zeros((2, 2))),
+    "sp2": (1, 2, np.zeros((1, 1)), _sp(2, 0.7, 4)),
+    "sp4-large": (1, 4, np.zeros((1, 1)), _sp(4, 1.5, 5)),
+    "parabolic-small": (1, 2, np.zeros((1, 1)), 0.15 * SIGMA_PLUS),
+    "parabolic-large": (1, 2, np.zeros((1, 1)), 2.5 * SIGMA_PLUS),
+    "parabolic-sp4": (1, 4, np.zeros((1, 1)), _sp_nilpotent(4, 3.0)),
+    "mixed": (2, 2, _so(2, 0.8, 6), _sp(2, 0.5, 7)),
+}
+
+
+class TestRealExpm:
+    """The shared scaling-and-squaring exponential against scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("name", sorted(EXPM_GENERATORS))
+    def test_blocks_match_scipy(self, name):
+        _, _, so_block, sp_block = EXPM_GENERATORS[name]
+        for block in (so_block, sp_block):
+            # a few ulps of rounding per product, over at most four squarings
+            ref = scipy.linalg.expm(block)
+            assert np.abs(_real_expm(block) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", sorted(EXPM_GENERATORS))
+    def test_supermatrix_body_matches_real_path(self, name):
+        m, two_n, so_block, sp_block = EXPM_GENERATORS[name]
+        body = scipy.linalg.block_diag(so_block, sp_block)
+        real = _real_expm(body)
+        super_body = SuperMatrix.from_body(body, m, two_n, 2).expm().body()
+        # the supermatrix side drops coefficients below COEFF_CUTOFF in every
+        # Taylor term, and each of the squarings can double that error
+        squarings = max(0, math.ceil(math.log2(np.abs(body).sum(axis=0).max() / 0.5)))
+        tol = 2.0 ** squarings * len(body) * COEFF_CUTOFF
+        assert np.abs(super_body - real).max() <= tol * np.abs(real).max()

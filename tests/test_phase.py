@@ -173,18 +173,6 @@ class TestConstraints:
         assert (U1 @ U2 - U2 @ U1).max_abs() > 1e-3
         assert max(g.evaluate(even_bad, [zero] * 4).max_abs() for g in ev_G) > 0.1
 
-    def test_same_cycle_variant_is_blind_to_noncommuting_bodies(self, alg):
-        # the same-cycle quadratic has identically vanishing bosonic part
-        # (antisymmetry of f), so it cannot detect [A_1, A_2] != 0
-        ev_variant, _ = flatness_constraints(alg, bosonic_same_cycle=True)
-        ev_fixed, _ = flatness_constraints(alg)
-        even_vals = [0.7, 0.0, 0.0, 0.0, 0.9, 0.0]   # A_1 ~ J0, A_2 ~ J1: noncommuting
-        odd_vals = [GrassmannElement.zero(2)] * 4
-        variant = max(g.evaluate(even_vals, odd_vals).max_abs() for g in ev_variant)
-        fixed = max(g.evaluate(even_vals, odd_vals).max_abs() for g in ev_fixed)
-        assert variant == 0.0
-        assert fixed > 0.1
-
 
 class TestClosure:
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from superholonomy.grassmann import GrassmannElement
 from superholonomy.supermatrix import (
+    ExpmNotConvergedError,
     ParityPatternError,
     SuperMatrix,
     commutator,
@@ -176,6 +177,13 @@ class TestExp:
             )
             x = SuperMatrix.from_body(body, 2, 2, 2)
             assert np.allclose(x.expm().body(), scipy.linalg.expm(body), atol=1e-10)
+
+    def test_unconverged_series_raises(self):
+        body = np.zeros((3, 3))
+        body[1, 1], body[2, 2] = 0.4, -0.4   # 1-norm 0.4: no squaring
+        x = SuperMatrix.from_body(body, 1, 2, 2)
+        with pytest.raises(ExpmNotConvergedError):
+            x.expm(max_terms=2)
 
     def test_exp_inverse(self):
         rng = np.random.default_rng(13)
