@@ -1,0 +1,79 @@
+"""The paper's checkable claims as plain functions shared by the CLI and tests.
+
+Each check returns a dict of named numbers plus a boolean "passed", the
+section the `report` command prints.  Randomness comes only from the
+generators passed in, so callers keep their own seeding.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .group import (
+    ahat,
+    enumerate_sectors_osp12,
+    fermionic_moduli_count,
+    fermionic_moduli_count_bruteforce,
+    random_sp,
+    rotation,
+    sample_commuting_bodies,
+)
+from .superlie import build_osp
+
+JACOBI_ALGEBRAS = ((1, 1), (2, 1), (1, 2), (2, 2))
+JACOBI_TOL = 1e-12
+
+
+def jacobi_suite() -> dict:
+    """Super Jacobi residual of osp(m|2n) for each size in JACOBI_ALGEBRAS."""
+    res = {f"osp({m}|{2 * n})": float(build_osp(m, n).check_jacobi(tol=JACOBI_TOL).max_residual)
+           for m, n in JACOBI_ALGEBRAS}
+    res["passed"] = all(v <= JACOBI_TOL for v in res.values())
+    return res
+
+
+def membership_closure(group, rng, pool_size: int, ops: int, tol: float) -> dict:
+    """Worst M^st H M - H over products, inverses and conjugations of members."""
+    pool = [group.sample_member(rng) for _ in range(pool_size)]
+    worst = 0.0
+    for k in range(ops):
+        i, j = rng.integers(0, len(pool), 2)
+        if k % 3 == 0:
+            M = pool[i] @ pool[j]
+        elif k % 3 == 1:
+            M = pool[i].inverse()
+        else:
+            M = pool[i] @ pool[j] @ pool[i].inverse()
+        worst = max(worst, group.membership_defect(M))
+    return {"worst_defect": float(worst), "passed": worst <= tol}
+
+
+def osp12_sector_counts() -> dict:
+    """36 bosonic and 4 fermionic osp(1|2) sectors, 2 fermionic moduli each."""
+    rep = enumerate_sectors_osp12()
+    fermionic = rep.fermionic_sectors
+    passed = rep.bosonic_count == 36 and len(fermionic) == 4 and all(s.moduli == 2 for s in fermionic)
+    return {"bosonic": rep.bosonic_count, "fermionic": len(fermionic), "passed": passed}
+
+
+def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
+    """det Ahat = (2cos(phi) - tr A0)^2 on rotation bodies, and 4 SO(2)xSO(2) moduli."""
+    worst = 0.0
+    for _ in range(samples):
+        phi = rng.uniform(0.0, 2 * np.pi)
+        A0 = random_sp(2, rng) * rng.choice([-1.0, 1.0])
+        det = float(np.linalg.det(ahat(rotation(phi), A0)))
+        worst = max(worst, abs(det - (2 * np.cos(phi) - np.trace(A0)) ** 2))
+    count = fermionic_moduli_count(rotation(0.4), rotation(1.1), rotation(0.4), rotation(1.1))
+    return {"det_formula_worst_error": worst, "so2_so2_moduli": count,
+            "passed": bool(worst <= tol and count == 4)}
+
+
+def moduli_counts(m: int, n: int, rngs) -> dict:
+    """Closed-form 2(2mn - r) against the degree-1 oracle, one body pair per generator."""
+    counts = []
+    for rng in rngs:
+        bodies = sample_commuting_bodies(m, n, rng)
+        counts.append((fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies)))
+    mismatches = sum(closed != brute for closed, brute in counts)
+    return {"counts": counts, "mismatches": mismatches, "passed": mismatches == 0}

@@ -25,6 +25,7 @@ from .supermatrix import (
     SuperMatrix,
     commutator,
     gmat_from_real,
+    gmat_max_abs,
     gmat_mul,
     gmat_scale,
     gmat_transpose,
@@ -99,9 +100,7 @@ class OspGroup:
             raise ValueError(
                 f"expected block sizes ({self.m},{self.two_n}), got ({M.m},{M.n})"
             )
-        H = self.H_matrix()
-        defect = (M.supertranspose() @ H @ M - H).max_abs()
-        if defect > tol:
+        if self.membership_defect(M) > tol:
             return False
         a0, A0 = M.body_blocks()
         if np.abs(a0.T @ a0 - np.eye(self.m)).max() > tol:
@@ -283,7 +282,7 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
         U = T @ U @ T.inverse()
         S = T @ S
         solved.append(degree)
-    residual = max(e.max_abs() for row in U.block("chi") for e in row)
+    residual = gmat_max_abs(U.block("chi"))
     if residual > tol:
         raise RuntimeError(f"gauge fixing left a chi residual of {residual:.3e}")
     return GaugeFixResult(S=S, U_fixed=U, degrees_solved=tuple(solved))
@@ -292,10 +291,7 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
 def commuting_pair_forces_diagonal(group: OspGroup, U1: SuperMatrix,
                                    U2: SuperMatrix, tol: float = 1e-10) -> bool:
     """With U1 block diagonal and Ahat invertible, U2 must be block diagonal too."""
-    off = max(
-        max(e.max_abs() for row in U1.block("chi") for e in row),
-        max(e.max_abs() for row in U1.block("xi") for e in row),
-    )
+    off = max(gmat_max_abs(U1.block("chi")), gmat_max_abs(U1.block("xi")))
     if off > tol:
         raise HypothesisError("U1 is not block diagonal")
     a0, A0 = U1.body_blocks()
@@ -303,10 +299,7 @@ def commuting_pair_forces_diagonal(group: OspGroup, U1: SuperMatrix,
         raise HypothesisError("det Ahat = 0: the commutant admits fermions")
     if commutator(U1, U2).max_abs() > tol:
         raise HypothesisError("holonomies do not commute")
-    fermion_norm = max(
-        max(e.max_abs() for row in U2.block("chi") for e in row),
-        max(e.max_abs() for row in U2.block("xi") for e in row),
-    )
+    fermion_norm = max(gmat_max_abs(U2.block("chi")), gmat_max_abs(U2.block("xi")))
     return fermion_norm < 1e-10
 
 

@@ -519,14 +519,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
         return vec
 
     _, odd_G = flatness_constraints(alg, ctx)
-    g_rows = np.zeros((len(odd_G), slots))
-    for i, g in enumerate(odd_G):
-        for (exps, mask), coeff in g.terms.items():
-            slot = mask.bit_length() - 1
-            factor = coeff
-            for s, e in enumerate(exps):
-                factor *= float(even_values[s]) ** e
-            g_rows[i, slot] += factor
+    g_rows = np.vstack([linear_form(g) for g in odd_G])
     # r independent constraint rows via pivoted factorization
     picked: list[int] = []
     work = g_rows.copy()
@@ -611,7 +604,7 @@ def osp12_exponential_sector(samples: int = 10, seed: int = 0,
     odd modulus; the resulting holonomy pair exponentiates proportional
     algebra elements and commutes.
     """
-    from .superlie import build_osp12
+    from .superlie import OSP12_DIRECTIONS, build_osp12
 
     reduced = PhaseSpace.create(np.array([[1.0]]), EPS_CYCLES)
     a1, a2 = reduced.A(1, 0), reduced.A(2, 0)
@@ -620,7 +613,7 @@ def osp12_exponential_sector(samples: int = 10, seed: int = 0,
 
     alg = build_osp12()
     ngen = 2
-    sigma_plus_dir = np.array([-1.0, 0.0, 1.0])   # embeds sigma_0 + sigma_2
+    sigma_plus_dir, _ = OSP12_DIRECTIONS["parabolic"]
     rng = np.random.default_rng(seed)
     constraint_residual = 0.0
     gauge_residual = 0.0

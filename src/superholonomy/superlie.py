@@ -22,6 +22,13 @@ SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIGMA2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_PLUS = SIGMA0 + SIGMA2
+# osp(1|2) abelian directions: coefficients c^a on the even generators
+# (J0, J1, J2), where J0 carries -sigma0, and the sl(2) matrix they embed
+OSP12_DIRECTIONS = {
+    "so2": ((-1.0, 0.0, 0.0), SIGMA0),
+    "hyperbolic": ((0.0, 1.0, 0.0), SIGMA1),
+    "parabolic": ((-1.0, 0.0, 1.0), SIGMA_PLUS),
+}
 EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # build_osp keeps the defining representation at desk scale: m + 2n <= this

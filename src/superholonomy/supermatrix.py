@@ -350,9 +350,9 @@ class SuperMatrix:
         terms: list[list[dict[int, float]]] = [[{} for _ in range(d)] for _ in range(d)]
         for entry in data["entries"]:
             i, j = int(entry["row"]), int(entry["col"])
-            mask = 0
-            for g in entry["monomial"]:
-                mask |= 1 << (int(g) - 1)
+            if not (0 <= i < d and 0 <= j < d):
+                raise ValueError(f"entry ({i}, {j}) outside a {d}x{d} supermatrix")
+            (mask,) = GrassmannElement.monomial([int(g) for g in entry["monomial"]], ngen).terms
             terms[i][j][mask] = terms[i][j].get(mask, 0.0) + float(entry["value"])
         rows = [[GrassmannElement(ngen, t) for t in row] for row in terms]
         return cls(m, n, rows, ngen=ngen)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superholonomy
 from superholonomy.cli import main
 
 
@@ -30,6 +35,25 @@ class TestJacobi:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["max_residual"] <= 1e-12
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, env_seed", [
+        (["moduli", "--seed", "-1"], None),
+        (["moduli"], "abc"),
+        (["moduli", "--tol", "nan"], None),
+        (["moduli", "--tol", "inf"], None),
+        (["moduli", "--tol", "0"], None),
+        (["moduli", "--samples", "0"], None),
+    ])
+    def test_exit_2(self, capsys, monkeypatch, argv, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("SUPERHOLONOMY_SEED", env_seed)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
 
 class TestOversizedAlgebra:
@@ -147,3 +171,32 @@ class TestReport:
         assert set(data["results"]) == {
             "jacobi", "membership", "sectors", "moduli", "closure", "exponential_sector",
         }
+
+
+# the README's commands, with small sample counts
+README_COMMANDS = [
+    ["jacobi", "--m", "2", "--n", "1"],
+    ["membership", "--samples", "20", "--seed", "3"],
+    ["sectors"],
+    ["sectors", "--m", "2", "--n", "1"],
+    ["moduli", "--m", "1", "--n", "2", "--samples", "10", "--seed", "7"],
+    ["closure", "--format", "json"],
+    ["closure", "--debug-tamper"],
+    ["report", "--samples", "10"],
+]
+
+
+def test_in_process_output_matches_fresh_process(capsys, monkeypatch):
+    """A command's stdout may not depend on what ran before it in the process."""
+    monkeypatch.delenv("SUPERHOLONOMY_SEED", raising=False)
+    src = str(Path(superholonomy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in README_COMMANDS:
+        main(argv)
+    capsys.readouterr()
+    for argv in README_COMMANDS:   # each now runs after all the others
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "superholonomy.cli", *argv],
+                               env=env, capture_output=True, check=False)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv

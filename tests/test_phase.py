@@ -11,7 +11,7 @@ from superholonomy.phase import (
     gauge_fixing_check,
     osp12_exponential_sector,
 )
-from superholonomy.superlie import SIGMA0, SIGMA1, SIGMA2, SIGMA_PLUS, build_osp, build_osp12
+from superholonomy.superlie import OSP12_DIRECTIONS, SIGMA0, SIGMA1, SIGMA2, build_osp, build_osp12
 
 
 @pytest.fixture(scope="module")
@@ -217,12 +217,9 @@ class TestExponentialSectorModuli:
     def test_criterion_matches_group_side(self, alg):
         # det(c^a f block) = 0 iff det(a0 x I - I x A0) = 0 for exponentials
         # of the same direction (generic parameter, no elliptic wrap-around)
-        sigma = {"so2": SIGMA0, "hyperbolic": SIGMA1, "parabolic": SIGMA_PLUS}
-        direction = {"so2": [-1.0, 0.0, 0.0], "hyperbolic": [0.0, 1.0, 0.0],
-                     "parabolic": [-1.0, 0.0, 1.0]}
-        for name in sigma:
-            phase_det = exponential_sector_moduli(alg, direction[name]).det
-            A0 = _real_expm(0.8 * sigma[name])
+        for name, (c, sigma) in OSP12_DIRECTIONS.items():
+            phase_det = exponential_sector_moduli(alg, c).det
+            A0 = _real_expm(0.8 * sigma)
             group_det, _ = ahat_det_rank(np.array([[1.0]]), A0)
             assert (abs(phase_det) < 1e-10) == (abs(group_det) < 1e-10), name
 
@@ -241,12 +238,7 @@ class TestExponentialSectorModuli:
         # exponentials of each abelian direction
         from superholonomy.group import fermionic_moduli_count_bruteforce
 
-        directions = {
-            "so2": ([-1.0, 0.0, 0.0], SIGMA0),
-            "hyperbolic": ([0.0, 1.0, 0.0], SIGMA1),
-            "parabolic": ([-1.0, 0.0, 1.0], SIGMA_PLUS),
-        }
-        for name, (c, sigma) in directions.items():
+        for name, (c, sigma) in OSP12_DIRECTIONS.items():
             r = exponential_sector_moduli(alg, c).rank
             A0 = _real_expm(0.7 * sigma)
             B0 = _real_expm(1.3 * sigma)

@@ -220,6 +220,19 @@ class TestJson:
         x = SuperMatrix.from_json_dict(data)
         assert x.rows[0][0].body == 1.5
 
+    @pytest.mark.parametrize("row, col, monomial", [
+        (0, 1, [2, 1]),      # out of order: would flip the sign of t1 t2
+        (0, 1, [1, 1]),      # repeated generator
+        (-1, 0, []),         # would wrap to the last row
+        (0, 1, [0]),         # generators are 1-based
+    ])
+    def test_malformed_entry_rejected(self, row, col, monomial):
+        data = {"m": 1, "n": 2, "N": 2, "entries": [
+            {"row": row, "col": col, "monomial": monomial, "value": 1.0},
+        ]}
+        with pytest.raises(ValueError):
+            SuperMatrix.from_json_dict(data)
+
 
 def test_commutator_of_commuting_matrices_vanishes():
     body = np.diag([1.0, 2.0, 0.5])
