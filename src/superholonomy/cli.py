@@ -41,13 +41,13 @@ def _validate(ns: argparse.Namespace) -> None:
             raise UsageError("SUPERHOLONOMY_SEED must be an integer") from None
     if ns.seed < 0:
         raise UsageError("seed must be non-negative")
-    if ns.m < 1 or ns.n < 1:
+    if "m" in ns and (ns.m < 1 or ns.n < 1):
         raise UsageError("block sizes require m >= 1 and n >= 1")
-    if ns.ngen < 0 or ns.ngen > 16:
+    if "ngen" in ns and (ns.ngen < 0 or ns.ngen > 16):
         raise UsageError("generator count must be in 0..16")
-    if not (math.isfinite(ns.tol) and ns.tol > 0):
+    if "tol" in ns and not (math.isfinite(ns.tol) and ns.tol > 0):
         raise UsageError("tolerance must be finite and positive")
-    if ns.samples < 1:
+    if "samples" in ns and ns.samples < 1:
         raise UsageError("sample count must be positive")
     if ns.command in ALGEBRA_COMMANDS and ns.m + 2 * ns.n > MAX_OSP_SIZE:
         raise UsageError(f"{ns.command} builds osp(m|2n) only for m + 2n <= {MAX_OSP_SIZE}")
@@ -222,6 +222,30 @@ COMMANDS = {
 }
 
 
+# every flag of the CLI; a command registers only those its cmd_* reads
+FLAGS = {
+    "--m": dict(type=int, default=1, help="orthogonal block size"),
+    "--n": dict(type=int, default=1, help="half the symplectic block size"),
+    "--N": dict(dest="ngen", type=int, default=2, help="Grassmann generator count (default 2)"),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
+    "--samples": dict(type=int, default=50),
+    "--seed": dict(type=int, default=None),
+    "--format": dict(dest="fmt", choices=("text", "json"), default="text"),
+    "--out": dict(default=None),
+    "--debug-tamper": dict(action="store_true",
+                           help="detune the bracket to demonstrate failure detection"),
+}
+COMMAND_FLAGS = {
+    "jacobi": ("--m", "--n", "--tol"),
+    "membership": ("--m", "--n", "--N", "--tol", "--samples"),
+    "sectors": ("--m", "--n", "--N", "--tol", "--samples"),
+    "moduli": ("--m", "--n", "--samples"),
+    "closure": ("--m", "--n", "--tol", "--debug-tamper"),
+    "report": ("--N", "--samples"),
+}
+COMMON_FLAGS = ("--seed", "--format", "--out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superholonomy",
@@ -230,18 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__ or name)
-        p.add_argument("--m", type=int, default=1, help="orthogonal block size")
-        p.add_argument("--n", type=int, default=1, help="half the symplectic block size")
-        p.add_argument("--N", dest="ngen", type=int, default=2,
-                       help="Grassmann generator count (default 2)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None)
-        if name == "closure":
-            p.add_argument("--debug-tamper", action="store_true",
-                           help="detune the bracket to demonstrate failure detection")
+        for flag in FLAGS:
+            if flag in COMMAND_FLAGS[name] + COMMON_FLAGS:
+                p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -262,8 +277,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         payload = "\n".join(lines) + "\n"
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            sys.stderr.write(f"usage error: cannot write --out: {exc}\n")
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if passed else 1

@@ -272,21 +272,10 @@ class GrassmannElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def random_element(
-    rng,
-    n: int,
-    parity: int | None = None,
-    scale: float = 1.0,
-    max_degree: int | None = None,
-) -> GrassmannElement:
+def random_element(rng, n: int, parity: int | None = None, scale: float = 1.0) -> GrassmannElement:
     """Random element with uniform coefficients, optionally parity-homogeneous."""
-    top = n if max_degree is None else min(n, max_degree)
     terms = {}
     for mask in range(1 << n):
-        k = mask.bit_count()
-        if k > top:
-            continue
-        if parity is not None and k & 1 != parity:
-            continue
-        terms[mask] = rng.uniform(-scale, scale)
+        if parity is None or mask.bit_count() & 1 == parity:
+            terms[mask] = rng.uniform(-scale, scale)
     return GrassmannElement(n, terms)

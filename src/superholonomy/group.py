@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, random_element
 from .supermatrix import (
     SuperMatrix,
     commutator,
@@ -33,9 +32,8 @@ from .supermatrix import (
     scaling_squaring_expm,
 )
 from .superlie import (
-    SIGMA0,
+    OSP12_DIRECTIONS,
     SIGMA1,
-    SIGMA2,
     SuperAlgebra,
     build_osp,
     build_osp12,
@@ -43,7 +41,19 @@ from .superlie import (
     symplectic_form,
 )
 
+# singular values below this fraction of the largest count as zero: the
+# operators have O(1) entries, so float dust sits near 1e-15 relative
 RANK_THRESHOLD = 1e-10
+# absolute bound on membership, commutator and chi residuals of products of
+# O(1)-entry supermatrices: far above float dust, far below a real defect
+DEFECT_TOL = 1e-10
+# sample_member draws algebra coefficients from [-0.6, 0.6]: big enough to
+# leave the identity, small enough that expm needs few squarings
+SAMPLE_SCALE = 0.6
+# the non-exponential family lives over B_2 with odd parts 0.4 theta1 and
+# -0.3 theta2: distinct generators keep the two fermions independent
+NONEXP_NGEN = 2
+NONEXP_PSI = (0.4, -0.3)
 
 
 class SingularGaugeOperatorError(ValueError):
@@ -94,7 +104,7 @@ class OspGroup:
         return SuperMatrix.from_body(self.H, self.m, self.two_n, self.ngen)
 
     # ------------------------------------------------------------------
-    def is_member(self, M: SuperMatrix, tol: float = 1e-10) -> bool:
+    def is_member(self, M: SuperMatrix, tol: float = DEFECT_TOL) -> bool:
         """M^st H M = H plus the body conditions a0 in O(m), A0 in Sp(2n)."""
         if (M.m, M.n) != (self.m, self.two_n):
             raise ValueError(
@@ -134,39 +144,15 @@ class OspGroup:
         body[0, 0] = -1.0
         return SuperMatrix.from_body(body, self.m, self.two_n, self.ngen)
 
-    def sample_algebra_coefficients(self, rng, scale: float = 0.6,
-                                    soul: bool = True, fermions: bool = True,
-                                    max_odd_degree: int | None = None) -> list:
-        alg = self.algebra()
-        coeffs = []
-        top = self.ngen if max_odd_degree is None else max_odd_degree
-        for par in alg.parities:
-            if par == 0:
-                terms = {0: rng.uniform(-scale, scale)}
-                if soul:
-                    for mask in range(1 << self.ngen):
-                        k = mask.bit_count()
-                        if k and k % 2 == 0:
-                            terms[mask] = rng.uniform(-scale, scale) * 0.5
-                coeffs.append(GrassmannElement(self.ngen, terms))
-            else:
-                terms = {}
-                if fermions:
-                    for mask in range(1 << self.ngen):
-                        k = mask.bit_count()
-                        if k % 2 == 1 and k <= top:
-                            terms[mask] = rng.uniform(-scale, scale)
-                coeffs.append(GrassmannElement(self.ngen, terms))
-        return coeffs
-
-    def sample_member(self, rng, scale: float = 0.6, soul: bool = True,
-                      fermions: bool = True, components: bool = True,
-                      max_odd_degree: int | None = None) -> SuperMatrix:
+    def sample_member(self, rng, components: bool = True) -> SuperMatrix:
         """exp of a random enveloping-algebra element, optionally reflected."""
         alg = self.algebra()
-        coeffs = self.sample_algebra_coefficients(
-            rng, scale=scale, soul=soul, fermions=fermions, max_odd_degree=max_odd_degree
-        )
+        coeffs = []
+        for par in alg.parities:
+            c = random_element(rng, self.ngen, parity=par, scale=SAMPLE_SCALE)
+            if par == 0:   # halve the even souls
+                c = GrassmannElement(self.ngen, {k: v * 0.5 if k else v for k, v in c.terms.items()})
+            coeffs.append(c)
         M = alg.embed(coeffs, self.ngen).expm()
         if components and rng.random() < 0.5:
             M = self.reflection_component() @ M
@@ -189,12 +175,12 @@ def ahat(a0: np.ndarray, A0: np.ndarray) -> np.ndarray:
     return np.kron(a0.T, np.eye(two_n)) - np.kron(np.eye(m), A0)
 
 
-def matrix_rank(mat: np.ndarray, threshold: float = RANK_THRESHOLD) -> int:
+def matrix_rank(mat: np.ndarray) -> int:
     """Rank by singular values after rescaling to unit spectral norm."""
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.count_nonzero(svals / svals[0] > threshold))
+    return int(np.count_nonzero(svals / svals[0] > RANK_THRESHOLD))
 
 
 def ahat_det_rank(a0: np.ndarray, A0: np.ndarray) -> tuple[float, int]:
@@ -227,8 +213,7 @@ class GaugeFixResult:
 
 
 def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
-                    S0_seed: SuperMatrix | None = None,
-                    tol: float = 1e-10) -> GaugeFixResult:
+                    S0_seed: SuperMatrix | None = None) -> GaugeFixResult:
     """Conjugate U into block-diagonal form, annihilating the chi block.
 
     Works degree by degree in the Grassmann grading: at odd degree d the
@@ -283,13 +268,13 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
         S = T @ S
         solved.append(degree)
     residual = gmat_max_abs(U.block("chi"))
-    if residual > tol:
+    if residual > DEFECT_TOL:
         raise RuntimeError(f"gauge fixing left a chi residual of {residual:.3e}")
     return GaugeFixResult(S=S, U_fixed=U, degrees_solved=tuple(solved))
 
 
 def commuting_pair_forces_diagonal(group: OspGroup, U1: SuperMatrix,
-                                   U2: SuperMatrix, tol: float = 1e-10) -> bool:
+                                   U2: SuperMatrix, tol: float = DEFECT_TOL) -> bool:
     """With U1 block diagonal and Ahat invertible, U2 must be block diagonal too."""
     off = max(gmat_max_abs(U1.block("chi")), gmat_max_abs(U1.block("xi")))
     if off > tol:
@@ -300,18 +285,18 @@ def commuting_pair_forces_diagonal(group: OspGroup, U1: SuperMatrix,
     if commutator(U1, U2).max_abs() > tol:
         raise HypothesisError("holonomies do not commute")
     fermion_norm = max(gmat_max_abs(U2.block("chi")), gmat_max_abs(U2.block("xi")))
-    return fermion_norm < 1e-10
+    return fermion_norm < DEFECT_TOL
 
 
 # ----------------------------------------------------------------------
 # fermionic moduli counting
 # ----------------------------------------------------------------------
 
-def fermionic_moduli_count(a0, b0, A0, B0, tol: float = 1e-10) -> int:
+def fermionic_moduli_count(a0, b0, A0, B0) -> int:
     """Closed-form count 2(2mn - r) with r = rank(Ahat) = rank(Bhat)."""
     a0, b0 = np.atleast_2d(a0), np.atleast_2d(b0)
     A0, B0 = np.atleast_2d(A0), np.atleast_2d(B0)
-    if np.abs(a0 @ b0 - b0 @ a0).max() > tol or np.abs(A0 @ B0 - B0 @ A0).max() > tol:
+    if max(np.abs(a0 @ b0 - b0 @ a0).max(), np.abs(A0 @ B0 - B0 @ A0).max()) > DEFECT_TOL:
         raise ValueError("holonomy bodies do not commute")
     Ah, Bh = ahat(a0, A0), ahat(b0, B0)
     r, r_prime = matrix_rank(Ah), matrix_rank(Bh)
@@ -358,19 +343,19 @@ def random_sp(two_n: int, rng, scale: float = 0.7) -> np.ndarray:
     return _real_expm(C @ (S + S.T))
 
 
-def sample_commuting_bodies(m: int, n: int, rng, allow_special: bool = True):
+def sample_commuting_bodies(m: int, n: int, rng):
     """Commuting (a0, b0, A0, B0) drawn from one abelian direction.
 
     Both holonomies exponentiate multiples of the same o(m) and sp(2n)
     generators (the aligned sectors the moduli count applies to), with
-    optional overall sign flips and nilpotent or vanishing directions to
+    random overall sign flips and nilpotent or vanishing directions to
     exercise rank-deficient cases, plus a random simultaneous conjugation.
     """
     two_n = 2 * n
     C = symplectic_form(two_n)
     K = rng.uniform(-1, 1, (m, m))
     K = K - K.T
-    kind = rng.integers(0, 4) if allow_special else 0
+    kind = rng.integers(0, 4)
     if kind == 1:       # nilpotent sp direction -> parabolic-type blocks
         S = np.zeros((two_n, two_n))
         S[0, 0] = 1.0
@@ -426,11 +411,11 @@ class HolonomyPair:
 
     @classmethod
     def make(cls, group: OspGroup, U1: SuperMatrix, U2: SuperMatrix,
-             label: str = "", tol: float = 1e-10) -> "HolonomyPair":
-        if not group.is_member(U1, tol) or not group.is_member(U2, tol):
+             label: str = "") -> "HolonomyPair":
+        if not group.is_member(U1, DEFECT_TOL) or not group.is_member(U2, DEFECT_TOL):
             raise ValueError("holonomies are not group members")
         defect = commutator(U1, U2).max_abs()
-        if defect > tol:
+        if defect > DEFECT_TOL:
             raise ValueError(f"holonomies do not commute (defect {defect:.3e})")
         a0, A0 = U1.body_blocks()
         b0, B0 = U2.body_blocks()
@@ -601,34 +586,22 @@ class NonExpFamily:
 
 
 def build_nonexp_holonomy(cal_a1: float, cal_a2: float,
-                          psi1: Sequence[GrassmannElement] | None = None,
-                          ngen: int = 2, grid_points: int = 64,
-                          generator: np.ndarray | None = None) -> NonExpFamily:
-    """Paths U(phi) = diag(1, R(phi/2)) exp(phi (A_k sigma + psi^alpha Q_alpha)).
+                          grid_points: int = 64) -> NonExpFamily:
+    """Paths U(phi) = diag(1, R(phi/2)) exp(phi (A_k sigma1 + psi^alpha Q_alpha)).
 
     U(0) is exactly the identity while U(2pi) lands in the disconnected
     a0 = 1, A0 = -e^X part of the group that no single exponential reaches;
     every grid sample remains a group member.
     """
     alg = build_osp12()
-    sigma = SIGMA1 if generator is None else np.asarray(generator, dtype=float)
-    # sl(2) coordinates of sigma (the sigma_a are tr(X^T Y)-orthogonal with
-    # norm 2), then moved to the (J0, J1, J2) basis where J0 carries -sigma0
-    x = np.array([float(np.trace(s.T @ sigma)) / 2.0 for s in (SIGMA0, SIGMA1, SIGMA2)])
-    direction = np.array([-x[0], x[1], x[2]])
-    if psi1 is None:
-        psi1 = (GrassmannElement.theta(1, ngen) * 0.4,
-                GrassmannElement.theta(2, ngen) * (-0.3))
+    ngen = NONEXP_NGEN
+    direction, sigma = OSP12_DIRECTIONS["hyperbolic"]
+    psi1 = tuple(GrassmannElement.theta(k + 1, ngen) * c for k, c in enumerate(NONEXP_PSI))
     grid = np.linspace(0.0, 2.0 * math.pi, grid_points + 1)
 
     def path(phi: float, amp: float) -> SuperMatrix:
-        coeffs = [
-            GrassmannElement.scalar(amp * direction[0] * phi, ngen),
-            GrassmannElement.scalar(amp * direction[1] * phi, ngen),
-            GrassmannElement.scalar(amp * direction[2] * phi, ngen),
-            psi1[0] * phi,
-            psi1[1] * phi,
-        ]
+        coeffs = [GrassmannElement.scalar(amp * c * phi, ngen) for c in direction]
+        coeffs += [psi * phi for psi in psi1]
         body = np.zeros((3, 3))
         body[0, 0] = 1.0
         body[1:, 1:] = rotation(phi / 2.0)

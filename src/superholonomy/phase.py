@@ -25,6 +25,9 @@ from .group import matrix_rank
 from .superlie import SuperAlgebra
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
+# absolute bound on residuals, pivots and determinants built from the O(1)
+# structure constants and sample values: far above float dust
+PHASE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -451,17 +454,16 @@ class EfmReport:
         return f"fermion block: det={self.det:+.6g} rank={self.rank} moduli={self.moduli}{null}"
 
 
-def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float],
-                              threshold: float = 1e-10) -> EfmReport:
+def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmReport:
     """det and rank of c^a f_{a alpha}^beta, with the moduli count attached."""
     block = alg.ff_block(c)
     det = float(np.linalg.det(block))
-    rank = matrix_rank(block, threshold)
+    rank = matrix_rank(block)
     n_odd = len(alg.odd_indices)
     c_vec = np.asarray(c, dtype=float)
     ev = alg.even_indices
     eta_even = alg.eta[np.ix_(ev, ev)]
-    null = bool(abs(c_vec @ np.linalg.inv(eta_even) @ c_vec) < threshold)
+    null = bool(abs(c_vec @ np.linalg.inv(eta_even) @ c_vec) < PHASE_TOL)
     return EfmReport(det=det, rank=rank, moduli=2 * (n_odd - rank), direction_is_null=null)
 
 
@@ -485,8 +487,7 @@ class GaugeFixingCheck:
 
 def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
                        chi_choice: Sequence[GradedPolynomial],
-                       A_values: tuple[float, float] = (0.6, 0.8),
-                       tol: float = 1e-10) -> GaugeFixingCheck:
+                       A_values: tuple[float, float] = (0.6, 0.8)) -> GaugeFixingCheck:
     """Test a fermionic gauge-fixing choice against the independent constraints.
 
     At the bosonic background A_k = cal_A_k * c the fermionic constraints
@@ -497,7 +498,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     coordinates (which equals 2(n_odd - r)).
     """
     ctx = PhaseSpace.from_algebra(alg)
-    r = matrix_rank(alg.ff_block(c), tol)
+    r = matrix_rank(alg.ff_block(c))
     if len(chi_choice) != r:
         raise ValueError(f"need exactly r = {r} gauge conditions, got {len(chi_choice)}")
     n_odd = ctx.n_odd
@@ -526,7 +527,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     for _ in range(r):
         norms = np.linalg.norm(work, axis=1)
         pick = int(np.argmax(norms))
-        if norms[pick] < tol:
+        if norms[pick] < PHASE_TOL:
             break
         picked.append(pick)
         pivot = work[pick] / norms[pick] ** 2
@@ -542,11 +543,11 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
         pairing_det = 1.0
     else:
         pairing_det = float(np.linalg.det(g_ind @ M @ chi_rows.T))
-    pairing_ok = abs(pairing_det) > tol
+    pairing_ok = abs(pairing_det) > PHASE_TOL
     # the fixed surface and the pulled-back quadratic constraint
     stacked = np.vstack([g_ind, chi_rows])
     _, _, vt = np.linalg.svd(stacked)
-    kernel = vt[matrix_rank(stacked, tol):].T
+    kernel = vt[matrix_rank(stacked):].T
     free = kernel.shape[1]
     od = alg.odd_indices
     residual = 0.0
@@ -565,7 +566,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
         pairing_det=pairing_det,
         pairing_ok=pairing_ok,
         residual_constraint=residual,
-        residual_ok=residual <= tol,
+        residual_ok=residual <= PHASE_TOL,
         free_odd_coordinates=free,
     )
 
@@ -593,8 +594,7 @@ class ExponentialSectorReport:
         )
 
 
-def osp12_exponential_sector(samples: int = 10, seed: int = 0,
-                             tol: float = 1e-10) -> ExponentialSectorReport:
+def osp12_exponential_sector(samples: int = 10, seed: int = 0) -> ExponentialSectorReport:
     """Canonical variables, constraints and holonomies of the parabolic sector.
 
     Uses a reduced phase space with a single even direction per cycle and
@@ -650,5 +650,5 @@ def osp12_exponential_sector(samples: int = 10, seed: int = 0,
         gauge_residual=gauge_residual,
         commutator_norms=commutator_norms,
         invariants=invariants,
-        tol=tol,
+        tol=PHASE_TOL,
     )

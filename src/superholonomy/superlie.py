@@ -33,6 +33,11 @@ EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # build_osp keeps the defining representation at desk scale: m + 2n <= this
 MAX_OSP_SIZE = 8
+# the representations have entries 0, +-1, +-2, so defining relations, graded
+# antisymmetry and parity rules of f hold to rounding of a few O(1) products
+EXACT_TOL = 1e-12
+# a supertrace Gram determinant below this means a degenerate basis
+GRAM_DET_TOL = 1e-10
 
 
 def symplectic_form(two_n: int) -> np.ndarray:
@@ -117,16 +122,16 @@ class SuperAlgebra:
         return len(self.odd_indices)
 
     # ------------------------------------------------------------------
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         """Graded antisymmetry and parity selection rules of f."""
         dim = self.dim
         for i, j in product(range(dim), repeat=2):
             sign = -1.0 if (self.parities[i] and self.parities[j]) else 1.0
-            if np.abs(self.f[i, j] + sign * self.f[j, i]).max() > tol:
+            if np.abs(self.f[i, j] + sign * self.f[j, i]).max() > EXACT_TOL:
                 raise ValueError(f"graded antisymmetry violated at ({i},{j})")
             for k in range(dim):
                 if (self.parities[i] + self.parities[j] - self.parities[k]) % 2:
-                    if abs(self.f[i, j, k]) > tol:
+                    if abs(self.f[i, j, k]) > EXACT_TOL:
                         raise ValueError(f"parity selection rule violated at ({i},{j},{k})")
 
     def bracket(self, x: Sequence, y: Sequence):
@@ -275,7 +280,7 @@ class SuperAlgebra:
 # ----------------------------------------------------------------------
 
 def _structure_constants_from_rep(
-    rep: list[np.ndarray], parities: list[int], m: int, tol: float = 1e-10
+    rep: list[np.ndarray], parities: list[int], m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """f and the supertrace Gram matrix from representation matrices."""
     dim = len(rep)
@@ -283,7 +288,7 @@ def _structure_constants_from_rep(
     for i in range(dim):
         for j in range(dim):
             gram[i, j] = _str_body(rep[i] @ rep[j], m)
-    if abs(np.linalg.det(gram)) < tol:
+    if abs(np.linalg.det(gram)) < GRAM_DET_TOL:
         raise ValueError("supertrace form is degenerate on this basis")
     f = np.zeros((dim, dim, dim))
     for i in range(dim):
@@ -363,7 +368,7 @@ def _osp12_relation_residual(rep: list[np.ndarray], eps_scale: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def build_osp12(tol: float = 1e-12) -> SuperAlgebra:
+def build_osp12() -> SuperAlgebra:
     """osp(1|2) from its 3x3 representation, normalizations fitted then verified.
 
     The result is cached and shared; treat it as immutable (copy arrays
@@ -383,7 +388,7 @@ def build_osp12(tol: float = 1e-12) -> SuperAlgebra:
         for mu1 in (1.0, -1.0):
             rep, info = _osp12_candidate(t_sign, mu1)
             res = _osp12_relation_residual(rep, eps_scale=2.0)
-            if res <= tol:
+            if res <= EXACT_TOL:
                 best = (rep, info)
                 break
         if best:
@@ -398,7 +403,7 @@ def build_osp12(tol: float = 1e-12) -> SuperAlgebra:
     eta_target[3:, 3:] = EPS2
     # single global factor between the supertrace form and the target eta
     k = gram[0, 0] / eta_target[0, 0]
-    if np.abs(gram - k * eta_target).max() > tol:
+    if np.abs(gram - k * eta_target).max() > EXACT_TOL:
         raise RuntimeError("supertrace form is not proportional to the expected eta")
     alg = SuperAlgebra(
         labels=("J0", "J1", "J2", "Q1", "Q2"),
@@ -479,7 +484,7 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
     H = graded_form(m, two_n)
     for mat in rep:
         tangent = _supertranspose_body(mat, m) @ H + H @ mat
-        if np.abs(tangent).max() > 1e-12:
+        if np.abs(tangent).max() > EXACT_TOL:
             raise RuntimeError("generator fails the tangency condition")
     f, gram = _structure_constants_from_rep(rep, parities, m=m)
     alg = SuperAlgebra(

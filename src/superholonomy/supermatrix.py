@@ -32,6 +32,11 @@ class ExpmNotConvergedError(ArithmeticError):
     """The Taylor series of an exponential did not reach its cutoff in time."""
 
 
+# the Taylor sum stops at a term below this: an exact zero for a SuperMatrix
+# (COEFF_CUTOFF drops its coefficients), far under rounding for a real matrix
+TAYLOR_CUTOFF = 1e-22
+
+
 # ----------------------------------------------------------------------
 # plain matrices of Grassmann elements (used for block manipulations)
 # ----------------------------------------------------------------------
@@ -97,15 +102,14 @@ def gmat_inverse(x: GMatrix) -> GMatrix:
     return gmat_mul(acc, b_inv)
 
 
-def scaling_squaring_expm(x, identity, body: np.ndarray, size,
-                          term_cutoff: float = 1e-22, max_terms: int = 80):
+def scaling_squaring_expm(x, identity, body: np.ndarray, size, max_terms: int = 80):
     """exp(x) by scaling and squaring around a Taylor kernel.
 
     x is a real square array or an even SuperMatrix (anything with ``@``,
     ``+`` and scalar ``*``), body its real part and size(t) the largest
     absolute coefficient of t.  x is scaled by 2^-s until the 1-norm of the
     body is at most 1/2, the series is summed until a term falls below
-    term_cutoff, and the sum is squared s times (Higham, SIAM J. Matrix Anal.
+    TAYLOR_CUTOFF, and the sum is squared s times (Higham, SIAM J. Matrix Anal.
     Appl. 26, 2005).  Soul parts are nilpotent, so they only lengthen the
     series by finitely many orders.  Raises ExpmNotConvergedError when
     max_terms terms do not reach the cutoff.
@@ -116,12 +120,12 @@ def scaling_squaring_expm(x, identity, body: np.ndarray, size,
     acc = term = identity
     for k in range(1, max_terms + 1):
         term = (term @ x) * (1.0 / k)
-        if size(term) < term_cutoff:
+        if size(term) < TAYLOR_CUTOFF:
             break
         acc = acc + term
     else:
         raise ExpmNotConvergedError(
-            f"Taylor terms still above {term_cutoff:g} after {max_terms} terms"
+            f"Taylor terms still above {TAYLOR_CUTOFF:g} after {max_terms} terms"
         )
     for _ in range(squarings):
         acc = acc @ acc
@@ -208,14 +212,14 @@ class SuperMatrix:
         return [[self.rows[i][j] for j in cs] for i in rs]
 
     def body(self) -> np.ndarray:
-        return np.array([[e.body for e in row] for row in self.rows], dtype=float)
+        return gmat_body(self.rows)
 
     def body_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         b = self.body()
         return b[: self.m, : self.m], b[self.m :, self.m :]
 
     def max_abs(self) -> float:
-        return max((e.max_abs() for row in self.rows for e in row), default=0.0)
+        return gmat_max_abs(self.rows)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -228,8 +232,8 @@ class SuperMatrix:
         self._check_compatible(other)
         if self.parity != other.parity:
             raise ParityPatternError("cannot add matrices of different parity")
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        return SuperMatrix(self.m, self.n, rows, parity=self.parity, ngen=self.ngen)
+        return SuperMatrix(self.m, self.n, gmat_add(self.rows, other.rows),
+                           parity=self.parity, ngen=self.ngen)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self + (other * -1.0)
@@ -237,8 +241,8 @@ class SuperMatrix:
     def __mul__(self, scalar) -> "SuperMatrix":
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        rows = [[e * scalar for e in row] for row in self.rows]
-        return SuperMatrix(self.m, self.n, rows, parity=self.parity, ngen=self.ngen)
+        return SuperMatrix(self.m, self.n, gmat_scale(self.rows, scalar),
+                           parity=self.parity, ngen=self.ngen)
 
     __rmul__ = __mul__
 
@@ -298,12 +302,12 @@ class SuperMatrix:
         bottom_left = gmat_scale(gmat_mul(S_inv, gmat_mul(sg, sbar_inv)), -1.0)
         return SuperMatrix.from_blocks(sbar_inv, top_right, bottom_left, Sbar_inv)
 
-    def expm(self, term_cutoff: float = 1e-22, max_terms: int = 80) -> "SuperMatrix":
+    def expm(self, max_terms: int = 80) -> "SuperMatrix":
         """exp(X) through scaling_squaring_expm (even parity pattern only)."""
         if self.parity != 0:
             raise ValueError("expm requires the even parity pattern")
         return scaling_squaring_expm(self, SuperMatrix.identity(self.m, self.n, self.ngen),
-                                     self.body(), SuperMatrix.max_abs, term_cutoff, max_terms)
+                                     self.body(), SuperMatrix.max_abs, max_terms)
 
     # ------------------------------------------------------------------
     # comparisons / io
@@ -311,9 +315,6 @@ class SuperMatrix:
     def diff(self, other: "SuperMatrix") -> float:
         """Largest absolute coefficient of self - other."""
         return (self - other).max_abs()
-
-    def isclose(self, other: "SuperMatrix", tol: float = 1e-12) -> bool:
-        return self.diff(other) <= tol
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperMatrix):

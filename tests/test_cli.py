@@ -41,19 +41,34 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, env_seed", [
         (["moduli", "--seed", "-1"], None),
         (["moduli"], "abc"),
-        (["moduli", "--tol", "nan"], None),
-        (["moduli", "--tol", "inf"], None),
-        (["moduli", "--tol", "0"], None),
+        (["membership", "--tol", "nan"], None),
+        (["membership", "--tol", "inf"], None),
+        (["membership", "--tol", "0"], None),
         (["moduli", "--samples", "0"], None),
+        (["moduli", "--samples", "2", "--out", "{missing_dir}/x.json"], None),
     ])
-    def test_exit_2(self, capsys, monkeypatch, argv, env_seed):
+    def test_exit_2(self, capsys, monkeypatch, tmp_path, argv, env_seed):
         if env_seed is not None:
             monkeypatch.setenv("SUPERHOLONOMY_SEED", env_seed)
+        argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--m", "3"],
+        ["report", "--tol", "1e-30"],
+        ["moduli", "--tol", "1e-3"],
+        ["moduli", "--N", "4"],
+        ["jacobi", "--samples", "5"],
+        ["closure", "--N", "3"],
+    ])
+    def test_unread_flag_rejected(self, capsys, argv):
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestOversizedAlgebra:
