@@ -19,17 +19,28 @@ import numpy as np
 from . import checks
 from .group import OspGroup, enumerate_sectors_osp12, sector_representative
 from .phase import check_closure, exponential_sector_moduli, osp12_exponential_sector
-from .superlie import MAX_OSP_SIZE, OSP12_DIRECTIONS, build_osp, build_osp12
+from .grassmann import MAX_GENERATORS
+from .superlie import EXACT_TOL, MAX_OSP_SIZE, OSP12_DIRECTIONS, build_osp, build_osp12
 from .supermatrix import commutator
 
 DEFAULT_TOL = 1e-10
 
 # commands whose --m/--n build the osp(m|2n) algebra (moduli only samples bodies)
 ALGEBRA_COMMANDS = ("jacobi", "membership", "closure")
+# commands that check exact structure-constant identities: their residuals are
+# rounding of O(1) products, so a --tol looser than EXACT_TOL is refused
+EXACT_COMMANDS = ("jacobi", "closure")
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become one usage-error line instead of argparse's exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _validate(ns: argparse.Namespace) -> None:
@@ -43,10 +54,12 @@ def _validate(ns: argparse.Namespace) -> None:
         raise UsageError("seed must be non-negative")
     if "m" in ns and (ns.m < 1 or ns.n < 1):
         raise UsageError("block sizes require m >= 1 and n >= 1")
-    if "ngen" in ns and (ns.ngen < 0 or ns.ngen > 16):
-        raise UsageError("generator count must be in 0..16")
+    if "ngen" in ns and not 0 <= ns.ngen <= MAX_GENERATORS:
+        raise UsageError(f"generator count must be in 0..{MAX_GENERATORS}")
     if "tol" in ns and not (math.isfinite(ns.tol) and ns.tol > 0):
         raise UsageError("tolerance must be finite and positive")
+    if ns.command in EXACT_COMMANDS and ns.tol > EXACT_TOL:
+        raise UsageError(f"{ns.command} takes a tolerance of at most {EXACT_TOL:g}")
     if "samples" in ns and ns.samples < 1:
         raise UsageError("sample count must be positive")
     if ns.command in ALGEBRA_COMMANDS and ns.m + 2 * ns.n > MAX_OSP_SIZE:
@@ -72,7 +85,7 @@ def _status(passed: bool) -> str:
 
 def cmd_jacobi(ns):
     alg = build_osp(ns.m, ns.n)
-    report = alg.check_jacobi(tol=min(ns.tol, 1e-12))
+    report = alg.check_jacobi(tol=ns.tol)
     data = {
         "command": "jacobi",
         "group": _group_name(ns),
@@ -159,7 +172,7 @@ def cmd_closure(ns):
         f_bad = alg.f.copy()
         f_bad[alg.even_indices[0], alg.odd_indices[0], alg.odd_indices[-1]] += 0.1
         alg = dataclasses.replace(alg, f=f_bad)
-    report = check_closure(alg, tol=min(ns.tol, 1e-12))
+    report = check_closure(alg, tol=ns.tol)
     directions = {}
     if (ns.m, ns.n) == (1, 1):
         for name, (c, _) in OSP12_DIRECTIONS.items():
@@ -247,25 +260,30 @@ COMMON_FLAGS = ("--seed", "--format", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superholonomy",
         description="Verification suites for the OSp(m|2n) flat-connection moduli calculus.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__ or name)
+        p = sub.add_parser(name, help=fn.__doc__ or name, allow_abbrev=False)
         for flag in FLAGS:
             if flag in COMMAND_FLAGS[name] + COMMON_FLAGS:
                 p.add_argument(flag, **FLAGS[flag])
+        if name in EXACT_COMMANDS:
+            p.set_defaults(tol=EXACT_TOL)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:   # --help
         return 2 if exc.code not in (0, None) else 0
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 2
     try:
         _validate(ns)
         passed, data, lines = COMMANDS[ns.command](ns)

@@ -19,16 +19,15 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import GrassmannElement, random_element
+from .grassmann import GrassmannElement, graded_matmul, random_element
 from .supermatrix import (
     SuperMatrix,
+    array_to_gmat,
+    body_array,
     commutator,
     gmat_from_real,
-    gmat_max_abs,
-    gmat_mul,
-    gmat_scale,
-    gmat_transpose,
-    gmat_zero,
+    gmat_to_array,
+    graded_inverse,
     scaling_squaring_expm,
 )
 from .superlie import (
@@ -130,12 +129,11 @@ class OspGroup:
         a, A, chi are Grassmann block matrices (lists of lists); a must have
         an invertible body.
         """
-        from .supermatrix import gmat_inverse
-
         ngen = a[0][0].n
-        at_inv = gmat_inverse(gmat_transpose(a))
-        Cg = gmat_from_real(self.C, ngen)
-        return gmat_scale(gmat_mul(at_inv, gmat_mul(gmat_transpose(chi), gmat_mul(Cg, A))), -1.0)
+        a, A, chi = (gmat_to_array(x, ngen) for x in (a, A, chi))
+        at_inv = graded_inverse(a.transpose(0, 2, 1))
+        CA = graded_matmul(body_array(self.C, ngen), A)
+        return array_to_gmat(-graded_matmul(at_inv, graded_matmul(chi.transpose(0, 2, 1), CA)))
 
     # ------------------------------------------------------------------
     def reflection_component(self) -> SuperMatrix:
@@ -236,38 +234,25 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
     # soul-valued conjugations leave the bodies untouched, so one operator
     # inverse serves every degree of the iteration
     op_inv = np.linalg.inv(op)
-    Cg = gmat_from_real(group.C, ngen)
+    C = body_array(group.C, ngen)
+    degrees = np.array([q.bit_count() for q in range(1 << ngen)])
     solved = []
     for degree in range(1, ngen + 1, 2):
-        chi = U.block("chi")
-        coeff_by_mask: dict[int, np.ndarray] = {}
-        for i in range(two_n):
-            for j in range(m):
-                for mask, value in chi[i][j].terms.items():
-                    if mask.bit_count() != degree:
-                        continue
-                    coeff_by_mask.setdefault(mask, np.zeros((two_n, m)))[i, j] = value
-        if not coeff_by_mask:
+        chi = U.block_coeffs("chi")
+        masks = [q for q in np.flatnonzero(degrees == degree) if chi[q].any()]
+        if not masks:
             continue
-        z_terms: list[list[dict[int, float]]] = [
-            [{} for _ in range(m)] for _ in range(two_n)
-        ]
-        for mask, coeff in coeff_by_mask.items():
-            z_vec = op_inv @ (-coeff.flatten(order="F"))
-            z_mat = z_vec.reshape((two_n, m), order="F")
-            for i in range(two_n):
-                for j in range(m):
-                    if z_mat[i, j]:
-                        z_terms[i][j][mask] = z_mat[i, j]
-        z = [[GrassmannElement(ngen, t) for t in row] for row in z_terms]
-        xi_z = gmat_scale(gmat_mul(gmat_transpose(z), Cg), -1.0)
-        Z = SuperMatrix.from_blocks(gmat_zero(m, m, ngen), xi_z, z,
-                                    gmat_zero(two_n, two_n, ngen))
-        T = Z.expm()
+        z = np.zeros((1 << ngen, two_n, m))
+        for q in masks:
+            z[q] = (op_inv @ (-chi[q].flatten(order="F"))).reshape((two_n, m), order="F")
+        Z = np.zeros((1 << ngen, m + two_n, m + two_n))
+        Z[:, :m, m:] = -graded_matmul(z.transpose(0, 2, 1), C)
+        Z[:, m:, :m] = z
+        T = SuperMatrix.from_coeffs(m, two_n, Z).expm()
         U = T @ U @ T.inverse()
         S = T @ S
         solved.append(degree)
-    residual = gmat_max_abs(U.block("chi"))
+    residual = _block_max_abs(U, "chi")
     if residual > DEFECT_TOL:
         raise RuntimeError(f"gauge fixing left a chi residual of {residual:.3e}")
     return GaugeFixResult(S=S, U_fixed=U, degrees_solved=tuple(solved))
@@ -276,7 +261,7 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
 def commuting_pair_forces_diagonal(group: OspGroup, U1: SuperMatrix,
                                    U2: SuperMatrix, tol: float = DEFECT_TOL) -> bool:
     """With U1 block diagonal and Ahat invertible, U2 must be block diagonal too."""
-    off = max(gmat_max_abs(U1.block("chi")), gmat_max_abs(U1.block("xi")))
+    off = max(_block_max_abs(U1, "chi"), _block_max_abs(U1, "xi"))
     if off > tol:
         raise HypothesisError("U1 is not block diagonal")
     a0, A0 = U1.body_blocks()
@@ -284,8 +269,12 @@ def commuting_pair_forces_diagonal(group: OspGroup, U1: SuperMatrix,
         raise HypothesisError("det Ahat = 0: the commutant admits fermions")
     if commutator(U1, U2).max_abs() > tol:
         raise HypothesisError("holonomies do not commute")
-    fermion_norm = max(gmat_max_abs(U2.block("chi")), gmat_max_abs(U2.block("xi")))
+    fermion_norm = max(_block_max_abs(U2, "chi"), _block_max_abs(U2, "xi"))
     return fermion_norm < DEFECT_TOL
+
+
+def _block_max_abs(M: SuperMatrix, name: str) -> float:
+    return float(np.abs(M.block_coeffs(name)).max(initial=0.0))
 
 
 # ----------------------------------------------------------------------

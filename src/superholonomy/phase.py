@@ -423,7 +423,8 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
     eta_inv = np.linalg.inv(eta_ord)
     par = np.array([alg.parities[i] for i in order])
     graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
-    induced_lowered = np.einsum("ia,jb,abk,kl->ijl", eta_ord, eta_ord, induced, eta_inv)
+    induced_lowered = np.einsum("ia,jb,abk,kl->ijl", eta_ord, eta_ord, induced, eta_inv,
+                                optimize=True)
     target = graded_sign[:, :, None] * f_ord
     denom = float(np.sum(target * target))
     kappa = float(np.sum(induced_lowered * target) / denom) if denom else 0.0

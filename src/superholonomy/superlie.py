@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .grassmann import GrassmannElement
-from .supermatrix import SuperMatrix, gmat_from_real
+from .supermatrix import SuperMatrix, body_array
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -208,38 +208,28 @@ class SuperAlgebra:
         if self.rep is None:
             raise ValueError("algebra carries no matrix representation")
         d = self.block_m + self.block_n
-        terms: list[list[dict[int, float]]] = [[{} for _ in range(d)] for _ in range(d)]
+        out = np.zeros((1 << ngen, d, d))
         for c, mat, par in zip(coeffs, self.rep, self.parities):
             if isinstance(c, (int, float)):
                 if c == 0:
                     continue
-                if par == 1 and c != 0:
+                if par == 1:
                     raise ValueError("odd generators need odd Grassmann coefficients")
-                cg = {0: float(c)}
+                vec = np.zeros(1 << ngen)
+                vec[0] = c
             else:
                 if c.is_zero():
                     continue
                 if not c.is_homogeneous(par):
                     raise ValueError("coefficient parity must match generator parity")
-                cg = c.terms
-            for i in range(d):
-                for j in range(d):
-                    v = mat[i, j]
-                    if v == 0.0:
-                        continue
-                    tij = terms[i][j]
-                    for mask, coeff in cg.items():
-                        tij[mask] = tij.get(mask, 0.0) + coeff * v
-        rows = [[GrassmannElement(ngen, tij) for tij in row] for row in terms]
-        return SuperMatrix(self.block_m, self.block_n, rows, ngen=ngen)
+                vec = c.dense()
+            out += vec[:, None, None] * mat
+        return SuperMatrix.from_coeffs(self.block_m, self.block_n, out)
 
     def rep_supermatrices(self, ngen: int) -> list[SuperMatrix]:
         """Generators as supermatrices; odd generators use the odd pattern."""
-        return [
-            SuperMatrix(self.block_m, self.block_n, gmat_from_real(mat, ngen),
-                        parity=par, ngen=ngen)
-            for mat, par in zip(self.rep, self.parities)
-        ]
+        return [SuperMatrix.from_coeffs(self.block_m, self.block_n, body_array(mat, ngen), par)
+                for mat, par in zip(self.rep, self.parities)]
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -10,6 +10,11 @@ with a (m x m) and A (n x n).  In the default (even) parity pattern the
 diagonal blocks carry even entries and the off-diagonal blocks odd entries;
 the odd pattern swaps the roles and exists so that graded identities such as
 (XY)^st = (-1)^{|X||Y|} Y^st X^st can be exercised on both parities.
+
+Storage is dense: one read-only coefficient array of shape (2^N, m+n, m+n),
+axis 0 the monomial mask, so a product is one call of the graded kernel
+``grassmann.graded_matmul`` and the inverse and exponential work on array
+slices.  The GrassmannElement entries are a view built on demand.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement, graded_dot
+from .grassmann import MAX_GENERATORS, GrassmannElement, canonical, grade_signs, graded_matmul
 
 GMatrix = list[list[GrassmannElement]]
 
@@ -38,7 +43,7 @@ TAYLOR_CUTOFF = 1e-22
 
 
 # ----------------------------------------------------------------------
-# plain matrices of Grassmann elements (used for block manipulations)
+# plain matrices of Grassmann elements (the row view of blocks)
 # ----------------------------------------------------------------------
 
 def gmat_zero(rows: int, cols: int, n: int) -> GMatrix:
@@ -50,30 +55,25 @@ def gmat_from_real(mat: np.ndarray, n: int) -> GMatrix:
     return [[GrassmannElement.scalar(float(v), n) for v in row] for row in np.asarray(mat, dtype=float)]
 
 
+def gmat_to_array(x: GMatrix, n: int) -> np.ndarray:
+    """Dense (2^n, rows, cols) coefficient array of a Grassmann matrix."""
+    out = np.zeros((1 << n, len(x), len(x[0]) if x else 0))
+    for i, row in enumerate(x):
+        for j, e in enumerate(row):
+            if e.terms:
+                out[list(e.terms), i, j] = list(e.terms.values())
+    return out
+
+
+def array_to_gmat(coeffs: np.ndarray) -> GMatrix:
+    """Grassmann matrix of a canonical (2^n, rows, cols) coefficient array."""
+    return [[GrassmannElement.from_dense(coeffs[:, i, j]) for j in range(coeffs.shape[2])]
+            for i in range(coeffs.shape[1])]
+
+
 def gmat_mul(x: GMatrix, y: GMatrix) -> GMatrix:
     n = x[0][0].n
-    cols = list(zip(*y))
-    return [[graded_dot(row, col, n) for col in cols] for row in x]
-
-
-def gmat_transpose(x: GMatrix) -> GMatrix:
-    return [list(col) for col in zip(*x)]
-
-
-def gmat_scale(x: GMatrix, s: float) -> GMatrix:
-    return [[e * s for e in row] for row in x]
-
-
-def gmat_add(x: GMatrix, y: GMatrix) -> GMatrix:
-    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def gmat_sub(x: GMatrix, y: GMatrix) -> GMatrix:
-    return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def gmat_body(x: GMatrix) -> np.ndarray:
-    return np.array([[e.body for e in row] for row in x], dtype=float)
+    return array_to_gmat(graded_matmul(gmat_to_array(x, n), gmat_to_array(y, n)))
 
 
 def gmat_max_abs(x: GMatrix) -> float:
@@ -81,25 +81,38 @@ def gmat_max_abs(x: GMatrix) -> float:
 
 
 def gmat_inverse(x: GMatrix) -> GMatrix:
-    """Inverse of a square Grassmann matrix with invertible real body.
+    return array_to_gmat(graded_inverse(gmat_to_array(x, x[0][0].n)))
+
+
+# ----------------------------------------------------------------------
+# dense coefficient arrays (2^N, rows, cols)
+# ----------------------------------------------------------------------
+
+def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
+    """A real matrix as a coefficient array over B_ngen (body only)."""
+    mat = np.asarray(mat, dtype=float)
+    out = np.zeros((1 << ngen, *mat.shape))
+    out[0] = mat
+    return canonical(out)
+
+
+def graded_inverse(x: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix over B_N, given as its coefficient array.
 
     Factors X = X0 (1 + K) with X0 the body and K soul-valued, so the
     Neumann series for (1 + K)^-1 terminates at the generator count.
     """
-    size = len(x)
-    n = x[0][0].n
-    body = gmat_body(x)
-    body_inv = np.linalg.inv(body)
-    b_inv = gmat_from_real(body_inv, n)
-    k = gmat_sub(gmat_mul(b_inv, x), gmat_from_real(np.eye(size), n))
-    acc = gmat_from_real(np.eye(size), n)
-    power = gmat_from_real(np.eye(size), n)
-    for _ in range(n):
-        power = gmat_scale(gmat_mul(power, k), -1.0)
-        if gmat_max_abs(power) == 0.0:
+    ngen = len(x).bit_length() - 1
+    eye = body_array(np.eye(x.shape[1]), ngen)
+    body_inv = body_array(np.linalg.inv(x[0]), ngen)
+    k = canonical(graded_matmul(body_inv, x) - eye)
+    acc = power = eye
+    for _ in range(ngen):
+        power = -graded_matmul(power, k)
+        if not power.any():
             break
-        acc = gmat_add(acc, power)
-    return gmat_mul(acc, b_inv)
+        acc = canonical(acc + power)
+    return graded_matmul(acc, body_inv)
 
 
 def scaling_squaring_expm(x, identity, body: np.ndarray, size, max_terms: int = 80):
@@ -137,9 +150,14 @@ def scaling_squaring_expm(x, identity, body: np.ndarray, size, max_terms: int = 
 # ----------------------------------------------------------------------
 
 class SuperMatrix:
-    """Immutable (m+n) x (m+n) matrix over B_N with a graded block pattern."""
+    """Immutable (m+n) x (m+n) matrix over B_N with a graded block pattern.
 
-    __slots__ = ("m", "n", "ngen", "parity", "rows")
+    ``coeffs`` is a read-only float array of shape (2^N, m+n, m+n) in
+    canonical form (no coefficient below COEFF_CUTOFF); ``rows`` is the same
+    matrix as GrassmannElement entries, built on first use.
+    """
+
+    __slots__ = ("m", "n", "ngen", "parity", "coeffs", "_rows")
 
     def __init__(self, m: int, n: int, rows: Sequence[Sequence[GrassmannElement]],
                  parity: int = 0, ngen: int | None = None):
@@ -148,37 +166,48 @@ class SuperMatrix:
             raise ValueError(f"expected {d}x{d} entries")
         if ngen is None:
             ngen = rows[0][0].n
-        for i in range(d):
-            for j in range(d):
-                e = rows[i][j]
-                if e.n != ngen:
-                    raise ValueError("mixed generator counts among entries")
-                want = ((i >= m) ^ (j >= m)) ^ parity
-                if not e.is_homogeneous(want):
-                    raise ParityPatternError(
-                        f"entry ({i},{j}) must be parity {want}, got {e!r}"
-                    )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ngen", ngen)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        if any(e.n != ngen for row in rows for e in row):
+            raise ValueError("mixed generator counts among entries")
+        coeffs = gmat_to_array(rows, ngen)
+        _check_pattern(m, n, coeffs, parity)
+        self._set(m, n, coeffs, parity)
+
+    def _set(self, m, n, coeffs, parity):
+        coeffs.flags.writeable = False
+        for name, value in (("m", m), ("n", n), ("ngen", len(coeffs).bit_length() - 1),
+                            ("parity", parity), ("coeffs", coeffs), ("_rows", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _wrap(cls, m: int, n: int, coeffs: np.ndarray, parity: int = 0) -> "SuperMatrix":
+        """A SuperMatrix on a canonical array that already obeys the pattern."""
+        out = object.__new__(cls)
+        out._set(m, n, coeffs, parity)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("SuperMatrix is immutable")
 
     # ------------------------------------------------------------------
     @classmethod
+    def from_coeffs(cls, m: int, n: int, coeffs: np.ndarray, parity: int = 0) -> "SuperMatrix":
+        """From a (2^N, m+n, m+n) coefficient array (copied, then made canonical)."""
+        coeffs = canonical(np.array(coeffs, dtype=float))
+        size = len(coeffs)
+        if (coeffs.shape != (size, m + n, m + n) or size < 1 or size & (size - 1)
+                or size.bit_length() - 1 > MAX_GENERATORS):
+            raise ValueError(f"expected a (2^N, {m + n}, {m + n}) array with "
+                             f"N <= {MAX_GENERATORS}, got shape {coeffs.shape}")
+        _check_pattern(m, n, coeffs, parity)
+        return cls._wrap(m, n, coeffs, parity)
+
+    @classmethod
     def identity(cls, m: int, n: int, ngen: int) -> "SuperMatrix":
-        d = m + n
-        rows = gmat_zero(d, d, ngen)
-        for i in range(d):
-            rows[i][i] = GrassmannElement.one(ngen)
-        return cls(m, n, rows, ngen=ngen)
+        return cls._wrap(m, n, body_array(np.eye(m + n), ngen))
 
     @classmethod
     def zero(cls, m: int, n: int, ngen: int) -> "SuperMatrix":
-        return cls(m, n, gmat_zero(m + n, m + n, ngen), ngen=ngen)
+        return cls._wrap(m, n, np.zeros((1 << ngen, m + n, m + n)))
 
     @classmethod
     def from_body(cls, body: np.ndarray, m: int, n: int, ngen: int) -> "SuperMatrix":
@@ -187,7 +216,7 @@ class SuperMatrix:
             raise ValueError("body shape does not match block dimensions")
         if np.abs(body[:m, m:]).max(initial=0.0) > 0 or np.abs(body[m:, :m]).max(initial=0.0) > 0:
             raise ParityPatternError("real matrices must be block diagonal (odd blocks have no body)")
-        return cls(m, n, gmat_from_real(body, ngen), ngen=ngen)
+        return cls._wrap(m, n, body_array(body, ngen))
 
     @classmethod
     def from_blocks(cls, a: GMatrix, xi: GMatrix, chi: GMatrix, A: GMatrix,
@@ -200,26 +229,31 @@ class SuperMatrix:
     # ------------------------------------------------------------------
     # block access
     # ------------------------------------------------------------------
-    def block(self, name: str) -> GMatrix:
-        m, d = self.m, self.m + self.n
-        spans = {
-            "a": (range(0, m), range(0, m)),
-            "xi": (range(0, m), range(m, d)),
-            "chi": (range(m, d), range(0, m)),
-            "A": (range(m, d), range(m, d)),
-        }
+    @property
+    def rows(self) -> tuple[tuple[GrassmannElement, ...], ...]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(map(tuple, array_to_gmat(self.coeffs))))
+        return self._rows
+
+    def block_coeffs(self, name: str) -> np.ndarray:
+        """Read-only coefficient array of the block a, xi, chi or A."""
+        head, tail = slice(0, self.m), slice(self.m, self.m + self.n)
+        spans = {"a": (head, head), "xi": (head, tail), "chi": (tail, head), "A": (tail, tail)}
         rs, cs = spans[name]
-        return [[self.rows[i][j] for j in cs] for i in rs]
+        return self.coeffs[:, rs, cs]
+
+    def block(self, name: str) -> GMatrix:
+        return array_to_gmat(self.block_coeffs(name))
 
     def body(self) -> np.ndarray:
-        return gmat_body(self.rows)
+        return self.coeffs[0].copy()
 
     def body_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         b = self.body()
         return b[: self.m, : self.m], b[self.m :, self.m :]
 
     def max_abs(self) -> float:
-        return gmat_max_abs(self.rows)
+        return float(np.abs(self.coeffs).max(initial=0.0))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -228,29 +262,32 @@ class SuperMatrix:
         if (self.m, self.n, self.ngen) != (other.m, other.n, other.ngen):
             raise ValueError("supermatrix dimensions or generator counts differ")
 
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
+    def _same_pattern(self, other: "SuperMatrix"):
         self._check_compatible(other)
         if self.parity != other.parity:
             raise ParityPatternError("cannot add matrices of different parity")
-        return SuperMatrix(self.m, self.n, gmat_add(self.rows, other.rows),
-                           parity=self.parity, ngen=self.ngen)
+
+    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
+        self._same_pattern(other)
+        return SuperMatrix._wrap(self.m, self.n, canonical(self.coeffs + other.coeffs), self.parity)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + (other * -1.0)
+        self._same_pattern(other)
+        return SuperMatrix._wrap(self.m, self.n, canonical(self.coeffs - other.coeffs), self.parity)
 
     def __mul__(self, scalar) -> "SuperMatrix":
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        return SuperMatrix(self.m, self.n, gmat_scale(self.rows, scalar),
-                           parity=self.parity, ngen=self.ngen)
+        return SuperMatrix._wrap(self.m, self.n, canonical(self.coeffs * scalar), self.parity)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_compatible(other)
-        # block parity adds mod 2; the constructor asserts the pattern
-        return SuperMatrix(self.m, self.n, gmat_mul(self.rows, other.rows),
-                           parity=(self.parity + other.parity) % 2, ngen=self.ngen)
+        # block parity adds mod 2, and the kernel keeps the pattern exactly:
+        # every pair landing on a wrong-parity cell has a vanishing factor
+        return SuperMatrix._wrap(self.m, self.n, graded_matmul(self.coeffs, other.coeffs),
+                                 (self.parity + other.parity) % 2)
 
     def supertranspose(self) -> "SuperMatrix":
         """Graded transpose: blocks (a, xi, chi, A) -> (a^T, chi^T, -xi^T, A^T).
@@ -259,11 +296,11 @@ class SuperMatrix:
         makes (XY)^st = (-1)^{|X||Y|} Y^st X^st hold for both parities.
         """
         sign = -1.0 if self.parity else 1.0
-        a = gmat_transpose(self.block("a"))
-        xi = gmat_scale(gmat_transpose(self.block("chi")), sign)
-        chi = gmat_scale(gmat_transpose(self.block("xi")), -sign)
-        A = gmat_transpose(self.block("A"))
-        return SuperMatrix.from_blocks(a, xi, chi, A, parity=self.parity)
+        m = self.m
+        out = self.coeffs.transpose(0, 2, 1).copy()
+        out[:, :m, m:] *= sign
+        out[:, m:, :m] *= -sign
+        return SuperMatrix._wrap(m, self.n, canonical(out), self.parity)
 
     def supertrace(self) -> GrassmannElement:
         """Graded trace tr(a) - tr(A) (tr(a) + tr(A) on the odd pattern)."""
@@ -288,19 +325,20 @@ class SuperMatrix:
         """
         if self.parity != 0:
             raise ValueError("inverse requires the even parity pattern")
-        s = self.block("a")
-        d = self.block("xi")
-        sg = self.block("chi")
-        S = self.block("A")
-        s_inv = gmat_inverse(s)
-        S_inv = gmat_inverse(S)
-        sbar = gmat_sub(s, gmat_mul(d, gmat_mul(S_inv, sg)))
-        Sbar = gmat_sub(S, gmat_mul(sg, gmat_mul(s_inv, d)))
-        sbar_inv = gmat_inverse(sbar)
-        Sbar_inv = gmat_inverse(Sbar)
-        top_right = gmat_scale(gmat_mul(s_inv, gmat_mul(d, Sbar_inv)), -1.0)
-        bottom_left = gmat_scale(gmat_mul(S_inv, gmat_mul(sg, sbar_inv)), -1.0)
-        return SuperMatrix.from_blocks(sbar_inv, top_right, bottom_left, Sbar_inv)
+        s, d, sg, S = (self.block_coeffs(name) for name in ("a", "xi", "chi", "A"))
+        s_inv = graded_inverse(s)
+        S_inv = graded_inverse(S)
+        sbar = canonical(s - graded_matmul(d, graded_matmul(S_inv, sg)))
+        Sbar = canonical(S - graded_matmul(sg, graded_matmul(s_inv, d)))
+        sbar_inv = graded_inverse(sbar)
+        Sbar_inv = graded_inverse(Sbar)
+        m = self.m
+        out = np.empty_like(self.coeffs)
+        out[:, :m, :m] = sbar_inv
+        out[:, :m, m:] = -graded_matmul(s_inv, graded_matmul(d, Sbar_inv))
+        out[:, m:, :m] = -graded_matmul(S_inv, graded_matmul(sg, sbar_inv))
+        out[:, m:, m:] = Sbar_inv
+        return SuperMatrix._wrap(m, self.n, canonical(out))
 
     def expm(self, max_terms: int = 80) -> "SuperMatrix":
         """exp(X) through scaling_squaring_expm (even parity pattern only)."""
@@ -319,12 +357,11 @@ class SuperMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        return (self.m, self.n, self.parity) == (other.m, other.n, other.parity) and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return ((self.m, self.n, self.parity) == (other.m, other.n, other.parity)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.m, self.n, self.parity, self.rows))
+        return hash((self.m, self.n, self.parity, self.coeffs.tobytes()))
 
     def __repr__(self) -> str:
         d = self.m + self.n
@@ -357,6 +394,21 @@ class SuperMatrix:
             terms[i][j][mask] = terms[i][j].get(mask, 0.0) + float(entry["value"])
         rows = [[GrassmannElement(ngen, t) for t in row] for row in terms]
         return cls(m, n, rows, ngen=ngen)
+
+
+def _check_pattern(m: int, n: int, coeffs: np.ndarray, parity: int):
+    """Raise ParityPatternError at the first entry with a wrong-parity monomial."""
+    upper = np.arange(m + n) >= m
+    want = (upper[:, None] ^ upper[None, :]) ^ bool(parity)
+    odd = grade_signs(len(coeffs).bit_length() - 1) < 0
+    bad = np.any((coeffs != 0.0) & (odd != want), axis=0)
+    if bad.any():
+        i, j = (int(v) for v in np.argwhere(bad)[0])
+        want = ((i >= m) ^ (j >= m)) ^ parity
+        raise ParityPatternError(
+            f"entry ({i},{j}) must be parity {want}, "
+            f"got {GrassmannElement.from_dense(coeffs[:, i, j])!r}"
+        )
 
 
 def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:

@@ -46,6 +46,10 @@ class TestUsageErrors:
         (["membership", "--tol", "0"], None),
         (["moduli", "--samples", "0"], None),
         (["moduli", "--samples", "2", "--out", "{missing_dir}/x.json"], None),
+        (["report", "--sam", "3"], None),          # no prefix matching of flags
+        (["closure", "--debug"], None),
+        (["jacobi", "--tol", "1e-3"], None),       # looser than the exact checks allow
+        (["closure", "--tol", "1e-11"], None),
     ])
     def test_exit_2(self, capsys, monkeypatch, tmp_path, argv, env_seed):
         if env_seed is not None:
