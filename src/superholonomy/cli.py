@@ -30,6 +30,9 @@ ALGEBRA_COMMANDS = ("jacobi", "membership", "closure")
 # commands that check exact structure-constant identities: their residuals are
 # rounding of O(1) products, so a --tol looser than EXACT_TOL is refused
 EXACT_COMMANDS = ("jacobi", "closure")
+# sectors reads --N only for osp(1|2) and --samples only for osp(2|2); its
+# parser leaves both unset, so a flag given for the other (m, n) is refused
+SECTOR_FLAGS = {"--N": ("ngen", (1, 1)), "--samples": ("samples", (2, 1))}
 
 
 class UsageError(ValueError):
@@ -52,6 +55,12 @@ def _validate(ns: argparse.Namespace) -> None:
             raise UsageError("SUPERHOLONOMY_SEED must be an integer") from None
     if ns.seed < 0:
         raise UsageError("seed must be non-negative")
+    if ns.command == "sectors":
+        for flag, (dest, reader) in SECTOR_FLAGS.items():
+            if getattr(ns, dest) is None:
+                setattr(ns, dest, FLAGS[flag]["default"])
+            elif (ns.m, ns.n) != reader:
+                raise UsageError(f"sectors reads {flag} only for (m, n) = {reader}")
     if "m" in ns and (ns.m < 1 or ns.n < 1):
         raise UsageError("block sizes require m >= 1 and n >= 1")
     if "ngen" in ns and not 0 <= ns.ngen <= MAX_GENERATORS:
@@ -273,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, **FLAGS[flag])
         if name in EXACT_COMMANDS:
             p.set_defaults(tol=EXACT_TOL)
+        if name == "sectors":
+            p.set_defaults(**{dest: None for dest, _ in SECTOR_FLAGS.values()})
     return parser
 
 

@@ -9,12 +9,15 @@ floating error.
 
 Every product, of elements or of matrices over B_N, is one signed subset
 convolution, ``graded_matmul``, on dense coefficient arrays with the monomial
-mask on axis 0.  GrassmannElement keeps the sparse {mask: coefficient} form
-as its public view.
+mask on axis 0, and every inverse is ``graded_inverse``, the same split on the
+last generator.  GrassmannElement keeps the sparse {mask: coefficient} form
+as its public view.  Coefficients are finite: NaN and infinities raise
+ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -111,11 +114,16 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def canonical(coeffs: np.ndarray) -> np.ndarray:
-    """Zero, in place, what GrassmannElement drops: all but |c| >= COEFF_CUTOFF.
+    """Zero, in place, what GrassmannElement drops: all |c| < COEFF_CUTOFF.
 
-    That includes signed zeros and, as in the dict form, NaN.
+    That includes signed zeros.  A NaN or infinite coefficient raises
+    ValueError, as in the dict form: it comes from bad input or an overflow
+    and must fail, not vanish.
     """
-    coeffs[~(np.abs(coeffs) >= COEFF_CUTOFF)] = 0.0
+    mags = np.abs(coeffs)
+    if not np.isfinite(mags.max(initial=0.0)):
+        raise ValueError("non-finite Grassmann coefficient")
+    coeffs[mags < COEFF_CUTOFF] = 0.0
     return coeffs
 
 
@@ -134,6 +142,31 @@ def graded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return canonical(_convolve(x, y))
 
 
+def _invert(x: np.ndarray) -> np.ndarray:
+    if len(x) == 1:
+        return np.linalg.inv(x)
+    # x = x0 + x1 theta_n and y = y0 + y1 theta_n with x y = 1: x0 y0 = 1 and
+    # x0 y1 + x1 y0^ = 0, so y1 = -y0 x1 y0^ with ^ the grade involution
+    half = len(x) >> 1
+    y0 = _invert(x[:half])
+    out = np.empty_like(x)
+    out[:half] = y0
+    out[half:] = -_convolve(y0, _convolve(x[half:], y0 * grade_signs(half.bit_length() - 1)))
+    return out
+
+
+def graded_inverse(x: np.ndarray) -> np.ndarray:
+    """The package's one inverse over B_N, of a (2^N, d, d) coefficient array.
+
+    Splits off the last generator, x = x0 + x1 theta_N, inverts x0 the same
+    way and sets y1 = -y0 x1 y0^, the split ``graded_matmul`` uses for
+    products; the base case is np.linalg.inv of the body, which raises
+    LinAlgError when the body is singular.  About one product's work; the
+    result is two-sided and canonical.
+    """
+    return canonical(_invert(x))
+
+
 class GrassmannElement:
     """Immutable element of B_N in canonical form (no zero coefficients)."""
 
@@ -149,6 +182,8 @@ class GrassmannElement:
                 if not 0 <= mask < limit:
                     raise ValueError(f"monomial mask {mask:#x} outside B_{n}")
                 c = float(coeff)
+                if not math.isfinite(c):
+                    raise ValueError(f"non-finite coefficient {c} at monomial mask {mask:#x}")
                 if abs(c) >= COEFF_CUTOFF:
                     clean[mask] = c
         object.__setattr__(self, "n", n)
@@ -310,23 +345,10 @@ class GrassmannElement:
         return self * o.inverse()
 
     def inverse(self) -> "GrassmannElement":
-        """Multiplicative inverse via the terminating Neumann series.
-
-        With x = b(1 + s/b), b the body and s the nilpotent soul, the series
-        for (1 + s/b)^-1 stops once the power of s exceeds degree N.
-        """
-        b = self.body
-        if b == 0.0:
+        """Multiplicative inverse through ``graded_inverse``; needs a nonzero body."""
+        if self.body == 0.0:
             raise NonInvertibleError("element has zero body; no inverse exists")
-        u = self.soul() * (1.0 / b)
-        result = GrassmannElement.one(self.n)
-        power = GrassmannElement.one(self.n)
-        for _ in range(self.n):
-            power = power * u * (-1.0)
-            if power.is_zero():
-                break
-            result = result + power
-        return result * (1.0 / b)
+        return GrassmannElement.from_dense(graded_inverse(self.dense()[:, None, None])[:, 0, 0])
 
     # ------------------------------------------------------------------
     # comparison / presentation

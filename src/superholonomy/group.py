@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import GrassmannElement, graded_matmul, random_element
+from .grassmann import GrassmannElement, graded_inverse, graded_matmul, random_element
 from .supermatrix import (
     SuperMatrix,
     array_to_gmat,
@@ -27,7 +27,6 @@ from .supermatrix import (
     commutator,
     gmat_from_real,
     gmat_to_array,
-    graded_inverse,
     scaling_squaring_expm,
 )
 from .superlie import (

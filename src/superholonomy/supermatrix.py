@@ -13,8 +13,9 @@ the odd pattern swaps the roles and exists so that graded identities such as
 
 Storage is dense: one read-only coefficient array of shape (2^N, m+n, m+n),
 axis 0 the monomial mask, so a product is one call of the graded kernel
-``grassmann.graded_matmul`` and the inverse and exponential work on array
-slices.  The GrassmannElement entries are a view built on demand.
+``grassmann.graded_matmul`` and the inverse one call of
+``grassmann.graded_inverse`` on the whole matrix.  The GrassmannElement
+entries are a view built on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import MAX_GENERATORS, GrassmannElement, canonical, grade_signs, graded_matmul
+from .grassmann import (MAX_GENERATORS, GrassmannElement, canonical, grade_signs, graded_inverse,
+                        graded_matmul)
 
 GMatrix = list[list[GrassmannElement]]
 
@@ -80,10 +82,6 @@ def gmat_max_abs(x: GMatrix) -> float:
     return max((e.max_abs() for row in x for e in row), default=0.0)
 
 
-def gmat_inverse(x: GMatrix) -> GMatrix:
-    return array_to_gmat(graded_inverse(gmat_to_array(x, x[0][0].n)))
-
-
 # ----------------------------------------------------------------------
 # dense coefficient arrays (2^N, rows, cols)
 # ----------------------------------------------------------------------
@@ -94,25 +92,6 @@ def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
     out = np.zeros((1 << ngen, *mat.shape))
     out[0] = mat
     return canonical(out)
-
-
-def graded_inverse(x: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix over B_N, given as its coefficient array.
-
-    Factors X = X0 (1 + K) with X0 the body and K soul-valued, so the
-    Neumann series for (1 + K)^-1 terminates at the generator count.
-    """
-    ngen = len(x).bit_length() - 1
-    eye = body_array(np.eye(x.shape[1]), ngen)
-    body_inv = body_array(np.linalg.inv(x[0]), ngen)
-    k = canonical(graded_matmul(body_inv, x) - eye)
-    acc = power = eye
-    for _ in range(ngen):
-        power = -graded_matmul(power, k)
-        if not power.any():
-            break
-        acc = canonical(acc + power)
-    return graded_matmul(acc, body_inv)
 
 
 def scaling_squaring_expm(x, identity, body: np.ndarray, size, max_terms: int = 80):
@@ -313,32 +292,17 @@ class SuperMatrix:
         return out
 
     def inverse(self) -> "SuperMatrix":
-        """Two-sided inverse through the block (Schur complement) pattern.
+        """Two-sided inverse through ``graded_inverse`` (even parity pattern only).
 
-        With M = [[s, d], [sg, S]] the inverse is
-
-            [[ sbar^-1,           -s^-1 d Sbar^-1 ],
-             [ -S^-1 sg sbar^-1,   Sbar^-1        ]]
-
-        where sbar = s - d S^-1 sg and Sbar = S - sg s^-1 d.  Valid whenever
-        the bodies of both diagonal blocks are invertible.
+        The odd blocks have no body, so the body is block diagonal and the
+        inverse exists exactly when both diagonal body blocks are invertible;
+        its blocks then obey the Schur-complement formulas of the paper.
         """
         if self.parity != 0:
             raise ValueError("inverse requires the even parity pattern")
-        s, d, sg, S = (self.block_coeffs(name) for name in ("a", "xi", "chi", "A"))
-        s_inv = graded_inverse(s)
-        S_inv = graded_inverse(S)
-        sbar = canonical(s - graded_matmul(d, graded_matmul(S_inv, sg)))
-        Sbar = canonical(S - graded_matmul(sg, graded_matmul(s_inv, d)))
-        sbar_inv = graded_inverse(sbar)
-        Sbar_inv = graded_inverse(Sbar)
-        m = self.m
-        out = np.empty_like(self.coeffs)
-        out[:, :m, :m] = sbar_inv
-        out[:, :m, m:] = -graded_matmul(s_inv, graded_matmul(d, Sbar_inv))
-        out[:, m:, :m] = -graded_matmul(S_inv, graded_matmul(sg, sbar_inv))
-        out[:, m:, m:] = Sbar_inv
-        return SuperMatrix._wrap(m, self.n, canonical(out))
+        # the inverse of a block-diagonal body is block diagonal with exact
+        # zeros, and the kernel keeps the pattern exactly from there
+        return SuperMatrix._wrap(self.m, self.n, graded_inverse(self.coeffs))
 
     def expm(self, max_terms: int = 80) -> "SuperMatrix":
         """exp(X) through scaling_squaring_expm (even parity pattern only)."""

@@ -50,6 +50,8 @@ class TestUsageErrors:
         (["closure", "--debug"], None),
         (["jacobi", "--tol", "1e-3"], None),       # looser than the exact checks allow
         (["closure", "--tol", "1e-11"], None),
+        (["sectors", "--samples", "7"], None),     # the osp(1|2) branch reads no --samples
+        (["sectors", "--m", "2", "--n", "1", "--N", "3"], None),   # nor the osp(2|2) one --N
     ])
     def test_exit_2(self, capsys, monkeypatch, tmp_path, argv, env_seed):
         if env_seed is not None:

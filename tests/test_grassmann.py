@@ -89,6 +89,16 @@ class TestStructure:
         x = GrassmannElement(2, {0: 1.0, 1: 1e-16})
         assert list(x.terms) == [0]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficient_raises(self, bad):
+        with pytest.raises(ValueError):
+            GrassmannElement(2, {0: bad, 1: 2.0})
+
+    def test_overflowing_product_raises(self):
+        x = 1e200 + t(1)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            x * x
+
     def test_body_soul_split(self):
         x = 2.0 + 3.0 * t(1)
         assert x.body == 2.0

@@ -10,7 +10,9 @@ Two oracles that share no code with the package's product kernel:
 * the dict-of-monomials double loop over term pairs, which checks the kernel
   on sparse elements at generator counts where it no longer uses one table.
 
-Both read only the public ``rows`` / ``terms`` view of the results.
+Both read only the public ``rows`` / ``terms`` view of the results.  The
+paper's Schur-complement block formula for the inverse is checked against
+``SuperMatrix.inverse`` as well; it shares only the block inverses with it.
 """
 
 from functools import lru_cache
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement
+from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, graded_inverse, graded_matmul
 from superholonomy.supermatrix import SuperMatrix, gmat_mul, random_supermatrix
 
 
@@ -51,6 +53,8 @@ def invertible_even(rng, m, n, ngen):
 
 SHAPES = [(1, 2), (2, 2)]
 GENERATORS = [0, 1, 2, 3, 4]
+# above TABLE_MAX_N, where the products inside the inverse recurse too
+INVERSE_GENERATORS = GENERATORS + [7]
 
 
 class TestRegularRepresentation:
@@ -71,7 +75,7 @@ class TestRegularRepresentation:
                 err = np.abs(left_regular(xy) - left_regular(x) @ left_regular(y)).max()
                 assert err <= 1e-12
 
-    @pytest.mark.parametrize("ngen", GENERATORS)
+    @pytest.mark.parametrize("ngen", INVERSE_GENERATORS)
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_inverse_with_souls(self, m, n, ngen):
         rng = np.random.default_rng([m, n, ngen, 2])
@@ -152,6 +156,23 @@ class TestDictLoopOracle:
                 err = max((g - w).max_abs() for rg, rw in zip(got, want) for g, w in zip(rg, rw))
                 assert err <= 1e-14
 
+    def test_element_inverse(self):
+        # x x^-1 = x^-1 x = 1 at 13 generators, both products by the dict loop;
+        # low-degree souls leave many disjoint pairs, so the inverse is rich
+        ngen = 13
+        rng = np.random.default_rng([ngen, 7])
+        one = GrassmannElement.one(ngen)
+        for _ in range(5):
+            terms = {0: rng.uniform(1, 2)}
+            for _ in range(20):
+                gens = rng.choice(ngen, int(rng.integers(1, 3)), replace=False)
+                terms[sum(1 << int(g) for g in gens)] = rng.uniform(-1, 1)
+            x = GrassmannElement(ngen, terms)
+            y = x.inverse()
+            assert len(y.terms) > 100
+            assert (dict_product([x], [y], ngen) - one).max_abs() <= 1e-12
+            assert (dict_product([y], [x], ngen) - one).max_abs() <= 1e-12
+
     def test_cutoff_matches_canonical_form(self):
         # products that cancel to below COEFF_CUTOFF drop the coefficient
         ngen = 10
@@ -160,3 +181,30 @@ class TestDictLoopOracle:
         got = x * y
         assert got.terms == dict_product([x], [y], ngen).terms
         assert 1 not in got.terms
+
+
+class TestSchurComplement:
+    """The block formula of the paper for the inverse of M = [[s, d], [sg, S]]:
+
+        M^-1 = [[ sbar^-1,           -s^-1 d Sbar^-1 ],
+                [ -S^-1 sg sbar^-1,   Sbar^-1        ]]
+
+    with sbar = s - d S^-1 sg and Sbar = S - sg s^-1 d.
+    """
+
+    @pytest.mark.parametrize("ngen", INVERSE_GENERATORS)
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_blocks_of_inverse(self, m, n, ngen):
+        rng = np.random.default_rng([m, n, ngen, 8])
+        mul = graded_matmul
+        for _ in range(3):
+            M = invertible_even(rng, m, n, ngen)
+            s, d, sg, S = (M.block_coeffs(name) for name in ("a", "xi", "chi", "A"))
+            s_inv, S_inv = graded_inverse(s), graded_inverse(S)
+            sbar_inv = graded_inverse(s - mul(d, mul(S_inv, sg)))
+            Sbar_inv = graded_inverse(S - mul(sg, mul(s_inv, d)))
+            want = {"a": sbar_inv, "xi": -mul(s_inv, mul(d, Sbar_inv)),
+                    "chi": -mul(S_inv, mul(sg, sbar_inv)), "A": Sbar_inv}
+            got = M.inverse()
+            for name, block in want.items():
+                assert np.abs(got.block_coeffs(name) - block).max() <= 1e-12

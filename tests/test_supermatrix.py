@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from superholonomy.grassmann import GrassmannElement
+from superholonomy.grassmann import GrassmannElement, graded_inverse
 from superholonomy.supermatrix import (
     ExpmNotConvergedError,
     ParityPatternError,
     SuperMatrix,
+    array_to_gmat,
     commutator,
     gmat_from_real,
-    gmat_inverse,
     gmat_mul,
+    gmat_to_array,
     gmat_zero,
     random_supermatrix,
 )
@@ -39,6 +40,13 @@ class TestConstruction:
         rows = [[t(1), z, z], [z, t(2), z], [z, z, t(1)]]
         sm = SuperMatrix(1, 2, rows, parity=1)
         assert sm.parity == 1
+
+    def test_from_coeffs_rejects_nan_body(self):
+        coeffs = np.zeros((4, 3, 3))
+        coeffs[0] = np.eye(3)
+        coeffs[0, 1, 1] = np.nan
+        with pytest.raises(ValueError):
+            SuperMatrix.from_coeffs(1, 2, coeffs)
 
     def test_from_body_rejects_offdiagonal(self):
         with pytest.raises(ParityPatternError):
@@ -150,7 +158,7 @@ class TestInverse:
         soul = [[GrassmannElement.monomial([1, 2], 4, 0.7), GrassmannElement.monomial([3, 4], 4, -0.4)],
                 [GrassmannElement.monomial([1, 3], 4, 0.3), GrassmannElement.monomial([2, 4], 4, 0.9)]]
         x = [[base[i][j] + soul[i][j] for j in range(2)] for i in range(2)]
-        prod = gmat_mul(x, gmat_inverse(x))
+        prod = gmat_mul(x, array_to_gmat(graded_inverse(gmat_to_array(x, 4))))
         assert abs(prod[0][0].body - 1) < 1e-12 and abs(prod[1][1].body - 1) < 1e-12
         off = max((prod[i][j] - (1.0 if i == j else 0.0)).max_abs() for i in range(2) for j in range(2))
         assert off < 1e-12
