@@ -80,8 +80,8 @@ def _group_name(ns) -> str:
 
 
 def _seeded_rngs(ns, samples: int):
-    # deterministic per-sample seeding: seed xor index
-    return (np.random.default_rng(ns.seed ^ k) for k in range(samples))
+    # deterministic per-sample seeding: independent children of one seed sequence
+    return (np.random.default_rng(s) for s in np.random.SeedSequence(ns.seed).spawn(samples))
 
 
 def _status(passed: bool) -> str:

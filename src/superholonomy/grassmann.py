@@ -38,7 +38,7 @@ Scalar = Union[int, float]
 
 
 class NonInvertibleError(ValueError):
-    """Inversion was requested for an element with vanishing scalar part."""
+    """Inversion was requested where the body (scalar part) is singular."""
 
 
 def merge_sign(p: int, q: int) -> int:
@@ -144,7 +144,10 @@ def graded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _invert(x: np.ndarray) -> np.ndarray:
     if len(x) == 1:
-        return np.linalg.inv(x)
+        try:
+            return np.linalg.inv(x)
+        except np.linalg.LinAlgError as exc:
+            raise NonInvertibleError("singular body; no inverse exists") from exc
     # x = x0 + x1 theta_n and y = y0 + y1 theta_n with x y = 1: x0 y0 = 1 and
     # x0 y1 + x1 y0^ = 0, so y1 = -y0 x1 y0^ with ^ the grade involution
     half = len(x) >> 1
@@ -160,9 +163,9 @@ def graded_inverse(x: np.ndarray) -> np.ndarray:
 
     Splits off the last generator, x = x0 + x1 theta_N, inverts x0 the same
     way and sets y1 = -y0 x1 y0^, the split ``graded_matmul`` uses for
-    products; the base case is np.linalg.inv of the body, which raises
-    LinAlgError when the body is singular.  About one product's work; the
-    result is two-sided and canonical.
+    products; the base case is np.linalg.inv of the body, and a singular
+    body raises NonInvertibleError.  About one product's work; the result is
+    two-sided and canonical.
     """
     return canonical(_invert(x))
 
@@ -346,8 +349,6 @@ class GrassmannElement:
 
     def inverse(self) -> "GrassmannElement":
         """Multiplicative inverse through ``graded_inverse``; needs a nonzero body."""
-        if self.body == 0.0:
-            raise NonInvertibleError("element has zero body; no inverse exists")
         return GrassmannElement.from_dense(graded_inverse(self.dense()[:, None, None])[:, 0, 0])
 
     # ------------------------------------------------------------------

@@ -10,12 +10,17 @@ extended by the graded Leibniz rule.  The flatness constraints G^a, G^alpha
 live here, close under the bracket onto the underlying superalgebra, and the
 determinant of the fermion-fermion adjoint block decides whether a sector
 carries fermionic moduli.
+
+With x_I = (A_1^a, psi_1^alpha) and y_J = (A_2^a, psi_2^alpha) in the
+algebra's basis order, every constraint is bilinear, G^K = F[I, J, K] x_I y_J
+with x written before y, and ``constraint_tensor`` is the one place F is read
+off the structure constants.  Closure is checked on F by contraction;
+``GradedPolynomial`` is the symbolic view of the same constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +53,8 @@ class PhaseSpace:
     def create(cls, eta: np.ndarray, C: np.ndarray) -> "PhaseSpace":
         eta = np.asarray(eta, dtype=float)
         C = np.asarray(C, dtype=float)
+        if not (np.isfinite(eta).all() and np.isfinite(C).all()):
+            raise ValueError("eta and C must be finite")
         if np.abs(eta - eta.T).max() > 0 or np.abs(C + C.T).max() > 0:
             raise ValueError("eta must be symmetric and C antisymmetric")
         return cls(
@@ -178,7 +185,6 @@ class GradedPolynomial:
         if isinstance(other, (int, float)):
             return GradedPolynomial(self.ctx, {k: c * other for k, c in self.terms.items()})
         self._check(other)
-        # not grassmann.graded_dot: keys pair an exponent tuple with the odd mask
         out: dict = {}
         for (e1, m1), c1 in self.terms.items():
             for (e2, m2), c2 in other.terms.items():
@@ -314,42 +320,43 @@ class GradedPolynomial:
 # flatness constraints
 # ----------------------------------------------------------------------
 
-def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None
-                         ) -> tuple[list[GradedPolynomial], list[GradedPolynomial]]:
-    """The constraints expressing [A_1, A_2} = 0 for a homogeneous pair.
+def constraint_tensor(alg: SuperAlgebra) -> np.ndarray:
+    """F[I, J, K] with G^K = F[I, J, K] x_I y_J, in the algebra's basis order.
 
         G^a     = f_bc^a A_1^b A_2^c + f_{alpha beta}^a psi_1^alpha psi_2^beta
         G^alpha = f_{a beta}^alpha (A_1^a psi_2^beta - A_2^a psi_1^beta)
+
+    so F copies f on the (even, even -> even), (odd, odd -> even) and
+    (even, odd -> odd) blocks and F[beta, a, alpha] = -f[a, beta, alpha]
+    carries the psi_1 A_2 term.  No other entry of f is read, so constants
+    that are not graded-antisymmetric give the same constraints.
+    """
+    par = np.asarray(alg.parities)
+    ev, od = par == 0, par == 1
+    F = np.zeros_like(alg.f)
+    for blk in ((ev, ev, ev), (od, od, ev), (ev, od, od)):
+        F[np.ix_(*blk)] = alg.f[np.ix_(*blk)]
+    F[np.ix_(od, ev, od)] = -alg.f[np.ix_(ev, od, od)].transpose(1, 0, 2)
+    return F
+
+
+def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None
+                         ) -> tuple[list[GradedPolynomial], list[GradedPolynomial]]:
+    """The constraints expressing [A_1, A_2} = 0, as polynomials read off F.
+
+    Returns (G^a for the even generators, G^alpha for the odd ones).
     """
     if ctx is None:
         ctx = PhaseSpace.from_algebra(alg)
-    ev, od = alg.even_indices, alg.odd_indices
-    f = alg.f
-    even_constraints = []
-    for a_pos, a_idx in enumerate(ev):
-        poly = ctx.zero()
-        for b_pos, b_idx in enumerate(ev):
-            for c_pos, c_idx in enumerate(ev):
-                coeff = f[b_idx, c_idx, a_idx]
-                if coeff:
-                    poly = poly + ctx.A(1, b_pos) * ctx.A(2, c_pos) * coeff
-        for al_pos, al_idx in enumerate(od):
-            for be_pos, be_idx in enumerate(od):
-                coeff = f[al_idx, be_idx, a_idx]
-                if coeff:
-                    poly = poly + ctx.psi(1, al_pos) * ctx.psi(2, be_pos) * coeff
-        even_constraints.append(poly)
-    odd_constraints = []
-    for al_pos, al_idx in enumerate(od):
-        poly = ctx.zero()
-        for a_pos, a_idx in enumerate(ev):
-            for be_pos, be_idx in enumerate(od):
-                coeff = f[a_idx, be_idx, al_idx]
-                if coeff:
-                    poly = poly + ctx.A(1, a_pos) * ctx.psi(2, be_pos) * coeff
-                    poly = poly - ctx.A(2, a_pos) * ctx.psi(1, be_pos) * coeff
-        odd_constraints.append(poly)
-    return even_constraints, odd_constraints
+    pos = {idx: p for block in (alg.even_indices, alg.odd_indices) for p, idx in enumerate(block)}
+
+    def var(k: int, idx: int) -> GradedPolynomial:
+        return (ctx.psi if alg.parities[idx] else ctx.A)(k, pos[idx])
+
+    F = constraint_tensor(alg)
+    G = [sum((var(1, i) * var(2, j) * F[i, j, k] for i, j in zip(*np.nonzero(F[:, :, k]))),
+             ctx.zero()) for k in range(F.shape[2])]
+    return [G[k] for k in alg.even_indices], [G[k] for k in alg.odd_indices]
 
 
 # ----------------------------------------------------------------------
@@ -382,61 +389,55 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
                   eta_override: np.ndarray | None = None) -> ClosureReport:
     """Brackets of the constraints close linearly onto the constraints.
 
-    Expands every {G^I, G^J} in the span of the G^K by exact coefficient
-    matching.  In terms of the lowered combinations G~_I = eta_IA G^A the
-    induced coefficients must reproduce (-1)^{|I||J|} f_IJ^K up to one
-    global measured factor kappa.  An eta_override detunes the bracket to
-    show the check has teeth.
+    Works on the constraint tensor F.  Only {x_I, y_J} = W_IJ is nonzero,
+    W = eta_even^-1 on the even block and C^-1 on the odd one, so by the
+    graded Leibniz rule, with L the parity of G^L = F[M, N, L] x_M y_N,
+
+        {x_I y_J, x_M y_N} = -W_JM x_I y_N + (-1)^{|J||L| + |M||N|} W_IN x_M y_J
+
+    Each {G^K, .} slab is fitted to the span of the G's by least squares
+    over all dim^2 coefficients (a coefficient outside the span meets a
+    zero basis row and stays in the residual).  In terms of the lowered
+    G~_I = eta_IA G^A the induced coefficients (basis order) must reproduce
+    (-1)^{|I||J|} f_IJ^K up to one global measured factor kappa.  A finite,
+    symmetric n_even x n_even eta_override detunes the bracket to show the
+    check has teeth.
     """
     ctx = PhaseSpace.from_algebra(alg)
     if eta_override is not None:
-        ctx = PhaseSpace.create(np.asarray(eta_override), ctx.C_mat)
-    even_G, odd_G = flatness_constraints(alg, ctx)
-    Gs = even_G + odd_G
-    dim = len(Gs)
-    # coefficient-space expansion of each bracket in the span of the G's
-    monomials = sorted({key for g in Gs for key in g.terms})
-    index = {key: i for i, key in enumerate(monomials)}
-    basis = np.zeros((len(monomials), dim))
-    for col, g in enumerate(Gs):
-        for key, c in g.terms.items():
-            basis[index[key], col] = c
+        eta = np.asarray(eta_override, dtype=float)
+        if eta.shape != (ctx.n_even, ctx.n_even):
+            raise ValueError(f"eta_override has shape {eta.shape}, not {(ctx.n_even,) * 2}")
+        ctx = PhaseSpace.create(eta, ctx.C_mat)
+    F = constraint_tensor(alg)
+    dim = F.shape[0]
+    ev, od = alg.even_indices, alg.odd_indices
+    W = np.zeros((dim, dim))
+    W[np.ix_(ev, ev)] = np.linalg.inv(ctx.eta_mat)
+    W[np.ix_(od, od)] = np.linalg.inv(ctx.C_mat)
+    par = np.asarray(alg.parities)
+    graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
+    signed_F = graded_sign[:, :, None] * F
+    basis = F.reshape(dim * dim, dim)
     induced = np.zeros((dim, dim, dim))
     max_unexplained = 0.0
-    for i, j in product(range(dim), repeat=2):
-        br = Gs[i].bracket(Gs[j])
-        rhs = np.zeros(len(monomials))
-        outside = 0.0
-        for key, c in br.terms.items():
-            if key in index:
-                rhs[index[key]] = c
-            else:
-                outside = max(outside, abs(c))
+    for k in range(dim):
+        # coefficient of x_I y_J in {G^k, G^L}, indexed [I, J, L]
+        swapped = np.tensordot(signed_F, W.T @ F[:, :, k], axes=(1, 0)).transpose(0, 2, 1)
+        rhs = (graded_sign * swapped - np.tensordot(F[:, :, k] @ W, F, axes=(1, 0))
+               ).reshape(dim * dim, dim)
         coeffs, _, _, _ = np.linalg.lstsq(basis, rhs, rcond=None)
-        induced[i, j] = coeffs
-        residual = np.abs(basis @ coeffs - rhs).max(initial=0.0)
-        max_unexplained = max(max_unexplained, residual, outside)
+        induced[k] = coeffs.T
+        max_unexplained = max(max_unexplained, np.abs(basis @ coeffs - rhs).max(initial=0.0))
     # compare in lowered form against the graded-signed structure constants
-    order = alg.even_indices + alg.odd_indices
-    f_ord = alg.f[np.ix_(order, order, order)]
-    eta_ord = alg.eta[np.ix_(order, order)]
-    eta_inv = np.linalg.inv(eta_ord)
-    par = np.array([alg.parities[i] for i in order])
-    graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
-    induced_lowered = np.einsum("ia,jb,abk,kl->ijl", eta_ord, eta_ord, induced, eta_inv,
-                                optimize=True)
-    target = graded_sign[:, :, None] * f_ord
+    induced_lowered = np.einsum("ia,jb,abk,kl->ijl", alg.eta, alg.eta, induced,
+                                np.linalg.inv(alg.eta), optimize=True)
+    target = graded_sign[:, :, None] * alg.f
     denom = float(np.sum(target * target))
     kappa = float(np.sum(induced_lowered * target) / denom) if denom else 0.0
     prop_residual = float(np.abs(induced_lowered - kappa * target).max())
-    return ClosureReport(
-        dim=dim,
-        kappa=kappa,
-        max_unexplained=float(max_unexplained),
-        proportionality_residual=prop_residual,
-        induced=induced,
-        tol=tol,
-    )
+    return ClosureReport(dim=dim, kappa=kappa, max_unexplained=float(max_unexplained),
+                         proportionality_residual=prop_residual, induced=induced, tol=tol)
 
 
 # ----------------------------------------------------------------------
@@ -550,15 +551,12 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     _, _, vt = np.linalg.svd(stacked)
     kernel = vt[matrix_rank(stacked):].T
     free = kernel.shape[1]
-    od = alg.odd_indices
+    # G^a restricted to the psi's: psi_1^alpha psi_2^beta F[alpha, beta, a]
+    F_odd = constraint_tensor(alg)[np.ix_(alg.odd_indices, alg.odd_indices, ev)]
     residual = 0.0
-    for a_idx in ev:
+    for a in range(len(ev)):
         quad = np.zeros((slots, slots))
-        for al_pos, al_idx in enumerate(od):
-            for be_pos, be_idx in enumerate(od):
-                coeff = alg.f[al_idx, be_idx, a_idx]
-                if coeff:
-                    quad[ctx.odd_slot(1, al_pos), ctx.odd_slot(2, be_pos)] += coeff
+        quad[:n_odd, n_odd:] = F_odd[:, :, a]
         pulled = kernel.T @ quad @ kernel
         anti = np.abs(pulled - pulled.T).max(initial=0.0) / 2.0
         residual = max(residual, float(anti))

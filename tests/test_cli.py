@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import superholonomy
-from superholonomy.cli import main
+from superholonomy.cli import _seeded_rngs, main
 
 
 def run(capsys, *args):
@@ -156,6 +157,16 @@ class TestModuli:
         monkeypatch.setenv("SUPERHOLONOMY_SEED", "5")
         main(["moduli", "--samples", "10", "--format", "json", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_seeds_share_no_sample(self):
+        # a generator's first draw identifies its stream: seed 0 and seed 1
+        # must not reuse each other's per-sample streams
+        def first_draws(seed):
+            return {rng.random() for rng in _seeded_rngs(argparse.Namespace(seed=seed), 50)}
+
+        zero, one = first_draws(0), first_draws(1)
+        assert len(zero) == len(one) == 50
+        assert not zero & one
 
 
 class TestClosure:

@@ -1,9 +1,13 @@
+import dataclasses
+from itertools import product
+
 import numpy as np
 import pytest
 
 from superholonomy.grassmann import GrassmannElement
 from superholonomy.group import ahat_det_rank, parabolic, _real_expm
 from superholonomy.phase import (
+    GradedPolynomial,
     PhaseSpace,
     check_closure,
     exponential_sector_moduli,
@@ -174,10 +178,86 @@ class TestConstraints:
         assert max(g.evaluate(even_bad, [zero] * 4).max_abs() for g in ev_G) > 0.1
 
 
+def _tampered(alg):
+    """The CLI's --debug-tamper: f loses graded antisymmetry in one entry."""
+    f_bad = alg.f.copy()
+    f_bad[alg.even_indices[0], alg.odd_indices[0], alg.odd_indices[-1]] += 0.1
+    return dataclasses.replace(alg, f=f_bad)
+
+
+def _polynomial_closure(alg, eta_override=None):
+    """Reference route: bracket every constraint pair as polynomials and fit
+    each bracket to the constraint span by exact coefficient matching."""
+    ctx = PhaseSpace.from_algebra(alg)
+    if eta_override is not None:
+        ctx = PhaseSpace.create(eta_override, ctx.C_mat)
+    even_G, odd_G = flatness_constraints(alg, ctx)
+    Gs = even_G + odd_G
+    dim = len(Gs)
+    monomials = sorted({key for g in Gs for key in g.terms})
+    index = {key: i for i, key in enumerate(monomials)}
+    basis = np.zeros((len(monomials), dim))
+    for col, g in enumerate(Gs):
+        for key, c in g.terms.items():
+            basis[index[key], col] = c
+    induced = np.zeros((dim, dim, dim))
+    max_unexplained = 0.0
+    for i, j in product(range(dim), repeat=2):
+        rhs = np.zeros(len(monomials))
+        for key, c in Gs[i].bracket(Gs[j]).terms.items():
+            if key in index:
+                rhs[index[key]] = c
+            else:
+                max_unexplained = max(max_unexplained, abs(c))
+        induced[i, j] = np.linalg.lstsq(basis, rhs, rcond=None)[0]
+        max_unexplained = max(max_unexplained, np.abs(basis @ induced[i, j] - rhs).max(initial=0.0))
+    order = alg.even_indices + alg.odd_indices
+    f_ord = alg.f[np.ix_(order, order, order)]
+    eta_ord = alg.eta[np.ix_(order, order)]
+    par = np.array([alg.parities[i] for i in order])
+    target = np.where(np.outer(par, par) == 1, -1.0, 1.0)[:, :, None] * f_ord
+    lowered = np.einsum("ia,jb,abk,kl->ijl", eta_ord, eta_ord, induced, np.linalg.inv(eta_ord))
+    kappa = float(np.sum(lowered * target) / np.sum(target * target))
+    return kappa, max_unexplained, float(np.abs(lowered - kappa * target).max()), induced
+
+
+class TestClosureMatchesPolynomials:
+    """check_closure contracts the constraint tensor; the polynomial bracket
+    of the symbolic constraints must give the same report."""
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2)])
+    def test_same_report(self, size, tamper):
+        alg = build_osp12() if size == (1, 1) else build_osp(*size)
+        self._compare(_tampered(alg) if tamper else alg)
+
+    @pytest.mark.parametrize("eta", [np.diag([-1.0, 1.3, 1.0]), np.diag([-1.2, 1.0, 1.0])])
+    def test_same_report_detuned(self, alg, eta):
+        self._compare(alg, eta)
+
+    @staticmethod
+    def _compare(alg, eta=None):
+        kappa, unexplained, prop, induced = _polynomial_closure(alg, eta)
+        report = check_closure(alg, eta_override=eta)
+        assert abs(report.kappa - kappa) <= 1e-14
+        assert abs(report.max_unexplained - unexplained) <= 1e-14
+        assert abs(report.proportionality_residual - prop) <= 1e-14
+        assert np.abs(report.induced - induced).max() <= 1e-14
+
+    def test_closure_builds_no_polynomials(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("check_closure used polynomial arithmetic")
+
+        monkeypatch.setattr(GradedPolynomial, "bracket", refuse)
+        monkeypatch.setattr(GradedPolynomial, "__mul__", refuse)
+        assert check_closure(build_osp(2, 1)).passed
+
+
 class TestClosure:
     @pytest.mark.parametrize(
         "builder",
-        [build_osp12, lambda: build_osp(2, 1), lambda: build_osp(1, 2), lambda: build_osp(2, 2)],
+        [build_osp12, lambda: build_osp(2, 1), lambda: build_osp(1, 2), lambda: build_osp(2, 2),
+         lambda: build_osp(3, 1), lambda: build_osp(1, 3)],
     )
     def test_closure_passes(self, builder):
         report = check_closure(builder(), tol=1e-12)
@@ -192,6 +272,16 @@ class TestClosure:
     def test_detuned_eta_detected(self, alg):
         report = check_closure(alg, eta_override=np.diag([-1.0, 1.3, 1.0]))
         assert not report.passed
+
+    @pytest.mark.parametrize("eta, message", [
+        (np.eye(4), "shape"),                  # too many even generators
+        (np.eye(2), "shape"),                  # too few
+        (np.diag([np.nan, 1.0, 1.0]), "finite"),
+        (np.array([[-1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "symmetric"),
+    ])
+    def test_bad_eta_override_rejected(self, alg, eta, message):
+        with pytest.raises(ValueError, match=message):
+            check_closure(alg, eta_override=eta)
 
     def test_algebra_from_json_feeds_phase_space(self, alg):
         # the serialized algebra (no matrix representation) is enough for

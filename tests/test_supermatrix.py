@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from superholonomy.grassmann import GrassmannElement, graded_inverse
+from superholonomy.grassmann import GrassmannElement, NonInvertibleError, graded_inverse
 from superholonomy.supermatrix import (
     ExpmNotConvergedError,
     ParityPatternError,
@@ -151,6 +151,14 @@ class TestInverse:
             xi = x.inverse()
             assert (x @ xi).diff(eye) < 1e-10
             assert (xi @ x).diff(eye) < 1e-10
+
+    @pytest.mark.parametrize("body", [
+        scipy.linalg.block_diag([[0.0]], np.eye(2)),                    # singular a block
+        scipy.linalg.block_diag([[2.0]], [[1.0, 2.0], [2.0, 4.0]]),    # singular A block
+    ])
+    def test_singular_body_block_raises(self, body):
+        with pytest.raises(NonInvertibleError):
+            SuperMatrix.from_body(body, 1, 2, 2).inverse()
 
     def test_gmat_inverse_neumann_terminates(self):
         rng = np.random.default_rng(11)
