@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from .group import (
+    _real_expm,
     ahat,
+    commuting_bodies,
     enumerate_sectors_osp12,
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
-    random_sp,
     rotation,
-    sample_commuting_bodies,
+    sp_generator,
 )
 from .superlie import build_osp
 
@@ -57,13 +58,19 @@ def osp12_sector_counts() -> dict:
 
 
 def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
-    """det Ahat = (2cos(phi) - tr A0)^2 on rotation bodies, and 4 SO(2)xSO(2) moduli."""
-    worst = 0.0
-    for _ in range(samples):
-        phi = rng.uniform(0.0, 2 * np.pi)
-        A0 = random_sp(2, rng) * rng.choice([-1.0, 1.0])
-        det = float(np.linalg.det(ahat(rotation(phi), A0)))
-        worst = max(worst, abs(det - (2 * np.cos(phi) - np.trace(A0)) ** 2))
+    """det Ahat = (2cos(phi) - tr A0)^2 on rotation bodies, and 4 SO(2)xSO(2) moduli.
+
+    Every sample's phi, sp(2) generator and sign are drawn first, in order;
+    the exponentials, operators and determinants are then one stacked call each.
+    """
+    draws = [(rng.uniform(0.0, 2 * np.pi), sp_generator(2, rng), rng.choice([-1.0, 1.0]))
+             for _ in range(samples)]
+    phi, gens, signs = (np.array(x) for x in zip(*draws))
+    A0 = _real_expm(gens) * signs[:, None, None]
+    c, s = np.cos(phi), np.sin(phi)
+    a0 = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    det = np.linalg.det(ahat(a0, A0))
+    worst = float(np.abs(det - (2 * c - np.trace(A0, axis1=-2, axis2=-1)) ** 2).max())
     count = fermionic_moduli_count(rotation(0.4), rotation(1.1), rotation(0.4), rotation(1.1))
     return {"det_formula_worst_error": worst, "so2_so2_moduli": count,
             "passed": bool(worst <= tol and count == 4)}
@@ -71,9 +78,8 @@ def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
 
 def moduli_counts(m: int, n: int, rngs) -> dict:
     """Closed-form 2(2mn - r) against the degree-1 oracle, one body pair per generator."""
-    counts = []
-    for rng in rngs:
-        bodies = sample_commuting_bodies(m, n, rng)
-        counts.append((fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies)))
+    bodies = commuting_bodies(m, n, rngs)
+    counts = list(zip(fermionic_moduli_count(*bodies).tolist(),
+                      fermionic_moduli_count_bruteforce(*bodies).tolist()))
     mismatches = sum(closed != brute for closed, brute in counts)
     return {"counts": counts, "mismatches": mismatches, "passed": mismatches == 0}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -268,7 +269,9 @@ COMMAND_FLAGS = {
 COMMON_FLAGS = ("--seed", "--format", "--out")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="superholonomy",
         description="Verification suites for the OSp(m|2n) flat-connection moduli calculus.",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -99,6 +100,11 @@ class OspGroup:
         return build_osp(self.m, self.n)
 
     def H_matrix(self) -> SuperMatrix:
+        return self._H_matrix
+
+    @cached_property
+    def _H_matrix(self) -> SuperMatrix:
+        # built once per group: SuperMatrix is immutable, so every caller may share it
         return SuperMatrix.from_body(self.H, self.m, self.two_n, self.ngen)
 
     # ------------------------------------------------------------------
@@ -164,20 +170,29 @@ def ahat(a0: np.ndarray, A0: np.ndarray) -> np.ndarray:
     """a0^T (x) I_{2n} - I_m (x) A0, the vectorization of s -> s a0 - A0 s.
 
     Column-major vectorization of the (2n x m) block s is used throughout,
-    matching numpy's kron with this index order.
+    matching numpy's kron with this index order.  Leading axes are a stack,
+    broadcast between a0 (..., m, m) and A0 (..., 2n, 2n) as in a numpy
+    gufunc: the result is (..., 2mn, 2mn), entry for entry the kron form.
     """
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     A0 = np.atleast_2d(np.asarray(A0, dtype=float))
-    m, two_n = a0.shape[0], A0.shape[0]
-    return np.kron(a0.T, np.eye(two_n)) - np.kron(np.eye(m), A0)
+    m, two_n = a0.shape[-1], A0.shape[-1]
+    # axes (..., i, p, j, q) of the row index (i, p) and column index (j, q)
+    op = (np.swapaxes(a0, -1, -2)[..., :, None, :, None] * np.eye(two_n)[:, None, :]
+          - np.eye(m)[:, None, :, None] * A0[..., None, :, None, :])
+    return op.reshape(*op.shape[:-4], m * two_n, m * two_n)
 
 
-def matrix_rank(mat: np.ndarray) -> int:
-    """Rank by singular values after rescaling to unit spectral norm."""
+def matrix_rank(mat: np.ndarray):
+    """Rank by singular values after rescaling to unit spectral norm.
+
+    A stack (..., r, c) is ranked member by member from one SVD call and
+    gives an int array of shape (...); a single matrix gives an int.
+    """
     svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals / svals[0] > RANK_THRESHOLD))
+    top = svals[..., :1]
+    ranks = np.count_nonzero(svals / np.where(top > 0.0, top, 1.0) > RANK_THRESHOLD, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def ahat_det_rank(a0: np.ndarray, A0: np.ndarray) -> tuple[float, int]:
@@ -280,64 +295,72 @@ def _block_max_abs(M: SuperMatrix, name: str) -> float:
 # fermionic moduli counting
 # ----------------------------------------------------------------------
 
-def fermionic_moduli_count(a0, b0, A0, B0) -> int:
-    """Closed-form count 2(2mn - r) with r = rank(Ahat) = rank(Bhat)."""
+def fermionic_moduli_count(a0, b0, A0, B0):
+    """Closed-form count 2(2mn - r) with r = rank(Ahat) = rank(Bhat).
+
+    Leading axes are a stack of body pairs, as in ahat; the count is then an
+    int array over the stack, and one bad pair fails the whole call.
+    """
     a0, b0 = np.atleast_2d(a0), np.atleast_2d(b0)
     A0, B0 = np.atleast_2d(A0), np.atleast_2d(B0)
     if max(np.abs(a0 @ b0 - b0 @ a0).max(), np.abs(A0 @ B0 - B0 @ A0).max()) > DEFECT_TOL:
         raise ValueError("holonomy bodies do not commute")
     Ah, Bh = ahat(a0, A0), ahat(b0, B0)
     r, r_prime = matrix_rank(Ah), matrix_rank(Bh)
-    if r != r_prime:
+    bad = np.flatnonzero(np.ravel(r != r_prime))
+    if bad.size:
         raise ValueError(
-            f"rank(Ahat) = {r} != rank(Bhat) = {r_prime}; the closed-form count "
-            "applies to aligned abelian sectors only"
+            f"rank(Ahat) = {np.ravel(r)[bad[0]]} != rank(Bhat) = {np.ravel(r_prime)[bad[0]]}; "
+            "the closed-form count applies to aligned abelian sectors only"
         )
-    two_mn = Ah.shape[0]
+    two_mn = Ah.shape[-1]
     return 2 * (two_mn - r)
 
 
-def fermionic_moduli_count_bruteforce(a0, b0, A0, B0) -> int:
+def fermionic_moduli_count_bruteforce(a0, b0, A0, B0):
     """Independent count from the degree-1 linear system.
 
     First-order commutation ties the two fermion blocks by Ahat mu = Bhat chi;
     treating the theta coefficients as plain reals, the count is the solution
     space dimension minus the dimension of the degree-1 gauge orbit
-    (chi, mu) -> (chi + Ahat z, mu + Bhat z).
+    (chi, mu) -> (chi + Ahat z, mu + Bhat z).  Stacks as fermionic_moduli_count.
     """
-    Ah = ahat(np.atleast_2d(a0), np.atleast_2d(A0))
-    Bh = ahat(np.atleast_2d(b0), np.atleast_2d(B0))
-    d = Ah.shape[0]
-    constraint = np.hstack([-Bh, Ah])          # acts on (chi_vec, mu_vec)
+    Ah, Bh = ahat(a0, A0), ahat(b0, B0)
+    d = Ah.shape[-1]
+    constraint = np.concatenate([-Bh, Ah], axis=-1)     # acts on (chi_vec, mu_vec)
     solution_dim = 2 * d - matrix_rank(constraint)
-    orbit_dim = matrix_rank(np.vstack([Ah, Bh]))
+    orbit_dim = matrix_rank(np.concatenate([Ah, Bh], axis=-2))
     return solution_dim - orbit_dim
 
 
 def _real_expm(mat: np.ndarray) -> np.ndarray:
-    """Small dense exponential through the shared scaling-and-squaring loop."""
+    """Small dense exponential through the shared scaling-and-squaring loop.
+
+    A stack (..., d, d) is exponentiated in one pass, each member with its
+    own squaring count (see scaling_squaring_expm).
+    """
     mat = np.asarray(mat, dtype=float)
-    return scaling_squaring_expm(mat, np.eye(mat.shape[0]), mat, lambda t: np.abs(t).max())
+    identity = np.broadcast_to(np.eye(mat.shape[-1]), mat.shape)
+    return scaling_squaring_expm(mat, identity, mat, lambda t: np.abs(t).max(initial=0.0))
 
 
-def random_so(m: int, rng, scale: float = 1.0) -> np.ndarray:
-    K = rng.uniform(-scale, scale, (m, m))
-    return _real_expm(K - K.T)
+def sp_generator(two_n: int, rng) -> np.ndarray:
+    """A random sp(2n) element C (S + S^T), the entries of S uniform in [-0.7, 0.7]."""
+    S = rng.uniform(-0.7, 0.7, (two_n, two_n))
+    return symplectic_form(two_n) @ (S + S.T)
 
 
-def random_sp(two_n: int, rng, scale: float = 0.7) -> np.ndarray:
-    C = symplectic_form(two_n)
-    S = rng.uniform(-scale, scale, (two_n, two_n))
-    return _real_expm(C @ (S + S.T))
+def random_sp(two_n: int, rng) -> np.ndarray:
+    """A random Sp(2n) element, the exponential of sp_generator."""
+    return _real_expm(sp_generator(two_n, rng))
 
 
-def sample_commuting_bodies(m: int, n: int, rng):
-    """Commuting (a0, b0, A0, B0) drawn from one abelian direction.
+def _commuting_draws(m: int, n: int, rng):
+    """The rng draws of one commuting sample, in the sampler's order.
 
-    Both holonomies exponentiate multiples of the same o(m) and sp(2n)
-    generators (the aligned sectors the moduli count applies to), with
-    random overall sign flips and nilpotent or vanishing directions to
-    exercise rank-deficient cases, plus a random simultaneous conjugation.
+    Returns the o(m) generators (u1 K, u2 K, L - L^T) and the sp(2n)
+    generators (t1 Hs, t2 Hs, sp_generator) whose exponentials are the two
+    holonomy bodies and the conjugations P, Q, and the two overall signs.
     """
     two_n = 2 * n
     C = symplectic_form(two_n)
@@ -359,16 +382,41 @@ def sample_commuting_bodies(m: int, n: int, rng):
         Hs = C @ (S + S.T)
     t1, t2 = rng.uniform(0.2, 1.2, 2) * rng.choice([-1.0, 1.0], 2)
     u1, u2 = rng.uniform(0.2, 1.2, 2) * rng.choice([-1.0, 1.0], 2)
-    a0, b0 = _real_expm(u1 * K), _real_expm(u2 * K)
-    A0, B0 = _real_expm(t1 * Hs), _real_expm(t2 * Hs)
-    s1, s2 = rng.choice([-1.0, 1.0], 2)
-    a0, A0 = s1 * a0, s1 * A0
-    b0, B0 = s2 * b0, s2 * B0
-    P, Q = random_so(m, rng), random_sp(two_n, rng)
-    a0, b0 = P @ a0 @ P.T, P @ b0 @ P.T
-    Qi = np.linalg.inv(Q)
-    A0, B0 = Q @ A0 @ Qi, Q @ B0 @ Qi
-    return a0, b0, A0, B0
+    signs = rng.choice([-1.0, 1.0], 2)
+    L = rng.uniform(-1.0, 1.0, (m, m))
+    sp_gen = sp_generator(two_n, rng)
+    return (u1 * K, u2 * K, L - L.T), (t1 * Hs, t2 * Hs, sp_gen), signs
+
+
+def commuting_bodies(m: int, n: int, rngs):
+    """sample_commuting_bodies for each generator of rngs, as four stacks.
+
+    Every sample's draws are taken first, in order, so a generator repeated
+    in rngs gives the stream of the one-sample loop; the exponentials, sign
+    flips and conjugations then run once over the whole stack.  Returns
+    (a0, b0, A0, B0) of shapes (S, m, m) and (S, 2n, 2n).
+    """
+    draws = [_commuting_draws(m, n, rng) for rng in rngs]
+    if not draws:
+        raise ValueError("at least one sample is required")
+    so_gens, sp_gens, signs = (np.array(x) for x in zip(*draws))
+    so, sp = _real_expm(so_gens), _real_expm(sp_gens)
+    signs = signs[:, :, None, None]
+    P, Q = so[:, 2:], sp[:, 2:]
+    a = P @ (signs * so[:, :2]) @ np.swapaxes(P, -1, -2)
+    A = Q @ (signs * sp[:, :2]) @ np.linalg.inv(Q)
+    return a[:, 0], a[:, 1], A[:, 0], A[:, 1]
+
+
+def sample_commuting_bodies(m: int, n: int, rng):
+    """Commuting (a0, b0, A0, B0) drawn from one abelian direction.
+
+    Both holonomies exponentiate multiples of the same o(m) and sp(2n)
+    generators (the aligned sectors the moduli count applies to), with
+    random overall sign flips and nilpotent or vanishing directions to
+    exercise rank-deficient cases, plus a random simultaneous conjugation.
+    """
+    return tuple(body[0] for body in commuting_bodies(m, n, [rng]))
 
 
 # ----------------------------------------------------------------------

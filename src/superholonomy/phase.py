@@ -462,7 +462,7 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmRepor
     det = float(np.linalg.det(block))
     rank = matrix_rank(block)
     n_odd = len(alg.odd_indices)
-    c_vec = np.asarray(c, dtype=float)
+    c_vec = alg.even_components(c)
     ev = alg.even_indices
     eta_even = alg.eta[np.ix_(ev, ev)]
     null = bool(abs(c_vec @ np.linalg.inv(eta_even) @ c_vec) < PHASE_TOL)
@@ -506,7 +506,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     n_odd = ctx.n_odd
     slots = 2 * n_odd
     ev = alg.even_indices
-    c_vec = np.asarray(c, dtype=float)
+    c_vec = alg.even_components(c)
     even_values = np.concatenate([A_values[0] * c_vec, A_values[1] * c_vec])
 
     def linear_form(poly: GradedPolynomial) -> np.ndarray:

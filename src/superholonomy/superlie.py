@@ -176,11 +176,26 @@ class SuperAlgebra:
         f = self.f
         p = np.asarray(self.parities)
         sgn = np.where(np.outer(p, p) == 1, -1.0, 1.0)
-        lhs = np.einsum("jkl,ilm->ijkm", f, f)
-        rhs1 = np.einsum("ijl,lkm->ijkm", f, f)
-        rhs2 = np.einsum("ikl,jlm->ijkm", f, f)
+        lhs = np.einsum("jkl,ilm->ijkm", f, f, optimize=True)
+        rhs1 = np.einsum("ijl,lkm->ijkm", f, f, optimize=True)
+        rhs2 = np.einsum("ikl,jlm->ijkm", f, f, optimize=True)
         residual = lhs - rhs1 - sgn[:, :, None, None] * rhs2
         return JacobiReport(self.dim, float(np.abs(residual).max()), tol)
+
+    def even_components(self, c: Sequence[float]) -> np.ndarray:
+        """An even direction's components on the even generators.
+
+        c is given either on the even generators or on the whole basis, where
+        its odd components must vanish.
+        """
+        c = np.asarray(c, dtype=float)
+        if c.shape == (self.dim,):
+            if np.abs(c[self.odd_indices]).max(initial=0.0) > 0:
+                raise ValueError("direction must be supported on even generators")
+            c = c[self.even_indices]
+        if c.shape != (len(self.even_indices),):
+            raise ValueError("direction has wrong length")
+        return c
 
     def ff_block(self, c: Sequence[float]) -> np.ndarray:
         """Fermion-fermion block of the adjoint action of an even direction.
@@ -188,14 +203,8 @@ class SuperAlgebra:
         For c supported on the even generators returns the matrix
         J[alpha, beta] = sum_a c^a f[a, alpha, beta] acting on the odd basis.
         """
-        c = np.asarray(c, dtype=float)
+        c = self.even_components(c)
         ev, od = self.even_indices, self.odd_indices
-        if c.shape == (self.dim,):
-            if np.abs(c[od]).max(initial=0.0) > 0:
-                raise ValueError("direction must be supported on even generators")
-            c = c[ev]
-        if c.shape != (len(ev),):
-            raise ValueError("direction has wrong length")
         block = np.zeros((len(od), len(od)))
         for a, ci in zip(ev, c):
             if ci:

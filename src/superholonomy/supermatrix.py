@@ -20,7 +20,6 @@ entries are a view built on demand.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -105,10 +104,18 @@ def scaling_squaring_expm(x, identity, body: np.ndarray, size, max_terms: int = 
     Appl. 26, 2005).  Soul parts are nilpotent, so they only lengthen the
     series by finitely many orders.  Raises ExpmNotConvergedError when
     max_terms terms do not reach the cutoff.
+
+    A real x may be a stack (..., d, d), as in a numpy gufunc, with identity
+    broadcast to its shape and body = x.  Each member is scaled and squared
+    by its own s, because extra squarings of a small member only add
+    rounding; the series runs until every member's term is below the cutoff,
+    so a member differs from its one-matrix exponential only by terms below
+    TAYLOR_CUTOFF.
     """
-    norm = float(np.abs(body).sum(axis=0).max(initial=0.0))
-    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
-    x = x * (0.5 ** squarings)
+    norm = np.abs(body).sum(axis=-2).max(axis=-1, initial=0.0)
+    squarings = np.ceil(np.log2(np.fmax(norm, 0.5) / 0.5)).astype(int)
+    stacked = squarings.ndim > 0
+    x = x * ((0.5 ** squarings)[..., None, None] if stacked else 0.5 ** int(squarings))
     acc = term = identity
     for k in range(1, max_terms + 1):
         term = (term @ x) * (1.0 / k)
@@ -119,8 +126,8 @@ def scaling_squaring_expm(x, identity, body: np.ndarray, size, max_terms: int = 
         raise ExpmNotConvergedError(
             f"Taylor terms still above {TAYLOR_CUTOFF:g} after {max_terms} terms"
         )
-    for _ in range(squarings):
-        acc = acc @ acc
+    for k in range(int(squarings.max(initial=0))):
+        acc = np.where((squarings > k)[..., None, None], acc @ acc, acc) if stacked else acc @ acc
     return acc
 
 

@@ -232,3 +232,27 @@ def test_in_process_output_matches_fresh_process(capsys, monkeypatch):
         fresh = subprocess.run([sys.executable, "-m", "superholonomy.cli", *argv],
                                env=env, capture_output=True, check=False)
         assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_cached_parser_carries_no_state(capsys):
+    """The parser is built once per process; no parse leaves a default behind."""
+    from superholonomy.cli import build_parser
+
+    assert build_parser() is build_parser()
+    sequence = (["sectors", "--m", "2", "--n", "1"], ["sectors"], ["report"])
+    cached = [run(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert cached[1][1].startswith("osp(1|2) sectors:")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is a test dependency only: the CLI's import time must not pay for it."""
+    src = str(Path(superholonomy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, superholonomy.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert res.stdout.decode().strip() == "False"

@@ -13,6 +13,7 @@ from superholonomy.group import (
     ahat,
     ahat_det_rank,
     build_nonexp_holonomy,
+    commuting_bodies,
     commuting_pair_forces_diagonal,
     det_conjugation_invariance,
     enumerate_sectors_osp12,
@@ -27,6 +28,7 @@ from superholonomy.group import (
     sector_representative,
     _real_expm,
 )
+from superholonomy.checks import moduli_counts
 from superholonomy.superlie import SIGMA_PLUS, symplectic_form
 from superholonomy.supermatrix import SuperMatrix, commutator, gmat_from_real
 
@@ -468,3 +470,62 @@ class TestRealExpm:
         squarings = max(0, math.ceil(math.log2(np.abs(body).sum(axis=0).max() / 0.5)))
         tol = 2.0 ** squarings * len(body) * COEFF_CUTOFF
         assert np.abs(super_body - real).max() <= tol * np.abs(real).max()
+
+
+def _kron_ahat(a0, A0):
+    return np.kron(a0.T, np.eye(len(A0))) - np.kron(np.eye(len(a0)), A0)
+
+
+class TestStacks:
+    """The stacked moduli path against the one-matrix forms it replaces."""
+
+    @pytest.mark.parametrize("m,two_n", [(1, 2), (2, 2), (1, 4), (3, 4), (2, 6)])
+    def test_ahat_equals_kron(self, m, two_n):
+        rng = np.random.default_rng(10 * m + two_n)
+        a0, A0 = rng.normal(size=(5, m, m)), rng.normal(size=(5, two_n, two_n))
+        stacked = ahat(a0, A0)
+        assert stacked.shape == (5, m * two_n, m * two_n)
+        for k in range(5):
+            assert np.array_equal(ahat(a0[k], A0[k]), _kron_ahat(a0[k], A0[k]))
+            assert np.array_equal(stacked[k], _kron_ahat(a0[k], A0[k]))
+
+    def test_rank_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(3)
+        mats = np.array([rng.normal(size=(4, r)) @ rng.normal(size=(r, 6)) for r in (0, 1, 2, 3, 4)])
+        ranks = matrix_rank(mats.reshape(5, 1, 4, 6))
+        assert ranks.shape == (5, 1)
+        assert ranks[:, 0].tolist() == [matrix_rank(mat) for mat in mats] == [0, 1, 2, 3, 4]
+        assert isinstance(matrix_rank(mats[2]), int)
+
+    def test_expm_mixed_stack_matches_scipy(self):
+        C = symplectic_form(2)
+        nilpotent = C @ np.array([[1.0, 0.0], [0.0, 0.0]])
+        generic = _sp(2, 0.7, 8)
+        generic *= 4.0 / np.abs(generic).sum(axis=0).max()
+        # a zero, a norm-1 nilpotent, a norm-4 and a norm-0.3 generator: 0, 1, 3 and 0 squarings
+        stack = np.array([np.zeros((2, 2)), nilpotent, generic, 0.075 * generic])
+        result = _real_expm(stack)
+        for block, member in zip(stack, result):
+            ref = scipy.linalg.expm(block)
+            assert np.abs(member - ref).max() <= 1e-13 * np.abs(ref).max()
+            # each member keeps its own squaring count: the one-matrix result
+            assert np.array_equal(member, _real_expm(block))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_moduli_counts_equal_per_sample_loop(self, m, n):
+        seeds = np.random.SeedSequence(90 + 10 * m + n).spawn(25)
+        counts = moduli_counts(m, n, (np.random.default_rng(s) for s in seeds))["counts"]
+        loop = []
+        for s in seeds:
+            bodies = sample_commuting_bodies(m, n, np.random.default_rng(s))
+            loop.append((fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies)))
+        assert counts == loop
+        assert all(type(x) is int for pair in loop for x in pair)
+
+    def test_shared_generator_keeps_its_stream(self):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        stacks = commuting_bodies(2, 1, [rng] * 4)
+        for k in range(4):
+            for stacked, single in zip(stacks, sample_commuting_bodies(2, 1, ref)):
+                assert np.array_equal(stacked[k], single)
+        assert rng.random() == ref.random()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from superholonomy.grassmann import GrassmannElement
-from superholonomy.group import ahat_det_rank, parabolic, _real_expm
+from superholonomy.group import ahat_det_rank, matrix_rank, parabolic, _real_expm
 from superholonomy.phase import (
     GradedPolynomial,
     PhaseSpace,
@@ -410,6 +410,15 @@ class TestGaugeFixing:
         assert res.rank == 2
         assert res.free_odd_coordinates == 0
         assert res.pairing_ok
+
+    def test_full_length_direction_equals_even_form(self, alg, ctx):
+        # a direction on the whole basis (odd components zero) is its even part
+        for c in ([0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]):
+            full = c + [0.0] * len(alg.odd_indices)
+            chi = [self._orbit_form(ctx, c, alpha)
+                   for alpha in range(matrix_rank(alg.ff_block(c)))]
+            assert gauge_fixing_check(alg, full, chi) == gauge_fixing_check(alg, c, chi)
+            assert exponential_sector_moduli(alg, full) == exponential_sector_moduli(alg, c)
 
 
 class TestExponentialSectorReport:
