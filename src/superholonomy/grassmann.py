@@ -9,10 +9,11 @@ floating error.
 
 Every product, of elements or of matrices over B_N, is one signed subset
 convolution, ``graded_matmul``, on dense coefficient arrays with the monomial
-mask on axis 0, and every inverse is ``graded_inverse``, the same split on the
-last generator.  GrassmannElement keeps the sparse {mask: coefficient} form
-as its public view.  Coefficients are finite: NaN and infinities raise
-ValueError.
+mask on axis -3, and every inverse is ``graded_inverse``, the same split on
+the last generator.  Both take leading stack axes, as numpy gufuncs do, and
+give each member of a stack its one-matrix result bit for bit.
+GrassmannElement keeps the sparse {mask: coefficient} form as its public
+view.  Coefficients are finite: NaN and infinities raise ValueError.
 """
 
 from __future__ import annotations
@@ -83,33 +84,34 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def grade_signs(n: int) -> np.ndarray:
-    """(-1)^|q| for every monomial q of B_n, shaped to scale (2^n, d, d) arrays."""
+    """(-1)^|q| for every monomial q of B_n, shaped to scale (..., 2^n, d, d) arrays."""
     out = np.array([-1.0 if q.bit_count() & 1 else 1.0 for q in range(1 << n)])[:, None, None]
     out.flags.writeable = False
     return out
 
 
 def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum over disjoint (p, q) of merge_sign(p, q) x[p] @ y[q] into slot p | q."""
-    if not x[1:].any():      # no soul: only the pairs (0, q) contribute
-        return np.matmul(x[0], y)
-    if not y[1:].any():
-        return np.matmul(x, y[0])
-    size = len(x)
+    """sum over disjoint (p, q) of merge_sign(p, q) x_p @ y_q into slot p | q of axis -3."""
+    if not x[..., 1:, :, :].any():      # no soul in the stack: only the pairs (0, q) contribute
+        return np.matmul(x[..., :1, :, :], y)
+    if not y[..., 1:, :, :].any():
+        return np.matmul(x, y[..., :1, :, :])
+    size = x.shape[-3]
     n = size.bit_length() - 1
     if n <= TABLE_MAX_N:
         left, right, starts = _pair_table(n)
-        pairs = np.matmul(np.concatenate((x, -x))[left], y[right])
-        return np.add.reduceat(pairs, starts, axis=0)
+        pairs = np.matmul(np.concatenate((x, -x), axis=-3)[..., left, :, :], y[..., right, :, :])
+        return np.add.reduceat(pairs, starts, axis=-3)
     # split off theta_n, the last generator: x = x0 + x1 theta_n, likewise y,
     # and theta_n y0 = y0^ theta_n with ^ the grade involution, so
     # xy = x0 y0 + (x0 y1 + x1 y0^) theta_n
     half = size >> 1
-    x0, x1, y0, y1 = x[:half], x[half:], y[:half], y[half:]
-    out = np.empty((size, x.shape[1], y.shape[2]))
-    out[:half] = _convolve(x0, y0)
-    out[half:] = _convolve(x0, y1)
-    out[half:] += _convolve(x1, y0 * grade_signs(n - 1))
+    x0, x1 = x[..., :half, :, :], x[..., half:, :, :]
+    y0, y1 = y[..., :half, :, :], y[..., half:, :, :]
+    out = np.empty((*np.broadcast_shapes(x.shape[:-3], y.shape[:-3]), size, x.shape[-2], y.shape[-1]))
+    out[..., :half, :, :] = _convolve(x0, y0)
+    out[..., half:, :, :] = _convolve(x0, y1)
+    out[..., half:, :, :] += _convolve(x1, y0 * grade_signs(n - 1))
     return out
 
 
@@ -118,7 +120,7 @@ def canonical(coeffs: np.ndarray) -> np.ndarray:
 
     That includes signed zeros.  A NaN or infinite coefficient raises
     ValueError, as in the dict form: it comes from bad input or an overflow
-    and must fail, not vanish.
+    and must fail, not vanish.  Any shape, stacks included.
     """
     mags = np.abs(coeffs)
     if not np.isfinite(mags.max(initial=0.0)):
@@ -130,42 +132,47 @@ def canonical(coeffs: np.ndarray) -> np.ndarray:
 def graded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The package's one graded product: out[p|q] += sign(p, q) x[p] @ y[q].
 
-    x and y are dense coefficient arrays of shapes (2^N, a, b) and
-    (2^N, b, c), axis 0 the monomial mask; the sum runs over the 3^N
+    x and y are dense coefficient arrays of shapes (..., 2^N, a, b) and
+    (..., 2^N, b, c), axis -3 the monomial mask; the sum runs over the 3^N
     disjoint pairs, a signed subset convolution (Wlodarczyk, Algorithmica
-    2019).  Element products are the case a = b = c = 1.  Up to
-    TABLE_MAX_N generators one cached pair table does it in a few batched
-    numpy calls; above, the last generator is split off recursively, with
-    the table as the base case.  The result is canonical: coefficients
-    below COEFF_CUTOFF are zeroed, as GrassmannElement does.
+    2019).  Leading axes are a stack, broadcast between x and y as in a
+    numpy gufunc, and each member gets exactly its one-matrix result.
+    Element products are the case a = b = c = 1.  Up to TABLE_MAX_N
+    generators one cached pair table does it in a few batched numpy calls;
+    above, the last generator is split off recursively, with the table as
+    the base case.  A factor with no soul in any member is a plain matmul
+    of its body.  The result is canonical: coefficients below COEFF_CUTOFF
+    are zeroed, as GrassmannElement does.
     """
     return canonical(_convolve(x, y))
 
 
 def _invert(x: np.ndarray) -> np.ndarray:
-    if len(x) == 1:
+    if x.shape[-3] == 1:
         try:
             return np.linalg.inv(x)
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleError("singular body; no inverse exists") from exc
     # x = x0 + x1 theta_n and y = y0 + y1 theta_n with x y = 1: x0 y0 = 1 and
     # x0 y1 + x1 y0^ = 0, so y1 = -y0 x1 y0^ with ^ the grade involution
-    half = len(x) >> 1
-    y0 = _invert(x[:half])
+    half = x.shape[-3] >> 1
+    y0 = _invert(x[..., :half, :, :])
     out = np.empty_like(x)
-    out[:half] = y0
-    out[half:] = -_convolve(y0, _convolve(x[half:], y0 * grade_signs(half.bit_length() - 1)))
+    out[..., :half, :, :] = y0
+    out[..., half:, :, :] = -_convolve(
+        y0, _convolve(x[..., half:, :, :], y0 * grade_signs(half.bit_length() - 1)))
     return out
 
 
 def graded_inverse(x: np.ndarray) -> np.ndarray:
-    """The package's one inverse over B_N, of a (2^N, d, d) coefficient array.
+    """The package's one inverse over B_N, of a (..., 2^N, d, d) coefficient array.
 
     Splits off the last generator, x = x0 + x1 theta_N, inverts x0 the same
     way and sets y1 = -y0 x1 y0^, the split ``graded_matmul`` uses for
     products; the base case is np.linalg.inv of the body, and a singular
-    body raises NonInvertibleError.  About one product's work; the result is
-    two-sided and canonical.
+    body (of any member of a stack) raises NonInvertibleError.  About one
+    product's work; the result is two-sided and canonical, member by member
+    the one-matrix inverse.
     """
     return canonical(_invert(x))
 

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import GrassmannElement, graded_inverse, graded_matmul, random_element
+from .grassmann import GrassmannElement, canonical, grade_signs, graded_inverse, graded_matmul
 from .supermatrix import (
     SuperMatrix,
     array_to_gmat,
@@ -28,7 +28,9 @@ from .supermatrix import (
     commutator,
     gmat_from_real,
     gmat_to_array,
+    graded_expm,
     scaling_squaring_expm,
+    supertranspose_coeffs,
 )
 from .superlie import (
     OSP12_DIRECTIONS,
@@ -123,9 +125,23 @@ class OspGroup:
             return False
         return True
 
-    def membership_defect(self, M: SuperMatrix) -> float:
+    def membership_defect(self, M):
+        """Largest coefficient of M^st H M - H.
+
+        M is a SuperMatrix, giving a float, or an even coefficient stack
+        (..., 2^N, m+2n, m+2n), giving an array of shape (...) whose members
+        equal the one-matrix defects, as in matrix_rank.
+        """
         H = self.H_matrix()
-        return (M.supertranspose() @ H @ M - H).max_abs()
+        if isinstance(M, SuperMatrix):
+            H._check_compatible(M)
+            st = supertranspose_coeffs(M.coeffs, M.m, M.parity)
+            M = M.coeffs
+        else:
+            st = supertranspose_coeffs(M, self.m)
+        residual = canonical(graded_matmul(graded_matmul(st, H.coeffs), M) - H.coeffs)
+        worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
+        return float(worst) if worst.ndim == 0 else worst
 
     # ------------------------------------------------------------------
     def xi_from_chi(self, a, A, chi):
@@ -147,19 +163,46 @@ class OspGroup:
         body[0, 0] = -1.0
         return SuperMatrix.from_body(body, self.m, self.two_n, self.ngen)
 
-    def sample_member(self, rng, components: bool = True) -> SuperMatrix:
-        """exp of a random enveloping-algebra element, optionally reflected."""
+    def sample_stack(self, rngs, components: bool = True) -> np.ndarray:
+        """sample_member for each generator of rngs, as one coefficient stack.
+
+        Every sample's draws are taken first, in sample_member's order (its
+        coefficients, then the reflection coin), so a generator repeated in
+        rngs gives the stream of the one-sample loop.  The exponentials and
+        reflections then run once over the stack.  Returns (S, 2^N, d, d).
+        """
         alg = self.algebra()
-        coeffs = []
-        for par in alg.parities:
-            c = random_element(rng, self.ngen, parity=par, scale=SAMPLE_SCALE)
-            if par == 0:   # halve the even souls
-                c = GrassmannElement(self.ngen, {k: v * 0.5 if k else v for k, v in c.terms.items()})
-            coeffs.append(c)
-        M = alg.embed(coeffs, self.ngen).expm()
-        if components and rng.random() < 0.5:
-            M = self.reflection_component() @ M
-        return M
+        even = np.array(alg.parities) == 0
+        odd_masks = grade_signs(self.ngen)[:, 0, 0] < 0
+        # random_element's order: generators in basis order, inside each the
+        # monomials of its parity in mask order; one rng.uniform call of k
+        # values reads the stream of k scalar calls
+        slots = np.flatnonzero(odd_masks[None, :] == ~even[:, None])
+        rngs = list(rngs)
+        table = np.zeros((len(rngs), len(even), 1 << self.ngen))
+        flat = table.reshape(len(rngs), -1)
+        flips = np.zeros(len(rngs), dtype=bool)
+        for k, rng in enumerate(rngs):
+            flat[k, slots] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(slots))
+            flips[k] = components and rng.random() < 0.5
+        table[:, even, 1:] *= 0.5      # halve the even souls
+        canonical(table)               # and drop what GrassmannElement drops
+        d = self.m + self.two_n
+        gens = np.zeros((len(rngs), 1 << self.ngen, d, d))
+        for g, mat in enumerate(alg.rep):      # the sum, in order, of SuperAlgebra.embed
+            gens += table[:, g, :, None, None] * mat
+        members = graded_expm(canonical(gens))
+        if flips.any():
+            members[flips] = graded_matmul(self.reflection_component().coeffs, members[flips])
+        return members
+
+    def sample_member(self, rng, components: bool = True) -> SuperMatrix:
+        """exp of a random enveloping-algebra element, optionally reflected.
+
+        Algebra coefficients are uniform in [-SAMPLE_SCALE, SAMPLE_SCALE],
+        even souls halved; the one-sample case of sample_stack.
+        """
+        return SuperMatrix.from_coeffs(self.m, self.two_n, self.sample_stack([rng], components)[0])
 
 
 # ----------------------------------------------------------------------
@@ -337,11 +380,12 @@ def _real_expm(mat: np.ndarray) -> np.ndarray:
     """Small dense exponential through the shared scaling-and-squaring loop.
 
     A stack (..., d, d) is exponentiated in one pass, each member with its
-    own squaring count (see scaling_squaring_expm).
+    own squaring count and its own series length, so each is bit-equal to
+    its one-matrix exponential (see scaling_squaring_expm).
     """
     mat = np.asarray(mat, dtype=float)
     identity = np.broadcast_to(np.eye(mat.shape[-1]), mat.shape)
-    return scaling_squaring_expm(mat, identity, mat, lambda t: np.abs(t).max(initial=0.0))
+    return scaling_squaring_expm(mat, identity, mat, np.matmul, lambda t: t)
 
 
 def sp_generator(two_n: int, rng) -> np.ndarray:

@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement, merge_sign
+from .grassmann import GrassmannElement, canonical, graded_matmul, merge_sign
 from .group import matrix_rank
 from .superlie import SuperAlgebra
+from .supermatrix import graded_expm
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
 # absolute bound on residuals, pivots and determinants built from the O(1)
@@ -616,12 +617,11 @@ def osp12_exponential_sector(samples: int = 10, seed: int = 0) -> ExponentialSec
     rng = np.random.default_rng(seed)
     constraint_residual = 0.0
     gauge_residual = 0.0
-    commutator_norms = []
-    invariants = []
     # a reference sample point plus a unit-circle sweep
     points = [(0.6, 0.8)]
     for t in np.linspace(0.2, 2.8, samples - 1):
         points.append((float(np.cos(t)), float(np.sin(t))))
+    gens = []
     for p, q in points:
         c_dir = rng.uniform(-1.0, 1.0, 2)
         psi = GrassmannElement.theta(1, ngen) * rng.uniform(0.3, 1.0)
@@ -638,11 +638,14 @@ def osp12_exponential_sector(samples: int = 10, seed: int = 0) -> ExponentialSec
         coeffs2 = [
             GrassmannElement.scalar(2 * np.pi * q * sigma_plus_dir[a], ngen) for a in range(3)
         ] + [psi2[0] * (2 * np.pi), psi2[1] * (2 * np.pi)]
-        U1 = alg.embed(coeffs1, ngen).expm()
-        U2 = alg.embed(coeffs2, ngen).expm()
-        comm = (U1 @ U2 - U2 @ U1).max_abs()
-        commutator_norms.append(comm)
-        invariants.append(p * p + q * q)
+        gens += [alg.embed(coeffs1, ngen).coeffs, alg.embed(coeffs2, ngen).coeffs]
+    # every point's two holonomies in one stacked exponential, then the
+    # commutators U1 U2 - U2 U1 in two stacked products
+    U = graded_expm(np.array(gens))
+    U1, U2 = U[0::2], U[1::2]
+    comm = canonical(graded_matmul(U1, U2) - graded_matmul(U2, U1))
+    commutator_norms = np.abs(comm).max(axis=(-3, -2, -1)).tolist()
+    invariants = [p * p + q * q for p, q in points]
     return ExponentialSectorReport(
         bracket_a1_a2=float(bracket_a1_a2),
         constraint_residual=constraint_residual,

@@ -15,7 +15,9 @@ Storage is dense: one read-only coefficient array of shape (2^N, m+n, m+n),
 axis 0 the monomial mask, so a product is one call of the graded kernel
 ``grassmann.graded_matmul`` and the inverse one call of
 ``grassmann.graded_inverse`` on the whole matrix.  The GrassmannElement
-entries are a view built on demand.
+entries are a view built on demand.  A SuperMatrix is one matrix; the array
+functions under it (the kernel, ``graded_expm``, ``supertranspose_coeffs``)
+also take stacks (..., 2^N, d, d) and give each member its one-matrix result.
 """
 
 from __future__ import annotations
@@ -93,42 +95,74 @@ def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
     return canonical(out)
 
 
-def scaling_squaring_expm(x, identity, body: np.ndarray, size, max_terms: int = 80):
+def scaling_squaring_expm(x: np.ndarray, identity: np.ndarray, body: np.ndarray,
+                          matmul, tidy, max_terms: int = 80) -> np.ndarray:
     """exp(x) by scaling and squaring around a Taylor kernel.
 
-    x is a real square array or an even SuperMatrix (anything with ``@``,
-    ``+`` and scalar ``*``), body its real part and size(t) the largest
-    absolute coefficient of t.  x is scaled by 2^-s until the 1-norm of the
-    body is at most 1/2, the series is summed until a term falls below
-    TAYLOR_CUTOFF, and the sum is squared s times (Higham, SIAM J. Matrix Anal.
+    x is a stack of square arrays: real matrices (..., d, d) with matmul =
+    np.matmul, or even coefficient arrays (..., 2^N, d, d) with matmul =
+    graded_matmul; identity is broadcast to x's shape, body (..., d, d) is
+    the real part, and tidy(t) is applied after every sum and scaling
+    (``canonical`` for coefficients, nothing for real matrices).  Each member
+    is scaled by 2^-s until the 1-norm of its body is at most 1/2, its series
+    is summed until its own term falls below TAYLOR_CUTOFF in every
+    coefficient, and the sum is squared s times (Higham, SIAM J. Matrix Anal.
     Appl. 26, 2005).  Soul parts are nilpotent, so they only lengthen the
     series by finitely many orders.  Raises ExpmNotConvergedError when
     max_terms terms do not reach the cutoff.
 
-    A real x may be a stack (..., d, d), as in a numpy gufunc, with identity
-    broadcast to its shape and body = x.  Each member is scaled and squared
-    by its own s, because extra squarings of a small member only add
-    rounding; the series runs until every member's term is below the cutoff,
-    so a member differs from its one-matrix exponential only by terms below
-    TAYLOR_CUTOFF.
+    The stack axes are body's leading axes, as in a numpy gufunc.  A member
+    that has stopped keeps its sum (np.where), and its later terms only
+    shrink; a small member gets no extra squarings, which would only add
+    rounding.  So every member is bit-equal to its one-matrix exponential.
     """
     norm = np.abs(body).sum(axis=-2).max(axis=-1, initial=0.0)
     squarings = np.ceil(np.log2(np.fmax(norm, 0.5) / 0.5)).astype(int)
-    stacked = squarings.ndim > 0
-    x = x * ((0.5 ** squarings)[..., None, None] if stacked else 0.5 ** int(squarings))
+
+    def per_member(v):
+        return v.reshape(v.shape + (1,) * (x.ndim - v.ndim))
+
+    member_axes = tuple(range(squarings.ndim, x.ndim))
+    x = tidy(x * per_member(0.5 ** squarings))
     acc = term = identity
+    done = np.zeros(squarings.shape, dtype=bool)
     for k in range(1, max_terms + 1):
-        term = (term @ x) * (1.0 / k)
-        if size(term) < TAYLOR_CUTOFF:
+        term = tidy(matmul(term, x) * (1.0 / k))
+        done |= np.abs(term).max(axis=member_axes) < TAYLOR_CUTOFF
+        if done.all():
             break
-        acc = acc + term
+        acc = np.where(per_member(done), acc, tidy(acc + term))
     else:
         raise ExpmNotConvergedError(
             f"Taylor terms still above {TAYLOR_CUTOFF:g} after {max_terms} terms"
         )
     for k in range(int(squarings.max(initial=0))):
-        acc = np.where((squarings > k)[..., None, None], acc @ acc, acc) if stacked else acc @ acc
+        acc = np.where(per_member(squarings > k), matmul(acc, acc), acc)
     return acc
+
+
+def graded_expm(coeffs: np.ndarray, max_terms: int = 80) -> np.ndarray:
+    """exp of an even coefficient array (..., 2^N, d, d) with the graded product.
+
+    Every member of a stack is bit-equal to its one-matrix exponential.
+    """
+    identity = np.zeros(coeffs.shape)
+    identity[..., 0, :, :] = np.eye(coeffs.shape[-1])
+    return scaling_squaring_expm(coeffs, identity, coeffs[..., 0, :, :], graded_matmul,
+                                 canonical, max_terms)
+
+
+def supertranspose_coeffs(coeffs: np.ndarray, m: int, parity: int = 0) -> np.ndarray:
+    """Graded transpose of a (..., 2^N, d, d) stack: (a, xi, chi, A) -> (a^T, chi^T, -xi^T, A^T).
+
+    On the odd parity pattern the off-diagonal signs flip, which is what
+    makes (XY)^st = (-1)^{|X||Y|} Y^st X^st hold for both parities.
+    """
+    sign = -1.0 if parity else 1.0
+    out = np.swapaxes(coeffs, -1, -2).copy()
+    out[..., :m, m:] *= sign
+    out[..., m:, :m] *= -sign
+    return canonical(out)
 
 
 # ----------------------------------------------------------------------
@@ -276,17 +310,9 @@ class SuperMatrix:
                                  (self.parity + other.parity) % 2)
 
     def supertranspose(self) -> "SuperMatrix":
-        """Graded transpose: blocks (a, xi, chi, A) -> (a^T, chi^T, -xi^T, A^T).
-
-        On the odd parity pattern the off-diagonal signs flip, which is what
-        makes (XY)^st = (-1)^{|X||Y|} Y^st X^st hold for both parities.
-        """
-        sign = -1.0 if self.parity else 1.0
-        m = self.m
-        out = self.coeffs.transpose(0, 2, 1).copy()
-        out[:, :m, m:] *= sign
-        out[:, m:, :m] *= -sign
-        return SuperMatrix._wrap(m, self.n, canonical(out), self.parity)
+        """Graded transpose through ``supertranspose_coeffs``."""
+        return SuperMatrix._wrap(self.m, self.n, supertranspose_coeffs(self.coeffs, self.m, self.parity),
+                                 self.parity)
 
     def supertrace(self) -> GrassmannElement:
         """Graded trace tr(a) - tr(A) (tr(a) + tr(A) on the odd pattern)."""
@@ -312,11 +338,10 @@ class SuperMatrix:
         return SuperMatrix._wrap(self.m, self.n, graded_inverse(self.coeffs))
 
     def expm(self, max_terms: int = 80) -> "SuperMatrix":
-        """exp(X) through scaling_squaring_expm (even parity pattern only)."""
+        """exp(X) through ``graded_expm`` (even parity pattern only)."""
         if self.parity != 0:
             raise ValueError("expm requires the even parity pattern")
-        return scaling_squaring_expm(self, SuperMatrix.identity(self.m, self.n, self.ngen),
-                                     self.body(), SuperMatrix.max_abs, max_terms)
+        return SuperMatrix._wrap(self.m, self.n, graded_expm(self.coeffs, max_terms))
 
     # ------------------------------------------------------------------
     # comparisons / io

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement
+from superholonomy import checks
+from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, random_element
 from superholonomy.group import (
+    SAMPLE_SCALE,
     HolonomyPair,
     HypothesisError,
     OspGroup,
@@ -502,13 +504,18 @@ class TestStacks:
         nilpotent = C @ np.array([[1.0, 0.0], [0.0, 0.0]])
         generic = _sp(2, 0.7, 8)
         generic *= 4.0 / np.abs(generic).sum(axis=0).max()
-        # a zero, a norm-1 nilpotent, a norm-4 and a norm-0.3 generator: 0, 1, 3 and 0 squarings
-        stack = np.array([np.zeros((2, 2)), nilpotent, generic, 0.075 * generic])
+        # a zero, a norm-1 nilpotent, a norm-4, a norm-0.3 and a norm-2e-12
+        # generator: 0, 1, 3, 0 and 0 squarings, and series of 1 to ~20 terms
+        tiny = 1e-12 * np.array([[1.0, 1.0], [0.0, 1.0]])
+        stack = np.array([np.zeros((2, 2)), nilpotent, generic, 0.075 * generic, tiny])
         result = _real_expm(stack)
         for block, member in zip(stack, result):
+            # scipy sums a Pade approximant, a different rounding path
             ref = scipy.linalg.expm(block)
             assert np.abs(member - ref).max() <= 1e-13 * np.abs(ref).max()
-            # each member keeps its own squaring count: the one-matrix result
+            # each member keeps its own squaring count and series length:
+            # bit-equal to the one-matrix result, also where a shared series
+            # length would add tiny's 1e-24 second term to its 1e-12 entries
             assert np.array_equal(member, _real_expm(block))
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
@@ -529,3 +536,98 @@ class TestStacks:
             for stacked, single in zip(stacks, sample_commuting_bodies(2, 1, ref)):
                 assert np.array_equal(stacked[k], single)
         assert rng.random() == ref.random()
+
+
+def _sample_member_loop(group, rng, components=True):
+    """sample_member as a one-sample loop: one draw per coefficient, embed, expm."""
+    alg = group.algebra()
+    coeffs = []
+    for par in alg.parities:
+        c = random_element(rng, group.ngen, parity=par, scale=SAMPLE_SCALE)
+        if par == 0:   # halve the even souls
+            c = GrassmannElement(group.ngen, {k: v * 0.5 if k else v for k, v in c.terms.items()})
+        coeffs.append(c)
+    M = alg.embed(coeffs, group.ngen).expm()
+    if components and rng.random() < 0.5:
+        M = group.reflection_component() @ M
+    return M
+
+
+def _membership_closure_loop(group, rng, pool_size, ops, tol):
+    """membership_closure as a per-op loop, one product, inverse or defect call each."""
+    pool = [_sample_member_loop(group, rng) for _ in range(pool_size)]
+    worst = 0.0
+    for k in range(ops):
+        i, j = rng.integers(0, len(pool), 2)
+        if k % 3 == 0:
+            M = pool[i] @ pool[j]
+        elif k % 3 == 1:
+            M = pool[i].inverse()
+        else:
+            M = pool[i] @ pool[j] @ pool[i].inverse()
+        worst = max(worst, group.membership_defect(M))
+    return {"worst_defect": float(worst), "passed": worst <= tol}
+
+
+CLOSURE_GROUPS = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 1, 3), (1, 1, 4)]
+
+
+class TestStackedMembership:
+    """The stacked sampler and membership sweep against the per-op loops."""
+
+    @pytest.mark.parametrize("m,n,ngen", [(1, 1, 2), (2, 1, 2), (2, 1, 6), (2, 2, 6)])
+    @pytest.mark.parametrize("components", [True, False])
+    def test_sample_stack_equals_loop(self, m, n, ngen, components):
+        group = OspGroup(m, n, ngen)
+        rng, ref = np.random.default_rng(m + 10 * ngen), np.random.default_rng(m + 10 * ngen)
+        stack = group.sample_stack([rng] * 5, components)
+        single = group.sample_member(rng, components)
+        for member in stack:
+            assert np.array_equal(member, _sample_member_loop(group, ref, components).coeffs)
+        assert single == _sample_member_loop(group, ref, components)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("m,n,ngen", CLOSURE_GROUPS)
+    @pytest.mark.parametrize("samples", [50, 200])
+    def test_closure_equals_per_op_loop(self, m, n, ngen, samples):
+        group = OspGroup(m, n, ngen)
+        pool_size = max(4, min(16, samples // 4))    # the membership command's pool
+        for seed in (0, 1, 5, 7, 12345, 99):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = checks.membership_closure(group, rng, pool_size, samples, 1e-9)
+            assert got == _membership_closure_loop(group, ref, pool_size, samples, 1e-9)
+            assert rng.random() == ref.random()
+
+    def test_chunked_sweep_equals_one_chunk(self, monkeypatch):
+        group = OspGroup(2, 1, 3)
+        defect, seen = OspGroup.membership_defect, []
+
+        def recorded(self, M):
+            seen.append(defect(self, M))
+            return seen[-1]
+
+        monkeypatch.setattr(OspGroup, "membership_defect", recorded)
+
+        def sweep():
+            seen.clear()
+            res = checks.membership_closure(group, np.random.default_rng(4), 8, 100, 1e-9)
+            return res, len(seen), np.concatenate(seen).tolist()
+
+        whole = sweep()
+        assert whole[1] == 1
+        member = (1 << group.ngen) * (group.m + group.two_n) ** 2 * 8    # bytes of one op
+        for budget, chunks in ((1, 100), (7 * member, 15)):
+            monkeypatch.setattr(checks, "STACK_BYTES", budget)
+            res, calls, defects = sweep()
+            # the same defect for every op, in op order
+            assert (res, calls, defects) == (whole[0], chunks, whole[2])
+
+    def test_defect_of_a_stack(self, g12):
+        rng = np.random.default_rng(6)
+        members = [g12.sample_member(rng) for _ in range(3)]
+        bad = members[0] + SuperMatrix.identity(1, 2, 2) * 1e-3
+        stack = np.array([M.coeffs for M in members + [bad]])
+        defects = g12.membership_defect(stack)
+        assert defects.shape == (4,)
+        assert defects.tolist() == [g12.membership_defect(M) for M in members + [bad]]
+        assert type(g12.membership_defect(bad)) is float and defects[3] > 1e-4

@@ -15,6 +15,7 @@ paper's Schur-complement block formula for the inverse is checked against
 ``SuperMatrix.inverse`` as well; it shares only the block inverses with it.
 """
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +23,8 @@ import pytest
 import scipy.linalg
 
 from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, graded_inverse, graded_matmul
-from superholonomy.supermatrix import SuperMatrix, gmat_mul, random_supermatrix
+from superholonomy.group import _real_expm
+from superholonomy.supermatrix import SuperMatrix, gmat_mul, graded_expm, random_supermatrix
 
 
 @lru_cache(maxsize=None)
@@ -208,3 +210,82 @@ class TestSchurComplement:
             got = M.inverse()
             for name, block in want.items():
                 assert np.abs(got.block_coeffs(name) - block).max() <= 1e-12
+
+
+STACK_GENERATORS = [0, 1, 2, 6, 8]   # 0-6 use one pair table, 8 recurses on the last generator
+
+
+def stack_of(rng, m, n, ngen, size=4, soulless=()):
+    """Invertible even coefficient arrays, members in ``soulless`` cut to their bodies."""
+    out = np.array([invertible_even(rng, m, n, ngen).coeffs for _ in range(size)])
+    out[list(soulless), 1:] = 0.0
+    return out
+
+
+def expm_generators(rng, m, n, ngen):
+    """Even generators of 1-norm 0, 0.05, 1 and 4: 0, 0, 1 and 3 squarings, four series lengths."""
+    gen = random_supermatrix(rng, m, n, ngen).coeffs
+    return np.array([0.0, 0.05, 1.0, 4.0])[:, None, None, None] * gen / np.abs(gen[0]).sum(axis=0).max()
+
+
+class TestStacks:
+    """A stacked kernel call gives every member its one-matrix result, bit for bit."""
+
+    @pytest.mark.parametrize("ngen", STACK_GENERATORS)
+    def test_members_equal_one_matrix_calls(self, ngen):
+        rng = np.random.default_rng([ngen, 9])
+        x, y = stack_of(rng, 1, 2, ngen), stack_of(rng, 1, 2, ngen)
+        gens = expm_generators(rng, 1, 2, ngen)
+        prod, inv, exp = graded_matmul(x, y), graded_inverse(x), graded_expm(gens)
+        for k in range(len(x)):
+            assert np.array_equal(prod[k], graded_matmul(x[k], y[k]))
+            assert np.array_equal(inv[k], graded_inverse(x[k]))
+            assert np.array_equal(exp[k], graded_expm(gens[k]))
+            assert np.array_equal(exp[k], SuperMatrix.from_coeffs(1, 2, gens[k]).expm().coeffs)
+        # stack axes broadcast as in a gufunc: outer[a, b] = x[a] y[b]
+        outer = graded_matmul(x[:, None], y[None, :3])
+        assert outer.shape == (4, 3, *x.shape[1:])
+        for a in range(4):
+            for b in range(3):
+                assert np.array_equal(outer[a, b], graded_matmul(x[a], y[b]))
+
+    @pytest.mark.parametrize("ngen", [2, 8])
+    def test_mixed_soulless_members(self, ngen):
+        # the no-soul shortcut is decided for the whole stack: a soulless
+        # member inside a souled stack takes the table, alone the shortcut
+        rng = np.random.default_rng([ngen, 10])
+        x = stack_of(rng, 2, 2, ngen, soulless=(1,))
+        y = stack_of(rng, 2, 2, ngen, soulless=(1, 2))
+        gens = expm_generators(rng, 2, 2, ngen)
+        gens[2, 1:] = 0.0
+        exp = graded_expm(gens)
+        for k in range(len(x)):
+            assert np.array_equal(graded_matmul(x, y)[k], graded_matmul(x[k], y[k]))
+            assert np.array_equal(graded_matmul(y, x)[k], graded_matmul(y[k], x[k]))
+            assert np.array_equal(graded_inverse(y)[k], graded_inverse(y[k]))
+            assert np.array_equal(exp[k], graded_expm(gens[k]))
+
+    @pytest.mark.parametrize("ngen", [0, 2, 6, 8])
+    def test_soulless_factor_broadcasts(self, ngen):
+        rng = np.random.default_rng([ngen, 11])
+        H = SuperMatrix.from_body(np.diag([1.0, 1.0, -1.0, 2.0]), 2, 2, ngen).coeffs
+        x = stack_of(rng, 2, 2, ngen)
+        left, right = graded_matmul(H, x), graded_matmul(x, H)
+        assert left.shape == right.shape == x.shape
+        for k in range(len(x)):
+            assert np.array_equal(left[k], graded_matmul(H, x[k]))
+            assert np.array_equal(right[k], graded_matmul(x[k], H))
+
+    def test_converged_members_raise_no_warning(self):
+        # a zero generator stops at its first term while a norm-4 one runs
+        # on; the stopped member's terms only shrink
+        rng = np.random.default_rng(12)
+        gen = expm_generators(rng, 1, 2, 2)[3]
+        stack = np.array([gen, np.zeros_like(gen)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graded, real = graded_expm(stack), _real_expm(stack[:, 0])
+        assert np.array_equal(graded[1], SuperMatrix.identity(1, 2, 2).coeffs)
+        assert np.array_equal(real[1], np.eye(3))
+        assert np.array_equal(graded[0], graded_expm(gen))
+        assert np.array_equal(real[0], _real_expm(gen[0]))

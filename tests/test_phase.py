@@ -433,3 +433,47 @@ class TestExponentialSectorReport:
         report = osp12_exponential_sector(samples=2, seed=0)
         # first sample point is (p, q) = (0.6, 0.8): on the unit circle
         assert report.invariants[0] == pytest.approx(0.6**2 + 0.8**2)
+
+
+def _exponential_sector_loop(samples, seed):
+    """The holonomy part of osp12_exponential_sector as a serial per-point loop.
+
+    Returns (constraint_residual, gauge_residual, commutator_norms,
+    invariants), each point's two exponentials one SuperMatrix.expm call.
+    """
+    alg, ngen = build_osp12(), 2
+    sigma_plus_dir, _ = OSP12_DIRECTIONS["parabolic"]
+    rng = np.random.default_rng(seed)
+    constraint_residual = gauge_residual = 0.0
+    commutator_norms, invariants = [], []
+    points = [(0.6, 0.8)]
+    for t in np.linspace(0.2, 2.8, samples - 1):
+        points.append((float(np.cos(t)), float(np.sin(t))))
+    for p, q in points:
+        c_dir = rng.uniform(-1.0, 1.0, 2)
+        psi = GrassmannElement.theta(1, ngen) * rng.uniform(0.3, 1.0)
+        psi2 = [psi * float(c_dir[0]), psi * float(c_dir[1])]
+        psi1 = [e * (p / q) for e in psi2]
+        v = [psi2[alpha] * p - psi1[alpha] * q for alpha in range(2)]
+        constraint_residual = max(constraint_residual, v[0].max_abs())
+        gauge_residual = max(gauge_residual, v[1].max_abs())
+        coeffs1 = [GrassmannElement.scalar(2 * np.pi * p * sigma_plus_dir[a], ngen)
+                   for a in range(3)] + [psi1[0] * (2 * np.pi), psi1[1] * (2 * np.pi)]
+        coeffs2 = [GrassmannElement.scalar(2 * np.pi * q * sigma_plus_dir[a], ngen)
+                   for a in range(3)] + [psi2[0] * (2 * np.pi), psi2[1] * (2 * np.pi)]
+        U1 = alg.embed(coeffs1, ngen).expm()
+        U2 = alg.embed(coeffs2, ngen).expm()
+        commutator_norms.append((U1 @ U2 - U2 @ U1).max_abs())
+        invariants.append(p * p + q * q)
+    return constraint_residual, gauge_residual, commutator_norms, invariants
+
+
+class TestExponentialSectorStack:
+    @pytest.mark.parametrize("samples", [2, 8, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_equals_serial_loop(self, samples, seed):
+        report = osp12_exponential_sector(samples=samples, seed=seed)
+        got = (report.constraint_residual, report.gauge_residual,
+               report.commutator_norms, report.invariants)
+        assert got == _exponential_sector_loop(samples, seed)
+        assert all(type(x) is float for x in report.commutator_norms)
