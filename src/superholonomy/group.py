@@ -169,8 +169,12 @@ class OspGroup:
         Every sample's draws are taken first, in sample_member's order (its
         coefficients, then the reflection coin), so a generator repeated in
         rngs gives the stream of the one-sample loop.  The exponentials and
-        reflections then run once over the stack.  Returns (S, 2^N, d, d).
+        reflections then run over the stack in chunks of at most
+        checks.STACK_BYTES of coefficients, so the temporaries do not grow
+        with the pool.  Returns (S, 2^N, d, d).
         """
+        from . import checks     # checks imports this module
+
         alg = self.algebra()
         even = np.array(alg.parities) == 0
         odd_masks = grade_signs(self.ngen)[:, 0, 0] < 0
@@ -188,12 +192,18 @@ class OspGroup:
         table[:, even, 1:] *= 0.5      # halve the even souls
         canonical(table)               # and drop what GrassmannElement drops
         d = self.m + self.two_n
-        gens = np.zeros((len(rngs), 1 << self.ngen, d, d))
-        for g, mat in enumerate(alg.rep):      # the sum, in order, of SuperAlgebra.embed
-            gens += table[:, g, :, None, None] * mat
-        members = graded_expm(canonical(gens))
-        if flips.any():
-            members[flips] = graded_matmul(self.reflection_component().coeffs, members[flips])
+        members = np.empty((len(rngs), 1 << self.ngen, d, d))
+        chunk = max(1, checks.STACK_BYTES // (members.itemsize * math.prod(members.shape[1:])))
+        for start in range(0, len(rngs), chunk):
+            part = slice(start, start + chunk)
+            gens = np.zeros(members[part].shape)
+            for g, mat in enumerate(alg.rep):      # the sum, in order, of SuperAlgebra.embed
+                gens += table[part, g, :, None, None] * mat
+            block = graded_expm(canonical(gens))
+            flip = flips[part]
+            if flip.any():
+                block[flip] = graded_matmul(self.reflection_component().coeffs, block[flip])
+            members[part] = block
         return members
 
     def sample_member(self, rng, components: bool = True) -> SuperMatrix:

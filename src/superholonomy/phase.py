@@ -398,10 +398,14 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
 
     Each {G^K, .} slab is fitted to the span of the G's by least squares
     over all dim^2 coefficients (a coefficient outside the span meets a
-    zero basis row and stays in the residual).  In terms of the lowered
-    G~_I = eta_IA G^A the induced coefficients (basis order) must reproduce
-    (-1)^{|I||J|} f_IJ^K up to one global measured factor kappa.  A finite,
-    symmetric n_even x n_even eta_override detunes the bracket to show the
+    zero basis row and stays in the residual).  Every slab has the same
+    (dim^2, dim) basis, so it is factorized once: one SVD pseudo-inverse
+    with lstsq's own cutoff eps * max(shape), which gives the same
+    minimum-norm fit on a rank-deficient basis, and each slab is then a
+    few matrix products.  In terms of the lowered G~_I = eta_IA G^A the
+    induced coefficients (basis order) must reproduce (-1)^{|I||J|} f_IJ^K
+    up to one global measured factor kappa.  A finite, symmetric,
+    invertible n_even x n_even eta_override detunes the bracket to show the
     check has teeth.
     """
     ctx = PhaseSpace.from_algebra(alg)
@@ -414,25 +418,33 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
     dim = F.shape[0]
     ev, od = alg.even_indices, alg.odd_indices
     W = np.zeros((dim, dim))
-    W[np.ix_(ev, ev)] = np.linalg.inv(ctx.eta_mat)
+    try:
+        W[np.ix_(ev, ev)] = np.linalg.inv(ctx.eta_mat)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{'eta' if eta_override is None else 'eta_override'} "
+                         "is singular on the even generators") from None
     W[np.ix_(od, od)] = np.linalg.inv(ctx.C_mat)
     par = np.asarray(alg.parities)
     graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
-    signed_F = graded_sign[:, :, None] * F
     basis = F.reshape(dim * dim, dim)
+    pinv = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))
+    F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]
+    signed_rows = (graded_sign[:, :, None] * F).transpose(1, 0, 2).reshape(dim, dim * dim)
     induced = np.zeros((dim, dim, dim))
     max_unexplained = 0.0
     for k in range(dim):
         # coefficient of x_I y_J in {G^k, G^L}, indexed [I, J, L]
-        swapped = np.tensordot(signed_F, W.T @ F[:, :, k], axes=(1, 0)).transpose(0, 2, 1)
-        rhs = (graded_sign * swapped - np.tensordot(F[:, :, k] @ W, F, axes=(1, 0))
+        F_k = F[:, :, k]
+        swapped = ((F_k.T @ W) @ signed_rows).reshape(dim, dim, dim).transpose(1, 0, 2)
+        rhs = (graded_sign * swapped - ((F_k @ W) @ F_rows).reshape(dim, dim, dim)
                ).reshape(dim * dim, dim)
-        coeffs, _, _, _ = np.linalg.lstsq(basis, rhs, rcond=None)
+        coeffs = pinv @ rhs
         induced[k] = coeffs.T
         max_unexplained = max(max_unexplained, np.abs(basis @ coeffs - rhs).max(initial=0.0))
-    # compare in lowered form against the graded-signed structure constants
-    induced_lowered = np.einsum("ia,jb,abk,kl->ijl", alg.eta, alg.eta, induced,
-                                np.linalg.inv(alg.eta), optimize=True)
+    # compare in lowered form, eta_ia eta_jb induced[a, b, k] eta^-1_kl,
+    # against the graded-signed structure constants
+    induced_lowered = (alg.eta @ (alg.eta @ (induced @ np.linalg.inv(alg.eta))).reshape(dim, -1)
+                       ).reshape(dim, dim, dim)
     target = graded_sign[:, :, None] * alg.f
     denom = float(np.sum(target * target))
     kappa = float(np.sum(induced_lowered * target) / denom) if denom else 0.0

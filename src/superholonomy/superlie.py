@@ -99,6 +99,8 @@ class SuperAlgebra:
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=float)
         self.eta = np.asarray(self.eta, dtype=float)
+        if not (np.isfinite(self.f).all() and np.isfinite(self.eta).all()):
+            raise ValueError("structure constants and eta must be finite")
 
     # ------------------------------------------------------------------
     @property
@@ -173,13 +175,15 @@ class SuperAlgebra:
 
     def check_jacobi(self, tol: float = 1e-12) -> JacobiReport:
         """Residual of [X,[Y,Z}} - [[X,Y},Z} - (-1)^{|X||Y|}[Y,[X,Z}} on the basis."""
-        f = self.f
+        f, dim = self.f, self.dim
         p = np.asarray(self.parities)
         sgn = np.where(np.outer(p, p) == 1, -1.0, 1.0)
-        lhs = np.einsum("jkl,ilm->ijkm", f, f, optimize=True)
-        rhs1 = np.einsum("ijl,lkm->ijkm", f, f, optimize=True)
-        rhs2 = np.einsum("ikl,jlm->ijkm", f, f, optimize=True)
-        residual = lhs - rhs1 - sgn[:, :, None, None] * rhs2
+        # lhs[i,j,k,m] = f[j,k,l] f[i,l,m] and rhs1[i,j,k,m] = f[i,j,l] f[l,k,m],
+        # each one matrix product; the third term f[i,k,l] f[j,l,m] is lhs[j,i,k,m]
+        lhs = (f.reshape(dim * dim, dim) @ f.transpose(1, 0, 2).reshape(dim, dim * dim)
+               ).reshape(dim, dim, dim, dim).transpose(2, 0, 1, 3)
+        rhs1 = (f.reshape(dim * dim, dim) @ f.reshape(dim, dim * dim)).reshape(dim, dim, dim, dim)
+        residual = lhs - rhs1 - sgn[:, :, None, None] * lhs.transpose(1, 0, 2, 3)
         return JacobiReport(self.dim, float(np.abs(residual).max()), tol)
 
     def even_components(self, c: Sequence[float]) -> np.ndarray:
@@ -189,6 +193,8 @@ class SuperAlgebra:
         its odd components must vanish.
         """
         c = np.asarray(c, dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError("direction must be finite")
         if c.shape == (self.dim,):
             if np.abs(c[self.odd_indices]).max(initial=0.0) > 0:
                 raise ValueError("direction must be supported on even generators")

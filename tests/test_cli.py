@@ -208,12 +208,14 @@ class TestReport:
 # the README's commands, with small sample counts
 README_COMMANDS = [
     ["jacobi", "--m", "2", "--n", "1"],
+    ["jacobi", "--m", "2", "--n", "2"],
     ["membership", "--samples", "20", "--seed", "3"],
     ["sectors"],
     ["sectors", "--m", "2", "--n", "1"],
     ["moduli", "--m", "1", "--n", "2", "--samples", "10", "--seed", "7"],
     ["closure", "--format", "json"],
     ["closure", "--debug-tamper"],
+    ["closure", "--m", "2", "--n", "2"],
     ["report", "--samples", "10"],
 ]
 

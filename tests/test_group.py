@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from superholonomy import checks
+from superholonomy import group as group_module
 from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, random_element
 from superholonomy.group import (
     SAMPLE_SCALE,
@@ -586,6 +587,21 @@ class TestStackedMembership:
             assert np.array_equal(member, _sample_member_loop(group, ref, components).coeffs)
         assert single == _sample_member_loop(group, ref, components)
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("budget", [1, 3 * 1024 * 9 * 8])
+    def test_chunked_sample_stack_equals_one_chunk(self, monkeypatch, budget):
+        # one member of OspGroup(1, 1, 10) is 1024 * 9 doubles: chunks of 1 and 3
+        group = OspGroup(1, 1, 10)
+        calls = []
+        real = group_module.graded_expm
+        monkeypatch.setattr(group_module, "graded_expm",
+                            lambda X: (calls.append(len(X)), real(X))[1])
+        monkeypatch.setattr(checks, "STACK_BYTES", 1 << 30)
+        whole = group.sample_stack([np.random.default_rng(8)] * 7)
+        monkeypatch.setattr(checks, "STACK_BYTES", budget)
+        chunked = group.sample_stack([np.random.default_rng(8)] * 7)
+        assert np.array_equal(chunked, whole)
+        assert calls == [7] + ([1] * 7 if budget == 1 else [3, 3, 1])
 
     @pytest.mark.parametrize("m,n,ngen", CLOSURE_GROUPS)
     @pytest.mark.parametrize("samples", [50, 200])

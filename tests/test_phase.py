@@ -10,12 +10,21 @@ from superholonomy.phase import (
     GradedPolynomial,
     PhaseSpace,
     check_closure,
+    constraint_tensor,
     exponential_sector_moduli,
     flatness_constraints,
     gauge_fixing_check,
     osp12_exponential_sector,
 )
-from superholonomy.superlie import OSP12_DIRECTIONS, SIGMA0, SIGMA1, SIGMA2, build_osp, build_osp12
+from superholonomy.superlie import (
+    OSP12_DIRECTIONS,
+    SIGMA0,
+    SIGMA1,
+    SIGMA2,
+    SuperAlgebra,
+    build_osp,
+    build_osp12,
+)
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +262,121 @@ class TestClosureMatchesPolynomials:
         assert check_closure(build_osp(2, 1)).passed
 
 
+def _lstsq_closure(alg, eta_override=None):
+    """Reference route: the per-slab lstsq loop, one SVD of the same basis
+    per {G^K, .} slab, with tensordot terms and an einsum lowering."""
+    ctx = PhaseSpace.from_algebra(alg)
+    if eta_override is not None:
+        ctx = PhaseSpace.create(eta_override, ctx.C_mat)
+    F = constraint_tensor(alg)
+    dim = F.shape[0]
+    ev, od = alg.even_indices, alg.odd_indices
+    W = np.zeros((dim, dim))
+    W[np.ix_(ev, ev)] = np.linalg.inv(ctx.eta_mat)
+    W[np.ix_(od, od)] = np.linalg.inv(ctx.C_mat)
+    par = np.asarray(alg.parities)
+    graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
+    signed_F = graded_sign[:, :, None] * F
+    basis = F.reshape(dim * dim, dim)
+    induced = np.zeros((dim, dim, dim))
+    max_unexplained = 0.0
+    for k in range(dim):
+        swapped = np.tensordot(signed_F, W.T @ F[:, :, k], axes=(1, 0)).transpose(0, 2, 1)
+        rhs = (graded_sign * swapped - np.tensordot(F[:, :, k] @ W, F, axes=(1, 0))
+               ).reshape(dim * dim, dim)
+        coeffs = np.linalg.lstsq(basis, rhs, rcond=None)[0]
+        induced[k] = coeffs.T
+        max_unexplained = max(max_unexplained, np.abs(basis @ coeffs - rhs).max(initial=0.0))
+    lowered = np.einsum("ia,jb,abk,kl->ijl", alg.eta, alg.eta, induced,
+                        np.linalg.inv(alg.eta), optimize=True)
+    target = graded_sign[:, :, None] * alg.f
+    kappa = float(np.sum(lowered * target) / np.sum(target * target))
+    return kappa, max_unexplained, float(np.abs(lowered - kappa * target).max()), induced
+
+
+def _with_spectator(alg, mix=False):
+    """alg plus one even generator Z in no bracket: F has a zero K = Z column,
+    so the constraint basis is rank-deficient.  With mix, Z is rotated into
+    the second even generator, so the null direction is no basis column and
+    its singular value is rounding (1e-16), which only the cutoff removes."""
+    dim = alg.dim
+    f = np.zeros((dim + 1,) * 3)
+    f[:dim, :dim, :dim] = alg.f
+    eta = np.zeros((dim + 1,) * 2)
+    eta[:dim, :dim] = alg.eta
+    eta[dim, dim] = 1.0
+    if mix:
+        R = np.eye(dim + 1)
+        R[np.ix_([1, dim], [1, dim])] = [[0.6, -0.8], [0.8, 0.6]]
+        f = np.einsum("ia,jb,abc,ck->ijk", R, R, f, R.T)
+        eta = R @ eta @ R.T
+    return SuperAlgebra(labels=alg.labels + ("Z",), parities=alg.parities + (0,), f=f, eta=eta)
+
+
+CLOSURE_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
+
+
+class TestClosureMatchesLstsq:
+    """One pseudo-inverse for every slab against one lstsq per slab."""
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("size", CLOSURE_SIZES)
+    def test_same_report(self, size, tamper):
+        alg = build_osp12() if size == (1, 1) else build_osp(*size)
+        self._compare(_tampered(alg) if tamper else alg)
+
+    @pytest.mark.parametrize("eta", [np.diag([-1.0, 1.3, 1.0]), np.diag([-1.2, 1.0, 1.0])])
+    def test_same_report_detuned(self, alg, eta):
+        report = self._compare(alg, eta)
+        assert not report.passed
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_rank_deficient_basis(self, alg, mix):
+        spectator = _with_spectator(alg, mix)
+        F = constraint_tensor(spectator)
+        assert np.linalg.matrix_rank(F.reshape(spectator.dim ** 2, spectator.dim)) == alg.dim
+        assert F[:, :, -1].any() == mix
+        report = self._compare(spectator)
+        assert report.passed and abs(report.kappa - 1.0) <= 1e-12
+
+    @staticmethod
+    def _compare(alg, eta=None):
+        kappa, unexplained, prop, induced = _lstsq_closure(alg, eta)
+        report = check_closure(alg, eta_override=eta)
+        assert abs(report.kappa - kappa) <= 1e-14
+        assert abs(report.max_unexplained - unexplained) <= 1e-14
+        assert abs(report.proportionality_residual - prop) <= 1e-14
+        assert np.abs(report.induced - induced).max() <= 1e-14
+        return report
+
+    def test_one_factorization_per_call(self, alg, monkeypatch):
+        algs = [build_osp(*size) for size in CLOSURE_SIZES]     # built before patching
+
+        def refuse(name):
+            def call(*_, **__):
+                raise AssertionError(f"check_closure called np.{name}")
+            return call
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse("linalg.lstsq"))
+        monkeypatch.setattr(np, "einsum", refuse("einsum"))
+        calls = []
+        for name in ("pinv", "svd"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for algebra in algs:
+            calls.clear()
+            assert check_closure(algebra).passed
+            assert len(calls) == 1, (algebra.dim, calls)
+        calls.clear()
+        assert not check_closure(alg, eta_override=np.diag([-1.0, 1.3, 1.0])).passed
+        assert len(calls) == 1, calls
+
+
 class TestClosure:
     @pytest.mark.parametrize(
         "builder",
@@ -278,6 +402,7 @@ class TestClosure:
         (np.eye(2), "shape"),                  # too few
         (np.diag([np.nan, 1.0, 1.0]), "finite"),
         (np.array([[-1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "symmetric"),
+        (np.diag([0.0, 1.0, 1.0]), "eta_override is singular"),
     ])
     def test_bad_eta_override_rejected(self, alg, eta, message):
         with pytest.raises(ValueError, match=message):
@@ -298,6 +423,11 @@ class TestExponentialSectorModuli:
         report = exponential_sector_moduli(alg, [-1.0, 0.0, 1.0])
         assert report.det == 0.0 and report.rank == 1 and report.moduli == 2
         assert report.direction_is_null
+
+    @pytest.mark.parametrize("c", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0, 0.0]])
+    def test_non_finite_direction_rejected(self, alg, c):
+        with pytest.raises(ValueError, match="finite"):
+            exponential_sector_moduli(alg, c)
 
     def test_hyperbolic_direction(self, alg):
         report = exponential_sector_moduli(alg, [0.0, 1.0, 0.0])

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from superholonomy.checks import JACOBI_ALGEBRAS
 from superholonomy.grassmann import GrassmannElement
 from superholonomy.superlie import (
     EPS2,
@@ -180,6 +183,49 @@ class TestJacobi:
             labels=osp12.labels, parities=osp12.parities, f=f_bad, eta=osp12.eta
         )
         assert not broken.check_jacobi(tol=1e-12).passed
+
+
+def _einsum_jacobi_residual(alg):
+    """Reference route: the three full einsum contractions."""
+    f, p = alg.f, np.asarray(alg.parities)
+    sgn = np.where(np.outer(p, p) == 1, -1.0, 1.0)
+    lhs = np.einsum("jkl,ilm->ijkm", f, f, optimize=True)
+    rhs1 = np.einsum("ijl,lkm->ijkm", f, f, optimize=True)
+    rhs2 = np.einsum("ikl,jlm->ijkm", f, f, optimize=True)
+    return float(np.abs(lhs - rhs1 - sgn[:, :, None, None] * rhs2).max())
+
+
+class TestJacobiMatchesEinsum:
+    """Two matrix products against three einsums, on every JACOBI_ALGEBRAS
+    size, plain and with one odd-odd-even entry of f tampered."""
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("m,n", JACOBI_ALGEBRAS)
+    def test_same_residual(self, m, n, tamper):
+        alg = build_osp(m, n)
+        if tamper:
+            f_bad = alg.f.copy()
+            f_bad[alg.even_indices[0], alg.odd_indices[0], alg.odd_indices[-1]] += 0.1
+            alg = dataclasses.replace(alg, f=f_bad)
+        residual = alg.check_jacobi().max_residual
+        assert residual == _einsum_jacobi_residual(alg)
+        assert (residual > 0.1) if tamper else (residual == 0.0)
+
+
+class TestNonFiniteAlgebra:
+    @pytest.mark.parametrize("field", ["f", "eta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected(self, osp12, field, bad):
+        arr = getattr(osp12, field).copy()
+        arr.flat[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(osp12, **{field: arr})
+
+    def test_rejected_from_json(self, osp12):
+        data = osp12.to_json_dict()
+        data["f"][0]["value"] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            SuperAlgebra.from_json_dict(data)
 
 
 class TestFfBlock:
