@@ -19,6 +19,7 @@ from .group import (
     enumerate_sectors_osp12,
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
+    random_signs,
     rotation,
     sp_generator,
 )
@@ -83,7 +84,7 @@ def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
     Every sample's phi, sp(2) generator and sign are drawn first, in order;
     the exponentials, operators and determinants are then one stacked call each.
     """
-    draws = [(rng.uniform(0.0, 2 * np.pi), sp_generator(2, rng), rng.choice([-1.0, 1.0]))
+    draws = [(rng.uniform(0.0, 2 * np.pi), sp_generator(2, rng), random_signs(rng))
              for _ in range(samples)]
     phi, gens, signs = (np.array(x) for x in zip(*draws))
     A0 = _real_expm(gens) * signs[:, None, None]

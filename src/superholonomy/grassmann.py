@@ -9,9 +9,12 @@ floating error.
 
 Every product, of elements or of matrices over B_N, is one signed subset
 convolution, ``graded_matmul``, on dense coefficient arrays with the monomial
-mask on axis -3, and every inverse is ``graded_inverse``, the same split on
-the last generator.  Both take leading stack axes, as numpy gufuncs do, and
-give each member of a stack its one-matrix result bit for bit.
+mask on axis -3, and every inverse is ``graded_inverse``, the terminating
+Neumann series.  A factor used for many products, as in the inverse and the
+exponential's Taylor loop, is built once as its regular representation
+``left_regular``, a real matrix, so each product is one BLAS call.  All take
+leading stack axes, as numpy gufuncs do, and give each member of a stack its
+one-matrix result bit for bit.
 GrassmannElement keeps the sparse {mask: coefficient} form as its public
 view.  Coefficients are finite: NaN and infinities raise ValueError.
 """
@@ -30,6 +33,23 @@ MAX_GENERATORS = 16
 # OSp(2|2) products ran fastest with 6 at N = 8 and within 25% of the best
 # (7) at N = 10 and 12; 5 and 8 were slower everywhere
 TABLE_MAX_N = 6
+
+# A factor x that multiplies many times is built once as the real matrix
+# L(x) of t -> x t, 2^N a x 2^N b for x of shape (2^N, a, b), and each product
+# is then one BLAS matmul.  graded_expm and graded_inverse do that while
+# 2^N d <= REGULAR_MAX; L's dense matmul does 4^N pair products where the
+# kernel does 3^N, which wins only while the kernel's per-pair overhead
+# dominates.  Interleaved in-process A/B against the kernel, (1|2), (2|2)
+# and (2|4) members, one OpenBLAS thread on a 2-core Xeon: up to 256 the
+# inverse ran 1.2-3.4x and exp 1.5-2.2x as fast; above it the inverse ran
+# 0.42x as fast at 384, 0.23x at 512 and 0.13x at 768, exp 1.0-1.1x at 384
+# and 512 and 0.75x at 768
+REGULAR_MAX = 256
+# L has 2^N times the coefficients of x, so stacks are taken in slices whose
+# L's fit this many bytes: two OSp(2|2) members at N = 6.  Unsliced, the CLI's
+# 200-op OSp(2|2) membership sweep at N = 6 peaked at 50.1 MB against 42.0 MB
+# for the kernel; in 1 MiB slices at 42.8 MB, and it ran no slower
+REGULAR_BYTES = 1 << 20
 
 # Coefficients below this are dropped during canonicalization so that exact
 # cancellations are not blocked by floating dust.
@@ -80,6 +100,52 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def _regular_index(n: int, a: int, b: int) -> np.ndarray:
+    """Flat positions in L (2^n a x 2^n b) of the 3^n a b gathered entries of [x, -x].
+
+    Pair k of the table puts sign x_p[i, j] at L[(r, i), (q, j)], r = p | q.
+    """
+    left, right, starts = _pair_table(n)
+    size = 1 << n
+    r = np.repeat(np.arange(size), np.diff(np.append(starts, len(left))))
+    i, j = np.arange(a)[:, None], np.arange(b)
+    flat = ((r[:, None, None] * a + i) * size + right[:, None, None]) * b + j
+    flat = flat.ravel()
+    flat.flags.writeable = False
+    return flat
+
+
+def left_regular(x: np.ndarray) -> np.ndarray:
+    """L(x) with L(x)[(r, i), (q, j)] the coefficient of theta^r e_i in x (theta^q e_j).
+
+    x is a stack (..., 2^N, a, b); L(x) is (..., 2^N a, 2^N b), and
+    L(x) @ y.reshape(2^N b, c) is x y reshaped, the graded product.  Built
+    by one scatter of [x, -x] through the pair table.
+    """
+    *stack, size, a, b = x.shape
+    n = size.bit_length() - 1
+    left = _pair_table(n)[0]
+    L = np.zeros((*stack, size * a * size * b))
+    L[..., _regular_index(n, a, b)] = np.concatenate((x, -x), axis=-3)[..., left, :, :].reshape(
+        *stack, -1)
+    return L.reshape(*stack, size * a, size * b)
+
+
+def regular_slices(fn, x: np.ndarray) -> np.ndarray:
+    """fn(x) for a (..., 2^N, d, d) stack, run on slices whose L's fit REGULAR_BYTES.
+
+    fn must treat members independently, so each gets its one-matrix result.
+    """
+    size, d = x.shape[-3], x.shape[-1]
+    per = max(1, REGULAR_BYTES // (x.itemsize * (size * d) ** 2))
+    members = x.reshape(-1, size, d, d)
+    if len(members) <= per:
+        return fn(x)
+    return np.concatenate([fn(members[k:k + per]) for k in range(0, len(members), per)]
+                          ).reshape(x.shape)
 
 
 @lru_cache(maxsize=None)
@@ -147,12 +213,29 @@ def graded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return canonical(_convolve(x, y))
 
 
+def _neumann(x: np.ndarray) -> np.ndarray:
+    # x = b (1 + k) with b the body and k = b^-1 (x - b) nilpotent, k^(n+1) = 0,
+    # so x^-1 = sum_{j <= n} (-k)^j b^-1, n Horner steps y <- b^-1 - k y; the
+    # first, from y = b^-1, is k's own coefficients times b^-1
+    size, d = x.shape[-3], x.shape[-1]
+    try:
+        body_inv = np.linalg.inv(x[..., 0, :, :])
+    except np.linalg.LinAlgError as exc:
+        raise NonInvertibleError("singular body; no inverse exists") from exc
+    k = np.matmul(body_inv[..., None, :, :], x)
+    k[..., 0, :, :] = 0.0
+    first = np.zeros((*x.shape[:-3], size * d, d))
+    first[..., :d, :] = body_inv
+    y = first - k.reshape(first.shape) @ body_inv
+    L = left_regular(k)
+    for _ in range(size.bit_length() - 2):
+        y = first - L @ y
+    return y.reshape(x.shape)
+
+
 def _invert(x: np.ndarray) -> np.ndarray:
-    if x.shape[-3] == 1:
-        try:
-            return np.linalg.inv(x)
-        except np.linalg.LinAlgError as exc:
-            raise NonInvertibleError("singular body; no inverse exists") from exc
+    if x.shape[-3] == 1 or x.shape[-3] * x.shape[-1] <= REGULAR_MAX:
+        return regular_slices(_neumann, x)
     # x = x0 + x1 theta_n and y = y0 + y1 theta_n with x y = 1: x0 y0 = 1 and
     # x0 y1 + x1 y0^ = 0, so y1 = -y0 x1 y0^ with ^ the grade involution
     half = x.shape[-3] >> 1
@@ -167,12 +250,15 @@ def _invert(x: np.ndarray) -> np.ndarray:
 def graded_inverse(x: np.ndarray) -> np.ndarray:
     """The package's one inverse over B_N, of a (..., 2^N, d, d) coefficient array.
 
-    Splits off the last generator, x = x0 + x1 theta_N, inverts x0 the same
-    way and sets y1 = -y0 x1 y0^, the split ``graded_matmul`` uses for
-    products; the base case is np.linalg.inv of the body, and a singular
-    body (of any member of a stack) raises NonInvertibleError.  About one
-    product's work; the result is two-sided and canonical, member by member
-    the one-matrix inverse.
+    While 2^N d <= REGULAR_MAX it is the terminating Neumann series of the
+    paper: x = b (1 + k) with b the body and k = b^-1 (x - b) nilpotent, so
+    x^-1 = sum_{j <= N} (-k)^j b^-1, N products against the regular
+    representation L(k) built once (stacks in slices of REGULAR_BYTES).
+    Above the cap it splits off the last generator, x = x0 + x1 theta_N,
+    inverts x0 the same way down to the cap and sets y1 = -y0 x1 y0^, the
+    split ``graded_matmul`` uses for products.  A singular body (of any
+    member of a stack) raises NonInvertibleError.  The result is two-sided
+    and canonical, member by member the one-matrix inverse.
     """
     return canonical(_invert(x))
 

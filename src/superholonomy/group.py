@@ -409,6 +409,12 @@ def random_sp(two_n: int, rng) -> np.ndarray:
     return _real_expm(sp_generator(two_n, rng))
 
 
+def random_signs(rng, size=None):
+    """Uniform draws from {-1.0, 1.0}, equal in values and stream to
+    rng.choice([-1.0, 1.0], size) at about half the cost."""
+    return 2.0 * rng.integers(0, 2, size) - 1.0
+
+
 def _commuting_draws(m: int, n: int, rng):
     """The rng draws of one commuting sample, in the sampler's order.
 
@@ -434,9 +440,9 @@ def _commuting_draws(m: int, n: int, rng):
     else:
         S = rng.uniform(-0.8, 0.8, (two_n, two_n))
         Hs = C @ (S + S.T)
-    t1, t2 = rng.uniform(0.2, 1.2, 2) * rng.choice([-1.0, 1.0], 2)
-    u1, u2 = rng.uniform(0.2, 1.2, 2) * rng.choice([-1.0, 1.0], 2)
-    signs = rng.choice([-1.0, 1.0], 2)
+    t1, t2 = rng.uniform(0.2, 1.2, 2) * random_signs(rng, 2)
+    u1, u2 = rng.uniform(0.2, 1.2, 2) * random_signs(rng, 2)
+    signs = random_signs(rng, 2)
     L = rng.uniform(-1.0, 1.0, (m, m))
     sp_gen = sp_generator(two_n, rng)
     return (u1 * K, u2 * K, L - L.T), (t1 * Hs, t2 * Hs, sp_gen), signs

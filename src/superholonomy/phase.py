@@ -36,6 +36,14 @@ EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
 PHASE_TOL = 1e-10
 
 
+def _check_forms(eta: np.ndarray, C: np.ndarray):
+    """Raise ValueError unless eta and C are finite, eta symmetric and C antisymmetric."""
+    if not (np.isfinite(eta).all() and np.isfinite(C).all()):
+        raise ValueError("eta and C must be finite")
+    if np.abs(eta - eta.T).max() > 0 or np.abs(C + C.T).max() > 0:
+        raise ValueError("eta must be symmetric and C antisymmetric")
+
+
 @dataclass(frozen=True)
 class PhaseSpace:
     """Variable layout and fundamental brackets for one graded phase space.
@@ -54,10 +62,7 @@ class PhaseSpace:
     def create(cls, eta: np.ndarray, C: np.ndarray) -> "PhaseSpace":
         eta = np.asarray(eta, dtype=float)
         C = np.asarray(C, dtype=float)
-        if not (np.isfinite(eta).all() and np.isfinite(C).all()):
-            raise ValueError("eta and C must be finite")
-        if np.abs(eta - eta.T).max() > 0 or np.abs(C + C.T).max() > 0:
-            raise ValueError("eta must be symmetric and C antisymmetric")
+        _check_forms(eta, C)
         return cls(
             n_even=eta.shape[0],
             n_odd=C.shape[0],
@@ -332,13 +337,11 @@ def constraint_tensor(alg: SuperAlgebra) -> np.ndarray:
     carries the psi_1 A_2 term.  No other entry of f is read, so constants
     that are not graded-antisymmetric give the same constraints.
     """
-    par = np.asarray(alg.parities)
-    ev, od = par == 0, par == 1
-    F = np.zeros_like(alg.f)
-    for blk in ((ev, ev, ev), (od, od, ev), (ev, od, od)):
-        F[np.ix_(*blk)] = alg.f[np.ix_(*blk)]
-    F[np.ix_(od, ev, od)] = -alg.f[np.ix_(ev, od, od)].transpose(1, 0, 2)
-    return F
+    par = np.asarray(alg.parities, dtype=bool)
+    i, j, k = par[:, None, None], par[None, :, None], par[None, None, :]
+    copied = (k == (i ^ j)) & ~(i & ~j)
+    swapped = i & ~j & k
+    return np.where(copied, alg.f, np.where(swapped, -alg.f.transpose(1, 0, 2), 0.0))
 
 
 def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None
@@ -408,23 +411,24 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
     invertible n_even x n_even eta_override detunes the bracket to show the
     check has teeth.
     """
-    ctx = PhaseSpace.from_algebra(alg)
+    par = np.asarray(alg.parities)
+    ev, od = par == 0, par == 1
+    eta, C = alg.eta[ev][:, ev], alg.eta[od][:, od]
     if eta_override is not None:
+        shape = eta.shape
         eta = np.asarray(eta_override, dtype=float)
-        if eta.shape != (ctx.n_even, ctx.n_even):
-            raise ValueError(f"eta_override has shape {eta.shape}, not {(ctx.n_even,) * 2}")
-        ctx = PhaseSpace.create(eta, ctx.C_mat)
+        if eta.shape != shape:
+            raise ValueError(f"eta_override has shape {eta.shape}, not {shape}")
+    _check_forms(eta, C)
     F = constraint_tensor(alg)
     dim = F.shape[0]
-    ev, od = alg.even_indices, alg.odd_indices
     W = np.zeros((dim, dim))
     try:
-        W[np.ix_(ev, ev)] = np.linalg.inv(ctx.eta_mat)
+        W[np.ix_(ev, ev)] = np.linalg.inv(eta)
     except np.linalg.LinAlgError:
         raise ValueError(f"{'eta' if eta_override is None else 'eta_override'} "
                          "is singular on the even generators") from None
-    W[np.ix_(od, od)] = np.linalg.inv(ctx.C_mat)
-    par = np.asarray(alg.parities)
+    W[np.ix_(od, od)] = np.linalg.inv(C)
     graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
     basis = F.reshape(dim * dim, dim)
     pinv = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))

@@ -40,12 +40,14 @@ EXACT_TOL = 1e-12
 GRAM_DET_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
 def symplectic_form(two_n: int) -> np.ndarray:
-    """C with C^T = -C and C^2 = -I; the 2x2 case is the epsilon matrix."""
+    """C with C^T = -C and C^2 = -I; the 2x2 case is the epsilon matrix.  Cached, read-only."""
     half = two_n // 2
     C = np.zeros((two_n, two_n))
     C[:half, half:] = np.eye(half)
     C[half:, :half] = -np.eye(half)
+    C.flags.writeable = False
     return C
 
 

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import (MAX_GENERATORS, GrassmannElement, canonical, grade_signs, graded_inverse,
-                        graded_matmul)
+from .grassmann import (MAX_GENERATORS, REGULAR_MAX, GrassmannElement, canonical, grade_signs,
+                        graded_inverse, graded_matmul, left_regular, regular_slices)
 
 GMatrix = list[list[GrassmannElement]]
 
@@ -96,14 +96,16 @@ def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
 
 
 def scaling_squaring_expm(x: np.ndarray, identity: np.ndarray, body: np.ndarray,
-                          matmul, tidy, max_terms: int = 80) -> np.ndarray:
+                          matmul, tidy, max_terms: int = 80, times=None) -> np.ndarray:
     """exp(x) by scaling and squaring around a Taylor kernel.
 
     x is a stack of square arrays: real matrices (..., d, d) with matmul =
     np.matmul, or even coefficient arrays (..., 2^N, d, d) with matmul =
     graded_matmul; identity is broadcast to x's shape, body (..., d, d) is
     the real part, and tidy(t) is applied after every sum and scaling
-    (``canonical`` for coefficients, nothing for real matrices).  Each member
+    (``canonical`` for coefficients, nothing for real matrices).  Each Taylor
+    term is the last one times the scaled x: matmul(term, x), or times(x)(term)
+    when times builds a faster product by the fixed x.  Each member
     is scaled by 2^-s until the 1-norm of its body is at most 1/2, its series
     is summed until its own term falls below TAYLOR_CUTOFF in every
     coefficient, and the sum is squared s times (Higham, SIAM J. Matrix Anal.
@@ -124,10 +126,11 @@ def scaling_squaring_expm(x: np.ndarray, identity: np.ndarray, body: np.ndarray,
 
     member_axes = tuple(range(squarings.ndim, x.ndim))
     x = tidy(x * per_member(0.5 ** squarings))
+    step = times(x) if times else lambda t: matmul(t, x)
     acc = term = identity
     done = np.zeros(squarings.shape, dtype=bool)
     for k in range(1, max_terms + 1):
-        term = tidy(matmul(term, x) * (1.0 / k))
+        term = tidy(step(term) * (1.0 / k))
         done |= np.abs(term).max(axis=member_axes) < TAYLOR_CUTOFF
         if done.all():
             break
@@ -141,15 +144,31 @@ def scaling_squaring_expm(x: np.ndarray, identity: np.ndarray, body: np.ndarray,
     return acc
 
 
+def _left_times(x: np.ndarray):
+    """t -> x t for (..., 2^N, d, d) stacks: one matmul by L(x), built here once."""
+    L = left_regular(x)
+    return lambda t: (L @ t.reshape(*t.shape[:-3], -1, t.shape[-1])).reshape(t.shape)
+
+
 def graded_expm(coeffs: np.ndarray, max_terms: int = 80) -> np.ndarray:
     """exp of an even coefficient array (..., 2^N, d, d) with the graded product.
 
-    Every member of a stack is bit-equal to its one-matrix exponential.
+    While 2^N d <= REGULAR_MAX, the Taylor step is one matmul by the regular
+    representation L of the scaled generator, built once per call (stacks in
+    slices of REGULAR_BYTES), an exponential's action in the sense of
+    Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011); above it the step and,
+    always, the squarings are ``graded_matmul``.  Every member of a stack is
+    bit-equal to its one-matrix exponential.
     """
-    identity = np.zeros(coeffs.shape)
-    identity[..., 0, :, :] = np.eye(coeffs.shape[-1])
-    return scaling_squaring_expm(coeffs, identity, coeffs[..., 0, :, :], graded_matmul,
-                                 canonical, max_terms)
+    regular = coeffs.shape[-3] * coeffs.shape[-1] <= REGULAR_MAX
+
+    def expm(part):
+        identity = np.zeros(part.shape)
+        identity[..., 0, :, :] = np.eye(part.shape[-1])
+        return scaling_squaring_expm(part, identity, part[..., 0, :, :], graded_matmul,
+                                     canonical, max_terms, _left_times if regular else None)
+
+    return regular_slices(expm, coeffs) if regular else expm(coeffs)
 
 
 def supertranspose_coeffs(coeffs: np.ndarray, m: int, parity: int = 0) -> np.ndarray:

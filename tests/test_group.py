@@ -25,6 +25,7 @@ from superholonomy.group import (
     gauge_fix_sigma,
     matrix_rank,
     parabolic,
+    random_signs,
     random_sp,
     rotation,
     sample_commuting_bodies,
@@ -537,6 +538,26 @@ class TestStacks:
             for stacked, single in zip(stacks, sample_commuting_bodies(2, 1, ref)):
                 assert np.array_equal(stacked[k], single)
         assert rng.random() == ref.random()
+
+
+class TestRandomSigns:
+    """random_signs replaces rng.choice([-1.0, 1.0], size) in the moduli and
+    rotation-determinant draws; their outputs stay the same only while both
+    read the same values from the same stream."""
+
+    @pytest.mark.parametrize("size", [None, 1, 2, 5])
+    def test_same_values_and_stream_as_choice(self, size):
+        for seed in range(300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = random_signs(rng, size), ref.choice([-1.0, 1.0], size)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+            assert rng.random() == ref.random()
+
+    def test_symplectic_form_is_shared_and_read_only(self):
+        C = symplectic_form(4)
+        assert C is symplectic_form(4) and not C.flags.writeable
+        assert np.array_equal(C @ C, -np.eye(4)) and np.array_equal(C.T, -C)
 
 
 def _sample_member_loop(group, rng, components=True):

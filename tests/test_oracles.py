@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, graded_inverse, graded_matmul
+from superholonomy import grassmann, supermatrix
+from superholonomy.grassmann import (COEFF_CUTOFF, REGULAR_MAX, GrassmannElement, NonInvertibleError,
+                                     graded_inverse, graded_matmul)
 from superholonomy.group import _real_expm
 from superholonomy.supermatrix import SuperMatrix, gmat_mul, graded_expm, random_supermatrix
 
@@ -289,3 +291,119 @@ class TestStacks:
         assert np.array_equal(real[1], np.eye(3))
         assert np.array_equal(graded[0], graded_expm(gen))
         assert np.array_equal(real[0], _real_expm(gen[0]))
+
+
+def count_calls(monkeypatch, name, modules=(grassmann,)):
+    """Wrap every binding of name so that each call, recursive ones included, logs its shape."""
+    calls = []
+    original = getattr(grassmann, name)
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestRegularPaths:
+    """graded_inverse and graded_expm multiply by L while 2^N d <= REGULAR_MAX, by the kernel above.
+
+    (2|2) at N = 6 sits on the cap (256) and at N = 7 above it (512);
+    (2|4) at N = 5 under it (192) and at N = 6 above it (384).
+    """
+
+    @pytest.mark.parametrize("ngen", GENERATORS)
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_vectorized_equals_loop(self, m, n, ngen):
+        rng = np.random.default_rng([m, n, ngen, 13])
+        for parity in (0, 1):
+            xs = [random_supermatrix(rng, m, n, ngen, parity=parity) for _ in range(3)]
+            for x in xs:
+                assert np.array_equal(grassmann.left_regular(x.coeffs), left_regular(x))
+            stacked = grassmann.left_regular(np.array([x.coeffs for x in xs]))
+            assert all(np.array_equal(L, left_regular(x)) for L, x in zip(stacked, xs))
+
+    def test_rectangular_factor(self):
+        # L(x) of a (2^N, a, b) block times y reshaped to (2^N b, c) is x y
+        rng = np.random.default_rng(14)
+        x, y = rng.uniform(-1, 1, (16, 2, 3)), rng.uniform(-1, 1, (16, 3, 5))
+        got = (grassmann.left_regular(x) @ y.reshape(48, 5)).reshape(16, 2, 5)
+        assert np.abs(got - graded_matmul(x, y)).max() <= 1e-14
+
+    @pytest.mark.parametrize("m, n, ngen", [(2, 2, 6), (2, 2, 7), (2, 4, 5), (2, 4, 6)])
+    def test_inverse_and_expm_match_oracle(self, m, n, ngen):
+        rng = np.random.default_rng([m, n, ngen, 15])
+        x = invertible_even(rng, m, n, ngen)
+        L = left_regular(x)
+        assert np.abs(left_regular(x.inverse()) - np.linalg.inv(L)).max() <= 1e-10
+        g = random_supermatrix(rng, m, n, ngen, scale=0.6)
+        want = scipy.linalg.expm(left_regular(g))
+        got = left_regular(g.expm())
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("m, n, ngen", [(2, 2, 6), (2, 2, 7), (2, 4, 5), (2, 4, 6)])
+    def test_path_by_size(self, monkeypatch, m, n, ngen):
+        kernel = count_calls(monkeypatch, "_convolve")
+        regular = count_calls(monkeypatch, "left_regular", (grassmann, supermatrix))
+        rng = np.random.default_rng([m, n, ngen, 16])
+        x = invertible_even(rng, m, n, ngen).coeffs
+        # body 1-norm 1/4: no squarings, so every product is a Taylor step
+        g = expm_generators(rng, m, n, ngen)[2] / 4
+        under = (1 << ngen) * (m + n) <= REGULAR_MAX
+        graded_inverse(x)
+        if under:
+            # the Neumann series: N - 1 products by L(k), no kernel call
+            assert not kernel and regular == [x.shape]
+        else:
+            # the split on the last generator down to the cap, then the series
+            half = (x.shape[0] // 2, *x.shape[1:])
+            assert kernel and regular == [half]
+        kernel.clear()
+        regular.clear()
+        graded_expm(g)
+        if under:
+            assert not kernel and regular == [g.shape]
+        else:
+            assert len(kernel) >= 10 and not regular
+
+    @pytest.mark.parametrize("ngen", [2, 6])
+    def test_sliced_stack_equals_unsliced(self, monkeypatch, ngen):
+        rng = np.random.default_rng([ngen, 17])
+        x = stack_of(rng, 2, 2, ngen, size=4, soulless=(2,)).reshape(2, 2, 1 << ngen, 4, 4)
+        gens = expm_generators(rng, 2, 2, ngen).reshape(2, 2, 1 << ngen, 4, 4)
+        regular = count_calls(monkeypatch, "left_regular", (grassmann, supermatrix))
+        monkeypatch.setattr(grassmann, "REGULAR_BYTES", 1 << 40)
+        whole = graded_inverse(x), graded_expm(gens)
+        assert len(regular) == 2
+        # one member per slice: a budget below one member's L
+        regular.clear()
+        monkeypatch.setattr(grassmann, "REGULAR_BYTES", 1)
+        sliced = graded_inverse(x), graded_expm(gens)
+        assert len(regular) == 8
+        for a, b in zip(whole, sliced):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        for k in np.ndindex(2, 2):
+            assert np.array_equal(sliced[0][k], graded_inverse(x[k]))
+            assert np.array_equal(sliced[1][k], graded_expm(gens[k]))
+
+    @pytest.mark.parametrize("ngen", [6, 7])
+    def test_bad_input_fails_on_both_sides_of_the_cap(self, ngen):
+        rng = np.random.default_rng([ngen, 18])
+        x = stack_of(rng, 2, 2, ngen, size=2)
+        singular = x.copy()
+        singular[1, 0, 2:, 2:] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(NonInvertibleError):
+            graded_inverse(singular)
+        with pytest.raises(NonInvertibleError):
+            graded_inverse(singular[1])
+        bad = x.copy()
+        bad[0, 3, 0, 2] = np.nan
+        with pytest.raises(ValueError):
+            graded_inverse(bad)
+        bad[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            graded_inverse(bad)
+        with pytest.raises(ValueError):
+            graded_expm(bad)

@@ -316,6 +316,39 @@ def _with_spectator(alg, mix=False):
 CLOSURE_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
 
 
+def _ix_constraint_tensor(alg):
+    """Reference route: F block by block through np.ix_."""
+    par = np.asarray(alg.parities)
+    ev, od = par == 0, par == 1
+    F = np.zeros_like(alg.f)
+    for blk in ((ev, ev, ev), (od, od, ev), (ev, od, od)):
+        F[np.ix_(*blk)] = alg.f[np.ix_(*blk)]
+    F[np.ix_(od, ev, od)] = -alg.f[np.ix_(ev, od, od)].transpose(1, 0, 2)
+    return F
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+@pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)])
+def test_constraint_tensor_matches_block_reference(size, tamper):
+    alg = build_osp12() if size == (1, 1) else build_osp(*size)
+    if tamper:
+        alg = _tampered(alg)
+        # every entry of f nonzero, so a mask that reads a wrong block shows
+        alg = dataclasses.replace(alg, f=alg.f + np.random.default_rng(size).uniform(-1, 1, alg.f.shape))
+    F = constraint_tensor(alg)
+    assert np.array_equal(F, _ix_constraint_tensor(alg))
+    assert np.array_equal(np.signbit(F), np.signbit(_ix_constraint_tensor(alg)))
+
+
+def test_closure_rejects_asymmetric_algebra_forms(alg):
+    # the algebra's own even eta and C get PhaseSpace.create's checks too
+    for (i, j) in ((0, 1), (3, 4)):
+        eta = alg.eta.copy()
+        eta[i, j] += 0.25
+        with pytest.raises(ValueError, match="symmetric"):
+            check_closure(dataclasses.replace(alg, eta=eta))
+
+
 class TestClosureMatchesLstsq:
     """One pseudo-inverse for every slab against one lstsq per slab."""
 
