@@ -27,7 +27,7 @@ import numpy as np
 
 from .grassmann import GrassmannElement, canonical, graded_matmul, merge_sign
 from .group import matrix_rank
-from .superlie import SuperAlgebra
+from .superlie import SuperAlgebra, pair_signs
 from .supermatrix import graded_expm
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
@@ -429,7 +429,7 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
         raise ValueError(f"{'eta' if eta_override is None else 'eta_override'} "
                          "is singular on the even generators") from None
     W[np.ix_(od, od)] = np.linalg.inv(C)
-    graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
+    graded_sign = pair_signs(par)
     basis = F.reshape(dim * dim, dim)
     pinv = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))
     F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]

@@ -51,23 +51,18 @@ def symplectic_form(two_n: int) -> np.ndarray:
     return C
 
 
+def pair_signs(parities: Sequence[int]) -> np.ndarray:
+    """(-1)^{|i||j|} for every pair of generators: -1 on odd-odd pairs."""
+    p = np.asarray(parities)
+    return np.where(np.outer(p, p) == 1, -1.0, 1.0)
+
+
 def graded_form(m: int, two_n: int) -> np.ndarray:
     """The preserved form H = diag(I_m, C)."""
     H = np.zeros((m + two_n, m + two_n))
     H[:m, :m] = np.eye(m)
     H[m:, m:] = symplectic_form(two_n)
     return H
-
-
-def _str_body(mat: np.ndarray, m: int) -> float:
-    return float(np.trace(mat[:m, :m]) - np.trace(mat[m:, m:]))
-
-
-def _bracket_body(x: np.ndarray, y: np.ndarray, px: int, py: int) -> np.ndarray:
-    """[x, y} on representation matrices: anticommutator only for odd-odd."""
-    if px and py:
-        return x @ y + y @ x
-    return x @ y - y @ x
 
 
 @dataclass
@@ -127,16 +122,19 @@ class SuperAlgebra:
 
     # ------------------------------------------------------------------
     def validate(self):
-        """Graded antisymmetry and parity selection rules of f."""
-        dim = self.dim
-        for i, j in product(range(dim), repeat=2):
-            sign = -1.0 if (self.parities[i] and self.parities[j]) else 1.0
-            if np.abs(self.f[i, j] + sign * self.f[j, i]).max() > EXACT_TOL:
+        """Graded antisymmetry and parity selection rules of f; raises at the first
+        failing (i, j) in row-major order, antisymmetry before the parity rule."""
+        p = np.asarray(self.parities)
+        sign = pair_signs(p)[:, :, None]
+        anti = (np.abs(self.f + sign * self.f.transpose(1, 0, 2)) > EXACT_TOL).any(axis=2)
+        odd = (p[:, None, None] + p[None, :, None] - p[None, None, :]) % 2 == 1
+        rule = odd & (np.abs(self.f) > EXACT_TOL)
+        bad = anti | rule.any(axis=2)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), self.dim)
+            if anti[i, j]:
                 raise ValueError(f"graded antisymmetry violated at ({i},{j})")
-            for k in range(dim):
-                if (self.parities[i] + self.parities[j] - self.parities[k]) % 2:
-                    if abs(self.f[i, j, k]) > EXACT_TOL:
-                        raise ValueError(f"parity selection rule violated at ({i},{j},{k})")
+            raise ValueError(f"parity selection rule violated at ({i},{j},{int(np.argmax(rule[i, j]))})")
 
     def bracket(self, x: Sequence, y: Sequence):
         """Bilinear extension of f to coefficient vectors.
@@ -178,14 +176,12 @@ class SuperAlgebra:
     def check_jacobi(self, tol: float = 1e-12) -> JacobiReport:
         """Residual of [X,[Y,Z}} - [[X,Y},Z} - (-1)^{|X||Y|}[Y,[X,Z}} on the basis."""
         f, dim = self.f, self.dim
-        p = np.asarray(self.parities)
-        sgn = np.where(np.outer(p, p) == 1, -1.0, 1.0)
         # lhs[i,j,k,m] = f[j,k,l] f[i,l,m] and rhs1[i,j,k,m] = f[i,j,l] f[l,k,m],
         # each one matrix product; the third term f[i,k,l] f[j,l,m] is lhs[j,i,k,m]
         lhs = (f.reshape(dim * dim, dim) @ f.transpose(1, 0, 2).reshape(dim, dim * dim)
                ).reshape(dim, dim, dim, dim).transpose(2, 0, 1, 3)
         rhs1 = (f.reshape(dim * dim, dim) @ f.reshape(dim, dim * dim)).reshape(dim, dim, dim, dim)
-        residual = lhs - rhs1 - sgn[:, :, None, None] * lhs.transpose(1, 0, 2, 3)
+        residual = lhs - rhs1 - pair_signs(self.parities)[:, :, None, None] * lhs.transpose(1, 0, 2, 3)
         return JacobiReport(self.dim, float(np.abs(residual).max()), tol)
 
     def even_components(self, c: Sequence[float]) -> np.ndarray:
@@ -266,47 +262,62 @@ class SuperAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuperAlgebra":
-        dim = len(data["labels"])
-        f = np.zeros((dim, dim, dim))
-        for entry in data["f"]:
-            f[tuple(entry["index"])] = entry["value"]
-        eta = np.zeros((dim, dim))
-        for entry in data["eta"]:
-            eta[tuple(entry["index"])] = entry["value"]
-        return cls(
-            labels=tuple(data["labels"]),
-            parities=tuple(int(p) for p in data["parities"]),
-            f=f,
-            eta=eta,
+        """Inverse of to_json_dict; malformed or inconsistent input raises ValueError."""
+        labels = tuple(data["labels"])
+        dim = len(labels)
+        parities = tuple(int(p) for p in data["parities"])
+        if len(parities) != dim:
+            raise ValueError(f"parities has {len(parities)} entries for {dim} labels")
+        if any(p not in (0, 1) for p in parities):
+            raise ValueError("parities must be 0 or 1")
+        arrays = {}
+        for name, rank in (("f", 3), ("eta", 2)):
+            arr = np.zeros((dim,) * rank)
+            for entry in data[name]:
+                idx = tuple(entry["index"])
+                if len(idx) != rank or not all(isinstance(v, (int, np.integer)) and 0 <= v < dim for v in idx):
+                    raise ValueError(f"{name} index {list(idx)} is not {rank} integers in [0, {dim})")
+                arr[idx] = entry["value"]
+            arrays[name] = arr
+        alg = cls(
+            labels=labels,
+            parities=parities,
+            f=arrays["f"],
+            eta=arrays["eta"],
             conventions=dict(data.get("conventions", {})),
         )
+        alg.validate()
+        return alg
 
 
 # ----------------------------------------------------------------------
 # structure-constant extraction
 # ----------------------------------------------------------------------
 
-def _structure_constants_from_rep(
-    rep: list[np.ndarray], parities: list[int], m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """f and the supertrace Gram matrix from representation matrices."""
-    dim = len(rep)
-    gram = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            gram[i, j] = _str_body(rep[i] @ rep[j], m)
+def _structure_constants_from_rep(rep: Sequence[np.ndarray], parities: Sequence[int],
+                                  m: int) -> tuple[np.ndarray, np.ndarray]:
+    """f and the supertrace Gram matrix from representation matrices, in batched products:
+    str(X R_l) = sum_ab X_ab (s R_l^T)_ab, s the supertrace signs; exact for integer entries."""
+    R = np.asarray(rep, dtype=float)
+    dim, d = R.shape[:2]
+    flat = R.reshape(dim, d * d)
+    W = (np.where(np.arange(d) < m, 1.0, -1.0)[:, None] * R.transpose(0, 2, 1)).reshape(dim, d * d)
+    gram = flat @ W.T
     if abs(np.linalg.det(gram)) < GRAM_DET_TOL:
         raise ValueError("supertrace form is degenerate on this basis")
-    f = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            br = _bracket_body(rep[i], rep[j], parities[i], parities[j])
-            rhs = np.array([_str_body(br @ rep[l], m) for l in range(dim)])
-            f[i, j] = np.linalg.solve(gram.T, rhs)
-            # round-trip: the projected constants must reproduce the bracket
-            recon = sum(f[i, j, k] * rep[k] for k in range(dim))
-            if np.abs(recon - br).max() > 1e-10:
-                raise ValueError(f"bracket ({i},{j}) does not close on the basis")
+    # [x, y} on representation matrices: anticommutator only for odd-odd
+    prod = R[:, None] @ R[None, :]
+    br = (prod.transpose(1, 0, 2, 3) * -pair_signs(parities)[:, :, None, None]).reshape(dim * dim, d * d)
+    br += prod.reshape(dim * dim, d * d)
+    del prod   # at most two (dim, dim, d, d) stacks are alive at once
+    f = np.ascontiguousarray(np.linalg.solve(gram.T, (br @ W.T).T).T).reshape(dim, dim, dim)
+    # round-trip: the projected constants must reproduce every bracket
+    miss = f.reshape(dim * dim, dim) @ flat
+    miss -= br
+    unclosed = np.abs(miss, out=miss).max(axis=1, initial=0.0) > 1e-10
+    if unclosed.any():
+        i, j = divmod(int(np.argmax(unclosed)), dim)
+        raise ValueError(f"bracket ({i},{j}) does not close on the basis")
     return f, gram
 
 
@@ -378,8 +389,8 @@ def _osp12_relation_residual(rep: list[np.ndarray], eps_scale: float) -> float:
 def build_osp12() -> SuperAlgebra:
     """osp(1|2) from its 3x3 representation, normalizations fitted then verified.
 
-    The result is cached and shared; treat it as immutable (copy arrays
-    before modifying).
+    The result is cached and shared; its f, eta and rep arrays are
+    read-only (copy them before modifying).
 
     The defining relations are
         [J_a, J_b]     = eps_ab^c J_c
@@ -415,9 +426,9 @@ def build_osp12() -> SuperAlgebra:
     alg = SuperAlgebra(
         labels=("J0", "J1", "J2", "Q1", "Q2"),
         parities=tuple(parities),
-        f=f,
-        eta=eta_target,
-        rep=tuple(rep),
+        f=_frozen(f),
+        eta=_frozen(eta_target),
+        rep=tuple(_frozen(np.array(rep))),
         block_m=1,
         block_n=2,
         conventions={
@@ -444,7 +455,7 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
     The condition splits into: a antisymmetric (so(m)), A^T C + C A = 0
     (sp(2n)) and xi = -chi^T C with chi free, so the dimensions are
     m(m-1)/2 + n(2n+1) even and 2mn odd generators.  Cached and shared;
-    treat the result as immutable.
+    its f, eta and rep arrays are read-only.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -453,17 +464,13 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
     two_n = 2 * n
     d = m + two_n
     C = symplectic_form(two_n)
-    rep: list[np.ndarray] = []
-    labels: list[str] = []
-    parities: list[int] = []
+    gens: list[tuple[str, int, np.ndarray]] = []
     # so(m) block
     for i in range(m):
         for j in range(i + 1, m):
             mat = np.zeros((d, d))
             mat[i, j], mat[j, i] = 1.0, -1.0
-            rep.append(mat)
-            labels.append(f"J(o{i}{j})")
-            parities.append(0)
+            gens.append((f"J(o{i}{j})", 0, mat))
     # sp(2n) block: A = C S with S symmetric
     for k in range(two_n):
         for l in range(k, two_n):
@@ -472,9 +479,7 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
             S[l, k] += 1.0
             mat = np.zeros((d, d))
             mat[m:, m:] = C @ S
-            rep.append(mat)
-            labels.append(f"J(sp{k}{l})")
-            parities.append(0)
+            gens.append((f"J(sp{k}{l})", 0, mat))
     # odd generators: chi = E_{ji}, xi = -chi^T C
     for i in range(m):
         for j in range(two_n):
@@ -483,23 +488,21 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
             mat = np.zeros((d, d))
             mat[m:, :m] = chi
             mat[:m, m:] = -chi.T @ C
-            rep.append(mat)
-            labels.append(f"Q({j}{i})")
-            parities.append(1)
+            gens.append((f"Q({j}{i})", 1, mat))
+    labels, parities, rep = zip(*gens)
     expected_even = m * (m - 1) // 2 + n * (2 * n + 1)
     assert parities.count(0) == expected_even and parities.count(1) == 2 * m * n
+    R = _frozen(np.array(rep))
     H = graded_form(m, two_n)
-    for mat in rep:
-        tangent = _supertranspose_body(mat, m) @ H + H @ mat
-        if np.abs(tangent).max() > EXACT_TOL:
-            raise RuntimeError("generator fails the tangency condition")
-    f, gram = _structure_constants_from_rep(rep, parities, m=m)
+    if np.abs(_supertranspose_body(R, m) @ H + H @ R).max() > EXACT_TOL:
+        raise RuntimeError("generator fails the tangency condition")
+    f, gram = _structure_constants_from_rep(R, parities, m=m)
     alg = SuperAlgebra(
-        labels=tuple(labels),
-        parities=tuple(parities),
-        f=f,
-        eta=gram,
-        rep=tuple(rep),
+        labels=labels,
+        parities=parities,
+        f=_frozen(f),
+        eta=_frozen(gram),
+        rep=tuple(R),
         block_m=m,
         block_n=two_n,
         conventions={"eta": "supertrace Gram matrix", "C": "block off-diagonal (0, I; -I, 0)"},
@@ -509,10 +512,13 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
 
 
 def _supertranspose_body(mat: np.ndarray, m: int) -> np.ndarray:
-    """Supertranspose of a real supermatrix body written in blocks."""
-    out = np.zeros_like(mat)
-    out[:m, :m] = mat[:m, :m].T
-    out[m:, m:] = mat[m:, m:].T
-    out[:m, m:] = mat[m:, :m].T
-    out[m:, :m] = -mat[:m, m:].T
+    """Supertranspose of real supermatrix bodies (..., d, d) written in blocks."""
+    out = np.swapaxes(mat, -1, -2).copy()
+    out[..., m:, :m] *= -1.0
     return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached builder array read-only, so no caller can change it for the others."""
+    arr.flags.writeable = False
+    return arr

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,23 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+# sha256 of `jacobi --m M --n N --format json` stdout, every size build_osp accepts
+JACOBI_JSON_SHA256 = [
+    ((1, 1), "8d7e885ec1b60e129338e392f7f71609000049035a026645fa4907a7355d45b0"),
+    ((1, 2), "b9b22227b5a0e958c676d9252a44ff715b1bc482b7dc52a296f071a0739bc3ed"),
+    ((1, 3), "c23344b09c2a25a60495fad2be475cc76b02ea5f62dbc79d443d2aa56664acbc"),
+    ((2, 1), "a36c21d8127791e7989ceda345b2bdd0706599596a8fc9a3820098a248312929"),
+    ((2, 2), "a70db0d4c9c20c5dae20ee0b8630acf427c7cc53760a560aadd3adcba4cfb955"),
+    ((2, 3), "27b971bd3062dfbb3579cd26df32529708b3fb60a511f32554152b6fe4560492"),
+    ((3, 1), "ab4f8e26af6a4728e9a302dbe49c5668c855b61de47a1746feafcab7a9a10651"),
+    ((3, 2), "810bb2dc2b0adc8a478f3dcb39a1986397ca0e83af9d6d008c512bef9f5b65e8"),
+    ((4, 1), "528996386d9e3fbcfaa28ae96a2d8978642c6c6580ae2a7ffbb70108bd0620f3"),
+    ((4, 2), "a89565323efa6b75da9921ba34a5d7fd602d899506b1e36fe05418a3de2d3639"),
+    ((5, 1), "ab5a9e758a0d6eae65f23f12e2198e2d63106c4f74836c47691262b376f01367"),
+    ((6, 1), "10e51dd7652a0daf20962b0a72a58ec16da7e3eca8e53776345f400c72c9bf51"),
+]
 
 
 class TestJacobi:
@@ -36,6 +54,14 @@ class TestJacobi:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["max_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("size, digest", JACOBI_JSON_SHA256)
+    def test_json_bytes_pinned(self, capsys, size, digest):
+        # the payload carries every nonzero entry of f and eta, so any change to
+        # the algebra data (or its wire format) changes these bytes
+        code, out = run(capsys, "jacobi", "--m", str(size[0]), "--n", str(size[1]), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsageErrors:

@@ -13,8 +13,13 @@ Two oracles that share no code with the package's product kernel:
 Both read only the public ``rows`` / ``terms`` view of the results.  The
 paper's Schur-complement block formula for the inverse is checked against
 ``SuperMatrix.inverse`` as well; it shares only the block inverses with it.
+
+The algebra builders' batched structure-constant extraction and
+``SuperAlgebra.validate`` are checked against per-pair and per-triple loops
+that fit one bracket and test one index at a time.
 """
 
+import dataclasses
 import warnings
 from functools import lru_cache
 
@@ -26,6 +31,8 @@ from superholonomy import grassmann, supermatrix
 from superholonomy.grassmann import (COEFF_CUTOFF, REGULAR_MAX, GrassmannElement, NonInvertibleError,
                                      graded_inverse, graded_matmul)
 from superholonomy.group import _real_expm
+from superholonomy.superlie import (EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, _structure_constants_from_rep,
+                                    build_osp, build_osp12)
 from superholonomy.supermatrix import SuperMatrix, gmat_mul, graded_expm, random_supermatrix
 
 
@@ -407,3 +414,136 @@ class TestRegularPaths:
             graded_inverse(bad)
         with pytest.raises(ValueError):
             graded_expm(bad)
+
+
+# ----------------------------------------------------------------------
+# loop oracles for the algebra data
+
+def loop_structure_constants(rep, parities, m):
+    """One Gram entry, one bracket, one solve and one reconstruction at a time."""
+    def str_body(mat):
+        return float(np.trace(mat[:m, :m]) - np.trace(mat[m:, m:]))
+
+    dim = len(rep)
+    gram = np.zeros((dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            gram[i, j] = str_body(rep[i] @ rep[j])
+    if abs(np.linalg.det(gram)) < GRAM_DET_TOL:
+        raise ValueError("supertrace form is degenerate on this basis")
+    f = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            if parities[i] and parities[j]:
+                br = rep[i] @ rep[j] + rep[j] @ rep[i]
+            else:
+                br = rep[i] @ rep[j] - rep[j] @ rep[i]
+            rhs = np.array([str_body(br @ rep[l]) for l in range(dim)])
+            f[i, j] = np.linalg.solve(gram.T, rhs)
+            recon = sum(f[i, j, k] * rep[k] for k in range(dim))
+            if np.abs(recon - br).max() > 1e-10:
+                raise ValueError(f"bracket ({i},{j}) does not close on the basis")
+    return f, gram
+
+
+def loop_validate(f, parities):
+    """The triple loop over (i, j, k); returns the first message, or None."""
+    dim = len(parities)
+    for i in range(dim):
+        for j in range(dim):
+            sign = -1.0 if (parities[i] and parities[j]) else 1.0
+            if np.abs(f[i, j] + sign * f[j, i]).max() > EXACT_TOL:
+                return f"graded antisymmetry violated at ({i},{j})"
+            for k in range(dim):
+                if (parities[i] + parities[j] - parities[k]) % 2 and abs(f[i, j, k]) > EXACT_TOL:
+                    return f"parity selection rule violated at ({i},{j},{k})"
+    return None
+
+
+def bit_equal(a, b):
+    """Same shape and values, and the same sign on every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def message(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# every size build_osp accepts: m >= 1, n >= 1, m + 2n <= MAX_OSP_SIZE
+OSP_SIZES = [(m, n) for n in range(1, MAX_OSP_SIZE // 2) for m in range(1, MAX_OSP_SIZE - 2 * n + 1)]
+
+
+class TestAlgebraLoops:
+    def test_every_size_is_covered(self):
+        assert len(OSP_SIZES) == 12
+
+    @pytest.mark.parametrize("m, n", OSP_SIZES)
+    def test_build_osp_bit_equal_to_loop(self, m, n):
+        alg = build_osp(m, n)
+        f, gram = loop_structure_constants(alg.rep, alg.parities, m)
+        assert bit_equal(alg.f, f)
+        assert bit_equal(alg.eta, gram)
+
+    def test_osp12_bit_equal_to_loop(self):
+        alg = build_osp12()
+        f, gram = loop_structure_constants(alg.rep, alg.parities, 1)
+        batched = _structure_constants_from_rep(alg.rep, alg.parities, 1)
+        assert bit_equal(alg.f, f)
+        assert bit_equal(batched[0], f)
+        assert bit_equal(batched[1], gram)
+
+    @pytest.mark.parametrize("tamper", [
+        [((1, 2, 0), 0.5)],                              # antisymmetry, even-even
+        [((2, 1, 0), 0.5)],                              # the same pair seen from below
+        [((0, 11, 2), 0.5), ((11, 0, 2), -0.5)],         # parity rule, even-odd into even
+        [((11, 12, 13), 0.5), ((12, 11, 13), 0.5)],      # parity rule, odd-odd into odd
+        [((0, 11, k), 0.5) for k in (5, 2)] + [((11, 0, k), -0.5) for k in (5, 2)],  # the first k
+        [((3, 4, 15), 0.5)],                             # both at one pair: antisymmetry first
+        [((18, 17, 5), 0.5), ((4, 4, 14), 0.5)],         # the earlier pair wins
+        [((11, 12, 13), 0.5), ((12, 11, 13), 0.5), ((12, 11, 0), 0.5)],
+        [((1, 2, 0), 0.5 * EXACT_TOL), ((0, 11, 12), 0.5 * EXACT_TOL)],  # under tolerance
+    ])
+    def test_validate_message_matches_loop(self, tamper):
+        alg = build_osp(2, 2)   # osp(2|4): 11 even generators, then 8 odd
+        f = alg.f.copy()
+        for idx, delta in tamper:
+            f[idx] += delta
+        expected = loop_validate(f, alg.parities)
+        assert message(dataclasses.replace(alg, f=f).validate) == expected
+        assert (expected is None) == (tamper[0][1] < EXACT_TOL)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_validate_random_tampers_match_loop(self, seed):
+        rng = np.random.default_rng([seed, 19])
+        alg = build_osp12() if seed % 2 else build_osp(2, 1)
+        f = alg.f.copy()
+        for _ in range(rng.integers(1, 4)):
+            i, j, k = rng.integers(0, alg.dim, 3)
+            delta = rng.choice([1e-13, 0.25, -3.0])
+            f[i, j, k] += delta
+            if rng.integers(2):   # keep graded antisymmetry, so the parity rule decides
+                f[j, i, k] -= (-1.0 if alg.parities[i] and alg.parities[j] else 1.0) * delta
+        assert message(dataclasses.replace(alg, f=f).validate) == loop_validate(f, alg.parities)
+
+    @pytest.mark.parametrize("build, drop", [(build_osp12, 1), (lambda: build_osp(2, 2), 0),
+                                             (lambda: build_osp(2, 1), 0)])
+    def test_dropped_generator_does_not_close(self, build, drop):
+        alg = build()
+        rep = alg.rep[:drop] + alg.rep[drop + 1:]
+        parities = alg.parities[:drop] + alg.parities[drop + 1:]
+        m = alg.block_m
+        expected = message(loop_structure_constants, rep, parities, m)
+        assert expected is not None and expected.endswith("does not close on the basis")
+        assert message(_structure_constants_from_rep, rep, parities, m) == expected
+
+    @pytest.mark.parametrize("build", [build_osp12, lambda: build_osp(1, 2)])
+    def test_duplicated_generator_is_degenerate(self, build):
+        alg = build()
+        rep, parities = alg.rep + alg.rep[-1:], alg.parities + alg.parities[-1:]
+        expected = message(loop_structure_constants, rep, parities, alg.block_m)
+        assert expected == "supertrace form is degenerate on this basis"
+        assert message(_structure_constants_from_rep, rep, parities, alg.block_m) == expected

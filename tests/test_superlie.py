@@ -282,3 +282,58 @@ class TestJson:
         assert np.abs(again.eta - osp12.eta).max() == 0.0
         assert again.labels == osp12.labels
         assert again.parities == osp12.parities
+
+    @pytest.mark.parametrize("field, index", [
+        ("f", [-1, 0, 1]), ("f", [0, 5, 1]), ("f", [0, 1]), ("f", [0, 1, 2, 3]),
+        ("eta", [0, -1]), ("eta", [5, 0]), ("eta", [0.0, 1]),
+    ])
+    def test_rejects_bad_index(self, osp12, field, index):
+        data = osp12.to_json_dict()
+        data[field][0]["index"] = index
+        with pytest.raises(ValueError, match=f"^{field} index"):
+            SuperAlgebra.from_json_dict(data)
+
+    @pytest.mark.parametrize("parities, match", [([0, 0, 0, 1], "parities has 4 entries for 5 labels"),
+                                                 ([0, 0, 0, 1, 1, 1], "parities has 6 entries"),
+                                                 ([0, 0, 0, 1, 2], "parities must be 0 or 1")])
+    def test_rejects_bad_parities(self, osp12, parities, match):
+        data = osp12.to_json_dict()
+        data["parities"] = parities
+        with pytest.raises(ValueError, match=match):
+            SuperAlgebra.from_json_dict(data)
+
+    def test_validates_structure_constants(self, osp12):
+        data = osp12.to_json_dict()
+        # drop one entry of an antisymmetric pair
+        data["f"] = [e for e in data["f"] if e["index"] != [0, 1, 2]]
+        assert len(data["f"]) == len(osp12.to_json_dict()["f"]) - 1
+        with pytest.raises(ValueError, match=r"graded antisymmetry violated at \(0,1\)"):
+            SuperAlgebra.from_json_dict(data)
+
+    def test_general_build_round_trips(self):
+        alg = build_osp(2, 2)
+        again = SuperAlgebra.from_json_dict(alg.to_json_dict())
+        assert np.array_equal(again.f, alg.f) and np.array_equal(again.eta, alg.eta)
+
+
+class TestCachedAlgebrasReadOnly:
+    @pytest.mark.parametrize("build", [build_osp12, lambda: build_osp(2, 2)])
+    def test_in_place_write_raises(self, build):
+        alg = build()
+        try:
+            for arr in (alg.f, alg.eta, *alg.rep):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                alg.f[0, 1] *= 2.0
+        finally:   # a write that got through must not reach later tests
+            build_osp.cache_clear()
+            build_osp12.cache_clear()
+
+    def test_replace_with_copies_still_tampers(self):
+        alg = build_osp(2, 1)
+        tampered = dataclasses.replace(alg, f=alg.f.copy() + 0.01)
+        tampered.f[0, 0, 0] = 1.0
+        assert tampered.check_jacobi().max_residual > 1e-3
+        assert build_osp(2, 1) is alg
+        assert alg.check_jacobi().max_residual == 0.0
