@@ -66,6 +66,8 @@ def _validate(ns: argparse.Namespace) -> None:
         raise UsageError("block sizes require m >= 1 and n >= 1")
     if "ngen" in ns and not 0 <= ns.ngen <= MAX_GENERATORS:
         raise UsageError(f"generator count must be in 0..{MAX_GENERATORS}")
+    if ns.command == "sectors" and (ns.m, ns.n) == (1, 1) and ns.ngen < 1:
+        raise UsageError("sectors builds its fermionic representatives on theta1: --N must be at least 1")
     if "tol" in ns and not (math.isfinite(ns.tol) and ns.tol > 0):
         raise UsageError("tolerance must be finite and positive")
     if ns.command in EXACT_COMMANDS and ns.tol > EXACT_TOL:

@@ -23,11 +23,8 @@ import numpy as np
 from .grassmann import GrassmannElement, canonical, grade_signs, graded_inverse, graded_matmul
 from .supermatrix import (
     SuperMatrix,
-    array_to_gmat,
     body_array,
     commutator,
-    gmat_from_real,
-    gmat_to_array,
     graded_expm,
     scaling_squaring_expm,
     supertranspose_coeffs,
@@ -144,17 +141,16 @@ class OspGroup:
         return float(worst) if worst.ndim == 0 else worst
 
     # ------------------------------------------------------------------
-    def xi_from_chi(self, a, A, chi):
+    def xi_from_chi(self, a: np.ndarray, A: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """The dependent fermion block xi = -(a^T)^-1 chi^T C A.
 
-        a, A, chi are Grassmann block matrices (lists of lists); a must have
-        an invertible body.
+        a (2^N, m, m), A (2^N, 2n, 2n) and chi (2^N, 2n, m) are block
+        coefficient arrays, as ``SuperMatrix.block_coeffs`` gives them; a must
+        have an invertible body.  Returns xi as a (2^N, m, 2n) array.
         """
-        ngen = a[0][0].n
-        a, A, chi = (gmat_to_array(x, ngen) for x in (a, A, chi))
         at_inv = graded_inverse(a.transpose(0, 2, 1))
-        CA = graded_matmul(body_array(self.C, ngen), A)
-        return array_to_gmat(-graded_matmul(at_inv, graded_matmul(chi.transpose(0, 2, 1), CA)))
+        CA = graded_matmul(body_array(self.C, len(a).bit_length() - 1), A)
+        return -graded_matmul(at_inv, graded_matmul(chi.transpose(0, 2, 1), CA))
 
     # ------------------------------------------------------------------
     def reflection_component(self) -> SuperMatrix:
@@ -622,7 +618,8 @@ def sector_representative(desc: SectorDescriptor, ngen: int = 2,
     """A concrete commuting pair realizing a sector of the enumeration.
 
     Fermionic sectors attach chi_k = (0, mu_k)^T with mu_k proportional to a
-    shared odd element; first-order commutation fixes mu_k ~ sign_k * c_k.
+    shared odd element, theta1, so they need ngen >= 1; first-order
+    commutation fixes mu_k ~ sign_k * c_k.  xi_k follows from xi_from_chi.
     """
     group = OspGroup(1, 1, ngen)
     p1, p2 = params if params is not None else _SECTOR_PARAMS[desc.family]
@@ -635,26 +632,20 @@ def sector_representative(desc: SectorDescriptor, ngen: int = 2,
     else:
         A0 = rotation(p1)
         B0 = rotation(p2)
-    body1 = np.zeros((3, 3))
-    body1[0, 0] = desc.a0
-    body1[1:, 1:] = A0
-    body2 = np.zeros((3, 3))
-    body2[0, 0] = desc.b0
-    body2[1:, 1:] = B0
-    if not desc.fermionic:
-        U1 = SuperMatrix.from_body(body1, 1, 2, ngen)
-        U2 = SuperMatrix.from_body(body2, 1, 2, ngen)
-        return HolonomyPair.make(group, U1, U2, label=desc.label())
-    tau = GrassmannElement.theta(1, ngen)
-    mu = (desc.a0 * p1 * tau, desc.b0 * p2 * tau)
+    if desc.fermionic and ngen < 1:
+        raise ValueError("a fermionic sector's representative needs theta1: ngen must be at least 1")
     pairs = []
-    for body, A_block, mu_k, sign in ((body1, A0, mu[0], desc.a0), (body2, B0, mu[1], desc.b0)):
-        zero = GrassmannElement.zero(ngen)
-        chi = [[zero], [mu_k]]
-        a = [[GrassmannElement.scalar(float(sign), ngen)]]
-        Ag = gmat_from_real(A_block, ngen)
-        xi = group.xi_from_chi(a, Ag, chi)
-        pairs.append(SuperMatrix.from_blocks(a, xi, chi, Ag))
+    for sign, A_block, p in ((desc.a0, A0, p1), (desc.b0, B0, p2)):
+        body = np.zeros((3, 3))
+        body[0, 0] = sign
+        body[1:, 1:] = A_block
+        if not desc.fermionic:
+            pairs.append(SuperMatrix.from_body(body, 1, 2, ngen))
+            continue
+        coeffs = body_array(body, ngen)
+        coeffs[1, 2, 0] = sign * p           # chi = (0, sign p theta1)^T
+        coeffs[:, :1, 1:] = group.xi_from_chi(coeffs[:, :1, :1], coeffs[:, 1:, 1:], coeffs[:, 1:, :1])
+        pairs.append(SuperMatrix.from_coeffs(1, 2, coeffs))
     return HolonomyPair.make(group, pairs[0], pairs[1], label=desc.label())
 
 

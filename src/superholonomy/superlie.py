@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, canonical, grade_signs, graded_matmul
 from .supermatrix import SuperMatrix, body_array
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -153,25 +152,19 @@ class SuperAlgebra:
             yv = np.asarray(y, dtype=float)
             return np.einsum("i,j,ijk->k", xv, yv, self.f)
         ngen = next(c.n for c in list(x) + list(y) if isinstance(c, GrassmannElement))
-        xg = [c if isinstance(c, GrassmannElement) else GrassmannElement.scalar(c, ngen) for c in x]
-        yg = [c if isinstance(c, GrassmannElement) else GrassmannElement.scalar(c, ngen) for c in y]
-        for vec in (xg, yg):
-            for i, c in enumerate(vec):
-                if not c.is_homogeneous(self.parities[i]):
-                    raise ValueError(
-                        f"coefficient {i} must have Grassmann parity {self.parities[i]}"
-                    )
-        out = [GrassmannElement.zero(ngen) for _ in range(self.dim)]
-        for i in range(self.dim):
-            if xg[i].is_zero():
-                continue
-            for j in range(self.dim):
-                if yg[j].is_zero():
-                    continue
-                coef = xg[i] * yg[j]
-                for k in np.nonzero(self.f[i, j])[0]:
-                    out[k] = out[k] + coef * float(self.f[i, j, k])
-        return out
+        # True where monomial q's parity differs from generator i's, (2^N, dim)
+        wrong = (grade_signs(ngen)[:, 0, 0] < 0)[:, None] != np.array(self.parities, dtype=bool)
+        X, Y = (np.stack([(c if isinstance(c, GrassmannElement) else GrassmannElement.scalar(c, ngen))
+                          .dense() for c in vec], axis=1) for vec in (x, y))
+        for vec in (X, Y):
+            bad = ((vec != 0.0) & wrong).any(axis=0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"coefficient {i} must have Grassmann parity {self.parities[i]}")
+        # every x_i y_j at once, (2^N, dim, dim), then contracted with f
+        products = graded_matmul(X[:, :, None], Y[:, None, :])
+        out = canonical(np.einsum("qij,ijk->qk", products, self.f))
+        return [GrassmannElement.from_dense(out[:, k]) for k in range(self.dim)]
 
     def check_jacobi(self, tol: float = 1e-12) -> JacobiReport:
         """Residual of [X,[Y,Z}} - [[X,Y},Z} - (-1)^{|X||Y|}[Y,[X,Z}} on the basis."""
@@ -181,8 +174,14 @@ class SuperAlgebra:
         lhs = (f.reshape(dim * dim, dim) @ f.transpose(1, 0, 2).reshape(dim, dim * dim)
                ).reshape(dim, dim, dim, dim).transpose(2, 0, 1, 3)
         rhs1 = (f.reshape(dim * dim, dim) @ f.reshape(dim, dim * dim)).reshape(dim, dim, dim, dim)
-        residual = lhs - rhs1 - pair_signs(self.parities)[:, :, None, None] * lhs.transpose(1, 0, 2, 3)
-        return JacobiReport(self.dim, float(np.abs(residual).max()), tol)
+        # the residual is built in rhs1's memory, so two dim^4 arrays are alive:
+        # lhs - rhs1, then minus the swapped lhs, plus it on odd-odd pairs
+        residual = np.subtract(lhs, rhs1, out=rhs1)
+        odd_odd = (pair_signs(self.parities) < 0)[:, :, None, None]
+        swapped = lhs.transpose(1, 0, 2, 3)
+        np.subtract(residual, swapped, out=residual, where=~odd_odd)
+        np.add(residual, swapped, out=residual, where=odd_odd)
+        return JacobiReport(self.dim, float(np.abs(residual, out=residual).max()), tol)
 
     def even_components(self, c: Sequence[float]) -> np.ndarray:
         """An even direction's components on the even generators.
@@ -354,35 +353,27 @@ def _osp12_candidate(t_sign: float, mu1: float) -> tuple[list[np.ndarray], dict]
 
 
 def _osp12_relation_residual(rep: list[np.ndarray], eps_scale: float) -> float:
-    """Exactness of the three defining relation families for a candidate."""
-    J, Q = rep[:3], rep[3:]
-    eta = np.diag([-1.0, 1.0, 1.0])
-    C = EPS2
-    sigmas = [SIGMA0, SIGMA1, SIGMA2]
+    """Exactness of the three defining relation families for a candidate.
+
+    Each family is one stack of residual matrices over all index pairs:
+    (3, 3, 3, 3) for [J_a, J_b], (3, 2, 3, 3) for [J_a, Q_alpha] and
+    (2, 2, 3, 3) for {Q_alpha, Q_beta}.
+    """
+    J, Q = np.array(rep[:3]), np.array(rep[3:])
+    eta_inv = np.diag([-1.0, 1.0, 1.0])        # eta = diag(-1, 1, 1) is its own inverse
+    sigmas = np.array([SIGMA0, SIGMA1, SIGMA2])
     eps = np.zeros((3, 3, 3))
-    for a, b, c in product(range(3), repeat=3):
-        perm = [a, b, c]
-        if sorted(perm) != [0, 1, 2]:
-            continue
-        sign = 1.0 if perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]) else -1.0
-        eps[a, b, c] = sign * eps_scale
-    eta_inv = np.linalg.inv(eta)
-    eps_up = np.einsum("abc,cd->abd", eps, eta_inv)
-    sigma_lowered = [s @ C for s in sigmas]
-    sigma_up = [
-        sum(eta_inv[a, b] * sigma_lowered[b] for b in range(3)) for a in range(3)
-    ]
-    res = 0.0
-    for a, b in product(range(3), repeat=2):
-        target = sum(eps_up[a, b, c] * J[c] for c in range(3))
-        res = max(res, np.abs(J[a] @ J[b] - J[b] @ J[a] - target).max())
-    for a, al in product(range(3), range(2)):
-        target = sum(sigmas[a][al, be] * Q[be] for be in range(2))
-        res = max(res, np.abs(J[a] @ Q[al] - Q[al] @ J[a] - target).max())
-    for al, be in product(range(2), repeat=2):
-        target = sum(sigma_up[a][al, be] * J[a] for a in range(3))
-        res = max(res, np.abs(Q[al] @ Q[be] + Q[be] @ Q[al] - target).max())
-    return res
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[a, b, c], eps[b, a, c] = eps_scale, -eps_scale
+    eps_up = eps @ eta_inv
+    sigma_up = np.einsum("ab,bxy->axy", eta_inv, sigmas @ EPS2)
+    JJ, JQ, QQ = J[:, None] @ J[None, :], J[:, None] @ Q[None, :], Q[:, None] @ Q[None, :]
+    residuals = (
+        JJ - JJ.transpose(1, 0, 2, 3) - np.einsum("abc,cij->abij", eps_up, J),
+        JQ - Q[None, :] @ J[:, None] - np.einsum("axy,yij->axij", sigmas, Q),
+        QQ + QQ.transpose(1, 0, 2, 3) - np.einsum("axy,aij->xyij", sigma_up, J),
+    )
+    return max(float(np.abs(r).max()) for r in residuals)
 
 
 @lru_cache(maxsize=None)

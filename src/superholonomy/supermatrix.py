@@ -14,8 +14,10 @@ the odd pattern swaps the roles and exists so that graded identities such as
 Storage is dense: one read-only coefficient array of shape (2^N, m+n, m+n),
 axis 0 the monomial mask, so a product is one call of the graded kernel
 ``grassmann.graded_matmul`` and the inverse one call of
-``grassmann.graded_inverse`` on the whole matrix.  The GrassmannElement
-entries are a view built on demand.  A SuperMatrix is one matrix; the array
+``grassmann.graded_inverse`` on the whole matrix.  Every computation, the
+JSON wire format included, reads and writes that array; the GrassmannElement
+entries (``rows``, ``block``, ``repr``) are a presentation view built on
+demand.  A SuperMatrix is one matrix; the array
 functions under it (the kernel, ``graded_expm``, ``supertranspose_coeffs``)
 also take stacks (..., 2^N, d, d) and give each member its one-matrix result.
 """
@@ -46,17 +48,9 @@ TAYLOR_CUTOFF = 1e-22
 
 
 # ----------------------------------------------------------------------
-# plain matrices of Grassmann elements (the row view of blocks)
+# plain matrices of Grassmann elements: the row view, for presentation and
+# for building test input; no computation reads it
 # ----------------------------------------------------------------------
-
-def gmat_zero(rows: int, cols: int, n: int) -> GMatrix:
-    z = GrassmannElement.zero(n)
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
-def gmat_from_real(mat: np.ndarray, n: int) -> GMatrix:
-    return [[GrassmannElement.scalar(float(v), n) for v in row] for row in np.asarray(mat, dtype=float)]
-
 
 def gmat_to_array(x: GMatrix, n: int) -> np.ndarray:
     """Dense (2^n, rows, cols) coefficient array of a Grassmann matrix."""
@@ -77,10 +71,6 @@ def array_to_gmat(coeffs: np.ndarray) -> GMatrix:
 def gmat_mul(x: GMatrix, y: GMatrix) -> GMatrix:
     n = x[0][0].n
     return array_to_gmat(graded_matmul(gmat_to_array(x, n), gmat_to_array(y, n)))
-
-
-def gmat_max_abs(x: GMatrix) -> float:
-    return max((e.max_abs() for row in x for e in row), default=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +190,7 @@ class SuperMatrix:
 
     def __init__(self, m: int, n: int, rows: Sequence[Sequence[GrassmannElement]],
                  parity: int = 0, ngen: int | None = None):
+        _check_blocks(m, n)
         d = m + n
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError(f"expected {d}x{d} entries")
@@ -231,6 +222,7 @@ class SuperMatrix:
     @classmethod
     def from_coeffs(cls, m: int, n: int, coeffs: np.ndarray, parity: int = 0) -> "SuperMatrix":
         """From a (2^N, m+n, m+n) coefficient array (copied, then made canonical)."""
+        _check_blocks(m, n)
         coeffs = canonical(np.array(coeffs, dtype=float))
         size = len(coeffs)
         if (coeffs.shape != (size, m + n, m + n) or size < 1 or size & (size - 1)
@@ -256,14 +248,6 @@ class SuperMatrix:
         if np.abs(body[:m, m:]).max(initial=0.0) > 0 or np.abs(body[m:, :m]).max(initial=0.0) > 0:
             raise ParityPatternError("real matrices must be block diagonal (odd blocks have no body)")
         return cls._wrap(m, n, body_array(body, ngen))
-
-    @classmethod
-    def from_blocks(cls, a: GMatrix, xi: GMatrix, chi: GMatrix, A: GMatrix,
-                    parity: int = 0) -> "SuperMatrix":
-        m, n = len(a), len(A)
-        rows = [list(a[i]) + list(xi[i]) for i in range(m)]
-        rows += [list(chi[i]) + list(A[i]) for i in range(n)]
-        return cls(m, n, rows, parity=parity)
 
     # ------------------------------------------------------------------
     # block access
@@ -335,13 +319,9 @@ class SuperMatrix:
 
     def supertrace(self) -> GrassmannElement:
         """Graded trace tr(a) - tr(A) (tr(a) + tr(A) on the odd pattern)."""
-        sign = -1.0 if self.parity == 0 else 1.0
-        out = GrassmannElement.zero(self.ngen)
-        for i in range(self.m):
-            out = out + self.rows[i][i]
-        for i in range(self.m, self.m + self.n):
-            out = out + self.rows[i][i] * sign
-        return out
+        signs = np.where(np.arange(self.m + self.n) < self.m, 1.0, -1.0 if self.parity == 0 else 1.0)
+        return GrassmannElement.from_dense(
+            canonical(np.diagonal(self.coeffs, axis1=1, axis2=2) @ signs))
 
     def inverse(self) -> "SuperMatrix":
         """Two-sided inverse through ``graded_inverse`` (even parity pattern only).
@@ -386,29 +366,33 @@ class SuperMatrix:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        """Wire format: sparse entries keyed by (row, col, monomial indices)."""
-        entries = []
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                for idx, coeff in e.monomials():
-                    entries.append(
-                        {"row": i, "col": j, "monomial": list(idx), "value": coeff}
-                    )
+        """Wire format: sparse entries keyed by (row, col, monomial indices), in that order."""
+        entries = [{"row": int(i), "col": int(j),
+                    "monomial": [g + 1 for g in range(self.ngen) if q >> g & 1],
+                    "value": float(self.coeffs[q, i, j])}
+                   for i, j, q in np.argwhere(self.coeffs.transpose(1, 2, 0))]
         return {"m": self.m, "n": self.n, "N": self.ngen, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuperMatrix":
         m, n, ngen = int(data["m"]), int(data["n"]), int(data["N"])
+        _check_blocks(m, n)
+        if not 0 <= ngen <= MAX_GENERATORS:
+            raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}, got {ngen}")
         d = m + n
-        terms: list[list[dict[int, float]]] = [[{} for _ in range(d)] for _ in range(d)]
+        coeffs = np.zeros((1 << ngen, d, d))
         for entry in data["entries"]:
             i, j = int(entry["row"]), int(entry["col"])
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"entry ({i}, {j}) outside a {d}x{d} supermatrix")
             (mask,) = GrassmannElement.monomial([int(g) for g in entry["monomial"]], ngen).terms
-            terms[i][j][mask] = terms[i][j].get(mask, 0.0) + float(entry["value"])
-        rows = [[GrassmannElement(ngen, t) for t in row] for row in terms]
-        return cls(m, n, rows, ngen=ngen)
+            coeffs[mask, i, j] += float(entry["value"])
+        return cls.from_coeffs(m, n, coeffs)
+
+
+def _check_blocks(m: int, n: int):
+    if m < 0 or n < 0:
+        raise ValueError(f"block sizes must be non-negative, got ({m}, {n})")
 
 
 def _check_pattern(m: int, n: int, coeffs: np.ndarray, parity: int):

@@ -34,6 +34,19 @@ JACOBI_JSON_SHA256 = [
     ((6, 1), "10e51dd7652a0daf20962b0a72a58ec16da7e3eca8e53776345f400c72c9bf51"),
 ]
 
+# sha256 of fresh-process `sectors --format json` stdout (seed-independent):
+# the sector data and the supermatrix wire format of the representatives
+SECTORS_JSON_SHA256 = [
+    ((), "8b9e6d5e9bd32b5152700ee3a18fc7a37730311f2b0a19b4b98f54e6a5d3c036"),
+    (("--N", "5"), "adf6760d0129223577e654d03fc3edea3d32cee2d7de5a1dd7407021384eed7e"),
+]
+
+
+def fresh_env():
+    """The environment of a fresh `python -m superholonomy.cli` on this source tree."""
+    src = str(Path(superholonomy.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
 
 class TestJacobi:
     def test_osp12_passes(self, capsys):
@@ -79,6 +92,7 @@ class TestUsageErrors:
         (["closure", "--tol", "1e-11"], None),
         (["sectors", "--samples", "7"], None),     # the osp(1|2) branch reads no --samples
         (["sectors", "--m", "2", "--n", "1", "--N", "3"], None),   # nor the osp(2|2) one --N
+        (["sectors", "--N", "0"], None),           # the fermionic representatives need theta1
     ])
     def test_exit_2(self, capsys, monkeypatch, tmp_path, argv, env_seed):
         if env_seed is not None:
@@ -156,6 +170,13 @@ class TestSectors:
     def test_unsupported_group(self, capsys):
         code, _ = run(capsys, "sectors", "--m", "1", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("flags, digest", SECTORS_JSON_SHA256)
+    def test_json_bytes_pinned(self, flags, digest):
+        res = subprocess.run([sys.executable, "-m", "superholonomy.cli", "sectors", *flags,
+                              "--format", "json"], env=fresh_env(), capture_output=True, check=False)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
 class TestModuli:
@@ -249,8 +270,7 @@ README_COMMANDS = [
 def test_in_process_output_matches_fresh_process(capsys, monkeypatch):
     """A command's stdout may not depend on what ran before it in the process."""
     monkeypatch.delenv("SUPERHOLONOMY_SEED", raising=False)
-    src = str(Path(superholonomy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     for argv in README_COMMANDS:
         main(argv)
     capsys.readouterr()
@@ -279,8 +299,7 @@ def test_cached_parser_carries_no_state(capsys):
 
 def test_cli_import_leaves_scipy_unloaded():
     """scipy is a test dependency only: the CLI's import time must not pay for it."""
-    src = str(Path(superholonomy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     code = "import sys, superholonomy.cli; print('scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
     assert res.stdout.decode().strip() == "False"

@@ -34,7 +34,7 @@ from superholonomy.group import (
 )
 from superholonomy.checks import moduli_counts
 from superholonomy.superlie import SIGMA_PLUS, symplectic_form
-from superholonomy.supermatrix import SuperMatrix, commutator, gmat_from_real
+from superholonomy.supermatrix import SuperMatrix, body_array, commutator
 
 
 @pytest.fixture(scope="module")
@@ -88,34 +88,26 @@ class TestMembership:
 
 class TestXiFromChi:
     def test_zero_chi_gives_zero_xi(self, g12):
-        a = [[GrassmannElement.one(2)]]
-        A = gmat_from_real(np.eye(2), 2)
-        chi = [[GrassmannElement.zero(2)], [GrassmannElement.zero(2)]]
-        xi = g12.xi_from_chi(a, A, chi)
-        assert all(e.is_zero() for row in xi for e in row)
+        xi = g12.xi_from_chi(body_array(np.eye(1), 2), body_array(np.eye(2), 2), np.zeros((4, 2, 1)))
+        assert xi.shape == (4, 1, 2)
+        assert not xi.any()
 
     def test_trivial_bodies(self, g12):
         # a = 1, A = I: xi = -chi^T C, so chi = (0, t1)^T gives (t1, 0)
-        t1 = GrassmannElement.theta(1, 2)
-        a = [[GrassmannElement.one(2)]]
-        A = gmat_from_real(np.eye(2), 2)
-        chi = [[GrassmannElement.zero(2)], [t1]]
-        xi = g12.xi_from_chi(a, A, chi)
-        assert xi[0][0] == t1
-        assert xi[0][1].is_zero()
+        chi = np.zeros((4, 2, 1))
+        chi[1, 1, 0] = 1.0
+        xi = g12.xi_from_chi(body_array(np.eye(1), 2), body_array(np.eye(2), 2), chi)
+        want = np.zeros((4, 1, 2))
+        want[1, 0, 0] = 1.0
+        assert np.array_equal(xi, want)
 
     def test_recovers_sampled_members(self, g12, g22):
         rng = np.random.default_rng(33)
         for group in (g12, g22):
             for _ in range(25):
                 M = group.sample_member(rng)
-                xi = group.xi_from_chi(M.block("a"), M.block("A"), M.block("chi"))
-                diff = max(
-                    (p - q).max_abs()
-                    for rp, rq in zip(M.block("xi"), xi)
-                    for p, q in zip(rp, rq)
-                )
-                assert diff < 1e-10
+                xi = group.xi_from_chi(M.block_coeffs("a"), M.block_coeffs("A"), M.block_coeffs("chi"))
+                assert np.abs(xi - M.block_coeffs("xi")).max() < 1e-10
 
 
 class TestAhat:
@@ -343,6 +335,13 @@ class TestSectors:
             else:
                 assert abs(pair.det_ahat) > 1e-10 or abs(pair.det_bhat) > 1e-10
                 assert pair.moduli == 0
+
+    def test_fermionic_representative_needs_theta1(self):
+        report = enumerate_sectors_osp12()
+        with pytest.raises(ValueError, match="needs theta1"):
+            sector_representative(report.fermionic_sectors[0], ngen=0)
+        bosonic = next(s for s in report.sectors if not s.fermionic)
+        assert sector_representative(bosonic, ngen=0).moduli == 0
 
     def test_gauge_fix_verdict_per_sector(self, g12):
         # raises on every fermionic representative; succeeds on all bosonic

@@ -14,12 +14,14 @@ Both read only the public ``rows`` / ``terms`` view of the results.  The
 paper's Schur-complement block formula for the inverse is checked against
 ``SuperMatrix.inverse`` as well; it shares only the block inverses with it.
 
-The algebra builders' batched structure-constant extraction and
-``SuperAlgebra.validate`` are checked against per-pair and per-triple loops
-that fit one bracket and test one index at a time.
+The algebra builders' batched structure-constant extraction, the osp(1|2)
+defining-relation residual and ``SuperAlgebra.validate`` are checked against
+per-pair and per-triple loops that fit one bracket and test one index at a
+time.
 """
 
 import dataclasses
+import itertools
 import warnings
 from functools import lru_cache
 
@@ -31,8 +33,9 @@ from superholonomy import grassmann, supermatrix
 from superholonomy.grassmann import (COEFF_CUTOFF, REGULAR_MAX, GrassmannElement, NonInvertibleError,
                                      graded_inverse, graded_matmul)
 from superholonomy.group import _real_expm
-from superholonomy.superlie import (EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, _structure_constants_from_rep,
-                                    build_osp, build_osp12)
+from superholonomy.superlie import (EPS2, EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, SIGMA0, SIGMA1, SIGMA2,
+                                    _osp12_candidate, _osp12_relation_residual,
+                                    _structure_constants_from_rep, build_osp, build_osp12)
 from superholonomy.supermatrix import SuperMatrix, gmat_mul, graded_expm, random_supermatrix
 
 
@@ -460,6 +463,30 @@ def loop_validate(f, parities):
     return None
 
 
+def loop_osp12_relation_residual(rep, eps_scale):
+    """The osp(1|2) defining relations checked one index pair at a time."""
+    J, Q = rep[:3], rep[3:]
+    eta_inv = np.linalg.inv(np.diag([-1.0, 1.0, 1.0]))
+    sigmas = [SIGMA0, SIGMA1, SIGMA2]
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in itertools.permutations(range(3)):
+        sign = 1.0 if (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
+        eps[a, b, c] = sign * eps_scale
+    eps_up = np.einsum("abc,cd->abd", eps, eta_inv)
+    sigma_up = [sum(eta_inv[a, b] * (sigmas[b] @ EPS2) for b in range(3)) for a in range(3)]
+    res = 0.0
+    for a, b in itertools.product(range(3), repeat=2):
+        target = sum(eps_up[a, b, c] * J[c] for c in range(3))
+        res = max(res, np.abs(J[a] @ J[b] - J[b] @ J[a] - target).max())
+    for a, al in itertools.product(range(3), range(2)):
+        target = sum(sigmas[a][al, be] * Q[be] for be in range(2))
+        res = max(res, np.abs(J[a] @ Q[al] - Q[al] @ J[a] - target).max())
+    for al, be in itertools.product(range(2), repeat=2):
+        target = sum(sigma_up[a][al, be] * J[a] for a in range(3))
+        res = max(res, np.abs(Q[al] @ Q[be] + Q[be] @ Q[al] - target).max())
+    return res
+
+
 def bit_equal(a, b):
     """Same shape and values, and the same sign on every zero."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -495,6 +522,12 @@ class TestAlgebraLoops:
         assert bit_equal(alg.f, f)
         assert bit_equal(batched[0], f)
         assert bit_equal(batched[1], gram)
+
+    @pytest.mark.parametrize("eps_scale", [1.0, 2.0, -2.0, 3.0])
+    @pytest.mark.parametrize("t_sign, mu1", itertools.product((1.0, -1.0), repeat=2))
+    def test_osp12_relation_residual_matches_loop(self, t_sign, mu1, eps_scale):
+        rep, _ = _osp12_candidate(t_sign, mu1)
+        assert _osp12_relation_residual(rep, eps_scale) == loop_osp12_relation_residual(rep, eps_scale)
 
     @pytest.mark.parametrize("tamper", [
         [((1, 2, 0), 0.5)],                              # antisymmetry, even-even

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from superholonomy.checks import JACOBI_ALGEBRAS
-from superholonomy.grassmann import GrassmannElement
+from superholonomy.grassmann import GrassmannElement, random_element
 from superholonomy.superlie import (
     EPS2,
     SIGMA0,
@@ -165,6 +165,39 @@ class TestBracket:
             ]
             out = osp12.bracket(x, y)
             assert all(out[k].is_zero() for k in osp12.odd_indices)
+
+
+def _pairwise_bracket(alg, x, y):
+    """Reference route: one element product per coefficient pair, summed term by term."""
+    out = [GrassmannElement.zero(x[0].n) for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in np.nonzero(alg.f[i, j])[0]:
+                out[k] = out[k] + (x[i] * y[j]) * float(alg.f[i, j, k])
+    return out
+
+
+class TestBracketMatchesPairwiseLoop:
+    @pytest.mark.parametrize("m, n, ngen", [(1, 1, 3), (2, 1, 4), (1, 2, 2)])
+    def test_same_coefficients(self, m, n, ngen):
+        alg = build_osp(m, n)
+        rng = np.random.default_rng([m, n, ngen])
+        for _ in range(5):
+            x, y = ([random_element(rng, ngen, parity=p) for p in alg.parities] for _ in range(2))
+            got = alg.bracket(x, y)
+            want = _pairwise_bracket(alg, x, y)
+            assert len(got) == alg.dim
+            assert max((g - w).max_abs() for g, w in zip(got, want)) <= 1e-14
+
+    def test_parity_message_names_first_bad_coefficient(self, osp12):
+        x = [GrassmannElement.zero(2)] * 3 + [GrassmannElement.theta(1, 2)] * 2
+        y = list(x)
+        y[4] = GrassmannElement.one(2)
+        y[2] = GrassmannElement.theta(2, 2)
+        with pytest.raises(ValueError, match="^coefficient 2 must have Grassmann parity 0$"):
+            osp12.bracket(x, y)
+        with pytest.raises(ValueError, match="^coefficient 4 must have Grassmann parity 1$"):
+            osp12.bracket(y[:2] + x[2:4] + y[4:], x)
 
 
 class TestJacobi:

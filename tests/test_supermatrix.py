@@ -11,10 +11,8 @@ from superholonomy.supermatrix import (
     SuperMatrix,
     array_to_gmat,
     commutator,
-    gmat_from_real,
     gmat_mul,
     gmat_to_array,
-    gmat_zero,
     random_supermatrix,
 )
 
@@ -81,18 +79,20 @@ class TestSupertranspose:
         assert np.allclose(x.supertranspose().body(), body.T)
 
     def test_chi_block_moves_without_sign(self):
-        z1 = gmat_zero(1, 1, 2)
-        z12 = gmat_zero(1, 2, 2)
-        z2 = gmat_zero(2, 2, 2)
-        chi = [[t(1)], [t(2)]]
-        x = SuperMatrix.from_blocks(z1, z12, chi, z2)
-        st = x.supertranspose()
-        assert st.block("xi") == [[t(1), t(2)]]
-        assert all(e.is_zero() for row in st.block("chi") for e in row)
-        # xi picks up the sign instead
-        xi = [[t(1), t(2)]]
-        y = SuperMatrix.from_blocks(z1, xi, gmat_zero(2, 1, 2), z2)
-        assert y.supertranspose().block("chi") == [[-t(1)], [-t(2)]]
+        # chi = (t1, t2)^T, every other block zero
+        chi = np.zeros((4, 3, 3))
+        chi[1, 1, 0] = chi[2, 2, 0] = 1.0
+        st = SuperMatrix.from_coeffs(1, 2, chi).supertranspose()
+        want = np.zeros((4, 1, 2))
+        want[1, 0, 0] = want[2, 0, 1] = 1.0
+        assert np.array_equal(st.block_coeffs("xi"), want)
+        assert not st.block_coeffs("chi").any()
+        # xi = (t1, t2) picks up the sign instead
+        xi = np.zeros((4, 3, 3))
+        xi[1, 0, 1] = xi[2, 0, 2] = 1.0
+        st = SuperMatrix.from_coeffs(1, 2, xi).supertranspose()
+        assert np.array_equal(st.block_coeffs("chi"), -want.transpose(0, 2, 1))
+        assert not st.block_coeffs("xi").any()
 
     def test_graded_reversal_rule(self):
         # (XY)^st = (-1)^{|X||Y|} Y^st X^st for homogeneous X, Y
@@ -130,6 +130,17 @@ class TestSupertrace:
             rhs = (y @ x).supertrace() * sign
             assert (lhs - rhs).max_abs() <= 1e-13
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matches_row_view_sum(self, parity):
+        # the diagonal of the rows, the lower block signed on the even pattern
+        rng = np.random.default_rng([parity, 15])
+        sign = -1.0 if parity == 0 else 1.0
+        for _ in range(20):
+            x = random_supermatrix(rng, 2, 2, 3, parity=parity)
+            want = sum((x.rows[i][i] * (1.0 if i < 2 else sign) for i in range(4)),
+                       GrassmannElement.zero(3))
+            assert (x.supertrace() - want).max_abs() <= 1e-15
+
 
 class TestInverse:
     def test_identity(self):
@@ -162,10 +173,10 @@ class TestInverse:
 
     def test_gmat_inverse_neumann_terminates(self):
         rng = np.random.default_rng(11)
-        base = gmat_from_real(np.eye(2) + 0.2 * rng.standard_normal((2, 2)), 4)
+        body = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
         soul = [[GrassmannElement.monomial([1, 2], 4, 0.7), GrassmannElement.monomial([3, 4], 4, -0.4)],
                 [GrassmannElement.monomial([1, 3], 4, 0.3), GrassmannElement.monomial([2, 4], 4, 0.9)]]
-        x = [[base[i][j] + soul[i][j] for j in range(2)] for i in range(2)]
+        x = [[GrassmannElement.scalar(body[i, j], 4) + soul[i][j] for j in range(2)] for i in range(2)]
         prod = gmat_mul(x, array_to_gmat(graded_inverse(gmat_to_array(x, 4))))
         assert abs(prod[0][0].body - 1) < 1e-12 and abs(prod[1][1].body - 1) < 1e-12
         off = max((prod[i][j] - (1.0 if i == j else 0.0)).max_abs() for i in range(2) for j in range(2))
@@ -227,6 +238,32 @@ class TestJson:
         data = z.to_json_dict()
         assert data["entries"] == []
         assert SuperMatrix.from_json_dict(data).diff(z) == 0.0
+
+    def test_entries_in_row_col_monomial_order(self):
+        # the order and values of a loop over the row view, monomials sorted
+        rng = np.random.default_rng(16)
+        for parity in (0, 1):
+            x = random_supermatrix(rng, 2, 2, 3, parity=parity)
+            want = [{"row": i, "col": j, "monomial": list(idx), "value": c}
+                    for i, row in enumerate(x.rows) for j, e in enumerate(row)
+                    for idx, c in e.monomials()]
+            got = x.to_json_dict()["entries"]
+            assert got == want
+            assert all(type(e["value"]) is float and type(e["row"]) is int for e in got)
+
+    @pytest.mark.parametrize("m, n", [(-1, 3), (2, -1), (-4, 1)])
+    def test_negative_block_size_rejected(self, m, n):
+        with pytest.raises(ValueError, match="block sizes must be non-negative"):
+            SuperMatrix.from_json_dict({"m": m, "n": n, "N": 2, "entries": []})
+        with pytest.raises(ValueError, match="block sizes must be non-negative"):
+            SuperMatrix.from_coeffs(m, n, np.zeros((4, 2, 2)))
+        with pytest.raises(ValueError, match="block sizes must be non-negative"):
+            SuperMatrix(m, n, [[GrassmannElement.zero(2)] * 2] * 2)
+
+    @pytest.mark.parametrize("ngen", [-1, 17, 64, 10**6])
+    def test_generator_count_checked_before_allocating(self, ngen):
+        with pytest.raises(ValueError, match="generator count must be in 0..16"):
+            SuperMatrix.from_json_dict({"m": 1, "n": 2, "N": ngen, "entries": []})
 
     def test_duplicate_entries_accumulate(self):
         data = {"m": 1, "n": 2, "N": 2, "entries": [
