@@ -55,7 +55,8 @@ def membership_closure(group, rng, pool_size: int, ops: int, tol: float) -> dict
     """
     pool = group.sample_stack([rng] * pool_size)
     pairs = np.array([rng.integers(0, pool_size, 2) for _ in range(ops)]).reshape(ops, 2)
-    inverses = graded_inverse(pool)
+    # the pool comes from sample_stack, on the even pattern
+    inverses = graded_inverse(pool, group.m, check=False)
     chunk = max(1, STACK_BYTES // (pool.itemsize * math.prod(pool.shape[1:])))
     worst = 0.0
     for start in range(0, ops, chunk):
@@ -63,9 +64,9 @@ def membership_closure(group, rng, pool_size: int, ops: int, tol: float) -> dict
         i, j = pairs[k].T
         stack = inverses[i]
         product = k % 3 != 1
-        stack[product] = graded_matmul(pool[i[product]], pool[j[product]])
+        stack[product] = graded_matmul(pool[i[product]], pool[j[product]], group.m, check=False)
         conj = k % 3 == 2
-        stack[conj] = graded_matmul(stack[conj], inverses[i[conj]])
+        stack[conj] = graded_matmul(stack[conj], inverses[i[conj]], group.m, check=False)
         worst = max(worst, float(group.membership_defect(stack).max()))
     return {"worst_defect": worst, "passed": worst <= tol}
 

@@ -9,12 +9,12 @@ floating error.
 
 Every product, of elements or of matrices over B_N, is one signed subset
 convolution, ``graded_matmul``, on dense coefficient arrays with the monomial
-mask on axis -3, and every inverse is ``graded_inverse``, the terminating
-Neumann series.  A factor used for many products, as in the inverse and the
-exponential's Taylor loop, is built once as its regular representation
-``left_regular``, a real matrix, so each product is one BLAS call.  All take
-leading stack axes, as numpy gufuncs do, and give each member of a stack its
-one-matrix result bit for bit.
+mask on axis -3, every inverse is ``graded_inverse`` and every exponential
+``graded_expm``.  An even supermatrix, declared by its block size m, is held
+on the two parity blocks of its regular representation (``EvenSplit``), so a
+product is two BLAS calls; every other input takes the pair-table kernel.
+All take leading stack axes, as numpy gufuncs do, and give each member of a
+stack its one-matrix result bit for bit.
 GrassmannElement keeps the sparse {mask: coefficient} form as its public
 view.  Coefficients are finite: NaN and infinities raise ValueError.
 """
@@ -34,32 +34,46 @@ MAX_GENERATORS = 16
 # (7) at N = 10 and 12; 5 and 8 were slower everywhere
 TABLE_MAX_N = 6
 
-# A factor x that multiplies many times is built once as the real matrix
-# L(x) of t -> x t, 2^N a x 2^N b for x of shape (2^N, a, b), and each product
-# is then one BLAS matmul.  graded_expm and graded_inverse do that while
-# 2^N d <= REGULAR_MAX; L's dense matmul does 4^N pair products where the
-# kernel does 3^N, which wins only while the kernel's per-pair overhead
-# dominates.  Interleaved in-process A/B against the kernel, (1|2), (2|2)
-# and (2|4) members, one OpenBLAS thread on a 2-core Xeon: up to 256 the
-# inverse ran 1.2-3.4x and exp 1.5-2.2x as fast; above it the inverse ran
-# 0.42x as fast at 384, 0.23x at 512 and 0.13x at 768, exp 1.0-1.1x at 384
-# and 512 and 0.75x at 768
-REGULAR_MAX = 256
-# L has 2^N times the coefficients of x, so stacks are taken in slices whose
-# L's fit this many bytes: two OSp(2|2) members at N = 6.  Unsliced, the CLI's
-# 200-op OSp(2|2) membership sweep at N = 6 peaked at 50.1 MB against 42.0 MB
-# for the kernel; in 1 MiB slices at 42.8 MB, and it ran no slower
-REGULAR_BYTES = 1 << 20
+# An even (m|d-m) array x over B_N, whose entry (i, j) has monomials of
+# degree parity [i >= m] ^ [j >= m], acts on columns t (2^N d long) by
+# t -> x t, the real matrix L(x), and L(x) maps each parity class
+# V_c = {(q, j) : |q| + [j >= m] = c mod 2} onto itself.  So only its two
+# diagonal blocks L0 and L1, each 2^(N-1) d square, are built, from a cached
+# index plan, and x y is one batched matmul by them (see EvenSplit).  They do 4^(N-1)
+# d^3 multiplications where the pair table does 3^N d^3, so the split wins
+# only while the table's per-pair overhead dominates: SPLIT_MAX caps 2^N d.
+# Against the table and the last-generator recursion, (1|2), (2|2) and
+# (2|4) members at N = 5-8, one OpenBLAS thread on a 2-core Xeon, best of
+# 10 interleaved timings: up to 512 the product ran 1.1-2.0x, the inverse
+# 1.3-3.6x and exp 1.6-7x as fast; at 768 and 1024 the inverse ran
+# 0.5-0.56x (1.2x for (1|2)) and the product 0.87-2.4x, exp still
+# 1.8-4.7x.  At N = 1-4 the product ran 0.82-1.29x and exp 1.5-2.3x
+SPLIT_MAX = 512
+# a stack's L blocks are built in slices of at most this many bytes: four
+# OSp(2|2) members at N = 6, one at 7.  The CLI's 200-op OSp(2|2) membership
+# sweep at N = 6 peaked at 38.3 MB in 1 MiB slices and 44.8 MB unsliced,
+# and 256 KiB slices ran 40% slower
+SPLIT_BYTES = 1 << 20
 
 # Coefficients below this are dropped during canonicalization so that exact
 # cancellations are not blocked by floating dust.
 COEFF_CUTOFF = 1e-14
+# a real Taylor series stops at a term below this, far under rounding
+TAYLOR_CUTOFF = 1e-22
 
 Scalar = Union[int, float]
 
 
 class NonInvertibleError(ValueError):
     """Inversion was requested where the body (scalar part) is singular."""
+
+
+class ParityPatternError(ValueError):
+    """An entry violates the block parity pattern."""
+
+
+class ExpmNotConvergedError(ArithmeticError):
+    """The Taylor series of an exponential did not reach its cutoff in time."""
 
 
 def merge_sign(p: int, q: int) -> int:
@@ -103,52 +117,6 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _regular_index(n: int, a: int, b: int) -> np.ndarray:
-    """Flat positions in L (2^n a x 2^n b) of the 3^n a b gathered entries of [x, -x].
-
-    Pair k of the table puts sign x_p[i, j] at L[(r, i), (q, j)], r = p | q.
-    """
-    left, right, starts = _pair_table(n)
-    size = 1 << n
-    r = np.repeat(np.arange(size), np.diff(np.append(starts, len(left))))
-    i, j = np.arange(a)[:, None], np.arange(b)
-    flat = ((r[:, None, None] * a + i) * size + right[:, None, None]) * b + j
-    flat = flat.ravel()
-    flat.flags.writeable = False
-    return flat
-
-
-def left_regular(x: np.ndarray) -> np.ndarray:
-    """L(x) with L(x)[(r, i), (q, j)] the coefficient of theta^r e_i in x (theta^q e_j).
-
-    x is a stack (..., 2^N, a, b); L(x) is (..., 2^N a, 2^N b), and
-    L(x) @ y.reshape(2^N b, c) is x y reshaped, the graded product.  Built
-    by one scatter of [x, -x] through the pair table.
-    """
-    *stack, size, a, b = x.shape
-    n = size.bit_length() - 1
-    left = _pair_table(n)[0]
-    L = np.zeros((*stack, size * a * size * b))
-    L[..., _regular_index(n, a, b)] = np.concatenate((x, -x), axis=-3)[..., left, :, :].reshape(
-        *stack, -1)
-    return L.reshape(*stack, size * a, size * b)
-
-
-def regular_slices(fn, x: np.ndarray) -> np.ndarray:
-    """fn(x) for a (..., 2^N, d, d) stack, run on slices whose L's fit REGULAR_BYTES.
-
-    fn must treat members independently, so each gets its one-matrix result.
-    """
-    size, d = x.shape[-3], x.shape[-1]
-    per = max(1, REGULAR_BYTES // (x.itemsize * (size * d) ** 2))
-    members = x.reshape(-1, size, d, d)
-    if len(members) <= per:
-        return fn(x)
-    return np.concatenate([fn(members[k:k + per]) for k in range(0, len(members), per)]
-                          ).reshape(x.shape)
-
-
-@lru_cache(maxsize=None)
 def grade_signs(n: int) -> np.ndarray:
     """(-1)^|q| for every monomial q of B_n, shaped to scale (..., 2^n, d, d) arrays."""
     out = np.array([-1.0 if q.bit_count() & 1 else 1.0 for q in range(1 << n)])[:, None, None]
@@ -156,8 +124,155 @@ def grade_signs(n: int) -> np.ndarray:
     return out
 
 
-def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def pattern_mask(n: int, d: int, m: int) -> np.ndarray:
+    """(2^n, d, d) mask of the coefficients an even (m|d-m) array over B_n must have zero.
+
+    Entry (i, j) holds monomials of degree parity [i >= m] ^ [j >= m]; the
+    odd pattern's zeros are the complement.
+    """
+    block = np.arange(d) >= m
+    out = (grade_signs(n) < 0) != (block[:, None] ^ block[None, :])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _off_pattern(n: int, d: int, m: int) -> np.ndarray:
+    """Flat positions of pattern_mask(n, d, m): a gather by them is cheaper than the boolean mask."""
+    out = np.flatnonzero(pattern_mask(n, d, m))
+    out.flags.writeable = False
+    return out
+
+
+class EvenSplit:
+    """Index plan of the even (m|d-m) pattern over B_n, n >= 1 (see SPLIT_MAX).
+
+    Each parity class V_c holds h = 2^(n-1) d of the pairs (q, j), in flat
+    order q d + j.  An even array (..., 2^n, d, d) is held split as
+    (..., 2, h, w), w = max(m, d - m), the half the pattern does not force
+    to zero: slot [c, r, k] is its entry at row V_c[r] and column k (c = 0)
+    or m + k (c = 1), and a slot past the m or d - m columns of its class
+    pads: it reads a coefficient the pattern holds at zero and is not
+    written back.
+    ``regular(x)`` is (..., 2, h, h), the blocks L0 and L1 of L(x), so
+    L @ s is x y in split form for s the split y: one matmul.
+    """
+
+    def __init__(self, n: int, d: int, m: int):
+        size = 1 << n
+        self.n, self.d, self.flat = n, d, size * d * d
+        h = size * d // 2
+        cls = (grade_signs(n)[:, 0] < 0) ^ (np.arange(d) >= m)          # class of (q, j)
+        rank = np.empty((size, d), dtype=np.intp)
+        rows = []
+        for c in (False, True):
+            rows.append(np.flatnonzero(cls == c))
+            rank.flat[rows[-1]] = np.arange(h)
+        slot = np.arange(max(m, d - m))
+        col = np.array([slot, m + slot])
+        pad = col >= np.array([[m], [d]])
+        zero = _off_pattern(n, d, m)[0]
+        packed = np.where(pad[:, None, :], zero, np.array(rows)[:, :, None] * d + col[:, None, :])
+        self.shape, self.packed = packed.shape, packed.ravel()
+        # the slots that are no pad, and the coefficients unpack writes from them
+        self.real = np.flatnonzero(~np.broadcast_to(pad[:, None, :], packed.shape))
+        self.written = self.packed[self.real]
+        # pair k of the table puts sign x_p[i, j] at L[(r, i), (q, j)], which
+        # lies in block [(q, j) in V1] when (i, j) is on the pattern
+        left, right, starts = _pair_table(n)
+        r = np.repeat(np.arange(size), np.diff(np.append(starts, len(left))))
+        on = ~pattern_mask(n, d, m)[left % size]
+        dst = (cls[right][:, None, :] * h + rank[r][:, :, None]) * h + rank[right][:, None, :]
+        src = (left[:, None, None] * d + np.arange(d)[:, None]) * d + np.arange(d)
+        order = np.argsort(dst[on], kind="stable")
+        self.dst, self.src = dst[on][order], src[on][order]
+        self.h = h
+        for arr in (self.packed, self.real, self.written, self.dst, self.src):
+            arr.flags.writeable = False
+
+    # gathers take axis 1 of a (members, coefficients) view and scatters
+    # write a flat array: numpy's fancy indexing after an Ellipsis ran two
+    # to four times slower
+    def pack(self, x: np.ndarray) -> np.ndarray:
+        return np.take(x.reshape(-1, self.flat), self.packed, axis=1).reshape(*x.shape[:-3], *self.shape)
+
+    def unpack(self, s: np.ndarray) -> np.ndarray:
+        """The (..., 2^n, d, d) array of a split one."""
+        slots = s.reshape(-1, self.packed.size)
+        if len(self.real) < self.packed.size:
+            slots = np.take(slots, self.real, axis=1)
+        out = np.zeros(len(slots) * self.flat)
+        out[_flat_positions(self.written, len(slots), self.flat)] = slots.ravel()
+        return out.reshape(*s.shape[:-3], 1 << self.n, self.d, self.d)
+
+    def regular(self, x: np.ndarray) -> np.ndarray:
+        members = x.reshape(-1, self.flat)
+        block = 2 * self.h * self.h
+        L = np.zeros(len(members) * block)
+        L[_flat_positions(self.dst, len(members), block)] = np.take(
+            np.concatenate((members, -members), axis=1), self.src, axis=1).ravel()
+        return L.reshape(*x.shape[:-3], 2, self.h, self.h)
+
+
+def _flat_positions(index: np.ndarray, members: int, width: int) -> np.ndarray:
+    """index in each of members consecutive rows of width entries, as flat positions."""
+    return index if members == 1 else (np.arange(members)[:, None] * width + index).ravel()
+
+
+@lru_cache(maxsize=None)
+def _even_split(n: int, d: int, m: int) -> EvenSplit:
+    return EvenSplit(n, d, m)
+
+
+def even_route(m: int | None, *arrays: np.ndarray, check: bool = True) -> EvenSplit | None:
+    """The split plan for even (m|d-m) arrays, or None for the pair table.
+
+    m None declares no pattern.  Otherwise every array must be a square
+    (..., 2^N, d, d) stack, of one N and d, on the even pattern: anything
+    else raises, so an array is never cut to its pattern silently.  check
+    False skips the scan of the pattern's zeros for a caller that vouches
+    for them, as SuperMatrix does, having checked its pattern when built.
+    The plan is returned for 1 <= N and 2^N d <= SPLIT_MAX.
+    """
+    if m is None:
+        return None
+    size, d = arrays[0].shape[-3], arrays[0].shape[-1]
+    if not 0 <= m <= d or any(a.shape[-3:] != (size, d, d) for a in arrays):
+        raise ValueError(f"an even ({m}|{d - m}) pattern needs square (2^N, {d}, {d}) arrays, "
+                         f"got shapes {[a.shape for a in arrays]}")
+    n = size.bit_length() - 1
+    off = _off_pattern(n, d, m)
+    if check and any(a.reshape(-1, size * d * d)[:, off].any() for a in arrays):
+        raise ParityPatternError(f"array breaks the even ({m}|{d - m}) parity pattern")
+    return _even_split(n, d, m) if 1 <= n and size * d <= SPLIT_MAX else None
+
+
+def _split_slices(fn, x: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """fn(x, *rest) over x's stack in slices whose split L's fit SPLIT_BYTES.
+
+    fn must treat members independently, so each gets its one-matrix
+    result; rest is broadcast against x's stack.
+    """
+    size, d = x.shape[-3], x.shape[-1]
+    per = max(1, SPLIT_BYTES // (x.itemsize * (size * d) ** 2 // 2))
+    if x.ndim == 3 or math.prod(x.shape[:-3]) <= per:
+        return fn(x, *rest)
+    shape = np.broadcast_shapes(*(a.shape[:-3] for a in (x, *rest)))
+    flat = [np.broadcast_to(a, shape + a.shape[-3:]).reshape(-1, *a.shape[-3:]) for a in (x, *rest)]
+    out = np.concatenate([fn(*(a[k:k + per] for a in flat)) for k in range(0, len(flat[0]), per)])
+    return out.reshape(*shape, *out.shape[1:])
+
+
+def _split_product(split: EvenSplit, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return split.unpack(split.regular(x) @ split.pack(y))
+
+
+def _convolve(x: np.ndarray, y: np.ndarray, split: EvenSplit | None = None) -> np.ndarray:
     """sum over disjoint (p, q) of merge_sign(p, q) x_p @ y_q into slot p | q of axis -3."""
+    # the split route takes no shortcut: a member's gemm must not depend on its stack
+    if split is not None:
+        return _split_slices(lambda a, b: _split_product(split, a, b), x, y)
     if not x[..., 1:, :, :].any():      # no soul in the stack: only the pairs (0, q) contribute
         return np.matmul(x[..., :1, :, :], y)
     if not y[..., 1:, :, :].any():
@@ -191,11 +306,11 @@ def canonical(coeffs: np.ndarray) -> np.ndarray:
     mags = np.abs(coeffs)
     if not np.isfinite(mags.max(initial=0.0)):
         raise ValueError("non-finite Grassmann coefficient")
-    coeffs[mags < COEFF_CUTOFF] = 0.0
+    np.putmask(coeffs, mags < COEFF_CUTOFF, 0.0)
     return coeffs
 
 
-def graded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def graded_matmul(x: np.ndarray, y: np.ndarray, m: int | None = None, check: bool = True) -> np.ndarray:
     """The package's one graded product: out[p|q] += sign(p, q) x[p] @ y[q].
 
     x and y are dense coefficient arrays of shapes (..., 2^N, a, b) and
@@ -203,43 +318,55 @@ def graded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     disjoint pairs, a signed subset convolution (Wlodarczyk, Algorithmica
     2019).  Leading axes are a stack, broadcast between x and y as in a
     numpy gufunc, and each member gets exactly its one-matrix result.
-    Element products are the case a = b = c = 1.  Up to TABLE_MAX_N
-    generators one cached pair table does it in a few batched numpy calls;
-    above, the last generator is split off recursively, with the table as
-    the base case.  A factor with no soul in any member is a plain matmul
-    of its body.  The result is canonical: coefficients below COEFF_CUTOFF
-    are zeroed, as GrassmannElement does.
+    Element products are the case a = b = c = 1.  With m, both factors are
+    declared even (m|d-m) square arrays (see ``even_route`` for m and
+    check), and up to SPLIT_MAX the product is one matmul by the blocks of
+    L(x).  Otherwise a factor with no soul in any member is a plain matmul
+    of its body; up to TABLE_MAX_N generators one cached pair table does
+    the rest in a few batched numpy calls, and above it the last generator
+    is split off recursively, with the table as the base case.  The result is
+    canonical: coefficients below COEFF_CUTOFF are zeroed, as
+    GrassmannElement does.
     """
-    return canonical(_convolve(x, y))
+    return canonical(_convolve(x, y, even_route(m, x, y, check=check)))
 
 
-def _neumann(x: np.ndarray) -> np.ndarray:
+def _neumann(split: EvenSplit, x: np.ndarray) -> np.ndarray:
     # x = b (1 + k) with b the body and k = b^-1 (x - b) nilpotent, k^(n+1) = 0,
-    # so x^-1 = sum_{j <= n} (-k)^j b^-1, n Horner steps y <- b^-1 - k y; the
-    # first, from y = b^-1, is k's own coefficients times b^-1
-    size, d = x.shape[-3], x.shape[-1]
-    try:
-        body_inv = np.linalg.inv(x[..., 0, :, :])
-    except np.linalg.LinAlgError as exc:
-        raise NonInvertibleError("singular body; no inverse exists") from exc
+    # so x^-1 = sum_{j <= n} (-k)^j b^-1, n Horner steps y <- b^-1 - k y in
+    # split form; the first, from y = b^-1, is k's own coefficients times b^-1
+    body_inv = _body_inverse(x)
     k = np.matmul(body_inv[..., None, :, :], x)
     k[..., 0, :, :] = 0.0
-    first = np.zeros((*x.shape[:-3], size * d, d))
-    first[..., :d, :] = body_inv
-    y = first - k.reshape(first.shape) @ body_inv
-    L = left_regular(k)
-    for _ in range(size.bit_length() - 2):
+    y = -(k.reshape(*x.shape[:-3], -1, x.shape[-1]) @ body_inv).reshape(x.shape)
+    y[..., 0, :, :] = body_inv
+    first = np.zeros(x.shape)
+    first[..., 0, :, :] = body_inv
+    first, y = split.pack(first), split.pack(y)
+    L = split.regular(k)
+    for _ in range(split.n - 1):
         y = first - L @ y
-    return y.reshape(x.shape)
+    return split.unpack(y)
 
 
-def _invert(x: np.ndarray) -> np.ndarray:
-    if x.shape[-3] == 1 or x.shape[-3] * x.shape[-1] <= REGULAR_MAX:
-        return regular_slices(_neumann, x)
+def _body_inverse(x: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(x[..., 0, :, :])
+    except np.linalg.LinAlgError as exc:
+        raise NonInvertibleError("singular body; no inverse exists") from exc
+
+
+def _invert(x: np.ndarray, m: int | None) -> np.ndarray:
+    size = x.shape[-3]
+    if size == 1:
+        return _body_inverse(x)[..., None, :, :]
+    if m is not None and size * x.shape[-1] <= SPLIT_MAX:
+        split = _even_split(size.bit_length() - 1, x.shape[-1], m)
+        return _split_slices(lambda part: _neumann(split, part), x)
     # x = x0 + x1 theta_n and y = y0 + y1 theta_n with x y = 1: x0 y0 = 1 and
     # x0 y1 + x1 y0^ = 0, so y1 = -y0 x1 y0^ with ^ the grade involution
-    half = x.shape[-3] >> 1
-    y0 = _invert(x[..., :half, :, :])
+    half = size >> 1
+    y0 = _invert(x[..., :half, :, :], m)
     out = np.empty_like(x)
     out[..., :half, :, :] = y0
     out[..., half:, :, :] = -_convolve(
@@ -247,20 +374,105 @@ def _invert(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def graded_inverse(x: np.ndarray) -> np.ndarray:
+def graded_inverse(x: np.ndarray, m: int | None, check: bool = True) -> np.ndarray:
     """The package's one inverse over B_N, of a (..., 2^N, d, d) coefficient array.
 
-    While 2^N d <= REGULAR_MAX it is the terminating Neumann series of the
-    paper: x = b (1 + k) with b the body and k = b^-1 (x - b) nilpotent, so
-    x^-1 = sum_{j <= N} (-k)^j b^-1, N products against the regular
-    representation L(k) built once (stacks in slices of REGULAR_BYTES).
-    Above the cap it splits off the last generator, x = x0 + x1 theta_N,
-    inverts x0 the same way down to the cap and sets y1 = -y0 x1 y0^, the
-    split ``graded_matmul`` uses for products.  A singular body (of any
-    member of a stack) raises NonInvertibleError.  The result is two-sided
-    and canonical, member by member the one-matrix inverse.
+    For x declared even (m|d-m) (see ``even_route``) and 2^N d <= SPLIT_MAX
+    it is the terminating Neumann series of the paper: x = b (1 + k) with b
+    the body and k = b^-1 (x - b) nilpotent, so x^-1 = sum_{j <= N} (-k)^j
+    b^-1, N products against the blocks of L(k), built once (stacks in
+    slices of SPLIT_BYTES).  Otherwise, inhomogeneous elements included
+    (m None), it splits off the last generator, x = x0 + x1 theta_N, inverts
+    x0 the same way down to the cap or to the body and sets
+    y1 = -y0 x1 y0^, the split ``graded_matmul`` uses for products.  A
+    singular body (of any member of a stack) raises NonInvertibleError.  The
+    result is two-sided and canonical, member by member the one-matrix
+    inverse.
     """
-    return canonical(_invert(x))
+    even_route(m, x, check=check)
+    return canonical(_invert(x, m))
+
+
+def taylor_sum(step, identity: np.ndarray, member_ndim: int, cutoff: float,
+               max_terms: int) -> np.ndarray:
+    """sum_k t_k with t_0 = identity and t_k = step(t_{k-1}) / k, summed raw.
+
+    The last member_ndim axes are a member; each member stops after its
+    first term below cutoff in every entry, which it still adds, and keeps
+    its sum (np.where) while the others run on, so it is bit-equal to its
+    one-matrix series.  Raises ExpmNotConvergedError when max_terms terms
+    do not reach the cutoff.
+    """
+    axes = tuple(range(-member_ndim, 0))
+    acc = term = identity
+    done = np.zeros(identity.shape[:-member_ndim], dtype=bool)
+    for k in range(1, max_terms + 1):
+        term = step(term) * (1.0 / k)
+        acc = np.where(done.reshape(done.shape + (1,) * member_ndim), acc, acc + term)
+        done |= np.abs(term).max(axis=axes) < cutoff
+        if done.all():
+            return acc
+    raise ExpmNotConvergedError(f"Taylor terms still above {cutoff:g} after {max_terms} terms")
+
+
+def scaling_squaring_expm(x: np.ndarray, body: np.ndarray, taylor, square) -> np.ndarray:
+    """exp(x) by scaling and squaring around a Taylor sum.
+
+    x is a stack of square arrays, real matrices (..., d, d) or even
+    coefficient arrays (..., 2^N, d, d), and body (..., d, d) its real part,
+    whose leading axes are the stack, as in a numpy gufunc.  Each member is
+    scaled by 2^-s until the 1-norm of its body is at most 1/2, taylor(x)
+    sums its series, and square(a), a a, is applied s times (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 2005).  Soul parts are nilpotent, so they only
+    lengthen the series by finitely many orders.  A small member gets no
+    extra squarings, which would only add rounding, so every member is
+    bit-equal to its one-matrix exponential.
+    """
+    norm = np.abs(body).sum(axis=-2).max(axis=-1, initial=0.0)
+    squarings = np.ceil(np.log2(np.fmax(norm, 0.5) / 0.5)).astype(int)
+
+    def per_member(v):
+        return v.reshape(v.shape + (1,) * (x.ndim - v.ndim))
+
+    acc = taylor(x * per_member(0.5 ** squarings))
+    for k in range(int(squarings.max(initial=0))):
+        acc = np.where(per_member(squarings > k), square(acc), acc)
+    return acc
+
+
+def graded_expm(coeffs: np.ndarray, m: int | None, max_terms: int = 80,
+                check: bool = True) -> np.ndarray:
+    """exp of a (..., 2^N, d, d) coefficient array with the graded product.
+
+    The Taylor series is summed raw, each member stopping after its first
+    term below COEFF_CUTOFF, and canonicalized once: no term is cut on the
+    way.  For coeffs declared even (m|d-m) (see ``even_route``) and 2^N d <=
+    SPLIT_MAX, the sum runs in split form, each step one matmul by the
+    blocks of L of the scaled generator, built once per call (stacks in
+    slices of SPLIT_BYTES), an
+    exponential's action in the sense of Al-Mohy and Higham (SIAM J. Sci.
+    Comput. 33, 2011); otherwise each step is the kernel.  The squarings
+    are ``graded_matmul``.  Every member of a stack is bit-equal to its
+    one-matrix exponential.
+    """
+    split = even_route(m, coeffs, check=check)
+    if not np.isfinite(np.abs(coeffs).max(initial=0.0)):
+        raise ValueError("non-finite Grassmann coefficient")
+
+    def taylor(x):
+        identity = np.zeros(x.shape)
+        identity[..., 0, :, :] = np.eye(x.shape[-1])
+        if split is None:
+            return canonical(taylor_sum(lambda t: _convolve(t, x), identity, 3, COEFF_CUTOFF, max_terms))
+        L = split.regular(x)
+        return canonical(split.unpack(taylor_sum(lambda t: L @ t, split.pack(identity), 3, COEFF_CUTOFF,
+                                                 max_terms)))
+
+    def expm(part):
+        return scaling_squaring_expm(part, part[..., 0, :, :], taylor,
+                                     lambda a: canonical(_convolve(a, a, split)))
+
+    return _split_slices(expm, coeffs) if split else expm(coeffs)
 
 
 class GrassmannElement:
@@ -442,7 +654,7 @@ class GrassmannElement:
 
     def inverse(self) -> "GrassmannElement":
         """Multiplicative inverse through ``graded_inverse``; needs a nonzero body."""
-        return GrassmannElement.from_dense(graded_inverse(self.dense()[:, None, None])[:, 0, 0])
+        return GrassmannElement.from_dense(graded_inverse(self.dense()[:, None, None], None)[:, 0, 0])
 
     # ------------------------------------------------------------------
     # comparison / presentation

@@ -20,15 +20,9 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import GrassmannElement, canonical, grade_signs, graded_inverse, graded_matmul
-from .supermatrix import (
-    SuperMatrix,
-    body_array,
-    commutator,
-    graded_expm,
-    scaling_squaring_expm,
-    supertranspose_coeffs,
-)
+from .grassmann import (TAYLOR_CUTOFF, GrassmannElement, canonical, grade_signs, graded_expm,
+                        graded_inverse, graded_matmul, scaling_squaring_expm, taylor_sum)
+from .supermatrix import SuperMatrix, body_array, commutator, supertranspose_coeffs
 from .superlie import (
     OSP12_DIRECTIONS,
     SIGMA1,
@@ -130,13 +124,16 @@ class OspGroup:
         equal the one-matrix defects, as in matrix_rank.
         """
         H = self.H_matrix()
-        if isinstance(M, SuperMatrix):
+        even, trusted = self.m, isinstance(M, SuperMatrix)
+        if trusted:
             H._check_compatible(M)
             st = supertranspose_coeffs(M.coeffs, M.m, M.parity)
+            even = None if M.parity else even
             M = M.coeffs
         else:
             st = supertranspose_coeffs(M, self.m)
-        residual = canonical(graded_matmul(graded_matmul(st, H.coeffs), M) - H.coeffs)
+        residual = canonical(graded_matmul(graded_matmul(st, H.coeffs), M, even, check=not trusted)
+                             - H.coeffs)
         worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
         return float(worst) if worst.ndim == 0 else worst
 
@@ -148,7 +145,7 @@ class OspGroup:
         coefficient arrays, as ``SuperMatrix.block_coeffs`` gives them; a must
         have an invertible body.  Returns xi as a (2^N, m, 2n) array.
         """
-        at_inv = graded_inverse(a.transpose(0, 2, 1))
+        at_inv = graded_inverse(a.transpose(0, 2, 1), self.m)
         CA = graded_matmul(body_array(self.C, len(a).bit_length() - 1), A)
         return -graded_matmul(at_inv, graded_matmul(chi.transpose(0, 2, 1), CA))
 
@@ -195,9 +192,10 @@ class OspGroup:
             gens = np.zeros(members[part].shape)
             for g, mat in enumerate(alg.rep):      # the sum, in order, of SuperAlgebra.embed
                 gens += table[part, g, :, None, None] * mat
-            block = graded_expm(canonical(gens))
+            # the algebra's generators keep the even pattern, and so do sums of them
+            block = graded_expm(canonical(gens), self.m, check=False)
             flip = flips[part]
-            if flip.any():
+            if flip.any():     # a body-only factor: the kernel's body matmul
                 block[flip] = graded_matmul(self.reflection_component().coeffs, block[flip])
             members[part] = block
         return members
@@ -391,7 +389,9 @@ def _real_expm(mat: np.ndarray) -> np.ndarray:
     """
     mat = np.asarray(mat, dtype=float)
     identity = np.broadcast_to(np.eye(mat.shape[-1]), mat.shape)
-    return scaling_squaring_expm(mat, identity, mat, np.matmul, lambda t: t)
+    return scaling_squaring_expm(
+        mat, mat, lambda x: taylor_sum(lambda t: np.matmul(t, x), identity, 2, TAYLOR_CUTOFF, 80),
+        lambda a: np.matmul(a, a))
 
 
 def sp_generator(two_n: int, rng) -> np.ndarray:

@@ -25,10 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement, canonical, graded_matmul, merge_sign
+from .grassmann import GrassmannElement, canonical, graded_expm, graded_matmul, merge_sign
 from .group import matrix_rank
 from .superlie import SuperAlgebra, pair_signs
-from .supermatrix import graded_expm
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
 # absolute bound on residuals, pivots and determinants built from the O(1)
@@ -657,9 +656,9 @@ def osp12_exponential_sector(samples: int = 10, seed: int = 0) -> ExponentialSec
         gens += [alg.embed(coeffs1, ngen).coeffs, alg.embed(coeffs2, ngen).coeffs]
     # every point's two holonomies in one stacked exponential, then the
     # commutators U1 U2 - U2 U1 in two stacked products
-    U = graded_expm(np.array(gens))
+    U = graded_expm(np.array(gens), alg.block_m)
     U1, U2 = U[0::2], U[1::2]
-    comm = canonical(graded_matmul(U1, U2) - graded_matmul(U2, U1))
+    comm = canonical(graded_matmul(U1, U2, alg.block_m) - graded_matmul(U2, U1, alg.block_m))
     commutator_norms = np.abs(comm).max(axis=(-3, -2, -1)).tolist()
     invariants = [p * p + q * q for p, q in points]
     return ExponentialSectorReport(

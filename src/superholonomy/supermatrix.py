@@ -12,9 +12,11 @@ the odd pattern swaps the roles and exists so that graded identities such as
 (XY)^st = (-1)^{|X||Y|} Y^st X^st can be exercised on both parities.
 
 Storage is dense: one read-only coefficient array of shape (2^N, m+n, m+n),
-axis 0 the monomial mask, so a product is one call of the graded kernel
-``grassmann.graded_matmul`` and the inverse one call of
-``grassmann.graded_inverse`` on the whole matrix.  Every computation, the
+axis 0 the monomial mask, so a product is one call of
+``grassmann.graded_matmul``, the inverse one of ``grassmann.graded_inverse``
+and the exponential one of ``grassmann.graded_expm`` on the whole matrix,
+with m declaring the even pattern, so that they run on the split regular
+representation.  Every computation, the
 JSON wire format included, reads and writes that array; the GrassmannElement
 entries (``rows``, ``block``, ``repr``) are a presentation view built on
 demand.  A SuperMatrix is one matrix; the array
@@ -28,23 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import (MAX_GENERATORS, REGULAR_MAX, GrassmannElement, canonical, grade_signs,
-                        graded_inverse, graded_matmul, left_regular, regular_slices)
+# ExpmNotConvergedError and graded_expm are imported from here too
+from .grassmann import (MAX_GENERATORS, ExpmNotConvergedError, GrassmannElement, ParityPatternError,
+                        canonical, graded_expm, graded_inverse, graded_matmul, pattern_mask)
 
 GMatrix = list[list[GrassmannElement]]
-
-
-class ParityPatternError(ValueError):
-    """An entry violates the block parity pattern."""
-
-
-class ExpmNotConvergedError(ArithmeticError):
-    """The Taylor series of an exponential did not reach its cutoff in time."""
-
-
-# the Taylor sum stops at a term below this: an exact zero for a SuperMatrix
-# (COEFF_CUTOFF drops its coefficients), far under rounding for a real matrix
-TAYLOR_CUTOFF = 1e-22
 
 
 # ----------------------------------------------------------------------
@@ -85,82 +75,6 @@ def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
     return canonical(out)
 
 
-def scaling_squaring_expm(x: np.ndarray, identity: np.ndarray, body: np.ndarray,
-                          matmul, tidy, max_terms: int = 80, times=None) -> np.ndarray:
-    """exp(x) by scaling and squaring around a Taylor kernel.
-
-    x is a stack of square arrays: real matrices (..., d, d) with matmul =
-    np.matmul, or even coefficient arrays (..., 2^N, d, d) with matmul =
-    graded_matmul; identity is broadcast to x's shape, body (..., d, d) is
-    the real part, and tidy(t) is applied after every sum and scaling
-    (``canonical`` for coefficients, nothing for real matrices).  Each Taylor
-    term is the last one times the scaled x: matmul(term, x), or times(x)(term)
-    when times builds a faster product by the fixed x.  Each member
-    is scaled by 2^-s until the 1-norm of its body is at most 1/2, its series
-    is summed until its own term falls below TAYLOR_CUTOFF in every
-    coefficient, and the sum is squared s times (Higham, SIAM J. Matrix Anal.
-    Appl. 26, 2005).  Soul parts are nilpotent, so they only lengthen the
-    series by finitely many orders.  Raises ExpmNotConvergedError when
-    max_terms terms do not reach the cutoff.
-
-    The stack axes are body's leading axes, as in a numpy gufunc.  A member
-    that has stopped keeps its sum (np.where), and its later terms only
-    shrink; a small member gets no extra squarings, which would only add
-    rounding.  So every member is bit-equal to its one-matrix exponential.
-    """
-    norm = np.abs(body).sum(axis=-2).max(axis=-1, initial=0.0)
-    squarings = np.ceil(np.log2(np.fmax(norm, 0.5) / 0.5)).astype(int)
-
-    def per_member(v):
-        return v.reshape(v.shape + (1,) * (x.ndim - v.ndim))
-
-    member_axes = tuple(range(squarings.ndim, x.ndim))
-    x = tidy(x * per_member(0.5 ** squarings))
-    step = times(x) if times else lambda t: matmul(t, x)
-    acc = term = identity
-    done = np.zeros(squarings.shape, dtype=bool)
-    for k in range(1, max_terms + 1):
-        term = tidy(step(term) * (1.0 / k))
-        done |= np.abs(term).max(axis=member_axes) < TAYLOR_CUTOFF
-        if done.all():
-            break
-        acc = np.where(per_member(done), acc, tidy(acc + term))
-    else:
-        raise ExpmNotConvergedError(
-            f"Taylor terms still above {TAYLOR_CUTOFF:g} after {max_terms} terms"
-        )
-    for k in range(int(squarings.max(initial=0))):
-        acc = np.where(per_member(squarings > k), matmul(acc, acc), acc)
-    return acc
-
-
-def _left_times(x: np.ndarray):
-    """t -> x t for (..., 2^N, d, d) stacks: one matmul by L(x), built here once."""
-    L = left_regular(x)
-    return lambda t: (L @ t.reshape(*t.shape[:-3], -1, t.shape[-1])).reshape(t.shape)
-
-
-def graded_expm(coeffs: np.ndarray, max_terms: int = 80) -> np.ndarray:
-    """exp of an even coefficient array (..., 2^N, d, d) with the graded product.
-
-    While 2^N d <= REGULAR_MAX, the Taylor step is one matmul by the regular
-    representation L of the scaled generator, built once per call (stacks in
-    slices of REGULAR_BYTES), an exponential's action in the sense of
-    Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011); above it the step and,
-    always, the squarings are ``graded_matmul``.  Every member of a stack is
-    bit-equal to its one-matrix exponential.
-    """
-    regular = coeffs.shape[-3] * coeffs.shape[-1] <= REGULAR_MAX
-
-    def expm(part):
-        identity = np.zeros(part.shape)
-        identity[..., 0, :, :] = np.eye(part.shape[-1])
-        return scaling_squaring_expm(part, identity, part[..., 0, :, :], graded_matmul,
-                                     canonical, max_terms, _left_times if regular else None)
-
-    return regular_slices(expm, coeffs) if regular else expm(coeffs)
-
-
 def supertranspose_coeffs(coeffs: np.ndarray, m: int, parity: int = 0) -> np.ndarray:
     """Graded transpose of a (..., 2^N, d, d) stack: (a, xi, chi, A) -> (a^T, chi^T, -xi^T, A^T).
 
@@ -195,6 +109,8 @@ class SuperMatrix:
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError(f"expected {d}x{d} entries")
         if ngen is None:
+            if not d:
+                raise ValueError("an empty (0|0) matrix takes its generator count from ngen")
             ngen = rows[0][0].n
         if any(e.n != ngen for row in rows for e in row):
             raise ValueError("mixed generator counts among entries")
@@ -308,8 +224,10 @@ class SuperMatrix:
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_compatible(other)
         # block parity adds mod 2, and the kernel keeps the pattern exactly:
-        # every pair landing on a wrong-parity cell has a vanishing factor
-        return SuperMatrix._wrap(self.m, self.n, graded_matmul(self.coeffs, other.coeffs),
+        # every pair landing on a wrong-parity cell has a vanishing factor;
+        # an even product runs split, which writes only the even pattern
+        even = None if self.parity or other.parity else self.m
+        return SuperMatrix._wrap(self.m, self.n, graded_matmul(self.coeffs, other.coeffs, even, check=False),
                                  (self.parity + other.parity) % 2)
 
     def supertranspose(self) -> "SuperMatrix":
@@ -333,14 +251,14 @@ class SuperMatrix:
         if self.parity != 0:
             raise ValueError("inverse requires the even parity pattern")
         # the inverse of a block-diagonal body is block diagonal with exact
-        # zeros, and the kernel keeps the pattern exactly from there
-        return SuperMatrix._wrap(self.m, self.n, graded_inverse(self.coeffs))
+        # zeros, and the split keeps the pattern exactly from there
+        return SuperMatrix._wrap(self.m, self.n, graded_inverse(self.coeffs, self.m, check=False))
 
     def expm(self, max_terms: int = 80) -> "SuperMatrix":
         """exp(X) through ``graded_expm`` (even parity pattern only)."""
         if self.parity != 0:
             raise ValueError("expm requires the even parity pattern")
-        return SuperMatrix._wrap(self.m, self.n, graded_expm(self.coeffs, max_terms))
+        return SuperMatrix._wrap(self.m, self.n, graded_expm(self.coeffs, self.m, max_terms, check=False))
 
     # ------------------------------------------------------------------
     # comparisons / io
@@ -375,19 +293,27 @@ class SuperMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuperMatrix":
-        m, n, ngen = int(data["m"]), int(data["n"]), int(data["N"])
+        m, n, ngen = (_json_int(data[key], key) for key in ("m", "n", "N"))
         _check_blocks(m, n)
         if not 0 <= ngen <= MAX_GENERATORS:
             raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}, got {ngen}")
         d = m + n
         coeffs = np.zeros((1 << ngen, d, d))
         for entry in data["entries"]:
-            i, j = int(entry["row"]), int(entry["col"])
+            i, j = _json_int(entry["row"], "row"), _json_int(entry["col"], "col")
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"entry ({i}, {j}) outside a {d}x{d} supermatrix")
-            (mask,) = GrassmannElement.monomial([int(g) for g in entry["monomial"]], ngen).terms
+            (mask,) = GrassmannElement.monomial(
+                [_json_int(g, "monomial index") for g in entry["monomial"]], ngen).terms
             coeffs[mask, i, j] += float(entry["value"])
         return cls.from_coeffs(m, n, coeffs)
+
+
+def _json_int(value, name: str) -> int:
+    """An integer field of the wire format: a float, string or bool raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_blocks(m: int, n: int):
@@ -397,10 +323,8 @@ def _check_blocks(m: int, n: int):
 
 def _check_pattern(m: int, n: int, coeffs: np.ndarray, parity: int):
     """Raise ParityPatternError at the first entry with a wrong-parity monomial."""
-    upper = np.arange(m + n) >= m
-    want = (upper[:, None] ^ upper[None, :]) ^ bool(parity)
-    odd = grade_signs(len(coeffs).bit_length() - 1) < 0
-    bad = np.any((coeffs != 0.0) & (odd != want), axis=0)
+    off = pattern_mask(len(coeffs).bit_length() - 1, m + n, m) != bool(parity)
+    bad = np.any((coeffs != 0.0) & off, axis=0)
     if bad.any():
         i, j = (int(v) for v in np.argwhere(bad)[0])
         want = ((i >= m) ^ (j >= m)) ^ parity

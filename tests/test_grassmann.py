@@ -64,6 +64,13 @@ class TestInverse:
         assert x.inverse() == 1 - t(1) * t(2)
         assert x * x.inverse() == GrassmannElement.one(2)
 
+    def test_inhomogeneous_element(self):
+        # 1 + t1 has no parity: it takes the last-generator recursion
+        x = 1 + t(1)
+        assert x.inverse() == 1 - t(1)
+        y = 2 + t(1) - 0.5 * t(2) + 3 * t(1) * t(2)
+        assert (y * y.inverse() - 1).max_abs() < 1e-15
+
     def test_zero_body_rejected(self):
         with pytest.raises(NonInvertibleError):
             t(1).inverse()

@@ -71,6 +71,14 @@ class TestMembership:
                 M = group.sample_member(rng)
                 assert group.is_member(M, tol=1e-9)
 
+    def test_sampled_members_exact_to_cutoff(self):
+        # the exponential's series is summed raw and canonicalized once, so
+        # no truncation inside it reaches COEFF_CUTOFF: every coefficient of
+        # M^st H M - H lies below it and the defect is 0 here
+        group = OspGroup(2, 1, 6)
+        for seed in range(20):
+            assert group.membership_defect(group.sample_member(np.random.default_rng(seed))) <= 1e-14
+
     def test_closure_under_group_operations(self, g12):
         rng = np.random.default_rng(32)
         pool = [g12.sample_member(rng) for _ in range(8)]
@@ -615,7 +623,7 @@ class TestStackedMembership:
         calls = []
         real = group_module.graded_expm
         monkeypatch.setattr(group_module, "graded_expm",
-                            lambda X: (calls.append(len(X)), real(X))[1])
+                            lambda X, *args, **kw: (calls.append(len(X)), real(X, *args, **kw))[1])
         monkeypatch.setattr(checks, "STACK_BYTES", 1 << 30)
         whole = group.sample_stack([np.random.default_rng(8)] * 7)
         monkeypatch.setattr(checks, "STACK_BYTES", budget)

@@ -6,7 +6,8 @@ Two oracles that share no code with the package's product kernel:
   vectors with entries in B_N by left multiplication, and the real
   (d * 2^N) x (d * 2^N) matrix L(X) of that action is a homomorphism, so
   L(XY) = L(X) L(Y), L(X^-1) = L(X)^-1 and L(exp X) = expm(L(X)), soul parts
-  included;
+  included; the package builds only the two parity blocks of L for even X,
+  which are checked against this loop too;
 * the dict-of-monomials double loop over term pairs, which checks the kernel
   on sparse elements at generator counts where it no longer uses one table.
 
@@ -22,6 +23,7 @@ time.
 
 import dataclasses
 import itertools
+import math
 import warnings
 from functools import lru_cache
 
@@ -29,14 +31,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from superholonomy import grassmann, supermatrix
-from superholonomy.grassmann import (COEFF_CUTOFF, REGULAR_MAX, GrassmannElement, NonInvertibleError,
-                                     graded_inverse, graded_matmul)
+from superholonomy import grassmann
+from superholonomy.grassmann import (COEFF_CUTOFF, SPLIT_MAX, GrassmannElement, NonInvertibleError,
+                                     ParityPatternError, graded_inverse, graded_matmul)
 from superholonomy.group import _real_expm
 from superholonomy.superlie import (EPS2, EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, SIGMA0, SIGMA1, SIGMA2,
                                     _osp12_candidate, _osp12_relation_residual,
                                     _structure_constants_from_rep, build_osp, build_osp12)
-from superholonomy.supermatrix import SuperMatrix, gmat_mul, graded_expm, random_supermatrix
+from superholonomy.supermatrix import SuperMatrix, array_to_gmat, gmat_mul, graded_expm, random_supermatrix
 
 
 @lru_cache(maxsize=None)
@@ -48,17 +50,28 @@ def permutation_sign(p: int, q: int) -> int:
     return -1 if inversions % 2 else 1
 
 
-def left_regular(M: SuperMatrix) -> np.ndarray:
-    """L(M)[(r, i), (q, j)]: coefficient of theta^r e_i in M (theta^q e_j)."""
-    d, size = M.m + M.n, 1 << M.ngen
-    L = np.zeros((size * d, size * d))
-    for i, row in enumerate(M.rows):
+def left_regular(M) -> np.ndarray:
+    """L(M)[(r, i), (q, j)]: coefficient of theta^r e_i in M (theta^q e_j).
+
+    M is a SuperMatrix or a (2^N, a, b) coefficient array, read through its
+    GrassmannElement entries.
+    """
+    rows = M.rows if isinstance(M, SuperMatrix) else array_to_gmat(M)
+    a, b, size = len(rows), len(rows[0]), 1 << rows[0][0].n
+    L = np.zeros((size * a, size * b))
+    for i, row in enumerate(rows):
         for j, e in enumerate(row):
             for p, c in e.terms.items():
                 for q in range(size):
                     if not p & q:
-                        L[(p | q) * d + i, q * d + j] += permutation_sign(p, q) * c
+                        L[(p | q) * a + i, q * b + j] += permutation_sign(p, q) * c
     return L
+
+
+def parity_classes(m: int, d: int, ngen: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (q, j) of L, flat q d + j, with |q| + [j >= m] even (V0) and odd (V1)."""
+    cls = np.array([(q.bit_count() + (j >= m)) & 1 for q in range(1 << ngen) for j in range(d)])
+    return np.flatnonzero(cls == 0), np.flatnonzero(cls == 1)
 
 
 def invertible_even(rng, m, n, ngen):
@@ -67,7 +80,7 @@ def invertible_even(rng, m, n, ngen):
 
 SHAPES = [(1, 2), (2, 2)]
 GENERATORS = [0, 1, 2, 3, 4]
-# above TABLE_MAX_N, where the products inside the inverse recurse too
+# above TABLE_MAX_N; (2|2) at 7 sits on SPLIT_MAX (2^N d = 512)
 INVERSE_GENERATORS = GENERATORS + [7]
 
 
@@ -214,9 +227,10 @@ class TestSchurComplement:
         for _ in range(3):
             M = invertible_even(rng, m, n, ngen)
             s, d, sg, S = (M.block_coeffs(name) for name in ("a", "xi", "chi", "A"))
-            s_inv, S_inv = graded_inverse(s), graded_inverse(S)
-            sbar_inv = graded_inverse(s - mul(d, mul(S_inv, sg)))
-            Sbar_inv = graded_inverse(S - mul(sg, mul(s_inv, d)))
+            # the diagonal blocks and their complements are all-even: (m|0) and (n|0)
+            s_inv, S_inv = graded_inverse(s, m), graded_inverse(S, n)
+            sbar_inv = graded_inverse(s - mul(d, mul(S_inv, sg)), m)
+            Sbar_inv = graded_inverse(S - mul(sg, mul(s_inv, d)), n)
             want = {"a": sbar_inv, "xi": -mul(s_inv, mul(d, Sbar_inv)),
                     "chi": -mul(S_inv, mul(sg, sbar_inv)), "A": Sbar_inv}
             got = M.inverse()
@@ -224,7 +238,9 @@ class TestSchurComplement:
                 assert np.abs(got.block_coeffs(name) - block).max() <= 1e-12
 
 
-STACK_GENERATORS = [0, 1, 2, 6, 8]   # 0-6 use one pair table, 8 recurses on the last generator
+# (1|2) stacks: 1-6 take the split representation (2^N d <= SPLIT_MAX), 8 lies
+# above it, where products take the pair table and recurse on the last generator
+STACK_GENERATORS = [0, 1, 2, 6, 8]
 
 
 def stack_of(rng, m, n, ngen, size=4, soulless=()):
@@ -248,45 +264,55 @@ class TestStacks:
         rng = np.random.default_rng([ngen, 9])
         x, y = stack_of(rng, 1, 2, ngen), stack_of(rng, 1, 2, ngen)
         gens = expm_generators(rng, 1, 2, ngen)
-        prod, inv, exp = graded_matmul(x, y), graded_inverse(x), graded_expm(gens)
+        for m in (None, 1):        # the kernel for undeclared input, and the even route
+            prod, inv, exp = graded_matmul(x, y, m), graded_inverse(x, m), graded_expm(gens, m)
+            for k in range(len(x)):
+                assert np.array_equal(prod[k], graded_matmul(x[k], y[k], m))
+                assert np.array_equal(inv[k], graded_inverse(x[k], m))
+                assert np.array_equal(exp[k], graded_expm(gens[k], m))
+        # SuperMatrix declares its even pattern
         for k in range(len(x)):
-            assert np.array_equal(prod[k], graded_matmul(x[k], y[k]))
-            assert np.array_equal(inv[k], graded_inverse(x[k]))
-            assert np.array_equal(exp[k], graded_expm(gens[k]))
+            X, Y = SuperMatrix.from_coeffs(1, 2, x[k]), SuperMatrix.from_coeffs(1, 2, y[k])
+            assert np.array_equal(prod[k], (X @ Y).coeffs)
+            assert np.array_equal(inv[k], X.inverse().coeffs)
             assert np.array_equal(exp[k], SuperMatrix.from_coeffs(1, 2, gens[k]).expm().coeffs)
         # stack axes broadcast as in a gufunc: outer[a, b] = x[a] y[b]
-        outer = graded_matmul(x[:, None], y[None, :3])
-        assert outer.shape == (4, 3, *x.shape[1:])
-        for a in range(4):
-            for b in range(3):
-                assert np.array_equal(outer[a, b], graded_matmul(x[a], y[b]))
+        for m in (1, None):
+            outer = graded_matmul(x[:, None], y[None, :3], m)
+            assert outer.shape == (4, 3, *x.shape[1:])
+            for a in range(4):
+                for b in range(3):
+                    assert np.array_equal(outer[a, b], graded_matmul(x[a], y[b], m))
 
     @pytest.mark.parametrize("ngen", [2, 8])
     def test_mixed_soulless_members(self, ngen):
-        # the no-soul shortcut is decided for the whole stack: a soulless
-        # member inside a souled stack takes the table, alone the shortcut
+        # the kernel's no-soul shortcut is decided for the whole stack: a
+        # soulless member inside a souled stack takes the table, alone the
+        # shortcut; the split route takes no shortcut
         rng = np.random.default_rng([ngen, 10])
         x = stack_of(rng, 2, 2, ngen, soulless=(1,))
         y = stack_of(rng, 2, 2, ngen, soulless=(1, 2))
         gens = expm_generators(rng, 2, 2, ngen)
         gens[2, 1:] = 0.0
-        exp = graded_expm(gens)
-        for k in range(len(x)):
-            assert np.array_equal(graded_matmul(x, y)[k], graded_matmul(x[k], y[k]))
-            assert np.array_equal(graded_matmul(y, x)[k], graded_matmul(y[k], x[k]))
-            assert np.array_equal(graded_inverse(y)[k], graded_inverse(y[k]))
-            assert np.array_equal(exp[k], graded_expm(gens[k]))
+        for m in (2, None):
+            exp = graded_expm(gens, m)
+            for k in range(len(x)):
+                assert np.array_equal(graded_matmul(x, y, m)[k], graded_matmul(x[k], y[k], m))
+                assert np.array_equal(graded_matmul(y, x, m)[k], graded_matmul(y[k], x[k], m))
+                assert np.array_equal(graded_inverse(y, m)[k], graded_inverse(y[k], m))
+                assert np.array_equal(exp[k], graded_expm(gens[k], m))
 
     @pytest.mark.parametrize("ngen", [0, 2, 6, 8])
     def test_soulless_factor_broadcasts(self, ngen):
         rng = np.random.default_rng([ngen, 11])
         H = SuperMatrix.from_body(np.diag([1.0, 1.0, -1.0, 2.0]), 2, 2, ngen).coeffs
         x = stack_of(rng, 2, 2, ngen)
-        left, right = graded_matmul(H, x), graded_matmul(x, H)
-        assert left.shape == right.shape == x.shape
-        for k in range(len(x)):
-            assert np.array_equal(left[k], graded_matmul(H, x[k]))
-            assert np.array_equal(right[k], graded_matmul(x[k], H))
+        for m in (None, 2):
+            left, right = graded_matmul(H, x, m), graded_matmul(x, H, m)
+            assert left.shape == right.shape == x.shape
+            for k in range(len(x)):
+                assert np.array_equal(left[k], graded_matmul(H, x[k], m))
+                assert np.array_equal(right[k], graded_matmul(x[k], H, m))
 
     def test_converged_members_raise_no_warning(self):
         # a zero generator stops at its first term while a norm-4 one runs
@@ -296,15 +322,15 @@ class TestStacks:
         stack = np.array([gen, np.zeros_like(gen)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            graded, real = graded_expm(stack), _real_expm(stack[:, 0])
+            graded, real = graded_expm(stack, 1), _real_expm(stack[:, 0])
         assert np.array_equal(graded[1], SuperMatrix.identity(1, 2, 2).coeffs)
         assert np.array_equal(real[1], np.eye(3))
-        assert np.array_equal(graded[0], graded_expm(gen))
+        assert np.array_equal(graded[0], graded_expm(gen, 1))
         assert np.array_equal(real[0], _real_expm(gen[0]))
 
 
-def count_calls(monkeypatch, name, modules=(grassmann,)):
-    """Wrap every binding of name so that each call, recursive ones included, logs its shape."""
+def count_calls(monkeypatch, name):
+    """Wrap grassmann's name so that each call, recursive ones included, logs its shape."""
     calls = []
     original = getattr(grassmann, name)
 
@@ -312,37 +338,62 @@ def count_calls(monkeypatch, name, modules=(grassmann,)):
         calls.append(args[0].shape)
         return original(*args)
 
-    for module in modules:
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(grassmann, name, counted)
+    return calls
+
+
+def count_regular(monkeypatch):
+    """Log the shape of every array whose split regular blocks are built."""
+    calls = []
+    original = grassmann.EvenSplit.regular
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return original(self, x)
+
+    monkeypatch.setattr(grassmann.EvenSplit, "regular", counted)
     return calls
 
 
 class TestRegularPaths:
-    """graded_inverse and graded_expm multiply by L while 2^N d <= REGULAR_MAX, by the kernel above.
+    """Even arrays run on the parity blocks of L while 2^N d <= SPLIT_MAX, on the kernel above.
 
-    (2|2) at N = 6 sits on the cap (256) and at N = 7 above it (512);
-    (2|4) at N = 5 under it (192) and at N = 6 above it (384).
+    (2|2) at N = 6 is under the cap (256), at N = 7 on it (512) and at
+    N = 8 above it (1024); (2|4) at N = 5 and 6 under it (192, 384) and at
+    N = 7 above it (768).
     """
 
     @pytest.mark.parametrize("ngen", GENERATORS)
-    @pytest.mark.parametrize("m, n", SHAPES)
+    @pytest.mark.parametrize("m, n", SHAPES + [(3, 0)])
     def test_vectorized_equals_loop(self, m, n, ngen):
+        # L maps each parity class onto itself: the cross blocks vanish and
+        # the two diagonal blocks are what the plan builds
         rng = np.random.default_rng([m, n, ngen, 13])
-        for parity in (0, 1):
-            xs = [random_supermatrix(rng, m, n, ngen, parity=parity) for _ in range(3)]
-            for x in xs:
-                assert np.array_equal(grassmann.left_regular(x.coeffs), left_regular(x))
-            stacked = grassmann.left_regular(np.array([x.coeffs for x in xs]))
-            assert all(np.array_equal(L, left_regular(x)) for L, x in zip(stacked, xs))
+        xs = [random_supermatrix(rng, m, n, ngen) for _ in range(3)]
+        v0, v1 = parity_classes(m, m + n, ngen)
+        stack = np.array([x.coeffs for x in xs])
+        split = grassmann.even_route(m, stack)
+        if ngen == 0:
+            assert split is None            # body only: the product is a matmul of bodies
+        else:
+            assert np.array_equal(split.unpack(split.pack(stack)), stack)
+            blocks = split.regular(stack)
+        for k, x in enumerate(xs):
+            L = left_regular(x)
+            assert not L[np.ix_(v0, v1)].any() and not L[np.ix_(v1, v0)].any()
+            if ngen:
+                assert np.array_equal(blocks[k, 0], L[np.ix_(v0, v0)])
+                assert np.array_equal(blocks[k, 1], L[np.ix_(v1, v1)])
+                assert np.array_equal(split.regular(x.coeffs), blocks[k])
 
     def test_rectangular_factor(self):
         # L(x) of a (2^N, a, b) block times y reshaped to (2^N b, c) is x y
         rng = np.random.default_rng(14)
         x, y = rng.uniform(-1, 1, (16, 2, 3)), rng.uniform(-1, 1, (16, 3, 5))
-        got = (grassmann.left_regular(x) @ y.reshape(48, 5)).reshape(16, 2, 5)
+        got = (left_regular(x) @ y.reshape(48, 5)).reshape(16, 2, 5)
         assert np.abs(got - graded_matmul(x, y)).max() <= 1e-14
 
-    @pytest.mark.parametrize("m, n, ngen", [(2, 2, 6), (2, 2, 7), (2, 4, 5), (2, 4, 6)])
+    @pytest.mark.parametrize("m, n, ngen", [(2, 2, 6), (2, 2, 7), (2, 4, 5), (2, 4, 6), (1, 2, 8)])
     def test_inverse_and_expm_match_oracle(self, m, n, ngen):
         rng = np.random.default_rng([m, n, ngen, 15])
         x = invertible_even(rng, m, n, ngen)
@@ -353,18 +404,18 @@ class TestRegularPaths:
         got = left_regular(g.expm())
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
-    @pytest.mark.parametrize("m, n, ngen", [(2, 2, 6), (2, 2, 7), (2, 4, 5), (2, 4, 6)])
+    @pytest.mark.parametrize("m, n, ngen", [(2, 2, 6), (2, 2, 7), (2, 4, 5), (2, 4, 6), (2, 2, 8), (2, 4, 7)])
     def test_path_by_size(self, monkeypatch, m, n, ngen):
         kernel = count_calls(monkeypatch, "_convolve")
-        regular = count_calls(monkeypatch, "left_regular", (grassmann, supermatrix))
+        regular = count_regular(monkeypatch)
         rng = np.random.default_rng([m, n, ngen, 16])
         x = invertible_even(rng, m, n, ngen).coeffs
         # body 1-norm 1/4: no squarings, so every product is a Taylor step
         g = expm_generators(rng, m, n, ngen)[2] / 4
-        under = (1 << ngen) * (m + n) <= REGULAR_MAX
-        graded_inverse(x)
+        under = (1 << ngen) * (m + n) <= SPLIT_MAX
+        graded_inverse(x, m)
         if under:
-            # the Neumann series: N - 1 products by L(k), no kernel call
+            # the Neumann series: N - 1 products by the blocks of L(k), no kernel call
             assert not kernel and regular == [x.shape]
         else:
             # the split on the last generator down to the cap, then the series
@@ -372,51 +423,80 @@ class TestRegularPaths:
             assert kernel and regular == [half]
         kernel.clear()
         regular.clear()
-        graded_expm(g)
+        graded_expm(g, m)
         if under:
             assert not kernel and regular == [g.shape]
         else:
             assert len(kernel) >= 10 and not regular
+        regular.clear()
+        graded_matmul(x, x, m)
+        assert regular == ([x.shape] if under else [])
 
     @pytest.mark.parametrize("ngen", [2, 6])
     def test_sliced_stack_equals_unsliced(self, monkeypatch, ngen):
         rng = np.random.default_rng([ngen, 17])
         x = stack_of(rng, 2, 2, ngen, size=4, soulless=(2,)).reshape(2, 2, 1 << ngen, 4, 4)
         gens = expm_generators(rng, 2, 2, ngen).reshape(2, 2, 1 << ngen, 4, 4)
-        regular = count_calls(monkeypatch, "left_regular", (grassmann, supermatrix))
-        monkeypatch.setattr(grassmann, "REGULAR_BYTES", 1 << 40)
-        whole = graded_inverse(x), graded_expm(gens)
-        assert len(regular) == 2
-        # one member per slice: a budget below one member's L
+        regular = count_regular(monkeypatch)
+
+        def run():
+            return graded_inverse(x, 2), graded_expm(gens, 2), graded_matmul(x, x[::-1], 2)
+
+        monkeypatch.setattr(grassmann, "SPLIT_BYTES", 1 << 40)
+        whole = run()
+        assert max(math.prod(shape[:-3]) for shape in regular) == 4
+        # one member per slice: a budget below one member's blocks
         regular.clear()
-        monkeypatch.setattr(grassmann, "REGULAR_BYTES", 1)
-        sliced = graded_inverse(x), graded_expm(gens)
-        assert len(regular) == 8
+        monkeypatch.setattr(grassmann, "SPLIT_BYTES", 1)
+        sliced = run()
+        assert max(math.prod(shape[:-3]) for shape in regular) == 1
         for a, b in zip(whole, sliced):
             assert a.shape == b.shape and np.array_equal(a, b)
         for k in np.ndindex(2, 2):
-            assert np.array_equal(sliced[0][k], graded_inverse(x[k]))
-            assert np.array_equal(sliced[1][k], graded_expm(gens[k]))
+            assert np.array_equal(sliced[0][k], graded_inverse(x[k], 2))
+            assert np.array_equal(sliced[1][k], graded_expm(gens[k], 2))
+            assert np.array_equal(sliced[2][k], graded_matmul(x[k], x[::-1][k], 2))
 
-    @pytest.mark.parametrize("ngen", [6, 7])
+    @pytest.mark.parametrize("ngen", [6, 7, 8])
     def test_bad_input_fails_on_both_sides_of_the_cap(self, ngen):
         rng = np.random.default_rng([ngen, 18])
         x = stack_of(rng, 2, 2, ngen, size=2)
         singular = x.copy()
         singular[1, 0, 2:, 2:] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(NonInvertibleError):
-            graded_inverse(singular)
+            graded_inverse(singular, 2)
         with pytest.raises(NonInvertibleError):
-            graded_inverse(singular[1])
+            graded_inverse(singular[1], 2)
         bad = x.copy()
-        bad[0, 3, 0, 2] = np.nan
+        bad[0, 3, 0, 1] = np.nan
         with pytest.raises(ValueError):
-            graded_inverse(bad)
+            graded_inverse(bad, 2)
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            graded_inverse(bad)
+            graded_inverse(bad, 2)
         with pytest.raises(ValueError):
-            graded_expm(bad)
+            graded_expm(bad, 2)
+
+    @pytest.mark.parametrize("ngen", [3, 8])
+    def test_pattern_break_raises(self, ngen):
+        # an odd coefficient in the even a block: declared even, the array
+        # is refused on both sides of the cap, never cut to its pattern
+        rng = np.random.default_rng([ngen, 19])
+        x = stack_of(rng, 2, 2, ngen, size=2)
+        bad = x.copy()
+        bad[1, 1, 0, 1] = 0.5
+        for call in (lambda: graded_matmul(bad, x, 2), lambda: graded_matmul(x, bad, 2),
+                     lambda: graded_inverse(bad, 2), lambda: graded_expm(0.1 * bad, 2),
+                     lambda: graded_inverse(bad[1], 2)):
+            with pytest.raises(ParityPatternError):
+                call()
+        with pytest.raises(ValueError):
+            graded_matmul(x[..., :3], x[..., :3, :], 2)       # not square
+        with pytest.raises(ValueError):
+            graded_inverse(x, 5)                              # m > d
+        # undeclared, the kernel takes any input: the oracle agrees
+        want = left_regular(bad[1]) @ left_regular(x[0])
+        assert np.abs(left_regular(graded_matmul(bad[1], x[0])) - want).max() <= 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -177,7 +177,8 @@ class TestInverse:
         soul = [[GrassmannElement.monomial([1, 2], 4, 0.7), GrassmannElement.monomial([3, 4], 4, -0.4)],
                 [GrassmannElement.monomial([1, 3], 4, 0.3), GrassmannElement.monomial([2, 4], 4, 0.9)]]
         x = [[GrassmannElement.scalar(body[i, j], 4) + soul[i][j] for j in range(2)] for i in range(2)]
-        prod = gmat_mul(x, array_to_gmat(graded_inverse(gmat_to_array(x, 4))))
+        # every entry is even: an all-even (2|0) block
+        prod = gmat_mul(x, array_to_gmat(graded_inverse(gmat_to_array(x, 4), 2)))
         assert abs(prod[0][0].body - 1) < 1e-12 and abs(prod[1][1].body - 1) < 1e-12
         off = max((prod[i][j] - (1.0 if i == j else 0.0)).max_abs() for i in range(2) for j in range(2))
         assert off < 1e-12
@@ -285,6 +286,30 @@ class TestJson:
         ]}
         with pytest.raises(ValueError):
             SuperMatrix.from_json_dict(data)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 1.9), ("n", 2.0), ("N", 2.7), ("N", "2"), ("m", True),
+        ("row", 0.6), ("col", 1.0), ("monomial", [1.0]), ("monomial", ["1"]),
+    ])
+    def test_non_integer_field_rejected(self, field, value):
+        # int() would truncate 1.9 to a (1|2) matrix and 0.6 to row 0
+        data = {"m": 1, "n": 2, "N": 2, "entries": [
+            {"row": 0, "col": 1, "monomial": [1], "value": 1.0},
+        ]}
+        if field in ("m", "n", "N"):
+            data[field] = value
+        else:
+            data["entries"][0][field] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            SuperMatrix.from_json_dict(data)
+
+
+def test_empty_matrix_needs_generator_count():
+    with pytest.raises(ValueError, match="generator count"):
+        SuperMatrix(0, 0, [])
+    empty = SuperMatrix(0, 0, [], ngen=2)
+    assert empty.coeffs.shape == (4, 0, 0)
 
 
 def test_commutator_of_commuting_matrices_vanishes():
