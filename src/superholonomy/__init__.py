@@ -2,6 +2,7 @@
 
 from .grassmann import GrassmannElement, NonInvertibleError
 from .group import (
+    GaugeFixResidualError,
     HolonomyPair,
     HypothesisError,
     OspGroup,
@@ -36,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExpmNotConvergedError",
+    "GaugeFixResidualError",
     "GrassmannElement",
     "GradedPolynomial",
     "HolonomyPair",

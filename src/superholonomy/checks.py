@@ -7,8 +7,6 @@ generators passed in, so callers keep their own seeding.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grassmann import graded_inverse, graded_matmul
@@ -22,18 +20,12 @@ from .group import (
     random_signs,
     rotation,
     sp_generator,
+    stack_chunk,
 )
 from .superlie import build_osp
 
 JACOBI_ALGEBRAS = ((1, 1), (2, 1), (1, 2), (2, 2))
 JACOBI_TOL = 1e-12
-# a stacked sweep takes its ops in chunks of at most this many bytes of
-# coefficients (one op is 2^N (m+2n)^2 doubles), so its memory does not grow
-# with the op count.  The product kernel holds about 36 chunks of
-# temporaries at N = 6, 4.5 MB here; a 200-op OSp(1|2) sweep at N = 6 to 8
-# ran no faster with 1 MB chunks, which added 40 MB of peak RSS.  A 200-op
-# OSp(1|2) sweep at N = 2 is one chunk
-STACK_BYTES = 1 << 17
 
 
 def jacobi_suite() -> dict:
@@ -50,14 +42,14 @@ def membership_closure(group, rng, pool_size: int, ops: int, tol: float) -> dict
     Op k is pool[i] @ pool[j], pool[i]^-1 or pool[i] @ pool[j] @ pool[i]^-1
     as k % 3 is 0, 1 or 2, with (i, j) drawn per op.  The pool and every
     op's (i, j) are drawn first, in that order; each pool member is then
-    inverted once, and the ops run in chunks of at most STACK_BYTES: one
-    product, one conjugation and one defect call per chunk.
+    inverted once, and the ops run in chunks of at most STACK_BYTES (see
+    stack_chunk): one product, one conjugation and one defect call per chunk.
     """
     pool = group.sample_stack([rng] * pool_size)
     pairs = np.array([rng.integers(0, pool_size, 2) for _ in range(ops)]).reshape(ops, 2)
     # the pool comes from sample_stack, on the even pattern
     inverses = graded_inverse(pool, group.m, check=False)
-    chunk = max(1, STACK_BYTES // (pool.itemsize * math.prod(pool.shape[1:])))
+    chunk = stack_chunk(pool)
     worst = 0.0
     for start in range(0, ops, chunk):
         k = np.arange(start, min(start + chunk, ops))

@@ -91,6 +91,19 @@ def merge_sign(p: int, q: int) -> int:
     return -1 if s & 1 else 1
 
 
+def monomial_mask(indices: Iterable[int], n: int) -> int:
+    """Bit mask of the monomial of B_n with strictly increasing 1-based generator indices."""
+    mask = prev = 0
+    for i in indices:
+        if i <= prev:
+            raise ValueError("monomial indices must be strictly increasing")
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} outside 1..{n}")
+        mask |= 1 << (i - 1)
+        prev = i
+    return mask
+
+
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3^n disjoint monomial pairs (p, q) of B_n, grouped by r = p | q.
@@ -541,16 +554,7 @@ class GrassmannElement:
     @classmethod
     def monomial(cls, indices: Iterable[int], n: int, coeff: Scalar = 1.0) -> "GrassmannElement":
         """Monomial from strictly increasing 1-based generator indices."""
-        mask = 0
-        prev = 0
-        for i in indices:
-            if i <= prev:
-                raise ValueError("monomial indices must be strictly increasing")
-            if not 1 <= i <= n:
-                raise ValueError(f"generator index {i} outside 1..{n}")
-            mask |= 1 << (i - 1)
-            prev = i
-        return cls(n, {mask: float(coeff)})
+        return cls(n, {monomial_mask(indices, n): float(coeff)})
 
     # ------------------------------------------------------------------
     # structure

@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import (TAYLOR_CUTOFF, GrassmannElement, canonical, grade_signs, graded_expm,
-                        graded_inverse, graded_matmul, scaling_squaring_expm, taylor_sum)
+from .grassmann import (TAYLOR_CUTOFF, canonical, grade_signs, graded_expm, graded_inverse, graded_matmul,
+                        scaling_squaring_expm, taylor_sum)
 from .supermatrix import SuperMatrix, body_array, commutator, supertranspose_coeffs
 from .superlie import (
     OSP12_DIRECTIONS,
@@ -46,14 +46,34 @@ SAMPLE_SCALE = 0.6
 # -0.3 theta2: distinct generators keep the two fermions independent
 NONEXP_NGEN = 2
 NONEXP_PSI = (0.4, -0.3)
+# a stacked sweep takes its ops in chunks of at most this many bytes of
+# coefficients (one op is 2^N (m+2n)^2 doubles), so its memory does not grow
+# with the op count.  The product kernel holds about 36 chunks of
+# temporaries at N = 6, 4.5 MB here; a 200-op OSp(1|2) sweep at N = 6 to 8
+# ran no faster with 1 MB chunks, which added 40 MB of peak RSS.  A 200-op
+# OSp(1|2) sweep at N = 2 is one chunk
+STACK_BYTES = 1 << 17
 
 
 class SingularGaugeOperatorError(ValueError):
     """The Kronecker operator is singular: the fermion block cannot be gauged away."""
 
 
+class GaugeFixResidualError(RuntimeError):
+    """Gauge fixing ended with a chi block above its tolerance."""
+
+    def __init__(self, residual: float, tol: float):
+        super().__init__(f"gauge fixing left a chi residual of {residual:.3e} above {tol:.1e}")
+        self.residual, self.tol = residual, tol
+
+
 class HypothesisError(ValueError):
     """An operation's structural hypotheses are violated by the inputs."""
+
+
+def stack_chunk(stack: np.ndarray) -> int:
+    """Members of a (S, ...) stack per chunk of at most STACK_BYTES, at least one."""
+    return max(1, STACK_BYTES // (stack.itemsize * math.prod(stack.shape[1:])))
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -163,11 +183,9 @@ class OspGroup:
         coefficients, then the reflection coin), so a generator repeated in
         rngs gives the stream of the one-sample loop.  The exponentials and
         reflections then run over the stack in chunks of at most
-        checks.STACK_BYTES of coefficients, so the temporaries do not grow
-        with the pool.  Returns (S, 2^N, d, d).
+        STACK_BYTES of coefficients, so the temporaries do not grow with the
+        pool.  Returns (S, 2^N, d, d).
         """
-        from . import checks     # checks imports this module
-
         alg = self.algebra()
         even = np.array(alg.parities) == 0
         odd_masks = grade_signs(self.ngen)[:, 0, 0] < 0
@@ -183,17 +201,14 @@ class OspGroup:
             flat[k, slots] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(slots))
             flips[k] = components and rng.random() < 0.5
         table[:, even, 1:] *= 0.5      # halve the even souls
-        canonical(table)               # and drop what GrassmannElement drops
+        canonical(table)               # and zero what falls below COEFF_CUTOFF
         d = self.m + self.two_n
         members = np.empty((len(rngs), 1 << self.ngen, d, d))
-        chunk = max(1, checks.STACK_BYTES // (members.itemsize * math.prod(members.shape[1:])))
+        chunk = stack_chunk(members)
         for start in range(0, len(rngs), chunk):
             part = slice(start, start + chunk)
-            gens = np.zeros(members[part].shape)
-            for g, mat in enumerate(alg.rep):      # the sum, in order, of SuperAlgebra.embed
-                gens += table[part, g, :, None, None] * mat
             # the algebra's generators keep the even pattern, and so do sums of them
-            block = graded_expm(canonical(gens), self.m, check=False)
+            block = graded_expm(alg.embed(table[part].swapaxes(1, 2)), self.m, check=False)
             flip = flips[part]
             if flip.any():     # a body-only factor: the kernel's body matmul
                 block[flip] = graded_matmul(self.reflection_component().coeffs, block[flip])
@@ -280,7 +295,8 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
     solved through the Kronecker operator, and conjugation by exp(Z) with Z
     the odd algebra element built from z removes it without disturbing lower
     degrees.  Raises SingularGaugeOperatorError when det Ahat = 0, which is
-    exactly the fermionic-moduli situation.
+    exactly the fermionic-moduli situation, and GaugeFixResidualError when
+    the chi block ends above DEFECT_TOL.
     """
     m, two_n, ngen = group.m, group.two_n, group.ngen
     S = S0_seed if S0_seed is not None else SuperMatrix.identity(m, two_n, ngen)
@@ -315,7 +331,7 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
         solved.append(degree)
     residual = _block_max_abs(U, "chi")
     if residual > DEFECT_TOL:
-        raise RuntimeError(f"gauge fixing left a chi residual of {residual:.3e}")
+        raise GaugeFixResidualError(residual, DEFECT_TOL)
     return GaugeFixResult(S=S, U_fixed=U, degrees_solved=tuple(solved))
 
 
@@ -681,27 +697,22 @@ def build_nonexp_holonomy(cal_a1: float, cal_a2: float,
     every grid sample remains a group member.
     """
     alg = build_osp12()
-    ngen = NONEXP_NGEN
     direction, sigma = OSP12_DIRECTIONS["hyperbolic"]
-    psi1 = tuple(GrassmannElement.theta(k + 1, ngen) * c for k, c in enumerate(NONEXP_PSI))
+    amps = np.array([cal_a1, cal_a2])
     grid = np.linspace(0.0, 2.0 * math.pi, grid_points + 1)
-
-    def path(phi: float, amp: float) -> SuperMatrix:
-        coeffs = [GrassmannElement.scalar(amp * c * phi, ngen) for c in direction]
-        coeffs += [psi * phi for psi in psi1]
-        body = np.zeros((3, 3))
-        body[0, 0] = 1.0
-        body[1:, 1:] = rotation(phi / 2.0)
-        D = SuperMatrix.from_body(body, 1, 2, ngen)
-        return D @ alg.embed(coeffs, ngen).expm()
-
-    U1 = [path(phi, cal_a1) for phi in grid]
-    U2 = [path(phi, cal_a2) for phi in grid]
-    target1 = np.zeros((3, 3))
-    target1[0, 0] = 1.0
-    target1[1:, 1:] = -_real_expm(2.0 * math.pi * cal_a1 * sigma)
-    target2 = np.zeros((3, 3))
-    target2[0, 0] = 1.0
-    target2[1:, 1:] = -_real_expm(2.0 * math.pi * cal_a2 * sigma)
-    return NonExpFamily(grid=grid, U1=U1, U2=U2,
-                        target_body_1=target1, target_body_2=target2)
+    # the generator at every (amplitude, phi): even coefficients amp c phi,
+    # psi_k phi on theta_k, so (2, G, 2^N, 5)
+    coeffs = np.zeros((2, len(grid), 1 << NONEXP_NGEN, alg.dim))
+    coeffs[:, :, 0, :3] = np.multiply.outer(amps, direction)[:, None, :] * grid[:, None]
+    for k, c in enumerate(NONEXP_PSI):
+        coeffs[:, :, 1 << k, 3 + k] = c * grid
+    D = np.zeros((len(grid), 1 << NONEXP_NGEN, 3, 3))
+    D[:, 0, 0, 0] = 1.0
+    D[:, 0, 1:, 1:] = [rotation(phi / 2.0) for phi in grid]
+    U = graded_matmul(canonical(D), graded_expm(alg.embed(canonical(coeffs)), 1, check=False), 1,
+                      check=False)
+    U1, U2 = ([SuperMatrix.from_coeffs(1, 2, u) for u in stack] for stack in U)
+    target = np.zeros((2, 3, 3))
+    target[:, 0, 0] = 1.0
+    target[:, 1:, 1:] = -_real_expm((2.0 * math.pi * amps)[:, None, None] * sigma)
+    return NonExpFamily(grid=grid, U1=U1, U2=U2, target_body_1=target[0], target_body_2=target[1])

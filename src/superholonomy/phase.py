@@ -25,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement, canonical, graded_expm, graded_matmul, merge_sign
+from .grassmann import canonical, graded_expm, graded_matmul, merge_sign
 from .group import matrix_rank
-from .superlie import SuperAlgebra, pair_signs
+from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, pair_signs
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
 # absolute bound on residuals, pivots and determinants built from the O(1)
@@ -274,6 +274,7 @@ class GradedPolynomial:
     def evaluate(self, even_values: Sequence[float],
                  odd_values: Sequence[GrassmannElement]) -> GrassmannElement:
         """Substitute numbers for A-variables and odd elements for psi's."""
+        from .grassmann import GrassmannElement   # the one element reader of this module
         ctx = self.ctx
         if len(even_values) != 2 * ctx.n_even or len(odd_values) != 2 * ctx.n_odd:
             raise ValueError("value vectors do not match the variable layout")
@@ -489,6 +490,17 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmRepor
 # gauge fixing in the homogeneous sector
 # ----------------------------------------------------------------------
 
+def _odd_constraint_rows(alg: SuperAlgebra, even_values: np.ndarray) -> np.ndarray:
+    """G^alpha = F[a, beta, alpha] A_1^a psi_2^beta + F[beta, a, alpha] psi_1^beta A_2^a at the
+    background even_values (A_1, then A_2): rows over the psi slots, each summed over a in order."""
+    ev, od = alg.even_indices, alg.odd_indices
+    F = constraint_tensor(alg)[:, :, od]
+    rows = np.zeros((len(od), 2 * len(od)))
+    for k, a in enumerate(ev):
+        rows += np.hstack([F[od, a].T * even_values[len(ev) + k], F[a, od].T * even_values[k]])
+    return rows
+
+
 @dataclass
 class GaugeFixingCheck:
     rank: int
@@ -537,8 +549,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
             vec[slot] += factor
         return vec
 
-    _, odd_G = flatness_constraints(alg, ctx)
-    g_rows = np.vstack([linear_form(g) for g in odd_G])
+    g_rows = _odd_constraint_rows(alg, even_values)
     # r independent constraint rows via pivoted factorization
     picked: list[int] = []
     work = g_rows.copy()
@@ -619,53 +630,36 @@ def osp12_exponential_sector(samples: int = 10, seed: int = 0) -> ExponentialSec
     odd modulus; the resulting holonomy pair exponentiates proportional
     algebra elements and commutes.
     """
-    from .superlie import OSP12_DIRECTIONS, build_osp12
-
-    reduced = PhaseSpace.create(np.array([[1.0]]), EPS_CYCLES)
-    a1, a2 = reduced.A(1, 0), reduced.A(2, 0)
-    bracket_value = a1.bracket(a2)
-    bracket_a1_a2 = bracket_value.terms.get(((0, 0), 0), 0.0)
+    # {cal_A_1, cal_A_2}: the slots (1, 0) and (2, 0) of the reduced even pairing
+    bracket_a1_a2 = PhaseSpace.create(np.array([[1.0]]), EPS_CYCLES).even_weights()[0, 1]
 
     alg = build_osp12()
-    ngen = 2
     sigma_plus_dir, _ = OSP12_DIRECTIONS["parabolic"]
     rng = np.random.default_rng(seed)
-    constraint_residual = 0.0
-    gauge_residual = 0.0
     # a reference sample point plus a unit-circle sweep
-    points = [(0.6, 0.8)]
-    for t in np.linspace(0.2, 2.8, samples - 1):
-        points.append((float(np.cos(t)), float(np.sin(t))))
-    gens = []
-    for p, q in points:
-        c_dir = rng.uniform(-1.0, 1.0, 2)
-        psi = GrassmannElement.theta(1, ngen) * rng.uniform(0.3, 1.0)
-        psi2 = [psi * float(c_dir[0]), psi * float(c_dir[1])]
-        psi1 = [e * (p / q) for e in psi2]
-        # both linear conditions A_1 psi_2 - A_2 psi_1 vanish here; one is the
-        # constraint component, the other the derived gauge condition
-        v = [psi2[alpha] * p - psi1[alpha] * q for alpha in range(2)]
-        constraint_residual = max(constraint_residual, v[0].max_abs())
-        gauge_residual = max(gauge_residual, v[1].max_abs())
-        coeffs1 = [
-            GrassmannElement.scalar(2 * np.pi * p * sigma_plus_dir[a], ngen) for a in range(3)
-        ] + [psi1[0] * (2 * np.pi), psi1[1] * (2 * np.pi)]
-        coeffs2 = [
-            GrassmannElement.scalar(2 * np.pi * q * sigma_plus_dir[a], ngen) for a in range(3)
-        ] + [psi2[0] * (2 * np.pi), psi2[1] * (2 * np.pi)]
-        gens += [alg.embed(coeffs1, ngen).coeffs, alg.embed(coeffs2, ngen).coeffs]
+    sweep = np.linspace(0.2, 2.8, samples - 1)
+    p, q = np.array([(0.6, 0.8)] + [(np.cos(t), np.sin(t)) for t in sweep]).T
+    # psi_2 = direction * scale * theta1, each point drawing its direction, then its scale
+    psi2 = canonical(np.array([rng.uniform(-1.0, 1.0, 2) * rng.uniform(0.3, 1.0) for _ in p]))
+    psi1 = canonical(psi2 * (p / q)[:, None])
+    # both linear conditions A_1 psi_2 - A_2 psi_1 vanish here; one is the
+    # constraint component, the other the derived gauge condition
+    v = np.abs(canonical(psi2 * p[:, None] - psi1 * q[:, None])).max(axis=0)
+    # the two holonomies' generators at every point over B_2, (points, 2, 4, 5)
+    coeffs = np.zeros((len(p), 2, 4, alg.dim))
+    coeffs[:, :, 0, :3] = (2 * np.pi * np.stack([p, q], axis=1))[:, :, None] * sigma_plus_dir
+    coeffs[:, :, 1, 3:] = np.stack([psi1, psi2], axis=1) * (2 * np.pi)
     # every point's two holonomies in one stacked exponential, then the
     # commutators U1 U2 - U2 U1 in two stacked products
-    U = graded_expm(np.array(gens), alg.block_m)
-    U1, U2 = U[0::2], U[1::2]
+    U = graded_expm(alg.embed(canonical(coeffs)), alg.block_m)
+    U1, U2 = U[:, 0], U[:, 1]
     comm = canonical(graded_matmul(U1, U2, alg.block_m) - graded_matmul(U2, U1, alg.block_m))
     commutator_norms = np.abs(comm).max(axis=(-3, -2, -1)).tolist()
-    invariants = [p * p + q * q for p, q in points]
     return ExponentialSectorReport(
         bracket_a1_a2=float(bracket_a1_a2),
-        constraint_residual=constraint_residual,
-        gauge_residual=gauge_residual,
+        constraint_residual=float(v[0]),
+        gauge_residual=float(v[1]),
         commutator_norms=commutator_norms,
-        invariants=invariants,
+        invariants=(p * p + q * q).tolist(),
         tol=PHASE_TOL,
     )

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannElement, canonical, grade_signs, graded_matmul
-from .supermatrix import SuperMatrix, body_array
+from .grassmann import canonical, grade_signs, graded_matmul
+from .supermatrix import SuperMatrix, body_array, supertranspose_coeffs
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -135,36 +135,32 @@ class SuperAlgebra:
                 raise ValueError(f"graded antisymmetry violated at ({i},{j})")
             raise ValueError(f"parity selection rule violated at ({i},{j},{int(np.argmax(rule[i, j]))})")
 
-    def bracket(self, x: Sequence, y: Sequence):
-        """Bilinear extension of f to coefficient vectors.
-
-        Accepts plain real vectors or vectors of GrassmannElement.  Grassmann
-        coefficients must match the parity of their generator, which keeps
-        every term of the enveloping-algebra element even.
-        """
-        if all(isinstance(c, (int, float)) for c in x) and all(
-            isinstance(c, (int, float)) for c in y
-        ):
-            # plain real vectors mean the abstract bracket of basis
-            # combinations (odd-odd pairs resolved by the anticommutator);
-            # Grassmann-valued input goes through the graded path below
-            xv = np.asarray(x, dtype=float)
-            yv = np.asarray(y, dtype=float)
-            return np.einsum("i,j,ijk->k", xv, yv, self.f)
-        ngen = next(c.n for c in list(x) + list(y) if isinstance(c, GrassmannElement))
+    def _graded_coeffs(self, coeffs) -> np.ndarray:
+        """coeffs as a float (..., 2^N, dim) array, axis -2 the monomial mask; ValueError for another
+        shape, or at the first generator with a monomial of the other parity: coefficients must match
+        their generators' parity, which keeps every term of the enveloping-algebra element even."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        size = coeffs.shape[-2] if coeffs.ndim >= 2 else 0
+        if coeffs.shape[-1:] != (self.dim,) or size < 1 or size & (size - 1):
+            raise ValueError(f"expected a (..., 2^N, {self.dim}) coefficient array, got shape {coeffs.shape}")
         # True where monomial q's parity differs from generator i's, (2^N, dim)
-        wrong = (grade_signs(ngen)[:, 0, 0] < 0)[:, None] != np.array(self.parities, dtype=bool)
-        X, Y = (np.stack([(c if isinstance(c, GrassmannElement) else GrassmannElement.scalar(c, ngen))
-                          .dense() for c in vec], axis=1) for vec in (x, y))
-        for vec in (X, Y):
-            bad = ((vec != 0.0) & wrong).any(axis=0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"coefficient {i} must have Grassmann parity {self.parities[i]}")
+        wrong = (grade_signs(size.bit_length() - 1)[:, :, 0] < 0) != np.array(self.parities, dtype=bool)
+        bad = ((coeffs != 0.0) & wrong).reshape(-1, self.dim).any(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"coefficient {i} must have Grassmann parity {self.parities[i]}")
+        return coeffs
+
+    def bracket(self, x, y) -> np.ndarray:
+        """Bilinear extension of f to coefficient vectors: real (dim,) vectors give the (dim,) abstract
+        bracket of basis combinations, odd-odd pairs resolved by the anticommutator; Grassmann-valued
+        (2^N, dim) arrays, checked as in embed, give the canonical (2^N, dim) array."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim == y.ndim == 1:
+            return np.einsum("i,j,ijk->k", x, y, self.f)
         # every x_i y_j at once, (2^N, dim, dim), then contracted with f
-        products = graded_matmul(X[:, :, None], Y[:, None, :])
-        out = canonical(np.einsum("qij,ijk->qk", products, self.f))
-        return [GrassmannElement.from_dense(out[:, k]) for k in range(self.dim)]
+        products = graded_matmul(self._graded_coeffs(x)[..., :, None], self._graded_coeffs(y)[..., None, :])
+        return canonical(np.einsum("...qij,ijk->...qk", products, self.f))
 
     def check_jacobi(self, tol: float = 1e-12) -> JacobiReport:
         """Residual of [X,[Y,Z}} - [[X,Y},Z} - (-1)^{|X||Y|}[Y,[X,Z}} on the basis."""
@@ -215,28 +211,16 @@ class SuperAlgebra:
         return block
 
     # ------------------------------------------------------------------
-    def embed(self, coeffs: Sequence, ngen: int) -> SuperMatrix:
-        """Enveloping-algebra element sum coeffs[I] * T_I as a SuperMatrix."""
+    def embed(self, coeffs) -> np.ndarray:
+        """Enveloping-algebra elements sum_I coeffs[..., I] T_I of (..., 2^N, dim) coefficients, each
+        of its generator's parity, summed in basis order into the canonical (..., 2^N, d, d) array."""
         if self.rep is None:
             raise ValueError("algebra carries no matrix representation")
-        d = self.block_m + self.block_n
-        out = np.zeros((1 << ngen, d, d))
-        for c, mat, par in zip(coeffs, self.rep, self.parities):
-            if isinstance(c, (int, float)):
-                if c == 0:
-                    continue
-                if par == 1:
-                    raise ValueError("odd generators need odd Grassmann coefficients")
-                vec = np.zeros(1 << ngen)
-                vec[0] = c
-            else:
-                if c.is_zero():
-                    continue
-                if not c.is_homogeneous(par):
-                    raise ValueError("coefficient parity must match generator parity")
-                vec = c.dense()
-            out += vec[:, None, None] * mat
-        return SuperMatrix.from_coeffs(self.block_m, self.block_n, out)
+        coeffs = self._graded_coeffs(coeffs)
+        out = np.zeros((*coeffs.shape[:-1], *self.rep[0].shape))
+        for g, mat in enumerate(self.rep):
+            out += coeffs[..., g, None, None] * mat
+        return canonical(out)
 
     def rep_supermatrices(self, ngen: int) -> list[SuperMatrix]:
         """Generators as supermatrices; odd generators use the odd pattern."""
@@ -485,7 +469,7 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
     assert parities.count(0) == expected_even and parities.count(1) == 2 * m * n
     R = _frozen(np.array(rep))
     H = graded_form(m, two_n)
-    if np.abs(_supertranspose_body(R, m) @ H + H @ R).max() > EXACT_TOL:
+    if np.abs(supertranspose_coeffs(R, m) @ H + H @ R).max() > EXACT_TOL:
         raise RuntimeError("generator fails the tangency condition")
     f, gram = _structure_constants_from_rep(R, parities, m=m)
     alg = SuperAlgebra(
@@ -500,13 +484,6 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
     )
     alg.validate()
     return alg
-
-
-def _supertranspose_body(mat: np.ndarray, m: int) -> np.ndarray:
-    """Supertranspose of real supermatrix bodies (..., d, d) written in blocks."""
-    out = np.swapaxes(mat, -1, -2).copy()
-    out[..., m:, :m] *= -1.0
-    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

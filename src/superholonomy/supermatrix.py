@@ -32,7 +32,7 @@ import numpy as np
 
 # ExpmNotConvergedError and graded_expm are imported from here too
 from .grassmann import (MAX_GENERATORS, ExpmNotConvergedError, GrassmannElement, ParityPatternError,
-                        canonical, graded_expm, graded_inverse, graded_matmul, pattern_mask)
+                        canonical, graded_expm, graded_inverse, graded_matmul, monomial_mask, pattern_mask)
 
 GMatrix = list[list[GrassmannElement]]
 
@@ -235,11 +235,10 @@ class SuperMatrix:
         return SuperMatrix._wrap(self.m, self.n, supertranspose_coeffs(self.coeffs, self.m, self.parity),
                                  self.parity)
 
-    def supertrace(self) -> GrassmannElement:
-        """Graded trace tr(a) - tr(A) (tr(a) + tr(A) on the odd pattern)."""
+    def supertrace(self) -> np.ndarray:
+        """Graded trace tr(a) - tr(A) (tr(a) + tr(A) on the odd pattern), a canonical (2^N,) array."""
         signs = np.where(np.arange(self.m + self.n) < self.m, 1.0, -1.0 if self.parity == 0 else 1.0)
-        return GrassmannElement.from_dense(
-            canonical(np.diagonal(self.coeffs, axis1=1, axis2=2) @ signs))
+        return canonical(np.diagonal(self.coeffs, axis1=1, axis2=2) @ signs)
 
     def inverse(self) -> "SuperMatrix":
         """Two-sided inverse through ``graded_inverse`` (even parity pattern only).
@@ -303,8 +302,7 @@ class SuperMatrix:
             i, j = _json_int(entry["row"], "row"), _json_int(entry["col"], "col")
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"entry ({i}, {j}) outside a {d}x{d} supermatrix")
-            (mask,) = GrassmannElement.monomial(
-                [_json_int(g, "monomial index") for g in entry["monomial"]], ngen).terms
+            mask = monomial_mask([_json_int(g, "monomial index") for g in entry["monomial"]], ngen)
             coeffs[mask, i, j] += float(entry["value"])
         return cls.from_coeffs(m, n, coeffs)
 
@@ -340,15 +338,9 @@ def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
 
 def random_supermatrix(rng, m: int, n: int, ngen: int, parity: int = 0,
                        scale: float = 1.0) -> SuperMatrix:
-    """Random homogeneous-parity supermatrix for property sweeps."""
-    from .grassmann import random_element
-
-    d = m + n
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            want = ((i >= m) ^ (j >= m)) ^ parity
-            row.append(random_element(rng, ngen, parity=want, scale=scale))
-        rows.append(row)
-    return SuperMatrix(m, n, rows, parity=parity, ngen=ngen)
+    """Random homogeneous-parity supermatrix for property sweeps: a uniform coefficient in [-scale,
+    scale] on every monomial the pattern allows, entries in row-major order, monomials in mask order."""
+    drawn = (pattern_mask(ngen, m + n, m) == bool(parity)).transpose(1, 2, 0)
+    coeffs = np.zeros(drawn.shape)
+    coeffs[drawn] = rng.uniform(-scale, scale, int(drawn.sum()))
+    return SuperMatrix.from_coeffs(m, n, coeffs.transpose(2, 0, 1), parity)

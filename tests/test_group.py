@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import superholonomy
 from superholonomy import checks
 from superholonomy import group as group_module
 from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, random_element
 from superholonomy.group import (
+    DEFECT_TOL,
     SAMPLE_SCALE,
+    GaugeFixResidualError,
     HolonomyPair,
     HypothesisError,
     OspGroup,
@@ -34,7 +37,7 @@ from superholonomy.group import (
 )
 from superholonomy.checks import moduli_counts
 from superholonomy.superlie import SIGMA_PLUS, symplectic_form
-from superholonomy.supermatrix import SuperMatrix, body_array, commutator
+from superholonomy.supermatrix import SuperMatrix, body_array, commutator, supertranspose_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +210,17 @@ class TestGaugeFix:
         pair = sector_representative(desc)
         with pytest.raises(SingularGaugeOperatorError):
             gauge_fix_sigma(g12, pair.U1)
+
+    def test_chi_left_above_tol_raises_typed_error(self):
+        # OSp(1|2) over B_7, member seed 25: the first of member seeds 0-39
+        # whose chi block ends above DEFECT_TOL, found by scanning the seeds
+        group = OspGroup(1, 1, 7)
+        U = group.sample_member(np.random.default_rng(25))
+        with pytest.raises(GaugeFixResidualError, match="chi residual of") as info:
+            gauge_fix_sigma(group, U)
+        assert info.value.tol == DEFECT_TOL < info.value.residual
+        assert isinstance(info.value, RuntimeError)
+        assert superholonomy.GaugeFixResidualError is GaugeFixResidualError
 
     def test_seed_conjugation_applied(self, g12):
         rng = np.random.default_rng(39)
@@ -420,12 +434,12 @@ class TestNonExponentialFamily:
 
     def test_connection_is_approximately_tangent(self):
         fam = build_nonexp_holonomy(0.2, 0.1, grid_points=32)
-        from superholonomy.superlie import graded_form, _supertranspose_body
+        from superholonomy.superlie import graded_form
 
         H = graded_form(1, 2)
         for A in fam.connection(1)[:5]:
             b = A.body()
-            assert np.abs(_supertranspose_body(b, 1) @ H + H @ b).max() < 1e-3
+            assert np.abs(supertranspose_coeffs(b, 1) @ H + H @ b).max() < 1e-3
 
 
 def _so(m, scale, seed):
@@ -576,7 +590,8 @@ def _sample_member_loop(group, rng, components=True):
         if par == 0:   # halve the even souls
             c = GrassmannElement(group.ngen, {k: v * 0.5 if k else v for k, v in c.terms.items()})
         coeffs.append(c)
-    M = alg.embed(coeffs, group.ngen).expm()
+    M = SuperMatrix.from_coeffs(group.m, group.two_n,
+                                alg.embed(np.stack([c.dense() for c in coeffs], axis=1))).expm()
     if components and rng.random() < 0.5:
         M = group.reflection_component() @ M
     return M
@@ -624,9 +639,9 @@ class TestStackedMembership:
         real = group_module.graded_expm
         monkeypatch.setattr(group_module, "graded_expm",
                             lambda X, *args, **kw: (calls.append(len(X)), real(X, *args, **kw))[1])
-        monkeypatch.setattr(checks, "STACK_BYTES", 1 << 30)
+        monkeypatch.setattr(group_module, "STACK_BYTES", 1 << 30)
         whole = group.sample_stack([np.random.default_rng(8)] * 7)
-        monkeypatch.setattr(checks, "STACK_BYTES", budget)
+        monkeypatch.setattr(group_module, "STACK_BYTES", budget)
         chunked = group.sample_stack([np.random.default_rng(8)] * 7)
         assert np.array_equal(chunked, whole)
         assert calls == [7] + ([1] * 7 if budget == 1 else [3, 3, 1])
@@ -661,7 +676,7 @@ class TestStackedMembership:
         assert whole[1] == 1
         member = (1 << group.ngen) * (group.m + group.two_n) ** 2 * 8    # bytes of one op
         for budget, chunks in ((1, 100), (7 * member, 15)):
-            monkeypatch.setattr(checks, "STACK_BYTES", budget)
+            monkeypatch.setattr(group_module, "STACK_BYTES", budget)
             res, calls, defects = sweep()
             # the same defect for every op, in op order
             assert (res, calls, defects) == (whole[0], chunks, whole[2])

@@ -19,6 +19,11 @@ The algebra builders' batched structure-constant extraction, the osp(1|2)
 defining-relation residual and ``SuperAlgebra.validate`` are checked against
 per-pair and per-triple loops that fit one bracket and test one index at a
 time.
+
+The builders that take coefficient arrays (the non-exponential family,
+``random_supermatrix`` and the odd constraint rows of
+``gauge_fixing_check``) are checked bit for bit against the element and
+polynomial routes they replaced.
 """
 
 import dataclasses
@@ -33,10 +38,11 @@ import scipy.linalg
 
 from superholonomy import grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, SPLIT_MAX, GrassmannElement, NonInvertibleError,
-                                     ParityPatternError, graded_inverse, graded_matmul)
-from superholonomy.group import _real_expm
-from superholonomy.superlie import (EPS2, EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, SIGMA0, SIGMA1, SIGMA2,
-                                    _osp12_candidate, _osp12_relation_residual,
+                                     ParityPatternError, graded_inverse, graded_matmul, random_element)
+from superholonomy.group import NONEXP_NGEN, NONEXP_PSI, _real_expm, build_nonexp_holonomy, rotation
+from superholonomy.phase import _odd_constraint_rows, flatness_constraints
+from superholonomy.superlie import (EPS2, EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0,
+                                    SIGMA1, SIGMA2, _osp12_candidate, _osp12_relation_residual,
                                     _structure_constants_from_rep, build_osp, build_osp12)
 from superholonomy.supermatrix import SuperMatrix, array_to_gmat, gmat_mul, graded_expm, random_supermatrix
 
@@ -660,3 +666,84 @@ class TestAlgebraLoops:
         expected = message(loop_structure_constants, rep, parities, alg.block_m)
         assert expected == "supertrace form is degenerate on this basis"
         assert message(_structure_constants_from_rep, rep, parities, alg.block_m) == expected
+
+
+# ----------------------------------------------------------------------
+# the element routes: the builders as they ran on GrassmannElement and
+# GradedPolynomial values, one coefficient at a time
+# ----------------------------------------------------------------------
+
+def element_nonexp_samples(cal_a1, cal_a2, grid_points):
+    """build_nonexp_holonomy's U1 then U2 samples, each generator a vector of elements."""
+    alg = build_osp12()
+    direction, _ = OSP12_DIRECTIONS["hyperbolic"]
+    psi1 = tuple(GrassmannElement.theta(k + 1, NONEXP_NGEN) * c for k, c in enumerate(NONEXP_PSI))
+    grid = np.linspace(0.0, 2.0 * math.pi, grid_points + 1)
+
+    def path(phi, amp):
+        coeffs = [GrassmannElement.scalar(amp * c * phi, NONEXP_NGEN) for c in direction]
+        coeffs += [psi * phi for psi in psi1]
+        body = np.zeros((3, 3))
+        body[0, 0] = 1.0
+        body[1:, 1:] = rotation(phi / 2.0)
+        D = SuperMatrix.from_body(body, 1, 2, NONEXP_NGEN)
+        X = SuperMatrix.from_coeffs(1, 2, alg.embed(np.stack([c.dense() for c in coeffs], axis=1)))
+        return D @ X.expm()
+
+    return [path(phi, amp) for amp in (cal_a1, cal_a2) for phi in grid]
+
+
+def element_random_supermatrix(rng, m, n, ngen, parity=0, scale=1.0):
+    """random_supermatrix drawn entry by entry as random_element values."""
+    d = m + n
+    rows = [[random_element(rng, ngen, parity=((i >= m) ^ (j >= m)) ^ parity, scale=scale)
+             for j in range(d)] for i in range(d)]
+    return SuperMatrix(m, n, rows, parity=parity, ngen=ngen)
+
+
+def polynomial_odd_rows(alg, even_values):
+    """The odd flatness polynomials at A = even_values, as linear forms in the psi slots."""
+    _, odd_G = flatness_constraints(alg)
+    rows = np.zeros((len(odd_G), 2 * alg.n_odd))
+    for row, g in zip(rows, odd_G):
+        for (exps, mask), coeff in g.terms.items():
+            assert mask.bit_count() == 1
+            factor = coeff
+            for s, e in enumerate(exps):
+                factor *= float(even_values[s]) ** e
+            row[mask.bit_length() - 1] += factor
+    return rows
+
+
+class TestElementRoutes:
+    @pytest.mark.parametrize("cal_a1, cal_a2, grid_points",
+                             [(0.35, -0.2, 64), (0.3, 0.1, 16), (0.2, 0.1, 32), (1.3, -0.7, 9)])
+    def test_nonexp_family_equals_element_route(self, cal_a1, cal_a2, grid_points):
+        fam = build_nonexp_holonomy(cal_a1, cal_a2, grid_points)
+        want = element_nonexp_samples(cal_a1, cal_a2, grid_points)
+        assert len(fam.U1 + fam.U2) == len(want) == 2 * (grid_points + 1)
+        for got, ref in zip(fam.U1 + fam.U2, want):
+            assert np.array_equal(got.coeffs, ref.coeffs)
+
+    @pytest.mark.parametrize("m, n, ngen, parity, scale",
+                             [(1, 2, 2, 0, 1.0), (1, 2, 2, 1, 1.0), (2, 2, 3, 1, 0.4), (2, 1, 5, 0, 0.6),
+                              (0, 0, 2, 0, 1.0), (1, 1, 0, 0, 1.0), (0, 3, 1, 1, 2.0)])
+    def test_random_supermatrix_equals_element_draws(self, m, n, ngen, parity, scale):
+        for seed in range(4):
+            rng, ref = np.random.default_rng([seed, ngen]), np.random.default_rng([seed, ngen])
+            for _ in range(3):
+                got = random_supermatrix(rng, m, n, ngen, parity, scale)
+                want = element_random_supermatrix(ref, m, n, ngen, parity, scale)
+                assert got.parity == want.parity == parity
+                assert np.array_equal(got.coeffs, want.coeffs)
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("m, n", [(0, 0)] + OSP_SIZES)      # (0, 0): the explicit osp(1|2)
+    def test_odd_constraint_rows_equal_polynomial_forms(self, m, n):
+        alg = build_osp12() if m == 0 else build_osp(m, n)
+        rng = np.random.default_rng([m, n, 29])
+        for _ in range(5):
+            c = rng.uniform(-1.0, 1.0, alg.n_even)
+            A1, A2 = rng.uniform(-2.0, 2.0, 2)
+            even_values = np.concatenate([A1 * c, A2 * c])
+            assert bit_equal(_odd_constraint_rows(alg, even_values), polynomial_odd_rows(alg, even_values))

@@ -7,6 +7,7 @@ import pytest
 from superholonomy.grassmann import GrassmannElement
 from superholonomy.group import ahat_det_rank, matrix_rank, parabolic, _real_expm
 from superholonomy.phase import (
+    EPS_CYCLES,
     GradedPolynomial,
     PhaseSpace,
     check_closure,
@@ -25,6 +26,7 @@ from superholonomy.superlie import (
     build_osp,
     build_osp12,
 )
+from superholonomy.supermatrix import SuperMatrix
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +172,7 @@ class TestConstraints:
         def build_pair(even_vals, odd_vals):
             c1 = [GrassmannElement.scalar(v, 2) for v in even_vals[:3]] + list(odd_vals[:2])
             c2 = [GrassmannElement.scalar(v, 2) for v in even_vals[3:]] + list(odd_vals[2:])
-            return alg.embed(c1, 2).expm(), alg.embed(c2, 2).expm()
+            return _embed_elements(alg, c1).expm(), _embed_elements(alg, c2).expm()
 
         # aligned data: everything vanishes and the holonomies commute
         c = np.array([-0.4, 0.2, 0.9])
@@ -185,6 +187,12 @@ class TestConstraints:
         U1, U2 = build_pair(even_bad, [zero] * 4)
         assert (U1 @ U2 - U2 @ U1).max_abs() > 1e-3
         assert max(g.evaluate(even_bad, [zero] * 4).max_abs() for g in ev_G) > 0.1
+
+
+def _embed_elements(alg, coeffs):
+    """alg.embed of a vector of GrassmannElement, as a SuperMatrix."""
+    embedded = alg.embed(np.stack([c.dense() for c in coeffs], axis=1))
+    return SuperMatrix.from_coeffs(alg.block_m, alg.block_n, embedded)
 
 
 def _tampered(alg):
@@ -599,11 +607,15 @@ class TestExponentialSectorReport:
 
 
 def _exponential_sector_loop(samples, seed):
-    """The holonomy part of osp12_exponential_sector as a serial per-point loop.
+    """osp12_exponential_sector as a serial per-point loop on the symbolic layers.
 
-    Returns (constraint_residual, gauge_residual, commutator_norms,
-    invariants), each point's two exponentials one SuperMatrix.expm call.
+    Returns (bracket_a1_a2, constraint_residual, gauge_residual,
+    commutator_norms, invariants): the bracket of two polynomials, each
+    point's coefficients in GrassmannElement arithmetic, and its two
+    exponentials one SuperMatrix.expm call each.
     """
+    reduced = PhaseSpace.create(np.array([[1.0]]), EPS_CYCLES)
+    bracket = reduced.A(1, 0).bracket(reduced.A(2, 0)).terms.get(((0, 0), 0), 0.0)
     alg, ngen = build_osp12(), 2
     sigma_plus_dir, _ = OSP12_DIRECTIONS["parabolic"]
     rng = np.random.default_rng(seed)
@@ -624,11 +636,11 @@ def _exponential_sector_loop(samples, seed):
                    for a in range(3)] + [psi1[0] * (2 * np.pi), psi1[1] * (2 * np.pi)]
         coeffs2 = [GrassmannElement.scalar(2 * np.pi * q * sigma_plus_dir[a], ngen)
                    for a in range(3)] + [psi2[0] * (2 * np.pi), psi2[1] * (2 * np.pi)]
-        U1 = alg.embed(coeffs1, ngen).expm()
-        U2 = alg.embed(coeffs2, ngen).expm()
+        U1 = _embed_elements(alg, coeffs1).expm()
+        U2 = _embed_elements(alg, coeffs2).expm()
         commutator_norms.append((U1 @ U2 - U2 @ U1).max_abs())
         invariants.append(p * p + q * q)
-    return constraint_residual, gauge_residual, commutator_norms, invariants
+    return bracket, constraint_residual, gauge_residual, commutator_norms, invariants
 
 
 class TestExponentialSectorStack:
@@ -636,7 +648,7 @@ class TestExponentialSectorStack:
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_equals_serial_loop(self, samples, seed):
         report = osp12_exponential_sector(samples=samples, seed=seed)
-        got = (report.constraint_residual, report.gauge_residual,
+        got = (report.bracket_a1_a2, report.constraint_residual, report.gauge_residual,
                report.commutator_norms, report.invariants)
         assert got == _exponential_sector_loop(samples, seed)
         assert all(type(x) is float for x in report.commutator_norms)

@@ -14,8 +14,8 @@ from superholonomy.superlie import (
     build_osp,
     build_osp12,
     graded_form,
-    _supertranspose_body,
 )
+from superholonomy.supermatrix import SuperMatrix, supertranspose_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestOsp12Relations:
         for i in range(5):
             for j in range(5):
                 val = (mats[i] @ mats[j]).supertrace()
-                assert abs(val.body - k * osp12.eta[i, j]) < 1e-12
+                assert abs(val[0] - k * osp12.eta[i, j]) < 1e-12
 
 
 class TestBuildOsp:
@@ -100,7 +100,7 @@ class TestBuildOsp:
         alg = build_osp(2, 1)
         H = graded_form(2, 2)
         for mat in alg.rep:
-            assert np.abs(_supertranspose_body(mat, 2) @ H + H @ mat).max() == 0.0
+            assert np.abs(supertranspose_coeffs(mat, 2) @ H + H @ mat).max() == 0.0
 
     def test_11_isomorphic_to_explicit_osp12(self, osp12):
         alg = build_osp(1, 1)
@@ -137,34 +137,59 @@ class TestBracket:
     def test_matches_representation_commutators(self, osp12):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            xc = [GrassmannElement.scalar(rng.uniform(-1, 1), 2) for _ in range(3)]
-            xc += [GrassmannElement.theta(1, 2) * rng.uniform(-1, 1) for _ in range(2)]
-            yc = [GrassmannElement.scalar(rng.uniform(-1, 1), 2) for _ in range(3)]
-            yc += [GrassmannElement.theta(2, 2) * rng.uniform(-1, 1) for _ in range(2)]
-            X = osp12.embed(xc, 2)
-            Y = osp12.embed(yc, 2)
+            # even coefficients on the body, odd ones on theta1 (x) and theta2 (y)
+            xc, yc = np.zeros((4, 5)), np.zeros((4, 5))
+            xc[0, :3] = rng.uniform(-1, 1, 3)
+            xc[1, 3:] = rng.uniform(-1, 1, 2)
+            yc[0, :3] = rng.uniform(-1, 1, 3)
+            yc[2, 3:] = rng.uniform(-1, 1, 2)
+            X = SuperMatrix.from_coeffs(1, 2, osp12.embed(xc))
+            Y = SuperMatrix.from_coeffs(1, 2, osp12.embed(yc))
             matrix_side = X @ Y - Y @ X
             coeff_side = osp12.bracket(xc, yc)
-            recon = osp12.embed(coeff_side, 2)
+            recon = SuperMatrix.from_coeffs(1, 2, osp12.embed(coeff_side))
             assert matrix_side.diff(recon) < 1e-12
 
     def test_parity_violation_rejected(self, osp12):
-        bad = [GrassmannElement.theta(1, 2)] + [GrassmannElement.zero(2)] * 4
-        good = [GrassmannElement.zero(2)] * 5
+        bad = np.zeros((4, 5))
+        bad[1, 0] = 1.0          # theta1 on the even generator J0
+        good = np.zeros((4, 5))
         with pytest.raises(ValueError):
             osp12.bracket(bad, good)
 
     def test_odd_odd_lands_on_even(self, osp12):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            x = [GrassmannElement.zero(2)] * 3 + [
-                GrassmannElement.theta(1, 2) * rng.uniform(-1, 1) for _ in range(2)
-            ]
-            y = [GrassmannElement.zero(2)] * 3 + [
-                GrassmannElement.theta(2, 2) * rng.uniform(-1, 1) for _ in range(2)
-            ]
+            x, y = np.zeros((4, 5)), np.zeros((4, 5))
+            x[1, 3:] = rng.uniform(-1, 1, 2)
+            y[2, 3:] = rng.uniform(-1, 1, 2)
             out = osp12.bracket(x, y)
-            assert all(out[k].is_zero() for k in osp12.odd_indices)
+            assert out.shape == (4, 5)
+            assert not out[:, osp12.odd_indices].any()
+
+    def test_real_and_grassmann_routes_agree_on_the_body(self, osp12):
+        rng = np.random.default_rng(23)
+        x, y = rng.uniform(-1, 1, (2, 5))
+        x[3:] = y[3:] = 0.0
+        X, Y = np.zeros((4, 5)), np.zeros((4, 5))
+        X[0], Y[0] = x, y
+        assert osp12.bracket(x, y).shape == (5,)
+        assert np.array_equal(osp12.bracket(X, Y)[0], osp12.bracket(x, y))
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (4, 4), (4, 3, 5)])
+    def test_embed_rejects_other_shapes(self, osp12, shape):
+        with pytest.raises(ValueError, match="coefficient array"):
+            osp12.embed(np.zeros(shape))
+
+    def test_embed_of_a_stack_equals_each_member(self, osp12):
+        rng = np.random.default_rng(24)
+        stack = np.zeros((3, 4, 5))
+        stack[:, 0, :3] = rng.uniform(-1, 1, (3, 3))
+        stack[:, 1, 3:] = rng.uniform(-1, 1, (3, 2))
+        out = osp12.embed(stack)
+        assert out.shape == (3, 4, 3, 3)
+        for member, coeffs in zip(out, stack):
+            assert np.array_equal(member, osp12.embed(coeffs))
 
 
 def _pairwise_bracket(alg, x, y):
@@ -177,6 +202,11 @@ def _pairwise_bracket(alg, x, y):
     return out
 
 
+def _dense(elements):
+    """A vector of GrassmannElement as the (2^N, dim) coefficient array."""
+    return np.stack([e.dense() for e in elements], axis=1)
+
+
 class TestBracketMatchesPairwiseLoop:
     @pytest.mark.parametrize("m, n, ngen", [(1, 1, 3), (2, 1, 4), (1, 2, 2)])
     def test_same_coefficients(self, m, n, ngen):
@@ -184,20 +214,27 @@ class TestBracketMatchesPairwiseLoop:
         rng = np.random.default_rng([m, n, ngen])
         for _ in range(5):
             x, y = ([random_element(rng, ngen, parity=p) for p in alg.parities] for _ in range(2))
-            got = alg.bracket(x, y)
-            want = _pairwise_bracket(alg, x, y)
-            assert len(got) == alg.dim
-            assert max((g - w).max_abs() for g, w in zip(got, want)) <= 1e-14
+            got = alg.bracket(_dense(x), _dense(y))
+            want = _dense(_pairwise_bracket(alg, x, y))
+            assert got.shape == (1 << ngen, alg.dim)
+            assert np.abs(got - want).max() <= 1e-14
 
     def test_parity_message_names_first_bad_coefficient(self, osp12):
-        x = [GrassmannElement.zero(2)] * 3 + [GrassmannElement.theta(1, 2)] * 2
-        y = list(x)
-        y[4] = GrassmannElement.one(2)
-        y[2] = GrassmannElement.theta(2, 2)
+        x = np.zeros((4, 5))
+        x[1, 3:] = 1.0           # theta1 on both odd generators
+        y = x.copy()
+        y[:, 4] = [1.0, 0.0, 0.0, 0.0]    # 1 on the odd Q2
+        y[:, 2] = [0.0, 0.0, 1.0, 0.0]    # theta2 on the even J2
         with pytest.raises(ValueError, match="^coefficient 2 must have Grassmann parity 0$"):
             osp12.bracket(x, y)
         with pytest.raises(ValueError, match="^coefficient 4 must have Grassmann parity 1$"):
-            osp12.bracket(y[:2] + x[2:4] + y[4:], x)
+            osp12.bracket(np.concatenate([y[:, :2], x[:, 2:4], y[:, 4:]], axis=1), x)
+
+    def test_embed_shares_the_parity_message(self, osp12):
+        x = np.zeros((4, 5))
+        x[0, 3] = 0.5            # a real coefficient on the odd Q1
+        with pytest.raises(ValueError, match="^coefficient 3 must have Grassmann parity 1$"):
+            osp12.embed(x)
 
 
 class TestJacobi:
