@@ -22,7 +22,7 @@ import numpy as np
 
 from .grassmann import (TAYLOR_CUTOFF, canonical, grade_signs, graded_expm, graded_inverse, graded_matmul,
                         scaling_squaring_expm, taylor_sum)
-from .supermatrix import SuperMatrix, body_array, commutator, supertranspose_coeffs
+from .supermatrix import SuperMatrix, body_array, commutator, signed_gather, transpose_plan
 from .superlie import (
     OSP12_DIRECTIONS,
     SIGMA1,
@@ -137,22 +137,21 @@ class OspGroup:
         return True
 
     def membership_defect(self, M):
-        """Largest coefficient of M^st H M - H.
+        """Largest coefficient of M^st H M - H: one signed gather of M (transpose_plan), one product.
 
         M is a SuperMatrix, giving a float, or an even coefficient stack
         (..., 2^N, m+2n, m+2n), giving an array of shape (...) whose members
         equal the one-matrix defects, as in matrix_rank.
         """
         H = self.H_matrix()
-        even, trusted = self.m, isinstance(M, SuperMatrix)
+        even, trusted, parity = self.m, isinstance(M, SuperMatrix), 0
         if trusted:
             H._check_compatible(M)
-            st = supertranspose_coeffs(M.coeffs, M.m, M.parity)
-            even = None if M.parity else even
-            M = M.coeffs
-        else:
-            st = supertranspose_coeffs(M, self.m)
-        residual = canonical(graded_matmul(graded_matmul(st, H.coeffs), M, even, check=not trusted)
+            even, parity, M = (None if M.parity else even), M.parity, M.coeffs
+        elif np.shape(M)[-3:] != H.coeffs.shape:
+            raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (*H.coeffs.shape, np.shape(M)))
+        st_h = signed_gather(M, transpose_plan(self.m, self.m + self.two_n, parity, graded=True))
+        residual = canonical(graded_matmul(st_h if trusted else canonical(st_h), M, even, check=not trusted)
                              - H.coeffs)
         worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
         return float(worst) if worst.ndim == 0 else worst

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .grassmann import canonical, grade_signs, graded_matmul
-from .supermatrix import SuperMatrix, body_array, supertranspose_coeffs
+from .supermatrix import SuperMatrix, body_array, graded_form, supertranspose_coeffs, symplectic_form
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -39,29 +39,10 @@ EXACT_TOL = 1e-12
 GRAM_DET_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
-def symplectic_form(two_n: int) -> np.ndarray:
-    """C with C^T = -C and C^2 = -I; the 2x2 case is the epsilon matrix.  Cached, read-only."""
-    half = two_n // 2
-    C = np.zeros((two_n, two_n))
-    C[:half, half:] = np.eye(half)
-    C[half:, :half] = -np.eye(half)
-    C.flags.writeable = False
-    return C
-
-
 def pair_signs(parities: Sequence[int]) -> np.ndarray:
     """(-1)^{|i||j|} for every pair of generators: -1 on odd-odd pairs."""
     p = np.asarray(parities)
     return np.where(np.outer(p, p) == 1, -1.0, 1.0)
-
-
-def graded_form(m: int, two_n: int) -> np.ndarray:
-    """The preserved form H = diag(I_m, C)."""
-    H = np.zeros((m + two_n, m + two_n))
-    H[:m, :m] = np.eye(m)
-    H[m:, m:] = symplectic_form(two_n)
-    return H
 
 
 @dataclass

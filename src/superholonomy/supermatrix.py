@@ -26,6 +26,7 @@ also take stacks (..., 2^N, d, d) and give each member its one-matrix result.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -75,17 +76,51 @@ def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
     return canonical(out)
 
 
+@lru_cache(maxsize=None)
+def symplectic_form(two_n: int) -> np.ndarray:
+    """C with C^T = -C and C^2 = -I; the 2x2 case is the epsilon matrix.  Cached, read-only."""
+    half = two_n // 2
+    C = np.zeros((two_n, two_n))
+    C[:half, half:] = np.eye(half)
+    C[half:, :half] = -np.eye(half)
+    C.flags.writeable = False
+    return C
+
+
+def graded_form(m: int, two_n: int) -> np.ndarray:
+    """The preserved form H = diag(I_m, C)."""
+    H = np.zeros((m + two_n, m + two_n))
+    H[:m, :m] = np.eye(m)
+    H[m:, m:] = symplectic_form(two_n)
+    return H
+
+
+@lru_cache(maxsize=None)
+def transpose_plan(m: int, d: int, parity: int = 0, graded: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with (X^st F).flat = sign * X.flat[index], F = graded_form(m, d - m) if graded, else I."""
+    form = graded_form(m, d - m) if graded else np.eye(d)
+    j, k = np.nonzero(form.T)                        # column j's entry sits in row k
+    assert np.array_equal(j, np.arange(d)) and np.all(np.abs(form[k, j]) == 1.0), "F needs one ±1 per column"
+    block = np.arange(d) >= m
+    # X^st[i, k] = t[i, k] X[k, i], t = -1 on the chi^T block (on the xi^T block for odd parity)
+    t = (-1.0) ** ((block[:, None] != block) & (block[:, None] != bool(parity)))
+    index, sign = (k * d + np.arange(d)[:, None]).ravel(), (t[:, k] * form[k, j]).ravel()
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def signed_gather(x: np.ndarray, plan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sign * X.flat[index] for each (d, d) member X of x, plan = (index, sign) (see transpose_plan)."""
+    return (np.take(x.reshape(*x.shape[:-2], plan[0].size), plan[0], axis=-1) * plan[1]).reshape(x.shape)
+
+
 def supertranspose_coeffs(coeffs: np.ndarray, m: int, parity: int = 0) -> np.ndarray:
     """Graded transpose of a (..., 2^N, d, d) stack: (a, xi, chi, A) -> (a^T, chi^T, -xi^T, A^T).
 
     On the odd parity pattern the off-diagonal signs flip, which is what
     makes (XY)^st = (-1)^{|X||Y|} Y^st X^st hold for both parities.
     """
-    sign = -1.0 if parity else 1.0
-    out = np.swapaxes(coeffs, -1, -2).copy()
-    out[..., :m, m:] *= sign
-    out[..., m:, :m] *= -sign
-    return canonical(out)
+    return canonical(signed_gather(coeffs, transpose_plan(m, coeffs.shape[-1], parity)))
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,14 @@ class TestMembership:
         with pytest.raises(ValueError):
             g12.is_member(SuperMatrix.identity(2, 2, 2))
 
+    @pytest.mark.parametrize("shape", [(32, 4, 4), (3, 32, 4, 4), (64, 5, 5), (2, 64, 4, 5), (64, 4), (4, 4)])
+    def test_stack_of_wrong_shape_raises(self, shape):
+        # OSp(2|2) over B_6 wants (..., 64, 4, 4): a stack at N = 5, with d = 5
+        # or without the mask axis must not reach the gather plan
+        group = OspGroup(2, 1, 6)
+        with pytest.raises(ValueError, match=r"expected a \(\.\.\., 64, 4, 4\) stack"):
+            group.membership_defect(np.zeros(shape))
+
     def test_sampled_members(self, g12, g22):
         rng = np.random.default_rng(31)
         for group in (g12, g22):

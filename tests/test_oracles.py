@@ -24,6 +24,10 @@ The builders that take coefficient arrays (the non-exponential family,
 ``random_supermatrix`` and the odd constraint rows of
 ``gauge_fixing_check``) are checked bit for bit against the element and
 polynomial routes they replaced.
+
+``membership_defect`` builds M^st H by one signed gather of M; it is checked
+bit for bit against the route it replaced, the block-sign supertranspose,
+then the body product by H, then the product with M.
 """
 
 import dataclasses
@@ -38,13 +42,16 @@ import scipy.linalg
 
 from superholonomy import grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, SPLIT_MAX, GrassmannElement, NonInvertibleError,
-                                     ParityPatternError, graded_inverse, graded_matmul, random_element)
-from superholonomy.group import NONEXP_NGEN, NONEXP_PSI, _real_expm, build_nonexp_holonomy, rotation
+                                     ParityPatternError, canonical, graded_inverse, graded_matmul,
+                                     random_element)
+from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, build_nonexp_holonomy,
+                                 rotation)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
 from superholonomy.superlie import (EPS2, EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0,
                                     SIGMA1, SIGMA2, _osp12_candidate, _osp12_relation_residual,
                                     _structure_constants_from_rep, build_osp, build_osp12)
-from superholonomy.supermatrix import SuperMatrix, array_to_gmat, gmat_mul, graded_expm, random_supermatrix
+from superholonomy.supermatrix import (SuperMatrix, array_to_gmat, gmat_mul, graded_expm, graded_form,
+                                      random_supermatrix, signed_gather, supertranspose_coeffs, transpose_plan)
 
 
 @lru_cache(maxsize=None)
@@ -747,3 +754,114 @@ class TestElementRoutes:
             A1, A2 = rng.uniform(-2.0, 2.0, 2)
             even_values = np.concatenate([A1 * c, A2 * c])
             assert bit_equal(_odd_constraint_rows(alg, even_values), polynomial_odd_rows(alg, even_values))
+
+
+# ----------------------------------------------------------------------
+# membership_defect against the route it replaced
+# ----------------------------------------------------------------------
+
+def block_supertranspose(coeffs, m, parity=0):
+    """The graded transpose by block signs: a transposed copy, two signed block scalings, canonical."""
+    sign = -1.0 if parity else 1.0
+    out = np.swapaxes(coeffs, -1, -2).copy()
+    out[..., :m, m:] *= sign
+    out[..., m:, :m] *= -sign
+    return canonical(out)
+
+
+def defect_by_body_product(group, M):
+    """max |M^st H M - H| with M^st H a kernel product of the transpose and H."""
+    H = group.H_matrix().coeffs
+    even, parity, trusted = group.m, 0, isinstance(M, SuperMatrix)
+    if trusted:
+        even, parity, M = (None if M.parity else even), M.parity, M.coeffs
+    st_h = graded_matmul(block_supertranspose(M, group.m, parity), H)
+    residual = canonical(graded_matmul(st_h, M, even, check=not trusted) - H)
+    worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def same_defects(group, members):
+    """Each member's defect and the stack's equal the old route's, bit for bit."""
+    for M in members:
+        assert np.array_equal(group.membership_defect(M), defect_by_body_product(group, M))
+    stack = np.array([M.coeffs if isinstance(M, SuperMatrix) else M for M in members])
+    got = group.membership_defect(stack)
+    assert np.array_equal(got, defect_by_body_product(group, stack))
+    assert got.tolist() == [group.membership_defect(M) for M in members]
+    return got
+
+
+GATHER_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]     # OSp(1|2), (2|2), (1|4), (2|4)
+
+
+class TestMembershipGather:
+    @pytest.mark.parametrize("m, n", GATHER_SIZES)
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_plan_equals_block_signs(self, m, n, parity):
+        d = m + 2 * n
+        for ngen in (0, 1, 3):
+            x = random_supermatrix(np.random.default_rng([m, n, ngen, parity]), m, 2 * n, ngen, parity).coeffs
+            stack = np.array([x, 2.0 * x, -x])
+            for arr in (x, stack, x[0]):
+                assert bit_equal(supertranspose_coeffs(arr, m, parity), block_supertranspose(arr, m, parity))
+                gathered = canonical(signed_gather(arr, transpose_plan(m, d, parity, graded=True)))
+                assert bit_equal(gathered, canonical(block_supertranspose(arr, m, parity) @ graded_form(m, 2 * n)))
+
+    @pytest.mark.parametrize("m, n", GATHER_SIZES)
+    @pytest.mark.parametrize("ngen", [3, 4, 5, 6, 7])
+    def test_members(self, m, n, ngen):
+        group = OspGroup(m, n, ngen)
+        rng = np.random.default_rng([m, n, ngen])
+        defects = same_defects(group, [group.sample_member(rng) for _ in range(3)])
+        assert defects.max() <= 1e-10
+
+    @pytest.mark.parametrize("m, n", GATHER_SIZES)
+    @pytest.mark.parametrize("ngen", [3, 6])
+    def test_perturbed_non_members(self, m, n, ngen):
+        group = OspGroup(m, n, ngen)
+        rng = np.random.default_rng([m, n, ngen, 1])
+        M = group.sample_member(rng)
+        for noise in (1e-13, 1e-11, 1e-9, 1e-6, 1e-3):
+            raw = [M.coeffs + noise * random_supermatrix(rng, m, 2 * n, ngen).coeffs for _ in range(3)]
+            # raw stacks keep entries below COEFF_CUTOFF; SuperMatrix drops them
+            same_defects(group, raw)
+            defects = same_defects(group, [SuperMatrix.from_coeffs(m, 2 * n, c) for c in raw])
+            if noise >= 1e-9:
+                assert defects.min() > 0.0
+
+    @pytest.mark.parametrize("m, n", GATHER_SIZES)
+    def test_raw_entries_below_the_cutoff(self, m, n):
+        # a raw stack's M^st H drops coefficients below COEFF_CUTOFF, as the
+        # canonical transpose it replaced did.  For M = I + e, e = 0.9
+        # COEFF_CUTOFF theta1 theta2 at (0, 0), M^st H M - H then keeps only
+        # H e, below the cutoff too; a gather left raw would give 2 e, above it
+        group = OspGroup(m, n, 4)
+        M = np.array(SuperMatrix.identity(m, 2 * n, 4).coeffs)
+        M[3, 0, 0] = 0.9 * COEFF_CUTOFF
+        assert same_defects(group, [M]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("m, n", GATHER_SIZES)
+    def test_odd_parity(self, m, n):
+        group = OspGroup(m, n, 4)
+        rng = np.random.default_rng([m, n, 2])
+        for _ in range(3):
+            M = random_supermatrix(rng, m, 2 * n, 4, parity=1)
+            assert group.membership_defect(M) == defect_by_body_product(group, M) > 0.0
+
+    def test_table_route(self):
+        group = OspGroup(2, 1, 8)
+        assert (1 << group.ngen) * (group.m + group.two_n) > SPLIT_MAX
+        rng = np.random.default_rng(8)
+        M = group.sample_member(rng)
+        noisy = M.coeffs + 1e-6 * random_supermatrix(rng, 2, 2, 8).coeffs
+        same_defects(group, [M, group.sample_member(rng)])
+        same_defects(group, [noisy, M.coeffs])
+
+    def test_non_finite_stack_raises(self):
+        group = OspGroup(1, 1, 3)
+        bad = np.array(group.sample_member(np.random.default_rng(0)).coeffs)
+        bad[2, 1, 0] = np.nan
+        for fn in (group.membership_defect, lambda x: defect_by_body_product(group, x)):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(bad)

@@ -600,6 +600,16 @@ class TestExponentialSectorReport:
         assert max(report.commutator_norms) <= 1e-8
         assert report.invariants[0] == pytest.approx(1.0)
 
+    def test_failures_read_failed(self):
+        report = osp12_exponential_sector(samples=4, seed=1)
+        assert report.passed
+        # the unit pairing is the reduced space's convention: reported, not tested
+        assert dataclasses.replace(report, bracket_a1_a2=0.5).passed
+        over = 10.0 * report.tol
+        for change in ({"commutator_norms": report.commutator_norms + [2e-8]},
+                       {"constraint_residual": over}, {"gauge_residual": over}):
+            assert not dataclasses.replace(report, **change).passed
+
     def test_reference_sample_point(self):
         report = osp12_exponential_sector(samples=2, seed=0)
         # first sample point is (p, q) = (0.6, 0.8): on the unit circle
