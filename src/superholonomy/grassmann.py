@@ -39,7 +39,9 @@ TABLE_MAX_N = 6
 # t -> x t, the real matrix L(x), and L(x) maps each parity class
 # V_c = {(q, j) : |q| + [j >= m] = c mod 2} onto itself.  So only its two
 # diagonal blocks L0 and L1, each 2^(N-1) d square, are built, from a cached
-# index plan, and x y is one batched matmul by them (see EvenSplit).  They do 4^(N-1)
+# index plan, and x y is one batched matmul by them (see EvenSplit).  A class
+# holds m or d - m adjacent columns at each mask, so the plan moves L's
+# nonzeros in aligned runs of gcd(m, d - m) entries.  They do 4^(N-1)
 # d^3 multiplications where the pair table does 3^N d^3, so the split wins
 # only while the table's per-pair overhead dominates: SPLIT_MAX caps 2^N d.
 # Against the table and the last-generator recursion, (1|2), (2|2) and
@@ -169,7 +171,9 @@ class EvenSplit:
     pads: it reads a coefficient the pattern holds at zero and is not
     written back.
     ``regular(x)`` is (..., 2, h, h), the blocks L0 and L1 of L(x), so
-    L @ s is x y in split form for s the split y: one matmul.
+    L @ s is x y in split form for s the split y: one matmul.  L's nonzeros
+    and their sources in [x, -x] come in aligned runs of ``run`` =
+    gcd(m, d - m) columns, which it moves as one item of ``unit`` each.
     """
 
     def __init__(self, n: int, d: int, m: int):
@@ -192,14 +196,18 @@ class EvenSplit:
         self.real = np.flatnonzero(~np.broadcast_to(pad[:, None, :], packed.shape))
         self.written = self.packed[self.real]
         # pair k of the table puts sign x_p[i, j] at L[(r, i), (q, j)], which
-        # lies in block [(q, j) in V1] when (i, j) is on the pattern
+        # lies in block [(q, j) in V1] when (i, j) is on the pattern; a run
+        # of columns j is planned by its first
+        self.run = math.gcd(m, d - m)
+        first = np.arange(0, d, self.run)
         left, right, starts = _pair_table(n)
         r = np.repeat(np.arange(size), np.diff(np.append(starts, len(left))))
-        on = ~pattern_mask(n, d, m)[left % size]
-        dst = (cls[right][:, None, :] * h + rank[r][:, :, None]) * h + rank[right][:, None, :]
-        src = (left[:, None, None] * d + np.arange(d)[:, None]) * d + np.arange(d)
-        order = np.argsort(dst[on], kind="stable")
-        self.dst, self.src = dst[on][order], src[on][order]
+        on = ~pattern_mask(n, d, m)[left % size][..., first]
+        dst = (cls[right][:, None, first] * h + rank[r][:, :, None]) * h + rank[right][:, None, first]
+        src = (left[:, None, None] * d + np.arange(d)[:, None]) * d + first
+        order = np.argsort(dst[on])
+        self.dst, self.src = dst[on][order] // self.run, src[on][order] // self.run
+        self.unit = np.dtype(float) if self.run == 1 else np.dtype((np.void, 8 * self.run))
         self.h = h
         for arr in (self.packed, self.real, self.written, self.dst, self.src):
             arr.flags.writeable = False
@@ -223,8 +231,9 @@ class EvenSplit:
         members = x.reshape(-1, self.flat)
         block = 2 * self.h * self.h
         L = np.zeros(len(members) * block)
-        L[_flat_positions(self.dst, len(members), block)] = np.take(
-            np.concatenate((members, -members), axis=1), self.src, axis=1).ravel()
+        signed = np.concatenate((members, -members), axis=1, dtype=float).view(self.unit)
+        L.view(self.unit)[_flat_positions(self.dst, len(members), block // self.run)] = np.take(
+            signed, self.src, axis=1).ravel()
         return L.reshape(*x.shape[:-3], 2, self.h, self.h)
 
 
@@ -413,14 +422,20 @@ def taylor_sum(step, identity: np.ndarray, member_ndim: int, cutoff: float,
     The last member_ndim axes are a member; each member stops after its
     first term below cutoff in every entry, which it still adds, and keeps
     its sum (np.where) while the others run on, so it is bit-equal to its
-    one-matrix series.  Raises ExpmNotConvergedError when max_terms terms
-    do not reach the cutoff.
+    one-matrix series.  One member, alone or as a one-member stack, sums
+    without the mask.  Raises ExpmNotConvergedError when max_terms terms do
+    not reach the cutoff.
     """
     axes = tuple(range(-member_ndim, 0))
     acc = term = identity
     done = np.zeros(identity.shape[:-member_ndim], dtype=bool)
     for k in range(1, max_terms + 1):
         term = step(term) * (1.0 / k)
+        if done.size == 1:
+            acc = acc + term
+            if np.abs(term).max() < cutoff:
+                return acc
+            continue
         acc = np.where(done.reshape(done.shape + (1,) * member_ndim), acc, acc + term)
         done |= np.abs(term).max(axis=axes) < cutoff
         if done.all():

@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import (TAYLOR_CUTOFF, canonical, grade_signs, graded_expm, graded_inverse, graded_matmul,
-                        scaling_squaring_expm, taylor_sum)
+from .grassmann import (TAYLOR_CUTOFF, _split_slices, canonical, even_route, grade_signs, graded_expm,
+                        graded_inverse, graded_matmul, scaling_squaring_expm, taylor_sum)
 from .supermatrix import SuperMatrix, body_array, commutator, signed_gather, transpose_plan
 from .superlie import (
     OSP12_DIRECTIONS,
@@ -136,12 +136,19 @@ class OspGroup:
             return False
         return True
 
+    @cached_property
+    def _H_slots(self) -> np.ndarray:
+        # H in split form, read by membership_defect on the split route only
+        H = self.H_matrix().coeffs
+        return even_route(self.m, H, check=False).pack(H)
+
     def membership_defect(self, M):
         """Largest coefficient of M^st H M - H: one signed gather of M (transpose_plan), one product.
 
         M is a SuperMatrix, giving a float, or an even coefficient stack
         (..., 2^N, m+2n, m+2n), giving an array of shape (...) whose members
-        equal the one-matrix defects, as in matrix_rank.
+        equal the one-matrix defects, as in matrix_rank.  On the split route
+        the residual is taken on the split slots; off them both sides are 0.
         """
         H = self.H_matrix()
         even, trusted, parity = self.m, isinstance(M, SuperMatrix), 0
@@ -151,9 +158,13 @@ class OspGroup:
         elif np.shape(M)[-3:] != H.coeffs.shape:
             raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (*H.coeffs.shape, np.shape(M)))
         st_h = signed_gather(M, transpose_plan(self.m, self.m + self.two_n, parity, graded=True))
-        residual = canonical(graded_matmul(st_h if trusted else canonical(st_h), M, even, check=not trusted)
-                             - H.coeffs)
-        worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
+        st_h = st_h if trusted else canonical(st_h)
+        split = even_route(even, st_h, M, check=not trusted)
+        if split is None:       # odd parity, or the pair table above SPLIT_MAX
+            worst = np.abs(canonical(graded_matmul(st_h, M) - H.coeffs)).max(axis=(-3, -2, -1), initial=0.0)
+        else:
+            worst = _split_slices(lambda a, b: np.abs(canonical(canonical(split.regular(a) @ split.pack(b))
+                                                                - self._H_slots)).max(axis=(-3, -2, -1)), st_h, M)
         return float(worst) if worst.ndim == 0 else worst
 
     # ------------------------------------------------------------------
@@ -218,9 +229,10 @@ class OspGroup:
         """exp of a random enveloping-algebra element, optionally reflected.
 
         Algebra coefficients are uniform in [-SAMPLE_SCALE, SAMPLE_SCALE],
-        even souls halved; the one-sample case of sample_stack.
+        even souls halved; the one-sample case of sample_stack, whose
+        member is canonical and on the even pattern as it comes.
         """
-        return SuperMatrix.from_coeffs(self.m, self.two_n, self.sample_stack([rng], components)[0])
+        return SuperMatrix._wrap(self.m, self.two_n, self.sample_stack([rng], components)[0])
 
 
 # ----------------------------------------------------------------------

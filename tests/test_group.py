@@ -7,7 +7,7 @@ import scipy.linalg
 import superholonomy
 from superholonomy import checks
 from superholonomy import group as group_module
-from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, random_element
+from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, canonical, pattern_mask, random_element
 from superholonomy.group import (
     DEFECT_TOL,
     SAMPLE_SCALE,
@@ -89,6 +89,22 @@ class TestMembership:
         group = OspGroup(2, 1, 6)
         for seed in range(20):
             assert group.membership_defect(group.sample_member(np.random.default_rng(seed))) <= 1e-14
+
+    @pytest.mark.parametrize("m, n, ngen", [(1, 1, 2), (2, 1, 6), (2, 2, 5), (2, 1, 8)])
+    def test_sample_member_wraps_the_stack_member(self, m, n, ngen):
+        # sample_member takes sample_stack's member as it is: canonical, on
+        # the even pattern and read-only, as from_coeffs would make it
+        group = OspGroup(m, n, ngen)
+        for seed in range(3):
+            M = group.sample_member(np.random.default_rng([seed, ngen]))
+            row = group.sample_stack([np.random.default_rng([seed, ngen])])[0]
+            want = SuperMatrix.from_coeffs(m, 2 * n, row)
+            assert np.array_equal(M.coeffs, want.coeffs) and (M.m, M.n, M.parity) == (m, 2 * n, 0)
+            assert np.array_equal(canonical(np.array(M.coeffs)), M.coeffs)
+            assert not (M.coeffs * pattern_mask(ngen, m + 2 * n, m)).any()
+            assert not M.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                M.coeffs[0, 0, 0] = 2.0
 
     def test_closure_under_group_operations(self, g12):
         rng = np.random.default_rng(32)

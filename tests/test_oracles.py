@@ -7,7 +7,8 @@ Two oracles that share no code with the package's product kernel:
   (d * 2^N) x (d * 2^N) matrix L(X) of that action is a homomorphism, so
   L(XY) = L(X) L(Y), L(X^-1) = L(X)^-1 and L(exp X) = expm(L(X)), soul parts
   included; the package builds only the two parity blocks of L for even X,
-  which are checked against this loop too;
+  which are checked against this loop too, and its build in whole runs of
+  columns against the one-coefficient-at-a-time plan it replaced;
 * the dict-of-monomials double loop over term pairs, which checks the kernel
   on sparse elements at generator counts where it no longer uses one table.
 
@@ -25,9 +26,11 @@ The builders that take coefficient arrays (the non-exponential family,
 ``gauge_fixing_check``) are checked bit for bit against the element and
 polynomial routes they replaced.
 
-``membership_defect`` builds M^st H by one signed gather of M; it is checked
-bit for bit against the route it replaced, the block-sign supertranspose,
-then the body product by H, then the product with M.
+``membership_defect`` builds M^st H by one signed gather of M and takes
+the residual on the split slots; it is checked bit for bit against the
+routes it replaced: the block-sign supertranspose, then the body product by
+H, then the product with M, and the gather with the residual over the whole
+(2^N, d, d) array.
 """
 
 import dataclasses
@@ -41,9 +44,9 @@ import pytest
 import scipy.linalg
 
 from superholonomy import grassmann
-from superholonomy.grassmann import (COEFF_CUTOFF, SPLIT_MAX, GrassmannElement, NonInvertibleError,
-                                     ParityPatternError, canonical, graded_inverse, graded_matmul,
-                                     random_element)
+from superholonomy.grassmann import (COEFF_CUTOFF, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
+                                     NonInvertibleError, ParityPatternError, canonical, grade_signs,
+                                     graded_inverse, graded_matmul, pattern_mask, random_element, taylor_sum)
 from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, build_nonexp_holonomy,
                                  rotation)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
@@ -79,6 +82,37 @@ def left_regular(M) -> np.ndarray:
                     if not p & q:
                         L[(p | q) * a + i, q * b + j] += permutation_sign(p, q) * c
     return L
+
+
+@lru_cache(maxsize=None)
+def coefficient_plan(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dst, src): one flat position in the split blocks and one in [x, -x] per nonzero of L.
+
+    Pair k of the pair table puts sign x_p[i, j] at L[(r, i), (q, j)], which
+    lies in block [(q, j) in V1] when (i, j) is on the even (m|d-m) pattern.
+    """
+    size, h = 1 << n, (1 << n) * d // 2
+    cls = (grade_signs(n)[:, 0] < 0) ^ (np.arange(d) >= m)
+    rank = np.empty((size, d), dtype=np.intp)
+    for c in (False, True):
+        rank.flat[np.flatnonzero(cls == c)] = np.arange(h)
+    left, right, starts = grassmann._pair_table(n)
+    r = np.repeat(np.arange(size), np.diff(np.append(starts, len(left))))
+    on = ~pattern_mask(n, d, m)[left % size]
+    dst = (cls[right][:, None, :] * h + rank[r][:, :, None]) * h + rank[right][:, None, :]
+    src = (left[:, None, None] * d + np.arange(d)[:, None]) * d + np.arange(d)
+    return dst[on], src[on]
+
+
+def coefficient_regular(x: np.ndarray, m: int) -> np.ndarray:
+    """The split blocks (..., 2, h, h) of L(x) for an even stack, one coefficient at a time."""
+    size, d = x.shape[-3], x.shape[-1]
+    h = size * d // 2
+    dst, src = coefficient_plan(size.bit_length() - 1, d, m)
+    members = x.reshape(-1, size * d * d)
+    L = np.zeros((len(members), 2 * h * h))
+    L[:, dst] = np.concatenate((members, -members), axis=1)[:, src]
+    return L.reshape(*x.shape[:-3], 2, h, h)
 
 
 def parity_classes(m: int, d: int, ngen: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,6 +376,40 @@ class TestStacks:
         assert np.array_equal(real[0], _real_expm(gen[0]))
 
 
+class TestOneMemberSeries:
+    """One member sums its Taylor series without the stack mask, bit-equal to the masked loop."""
+
+    @pytest.mark.parametrize("m, n, ngen", [(1, 2, 4), (2, 2, 6), (2, 2, 8)])     # split, split, table
+    def test_graded_expm(self, m, n, ngen):
+        gens = expm_generators(np.random.default_rng([m, n, ngen, 43]), m, n, ngen)
+        stacked = graded_expm(gens, m)
+        for k, gen in enumerate(gens):
+            one = graded_expm(gen, m)
+            assert np.array_equal(one, graded_expm(gen[None], m)[0])
+            assert np.array_equal(one, stacked[k])
+            assert np.array_equal(one, graded_expm(np.array([gen, gens[-1]]), m)[0])
+
+    def test_real_expm(self):
+        rng = np.random.default_rng(44)
+        mats = np.array([scale * rng.uniform(-1.0, 1.0, (4, 4)) for scale in (0.0, 0.05, 1.0, 4.0)])
+        stacked = _real_expm(mats)
+        for k, mat in enumerate(mats):
+            assert np.array_equal(_real_expm(mat), stacked[k])
+            assert np.array_equal(_real_expm(mat), _real_expm(mat[None])[0])
+
+    def test_short_series_raises(self):
+        gen = expm_generators(np.random.default_rng(45), 2, 2, 6)[2]
+        for x in (gen, gen[None]):
+            with pytest.raises(ExpmNotConvergedError):
+                graded_expm(x, 2, max_terms=3)
+        step = 0.3 * np.eye(3)
+        want = taylor_sum(lambda t: t @ step, np.array([np.eye(3), 2.0 * np.eye(3)]), 2, 1e-22, 80)[0]
+        for identity in (np.eye(3), np.eye(3)[None]):
+            with pytest.raises(ExpmNotConvergedError):
+                taylor_sum(lambda t: t @ step, identity, 2, 1e-22, 5)
+            assert np.array_equal(taylor_sum(lambda t: t @ step, identity, 2, 1e-22, 80).reshape(3, 3), want)
+
+
 def count_calls(monkeypatch, name):
     """Wrap grassmann's name so that each call, recursive ones included, logs its shape."""
     calls = []
@@ -510,6 +578,53 @@ class TestRegularPaths:
         # undeclared, the kernel takes any input: the oracle agrees
         want = left_regular(bad[1]) @ left_regular(x[0])
         assert np.abs(left_regular(graded_matmul(bad[1], x[0])) - want).max() <= 1e-12
+
+
+# every even (m|d-m) pattern, d <= 6, that takes the split route
+SPLIT_SHAPES = [(n, d, m) for n in range(1, 8) for d in range(1, 7) for m in range(d + 1)
+                if (1 << n) * d <= SPLIT_MAX]
+
+
+def even_stack(rng, n, d, m, size=3):
+    """Random (size, 2^n, d, d) coefficients on the even (m|d-m) pattern."""
+    out = rng.uniform(-1.0, 1.0, (size, 1 << n, d, d))
+    out[:, pattern_mask(n, d, m)] = 0.0
+    return out
+
+
+class TestRunBuild:
+    """EvenSplit.regular moves whole runs of gcd(m, d - m) columns; the coefficient plan is the oracle."""
+
+    @pytest.mark.parametrize("ngen", range(1, 8))
+    def test_runs_equal_coefficient_plan(self, ngen):
+        shapes = [(d, m) for n, d, m in SPLIT_SHAPES if n == ngen]
+        assert shapes
+        for d, m in shapes:
+            stack = even_stack(np.random.default_rng([ngen, d, m, 41]), ngen, d, m)
+            split = grassmann.even_route(m, stack)
+            assert split.run == math.gcd(m, d - m)
+            want = coefficient_regular(stack, m)
+            assert np.array_equal(split.regular(stack), want)
+            for k in range(len(stack)):
+                assert np.array_equal(split.regular(stack[k]), want[k])
+            assert np.array_equal(split.regular(stack[:, None][::2]), want[:, None][::2])
+
+    @pytest.mark.parametrize("m, n, ngen, run", [(1, 1, 5, 1), (1, 1, 7, 1), (2, 2, 5, 2), (2, 2, 6, 2),
+                                                 (2, 1, 6, 2)])
+    def test_group_members(self, m, n, ngen, run):
+        # OSp(1|2) moves single columns; OSp(2|4) runs of 2 with padded slots
+        group = OspGroup(m, n, ngen)
+        rng = np.random.default_rng([m, n, ngen, 42])
+        stack = np.array([group.sample_member(rng).coeffs for _ in range(3)])
+        split = grassmann.even_route(m, stack)
+        assert split.run == run and split.shape[-1] == max(m, 2 * n)
+        blocks = split.regular(stack)
+        assert np.array_equal(blocks, coefficient_regular(stack, m))
+        v0, v1 = parity_classes(m, m + 2 * n, ngen)
+        if ngen <= 5:
+            L = left_regular(stack[0])
+            assert np.array_equal(blocks[0, 0], L[np.ix_(v0, v0)])
+            assert np.array_equal(blocks[0, 1], L[np.ix_(v1, v1)])
 
 
 # ----------------------------------------------------------------------
@@ -781,13 +896,28 @@ def defect_by_body_product(group, M):
     return float(worst) if worst.ndim == 0 else worst
 
 
+def defect_on_full_array(group, M):
+    """max |M^st H M - H| by the gather, with the residual over the whole (2^N, d, d) array."""
+    H = group.H_matrix().coeffs
+    even, parity, trusted = group.m, 0, isinstance(M, SuperMatrix)
+    if trusted:
+        even, parity, M = (None if M.parity else even), M.parity, M.coeffs
+    st_h = signed_gather(M, transpose_plan(group.m, M.shape[-1], parity, graded=True))
+    residual = canonical(graded_matmul(st_h if trusted else canonical(st_h), M, even, check=not trusted) - H)
+    worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
+
+
 def same_defects(group, members):
-    """Each member's defect and the stack's equal the old route's, bit for bit."""
+    """Each member's defect and the stack's equal the old routes', bit for bit."""
     for M in members:
-        assert np.array_equal(group.membership_defect(M), defect_by_body_product(group, M))
+        got = group.membership_defect(M)
+        assert np.array_equal(got, defect_by_body_product(group, M))
+        assert np.array_equal(got, defect_on_full_array(group, M)) and type(got) is float
     stack = np.array([M.coeffs if isinstance(M, SuperMatrix) else M for M in members])
     got = group.membership_defect(stack)
     assert np.array_equal(got, defect_by_body_product(group, stack))
+    assert np.array_equal(got, defect_on_full_array(group, stack))
     assert got.tolist() == [group.membership_defect(M) for M in members]
     return got
 
@@ -848,6 +978,7 @@ class TestMembershipGather:
         for _ in range(3):
             M = random_supermatrix(rng, m, 2 * n, 4, parity=1)
             assert group.membership_defect(M) == defect_by_body_product(group, M) > 0.0
+            assert group.membership_defect(M) == defect_on_full_array(group, M)
 
     def test_table_route(self):
         group = OspGroup(2, 1, 8)
@@ -865,3 +996,34 @@ class TestMembershipGather:
         for fn in (group.membership_defect, lambda x: defect_by_body_product(group, x)):
             with pytest.raises(ValueError, match="non-finite"):
                 fn(bad)
+
+    @pytest.mark.parametrize("m, n, ngen", [(1, 1, 5), (2, 2, 5), (2, 1, 8)])
+    def test_non_finite_member_of_a_stack_raises(self, m, n, ngen):
+        group = OspGroup(m, n, ngen)
+        rng = np.random.default_rng([m, n, ngen, 3])
+        stack = np.array([group.sample_member(rng).coeffs for _ in range(3)])
+        for mask, value in ((3, np.nan), (0, np.inf)):
+            bad = stack.copy()
+            bad[1, mask, 0, 0] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                group.membership_defect(bad)
+
+    @pytest.mark.parametrize("m, n, ngen, run", [(1, 1, 5, 1), (1, 1, 7, 1), (2, 2, 5, 2), (2, 1, 6, 2)])
+    def test_split_slots(self, monkeypatch, m, n, ngen, run):
+        # OSp(2|4) at N = 5: d = 6, runs of 2 and padded slots; OSp(1|2): runs of 1
+        group = OspGroup(m, n, ngen)
+        d = m + 2 * n
+        split = grassmann.even_route(m, group.H_matrix().coeffs)
+        assert split.run == run and split.shape[-1] == max(m, d - m)
+        rng = np.random.default_rng([m, n, ngen, 4])
+        members = [group.sample_member(rng) for _ in range(3)]
+        near = [M.coeffs + 1e-7 * random_supermatrix(rng, m, 2 * n, ngen).coeffs for M in members]
+        same_defects(group, members)
+        assert same_defects(group, near).min() > 0.0
+        grid = np.array(near + [M.coeffs for M in members]).reshape(2, 3, 1 << ngen, d, d)
+        whole = group.membership_defect(grid)
+        assert whole.shape == (2, 3) and np.array_equal(whole, defect_on_full_array(group, grid))
+        # one member per slice of SPLIT_BYTES gives the unsliced stack's defects
+        monkeypatch.setattr(grassmann, "SPLIT_BYTES", 1)
+        assert np.array_equal(group.membership_defect(grid), whole)
+
