@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .grassmann import canonical, graded_expm, graded_matmul, merge_sign
-from .group import matrix_rank
+from .group import STACK_BYTES, matrix_rank
 from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, pair_signs
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
@@ -39,7 +39,7 @@ def _check_forms(eta: np.ndarray, C: np.ndarray):
     """Raise ValueError unless eta and C are finite, eta symmetric and C antisymmetric."""
     if not (np.isfinite(eta).all() and np.isfinite(C).all()):
         raise ValueError("eta and C must be finite")
-    if np.abs(eta - eta.T).max() > 0 or np.abs(C + C.T).max() > 0:
+    if not (np.array_equal(eta, eta.T) and np.array_equal(C, -C.T)):
         raise ValueError("eta must be symmetric and C antisymmetric")
 
 
@@ -404,8 +404,12 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
     zero basis row and stays in the residual).  Every slab has the same
     (dim^2, dim) basis, so it is factorized once: one SVD pseudo-inverse
     with lstsq's own cutoff eps * max(shape), which gives the same
-    minimum-norm fit on a rank-deficient basis, and each slab is then a
-    few matrix products.  In terms of the lowered G~_I = eta_IA G^A the
+    minimum-norm fit on a rank-deficient basis.  The slabs then run in
+    chunks of at most STACK_BYTES of right-hand sides (dim^3 doubles per
+    slab, at least one slab), each chunk a few stacked matrix products
+    that do every slab's product as it would be done alone, so the result
+    does not depend on the chunk size; a batch of all dim slabs at once
+    would hold dim^4 doubles.  In terms of the lowered G~_I = eta_IA G^A the
     induced coefficients (basis order) must reproduce (-1)^{|I||J|} f_IJ^K
     up to one global measured factor kappa.  A finite, symmetric,
     invertible n_even x n_even eta_override detunes the bracket to show the
@@ -434,17 +438,24 @@ def check_closure(alg: SuperAlgebra, tol: float = 1e-12,
     pinv = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))
     F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]
     signed_rows = (graded_sign[:, :, None] * F).transpose(1, 0, 2).reshape(dim, dim * dim)
-    induced = np.zeros((dim, dim, dim))
+    # F_k.T @ W and F_k @ W for every slab k, each the same product as alone
+    FtW = F.transpose(2, 1, 0) @ W
+    FW = F.transpose(2, 0, 1) @ W
+    step = max(1, STACK_BYTES // (8 * dim ** 3))     # slabs per chunk, one dim^3 rhs each
+    induced = np.empty((dim, dim, dim))
     max_unexplained = 0.0
-    for k in range(dim):
-        # coefficient of x_I y_J in {G^k, G^L}, indexed [I, J, L]
-        F_k = F[:, :, k]
-        swapped = ((F_k.T @ W) @ signed_rows).reshape(dim, dim, dim).transpose(1, 0, 2)
-        rhs = (graded_sign * swapped - ((F_k @ W) @ F_rows).reshape(dim, dim, dim)
-               ).reshape(dim * dim, dim)
+    for k0 in range(0, dim, step):
+        ks = slice(k0, k0 + step)
+        # coefficient of x_I y_J in {G^k, G^L}, indexed [k, I, J, L]
+        rhs = (FtW[ks] @ signed_rows).reshape(-1, dim, dim, dim).transpose(0, 2, 1, 3).copy()
+        rhs *= graded_sign
+        rhs -= (FW[ks] @ F_rows).reshape(-1, dim, dim, dim)
+        rhs = rhs.reshape(-1, dim * dim, dim)
         coeffs = pinv @ rhs
-        induced[k] = coeffs.T
-        max_unexplained = max(max_unexplained, np.abs(basis @ coeffs - rhs).max(initial=0.0))
+        induced[ks] = coeffs.transpose(0, 2, 1)
+        fit = basis @ coeffs
+        fit -= rhs
+        max_unexplained = max(max_unexplained, np.abs(fit, out=fit).max(initial=0.0))
     # compare in lowered form, eta_ia eta_jb induced[a, b, k] eta^-1_kl,
     # against the graded-signed structure constants
     induced_lowered = (alg.eta @ (alg.eta @ (induced @ np.linalg.inv(alg.eta))).reshape(dim, -1)
@@ -474,7 +485,12 @@ class EfmReport:
 
 
 def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmReport:
-    """det and rank of c^a f_{a alpha}^beta, with the moduli count attached."""
+    """det and rank of c^a f_{a alpha}^beta, with the moduli count attached.
+
+    The direction is eta-null when |c eta^-1 c| is rounding next to its
+    scale |c|^2 |eta^-1| (Frobenius norm), so the flag does not depend on
+    the length of c.
+    """
     block = alg.ff_block(c)
     det = float(np.linalg.det(block))
     rank = matrix_rank(block)
@@ -482,7 +498,9 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmRepor
     c_vec = alg.even_components(c)
     ev = alg.even_indices
     eta_even = alg.eta[np.ix_(ev, ev)]
-    null = bool(abs(c_vec @ np.linalg.inv(eta_even) @ c_vec) < PHASE_TOL)
+    eta_inv = np.linalg.inv(eta_even)
+    scale = float(c_vec @ c_vec) * np.linalg.norm(eta_inv)
+    null = bool(abs(c_vec @ eta_inv @ c_vec) <= PHASE_TOL * scale)
     return EfmReport(det=det, rank=rank, moduli=2 * (n_odd - rank), direction_is_null=null)
 
 

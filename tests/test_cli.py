@@ -34,6 +34,25 @@ JACOBI_JSON_SHA256 = [
     ((6, 1), "10e51dd7652a0daf20962b0a72a58ec16da7e3eca8e53776345f400c72c9bf51"),
 ]
 
+# sha256 of fresh-process `closure --m M --n N --format json` stdout, every size
+# build_osp accepts, and of `closure --debug-tamper --format json`: the printed
+# kappa and residuals, which a reordered sum in check_closure would change
+CLOSURE_JSON_SHA256 = [
+    (("--m", "1", "--n", "1"), "f6c097569f56f162ccad8cf06878e3242f3702579538dfe467a3b52af023d226"),
+    (("--m", "1", "--n", "2"), "12783d5732accc740f1eb6951c83f071294ba4fbc996fd1eaadb2cfe01eea647"),
+    (("--m", "1", "--n", "3"), "6a1784da73e209d998de792518098e6b466ab178d1bd3e6bc0401bd5f400eff4"),
+    (("--m", "2", "--n", "1"), "ae2ab465253c532f70235c9e29014f6209c7bcc2715432244a9bd301e4310689"),
+    (("--m", "2", "--n", "2"), "e5c627e06dd447325d8bfc8a2795c32c8d5b3c575db94b552811767c811ab972"),
+    (("--m", "2", "--n", "3"), "6f168e9eb75fe2d24b8dbee21c19bbab3f964e61b75cc1e7a3fbabf1f40a8d5d"),
+    (("--m", "3", "--n", "1"), "f43c595054f7a5a9b3d3c14fae9a760da27628b5474f3e135e340afb0f915678"),
+    (("--m", "3", "--n", "2"), "a794e46298e1293d5880bdc0fd237169586a3d159cb84d9e3883f618e415c1fe"),
+    (("--m", "4", "--n", "1"), "954d3b1f2330790d1a329d56178a944ca8e1ef6307bd355b716343e87d34df66"),
+    (("--m", "4", "--n", "2"), "9b6d3aa236f6e05598f7fb12d983a9b8028297ab48e885231dec3f0e3da88d22"),
+    (("--m", "5", "--n", "1"), "603f2e768596c56341d1446cfe1dcdc32f0596e413622f21c9f60a78b78f01fc"),
+    (("--m", "6", "--n", "1"), "04c244e369c3ef12662faa02f7a13f19513f4ad3541c7c39b346906cbccc1395"),
+    (("--debug-tamper",), "b7c434c2785a40dbacb9cc00a89f46fbbc3402d54329ccb4733c9696cbdce0a6"),
+]
+
 # sha256 of fresh-process `sectors --format json` stdout (seed-independent):
 # the sector data and the supermatrix wire format of the representatives
 SECTORS_JSON_SHA256 = [
@@ -232,6 +251,13 @@ class TestClosure:
         _, js = run(capsys, "closure", "--format", "json")
         data = json.loads(js)
         assert f"kappa={data['kappa']:+g}" in text
+
+    @pytest.mark.parametrize("flags, digest", CLOSURE_JSON_SHA256)
+    def test_json_bytes_pinned(self, flags, digest):
+        res = subprocess.run([sys.executable, "-m", "superholonomy.cli", "closure", *flags,
+                              "--format", "json"], env=fresh_env(), capture_output=True, check=False)
+        assert res.returncode == (1 if "--debug-tamper" in flags else 0)
+        assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
 class TestMembership:

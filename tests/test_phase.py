@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from superholonomy.grassmann import GrassmannElement
-from superholonomy.group import ahat_det_rank, matrix_rank, parabolic, _real_expm
+from superholonomy.group import STACK_BYTES, ahat_det_rank, matrix_rank, parabolic, _real_expm
 from superholonomy.phase import (
     EPS_CYCLES,
     GradedPolynomial,
@@ -302,6 +303,40 @@ def _lstsq_closure(alg, eta_override=None):
     return kappa, max_unexplained, float(np.abs(lowered - kappa * target).max()), induced
 
 
+def _slab_loop_closure(alg, eta_override=None):
+    """Reference route: the same pseudo-inverse fit taken one {G^K, .} slab
+    at a time, each slab's rhs built on a strided transposed view."""
+    par = np.asarray(alg.parities)
+    ev, od = par == 0, par == 1
+    eta = alg.eta[ev][:, ev] if eta_override is None else np.asarray(eta_override, dtype=float)
+    F = constraint_tensor(alg)
+    dim = F.shape[0]
+    W = np.zeros((dim, dim))
+    W[np.ix_(ev, ev)] = np.linalg.inv(eta)
+    W[np.ix_(od, od)] = np.linalg.inv(alg.eta[od][:, od])
+    graded_sign = np.where(np.outer(par, par) == 1, -1.0, 1.0)
+    basis = F.reshape(dim * dim, dim)
+    pinv = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))
+    F_rows = F.reshape(dim, dim * dim)
+    signed_rows = (graded_sign[:, :, None] * F).transpose(1, 0, 2).reshape(dim, dim * dim)
+    induced = np.zeros((dim, dim, dim))
+    max_unexplained = 0.0
+    for k in range(dim):
+        F_k = F[:, :, k]
+        swapped = ((F_k.T @ W) @ signed_rows).reshape(dim, dim, dim).transpose(1, 0, 2)
+        rhs = (graded_sign * swapped - ((F_k @ W) @ F_rows).reshape(dim, dim, dim)
+               ).reshape(dim * dim, dim)
+        coeffs = pinv @ rhs
+        induced[k] = coeffs.T
+        max_unexplained = max(max_unexplained, np.abs(basis @ coeffs - rhs).max(initial=0.0))
+    induced_lowered = (alg.eta @ (alg.eta @ (induced @ np.linalg.inv(alg.eta))).reshape(dim, -1)
+                       ).reshape(dim, dim, dim)
+    target = graded_sign[:, :, None] * alg.f
+    kappa = float(np.sum(induced_lowered * target) / np.sum(target * target))
+    prop = float(np.abs(induced_lowered - kappa * target).max())
+    return kappa, float(max_unexplained), prop, induced
+
+
 def _with_spectator(alg, mix=False):
     """alg plus one even generator Z in no bracket: F has a zero K = Z column,
     so the constraint basis is rank-deficient.  With mix, Z is rotated into
@@ -418,6 +453,53 @@ class TestClosureMatchesLstsq:
         assert len(calls) == 1, calls
 
 
+# every size build_osp accepts (m >= 1, n >= 1, m + 2n <= 8), dim 5 to 34
+OSP_SIZES = [(m, n) for n in range(1, 4) for m in range(1, 9 - 2 * n)]
+
+
+class TestClosureMatchesSlabLoop:
+    """The stacked slab chunks against the same fit one slab at a time: one
+    chunk (dim 5, 8), a short last chunk (dim 12 as 9 + 3, dim 19 as
+    2 + ... + 1) and one-slab chunks (dim >= 21) all give the same bits."""
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("size", [None] + OSP_SIZES)
+    def test_bit_identical(self, size, tamper):
+        alg = build_osp12() if size is None else build_osp(*size)
+        self._compare(_tampered(alg) if tamper else alg)
+
+    @pytest.mark.parametrize("eta", [np.diag([-1.0, 1.3, 1.0]), np.diag([-1.2, 1.0, 1.0])])
+    def test_bit_identical_detuned(self, alg, eta):
+        self._compare(alg, eta)
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_bit_identical_rank_deficient(self, alg, mix):
+        self._compare(_with_spectator(alg, mix))
+
+    @staticmethod
+    def _compare(alg, eta=None):
+        kappa, unexplained, prop, induced = _slab_loop_closure(alg, eta)
+        report = check_closure(alg, eta_override=eta)
+        assert report.kappa == kappa
+        assert report.max_unexplained == unexplained
+        assert report.proportionality_residual == prop
+        assert np.array_equal(report.induced, induced)
+
+    @pytest.mark.parametrize("size", [(2, 2), (2, 3)])
+    def test_working_memory_bound(self, size):
+        # about 14 dim^3 doubles of whole-tensor arrays plus a few chunks of
+        # at most STACK_BYTES; all dim slabs in one batch would hold dim^4
+        alg = build_osp(*size)
+        check_closure(alg)
+        tracemalloc.start()
+        try:
+            check_closure(alg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 8 * alg.dim ** 3 + 4 * STACK_BYTES, (alg.dim, peak)
+
+
 class TestClosure:
     @pytest.mark.parametrize(
         "builder",
@@ -474,6 +556,14 @@ class TestExponentialSectorModuli:
         report = exponential_sector_moduli(alg, [0.0, 1.0, 0.0])
         assert abs(report.det + 1.0) < 1e-12 and report.moduli == 0
         assert not report.direction_is_null
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-3, 1.0, 1e3])
+    def test_null_flag_ignores_scale(self, alg, scale):
+        # so2 at 1e-6 has det 1e-12 and rank 2: small, not eta-null
+        for name, (c, _) in OSP12_DIRECTIONS.items():
+            report = exponential_sector_moduli(alg, scale * np.asarray(c))
+            assert report.direction_is_null == (name == "parabolic"), (name, scale)
+            assert report.rank == exponential_sector_moduli(alg, c).rank, (name, scale)
 
     def test_criterion_matches_group_side(self, alg):
         # det(c^a f block) = 0 iff det(a0 x I - I x A0) = 0 for exponentials
