@@ -17,10 +17,10 @@ from .group import (
     enumerate_sectors_osp12,
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
-    random_signs,
     rotation,
-    sp_generator,
+    sp_from_random,
     stack_chunk,
+    uniform_from_random,
 )
 from .superlie import build_osp
 
@@ -46,7 +46,7 @@ def membership_closure(group, rng, pool_size: int, ops: int, tol: float) -> dict
     stack_chunk): one product, one conjugation and one defect call per chunk.
     """
     pool = group.sample_stack([rng] * pool_size)
-    pairs = np.array([rng.integers(0, pool_size, 2) for _ in range(ops)]).reshape(ops, 2)
+    pairs = rng.integers(0, pool_size, (ops, 2))
     # the pool comes from sample_stack, on the even pattern
     inverses = graded_inverse(pool, group.m, check=False)
     chunk = stack_chunk(pool)
@@ -74,13 +74,17 @@ def osp12_sector_counts() -> dict:
 def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
     """det Ahat = (2cos(phi) - tr A0)^2 on rotation bodies, and 4 SO(2)xSO(2) moduli.
 
-    Every sample's phi, sp(2) generator and sign are drawn first, in order;
-    the exponentials, operators and determinants are then one stacked call each.
+    Each sample draws phi and its sp(2) generator's S as one random(5) call
+    (the stream of uniform(0, 2 pi) then uniform(-0.7, 0.7, (2, 2))) and its
+    sign as integers(2); the maps, exponentials, operators and determinants
+    are then one stacked call each.
     """
-    draws = [(rng.uniform(0.0, 2 * np.pi), sp_generator(2, rng), random_signs(rng))
-             for _ in range(samples)]
-    phi, gens, signs = (np.array(x) for x in zip(*draws))
-    A0 = _real_expm(gens) * signs[:, None, None]
+    draws, flips = np.empty((samples, 5)), np.empty(samples)
+    for k in range(samples):
+        rng.random(out=draws[k])
+        flips[k] = rng.integers(2, dtype=np.int32)
+    phi = uniform_from_random(draws[:, 0], 0.0, 2 * np.pi)
+    A0 = _real_expm(sp_from_random(draws[:, 1:].reshape(-1, 2, 2), 0.7)) * (2.0 * flips - 1.0)[:, None, None]
     c, s = np.cos(phi), np.sin(phi)
     a0 = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     det = np.linalg.det(ahat(a0, A0))

@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from . import checks
-from .group import OspGroup, enumerate_sectors_osp12, sector_representative
+from .group import OspGroup, enumerate_sectors_osp12, sector_representatives
 from .phase import check_closure, exponential_sector_moduli, osp12_exponential_sector
 from .grassmann import MAX_GENERATORS
 from .superlie import EXACT_TOL, MAX_OSP_SIZE, OSP12_DIRECTIONS, build_osp, build_osp12
-from .supermatrix import commutator
 
 DEFAULT_TOL = 1e-10
 
@@ -127,14 +126,11 @@ def cmd_sectors(ns):
     if (ns.m, ns.n) == (1, 1):
         report = enumerate_sectors_osp12()
         passed = checks.osp12_sector_counts()["passed"]
-        group = OspGroup(1, 1, ns.ngen)
         representatives = []
-        for desc in report.fermionic_sectors:
-            pair = sector_representative(desc, ngen=ns.ngen)
-            passed &= group.is_member(pair.U1, ns.tol) and group.is_member(pair.U2, ns.tol)
-            passed &= commutator(pair.U1, pair.U2).max_abs() <= ns.tol and pair.moduli == 2
+        for pair in sector_representatives(report.fermionic_sectors, ngen=ns.ngen):
+            passed &= pair.residual <= ns.tol and pair.moduli == 2
             representatives.append(
-                {"sector": desc.label(), "U1": pair.U1.to_json_dict(), "U2": pair.U2.to_json_dict()}
+                {"sector": pair.label, "U1": pair.U1.to_json_dict(), "U2": pair.U2.to_json_dict()}
             )
         data = report.to_json_dict()
         data.update({"command": "sectors", "fermionic_representatives": representatives,

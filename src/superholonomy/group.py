@@ -122,19 +122,25 @@ class OspGroup:
 
     # ------------------------------------------------------------------
     def is_member(self, M: SuperMatrix, tol: float = DEFECT_TOL) -> bool:
-        """M^st H M = H plus the body conditions a0 in O(m), A0 in Sp(2n)."""
+        """M^st H M = H plus the body conditions a0 in O(m), A0 in Sp(2n), all within tol."""
         if (M.m, M.n) != (self.m, self.two_n):
             raise ValueError(
                 f"expected block sizes ({self.m},{self.two_n}), got ({M.m},{M.n})"
             )
-        if self.membership_defect(M) > tol:
-            return False
-        a0, A0 = M.body_blocks()
-        if np.abs(a0.T @ a0 - np.eye(self.m)).max() > tol:
-            return False
-        if np.abs(A0.T @ self.C @ A0 - self.C).max() > tol:
-            return False
-        return True
+        return self.member_residual(M) <= tol
+
+    def member_residual(self, M):
+        """The largest of membership_defect and the body residuals a0^T a0 - I and A0^T C A0 - C.
+
+        M is a SuperMatrix, giving a float, or an even coefficient stack,
+        giving an array over the stack, as in membership_defect.
+        """
+        body = M.coeffs[0] if isinstance(M, SuperMatrix) else M[..., 0, :, :]
+        a0, A0 = body[..., :self.m, :self.m], body[..., self.m:, self.m:]
+        orthogonal = np.abs(np.swapaxes(a0, -1, -2) @ a0 - np.eye(self.m)).max(axis=(-2, -1))
+        symplectic = np.abs(np.swapaxes(A0, -1, -2) @ self.C @ A0 - self.C).max(axis=(-2, -1))
+        worst = np.maximum(self.membership_defect(M), np.maximum(orthogonal, symplectic))
+        return float(worst) if worst.ndim == 0 else worst
 
     @cached_property
     def _H_slots(self) -> np.ndarray:
@@ -171,13 +177,14 @@ class OspGroup:
     def xi_from_chi(self, a: np.ndarray, A: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """The dependent fermion block xi = -(a^T)^-1 chi^T C A.
 
-        a (2^N, m, m), A (2^N, 2n, 2n) and chi (2^N, 2n, m) are block
-        coefficient arrays, as ``SuperMatrix.block_coeffs`` gives them; a must
-        have an invertible body.  Returns xi as a (2^N, m, 2n) array.
+        a (..., 2^N, m, m), A (..., 2^N, 2n, 2n) and chi (..., 2^N, 2n, m) are
+        block coefficient arrays, as ``SuperMatrix.block_coeffs`` gives them,
+        leading axes a stack; a must have an invertible body.  Returns xi as
+        a (..., 2^N, m, 2n) array, each member its one-matrix value.
         """
-        at_inv = graded_inverse(a.transpose(0, 2, 1), self.m)
-        CA = graded_matmul(body_array(self.C, len(a).bit_length() - 1), A)
-        return -graded_matmul(at_inv, graded_matmul(chi.transpose(0, 2, 1), CA))
+        at_inv = graded_inverse(np.swapaxes(a, -1, -2), self.m)
+        CA = graded_matmul(body_array(self.C, a.shape[-3].bit_length() - 1), A)
+        return -graded_matmul(at_inv, graded_matmul(np.swapaxes(chi, -1, -2), CA))
 
     # ------------------------------------------------------------------
     def reflection_component(self) -> SuperMatrix:
@@ -220,8 +227,8 @@ class OspGroup:
             # the algebra's generators keep the even pattern, and so do sums of them
             block = graded_expm(alg.embed(table[part].swapaxes(1, 2)), self.m, check=False)
             flip = flips[part]
-            if flip.any():     # a body-only factor: the kernel's body matmul
-                block[flip] = graded_matmul(self.reflection_component().coeffs, block[flip])
+            # the reflection diag(-1, 1, ...) negates row 0 of every coefficient
+            block[flip, :, 0] = canonical(-block[flip, :, 0])
             members[part] = block
         return members
 
@@ -421,73 +428,95 @@ def _real_expm(mat: np.ndarray) -> np.ndarray:
         lambda a: np.matmul(a, a))
 
 
-def sp_generator(two_n: int, rng) -> np.ndarray:
-    """A random sp(2n) element C (S + S^T), the entries of S uniform in [-0.7, 0.7]."""
-    S = rng.uniform(-0.7, 0.7, (two_n, two_n))
-    return symplectic_form(two_n) @ (S + S.T)
+def uniform_from_random(u, lo: float, hi: float):
+    """rng.uniform(lo, hi, shape) from its raw draws u = rng.random(shape): lo + (hi - lo) u, bit for bit."""
+    return lo + (hi - lo) * u
+
+
+def sp_from_random(u: np.ndarray, scale: float) -> np.ndarray:
+    """C (S + S^T), S = rng.uniform(-scale, scale, shape) read from its raw draws u = rng.random(shape).
+
+    A stack (..., 2n, 2n) is one product; C is a signed permutation, so each
+    member is exactly its one-matrix value.
+    """
+    S = uniform_from_random(u, -scale, scale)
+    return symplectic_form(u.shape[-1]) @ (S + np.swapaxes(S, -1, -2))
+
+
+def coins(rng, k: int) -> list:
+    """k draws of rng.integers(2), the stream of one integers(2, size=k) call.
+
+    Both take one 32-bit draw per value; k scalar int32 calls cost about a
+    third of the sized call.
+    """
+    return [rng.integers(2, dtype=np.int32) for _ in range(k)]
 
 
 def random_sp(two_n: int, rng) -> np.ndarray:
-    """A random Sp(2n) element, the exponential of sp_generator."""
-    return _real_expm(sp_generator(two_n, rng))
-
-
-def random_signs(rng, size=None):
-    """Uniform draws from {-1.0, 1.0}, equal in values and stream to
-    rng.choice([-1.0, 1.0], size) at about half the cost."""
-    return 2.0 * rng.integers(0, 2, size) - 1.0
-
-
-def _commuting_draws(m: int, n: int, rng):
-    """The rng draws of one commuting sample, in the sampler's order.
-
-    Returns the o(m) generators (u1 K, u2 K, L - L^T) and the sp(2n)
-    generators (t1 Hs, t2 Hs, sp_generator) whose exponentials are the two
-    holonomy bodies and the conjugations P, Q, and the two overall signs.
-    """
-    two_n = 2 * n
-    C = symplectic_form(two_n)
-    K = rng.uniform(-1, 1, (m, m))
-    K = K - K.T
-    kind = rng.integers(0, 4)
-    if kind == 1:       # nilpotent sp direction -> parabolic-type blocks
-        S = np.zeros((two_n, two_n))
-        S[0, 0] = 1.0
-        Hs = C @ S
-    elif kind == 2:     # vanishing sp direction
-        Hs = np.zeros((two_n, two_n))
-    elif kind == 3 and m > 1:
-        K = np.zeros((m, m))
-        S = rng.uniform(-0.8, 0.8, (two_n, two_n))
-        Hs = C @ (S + S.T)
-    else:
-        S = rng.uniform(-0.8, 0.8, (two_n, two_n))
-        Hs = C @ (S + S.T)
-    t1, t2 = rng.uniform(0.2, 1.2, 2) * random_signs(rng, 2)
-    u1, u2 = rng.uniform(0.2, 1.2, 2) * random_signs(rng, 2)
-    signs = random_signs(rng, 2)
-    L = rng.uniform(-1.0, 1.0, (m, m))
-    sp_gen = sp_generator(two_n, rng)
-    return (u1 * K, u2 * K, L - L.T), (t1 * Hs, t2 * Hs, sp_gen), signs
+    """A random Sp(2n) element, exp C (S + S^T) with the entries of S uniform in [-0.7, 0.7]."""
+    return _real_expm(sp_from_random(rng.random((two_n, two_n)), 0.7))
 
 
 def commuting_bodies(m: int, n: int, rngs):
     """sample_commuting_bodies for each generator of rngs, as four stacks.
 
-    Every sample's draws are taken first, in order, so a generator repeated
-    in rngs gives the stream of the one-sample loop; the exponentials, sign
-    flips and conjugations then run once over the whole stack.  Returns
+    The stream contract: each sample reads only its own generator (the CLI
+    spawns one per sample from SeedSequence(seed)), in this fixed order of
+    calls: random((m, m)) for K, integers(4) for the kind, random((2n, 2n))
+    for S when the kind draws one (0 or 3), random(2) and two integers(2) for
+    t and its signs, random(2) and four integers(2) for u, its signs and the
+    two overall signs, random((m, m)) for L and random((2n, 2n)) for the
+    conjugating sp(2n) generator.  The moduli and report JSON bytes depend on
+    that order, so only call shapes that read the same stream may change:
+    random(k) reads what uniform(lo, hi, k) reads, and k calls of
+    integers(2), of either integer dtype, what one call of size k reads.  A
+    generator repeated in rngs continues its stream, as in a one-sample loop.
+
+    All the arithmetic then runs once over the stack: the uniform maps, the
+    kinds as masks, the exponentials, sign flips and conjugations.  Returns
     (a0, b0, A0, B0) of shapes (S, m, m) and (S, 2n, 2n).
     """
-    draws = [_commuting_draws(m, n, rng) for rng in rngs]
-    if not draws:
+    rngs = list(rngs)
+    if not rngs:
         raise ValueError("at least one sample is required")
-    so_gens, sp_gens, signs = (np.array(x) for x in zip(*draws))
-    so, sp = _real_expm(so_gens), _real_expm(sp_gens)
-    signs = signs[:, :, None, None]
+    two_n = 2 * n
+    K, L = np.empty((2, len(rngs), m, m))
+    S, P = np.zeros((2, len(rngs), two_n, two_n))
+    t, u = np.empty((2, len(rngs), 2))
+    kind = np.empty(len(rngs), dtype=np.int64)
+    bits = np.empty((len(rngs), 6))
+    for k, rng in enumerate(rngs):
+        rng.random(out=K[k])
+        kind[k] = rng.integers(4, dtype=np.int32)
+        if kind[k] % 3 == 0:
+            rng.random(out=S[k])
+        rng.random(out=t[k])
+        bits[k, :2] = coins(rng, 2)
+        rng.random(out=u[k])
+        bits[k, 2:] = coins(rng, 4)
+        rng.random(out=L[k])
+        rng.random(out=P[k])
+    C = symplectic_form(two_n)
+    K = uniform_from_random(K, -1.0, 1.0)
+    K = K - np.swapaxes(K, -1, -2)
+    if m > 1:
+        K[kind == 3] = 0.0          # a pure sp(2n) direction
+    Hs = sp_from_random(S, 0.8)
+    nilpotent = np.zeros((two_n, two_n))
+    nilpotent[0, 0] = 1.0
+    Hs[kind == 1] = C @ nilpotent   # parabolic-type blocks
+    Hs[kind == 2] = 0.0             # a vanishing sp(2n) direction
+    signs = 2.0 * bits - 1.0
+    t = uniform_from_random(t, 0.2, 1.2) * signs[:, :2]
+    u = uniform_from_random(u, 0.2, 1.2) * signs[:, 2:4]
+    L = uniform_from_random(L, -1.0, 1.0)
+    # the o(m) generators u1 K, u2 K, L - L^T and the sp(2n) ones t1 Hs, t2 Hs, C (P + P^T)
+    so = _real_expm(np.concatenate([u[..., None, None] * K[:, None], (L - np.swapaxes(L, -1, -2))[:, None]], 1))
+    sp = _real_expm(np.concatenate([t[..., None, None] * Hs[:, None], sp_from_random(P, 0.7)[:, None]], 1))
+    flips = signs[:, 4:, None, None]
     P, Q = so[:, 2:], sp[:, 2:]
-    a = P @ (signs * so[:, :2]) @ np.swapaxes(P, -1, -2)
-    A = Q @ (signs * sp[:, :2]) @ np.linalg.inv(Q)
+    a = P @ (flips * so[:, :2]) @ np.swapaxes(P, -1, -2)
+    A = Q @ (flips * sp[:, :2]) @ np.linalg.inv(Q)
     return a[:, 0], a[:, 1], A[:, 0], A[:, 1]
 
 
@@ -512,7 +541,9 @@ class HolonomyPair:
 
     Fermionic moduli require both Kronecker operators to degenerate; the
     stored count comes from the degree-1 kernel/orbit computation, which is
-    also correct for sectors where only one side degenerates.
+    also correct for sectors where only one side degenerates.  residual is
+    the largest member_residual of U1 and U2 and commutator coefficient,
+    which make bounds by DEFECT_TOL.
     """
 
     U1: SuperMatrix
@@ -523,6 +554,7 @@ class HolonomyPair:
     rank_ahat: int
     rank_bhat: int
     moduli: int
+    residual: float
 
     @property
     def fermionic(self) -> bool:
@@ -531,18 +563,43 @@ class HolonomyPair:
     @classmethod
     def make(cls, group: OspGroup, U1: SuperMatrix, U2: SuperMatrix,
              label: str = "") -> "HolonomyPair":
-        if not group.is_member(U1, DEFECT_TOL) or not group.is_member(U2, DEFECT_TOL):
+        """The one-pair case of from_stack."""
+        for U in (U1, U2):
+            if (U.m, U.n) != (group.m, group.two_n):
+                raise ValueError(f"expected block sizes ({group.m},{group.two_n}), got ({U.m},{U.n})")
+        if U1.parity or U2.parity:      # an odd matrix has no invertible body
             raise ValueError("holonomies are not group members")
-        defect = commutator(U1, U2).max_abs()
-        if defect > DEFECT_TOL:
-            raise ValueError(f"holonomies do not commute (defect {defect:.3e})")
-        a0, A0 = U1.body_blocks()
-        b0, B0 = U2.body_blocks()
-        det_a, rank_a = ahat_det_rank(a0, A0)
-        det_b, rank_b = ahat_det_rank(b0, B0)
-        moduli = fermionic_moduli_count_bruteforce(a0, b0, A0, B0)
-        return cls(U1=U1, U2=U2, label=label, det_ahat=det_a, det_bhat=det_b,
-                   rank_ahat=rank_a, rank_bhat=rank_b, moduli=moduli)
+        return cls.from_stack(group, np.stack([U1.coeffs, U2.coeffs])[None], [label])[0]
+
+    @classmethod
+    def from_stack(cls, group: OspGroup, U: np.ndarray, labels) -> list["HolonomyPair"]:
+        """One pair per (U1, U2) of an even (k, 2, 2^N, d, d) coefficient stack.
+
+        The membership and commutator checks, the two Kronecker operators'
+        determinants and ranks and the brute-force counts are one stacked call
+        each, each member its one-pair value.  Raises ValueError at the first
+        pair, in stack order, that is not a pair of commuting members within
+        DEFECT_TOL.
+        """
+        m, two_n = group.m, group.two_n
+        member = group.member_residual(U)
+        # member_residual has checked the even pattern
+        comm = np.abs(canonical(graded_matmul(U[:, 0], U[:, 1], m, check=False)
+                                - graded_matmul(U[:, 1], U[:, 0], m, check=False))).max(axis=(-3, -2, -1))
+        for k in range(len(U)):
+            if member[k].max() > DEFECT_TOL:
+                raise ValueError("holonomies are not group members")
+            if comm[k] > DEFECT_TOL:
+                raise ValueError(f"holonomies do not commute (defect {comm[k]:.3e})")
+        a0, A0 = U[:, :, 0, :m, :m], U[:, :, 0, m:, m:]
+        ops = ahat(a0, A0)
+        dets, ranks = np.linalg.det(ops), matrix_rank(ops)
+        moduli = fermionic_moduli_count_bruteforce(a0[:, 0], a0[:, 1], A0[:, 0], A0[:, 1])
+        return [cls(U1=SuperMatrix._wrap(m, two_n, U[k, 0]), U2=SuperMatrix._wrap(m, two_n, U[k, 1]),
+                    label=label, det_ahat=float(dets[k, 0]), det_bhat=float(dets[k, 1]),
+                    rank_ahat=int(ranks[k, 0]), rank_bhat=int(ranks[k, 1]), moduli=int(moduli[k]),
+                    residual=float(max(member[k].max(), comm[k])))
+                for k, label in enumerate(labels)]
 
 
 @dataclass(frozen=True)
@@ -647,33 +704,53 @@ def sector_representative(desc: SectorDescriptor, ngen: int = 2,
     Fermionic sectors attach chi_k = (0, mu_k)^T with mu_k proportional to a
     shared odd element, theta1, so they need ngen >= 1; first-order
     commutation fixes mu_k ~ sign_k * c_k.  xi_k follows from xi_from_chi.
+    The one-descriptor case of sector_representatives.
     """
-    group = OspGroup(1, 1, ngen)
-    p1, p2 = params if params is not None else _SECTOR_PARAMS[desc.family]
-    if desc.family == "hyperbolic":
-        A0 = desc.eps1 * _real_expm(p1 * SIGMA1)
-        B0 = desc.eps2 * _real_expm(p2 * SIGMA1)
-    elif desc.family == "parabolic":
-        A0 = desc.eps1 * parabolic(p1)
-        B0 = desc.eps2 * parabolic(p2)
-    else:
-        A0 = rotation(p1)
-        B0 = rotation(p2)
-    if desc.fermionic and ngen < 1:
+    return sector_representatives([desc], ngen, None if params is None else [params])[0]
+
+
+def sector_representatives(descs, ngen: int = 2, params=None) -> list[HolonomyPair]:
+    """sector_representative for each descriptor, built as one (k, 2, 2^N, 3, 3) stack.
+
+    params is None (each family's _SECTOR_PARAMS) or one (p1, p2) per
+    descriptor.  The pairs are built and checked (HolonomyPair.from_stack)
+    in chunks of at most STACK_BYTES of coefficients, all four fermionic
+    sectors in one chunk up to N = 7, so each pair equals its one-descriptor
+    build and the temporaries do not grow with the stack.
+    """
+    descs = list(descs)
+    if ngen < 1 and any(desc.fermionic for desc in descs):
         raise ValueError("a fermionic sector's representative needs theta1: ngen must be at least 1")
-    pairs = []
-    for sign, A_block, p in ((desc.a0, A0, p1), (desc.b0, B0, p2)):
-        body = np.zeros((3, 3))
-        body[0, 0] = sign
-        body[1:, 1:] = A_block
-        if not desc.fermionic:
-            pairs.append(SuperMatrix.from_body(body, 1, 2, ngen))
-            continue
-        coeffs = body_array(body, ngen)
-        coeffs[1, 2, 0] = sign * p           # chi = (0, sign p theta1)^T
-        coeffs[:, :1, 1:] = group.xi_from_chi(coeffs[:, :1, :1], coeffs[:, 1:, 1:], coeffs[:, 1:, :1])
-        pairs.append(SuperMatrix.from_coeffs(1, 2, coeffs))
-    return HolonomyPair.make(group, pairs[0], pairs[1], label=desc.label())
+    p = np.array([_SECTOR_PARAMS[desc.family] for desc in descs] if params is None else params, dtype=float)
+    group, pairs = OspGroup(1, 1, ngen), []
+    chunk = max(1, STACK_BYTES // (2 * 9 * 8 << ngen))      # a pair is two (2^N, 3, 3) float64 arrays
+    for start in range(0, len(descs), chunk):
+        part = descs[start:start + chunk]
+        U = _sector_stack(group, part, p[start:start + chunk])
+        pairs += HolonomyPair.from_stack(group, U, [desc.label() for desc in part])
+    return pairs
+
+
+def _sector_stack(group: OspGroup, descs, p: np.ndarray) -> np.ndarray:
+    """The (k, 2, 2^N, 3, 3) coefficients of the descriptors' pairs, p their (k, 2) params."""
+    U = np.zeros((len(descs), 2, 1 << group.ngen, 3, 3))
+    for k, desc in enumerate(descs):
+        p1, p2 = p[k]
+        U[k, :, 0, 0, 0] = desc.a0, desc.b0
+        if desc.family == "hyperbolic":
+            U[k, :, 0, 1:, 1:] = desc.eps1 * _real_expm(p1 * SIGMA1), desc.eps2 * _real_expm(p2 * SIGMA1)
+        elif desc.family == "parabolic":
+            U[k, :, 0, 1:, 1:] = desc.eps1 * parabolic(p1), desc.eps2 * parabolic(p2)
+        else:
+            U[k, :, 0, 1:, 1:] = rotation(p1), rotation(p2)
+    canonical(U)
+    fermionic = np.array([desc.fermionic for desc in descs], dtype=bool)
+    if fermionic.any():
+        F = U[fermionic]
+        F[:, :, 1, 2, 0] = F[:, :, 0, 0, 0] * p[fermionic]      # chi = (0, sign p theta1)^T
+        F[..., :1, 1:] = group.xi_from_chi(F[..., :1, :1], F[..., 1:, 1:], F[..., 1:, :1])
+        U[fermionic] = canonical(F)
+    return U
 
 
 # ----------------------------------------------------------------------

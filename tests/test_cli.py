@@ -60,6 +60,36 @@ SECTORS_JSON_SHA256 = [
     (("--N", "5"), "adf6760d0129223577e654d03fc3edea3d32cee2d7de5a1dd7407021384eed7e"),
 ]
 
+# sha256 of fresh-process `--format json` stdout of the commands that draw per
+# sample (moduli, membership, report, and sectors at (2, 1)), two seeds each:
+# the per-sample streams and every number computed from them
+SAMPLED_JSON_SHA256 = [
+    (("moduli", "--seed", "0"),
+     "0e64b64482a3ede52a29168e11fb5b920d26d127ae5bff0395a3fa0bf69a1412"),
+    (("moduli", "--seed", "11"),
+     "32aa0ea62e70a8feb48c71563c1576d8e45dcea7cd81c21cfbdc525e08d48544"),
+    (("moduli", "--m", "1", "--n", "2", "--samples", "50", "--seed", "0"),
+     "3bb9e98be31a31af440c27c34164b8a61de1ab5b98367ce005cdb6b87fbbf8a5"),
+    (("moduli", "--m", "1", "--n", "2", "--samples", "50", "--seed", "11"),
+     "a11a8ac86bb0f8aa6f1909e023e4ef33148f580c16a18892c3f0e90359407a79"),
+    (("moduli", "--m", "3", "--n", "2", "--seed", "0"),
+     "c6560355105d39bd87df5cd6025c900e9259ec264471a92a7199a516d5e06a02"),
+    (("moduli", "--m", "3", "--n", "2", "--seed", "11"),
+     "515c6bf16f77e94d4abad98b2d2ae4885f00dc45645b2163d1dd3ec49eae9f6c"),
+    (("membership", "--samples", "200", "--seed", "0"),
+     "71ca2bf85e73f2cb54151631f39eeebb5eda23a51f3eeb0cb299c74e0bc1f1fb"),
+    (("membership", "--samples", "200", "--seed", "11"),
+     "553ca814ad4cef80672f8cdf97e039abdb5a5492bbd6424f765739a6b297ca4b"),
+    (("report", "--seed", "0"),
+     "52885f5b568b154bcf5ba0ca19d22a0a97710d3fa1a79ff8ef7ed602bb90a7cf"),
+    (("report", "--seed", "11"),
+     "527ec7afc8c409de499e47f9e0b781bf9125015fb540d9eb903d9f4ae0e2478c"),
+    (("sectors", "--m", "2", "--n", "1", "--seed", "0"),
+     "0033a83af23c2eaa89ca5e90bd9eb1f87451d63f89a44c69f17557fd1431aa54"),
+    (("sectors", "--m", "2", "--n", "1", "--seed", "11"),
+     "046dd788744956d18239c28cd81a3cb4bc3c3a827244a97e40a9e8531298382d"),
+]
+
 
 def fresh_env():
     """The environment of a fresh `python -m superholonomy.cli` on this source tree."""
@@ -329,3 +359,11 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, superholonomy.cli; print('scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
     assert res.stdout.decode().strip() == "False"
+
+
+@pytest.mark.parametrize("argv, digest", SAMPLED_JSON_SHA256)
+def test_sampled_json_bytes_pinned(argv, digest):
+    res = subprocess.run([sys.executable, "-m", "superholonomy.cli", *argv, "--format", "json"],
+                         env=fresh_env(), capture_output=True, check=False)
+    assert (res.returncode, res.stderr) == (0, b"")
+    assert hashlib.sha256(res.stdout).hexdigest() == digest

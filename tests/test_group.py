@@ -7,7 +7,8 @@ import scipy.linalg
 import superholonomy
 from superholonomy import checks
 from superholonomy import group as group_module
-from superholonomy.grassmann import COEFF_CUTOFF, GrassmannElement, canonical, pattern_mask, random_element
+from superholonomy.grassmann import (COEFF_CUTOFF, GrassmannElement, canonical, graded_matmul, pattern_mask,
+                                     random_element)
 from superholonomy.group import (
     DEFECT_TOL,
     SAMPLE_SCALE,
@@ -28,7 +29,6 @@ from superholonomy.group import (
     gauge_fix_sigma,
     matrix_rank,
     parabolic,
-    random_signs,
     random_sp,
     rotation,
     sample_commuting_bodies,
@@ -424,6 +424,24 @@ class TestHolonomyPair:
         with pytest.raises(ValueError):
             HolonomyPair.make(g12, U1, U2)
 
+    def test_stack_raises_at_the_first_bad_pair(self, g12):
+        # pair 1 is not a member, pair 2 does not commute: make's order of checks
+        body = np.eye(3)
+        body[1:, 1:] = rotation(0.7)
+        good = SuperMatrix.from_body(body, 1, 2, 2).coeffs
+        stretched = SuperMatrix.from_body(np.diag([1.0, 2.0, 0.5]), 1, 2, 2).coeffs
+        scaled = SuperMatrix.from_body(np.diag([1.0, 2.0, 2.0]), 1, 2, 2).coeffs
+        U = np.array([[good, good], [good, scaled], [good, stretched]])
+        with pytest.raises(ValueError, match="not group members"):
+            HolonomyPair.from_stack(g12, U, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="do not commute"):
+            HolonomyPair.from_stack(g12, U[[0, 2]], ["a", "c"])
+        odd = SuperMatrix.from_coeffs(1, 2, np.zeros((4, 3, 3)), parity=1)
+        with pytest.raises(ValueError, match="not group members"):
+            HolonomyPair.make(g12, SuperMatrix.from_coeffs(1, 2, good), odd)
+        pair, = HolonomyPair.from_stack(g12, U[:1], ["a"])
+        assert pair == HolonomyPair.make(g12, *(SuperMatrix.from_coeffs(1, 2, u) for u in U[0]), label="a")
+
     def test_metadata(self, g12):
         body = np.eye(3)
         body[1:, 1:] = rotation(0.7)
@@ -585,26 +603,6 @@ class TestStacks:
         assert rng.random() == ref.random()
 
 
-class TestRandomSigns:
-    """random_signs replaces rng.choice([-1.0, 1.0], size) in the moduli and
-    rotation-determinant draws; their outputs stay the same only while both
-    read the same values from the same stream."""
-
-    @pytest.mark.parametrize("size", [None, 1, 2, 5])
-    def test_same_values_and_stream_as_choice(self, size):
-        for seed in range(300):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got, want = random_signs(rng, size), ref.choice([-1.0, 1.0], size)
-            assert type(got) is type(want) and np.shape(got) == np.shape(want)
-            assert np.array_equal(got, want)
-            assert rng.random() == ref.random()
-
-    def test_symplectic_form_is_shared_and_read_only(self):
-        C = symplectic_form(4)
-        assert C is symplectic_form(4) and not C.flags.writeable
-        assert np.array_equal(C @ C, -np.eye(4)) and np.array_equal(C.T, -C)
-
-
 def _sample_member_loop(group, rng, components=True):
     """sample_member as a one-sample loop: one draw per coefficient, embed, expm."""
     alg = group.algebra()
@@ -654,6 +652,23 @@ class TestStackedMembership:
             assert np.array_equal(member, _sample_member_loop(group, ref, components).coeffs)
         assert single == _sample_member_loop(group, ref, components)
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("ngen", [2, 6, 8])
+    def test_reflection_is_the_body_product(self, m, n, ngen):
+        # a member's coefficients come before its coin, so the same seed gives
+        # the same member with and without the reflection component
+        group = OspGroup(m, n, ngen)
+        R = group.reflection_component().coeffs
+        flipped = 0
+        for seed in range(6):
+            plain = group.sample_stack([np.random.default_rng(seed)], components=False)[0]
+            member = group.sample_stack([np.random.default_rng(seed)])[0]
+            if not np.array_equal(member, plain):
+                # the same bits, signs of zeros included
+                assert member.tobytes() == graded_matmul(R, plain).tobytes()
+                flipped += 1
+        assert 0 < flipped < 6
 
     @pytest.mark.parametrize("budget", [1, 3 * 1024 * 9 * 8])
     def test_chunked_sample_stack_equals_one_chunk(self, monkeypatch, budget):

@@ -43,18 +43,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from superholonomy import grassmann
+from superholonomy import checks, grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
                                      NonInvertibleError, ParityPatternError, canonical, grade_signs,
                                      graded_inverse, graded_matmul, pattern_mask, random_element, taylor_sum)
-from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, build_nonexp_holonomy,
-                                 rotation)
+from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, ahat, ahat_det_rank,
+                                 build_nonexp_holonomy, coins, commuting_bodies, enumerate_sectors_osp12,
+                                 fermionic_moduli_count, fermionic_moduli_count_bruteforce, parabolic, rotation,
+                                 sector_representative, sector_representatives, uniform_from_random)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
 from superholonomy.superlie import (EPS2, EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0,
                                     SIGMA1, SIGMA2, _osp12_candidate, _osp12_relation_residual,
                                     _structure_constants_from_rep, build_osp, build_osp12)
-from superholonomy.supermatrix import (SuperMatrix, array_to_gmat, gmat_mul, graded_expm, graded_form,
-                                      random_supermatrix, signed_gather, supertranspose_coeffs, transpose_plan)
+from superholonomy.supermatrix import (SuperMatrix, array_to_gmat, body_array, gmat_mul, graded_expm, graded_form,
+                                      random_supermatrix, signed_gather, supertranspose_coeffs, symplectic_form,
+                                      transpose_plan)
 
 
 @lru_cache(maxsize=None)
@@ -1027,3 +1030,203 @@ class TestMembershipGather:
         monkeypatch.setattr(grassmann, "SPLIT_BYTES", 1)
         assert np.array_equal(group.membership_defect(grid), whole)
 
+
+
+# ----------------------------------------------------------------------
+# the CLI's sampling loops: per-sample draws and sector representatives
+# ----------------------------------------------------------------------
+
+def random_signs(rng, size=None):
+    """Uniform draws from {-1.0, 1.0}, equal in values and stream to
+    rng.choice([-1.0, 1.0], size) at about half the cost."""
+    return 2.0 * rng.integers(0, 2, size) - 1.0
+
+
+def _loop_commuting_draws(m, n, rng):
+    """One commuting sample's draws and generators, one rng.uniform call per block, and its kind."""
+    two_n = 2 * n
+    C = symplectic_form(two_n)
+    K = rng.uniform(-1, 1, (m, m))
+    K = K - K.T
+    kind = rng.integers(0, 4)
+    if kind == 1:
+        S = np.zeros((two_n, two_n))
+        S[0, 0] = 1.0
+        Hs = C @ S
+    elif kind == 2:
+        Hs = np.zeros((two_n, two_n))
+    elif kind == 3 and m > 1:
+        K = np.zeros((m, m))
+        S = rng.uniform(-0.8, 0.8, (two_n, two_n))
+        Hs = C @ (S + S.T)
+    else:
+        S = rng.uniform(-0.8, 0.8, (two_n, two_n))
+        Hs = C @ (S + S.T)
+    t1, t2 = rng.uniform(0.2, 1.2, 2) * random_signs(rng, 2)
+    u1, u2 = rng.uniform(0.2, 1.2, 2) * random_signs(rng, 2)
+    signs = random_signs(rng, 2)
+    L = rng.uniform(-1.0, 1.0, (m, m))
+    S = rng.uniform(-0.7, 0.7, (two_n, two_n))
+    return (u1 * K, u2 * K, L - L.T), (t1 * Hs, t2 * Hs, C @ (S + S.T)), signs, kind
+
+
+def _loop_commuting_bodies(m, n, rngs):
+    """commuting_bodies with the draws taken sample by sample; returns the four stacks and the kinds."""
+    draws = [_loop_commuting_draws(m, n, rng) for rng in rngs]
+    so_gens, sp_gens, signs, kinds = (np.array(x) for x in zip(*draws))
+    so, sp = _real_expm(so_gens), _real_expm(sp_gens)
+    signs = signs[:, :, None, None]
+    P, Q = so[:, 2:], sp[:, 2:]
+    a = P @ (signs * so[:, :2]) @ np.swapaxes(P, -1, -2)
+    A = Q @ (signs * sp[:, :2]) @ np.linalg.inv(Q)
+    return (a[:, 0], a[:, 1], A[:, 0], A[:, 1]), kinds
+
+
+def _loop_osp22_rotation_det(rng, samples, tol):
+    """checks.osp22_rotation_det with one rng.uniform call per draw."""
+    draws = [(rng.uniform(0.0, 2 * np.pi), rng.uniform(-0.7, 0.7, (2, 2)), random_signs(rng))
+             for _ in range(samples)]
+    phi, S, signs = (np.array(x) for x in zip(*draws))
+    A0 = _real_expm(symplectic_form(2) @ (S + np.swapaxes(S, -1, -2))) * signs[:, None, None]
+    c, s = np.cos(phi), np.sin(phi)
+    a0 = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    det = np.linalg.det(ahat(a0, A0))
+    worst = float(np.abs(det - (2 * c - np.trace(A0, axis1=-2, axis2=-1)) ** 2).max())
+    count = fermionic_moduli_count(rotation(0.4), rotation(1.1), rotation(0.4), rotation(1.1))
+    return {"det_formula_worst_error": worst, "so2_so2_moduli": count,
+            "passed": bool(worst <= tol and count == 4)}
+
+
+class TestRandomSigns:
+    """The loop oracle's signs replaced rng.choice([-1.0, 1.0], size), and the
+    library's coins replace them; all read the same values from the same stream."""
+
+    @pytest.mark.parametrize("size", [None, 1, 2, 5])
+    def test_same_values_and_stream_as_choice(self, size):
+        for seed in range(300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = random_signs(rng, size), ref.choice([-1.0, 1.0], size)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_coins_read_one_sized_call(self, k):
+        # an odd count leaves half a 64-bit draw buffered for the next call
+        for seed in range(300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert coins(rng, k) == ref.integers(0, 2, k).tolist()
+            assert rng.integers(4) == ref.integers(4) and rng.random() == ref.random()
+
+    def test_uniform_from_random(self):
+        for seed in range(100):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for lo, hi, shape in ((-1, 1, (3, 3)), (0.2, 1.2, 2), (0.0, 2 * np.pi, None), (-0.7, 0.7, (4, 4))):
+                want = ref.uniform(lo, hi, shape)
+                got = uniform_from_random(rng.random(shape), lo, hi)
+                assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+
+    def test_symplectic_form_is_shared_and_read_only(self):
+        C = symplectic_form(4)
+        assert C is symplectic_form(4) and not C.flags.writeable
+        assert np.array_equal(C @ C, -np.eye(4)) and np.array_equal(C.T, -C)
+        # a signed permutation: C @ X is exact, on a stack as on one matrix
+        assert np.array_equal(np.abs(C) @ np.abs(C).T, np.eye(4))
+
+
+class TestSamplingLoops:
+    """The stacked samplers against the per-sample loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 2)])
+    def test_commuting_bodies_equal_loop(self, m, n):
+        seeds = np.random.SeedSequence([m, n, 20]).spawn(60)
+        got = commuting_bodies(m, n, (np.random.default_rng(s) for s in seeds))
+        want, kinds = _loop_commuting_bodies(m, n, [np.random.default_rng(s) for s in seeds])
+        assert set(kinds.tolist()) == {0, 1, 2, 3}
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        # one generator four times: its stream continues from sample to sample
+        rng, ref = np.random.default_rng([m, n]), np.random.default_rng([m, n])
+        got = commuting_bodies(m, n, [rng] * 4)
+        want, _ = _loop_commuting_bodies(m, n, [ref] * 4)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("samples", [1, 7, 100])
+    def test_rotation_det_equals_loop(self, samples):
+        for seed in (0, 3, 11, 2718):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert checks.osp22_rotation_det(rng, samples, 1e-10) == _loop_osp22_rotation_det(ref, samples, 1e-10)
+            assert rng.random() == ref.random()
+
+
+SECTOR_PARAMS = {"hyperbolic": (0.3, 0.7), "parabolic": (0.8, 0.6), "so2": (0.9, 1.7)}
+
+
+def _loop_sector_representative(desc, ngen, params=None):
+    """A sector's pair built one matrix at a time, and its make checks: (U1, U2, fields)."""
+    group = OspGroup(1, 1, ngen)
+    p1, p2 = params if params is not None else SECTOR_PARAMS[desc.family]
+    if desc.family == "hyperbolic":
+        A0, B0 = desc.eps1 * _real_expm(p1 * SIGMA1), desc.eps2 * _real_expm(p2 * SIGMA1)
+    elif desc.family == "parabolic":
+        A0, B0 = desc.eps1 * parabolic(p1), desc.eps2 * parabolic(p2)
+    else:
+        A0, B0 = rotation(p1), rotation(p2)
+    pair = []
+    for sign, A_block, p in ((desc.a0, A0, p1), (desc.b0, B0, p2)):
+        body = np.zeros((3, 3))
+        body[0, 0] = sign
+        body[1:, 1:] = A_block
+        coeffs = body_array(body, ngen)
+        if desc.fermionic:
+            coeffs[1, 2, 0] = sign * p
+            coeffs[:, :1, 1:] = group.xi_from_chi(coeffs[:, :1, :1], coeffs[:, 1:, 1:], coeffs[:, 1:, :1])
+        pair.append(SuperMatrix.from_coeffs(1, 2, coeffs))
+    residual = 0.0
+    for U in pair:
+        a, A = U.body()[:1, :1], U.body()[1:, 1:]
+        C = symplectic_form(2)
+        residual = max(residual, defect_by_body_product(group, U), np.abs(a.T @ a - np.eye(1)).max(),
+                       np.abs(A.T @ C @ A - C).max())
+    residual = max(residual, (pair[0] @ pair[1] - pair[1] @ pair[0]).max_abs())
+    (a0, A0), (b0, B0) = pair[0].body_blocks(), pair[1].body_blocks()
+    fields = (*ahat_det_rank(a0, A0)[::-1], *ahat_det_rank(b0, B0)[::-1],
+              fermionic_moduli_count_bruteforce(a0, b0, A0, B0), residual)
+    return pair[0], pair[1], fields
+
+
+def assert_pairs_equal_loop(pairs, descs, ngen, params=None):
+    for k, (pair, desc) in enumerate(zip(pairs, descs)):
+        U1, U2, (rank_a, det_a, rank_b, det_b, moduli, residual) = _loop_sector_representative(
+            desc, ngen, None if params is None else params[k])
+        assert pair.U1 == U1 and pair.U2 == U2 and pair.label == desc.label()
+        assert (pair.rank_ahat, pair.det_ahat, pair.rank_bhat, pair.det_bhat) == (rank_a, det_a, rank_b, det_b)
+        assert (pair.moduli, pair.residual) == (moduli, residual)
+        assert all(type(v) is int for v in (pair.rank_ahat, pair.rank_bhat, pair.moduli))
+
+
+class TestSectorStack:
+    """sector_representatives against the one-matrix build and make's one-pair checks."""
+
+    def test_every_sector_in_one_stack(self):
+        descs = enumerate_sectors_osp12().sectors
+        pairs = sector_representatives(descs)
+        assert_pairs_equal_loop(pairs, descs, 2)
+        assert [p.moduli for p in pairs] == [d.moduli for d in descs]
+
+    @pytest.mark.parametrize("ngen", [1, 2, 3, 5, 7, 8])
+    def test_fermionic_stack(self, ngen):
+        # 2^N d = 768 > SPLIT_MAX at N = 8: the products take the pair table,
+        # and STACK_BYTES holds three pairs, so the stack runs in two chunks
+        descs = enumerate_sectors_osp12().fermionic_sectors
+        assert_pairs_equal_loop(sector_representatives(descs, ngen), descs, ngen)
+
+    def test_params_per_descriptor(self):
+        descs = enumerate_sectors_osp12().sectors[::3]
+        params = [(0.4 + 0.004 * k, 0.9 - 0.003 * k) for k in range(len(descs))]
+        pairs = sector_representatives(descs, 3, params)
+        assert_pairs_equal_loop(pairs, descs, 3, params)
+        for pair, desc, p in zip(pairs, descs, params):
+            one = sector_representative(desc, 3, p)
+            assert (one.U1, one.U2, one.moduli, one.residual) == (pair.U1, pair.U2, pair.moduli, pair.residual)
