@@ -9,30 +9,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grassmann import graded_inverse, graded_matmul
+from .grassmann import EXACT_TOL, graded_inverse, graded_matmul, stack_chunk
 from .group import (
+    SectorReport,
     _real_expm,
     ahat,
     commuting_bodies,
-    enumerate_sectors_osp12,
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
     rotation,
     sp_from_random,
-    stack_chunk,
     uniform_from_random,
 )
 from .superlie import build_osp
 
 JACOBI_ALGEBRAS = ((1, 1), (2, 1), (1, 2), (2, 2))
-JACOBI_TOL = 1e-12
 
 
 def jacobi_suite() -> dict:
     """Super Jacobi residual of osp(m|2n) for each size in JACOBI_ALGEBRAS."""
-    res = {f"osp({m}|{2 * n})": float(build_osp(m, n).check_jacobi(tol=JACOBI_TOL).max_residual)
+    res = {f"osp({m}|{2 * n})": float(build_osp(m, n).check_jacobi().max_residual)
            for m, n in JACOBI_ALGEBRAS}
-    res["passed"] = all(v <= JACOBI_TOL for v in res.values())
+    res["passed"] = all(v <= EXACT_TOL for v in res.values())
     return res
 
 
@@ -49,7 +47,7 @@ def membership_closure(group, rng, pool_size: int, ops: int, tol: float) -> dict
     pairs = rng.integers(0, pool_size, (ops, 2))
     # the pool comes from sample_stack, on the even pattern
     inverses = graded_inverse(pool, group.m, check=False)
-    chunk = stack_chunk(pool)
+    chunk = stack_chunk(pool.shape[1:])
     worst = 0.0
     for start in range(0, ops, chunk):
         k = np.arange(start, min(start + chunk, ops))
@@ -63,9 +61,8 @@ def membership_closure(group, rng, pool_size: int, ops: int, tol: float) -> dict
     return {"worst_defect": worst, "passed": worst <= tol}
 
 
-def osp12_sector_counts() -> dict:
-    """36 bosonic and 4 fermionic osp(1|2) sectors, 2 fermionic moduli each."""
-    rep = enumerate_sectors_osp12()
+def osp12_sector_counts(rep: SectorReport) -> dict:
+    """36 bosonic and 4 fermionic osp(1|2) sectors, 2 fermionic moduli each, in rep."""
     fermionic = rep.fermionic_sectors
     passed = rep.bosonic_count == 36 and len(fermionic) == 4 and all(s.moduli == 2 for s in fermionic)
     return {"bosonic": rep.bosonic_count, "fermionic": len(fermionic), "passed": passed}

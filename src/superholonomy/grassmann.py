@@ -51,17 +51,53 @@ TABLE_MAX_N = 6
 # 0.5-0.56x (1.2x for (1|2)) and the product 0.87-2.4x, exp still
 # 1.8-4.7x.  At N = 1-4 the product ran 0.82-1.29x and exp 1.5-2.3x
 SPLIT_MAX = 512
+
+# The numerical policy: what is zero, when a matrix loses rank, how small a
+# residual must be and how much memory a stack may take.  Every module reads
+# these and none decides again.
+
+# a coefficient below this is zero (``canonical``), so exact cancellations
+# are not blocked by floating dust
+COEFF_CUTOFF = 1e-14
+# a real Taylor series stops at a term below this, far under rounding
+TAYLOR_CUTOFF = 1e-22
+# singular values below this fraction of the largest count as zero
+# (``matrix_rank``): the ranked operators have O(1) entries, so float dust
+# sits near 1e-15 relative
+RANK_THRESHOLD = 1e-10
+# absolute bound on membership, commutator, chi and constraint residuals of
+# products of O(1)-entry matrices: far above float dust, far below a defect
+DEFECT_TOL = 1e-10
+# bound on identities that hold exactly on the builders' data: the
+# representations have entries 0, +-1, +-2, so Jacobi, closure, graded
+# antisymmetry and the defining relations hold to rounding of O(1) products
+EXACT_TOL = 1e-12
 # a stack's L blocks are built in slices of at most this many bytes: four
 # OSp(2|2) members at N = 6, one at 7.  The CLI's 200-op OSp(2|2) membership
 # sweep at N = 6 peaked at 38.3 MB in 1 MiB slices and 44.8 MB unsliced,
 # and 256 KiB slices ran 40% slower
 SPLIT_BYTES = 1 << 20
+# a stacked sweep takes its ops in chunks of at most this many bytes of
+# coefficients (``stack_chunk``), so its memory does not grow with the op
+# count.  The product kernel holds about 36 chunks of temporaries at N = 6,
+# 4.5 MB here; a 200-op OSp(1|2) sweep at N = 6 to 8 ran no faster with
+# 1 MB chunks, which added 40 MB of peak RSS
+STACK_BYTES = 1 << 17
 
-# Coefficients below this are dropped during canonicalization so that exact
-# cancellations are not blocked by floating dust.
-COEFF_CUTOFF = 1e-14
-# a real Taylor series stops at a term below this, far under rounding
-TAYLOR_CUTOFF = 1e-22
+
+def matrix_rank(mat: np.ndarray):
+    """The one rank rule: singular values above RANK_THRESHOLD times the largest.  A stack
+    (..., r, c) is ranked member by member by one SVD call, an int array (...); a matrix gives an int."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    top = svals[..., :1]
+    ranks = np.count_nonzero(svals / np.where(top > 0.0, top, 1.0) > RANK_THRESHOLD, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
+
+
+def stack_chunk(member_shape) -> int:
+    """float64 members of member_shape per chunk of at most STACK_BYTES, at least one."""
+    return max(1, STACK_BYTES // (8 * math.prod(member_shape)))
+
 
 Scalar = Union[int, float]
 
@@ -633,18 +669,11 @@ class GrassmannElement:
 
     def __sub__(self, other) -> "GrassmannElement":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for mask, c in o.terms.items():
-            out[mask] = out.get(mask, 0.0) - c
-        return GrassmannElement(self.n, out)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other) -> "GrassmannElement":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __neg__(self) -> "GrassmannElement":
         return GrassmannElement(self.n, {m: -c for m, c in self.terms.items()})
@@ -687,7 +716,7 @@ class GrassmannElement:
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
 
-    def isclose(self, other, tol: float = 1e-12) -> bool:
+    def isclose(self, other, tol: float = EXACT_TOL) -> bool:
         o = self._coerce(other)
         return (self - o).max_abs() <= tol
 

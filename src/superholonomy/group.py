@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import (TAYLOR_CUTOFF, _split_slices, canonical, even_route, grade_signs, graded_expm,
-                        graded_inverse, graded_matmul, scaling_squaring_expm, taylor_sum)
+from .grassmann import (DEFECT_TOL, TAYLOR_CUTOFF, _split_slices, canonical, even_route, grade_signs, graded_expm,
+                        graded_inverse, graded_matmul, matrix_rank, scaling_squaring_expm, stack_chunk, taylor_sum)
 from .supermatrix import SuperMatrix, body_array, commutator, signed_gather, transpose_plan
 from .superlie import (
     OSP12_DIRECTIONS,
@@ -33,12 +33,6 @@ from .superlie import (
     symplectic_form,
 )
 
-# singular values below this fraction of the largest count as zero: the
-# operators have O(1) entries, so float dust sits near 1e-15 relative
-RANK_THRESHOLD = 1e-10
-# absolute bound on membership, commutator and chi residuals of products of
-# O(1)-entry supermatrices: far above float dust, far below a real defect
-DEFECT_TOL = 1e-10
 # sample_member draws algebra coefficients from [-0.6, 0.6]: big enough to
 # leave the identity, small enough that expm needs few squarings
 SAMPLE_SCALE = 0.6
@@ -46,13 +40,6 @@ SAMPLE_SCALE = 0.6
 # -0.3 theta2: distinct generators keep the two fermions independent
 NONEXP_NGEN = 2
 NONEXP_PSI = (0.4, -0.3)
-# a stacked sweep takes its ops in chunks of at most this many bytes of
-# coefficients (one op is 2^N (m+2n)^2 doubles), so its memory does not grow
-# with the op count.  The product kernel holds about 36 chunks of
-# temporaries at N = 6, 4.5 MB here; a 200-op OSp(1|2) sweep at N = 6 to 8
-# ran no faster with 1 MB chunks, which added 40 MB of peak RSS.  A 200-op
-# OSp(1|2) sweep at N = 2 is one chunk
-STACK_BYTES = 1 << 17
 
 
 class SingularGaugeOperatorError(ValueError):
@@ -69,11 +56,6 @@ class GaugeFixResidualError(RuntimeError):
 
 class HypothesisError(ValueError):
     """An operation's structural hypotheses are violated by the inputs."""
-
-
-def stack_chunk(stack: np.ndarray) -> int:
-    """Members of a (S, ...) stack per chunk of at most STACK_BYTES, at least one."""
-    return max(1, STACK_BYTES // (stack.itemsize * math.prod(stack.shape[1:])))
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -221,7 +203,7 @@ class OspGroup:
         canonical(table)               # and zero what falls below COEFF_CUTOFF
         d = self.m + self.two_n
         members = np.empty((len(rngs), 1 << self.ngen, d, d))
-        chunk = stack_chunk(members)
+        chunk = stack_chunk(members.shape[1:])
         for start in range(0, len(rngs), chunk):
             part = slice(start, start + chunk)
             # the algebra's generators keep the even pattern, and so do sums of them
@@ -263,18 +245,6 @@ def ahat(a0: np.ndarray, A0: np.ndarray) -> np.ndarray:
     return op.reshape(*op.shape[:-4], m * two_n, m * two_n)
 
 
-def matrix_rank(mat: np.ndarray):
-    """Rank by singular values after rescaling to unit spectral norm.
-
-    A stack (..., r, c) is ranked member by member from one SVD call and
-    gives an int array of shape (...); a single matrix gives an int.
-    """
-    svals = np.linalg.svd(mat, compute_uv=False)
-    top = svals[..., :1]
-    ranks = np.count_nonzero(svals / np.where(top > 0.0, top, 1.0) > RANK_THRESHOLD, axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
-
-
 def ahat_det_rank(a0: np.ndarray, A0: np.ndarray) -> tuple[float, int]:
     op = ahat(a0, A0)
     return float(np.linalg.det(op)), matrix_rank(op)
@@ -286,8 +256,8 @@ def det_conjugation_invariance(a0: np.ndarray, A0: np.ndarray,
 
     The two agree because I (x) S0 conjugates one operator into the other.
     """
-    S0 = np.asarray(S0, dtype=float)
-    if abs(np.linalg.det(S0)) < 1e-12:
+    S0 = np.atleast_2d(np.asarray(S0, dtype=float))
+    if matrix_rank(S0) < len(S0):
         raise ValueError("conjugating matrix is singular")
     conjugated = S0 @ np.atleast_2d(A0) @ np.linalg.inv(S0)
     return float(np.linalg.det(ahat(a0, conjugated))), float(np.linalg.det(ahat(a0, A0)))
@@ -723,7 +693,7 @@ def sector_representatives(descs, ngen: int = 2, params=None) -> list[HolonomyPa
         raise ValueError("a fermionic sector's representative needs theta1: ngen must be at least 1")
     p = np.array([_SECTOR_PARAMS[desc.family] for desc in descs] if params is None else params, dtype=float)
     group, pairs = OspGroup(1, 1, ngen), []
-    chunk = max(1, STACK_BYTES // (2 * 9 * 8 << ngen))      # a pair is two (2^N, 3, 3) float64 arrays
+    chunk = stack_chunk((2, 1 << ngen, 3, 3))
     for start in range(0, len(descs), chunk):
         part = descs[start:start + chunk]
         U = _sector_stack(group, part, p[start:start + chunk])

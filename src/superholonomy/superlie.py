@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import canonical, grade_signs, graded_matmul
+from .grassmann import DEFECT_TOL, EXACT_TOL, canonical, grade_signs, graded_matmul, matrix_rank
 from .supermatrix import SuperMatrix, body_array, graded_form, supertranspose_coeffs, symplectic_form
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -32,11 +32,6 @@ EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # build_osp keeps the defining representation at desk scale: m + 2n <= this
 MAX_OSP_SIZE = 8
-# the representations have entries 0, +-1, +-2, so defining relations, graded
-# antisymmetry and parity rules of f hold to rounding of a few O(1) products
-EXACT_TOL = 1e-12
-# a supertrace Gram determinant below this means a degenerate basis
-GRAM_DET_TOL = 1e-10
 
 
 def pair_signs(parities: Sequence[int]) -> np.ndarray:
@@ -143,7 +138,7 @@ class SuperAlgebra:
         products = graded_matmul(self._graded_coeffs(x)[..., :, None], self._graded_coeffs(y)[..., None, :])
         return canonical(np.einsum("...qij,ijk->...qk", products, self.f))
 
-    def check_jacobi(self, tol: float = 1e-12) -> JacobiReport:
+    def check_jacobi(self, tol: float = EXACT_TOL) -> JacobiReport:
         """Residual of [X,[Y,Z}} - [[X,Y},Z} - (-1)^{|X||Y|}[Y,[X,Z}} on the basis."""
         f, dim = self.f, self.dim
         # lhs[i,j,k,m] = f[j,k,l] f[i,l,m] and rhs1[i,j,k,m] = f[i,j,l] f[l,k,m],
@@ -194,14 +189,14 @@ class SuperAlgebra:
     # ------------------------------------------------------------------
     def embed(self, coeffs) -> np.ndarray:
         """Enveloping-algebra elements sum_I coeffs[..., I] T_I of (..., 2^N, dim) coefficients, each
-        of its generator's parity, summed in basis order into the canonical (..., 2^N, d, d) array."""
+        of its generator's parity, as one product with the (dim, d*d) generators: the canonical
+        (..., 2^N, d, d) array.  A builder's matrix entry is nonzero in at most two generators, by
+        +-1 or +-2, so each entry is one rounding of two exact products, the same in any order."""
         if self.rep is None:
             raise ValueError("algebra carries no matrix representation")
-        coeffs = self._graded_coeffs(coeffs)
-        out = np.zeros((*coeffs.shape[:-1], *self.rep[0].shape))
-        for g, mat in enumerate(self.rep):
-            out += coeffs[..., g, None, None] * mat
-        return canonical(out)
+        d = self.rep[0].shape[-1]
+        out = self._graded_coeffs(coeffs) @ np.reshape(self.rep, (self.dim, d * d))
+        return canonical(out.reshape(*out.shape[:-1], d, d))
 
     def rep_supermatrices(self, ngen: int) -> list[SuperMatrix]:
         """Generators as supermatrices; odd generators use the odd pattern."""
@@ -267,7 +262,7 @@ def _structure_constants_from_rep(rep: Sequence[np.ndarray], parities: Sequence[
     flat = R.reshape(dim, d * d)
     W = (np.where(np.arange(d) < m, 1.0, -1.0)[:, None] * R.transpose(0, 2, 1)).reshape(dim, d * d)
     gram = flat @ W.T
-    if abs(np.linalg.det(gram)) < GRAM_DET_TOL:
+    if matrix_rank(gram) < dim:
         raise ValueError("supertrace form is degenerate on this basis")
     # [x, y} on representation matrices: anticommutator only for odd-odd
     prod = R[:, None] @ R[None, :]
@@ -278,7 +273,7 @@ def _structure_constants_from_rep(rep: Sequence[np.ndarray], parities: Sequence[
     # round-trip: the projected constants must reproduce every bracket
     miss = f.reshape(dim * dim, dim) @ flat
     miss -= br
-    unclosed = np.abs(miss, out=miss).max(axis=1, initial=0.0) > 1e-10
+    unclosed = np.abs(miss, out=miss).max(axis=1, initial=0.0) > DEFECT_TOL
     if unclosed.any():
         i, j = divmod(int(np.argmax(unclosed)), dim)
         raise ValueError(f"bracket ({i},{j}) does not close on the basis")

@@ -68,9 +68,17 @@ def gmat_mul(x: GMatrix, y: GMatrix) -> GMatrix:
 # dense coefficient arrays (2^N, rows, cols)
 # ----------------------------------------------------------------------
 
+def _real(x) -> np.ndarray:
+    """x as a float array; a complex one raises TypeError instead of losing its imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise TypeError(f"supermatrix coefficients must be real, got dtype {x.dtype}")
+    return x.astype(float)
+
+
 def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
     """A real matrix as a coefficient array over B_ngen (body only)."""
-    mat = np.asarray(mat, dtype=float)
+    mat = _real(mat)
     out = np.zeros((1 << ngen, *mat.shape))
     out[0] = mat
     return canonical(out)
@@ -174,7 +182,7 @@ class SuperMatrix:
     def from_coeffs(cls, m: int, n: int, coeffs: np.ndarray, parity: int = 0) -> "SuperMatrix":
         """From a (2^N, m+n, m+n) coefficient array (copied, then made canonical)."""
         _check_blocks(m, n)
-        coeffs = canonical(np.array(coeffs, dtype=float))
+        coeffs = canonical(_real(coeffs))
         size = len(coeffs)
         if (coeffs.shape != (size, m + n, m + n) or size < 1 or size & (size - 1)
                 or size.bit_length() - 1 > MAX_GENERATORS):
@@ -193,7 +201,7 @@ class SuperMatrix:
 
     @classmethod
     def from_body(cls, body: np.ndarray, m: int, n: int, ngen: int) -> "SuperMatrix":
-        body = np.asarray(body, dtype=float)
+        body = _real(body)
         if body.shape != (m + n, m + n):
             raise ValueError("body shape does not match block dimensions")
         if np.abs(body[:m, m:]).max(initial=0.0) > 0 or np.abs(body[m:, :m]).max(initial=0.0) > 0:

@@ -126,7 +126,7 @@ def test_05_gauge_fixing_recursion():
 
 
 def test_06_sector_counts():
-    res = checks.osp12_sector_counts()
+    res = checks.osp12_sector_counts(enumerate_sectors_osp12())
     report(6, "osp(1|2) sector counts 36 bosonic / 4 fermionic / 2 moduli each", res["passed"],
            f"bosonic {res['bosonic']}, fermionic {res['fermionic']}")
 

@@ -209,6 +209,22 @@ class TestSectors:
             U2 = SuperMatrix.from_json_dict(entry["U2"])
             assert group.is_member(U1, 1e-10) and group.is_member(U2, 1e-10)
 
+    def test_enumerates_once(self, capsys, monkeypatch):
+        # the report printed is the one checks.osp12_sector_counts reads
+        from superholonomy import checks, cli, group
+
+        real, calls = group.enumerate_sectors_osp12, []
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        for module in (group, cli, checks):
+            if hasattr(module, "enumerate_sectors_osp12"):
+                monkeypatch.setattr(module, "enumerate_sectors_osp12", counted)
+        assert run(capsys, "sectors")[0] == 0
+        assert len(calls) == 1
+
     def test_osp22_partial(self, capsys):
         code, out = run(capsys, "sectors", "--m", "2", "--n", "1", "--format", "json")
         data = json.loads(out)

@@ -5,12 +5,11 @@ import pytest
 import scipy.linalg
 
 import superholonomy
-from superholonomy import checks
+from superholonomy import checks, grassmann
 from superholonomy import group as group_module
-from superholonomy.grassmann import (COEFF_CUTOFF, GrassmannElement, canonical, graded_matmul, pattern_mask,
-                                     random_element)
+from superholonomy.grassmann import (COEFF_CUTOFF, DEFECT_TOL, GrassmannElement, canonical, graded_matmul,
+                                     matrix_rank, pattern_mask, random_element)
 from superholonomy.group import (
-    DEFECT_TOL,
     SAMPLE_SCALE,
     GaugeFixResidualError,
     HolonomyPair,
@@ -27,7 +26,6 @@ from superholonomy.group import (
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
     gauge_fix_sigma,
-    matrix_rank,
     parabolic,
     random_sp,
     rotation,
@@ -183,6 +181,13 @@ class TestAhat:
     def test_singular_conjugator_rejected(self):
         with pytest.raises(ValueError):
             det_conjugation_invariance(np.array([[1.0]]), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="singular"):       # rank 1
+            det_conjugation_invariance(1, np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_small_conjugator_is_regular(self):
+        # det(1e-7 I) = 1e-14, but the rank rule reads the scale-free spectrum
+        d1, d2 = det_conjugation_invariance(1, np.diag([1.7, 1 / 1.7]), 1e-7 * np.eye(2))
+        assert d1 == d2 != 0.0
 
     def test_rank_gauge_invariance(self, g12):
         # det and rank computed before/after conjugation by random members agree
@@ -678,9 +683,9 @@ class TestStackedMembership:
         real = group_module.graded_expm
         monkeypatch.setattr(group_module, "graded_expm",
                             lambda X, *args, **kw: (calls.append(len(X)), real(X, *args, **kw))[1])
-        monkeypatch.setattr(group_module, "STACK_BYTES", 1 << 30)
+        monkeypatch.setattr(grassmann, "STACK_BYTES", 1 << 30)
         whole = group.sample_stack([np.random.default_rng(8)] * 7)
-        monkeypatch.setattr(group_module, "STACK_BYTES", budget)
+        monkeypatch.setattr(grassmann, "STACK_BYTES", budget)
         chunked = group.sample_stack([np.random.default_rng(8)] * 7)
         assert np.array_equal(chunked, whole)
         assert calls == [7] + ([1] * 7 if budget == 1 else [3, 3, 1])
@@ -715,8 +720,9 @@ class TestStackedMembership:
         assert whole[1] == 1
         member = (1 << group.ngen) * (group.m + group.two_n) ** 2 * 8    # bytes of one op
         for budget, chunks in ((1, 100), (7 * member, 15)):
-            monkeypatch.setattr(group_module, "STACK_BYTES", budget)
+            monkeypatch.setattr(grassmann, "STACK_BYTES", budget)
             res, calls, defects = sweep()
+            assert calls > 1       # a patch stack_chunk does not read would run one chunk
             # the same defect for every op, in op order
             assert (res, calls, defects) == (whole[0], chunks, whole[2])
 

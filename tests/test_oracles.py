@@ -44,7 +44,7 @@ import pytest
 import scipy.linalg
 
 from superholonomy import checks, grassmann
-from superholonomy.grassmann import (COEFF_CUTOFF, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
+from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
                                      NonInvertibleError, ParityPatternError, canonical, grade_signs,
                                      graded_inverse, graded_matmul, pattern_mask, random_element, taylor_sum)
 from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, ahat, ahat_det_rank,
@@ -52,7 +52,7 @@ from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, 
                                  fermionic_moduli_count, fermionic_moduli_count_bruteforce, parabolic, rotation,
                                  sector_representative, sector_representatives, uniform_from_random)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
-from superholonomy.superlie import (EPS2, EXACT_TOL, GRAM_DET_TOL, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0,
+from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0,
                                     SIGMA1, SIGMA2, _osp12_candidate, _osp12_relation_residual,
                                     _structure_constants_from_rep, build_osp, build_osp12)
 from superholonomy.supermatrix import (SuperMatrix, array_to_gmat, body_array, gmat_mul, graded_expm, graded_form,
@@ -632,6 +632,12 @@ class TestRunBuild:
 
 # ----------------------------------------------------------------------
 # loop oracles for the algebra data
+
+# the reference's singularity rule is a determinant test, kept independent of
+# the library's rank rule: the builders' Gram determinants are integers of
+# size at least 1, and a duplicated generator makes them rounding
+GRAM_DET_TOL = 1e-10
+
 
 def loop_structure_constants(rep, parities, m):
     """One Gram entry, one bracket, one solve and one reconstruction at a time."""
@@ -1230,3 +1236,88 @@ class TestSectorStack:
         for pair, desc, p in zip(pairs, descs, params):
             one = sector_representative(desc, 3, p)
             assert (one.U1, one.U2, one.moduli, one.residual) == (pair.U1, pair.U2, pair.moduli, pair.residual)
+
+
+# ----------------------------------------------------------------------
+# the Berezinian: an invariant that no membership formula reads
+# ----------------------------------------------------------------------
+
+# members are products of exponentials with O(1) entries, whose membership
+# defects sit near 1e-15, and Ber^2 - 1 vanishes with them: the member
+# bodies measured within 5.6e-15 of +-1 and every soul exactly 0.0
+BER_MEMBER_TOL = 1e-12
+# Ber of a random O(1) even matrix is a few hundred products of O(1) entries,
+# so rounding stays near 1e-15 of its largest coefficient (2.2e-15 measured
+# at N = 8); a wrong sign in the kernel moves a coefficient by O(1)
+BER_PRODUCT_RTOL = 1e-12
+
+
+def element_product(x, y):
+    return graded_matmul(x[:, None, None], y[:, None, None])[:, 0, 0]
+
+
+def grassmann_det(B):
+    """det of an even (2^N, k, k) Grassmann matrix as a (2^N,) element: det(b) exp(tr log(1 + K)).
+
+    b is the body and K = b^-1 (B - b) has no body and even souls, so K^j
+    has degree at least 2j: both series stop after floor(N/2) + 1 terms.
+    """
+    n = len(B).bit_length() - 1
+    K = graded_matmul(np.linalg.inv(B[0])[None], B)
+    K[0] = 0.0
+    log, power = np.zeros(B.shape), K
+    for j in range(1, n // 2 + 1):
+        log += (-1) ** (j + 1) / j * power
+        power = graded_matmul(power, K)
+    trace = np.trace(log, axis1=1, axis2=2)
+    out = term = np.eye(1 << n)[0]
+    for j in range(1, n // 2 + 1):
+        term = element_product(term, trace) / j
+        out = out + term
+    return canonical(np.linalg.det(B[0]) * out)
+
+
+def berezinian(M: SuperMatrix) -> np.ndarray:
+    """Ber(M) = det(a - xi A^-1 chi) / det A (Berezin 1987), a canonical (2^N,) element."""
+    m, c = M.m, M.coeffs
+    a, xi, chi, A = c[:, :m, :m], c[:, :m, m:], c[:, m:, :m], c[:, m:, m:]
+    schur = a - graded_matmul(xi, graded_matmul(graded_inverse(A, None), chi))
+    det_A_inv = graded_inverse(grassmann_det(A)[:, None, None], None)[:, 0, 0]
+    return canonical(element_product(grassmann_det(schur), det_A_inv))
+
+
+class TestBerezinian:
+    @pytest.mark.parametrize("m, n, ngen", [(1, 1, 4), (2, 1, 6), (1, 2, 5), (2, 2, 4)])
+    def test_members_have_unit_body_and_no_soul(self, m, n, ngen):
+        # M^st H M = H gives Ber(M)^2 = 1, and the reflection component gives -1
+        group, rng = OspGroup(m, n, ngen), np.random.default_rng([m, n, ngen])
+        signs = set()
+        for _ in range(12):
+            ber = berezinian(group.sample_member(rng))
+            assert abs(abs(ber[0]) - 1.0) <= BER_MEMBER_TOL
+            assert np.abs(ber[1:]).max() <= BER_MEMBER_TOL
+            signs.add(np.sign(ber[0]))
+        assert signs == {-1.0, 1.0}
+
+    # (2|2) is d = 4: 2^N d = 256 at N = 6 takes the split route, and 1024 at
+    # N = 8, above SPLIT_MAX and TABLE_MAX_N, the last-generator recursion
+    @pytest.mark.parametrize("ngen, split", [(6, True), (8, False)])
+    def test_multiplicative(self, ngen, split):
+        rng = np.random.default_rng(ngen)
+        for _ in range(3):
+            X, Y = invertible_even(rng, 2, 2, ngen), invertible_even(rng, 2, 2, ngen)
+            assert (grassmann.even_route(2, X.coeffs) is not None) == split
+            want = element_product(berezinian(X), berezinian(Y))
+            assert np.abs(berezinian(X @ Y) - want).max() <= BER_PRODUCT_RTOL * np.abs(want).max()
+            assert np.abs(want[1:]).max() > 0.1        # the souls take part
+
+    def test_perturbed_member_shows_a_soul(self):
+        # to first order Ber moves by tr(a^-1 da): a 1e-6 change to the
+        # theta1 theta2 soul of a = +-1 gives a soul near 1e-6
+        group = OspGroup(1, 1, 4)
+        M = group.sample_member(np.random.default_rng(3))
+        coeffs = M.coeffs.copy()
+        coeffs[3, 0, 0] += 1e-6
+        ber = berezinian(SuperMatrix.from_coeffs(1, 2, coeffs))
+        assert np.abs(berezinian(M)[1:]).max() <= BER_MEMBER_TOL
+        assert abs(abs(ber[3]) - 1e-6) <= 1e-6 * 1e-3

@@ -5,8 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from superholonomy.grassmann import GrassmannElement
-from superholonomy.group import STACK_BYTES, ahat_det_rank, matrix_rank, parabolic, _real_expm
+from superholonomy.grassmann import STACK_BYTES, GrassmannElement, matrix_rank
+from superholonomy.group import ahat_det_rank, parabolic, _real_expm
 from superholonomy.phase import (
     EPS_CYCLES,
     GradedPolynomial,
@@ -650,6 +650,15 @@ class TestGaugeFixing:
         res_origin = gauge_fixing_check(alg, c, [self._orbit_form(ctx, c, 0)],
                                         A_values=(0.0, 0.0))
         assert not res_origin.pairing_ok
+
+    def test_small_background_keeps_its_rows(self, alg, ctx):
+        # the constraint rows are picked by the scale-free rank rule, so at
+        # |A| = 1e-11 the pairing is still -2 |A|^2, where an absolute pivot
+        # stop at 1e-10 read 0; the determinant test itself stays absolute
+        c = [-1.0, 0.0, 1.0]
+        res = gauge_fixing_check(alg, c, [self._orbit_form(ctx, c, 0)], A_values=(6e-12, 8e-12))
+        assert abs(res.pairing_det + 2e-22) <= 1e-12 * 2e-22
+        assert not res.pairing_ok
 
     def test_duplicate_choice_degenerates(self, alg, ctx):
         # re-using the constraint itself as the gauge condition

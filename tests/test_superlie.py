@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from superholonomy.checks import JACOBI_ALGEBRAS
-from superholonomy.grassmann import GrassmannElement, random_element
+from superholonomy.grassmann import GrassmannElement, canonical, grade_signs, random_element
 from superholonomy.superlie import (
     EPS2,
+    MAX_OSP_SIZE,
     SIGMA0,
     SIGMA1,
     SIGMA2,
@@ -235,6 +237,32 @@ class TestBracketMatchesPairwiseLoop:
         x[0, 3] = 0.5            # a real coefficient on the odd Q1
         with pytest.raises(ValueError, match="^coefficient 3 must have Grassmann parity 1$"):
             osp12.embed(x)
+
+
+def _embed_loop(alg, coeffs):
+    """Reference route: one broadcast multiply-add per generator, in basis order."""
+    out = np.zeros((*coeffs.shape[:-1], *alg.rep[0].shape))
+    for g, mat in enumerate(alg.rep):
+        out += coeffs[..., g, None, None] * mat
+    return canonical(out)
+
+
+BUILDERS = [build_osp12] + [functools.partial(build_osp, m, n) for m in range(1, MAX_OSP_SIZE)
+                            for n in range(1, MAX_OSP_SIZE // 2) if m + 2 * n <= MAX_OSP_SIZE]
+
+
+class TestEmbedMatchesLoop:
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_bit_equal(self, build):
+        alg = build()
+        rng = np.random.default_rng(alg.dim)
+        for ngen in range(7):
+            # each coefficient at its generator's parity, as _graded_coeffs requires
+            wrong = (grade_signs(ngen)[:, :, 0] < 0) != np.array(alg.parities, dtype=bool)
+            for scale in (1e-3, 1.0, 1e3):
+                coeffs = rng.uniform(-scale, scale, (3, 1 << ngen, alg.dim))
+                coeffs[:, wrong] = 0.0
+                assert alg.embed(coeffs).tobytes() == _embed_loop(alg, coeffs).tobytes()
 
 
 class TestJacobi:

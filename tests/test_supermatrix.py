@@ -10,6 +10,7 @@ from superholonomy.supermatrix import (
     ParityPatternError,
     SuperMatrix,
     array_to_gmat,
+    body_array,
     commutator,
     gmat_mul,
     gmat_to_array,
@@ -49,6 +50,17 @@ class TestConstruction:
     def test_from_body_rejects_offdiagonal(self):
         with pytest.raises(ParityPatternError):
             SuperMatrix.from_body(np.ones((3, 3)), 1, 2, 2)
+
+    @pytest.mark.parametrize("build", [lambda z: SuperMatrix.from_coeffs(1, 2, z),
+                                       lambda z: SuperMatrix.from_body(z[0], 1, 2, 2),
+                                       lambda z: body_array(z[0], 2)])
+    @pytest.mark.parametrize("imag", [0.5, 0.0])
+    def test_complex_input_raises(self, build, imag):
+        # the imaginary part is never dropped, even when it is zero
+        coeffs = np.zeros((4, 3, 3), dtype=complex)
+        coeffs[0] = np.eye(3) * (1.0 + imag * 1j)
+        with pytest.raises(TypeError, match="complex128"):
+            build(coeffs)
 
 
 class TestProduct:
