@@ -61,10 +61,19 @@ SPLIT_MAX = 512
 COEFF_CUTOFF = 1e-14
 # a real Taylor series stops at a term below this, far under rounding
 TAYLOR_CUTOFF = 1e-22
-# singular values below this fraction of the largest count as zero
-# (``matrix_rank``): the ranked operators have O(1) entries, so float dust
-# sits near 1e-15 relative
-RANK_THRESHOLD = 1e-10
+# a singular value of an (r, c) matrix at most RANK_ROUNDING max(r, c) eps
+# sigma_max is zero (``matrix_rank``).  A backward-stable SVD gives the exact
+# singular values of A + E, ||E||_2 <= p(r, c) u ||A||_2, so each is off by at
+# most ||E||_2 (Golub and Van Loan, Matrix Computations, 4th ed., 5.4.1);
+# numpy takes p = max(r, c).  The ranked matrices come out of exponentials and
+# conjugations, which adds rounding: conjugated parabolic 2 x 2 bodies reach
+# 1.9 eps sigma_max and the zero singular values of sampled commuting bodies,
+# OSp(1|2) to OSp(5|6), 8.9 max(r, c) eps sigma_max.  32 is 3.6 times that
+RANK_ROUNDING = 32
+# within this factor above that bound float64 cannot tell amplified rounding
+# from a true singular value, and matrix_rank raises RankUndecidedError.
+# Sampled regular bodies sit above 1.8e7 max(r, c) eps sigma_max
+RANK_MARGIN = 256
 # absolute bound on membership, commutator, chi and constraint residuals of
 # products of O(1)-entry matrices: far above float dust, far below a defect
 DEFECT_TOL = 1e-10
@@ -86,11 +95,18 @@ STACK_BYTES = 1 << 17
 
 
 def matrix_rank(mat: np.ndarray):
-    """The one rank rule: singular values above RANK_THRESHOLD times the largest.  A stack
-    (..., r, c) is ranked member by member by one SVD call, an int array (...); a matrix gives an int."""
+    """The one rank rule: singular values above RANK_ROUNDING * max(r, c) * eps times the largest, and
+    RankUndecidedError at the first one within RANK_MARGIN times that.  A stack (..., r, c) is ranked
+    member by member by one SVD call, an int array (...); a matrix gives an int."""
+    mat = np.asarray(mat)
     svals = np.linalg.svd(mat, compute_uv=False)
-    top = svals[..., :1]
-    ranks = np.count_nonzero(svals / np.where(top > 0.0, top, 1.0) > RANK_THRESHOLD, axis=-1)
+    bound = RANK_ROUNDING * max(mat.shape[-2:]) * np.finfo(float).eps * svals[..., :1]
+    counted = svals > bound
+    undecided = counted & (svals <= RANK_MARGIN * bound)
+    if undecided.any():
+        member = tuple(np.argwhere(undecided)[0][:-1])
+        raise RankUndecidedError(float(svals[member][undecided[member]][-1]), float(bound[member][0]))
+    ranks = np.count_nonzero(counted, axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -104,6 +120,15 @@ Scalar = Union[int, float]
 
 class NonInvertibleError(ValueError):
     """Inversion was requested where the body (scalar part) is singular."""
+
+
+class RankUndecidedError(ValueError):
+    """A singular value lies too near the rounding bound for float64 to decide the rank."""
+
+    def __init__(self, sigma_min: float, bound: float):
+        super().__init__(f"singular value {sigma_min:.3e} lies within {RANK_MARGIN}x of the rounding "
+                         f"bound {bound:.3e}: float64 cannot decide the rank")
+        self.sigma_min, self.bound = sigma_min, bound
 
 
 class ParityPatternError(ValueError):

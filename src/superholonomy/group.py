@@ -186,20 +186,19 @@ class OspGroup:
         pool.  Returns (S, 2^N, d, d).
         """
         alg = self.algebra()
-        even = np.array(alg.parities) == 0
         odd_masks = grade_signs(self.ngen)[:, 0, 0] < 0
         # random_element's order: generators in basis order, inside each the
         # monomials of its parity in mask order; one rng.uniform call of k
         # values reads the stream of k scalar calls
-        slots = np.flatnonzero(odd_masks[None, :] == ~even[:, None])
+        slots = np.flatnonzero(odd_masks[None, :] == alg.odd_mask[:, None])
         rngs = list(rngs)
-        table = np.zeros((len(rngs), len(even), 1 << self.ngen))
+        table = np.zeros((len(rngs), alg.dim, 1 << self.ngen))
         flat = table.reshape(len(rngs), -1)
         flips = np.zeros(len(rngs), dtype=bool)
         for k, rng in enumerate(rngs):
             flat[k, slots] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(slots))
             flips[k] = components and rng.random() < 0.5
-        table[:, even, 1:] *= 0.5      # halve the even souls
+        table[:, alg.even_mask, 1:] *= 0.5      # halve the even souls
         canonical(table)               # and zero what falls below COEFF_CUTOFF
         d = self.m + self.two_n
         members = np.empty((len(rngs), 1 << self.ngen, d, d))
@@ -603,34 +602,13 @@ class SectorReport:
         return [s for s in self.sectors if s.fermionic]
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "bosonic_sectors": self.bosonic_count,
-            "fermionic_sectors": [
-                {
-                    "a0": s.a0,
-                    "b0": s.b0,
-                    "eps1": s.eps1,
-                    "eps2": s.eps2,
-                    "type": s.family,
-                    "moduli": s.moduli,
-                    "constraint": self.parabolic_constraint,
-                }
-                for s in self.fermionic_sectors
-            ],
-            "sectors": [
-                {
-                    "type": s.family,
-                    "a0": s.a0,
-                    "b0": s.b0,
-                    "eps1": s.eps1,
-                    "eps2": s.eps2,
-                    "fermionic": s.fermionic,
-                    "moduli": s.moduli,
-                }
-                for s in self.sectors
-            ],
-        }
+        def row(s: SectorDescriptor, **extra) -> dict:
+            return {"type": s.family, "a0": s.a0, "b0": s.b0, "eps1": s.eps1, "eps2": s.eps2, "moduli": s.moduli,
+                    **extra}
+
+        return {"group": self.group, "bosonic_sectors": self.bosonic_count,
+                "fermionic_sectors": [row(s, constraint=self.parabolic_constraint) for s in self.fermionic_sectors],
+                "sectors": [row(s, fermionic=s.fermionic) for s in self.sectors]}
 
 
 def enumerate_sectors_osp12() -> SectorReport:

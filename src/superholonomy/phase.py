@@ -27,17 +27,9 @@ import numpy as np
 
 from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, canonical, graded_expm, graded_matmul, matrix_rank,
                         merge_sign, stack_chunk)
-from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, pair_signs
+from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, check_forms
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
-
-
-def _check_forms(eta: np.ndarray, C: np.ndarray):
-    """Raise ValueError unless eta and C are finite, eta symmetric and C antisymmetric."""
-    if not (np.isfinite(eta).all() and np.isfinite(C).all()):
-        raise ValueError("eta and C must be finite")
-    if not (np.array_equal(eta, eta.T) and np.array_equal(C, -C.T)):
-        raise ValueError("eta must be symmetric and C antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -56,22 +48,13 @@ class PhaseSpace:
 
     @classmethod
     def create(cls, eta: np.ndarray, C: np.ndarray) -> "PhaseSpace":
-        eta = np.asarray(eta, dtype=float)
-        C = np.asarray(C, dtype=float)
-        _check_forms(eta, C)
-        return cls(
-            n_even=eta.shape[0],
-            n_odd=C.shape[0],
-            eta=tuple(map(tuple, eta)),
-            C=tuple(map(tuple, C)),
-        )
+        eta, C = np.asarray(eta, dtype=float), np.asarray(C, dtype=float)
+        check_forms(eta, C)
+        return cls(n_even=len(eta), n_odd=len(C), eta=tuple(map(tuple, eta)), C=tuple(map(tuple, C)))
 
     @classmethod
     def from_algebra(cls, alg: SuperAlgebra) -> "PhaseSpace":
-        ev, od = alg.even_indices, alg.odd_indices
-        eta = alg.eta[np.ix_(ev, ev)]
-        C = alg.eta[np.ix_(od, od)]
-        return cls.create(eta, C)
+        return cls.create(alg.eta_even, alg.eta_odd)
 
     # ------------------------------------------------------------------
     @property
@@ -334,7 +317,7 @@ def constraint_tensor(alg: SuperAlgebra) -> np.ndarray:
     carries the psi_1 A_2 term.  No other entry of f is read, so constants
     that are not graded-antisymmetric give the same constraints.
     """
-    par = np.asarray(alg.parities, dtype=bool)
+    par = alg.odd_mask
     i, j, k = par[:, None, None], par[None, :, None], par[None, None, :]
     copied = (k == (i ^ j)) & ~(i & ~j)
     swapped = i & ~j & k
@@ -352,7 +335,7 @@ def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None
     pos = {idx: p for block in (alg.even_indices, alg.odd_indices) for p, idx in enumerate(block)}
 
     def var(k: int, idx: int) -> GradedPolynomial:
-        return (ctx.psi if alg.parities[idx] else ctx.A)(k, pos[idx])
+        return (ctx.psi if alg.odd_mask[idx] else ctx.A)(k, pos[idx])
 
     F = constraint_tensor(alg)
     G = [sum((var(1, i) * var(2, j) * F[i, j, k] for i, j in zip(*np.nonzero(F[:, :, k]))),
@@ -412,15 +395,12 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
     invertible n_even x n_even eta_override detunes the bracket to show the
     check has teeth.
     """
-    par = np.asarray(alg.parities)
-    ev, od = par == 0, par == 1
-    eta, C = alg.eta[ev][:, ev], alg.eta[od][:, od]
+    ev, od, eta, C = alg.even_mask, alg.odd_mask, alg.eta_even, alg.eta_odd
     if eta_override is not None:
-        shape = eta.shape
         eta = np.asarray(eta_override, dtype=float)
-        if eta.shape != shape:
-            raise ValueError(f"eta_override has shape {eta.shape}, not {shape}")
-    _check_forms(eta, C)
+        if eta.shape != alg.eta_even.shape:
+            raise ValueError(f"eta_override has shape {eta.shape}, not {alg.eta_even.shape}")
+        check_forms(eta, C)
     F = constraint_tensor(alg)
     dim = F.shape[0]
     W = np.zeros((dim, dim))
@@ -430,7 +410,7 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
         raise ValueError(f"{'eta' if eta_override is None else 'eta_override'} "
                          "is singular on the even generators") from None
     W[np.ix_(od, od)] = np.linalg.inv(C)
-    graded_sign = pair_signs(par)
+    graded_sign = alg.pair_signs
     basis = F.reshape(dim * dim, dim)
     pinv = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))
     F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]
@@ -491,14 +471,11 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmRepor
     block = alg.ff_block(c)
     det = float(np.linalg.det(block))
     rank = matrix_rank(block)
-    n_odd = len(alg.odd_indices)
     c_vec = alg.even_components(c)
-    ev = alg.even_indices
-    eta_even = alg.eta[np.ix_(ev, ev)]
-    eta_inv = np.linalg.inv(eta_even)
+    eta_inv = np.linalg.inv(alg.eta_even)
     scale = float(c_vec @ c_vec) * np.linalg.norm(eta_inv)
     null = bool(abs(c_vec @ eta_inv @ c_vec) <= DEFECT_TOL * scale)
-    return EfmReport(det=det, rank=rank, moduli=2 * (n_odd - rank), direction_is_null=null)
+    return EfmReport(det=det, rank=rank, moduli=2 * (alg.n_odd - rank), direction_is_null=null)
 
 
 # ----------------------------------------------------------------------
@@ -508,11 +485,11 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmRepor
 def _odd_constraint_rows(alg: SuperAlgebra, even_values: np.ndarray) -> np.ndarray:
     """G^alpha = F[a, beta, alpha] A_1^a psi_2^beta + F[beta, a, alpha] psi_1^beta A_2^a at the
     background even_values (A_1, then A_2): rows over the psi slots, each summed over a in order."""
-    ev, od = alg.even_indices, alg.odd_indices
+    od = alg.odd_idx
     F = constraint_tensor(alg)[:, :, od]
-    rows = np.zeros((len(od), 2 * len(od)))
-    for k, a in enumerate(ev):
-        rows += np.hstack([F[od, a].T * even_values[len(ev) + k], F[a, od].T * even_values[k]])
+    rows = np.zeros((alg.n_odd, 2 * alg.n_odd))
+    for k, a in enumerate(alg.even_idx):
+        rows += np.hstack([F[od, a].T * even_values[alg.n_even + k], F[a, od].T * even_values[k]])
     return rows
 
 
@@ -548,7 +525,6 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
         raise ValueError(f"need exactly r = {r} gauge conditions, got {len(chi_choice)}")
     n_odd = ctx.n_odd
     slots = 2 * n_odd
-    ev = alg.even_indices
     c_vec = alg.even_components(c)
     even_values = np.concatenate([A_values[0] * c_vec, A_values[1] * c_vec])
 
@@ -594,22 +570,16 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     kernel = vt[matrix_rank(stacked):].T
     free = kernel.shape[1]
     # G^a restricted to the psi's: psi_1^alpha psi_2^beta F[alpha, beta, a]
-    F_odd = constraint_tensor(alg)[np.ix_(alg.odd_indices, alg.odd_indices, ev)]
+    F_odd = constraint_tensor(alg)[np.ix_(alg.odd_idx, alg.odd_idx, alg.even_idx)]
     residual = 0.0
-    for a in range(len(ev)):
+    for a in range(alg.n_even):
         quad = np.zeros((slots, slots))
         quad[:n_odd, n_odd:] = F_odd[:, :, a]
         pulled = kernel.T @ quad @ kernel
         anti = np.abs(pulled - pulled.T).max(initial=0.0) / 2.0
         residual = max(residual, float(anti))
-    return GaugeFixingCheck(
-        rank=r,
-        pairing_det=pairing_det,
-        pairing_ok=pairing_ok,
-        residual_constraint=residual,
-        residual_ok=residual <= DEFECT_TOL,
-        free_odd_coordinates=free,
-    )
+    return GaugeFixingCheck(rank=r, pairing_det=pairing_det, pairing_ok=pairing_ok, residual_constraint=residual,
+                            residual_ok=residual <= DEFECT_TOL, free_odd_coordinates=free)
 
 
 # ----------------------------------------------------------------------

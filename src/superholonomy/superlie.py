@@ -8,8 +8,10 @@ invariant bilinear form.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -55,9 +57,25 @@ class JacobiReport:
         return f"super Jacobi: dim={self.dim} max residual={self.max_residual:.3e} tol={self.tol:.1e} [{status}]"
 
 
-@dataclass
+def check_forms(eta: np.ndarray, C: np.ndarray):
+    """Raise ValueError unless eta and C are finite, eta symmetric and C antisymmetric."""
+    if not (np.isfinite(eta).all() and np.isfinite(C).all()):
+        raise ValueError("eta and C must be finite")
+    if not (np.array_equal(eta, eta.T) and np.array_equal(C, -C.T)):
+        raise ValueError("eta must be symmetric and C antisymmetric")
+
+
+@dataclass(frozen=True, eq=False)
 class SuperAlgebra:
-    """Basis labels with parities, structure constants and bilinear form."""
+    """Basis labels with parities, structure constants and bilinear form.
+
+    Immutable, and equal only to itself: the constructor copies f, eta and rep
+    into read-only arrays and conventions into a read-only mapping, checks the
+    forms (finite, eta symmetric on the even generators and antisymmetric on
+    the odd ones) and derives the graded layout below once.  So a builder's
+    cached instance can be shared, and ``dataclasses.replace`` makes a changed
+    copy.  The graded antisymmetry of f is ``validate``'s, an explicit call.
+    """
 
     labels: tuple[str, ...]
     parities: tuple[int, ...]
@@ -66,13 +84,41 @@ class SuperAlgebra:
     rep: tuple[np.ndarray, ...] | None = None
     block_m: int | None = None
     block_n: int | None = None   # size of the lower-right block (= 2n for osp(m|2n))
-    conventions: dict = field(default_factory=dict)
+    conventions: Mapping = field(default_factory=dict)
+    # the graded layout: even and odd generators in basis order, as index
+    # arrays and as masks over the basis; (-1)^{|I||J|}; the eta blocks on
+    # the even and on the odd generators (C); rep as (dim, d*d) for embed
+    even_idx: np.ndarray = field(init=False, repr=False)
+    odd_idx: np.ndarray = field(init=False, repr=False)
+    even_mask: np.ndarray = field(init=False, repr=False)
+    odd_mask: np.ndarray = field(init=False, repr=False)
+    pair_signs: np.ndarray = field(init=False, repr=False)
+    eta_even: np.ndarray = field(init=False, repr=False)
+    eta_odd: np.ndarray = field(init=False, repr=False)
+    generators: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-        self.eta = np.asarray(self.eta, dtype=float)
-        if not (np.isfinite(self.f).all() and np.isfinite(self.eta).all()):
+        dim, f, eta = len(self.labels), _frozen(self.f), _frozen(self.eta)
+        if len(self.parities) != dim:
+            raise ValueError(f"parities has {len(self.parities)} entries for {dim} labels")
+        if any(p not in (0, 1) for p in self.parities):
+            raise ValueError("parities must be 0 or 1")
+        if f.shape != (dim,) * 3 or eta.shape != (dim,) * 2:
+            raise ValueError(f"f and eta have shapes {f.shape} and {eta.shape}, not {(dim,) * 3} and {(dim,) * 2}")
+        if not (np.isfinite(f).all() and np.isfinite(eta).all()):
             raise ValueError("structure constants and eta must be finite")
+        odd = _frozen(self.parities, bool)
+        even = _frozen(~odd, bool)
+        eta_even, eta_odd = _frozen(eta[np.ix_(even, even)]), _frozen(eta[np.ix_(odd, odd)])
+        check_forms(eta_even, eta_odd)
+        rep = None if self.rep is None else tuple(_frozen(mat) for mat in self.rep)
+        for name, value in dict(
+                labels=tuple(self.labels), parities=tuple(map(int, self.parities)), f=f, eta=eta, rep=rep,
+                conventions=_freeze(self.conventions), even_mask=even, odd_mask=odd,
+                even_idx=_frozen(np.flatnonzero(even), int), odd_idx=_frozen(np.flatnonzero(odd), int),
+                pair_signs=_frozen(pair_signs(self.parities)), eta_even=eta_even, eta_odd=eta_odd,
+                generators=None if rep is None else _frozen(np.reshape(rep, (dim, rep[0].size)))).items():
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     @property
@@ -81,28 +127,27 @@ class SuperAlgebra:
 
     @property
     def even_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.parities) if p == 0]
+        return self.even_idx.tolist()
 
     @property
     def odd_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.parities) if p == 1]
+        return self.odd_idx.tolist()
 
     @property
     def n_even(self) -> int:
-        return len(self.even_indices)
+        return len(self.even_idx)
 
     @property
     def n_odd(self) -> int:
-        return len(self.odd_indices)
+        return len(self.odd_idx)
 
     # ------------------------------------------------------------------
     def validate(self):
         """Graded antisymmetry and parity selection rules of f; raises at the first
         failing (i, j) in row-major order, antisymmetry before the parity rule."""
-        p = np.asarray(self.parities)
-        sign = pair_signs(p)[:, :, None]
-        anti = (np.abs(self.f + sign * self.f.transpose(1, 0, 2)) > EXACT_TOL).any(axis=2)
-        odd = (p[:, None, None] + p[None, :, None] - p[None, None, :]) % 2 == 1
+        p = self.odd_mask
+        anti = (np.abs(self.f + self.pair_signs[:, :, None] * self.f.transpose(1, 0, 2)) > EXACT_TOL).any(axis=2)
+        odd = p[:, None, None] ^ p[None, :, None] ^ p[None, None, :]
         rule = odd & (np.abs(self.f) > EXACT_TOL)
         bad = anti | rule.any(axis=2)
         if bad.any():
@@ -120,7 +165,7 @@ class SuperAlgebra:
         if coeffs.shape[-1:] != (self.dim,) or size < 1 or size & (size - 1):
             raise ValueError(f"expected a (..., 2^N, {self.dim}) coefficient array, got shape {coeffs.shape}")
         # True where monomial q's parity differs from generator i's, (2^N, dim)
-        wrong = (grade_signs(size.bit_length() - 1)[:, :, 0] < 0) != np.array(self.parities, dtype=bool)
+        wrong = (grade_signs(size.bit_length() - 1)[:, :, 0] < 0) != self.odd_mask
         bad = ((coeffs != 0.0) & wrong).reshape(-1, self.dim).any(axis=0)
         if bad.any():
             i = int(np.argmax(bad))
@@ -149,7 +194,7 @@ class SuperAlgebra:
         # the residual is built in rhs1's memory, so two dim^4 arrays are alive:
         # lhs - rhs1, then minus the swapped lhs, plus it on odd-odd pairs
         residual = np.subtract(lhs, rhs1, out=rhs1)
-        odd_odd = (pair_signs(self.parities) < 0)[:, :, None, None]
+        odd_odd = (self.pair_signs < 0)[:, :, None, None]
         swapped = lhs.transpose(1, 0, 2, 3)
         np.subtract(residual, swapped, out=residual, where=~odd_odd)
         np.add(residual, swapped, out=residual, where=odd_odd)
@@ -165,10 +210,10 @@ class SuperAlgebra:
         if not np.isfinite(c).all():
             raise ValueError("direction must be finite")
         if c.shape == (self.dim,):
-            if np.abs(c[self.odd_indices]).max(initial=0.0) > 0:
+            if np.abs(c[self.odd_mask]).max(initial=0.0) > 0:
                 raise ValueError("direction must be supported on even generators")
-            c = c[self.even_indices]
-        if c.shape != (len(self.even_indices),):
+            c = c[self.even_mask]
+        if c.shape != (self.n_even,):
             raise ValueError("direction has wrong length")
         return c
 
@@ -179,11 +224,11 @@ class SuperAlgebra:
         J[alpha, beta] = sum_a c^a f[a, alpha, beta] acting on the odd basis.
         """
         c = self.even_components(c)
-        ev, od = self.even_indices, self.odd_indices
-        block = np.zeros((len(od), len(od)))
-        for a, ci in zip(ev, c):
+        od = self.odd_idx
+        block = np.zeros((self.n_odd, self.n_odd))
+        for a, ci in zip(self.even_idx, c):
             if ci:
-                block += ci * self.f[np.ix_([a], od, od)][0]
+                block += ci * self.f[a][np.ix_(od, od)]
         return block
 
     # ------------------------------------------------------------------
@@ -192,10 +237,10 @@ class SuperAlgebra:
         of its generator's parity, as one product with the (dim, d*d) generators: the canonical
         (..., 2^N, d, d) array.  A builder's matrix entry is nonzero in at most two generators, by
         +-1 or +-2, so each entry is one rounding of two exact products, the same in any order."""
-        if self.rep is None:
+        if self.generators is None:
             raise ValueError("algebra carries no matrix representation")
         d = self.rep[0].shape[-1]
-        out = self._graded_coeffs(coeffs) @ np.reshape(self.rep, (self.dim, d * d))
+        out = self._graded_coeffs(coeffs) @ self.generators
         return canonical(out.reshape(*out.shape[:-1], d, d))
 
     def rep_supermatrices(self, ngen: int) -> list[SuperMatrix]:
@@ -206,30 +251,16 @@ class SuperAlgebra:
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
         def triples(arr):
-            out = []
-            for idx in np.argwhere(np.abs(arr) > 0):
-                out.append({"index": [int(v) for v in idx], "value": float(arr[tuple(idx)])})
-            return out
+            return [{"index": idx.tolist(), "value": float(arr[tuple(idx)])} for idx in np.argwhere(arr != 0)]
 
-        return {
-            "labels": list(self.labels),
-            "parities": list(self.parities),
-            "f": triples(self.f),
-            "eta": triples(self.eta),
-            "conventions": {k: v for k, v in sorted(self.conventions.items())},
-        }
+        return {"labels": list(self.labels), "parities": list(self.parities), "f": triples(self.f),
+                "eta": triples(self.eta), "conventions": _thaw(self.conventions)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuperAlgebra":
         """Inverse of to_json_dict; malformed or inconsistent input raises ValueError."""
-        labels = tuple(data["labels"])
+        labels, parities, arrays = tuple(data["labels"]), tuple(data["parities"]), {}
         dim = len(labels)
-        parities = tuple(int(p) for p in data["parities"])
-        if len(parities) != dim:
-            raise ValueError(f"parities has {len(parities)} entries for {dim} labels")
-        if any(p not in (0, 1) for p in parities):
-            raise ValueError("parities must be 0 or 1")
-        arrays = {}
         for name, rank in (("f", 3), ("eta", 2)):
             arr = np.zeros((dim,) * rank)
             for entry in data[name]:
@@ -238,13 +269,8 @@ class SuperAlgebra:
                     raise ValueError(f"{name} index {list(idx)} is not {rank} integers in [0, {dim})")
                 arr[idx] = entry["value"]
             arrays[name] = arr
-        alg = cls(
-            labels=labels,
-            parities=parities,
-            f=arrays["f"],
-            eta=arrays["eta"],
-            conventions=dict(data.get("conventions", {})),
-        )
+        alg = cls(labels=labels, parities=parities, f=arrays["f"], eta=arrays["eta"],
+                  conventions=data.get("conventions", {}))
         alg.validate()
         return alg
 
@@ -340,8 +366,7 @@ def _osp12_relation_residual(rep: list[np.ndarray], eps_scale: float) -> float:
 def build_osp12() -> SuperAlgebra:
     """osp(1|2) from its 3x3 representation, normalizations fitted then verified.
 
-    The result is cached and shared; its f, eta and rep arrays are
-    read-only (copy them before modifying).
+    The result is cached and shared, which its immutability makes safe.
 
     The defining relations are
         [J_a, J_b]     = eps_ab^c J_c
@@ -352,19 +377,11 @@ def build_osp12() -> SuperAlgebra:
     eps symbol to eps_012 = 2; the discrete sign choices are searched and the
     selected convention is recorded.
     """
-    best = None
-    for t_sign in (1.0, -1.0):
-        for mu1 in (1.0, -1.0):
-            rep, info = _osp12_candidate(t_sign, mu1)
-            res = _osp12_relation_residual(rep, eps_scale=2.0)
-            if res <= EXACT_TOL:
-                best = (rep, info)
-                break
-        if best:
-            break
-    if best is None:
+    candidates = (_osp12_candidate(t_sign, mu1) for t_sign in (1.0, -1.0) for mu1 in (1.0, -1.0))
+    rep, info = next((c for c in candidates if _osp12_relation_residual(c[0], eps_scale=2.0) <= EXACT_TOL),
+                     (None, None))
+    if rep is None:
         raise RuntimeError("no normalization satisfies the defining relations exactly")
-    rep, info = best
     parities = [0, 0, 0, 1, 1]
     f, gram = _structure_constants_from_rep(rep, parities, m=1)
     eta_target = np.zeros((5, 5))
@@ -375,13 +392,7 @@ def build_osp12() -> SuperAlgebra:
     if np.abs(gram - k * eta_target).max() > EXACT_TOL:
         raise RuntimeError("supertrace form is not proportional to the expected eta")
     alg = SuperAlgebra(
-        labels=("J0", "J1", "J2", "Q1", "Q2"),
-        parities=tuple(parities),
-        f=_frozen(f),
-        eta=_frozen(eta_target),
-        rep=tuple(_frozen(np.array(rep))),
-        block_m=1,
-        block_n=2,
+        labels=("J0", "J1", "J2", "Q1", "Q2"), parities=parities, f=f, eta=eta_target, rep=rep, block_m=1, block_n=2,
         conventions={
             "epsilon_012": 2.0,
             "supertrace_normalization": float(k),
@@ -405,8 +416,8 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
 
     The condition splits into: a antisymmetric (so(m)), A^T C + C A = 0
     (sp(2n)) and xi = -chi^T C with chi free, so the dimensions are
-    m(m-1)/2 + n(2n+1) even and 2mn odd generators.  Cached and shared;
-    its f, eta and rep arrays are read-only.
+    m(m-1)/2 + n(2n+1) even and 2mn odd generators.  Cached and shared,
+    which its immutability makes safe.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -443,26 +454,33 @@ def build_osp(m: int, n: int) -> SuperAlgebra:
     labels, parities, rep = zip(*gens)
     expected_even = m * (m - 1) // 2 + n * (2 * n + 1)
     assert parities.count(0) == expected_even and parities.count(1) == 2 * m * n
-    R = _frozen(np.array(rep))
+    R = np.array(rep)
     H = graded_form(m, two_n)
     if np.abs(supertranspose_coeffs(R, m) @ H + H @ R).max() > EXACT_TOL:
         raise RuntimeError("generator fails the tangency condition")
     f, gram = _structure_constants_from_rep(R, parities, m=m)
-    alg = SuperAlgebra(
-        labels=labels,
-        parities=parities,
-        f=_frozen(f),
-        eta=_frozen(gram),
-        rep=tuple(R),
-        block_m=m,
-        block_n=two_n,
-        conventions={"eta": "supertrace Gram matrix", "C": "block off-diagonal (0, I; -I, 0)"},
-    )
+    alg = SuperAlgebra(labels=labels, parities=parities, f=f, eta=gram, rep=rep, block_m=m, block_n=two_n,
+                       conventions={"eta": "supertrace Gram matrix", "C": "block off-diagonal (0, I; -I, 0)"})
     alg.validate()
     return alg
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Mark a cached builder array read-only, so no caller can change it for the others."""
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy: no caller can change an algebra's array for the others."""
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _freeze(value):
+    """A read-only copy of JSON-like data: mappings become read-only mappings, lists tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _freeze(v) for k, v in value.items()})
+    return tuple(map(_freeze, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _thaw(value):
+    """_freeze undone, with mapping keys sorted, as JSON writes it."""
+    if isinstance(value, Mapping):
+        return {k: _thaw(v) for k, v in sorted(value.items())}
+    return list(map(_thaw, value)) if isinstance(value, tuple) else value

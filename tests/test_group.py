@@ -7,8 +7,9 @@ import scipy.linalg
 import superholonomy
 from superholonomy import checks, grassmann
 from superholonomy import group as group_module
-from superholonomy.grassmann import (COEFF_CUTOFF, DEFECT_TOL, GrassmannElement, canonical, graded_matmul,
-                                     matrix_rank, pattern_mask, random_element)
+from superholonomy.grassmann import (COEFF_CUTOFF, DEFECT_TOL, RANK_MARGIN, RANK_ROUNDING, GrassmannElement,
+                                     RankUndecidedError, canonical, graded_matmul, matrix_rank, pattern_mask,
+                                     random_element)
 from superholonomy.group import (
     SAMPLE_SCALE,
     GaugeFixResidualError,
@@ -164,6 +165,15 @@ class TestAhat:
 
     def test_zero_matrix_rank(self):
         assert matrix_rank(np.zeros((4, 4))) == 0
+
+    def test_rank_band(self):
+        bound = RANK_ROUNDING * 2 * np.finfo(float).eps      # of diag(1, x)
+        assert matrix_rank(np.diag([1.0, bound])) == 1
+        assert matrix_rank(np.diag([1.0, 2 * RANK_MARGIN * bound])) == 2
+        # the first undecided member of a stack raises, with its singular value
+        with pytest.raises(RankUndecidedError, match="cannot decide the rank") as info:
+            matrix_rank(np.stack([np.eye(2), np.diag([1.0, 2 * bound])]))
+        assert (info.value.sigma_min, info.value.bound) == (2 * bound, bound)
 
     def test_det_conjugation_invariance(self):
         rng = np.random.default_rng(35)
@@ -339,6 +349,22 @@ class TestModuliCount:
     def test_osp22_so2_sector_four(self):
         c = fermionic_moduli_count(rotation(0.4), rotation(1.1), rotation(0.4), rotation(1.1))
         assert c == 4
+
+    @pytest.mark.parametrize("count", [fermionic_moduli_count, fermionic_moduli_count_bruteforce])
+    @pytest.mark.parametrize("t", [1.0, 10.0, 24.0, 30.0])
+    def test_large_hyperbolic_bodies_are_regular(self, count, t):
+        # Ahat = diag(1 - e^t, 1 - e^-t) is regular at every t, while its
+        # sigma_min / sigma_max = e^-t falls toward rounding: the rank rule
+        # decides it up to t = 24 and raises at t = 30 (211 max(r, c) eps)
+        a0 = b0 = np.eye(1)
+        A0, B0 = np.diag([math.exp(t), math.exp(-t)]), np.diag([math.exp(1.02 * t), math.exp(-1.02 * t)])
+        assert abs(np.linalg.det(ahat(a0, A0))) >= 1.0
+        if t < 30:
+            assert count(a0, b0, A0, B0) == 0
+        else:
+            with pytest.raises(RankUndecidedError) as info:
+                count(a0, b0, A0, B0)
+            assert info.value.bound < info.value.sigma_min <= RANK_MARGIN * info.value.bound
 
     def test_noncommuting_rejected(self):
         with pytest.raises(ValueError):

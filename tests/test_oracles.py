@@ -1300,8 +1300,9 @@ class TestBerezinian:
         assert signs == {-1.0, 1.0}
 
     # (2|2) is d = 4: 2^N d = 256 at N = 6 takes the split route, and 1024 at
-    # N = 8, above SPLIT_MAX and TABLE_MAX_N, the last-generator recursion
-    @pytest.mark.parametrize("ngen, split", [(6, True), (8, False)])
+    # N = 8 and 4096 at N = 10, above SPLIT_MAX and TABLE_MAX_N, the
+    # last-generator recursion, two and four levels deep
+    @pytest.mark.parametrize("ngen, split", [(6, True), (8, False), (10, False)])
     def test_multiplicative(self, ngen, split):
         rng = np.random.default_rng(ngen)
         for _ in range(3):
@@ -1309,6 +1310,27 @@ class TestBerezinian:
             assert (grassmann.even_route(2, X.coeffs) is not None) == split
             want = element_product(berezinian(X), berezinian(Y))
             assert np.abs(berezinian(X @ Y) - want).max() <= BER_PRODUCT_RTOL * np.abs(want).max()
+            assert np.abs(want[1:]).max() > 0.1        # the souls take part
+
+    # gl(m|n) elements, whose supertrace osp's would zero: (1|2) and (2|2) take
+    # the split route, (2|4) at N = 7 (2^N d = 768) the last-generator recursion
+    @pytest.mark.parametrize("m, n, ngen, split", [(1, 2, 4, True), (2, 2, 6, True), (2, 4, 7, False)])
+    def test_exponential_has_the_supertrace(self, m, n, ngen, split):
+        # Ber(e^X) = e^(str X): e^s = e^(body) sum_j soul^j / j!, the soul's
+        # powers vanishing above floor(N/2)
+        rng = np.random.default_rng([m, n, ngen, 5])
+        for _ in range(3):
+            X = random_supermatrix(rng, m, n, ngen, scale=0.5)
+            assert (grassmann.even_route(m, X.coeffs) is not None) == split
+            s = X.supertrace()
+            soul = s.copy()
+            soul[0] = 0.0
+            want = term = np.eye(1 << ngen)[0]
+            for j in range(1, ngen // 2 + 1):
+                term = element_product(term, soul) / j
+                want = want + term
+            want = math.exp(s[0]) * want
+            assert np.abs(berezinian(X.expm()) - want).max() <= BER_PRODUCT_RTOL * np.abs(want).max()
             assert np.abs(want[1:]).max() > 0.1        # the souls take part
 
     def test_perturbed_member_shows_a_soul(self):

@@ -6,6 +6,7 @@ import pytest
 
 from superholonomy.checks import JACOBI_ALGEBRAS
 from superholonomy.grassmann import GrassmannElement, canonical, grade_signs, random_element
+from superholonomy.phase import check_closure
 from superholonomy.superlie import (
     EPS2,
     MAX_OSP_SIZE,
@@ -393,7 +394,8 @@ class TestJson:
 
     @pytest.mark.parametrize("parities, match", [([0, 0, 0, 1], "parities has 4 entries for 5 labels"),
                                                  ([0, 0, 0, 1, 1, 1], "parities has 6 entries"),
-                                                 ([0, 0, 0, 1, 2], "parities must be 0 or 1")])
+                                                 ([0, 0, 0, 1, 2], "parities must be 0 or 1"),
+                                                 ([0, 0, 0, 1, 1.5], "parities must be 0 or 1")])
     def test_rejects_bad_parities(self, osp12, parities, match):
         data = osp12.to_json_dict()
         data["parities"] = parities
@@ -406,6 +408,13 @@ class TestJson:
         data["f"] = [e for e in data["f"] if e["index"] != [0, 1, 2]]
         assert len(data["f"]) == len(osp12.to_json_dict()["f"]) - 1
         with pytest.raises(ValueError, match=r"graded antisymmetry violated at \(0,1\)"):
+            SuperAlgebra.from_json_dict(data)
+
+    def test_rejects_asymmetric_eta(self, osp12):
+        # eta[0, 1] = 0.5 with eta[1, 0] = 0 breaks the even block's symmetry
+        data = osp12.to_json_dict()
+        data["eta"].append({"index": [0, 1], "value": 0.5})
+        with pytest.raises(ValueError, match="eta must be symmetric"):
             SuperAlgebra.from_json_dict(data)
 
     def test_general_build_round_trips(self):
@@ -430,8 +439,41 @@ class TestCachedAlgebrasReadOnly:
 
     def test_replace_with_copies_still_tampers(self):
         alg = build_osp(2, 1)
-        tampered = dataclasses.replace(alg, f=alg.f.copy() + 0.01)
-        tampered.f[0, 0, 0] = 1.0
+        f_bad = alg.f + 0.01
+        f_bad[0, 0, 0] = 1.0
+        tampered = dataclasses.replace(alg, f=f_bad)
+        f_bad[0, 0, 0] = 0.0   # the copy took its own f, which is read-only too
+        assert tampered.f[0, 0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            tampered.f[0, 0, 0] = 2.0
         assert tampered.check_jacobi().max_residual > 1e-3
         assert build_osp(2, 1) is alg
         assert alg.check_jacobi().max_residual == 0.0
+
+
+class TestImmutableAlgebra:
+    @pytest.mark.parametrize("build", [build_osp12] + [functools.partial(build_osp, m, n) for m, n in JACOBI_ALGEBRAS])
+    def test_rebinding_raises(self, build):
+        alg = build()
+        for field in dataclasses.fields(alg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(alg, field.name, np.zeros_like(alg.f))
+        with pytest.raises(TypeError):
+            alg.conventions["eta"] = "tampered"
+        for arr in (alg.even_idx, alg.odd_idx, alg.even_mask, alg.odd_mask, alg.pair_signs, alg.eta_even,
+                    alg.eta_odd, alg.generators):
+            assert not arr.flags.writeable
+        assert build() is alg and check_closure(alg).passed
+
+    def test_replace_is_a_new_algebra(self, osp12):
+        copy = dataclasses.replace(osp12)
+        assert copy != osp12 and copy == copy and len({osp12, copy}) == 2
+        assert np.array_equal(copy.f, osp12.f) and copy.f is not osp12.f
+        assert copy.even_indices + copy.odd_indices == list(range(osp12.dim))
+
+    def test_layout(self):
+        alg = build_osp(2, 1)
+        assert alg.even_indices == [0, 1, 2, 3] and alg.odd_indices == [4, 5, 6, 7]
+        assert np.array_equal(alg.eta_even, alg.eta[:4, :4]) and np.array_equal(alg.eta_odd, alg.eta[4:, 4:])
+        assert np.array_equal(alg.generators, np.reshape(alg.rep, (alg.dim, 16)))
+        assert alg.pair_signs[4:, 4:].max() == -1.0 and alg.pair_signs[:4].min() == 1.0
