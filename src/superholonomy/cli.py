@@ -88,8 +88,28 @@ def _status(passed: bool) -> str:
     return "pass" if passed else "FAIL"
 
 
+def _wire_format(obj) -> dict:
+    """json.dumps's default: a library object's to_json_dict, so a text run builds none of them;
+    TypeError for anything else, as json raises it."""
+    to_json_dict = getattr(obj, "to_json_dict", None)
+    if to_json_dict is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return to_json_dict()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Extended:
+    """An object's wire format with more top-level fields, built when JSON is printed."""
+    obj: object
+    fields: dict
+
+    def to_json_dict(self) -> dict:
+        return {**self.obj.to_json_dict(), **self.fields}
+
+
 # ----------------------------------------------------------------------
-# commands: each returns (passed, json data, text lines)
+# commands: each returns (passed, json data, text lines); data may hold
+# objects with a to_json_dict, which main calls only for --format json
 # ----------------------------------------------------------------------
 
 def cmd_jacobi(ns):
@@ -101,7 +121,7 @@ def cmd_jacobi(ns):
         "dim": report.dim,
         "max_residual": report.max_residual,
         "tol": report.tol,
-        "algebra": alg.to_json_dict(),
+        "algebra": alg,
         "passed": report.passed,
     }
     return report.passed, data, [f"{_group_name(ns)} {report}"]
@@ -127,12 +147,9 @@ def cmd_sectors(ns):
         representatives = []
         for pair in sector_representatives(report.fermionic_sectors, ngen=ns.ngen):
             passed &= pair.residual <= ns.tol and pair.moduli == 2
-            representatives.append(
-                {"sector": pair.label, "U1": pair.U1.to_json_dict(), "U2": pair.U2.to_json_dict()}
-            )
-        data = report.to_json_dict()
-        data.update({"command": "sectors", "fermionic_representatives": representatives,
-                     "passed": bool(passed)})
+            representatives.append({"sector": pair.label, "U1": pair.U1, "U2": pair.U2})
+        data = _Extended(report, {"command": "sectors", "fermionic_representatives": representatives,
+                                  "passed": bool(passed)})
         lines = [
             f"osp(1|2) sectors: bosonic={report.bosonic_count} fermionic={len(report.fermionic_sectors)}",
         ]
@@ -303,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     if ns.fmt == "json":
-        payload = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(data, sort_keys=True, indent=2, default=_wire_format) + "\n"
     else:
         payload = "\n".join(lines) + "\n"
     if ns.out:

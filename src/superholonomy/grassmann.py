@@ -74,6 +74,15 @@ RANK_ROUNDING = 32
 # from a true singular value, and matrix_rank raises RankUndecidedError.
 # Sampled regular bodies sit above 1.8e7 max(r, c) eps sigma_max
 RANK_MARGIN = 256
+# a product of factors, such as the determinant of gauge_fixing_check's
+# pairing g M chi^T, is zero at most FORWARD_ROUNDING eps times the product
+# of its factors' norms, which by Hadamard's inequality bounds it.  Each
+# pairing entry is two chained sums over s psi slots, so rounding moves it by
+# at most about s eps of that scale (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 3.5); s <= 32 for the builders (osp(4|4)).
+# Singular osp(1|2) pairings read 0.12 eps and 0, regular ones 1.0 at every
+# background scale
+FORWARD_ROUNDING = 64
 # absolute bound on membership, commutator, chi and constraint residuals of
 # products of O(1)-entry matrices: far above float dust, far below a defect
 DEFECT_TOL = 1e-10

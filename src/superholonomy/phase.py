@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, canonical, graded_expm, graded_matmul, matrix_rank,
-                        merge_sign, stack_chunk)
+from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, FORWARD_ROUNDING, canonical, graded_expm, graded_matmul,
+                        matrix_rank, merge_sign, stack_chunk)
 from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, check_forms
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
@@ -556,14 +556,13 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
     M = ctx.odd_weights()
     if len(picked) < r:
         # the background degenerates the constraints themselves
-        pairing_det = 0.0
-    elif r == 0:
-        pairing_det = 1.0
+        pairing_det, pairing_ok = 0.0, False
     else:
         pairing_det = float(np.linalg.det(g_ind @ M @ chi_rows.T))
-    # a determinant test, not the rank rule: the pairing's scale is the
-    # product of its factors' scales, which needs a forward-error bound
-    pairing_ok = abs(pairing_det) > DEFECT_TOL
+        # a determinant test, not the rank rule, against the product of its
+        # factors' norms, which bounds it: free of the background's scale
+        scale = np.prod(np.linalg.norm(g_ind, axis=1) * np.linalg.norm(chi_rows, axis=1)) * np.linalg.norm(M, 2) ** r
+        pairing_ok = abs(pairing_det) > FORWARD_ROUNDING * np.finfo(float).eps * scale
     # the fixed surface and the pulled-back quadratic constraint
     stacked = np.vstack([g_ind, chi_rows])
     _, _, vt = np.linalg.svd(stacked)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import superholonomy
+from superholonomy import cli
 from superholonomy.cli import _seeded_rngs, main
 
 
@@ -322,6 +323,28 @@ class TestReport:
         assert set(data["results"]) == {
             "jacobi", "membership", "sectors", "moduli", "closure", "exponential_sector",
         }
+
+
+class TestWireFormat:
+    @pytest.mark.parametrize("argv", [["jacobi", "--m", "2", "--n", "2"], ["sectors"]])
+    def test_text_output_builds_none(self, capsys, monkeypatch, argv):
+        from superholonomy.group import SectorReport
+        from superholonomy.superlie import SuperAlgebra
+        from superholonomy.supermatrix import SuperMatrix
+
+        expected = run(capsys, *argv)
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} wire format built for text output")
+
+        for cls in (SuperAlgebra, SuperMatrix, SectorReport):
+            monkeypatch.setattr(cls, "to_json_dict", refuse)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0
+
+    def test_hook_refuses_other_objects(self):
+        with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+            json.dumps({"x": object()}, default=cli._wire_format)
 
 
 # the README's commands, with small sample counts

@@ -1,11 +1,12 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from superholonomy.checks import JACOBI_ALGEBRAS
-from superholonomy.grassmann import GrassmannElement, canonical, grade_signs, random_element
+from superholonomy.grassmann import STACK_BYTES, GrassmannElement, canonical, grade_signs, random_element, stack_chunk
 from superholonomy.phase import check_closure
 from superholonomy.superlie import (
     EPS2,
@@ -294,12 +295,26 @@ def _einsum_jacobi_residual(alg):
     return float(np.abs(lhs - rhs1 - sgn[:, :, None, None] * rhs2).max())
 
 
+# every size build_osp accepts: m >= 1, n >= 1, m + 2n <= MAX_OSP_SIZE
+OSP_SIZES = [(m, n) for n in range(1, MAX_OSP_SIZE // 2) for m in range(1, MAX_OSP_SIZE - 2 * n + 1)]
+
+
 class TestJacobiMatchesEinsum:
-    """Two matrix products against three einsums, on every JACOBI_ALGEBRAS
-    size, plain and with one odd-odd-even entry of f tampered."""
+    """The chunked sweep against three einsums, on every size build_osp
+    accepts, plain and with one odd-odd-even entry of f tampered.  Together
+    the sizes run every chunk shape: all slabs in one chunk (dim 5 and 8),
+    several chunks with a short last one (dim 12 to 19) and one slab per
+    chunk (dim 23 up)."""
+
+    def test_sizes_cover_every_chunk_shape(self):
+        steps = {alg.dim: stack_chunk((alg.dim,) * 3) for alg in (build_osp(m, n) for m, n in OSP_SIZES)}
+        assert len(steps) == 12
+        assert steps[8] >= 8                    # one chunk of all slabs
+        assert steps[19] == 2                   # nine chunks of two and a short one
+        assert all(step == 1 for dim, step in steps.items() if dim > 19)
 
     @pytest.mark.parametrize("tamper", [False, True])
-    @pytest.mark.parametrize("m,n", JACOBI_ALGEBRAS)
+    @pytest.mark.parametrize("m,n", OSP_SIZES)
     def test_same_residual(self, m, n, tamper):
         alg = build_osp(m, n)
         if tamper:
@@ -309,6 +324,20 @@ class TestJacobiMatchesEinsum:
         residual = alg.check_jacobi().max_residual
         assert residual == _einsum_jacobi_residual(alg)
         assert (residual > 0.1) if tamper else (residual == 0.0)
+
+    @pytest.mark.parametrize("size", [(2, 2), (2, 3)])
+    def test_working_memory_bound(self, size):
+        # about three chunks of at most STACK_BYTES, or of one dim^3 slab where
+        # that is larger; the whole residual would hold dim^4 doubles
+        alg = build_osp(*size)
+        alg.check_jacobi()
+        tracemalloc.start()
+        try:
+            alg.check_jacobi()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * STACK_BYTES + 4 * 8 * alg.dim ** 3, (alg.dim, peak)
 
 
 class TestNonFiniteAlgebra:
