@@ -490,15 +490,16 @@ def taylor_sum(step, identity: np.ndarray, member_ndim: int, cutoff: float,
     """sum_k t_k with t_0 = identity and t_k = step(t_{k-1}) / k, summed raw.
 
     The last member_ndim axes are a member; each member stops after its
-    first term below cutoff in every entry, which it still adds, and keeps
-    its sum (np.where) while the others run on, so it is bit-equal to its
-    one-matrix series.  One member, alone or as a one-member stack, sums
-    without the mask.  Raises ExpmNotConvergedError when max_terms terms do
-    not reach the cutoff.
+    first term below cutoff in every entry (a NaN entry is never below),
+    which it still adds.  A stopped member's sum is not written again while
+    the others run on, so each is bit-equal to its one-matrix series.  One
+    member, alone or as a one-member stack, sums without the mask.  Raises
+    ExpmNotConvergedError when max_terms terms do not reach the cutoff.
     """
-    axes = tuple(range(-member_ndim, 0))
+    stack = identity.shape[:-member_ndim]
+    flat = stack + (math.prod(identity.shape[-member_ndim:]),)
+    done = np.zeros(stack, dtype=bool)
     acc = term = identity
-    done = np.zeros(identity.shape[:-member_ndim], dtype=bool)
     for k in range(1, max_terms + 1):
         term = step(term) * (1.0 / k)
         if done.size == 1:
@@ -506,8 +507,11 @@ def taylor_sum(step, identity: np.ndarray, member_ndim: int, cutoff: float,
             if np.abs(term).max() < cutoff:
                 return acc
             continue
-        acc = np.where(done.reshape(done.shape + (1,) * member_ndim), acc, acc + term)
-        done |= np.abs(term).max(axis=axes) < cutoff
+        if k == 1:
+            acc = acc + term        # a new array: identity may be a read-only broadcast
+        else:
+            np.add(acc, term, out=acc, where=~done.reshape(stack + (1,) * member_ndim))
+        done |= (np.abs(term).reshape(flat) < cutoff).all(axis=-1)
         if done.all():
             return acc
     raise ExpmNotConvergedError(f"Taylor terms still above {cutoff:g} after {max_terms} terms")

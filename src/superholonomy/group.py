@@ -730,7 +730,9 @@ def build_nonexp_holonomy(cal_a1: float, cal_a2: float,
 
     U(0) is exactly the identity while U(2pi) lands in the disconnected
     a0 = 1, A0 = -e^X part of the group that no single exponential reaches;
-    every grid sample remains a group member.
+    every grid sample remains a group member.  The two endpoint holonomies
+    do not commute (largest commutator entry 2.56 at (0.35, -0.2)): these
+    are per-cycle paths, not the holonomies of one flat connection.
     """
     alg = build_osp12()
     direction, sigma = OSP12_DIRECTIONS["hyperbolic"]

@@ -551,7 +551,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
         pivot = work[pick] / norms[pick] ** 2
         work = work - np.outer(work @ work[pick], pivot)
     g_ind = g_rows[picked]
-    chi_rows = np.vstack([linear_form(p) for p in chi_choice])
+    chi_rows = np.array([linear_form(p) for p in chi_choice]).reshape(len(chi_choice), slots)
     # odd-sector pairing of linear forms: u M v^T with the fundamental matrix
     M = ctx.odd_weights()
     if len(picked) < r:
@@ -562,7 +562,7 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
         # a determinant test, not the rank rule, against the product of its
         # factors' norms, which bounds it: free of the background's scale
         scale = np.prod(np.linalg.norm(g_ind, axis=1) * np.linalg.norm(chi_rows, axis=1)) * np.linalg.norm(M, 2) ** r
-        pairing_ok = abs(pairing_det) > FORWARD_ROUNDING * np.finfo(float).eps * scale
+        pairing_ok = bool(abs(pairing_det) > FORWARD_ROUNDING * np.finfo(float).eps * scale)
     # the fixed surface and the pulled-back quadratic constraint
     stacked = np.vstack([g_ind, chi_rows])
     _, _, vt = np.linalg.svd(stacked)

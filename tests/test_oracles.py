@@ -31,12 +31,18 @@ the residual on the split slots; it is checked bit for bit against the
 routes it replaced: the block-sign supertranspose, then the body product by
 H, then the product with M, and the gather with the residual over the whole
 (2^N, d, d) array.
+
+The two fermionic moduli counts are checked against an exact rank: Gauss-Jordan
+elimination over ``fractions.Fraction`` of Ahat and Bhat, built entry by entry
+from bodies whose float entries are the intended rationals.  It shares no code
+with ``matrix_rank`` and no numpy linear algebra.
 """
 
 import dataclasses
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -45,7 +51,7 @@ import scipy.linalg
 
 from superholonomy import checks, grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
-                                     NonInvertibleError, ParityPatternError, canonical, grade_signs,
+                                     NonInvertibleError, ParityPatternError, RankUndecidedError, canonical, grade_signs,
                                      graded_inverse, graded_matmul, pattern_mask, random_element, taylor_sum)
 from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, ahat, ahat_det_rank,
                                  build_nonexp_holonomy, coins, commuting_bodies, enumerate_sectors_osp12,
@@ -306,6 +312,12 @@ def expm_generators(rng, m, n, ngen):
     return np.array([0.0, 0.05, 1.0, 4.0])[:, None, None, None] * gen / np.abs(gen[0]).sum(axis=0).max()
 
 
+def bit_equal(a, b):
+    """Same shape, dtype and bytes: the same sign on every zero, NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestStacks:
     """A stacked kernel call gives every member its one-matrix result, bit for bit."""
 
@@ -319,13 +331,13 @@ class TestStacks:
             for k in range(len(x)):
                 assert np.array_equal(prod[k], graded_matmul(x[k], y[k], m))
                 assert np.array_equal(inv[k], graded_inverse(x[k], m))
-                assert np.array_equal(exp[k], graded_expm(gens[k], m))
+                assert bit_equal(exp[k], graded_expm(gens[k], m))
         # SuperMatrix declares its even pattern
         for k in range(len(x)):
             X, Y = SuperMatrix.from_coeffs(1, 2, x[k]), SuperMatrix.from_coeffs(1, 2, y[k])
             assert np.array_equal(prod[k], (X @ Y).coeffs)
             assert np.array_equal(inv[k], X.inverse().coeffs)
-            assert np.array_equal(exp[k], SuperMatrix.from_coeffs(1, 2, gens[k]).expm().coeffs)
+            assert bit_equal(exp[k], SuperMatrix.from_coeffs(1, 2, gens[k]).expm().coeffs)
         # stack axes broadcast as in a gufunc: outer[a, b] = x[a] y[b]
         for m in (1, None):
             outer = graded_matmul(x[:, None], y[None, :3], m)
@@ -350,7 +362,7 @@ class TestStacks:
                 assert np.array_equal(graded_matmul(x, y, m)[k], graded_matmul(x[k], y[k], m))
                 assert np.array_equal(graded_matmul(y, x, m)[k], graded_matmul(y[k], x[k], m))
                 assert np.array_equal(graded_inverse(y, m)[k], graded_inverse(y[k], m))
-                assert np.array_equal(exp[k], graded_expm(gens[k], m))
+                assert bit_equal(exp[k], graded_expm(gens[k], m))
 
     @pytest.mark.parametrize("ngen", [0, 2, 6, 8])
     def test_soulless_factor_broadcasts(self, ngen):
@@ -373,10 +385,10 @@ class TestStacks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             graded, real = graded_expm(stack, 1), _real_expm(stack[:, 0])
-        assert np.array_equal(graded[1], SuperMatrix.identity(1, 2, 2).coeffs)
-        assert np.array_equal(real[1], np.eye(3))
-        assert np.array_equal(graded[0], graded_expm(gen, 1))
-        assert np.array_equal(real[0], _real_expm(gen[0]))
+        assert bit_equal(graded[1], SuperMatrix.identity(1, 2, 2).coeffs)
+        assert bit_equal(real[1], np.eye(3))
+        assert bit_equal(graded[0], graded_expm(gen, 1))
+        assert bit_equal(real[0], _real_expm(gen[0]))
 
 
 class TestOneMemberSeries:
@@ -388,17 +400,17 @@ class TestOneMemberSeries:
         stacked = graded_expm(gens, m)
         for k, gen in enumerate(gens):
             one = graded_expm(gen, m)
-            assert np.array_equal(one, graded_expm(gen[None], m)[0])
-            assert np.array_equal(one, stacked[k])
-            assert np.array_equal(one, graded_expm(np.array([gen, gens[-1]]), m)[0])
+            assert bit_equal(one, graded_expm(gen[None], m)[0])
+            assert bit_equal(one, stacked[k])
+            assert bit_equal(one, graded_expm(np.array([gen, gens[-1]]), m)[0])
 
     def test_real_expm(self):
         rng = np.random.default_rng(44)
         mats = np.array([scale * rng.uniform(-1.0, 1.0, (4, 4)) for scale in (0.0, 0.05, 1.0, 4.0)])
         stacked = _real_expm(mats)
         for k, mat in enumerate(mats):
-            assert np.array_equal(_real_expm(mat), stacked[k])
-            assert np.array_equal(_real_expm(mat), _real_expm(mat[None])[0])
+            assert bit_equal(_real_expm(mat), stacked[k])
+            assert bit_equal(_real_expm(mat), _real_expm(mat[None])[0])
 
     def test_short_series_raises(self):
         gen = expm_generators(np.random.default_rng(45), 2, 2, 6)[2]
@@ -410,7 +422,50 @@ class TestOneMemberSeries:
         for identity in (np.eye(3), np.eye(3)[None]):
             with pytest.raises(ExpmNotConvergedError):
                 taylor_sum(lambda t: t @ step, identity, 2, 1e-22, 5)
-            assert np.array_equal(taylor_sum(lambda t: t @ step, identity, 2, 1e-22, 80).reshape(3, 3), want)
+            assert bit_equal(taylor_sum(lambda t: t @ step, identity, 2, 1e-22, 80).reshape(3, 3), want)
+
+
+class TestStoppedMembers:
+    """Members whose series stop terms apart keep their one-matrix bytes; a stopped sum is not written again."""
+
+    @staticmethod
+    def graded_generators(rng, m, n, ngen):
+        # zero (stops at k = 1), soul-only (nilpotent: a few terms) and 1-norm 4
+        # (scaled to 1/2, the largest scaled norm: the longest series)
+        gen = expm_generators(rng, m, n, ngen)[3]
+        soul = gen.copy()
+        soul[0] = 0.0
+        return np.array([np.zeros_like(gen), soul, gen])
+
+    @pytest.mark.parametrize("m, n, ngen", [(1, 2, 4), (2, 2, 6), (2, 2, 8)])     # split, split, table
+    def test_graded_expm(self, m, n, ngen):
+        gens = self.graded_generators(np.random.default_rng([m, n, ngen, 46]), m, n, ngen)
+        for route in (m, None):
+            for stack in (gens, np.array([gens, gens[::-1]])):
+                stacked = graded_expm(stack, route)
+                for k in np.ndindex(stack.shape[:-3]):
+                    assert bit_equal(stacked[k], graded_expm(stack[k], route))
+
+    def test_real_expm(self):
+        nilpotent = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.3, -1.1, 0.0]])
+        large = np.random.default_rng(47).uniform(-1.0, 1.0, (3, 3))
+        large *= 4.0 / np.abs(large).sum(axis=0).max()
+        mats = np.array([np.zeros((3, 3)), nilpotent, large])
+        for stack in (mats, np.array([mats, mats[::-1]])):
+            stacked = _real_expm(stack)
+            for k in np.ndindex(stack.shape[:-2]):
+                assert bit_equal(stacked[k], _real_expm(stack[k]))
+
+    def test_stopped_sum_is_not_written(self):
+        # member 0 stops at its 1e-32 first term, then its terms grow to 1e100;
+        # member 1 runs on for about twenty terms
+        identity = np.array([1e-40 * np.eye(3), np.eye(3)])
+        step = np.array([1e8 * np.eye(3), 0.5 * np.eye(3)])
+        stacked = taylor_sum(lambda t: t @ step, identity, 2, 1e-22, 80)
+        for k in range(2):
+            one = taylor_sum(lambda t: t @ step[k], identity[k], 2, 1e-22, 80)
+            assert bit_equal(stacked[k], one)
+        assert bit_equal(stacked[0], identity[0] + 1e8 * identity[0])
 
 
 def count_calls(monkeypatch, name):
@@ -702,11 +757,6 @@ def loop_osp12_relation_residual(rep, eps_scale):
         target = sum(sigma_up[a][al, be] * J[a] for a in range(3))
         res = max(res, np.abs(Q[al] @ Q[be] + Q[be] @ Q[al] - target).max())
     return res
-
-
-def bit_equal(a, b):
-    """Same shape and values, and the same sign on every zero."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def message(fn, *args):
@@ -1343,3 +1393,99 @@ class TestBerezinian:
         ber = berezinian(SuperMatrix.from_coeffs(1, 2, coeffs))
         assert np.abs(berezinian(M)[1:]).max() <= BER_MEMBER_TOL
         assert abs(abs(ber[3]) - 1e-6) <= 1e-6 * 1e-3
+
+
+def exact_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination over Fraction: no rounding and no numpy linear algebra."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[col] != 0:
+                factor = row[col] / top[col]
+                rows[i] = [a - factor * b for a, b in zip(row, top)]
+        rank += 1
+    return rank
+
+
+def exact_ahat(a0, A0):
+    """a0^T (x) I - I (x) A0 over Fraction: row (i, p), column (j, q), as ahat's kron form."""
+    a0 = [[Fraction(float(v)) for v in row] for row in np.atleast_2d(a0)]
+    A0 = [[Fraction(float(v)) for v in row] for row in np.atleast_2d(A0)]
+    m, two_n = len(a0), len(A0)
+    return [[a0[j][i] * (p == q) - (i == j) * A0[p][q] for j in range(m) for q in range(two_n)]
+            for i in range(m) for p in range(two_n)]
+
+
+def exact_count(a0, b0, A0, B0) -> int:
+    """2(2mn - r) with r the exact rank of Ahat, which equals that of Bhat; the exact
+    degree-1 system (see fermionic_moduli_count_bruteforce) gives the same count."""
+    Ah, Bh = exact_ahat(a0, A0), exact_ahat(b0, B0)
+    r, d = exact_rank(Ah), len(Ah)
+    assert exact_rank(Bh) == r
+    solution_dim = 2 * d - exact_rank([[-v for v in b] + a for a, b in zip(Ah, Bh)])
+    assert solution_dim - exact_rank(Ah + Bh) == 2 * (d - r)
+    return 2 * (d - r)
+
+
+def lift(P):
+    """diag(P, P^-T), a member of Sp(4) for the form [[0, I], [-I, 0]]."""
+    return scipy.linalg.block_diag(P, np.linalg.inv(P).T)
+
+
+QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])
+# commuting (a0, b0, A0, B0) with dyadic entries, each with its exact count
+DYADIC_BODIES = {
+    "(1|2) parabolic": (1.0, 1.0, parabolic(0.5), parabolic(1.0), 2),
+    "(1|2) parabolic, large c": (1.0, 1.0, parabolic(96.0), parabolic(192.0), 2),
+    "(1|2) parabolic, negative": (-1.0, -1.0, -parabolic(0.375), -parabolic(0.75), 2),
+    "(2|2) parabolic": (np.eye(2), np.eye(2), parabolic(0.5), parabolic(1.0), 4),
+    "(2|2) quarter turns": (QUARTER, -QUARTER, QUARTER, -QUARTER, 4),
+    "(2|2) reflection and -parabolic": (np.diag([1.0, -1.0]), np.diag([1.0, -1.0]), -parabolic(0.5), -parabolic(1.0), 2),
+    "(2|2) hyperbolic": (np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), np.diag([2.0, 0.5]), np.diag([0.25, 4.0]), 0),
+    "(1|4) parabolic": (1.0, 1.0, lift(parabolic(0.5)), lift(parabolic(1.0)), 4),
+    "(1|4) half hyperbolic": (1.0, 1.0, lift(np.diag([2.0, 1.0])), lift(np.diag([4.0, 1.0])), 4),
+    "(1|4) hyperbolic": (1.0, 1.0, lift(np.diag([2.0, 4.0])), lift(np.diag([8.0, 2.0])), 0),
+    "(1|4) minus identity": (-1.0, -1.0, -np.eye(4), -np.eye(4), 8),
+}
+
+
+class TestExactRank:
+    """Both moduli counts against 2(2mn - r) with r ranked exactly over the rationals."""
+
+    def test_elimination(self):
+        assert exact_rank([[1, 2], [2, 4]]) == 1
+        assert exact_rank([[0, 0], [0, 0]]) == 0
+        assert exact_rank([[2 ** -60, 1], [0, 2 ** 60]]) == 2
+        assert exact_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+
+    @pytest.mark.parametrize("name", sorted(DYADIC_BODIES))
+    def test_dyadic_bodies(self, name):
+        a0, b0, A0, B0, want = DYADIC_BODIES[name]
+        C = symplectic_form(len(A0))
+        for g in (A0, B0):
+            assert np.array_equal(g.T @ C @ g, C)
+        for g in (np.atleast_2d(a0), np.atleast_2d(b0)):
+            assert np.array_equal(g.T @ g, np.eye(len(g)))
+        assert exact_count(a0, b0, A0, B0) == want
+        assert fermionic_moduli_count(a0, b0, A0, B0) == want
+        assert fermionic_moduli_count_bruteforce(a0, b0, A0, B0) == want
+
+    @pytest.mark.parametrize("k", range(1, 45))
+    def test_dyadic_hyperbolic_family(self, k):
+        # A0 = diag(2^k, 2^-k), B0 = diag(2^(k+1), 2^-(k+1)): Ahat is regular at
+        # every k.  Both routes count it up to k = 36 and raise from k = 37 to 44.
+        # From k = 45 they go silently wrong, which no test pins
+        A0, B0 = np.diag([2.0 ** k, 2.0 ** -k]), np.diag([2.0 ** (k + 1), 2.0 ** -(k + 1)])
+        assert exact_count(1.0, 1.0, A0, B0) == 0
+        for count in (fermionic_moduli_count, fermionic_moduli_count_bruteforce):
+            if k <= 36:
+                assert count(1.0, 1.0, A0, B0) == 0
+            else:
+                with pytest.raises(RankUndecidedError):
+                    count(1.0, 1.0, A0, B0)

@@ -682,7 +682,16 @@ class TestGaugeFixing:
         res = gauge_fixing_check(alg, c, chi)
         assert res.rank == 2
         assert res.free_odd_coordinates == 0
-        assert res.pairing_ok
+        assert res.pairing_ok is True
+
+    @pytest.mark.parametrize("algebra, free", [(build_osp12(), 4), (build_osp(2, 1), 8)])
+    def test_zero_direction_takes_no_conditions(self, algebra, free):
+        # at r = 0 there is nothing to pair: the empty determinant is 1, every
+        # odd coordinate stays free, and the quadratic constraint is left over
+        res = gauge_fixing_check(algebra, [0.0] * algebra.n_even, [])
+        assert res.rank == 0 and res.free_odd_coordinates == free == 2 * algebra.n_odd
+        assert res.pairing_det == 1.0 and res.pairing_ok is True
+        assert res.residual_constraint == 0.5 and res.residual_ok is False
 
     def test_full_length_direction_equals_even_form(self, alg, ctx):
         # a direction on the whole basis (odd components zero) is its even part
