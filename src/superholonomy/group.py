@@ -8,7 +8,7 @@ For a holonomy with body blocks (a0, A0), the linear operator
 controls whether the lower fermion block can be conjugated away: an
 invertible Ahat means the gauge-fixing recursion annihilates it degree by
 degree, a singular Ahat signals fermionic moduli, counted by 2(2mn - r)
-with r = rank(Ahat).
+with r = rank(Ahat) when the pair's two operators share their kernel.
 """
 
 from __future__ import annotations
@@ -346,25 +346,39 @@ def _block_max_abs(M: SuperMatrix, name: str) -> float:
 # ----------------------------------------------------------------------
 
 def fermionic_moduli_count(a0, b0, A0, B0):
-    """Closed-form count 2(2mn - r) with r = rank(Ahat) = rank(Bhat).
+    """Closed-form count 2(2mn - r) with r = rank(Ahat) = rank(Bhat) = rank([Ahat; Bhat]).
 
-    Leading axes are a stack of body pairs, as in ahat; the count is then an
-    int array over the stack, and one bad pair fails the whole call.
+    The pair is an aligned abelian sector when Ahat and Bhat have one kernel,
+    that is, when stacking them adds no rank; equal ranks alone do not show
+    it, and any other pair raises ValueError.  Leading axes are a stack of
+    body pairs, as in ahat; the count is then an int array over the stack,
+    and one bad pair fails the whole call.
     """
     a0, b0 = np.atleast_2d(a0), np.atleast_2d(b0)
     A0, B0 = np.atleast_2d(A0), np.atleast_2d(B0)
     if max(np.abs(a0 @ b0 - b0 @ a0).max(), np.abs(A0 @ B0 - B0 @ A0).max()) > DEFECT_TOL:
         raise ValueError("holonomy bodies do not commute")
-    Ah, Bh = ahat(a0, A0), ahat(b0, B0)
-    r, r_prime = matrix_rank(Ah), matrix_rank(Bh)
-    bad = np.flatnonzero(np.ravel(r != r_prime))
+    Ah, Bh = np.broadcast_arrays(ahat(a0, A0), ahat(b0, B0))
+    r, r_prime = matrix_rank(np.stack([Ah, Bh]))
+    # [Ahat; Bhat] has 2mn columns, so stacking adds no rank to a regular
+    # Ahat: only the singular members are ranked again, with no gather when
+    # all of them are
+    r_joint, singular = r, r < Ah.shape[-1]
+    if singular.all():
+        r_joint = matrix_rank(np.concatenate([Ah, Bh], axis=-2))
+    elif singular.any():
+        r_joint = r.copy()
+        r_joint[singular] = matrix_rank(np.concatenate([Ah[singular], Bh[singular]], axis=-2))
+    bad = np.flatnonzero(np.ravel((r != r_prime) | (r_joint != r)))
     if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"rank(Ahat) = {np.ravel(r)[bad[0]]} != rank(Bhat) = {np.ravel(r_prime)[bad[0]]}; "
+            f"rank(Ahat) = {np.ravel(r)[i]}, rank(Bhat) = {np.ravel(r_prime)[i]}, "
+            f"rank([Ahat; Bhat]) = {np.ravel(r_joint)[i]}; "
             "the closed-form count applies to aligned abelian sectors only"
         )
-    two_mn = Ah.shape[-1]
-    return 2 * (two_mn - r)
+    count = 2 * (Ah.shape[-1] - r)
+    return count if count.ndim else int(count)
 
 
 def fermionic_moduli_count_bruteforce(a0, b0, A0, B0):

@@ -318,10 +318,10 @@ def constraint_tensor(alg: SuperAlgebra) -> np.ndarray:
     that are not graded-antisymmetric give the same constraints.
     """
     par = alg.odd_mask
-    i, j, k = par[:, None, None], par[None, :, None], par[None, None, :]
-    copied = (k == (i ^ j)) & ~(i & ~j)
-    swapped = i & ~j & k
-    return np.where(copied, alg.f, np.where(swapped, -alg.f.transpose(1, 0, 2), 0.0))
+    i, j, k = par[:, None, None], par[:, None], par
+    # copied where |K| = |I| + |J| and not (odd, even); swapped on (odd, even -> odd)
+    F = np.where((k == (i ^ j)) & (j >= i), alg.f, 0.0)
+    return np.negative(alg.f.transpose(1, 0, 2), out=F, where=(i > j) & k)
 
 
 def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None
@@ -369,6 +369,16 @@ class ClosureReport:
         )
 
 
+def _pinv(basis: np.ndarray) -> np.ndarray:
+    """np.linalg.pinv(basis, rcond=eps * max(basis.shape)), lstsq's own cutoff, taken by pinv's own
+    steps on a real 2-d matrix, so the same bits, without its conjugate copy, checks and wrapping."""
+    u, s, vt = np.linalg.svd(basis, full_matrices=False)
+    large = s > np.finfo(float).eps * max(basis.shape) * s[:1]
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)
+
+
 def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
                   eta_override: np.ndarray | None = None) -> ClosureReport:
     """Brackets of the constraints close linearly onto the constraints.
@@ -395,7 +405,7 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
     invertible n_even x n_even eta_override detunes the bracket to show the
     check has teeth.
     """
-    ev, od, eta, C = alg.even_mask, alg.odd_mask, alg.eta_even, alg.eta_odd
+    ev, od, eta, C = alg.even_idx, alg.odd_idx, alg.eta_even, alg.eta_odd
     if eta_override is not None:
         eta = np.asarray(eta_override, dtype=float)
         if eta.shape != alg.eta_even.shape:
@@ -405,14 +415,14 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
     dim = F.shape[0]
     W = np.zeros((dim, dim))
     try:
-        W[np.ix_(ev, ev)] = np.linalg.inv(eta)
+        W[ev[:, None], ev] = np.linalg.inv(eta)
     except np.linalg.LinAlgError:
         raise ValueError(f"{'eta' if eta_override is None else 'eta_override'} "
                          "is singular on the even generators") from None
-    W[np.ix_(od, od)] = np.linalg.inv(C)
+    W[od[:, None], od] = np.linalg.inv(C)
     graded_sign = alg.pair_signs
     basis = F.reshape(dim * dim, dim)
-    pinv = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))
+    pinv = _pinv(basis)
     F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]
     signed_rows = (graded_sign[:, :, None] * F).transpose(1, 0, 2).reshape(dim, dim * dim)
     # F_k.T @ W and F_k @ W for every slab k, each the same product as alone
@@ -438,8 +448,8 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
     induced_lowered = (alg.eta @ (alg.eta @ (induced @ np.linalg.inv(alg.eta))).reshape(dim, -1)
                        ).reshape(dim, dim, dim)
     target = graded_sign[:, :, None] * alg.f
-    denom = float(np.sum(target * target))
-    kappa = float(np.sum(induced_lowered * target) / denom) if denom else 0.0
+    denom = float((target * target).sum())
+    kappa = float((induced_lowered * target).sum() / denom) if denom else 0.0
     prop_residual = float(np.abs(induced_lowered - kappa * target).max())
     return ClosureReport(dim=dim, kappa=kappa, max_unexplained=float(max_unexplained),
                          proportionality_residual=prop_residual, induced=induced, tol=tol)
@@ -468,10 +478,10 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmRepor
     scale |c|^2 |eta^-1| (Frobenius norm), so the flag does not depend on
     the length of c.
     """
-    block = alg.ff_block(c)
+    c_vec = alg.even_components(c)
+    block = alg._ff_block(c_vec)
     det = float(np.linalg.det(block))
     rank = matrix_rank(block)
-    c_vec = alg.even_components(c)
     eta_inv = np.linalg.inv(alg.eta_even)
     scale = float(c_vec @ c_vec) * np.linalg.norm(eta_inv)
     null = bool(abs(c_vec @ eta_inv @ c_vec) <= DEFECT_TOL * scale)

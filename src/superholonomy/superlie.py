@@ -71,16 +71,17 @@ class SuperAlgebra:
 
     Immutable, and equal only to itself: the constructor copies f, eta and rep
     into read-only arrays and conventions into a read-only mapping, checks the
-    forms (finite, eta symmetric on the even generators and antisymmetric on
-    the odd ones) and derives the graded layout below once.  So a builder's
-    cached instance can be shared, and ``dataclasses.replace`` makes a changed
-    copy.  The graded antisymmetry of f is ``validate``'s, an explicit call.
+    forms (finite, eta symmetric on the even generators, antisymmetric on the
+    odd ones and zero between the two) and derives the graded layout below
+    once.  So a builder's cached instance can be shared, and
+    ``dataclasses.replace`` makes a changed copy.  The graded antisymmetry of
+    f is ``validate``'s, an explicit call.
     """
 
     labels: tuple[str, ...]
     parities: tuple[int, ...]
     f: np.ndarray            # f[I, J, K] with [T_I, T_J} = f_IJ^K T_K
-    eta: np.ndarray          # invariant form; even block symmetric, odd block antisymmetric
+    eta: np.ndarray          # invariant form; even block symmetric, odd block antisymmetric, no even-odd entry
     rep: tuple[np.ndarray, ...] | None = None
     block_m: int | None = None
     block_n: int | None = None   # size of the lower-right block (= 2n for osp(m|2n))
@@ -111,6 +112,8 @@ class SuperAlgebra:
         even = _frozen(~odd, bool)
         eta_even, eta_odd = _frozen(eta[np.ix_(even, even)]), _frozen(eta[np.ix_(odd, odd)])
         check_forms(eta_even, eta_odd)
+        if eta[odd[:, None] != odd].any():
+            raise ValueError("eta must vanish between even and odd generators")
         rep = None if self.rep is None else tuple(_frozen(mat) for mat in self.rep)
         for name, value in dict(
                 labels=tuple(self.labels), parities=tuple(map(int, self.parities)), f=f, eta=eta, rep=rep,
@@ -229,12 +232,16 @@ class SuperAlgebra:
         For c supported on the even generators returns the matrix
         J[alpha, beta] = sum_a c^a f[a, alpha, beta] acting on the odd basis.
         """
-        c = self.even_components(c)
+        return self._ff_block(self.even_components(c))
+
+    def _ff_block(self, c: np.ndarray) -> np.ndarray:
+        """ff_block of components c already checked by even_components."""
         od = self.odd_idx
         block = np.zeros((self.n_odd, self.n_odd))
-        for a, ci in zip(self.even_idx, c):
+        # f's (even, odd, odd) block in one gather, summed in generator order
+        for ci, f_a in zip(c, self.f[np.ix_(self.even_idx, od, od)]):
             if ci:
-                block += ci * self.f[a][np.ix_(od, od)]
+                block += ci * f_a
         return block
 
     # ------------------------------------------------------------------

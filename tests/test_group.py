@@ -370,6 +370,24 @@ class TestModuliCount:
         with pytest.raises(ValueError):
             fermionic_moduli_count(np.eye(2), np.eye(2), rotation(0.3), np.diag([2.0, 0.5]))
 
+    def test_equal_ranks_with_other_kernels_rejected(self):
+        # a commuting OSp(2|2) pair whose Ahat and Bhat both have rank 3 but
+        # different kernels, so [Ahat; Bhat] has rank 4: the degree-1 count is
+        # 0, not the 2(4 - 3) = 2 that equal ranks alone would give
+        a0, b0 = np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])
+        A0, B0 = -np.array([[1.0, 0.5], [0.0, 1.0]]), -np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert fermionic_moduli_count_bruteforce(a0, b0, A0, B0) == 0
+        with pytest.raises(ValueError, match=r"rank\(Ahat\) = 3, rank\(Bhat\) = 3, rank\(\[Ahat; Bhat\]\) = 4"):
+            fermionic_moduli_count(a0, b0, A0, B0)
+        # in a stack, the pair fails the whole call, next to a singular (count
+        # 4) or a regular (count 0) aligned pair
+        singular = (rotation(0.4), rotation(1.1), rotation(0.4), rotation(1.1))
+        regular = (a0, b0, np.diag([2.0, 0.5]), np.diag([0.25, 4.0]))
+        for aligned, count in ((singular, 4), (regular, 0)):
+            with pytest.raises(ValueError, match="aligned abelian sectors only"):
+                fermionic_moduli_count(*(np.stack([x, y]) for x, y in zip(aligned, (a0, b0, A0, B0))))
+            assert fermionic_moduli_count(*(np.stack([x, x]) for x in aligned)).tolist() == [count, count]
+
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
     def test_closed_form_equals_bruteforce(self, m, n):
         rng = np.random.default_rng(40 + m * 10 + n)

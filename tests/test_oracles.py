@@ -1362,6 +1362,20 @@ class TestBerezinian:
             assert np.abs(berezinian(X @ Y) - want).max() <= BER_PRODUCT_RTOL * np.abs(want).max()
             assert np.abs(want[1:]).max() > 0.1        # the souls take part
 
+    # the same products with no declared pattern: up to TABLE_MAX_N generators
+    # graded_matmul takes them on the cached pair table
+    @pytest.mark.parametrize("ngen", [4, 6])
+    def test_multiplicative_on_the_pair_table(self, ngen):
+        assert 1 << ngen <= 1 << grassmann.TABLE_MAX_N
+        rng = np.random.default_rng([ngen, 7])
+        for _ in range(3):
+            X, Y = invertible_even(rng, 2, 2, ngen), invertible_even(rng, 2, 2, ngen)
+            assert X.coeffs[1:].any() and Y.coeffs[1:].any()      # no body-only shortcut
+            XY = SuperMatrix.from_coeffs(2, 2, grassmann.graded_matmul(X.coeffs, Y.coeffs))
+            want = element_product(berezinian(X), berezinian(Y))
+            assert np.abs(berezinian(XY) - want).max() <= BER_PRODUCT_RTOL * np.abs(want).max()
+            assert np.abs(want[1:]).max() > 0.1        # the souls take part
+
     # gl(m|n) elements, whose supertrace osp's would zero: (1|2) and (2|2) take
     # the split route, (2|4) at N = 7 (2^N d = 768) the last-generator recursion
     @pytest.mark.parametrize("m, n, ngen, split", [(1, 2, 4, True), (2, 2, 6, True), (2, 4, 7, False)])

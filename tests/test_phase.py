@@ -9,6 +9,7 @@ from superholonomy.grassmann import STACK_BYTES, GrassmannElement, matrix_rank
 from superholonomy.group import ahat_det_rank, parabolic, _real_expm
 from superholonomy.phase import (
     EPS_CYCLES,
+    _pinv,
     GradedPolynomial,
     PhaseSpace,
     check_closure,
@@ -455,6 +456,27 @@ class TestClosureMatchesLstsq:
 
 # every size build_osp accepts (m >= 1, n >= 1, m + 2n <= 8), dim 5 to 34
 OSP_SIZES = [(m, n) for n in range(1, 4) for m in range(1, 9 - 2 * n)]
+
+
+class TestPseudoInverse:
+    """check_closure's pseudo-inverse against np.linalg.pinv with lstsq's cutoff,
+    byte for byte: a numpy whose pinv takes other steps fails here first."""
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("size", [None] + OSP_SIZES)
+    def test_equals_numpy_pinv(self, size, tamper):
+        alg = build_osp12() if size is None else build_osp(*size)
+        self._compare(_tampered(alg) if tamper else alg)
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_rank_deficient_basis(self, alg, mix):
+        self._compare(_with_spectator(alg, mix))
+
+    @staticmethod
+    def _compare(alg):
+        basis = constraint_tensor(alg).reshape(alg.dim ** 2, alg.dim)
+        expected = np.linalg.pinv(basis, rcond=np.finfo(float).eps * max(basis.shape))
+        assert _pinv(basis).tobytes() == expected.tobytes()
 
 
 class TestClosureMatchesSlabLoop:

@@ -374,6 +374,30 @@ class TestFfBlock:
         with pytest.raises(ValueError):
             osp12.ff_block(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
 
+    @staticmethod
+    def _loop_block(alg, c):
+        """Reference route: one np.ix_ gather of f[a] per nonzero component, summed in order."""
+        od = alg.odd_idx
+        block = np.zeros((alg.n_odd, alg.n_odd))
+        for a, ci in zip(alg.even_idx, alg.even_components(c)):
+            if ci:
+                block += ci * alg.f[a][np.ix_(od, od)]
+        return block
+
+    @pytest.mark.parametrize("size", [None] + [(m, n) for n in range(1, 4) for m in range(1, 9 - 2 * n)])
+    def test_equals_per_generator_loop(self, size):
+        alg = build_osp12() if size is None else build_osp(*size)
+        rng = np.random.default_rng(alg.dim)
+        for trial in range(6):
+            c = rng.uniform(-2.0, 2.0, alg.n_even)
+            # zero components, some of them -0.0, skipped by both routes
+            c[rng.random(alg.n_even) < trial / 6] = rng.choice([0.0, -0.0])
+            if trial == 5:
+                full = np.zeros(alg.dim)
+                full[alg.even_idx] = c
+                c = full
+            assert alg.ff_block(c).tobytes() == self._loop_block(alg, c).tobytes(), (alg.dim, trial)
+
 
 class TestInvariance:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
@@ -445,6 +469,25 @@ class TestJson:
         data["eta"].append({"index": [0, 1], "value": 0.5})
         with pytest.raises(ValueError, match="eta must be symmetric"):
             SuperAlgebra.from_json_dict(data)
+
+    def test_rejects_even_odd_eta(self, osp12):
+        # eta[0, 3] = eta[3, 0] keeps eta symmetric, but the closure's W and the
+        # fermion block read only the parity blocks, so the entry must not load
+        data = osp12.to_json_dict()
+        data["eta"] += [{"index": [0, 3], "value": 0.5}, {"index": [3, 0], "value": 0.5}]
+        with pytest.raises(ValueError, match="eta must vanish between even and odd generators"):
+            SuperAlgebra.from_json_dict(data)
+
+    @pytest.mark.parametrize("build", [build_osp12, lambda: build_osp(2, 2)])
+    def test_replace_rejects_even_odd_eta(self, build):
+        alg = build()
+        i, a = alg.odd_indices[-1], alg.even_indices[0]
+        for entries in ([(i, a)], [(a, i), (i, a)]):
+            eta = alg.eta.copy()
+            for idx in entries:
+                eta[idx] = 0.5
+            with pytest.raises(ValueError, match="eta must vanish between even and odd generators"):
+                dataclasses.replace(alg, eta=eta)
 
     def test_general_build_round_trips(self):
         alg = build_osp(2, 2)
