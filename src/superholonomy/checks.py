@@ -16,9 +16,9 @@ from .group import (
     ahat,
     commuting_bodies,
     fermionic_moduli_count,
-    fermionic_moduli_count_bruteforce,
     rotation,
     sp_from_random,
+    torus_cohomology,
     uniform_from_random,
 )
 from .superlie import build_osp
@@ -92,9 +92,13 @@ def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
 
 
 def moduli_counts(m: int, n: int, rngs) -> dict:
-    """Closed-form 2(2mn - r) against the degree-1 oracle, one body pair per generator."""
-    bodies = commuting_bodies(m, n, rngs)
-    counts = list(zip(fermionic_moduli_count(*bodies).tolist(),
-                      fermionic_moduli_count_bruteforce(*bodies).tolist()))
+    """Closed-form 2 dim H^0 against the degree-1 oracle dim H^0 + dim H^2, one body pair per generator.
+
+    Each pair is the (fermionic_moduli_count, fermionic_moduli_count_bruteforce) pair of its
+    bodies, both read off one torus_cohomology call, so a mismatch is a pair where the duality
+    dim H^2 = dim H^0, rank [-Bhat, Ahat] = rank [Ahat; Bhat], fails.
+    """
+    h0, h2 = torus_cohomology(*commuting_bodies(m, n, rngs))
+    counts = list(zip((2 * h0).tolist(), (h0 + h2).tolist()))
     mismatches = sum(closed != brute for closed, brute in counts)
     return {"counts": counts, "mismatches": mismatches, "passed": mismatches == 0}

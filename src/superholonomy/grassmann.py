@@ -115,7 +115,7 @@ def matrix_rank(mat: np.ndarray):
     if undecided.any():
         member = tuple(np.argwhere(undecided)[0][:-1])
         raise RankUndecidedError(float(svals[member][undecided[member]][-1]), float(bound[member][0]))
-    ranks = np.count_nonzero(counted, axis=-1)
+    ranks = counted.sum(-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 

@@ -7,8 +7,10 @@ For a holonomy with body blocks (a0, A0), the linear operator
 
 controls whether the lower fermion block can be conjugated away: an
 invertible Ahat means the gauge-fixing recursion annihilates it degree by
-degree, a singular Ahat signals fermionic moduli, counted by 2(2mn - r)
-with r = rank(Ahat) when the pair's two operators share their kernel.
+degree, a singular Ahat signals fermionic moduli.  A commuting pair carries
+dim H^1 = 2 dim H^0 = 2(2mn - rank [Ahat; Bhat]) of them, H the cohomology of
+the torus with coefficients in the odd part; on an aligned sector, where Ahat
+and Bhat have one kernel and rank r, that is 2(2mn - r).
 """
 
 from __future__ import annotations
@@ -345,40 +347,40 @@ def _block_max_abs(M: SuperMatrix, name: str) -> float:
 # fermionic moduli counting
 # ----------------------------------------------------------------------
 
-def fermionic_moduli_count(a0, b0, A0, B0):
-    """Closed-form count 2(2mn - r) with r = rank(Ahat) = rank(Bhat) = rank([Ahat; Bhat]).
+def torus_cohomology(a0, b0, A0, B0, check: bool = True):
+    """dim H^0 and dim H^2 of the torus with coefficients in V, the odd part of dimension d = 2mn.
 
-    The pair is an aligned abelian sector when Ahat and Bhat have one kernel,
-    that is, when stacking them adds no rank; equal ranks alone do not show
-    it, and any other pair raises ValueError.  Leading axes are a stack of
-    body pairs, as in ahat; the count is then an int array over the stack,
-    and one bad pair fails the whole call.
+    The bodies act on V by Ahat and Bhat.  H^0 = ker [Ahat; Bhat], so dim H^0 = d - B^1 with
+    B^1 = rank [Ahat; Bhat], the degree-1 gauge orbit (chi, mu) -> (chi + Ahat z, mu + Bhat z);
+    H^2 is the cokernel of the constraint (chi, mu) -> Ahat mu - Bhat chi, so
+    dim H^2 = d - rank [-Bhat, Ahat].  The constraint is ranked as its transpose
+    [-Bhat^T; Ahat^T], the same singular values and max(r, c), so both ranks are one
+    matrix_rank call on a (2, ..., 2d, d) stack.  Leading axes are a stack of body pairs, as
+    in ahat: the two dimensions are then int arrays over it, and ints for one pair.  check
+    raises ValueError when the bodies do not commute within DEFECT_TOL.
     """
-    a0, b0 = np.atleast_2d(a0), np.atleast_2d(b0)
-    A0, B0 = np.atleast_2d(A0), np.atleast_2d(B0)
-    if max(np.abs(a0 @ b0 - b0 @ a0).max(), np.abs(A0 @ B0 - B0 @ A0).max()) > DEFECT_TOL:
-        raise ValueError("holonomy bodies do not commute")
+    if check:
+        a0, b0 = np.atleast_2d(a0), np.atleast_2d(b0)
+        A0, B0 = np.atleast_2d(A0), np.atleast_2d(B0)
+        if max(np.abs(a0 @ b0 - b0 @ a0).max(), np.abs(A0 @ B0 - B0 @ A0).max()) > DEFECT_TOL:
+            raise ValueError("holonomy bodies do not commute")
     Ah, Bh = np.broadcast_arrays(ahat(a0, A0), ahat(b0, B0))
-    r, r_prime = matrix_rank(np.stack([Ah, Bh]))
-    # [Ahat; Bhat] has 2mn columns, so stacking adds no rank to a regular
-    # Ahat: only the singular members are ranked again, with no gather when
-    # all of them are
-    r_joint, singular = r, r < Ah.shape[-1]
-    if singular.all():
-        r_joint = matrix_rank(np.concatenate([Ah, Bh], axis=-2))
-    elif singular.any():
-        r_joint = r.copy()
-        r_joint[singular] = matrix_rank(np.concatenate([Ah[singular], Bh[singular]], axis=-2))
-    bad = np.flatnonzero(np.ravel((r != r_prime) | (r_joint != r)))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"rank(Ahat) = {np.ravel(r)[i]}, rank(Bhat) = {np.ravel(r_prime)[i]}, "
-            f"rank([Ahat; Bhat]) = {np.ravel(r_joint)[i]}; "
-            "the closed-form count applies to aligned abelian sectors only"
-        )
-    count = 2 * (Ah.shape[-1] - r)
-    return count if count.ndim else int(count)
+    AhT, BhT = np.swapaxes(Ah, -1, -2), np.swapaxes(Bh, -1, -2)
+    dims = Ah.shape[-1] - matrix_rank(np.stack([np.concatenate([Ah, Bh], axis=-2),
+                                                np.concatenate([-BhT, AhT], axis=-2)]))
+    return tuple(dims.tolist()) if dims.ndim == 1 else tuple(dims)
+
+
+def fermionic_moduli_count(a0, b0, A0, B0):
+    """Closed-form count 2 dim H^0 = 2(2mn - B^1), B^1 = rank [Ahat; Bhat] (see torus_cohomology).
+
+    The degree-1 count is dim H^1 = dim H^0 + dim H^2, as the torus has Euler characteristic 0,
+    and eta's odd block, an invariant symplectic form, gives the duality dim H^2 = dim H^0; so it
+    holds for every commuting pair, and on an aligned sector, rank Ahat = rank Bhat = B^1 = r, it
+    is the paper's 2(2mn - r).  Raises ValueError when the bodies do not commute.  Leading axes
+    are a stack of body pairs, as in ahat; the count is then an int array over the stack.
+    """
+    return 2 * torus_cohomology(a0, b0, A0, B0)[0]
 
 
 def fermionic_moduli_count_bruteforce(a0, b0, A0, B0):
@@ -386,15 +388,12 @@ def fermionic_moduli_count_bruteforce(a0, b0, A0, B0):
 
     First-order commutation ties the two fermion blocks by Ahat mu = Bhat chi;
     treating the theta coefficients as plain reals, the count is the solution
-    space dimension minus the dimension of the degree-1 gauge orbit
-    (chi, mu) -> (chi + Ahat z, mu + Bhat z).  Stacks as fermionic_moduli_count.
+    space dimension, 2d - rank [-Bhat, Ahat], minus the dimension B^1 of the
+    degree-1 gauge orbit: dim H^2 + dim H^0 (see torus_cohomology), with no
+    duality assumed and no commutator test.  Stacks as fermionic_moduli_count.
     """
-    Ah, Bh = ahat(a0, A0), ahat(b0, B0)
-    d = Ah.shape[-1]
-    constraint = np.concatenate([-Bh, Ah], axis=-1)     # acts on (chi_vec, mu_vec)
-    solution_dim = 2 * d - matrix_rank(constraint)
-    orbit_dim = matrix_rank(np.concatenate([Ah, Bh], axis=-2))
-    return solution_dim - orbit_dim
+    h0, h2 = torus_cohomology(a0, b0, A0, B0, check=False)
+    return h0 + h2
 
 
 def _real_expm(mat: np.ndarray) -> np.ndarray:
@@ -507,7 +506,7 @@ def sample_commuting_bodies(m: int, n: int, rng):
     """Commuting (a0, b0, A0, B0) drawn from one abelian direction.
 
     Both holonomies exponentiate multiples of the same o(m) and sp(2n)
-    generators (the aligned sectors the moduli count applies to), with
+    generators (aligned sectors, where the count is 2(2mn - r)), with
     random overall sign flips and nilpotent or vanishing directions to
     exercise rank-deficient cases, plus a random simultaneous conjugation.
     """

@@ -100,6 +100,8 @@ class SuperAlgebra:
 
     def __post_init__(self):
         dim, f, eta = len(self.labels), _frozen(self.f), _frozen(self.eta)
+        if dim == 0:
+            raise ValueError("a super Lie algebra needs at least one generator")
         if len(self.parities) != dim:
             raise ValueError(f"parities has {len(self.parities)} entries for {dim} labels")
         if any(p not in (0, 1) for p in self.parities):

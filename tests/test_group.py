@@ -32,6 +32,8 @@ from superholonomy.group import (
     rotation,
     sample_commuting_bodies,
     sector_representative,
+    sector_representatives,
+    torus_cohomology,
     _real_expm,
 )
 from superholonomy.checks import moduli_counts
@@ -370,23 +372,23 @@ class TestModuliCount:
         with pytest.raises(ValueError):
             fermionic_moduli_count(np.eye(2), np.eye(2), rotation(0.3), np.diag([2.0, 0.5]))
 
-    def test_equal_ranks_with_other_kernels_rejected(self):
+    def test_equal_ranks_with_other_kernels_count_zero(self):
         # a commuting OSp(2|2) pair whose Ahat and Bhat both have rank 3 but
-        # different kernels, so [Ahat; Bhat] has rank 4: the degree-1 count is
-        # 0, not the 2(4 - 3) = 2 that equal ranks alone would give
+        # different kernels, so [Ahat; Bhat] has rank 4 and H^0 = 0: both
+        # routes give 0, not the 2(4 - 3) = 2 that equal ranks alone would give
         a0, b0 = np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])
         A0, B0 = -np.array([[1.0, 0.5], [0.0, 1.0]]), -np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert matrix_rank(np.stack([ahat(a0, A0), ahat(b0, B0)])).tolist() == [3, 3]
+        assert fermionic_moduli_count(a0, b0, A0, B0) == 0
         assert fermionic_moduli_count_bruteforce(a0, b0, A0, B0) == 0
-        with pytest.raises(ValueError, match=r"rank\(Ahat\) = 3, rank\(Bhat\) = 3, rank\(\[Ahat; Bhat\]\) = 4"):
-            fermionic_moduli_count(a0, b0, A0, B0)
-        # in a stack, the pair fails the whole call, next to a singular (count
-        # 4) or a regular (count 0) aligned pair
+        # in a stack, next to a singular (count 4) or a regular (count 0)
+        # aligned pair, each member keeps its own count
         singular = (rotation(0.4), rotation(1.1), rotation(0.4), rotation(1.1))
         regular = (a0, b0, np.diag([2.0, 0.5]), np.diag([0.25, 4.0]))
         for aligned, count in ((singular, 4), (regular, 0)):
-            with pytest.raises(ValueError, match="aligned abelian sectors only"):
-                fermionic_moduli_count(*(np.stack([x, y]) for x, y in zip(aligned, (a0, b0, A0, B0))))
-            assert fermionic_moduli_count(*(np.stack([x, x]) for x in aligned)).tolist() == [count, count]
+            stacked = [np.stack([x, y]) for x, y in zip(aligned, (a0, b0, A0, B0))]
+            assert fermionic_moduli_count(*stacked).tolist() == [count, 0]
+            assert fermionic_moduli_count_bruteforce(*stacked).tolist() == [count, 0]
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
     def test_closed_form_equals_bruteforce(self, m, n):
@@ -609,7 +611,7 @@ class TestStacks:
         rng = np.random.default_rng(3)
         mats = np.array([rng.normal(size=(4, r)) @ rng.normal(size=(r, 6)) for r in (0, 1, 2, 3, 4)])
         ranks = matrix_rank(mats.reshape(5, 1, 4, 6))
-        assert ranks.shape == (5, 1)
+        assert ranks.shape == (5, 1) and ranks.dtype == np.intp
         assert ranks[:, 0].tolist() == [matrix_rank(mat) for mat in mats] == [0, 1, 2, 3, 4]
         assert isinstance(matrix_rank(mats[2]), int)
 
@@ -642,6 +644,36 @@ class TestStacks:
             loop.append((fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies)))
         assert counts == loop
         assert all(type(x) is int for pair in loop for x in pair)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_torus_cohomology_equals_per_pair_ranks(self, m, n):
+        # the stacked joint rank against each pair's [Ahat; Bhat] and the
+        # untransposed constraint [-Bhat, Ahat], each ranked on its own; the
+        # (1|2), (1|4) and (3|4) draws include singular pairs, (2|2)'s do not
+        bodies = commuting_bodies(m, n, [np.random.default_rng(s) for s in range(40)])
+        h0, h2 = torus_cohomology(*bodies)
+        d = 2 * m * n
+        for k, (a0, b0, A0, B0) in enumerate(zip(*bodies)):
+            Ah, Bh = ahat(a0, A0), ahat(b0, B0)
+            assert d - h0[k] == matrix_rank(np.concatenate([Ah, Bh]))
+            assert d - h2[k] == matrix_rank(np.concatenate([-Bh, Ah], axis=1))
+            assert torus_cohomology(a0, b0, A0, B0) == (h0[k], h2[k])
+
+    def test_one_svd_call_per_sweep(self, monkeypatch):
+        # moduli_counts ranks every pair's orbit and constraint in one call;
+        # from_stack adds one call for the brute force to its ranks of Ahat and Bhat
+        shapes, svd = [], np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        res = moduli_counts(1, 2, [np.random.default_rng(s) for s in range(50)])
+        assert res["passed"] and shapes == [(2, 50, 8, 4)]
+        shapes.clear()
+        assert [pair.moduli for pair in sector_representatives(enumerate_sectors_osp12().fermionic_sectors)] == [2] * 4
+        assert shapes == [(4, 2, 2, 2), (2, 4, 4, 2)]
 
     def test_shared_generator_keeps_its_stream(self):
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)

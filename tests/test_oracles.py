@@ -32,10 +32,11 @@ routes it replaced: the block-sign supertranspose, then the body product by
 H, then the product with M, and the gather with the residual over the whole
 (2^N, d, d) array.
 
-The two fermionic moduli counts are checked against an exact rank: Gauss-Jordan
-elimination over ``fractions.Fraction`` of Ahat and Bhat, built entry by entry
-from bodies whose float entries are the intended rationals.  It shares no code
-with ``matrix_rank`` and no numpy linear algebra.
+The two fermionic moduli counts are checked against the exact cohomology of the
+torus, dim H^0, H^1 and H^2, ranked by Gauss-Jordan elimination over
+``fractions.Fraction`` of Ahat and Bhat, built entry by entry from bodies whose
+float entries are the intended rationals.  It shares no code with
+``matrix_rank`` and no numpy linear algebra.
 """
 
 import dataclasses
@@ -1436,15 +1437,26 @@ def exact_ahat(a0, A0):
             for i in range(m) for p in range(two_n)]
 
 
-def exact_count(a0, b0, A0, B0) -> int:
-    """2(2mn - r) with r the exact rank of Ahat, which equals that of Bhat; the exact
-    degree-1 system (see fermionic_moduli_count_bruteforce) gives the same count."""
+def exact_product(X, Y):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*Y)] for row in X]
+
+
+def exact_cohomology(a0, b0, A0, B0) -> tuple[int, int, int]:
+    """dim H^0, H^1 and H^2 of the torus with coefficients in V = R^2mn, the bodies acting by Ahat and Bhat.
+
+    The cochains are V -> V^2 -> V with d0 z = (Ahat z, Bhat z) and d1 (chi, mu) = Ahat mu - Bhat chi.
+    d1 d0 = Ahat Bhat - Bhat Ahat vanishes exactly, so B^1 = im d0 lies in Z^1 = ker d1 and
+    H^1 = Z^1 / B^1.  chi = 0 is then rank-nullity; H^2 = H^0 is the duality the closed-form count
+    rests on, checked here rather than assumed.
+    """
     Ah, Bh = exact_ahat(a0, A0), exact_ahat(b0, B0)
-    r, d = exact_rank(Ah), len(Ah)
-    assert exact_rank(Bh) == r
-    solution_dim = 2 * d - exact_rank([[-v for v in b] + a for a, b in zip(Ah, Bh)])
-    assert solution_dim - exact_rank(Ah + Bh) == 2 * (d - r)
-    return 2 * (d - r)
+    assert exact_product(Ah, Bh) == exact_product(Bh, Ah)
+    d, b1 = len(Ah), exact_rank(Ah + Bh)
+    z1 = 2 * d - exact_rank([[-v for v in b] + a for a, b in zip(Ah, Bh)])
+    h0, h1, h2 = d - b1, z1 - b1, z1 - d
+    assert h0 - h1 + h2 == 0
+    assert h2 == h0
+    return h0, h1, h2
 
 
 def lift(P):
@@ -1466,11 +1478,19 @@ DYADIC_BODIES = {
     "(1|4) half hyperbolic": (1.0, 1.0, lift(np.diag([2.0, 1.0])), lift(np.diag([4.0, 1.0])), 4),
     "(1|4) hyperbolic": (1.0, 1.0, lift(np.diag([2.0, 4.0])), lift(np.diag([8.0, 2.0])), 0),
     "(1|4) minus identity": (-1.0, -1.0, -np.eye(4), -np.eye(4), 8),
+    # rank 3 and 3 but different kernels, so [Ahat; Bhat] has rank 4
+    "(2|2) equal ranks, other kernels": (np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), -parabolic(0.5),
+                                         -parabolic(1.0), 0),
+    # rational c, exact in float64 only as the nearest binary fraction, which
+    # is what both the exact and the float routes read
+    "(1|2) parabolic, c = 1/3 and 2/7": (1.0, 1.0, parabolic(1 / 3), parabolic(2 / 7), 2),
+    "(1|2) parabolic and identity": (1.0, 1.0, parabolic(5 / 3), np.eye(2), 2),
+    "(1|2) parabolic, reflected a0": (-1.0, 1.0, parabolic(5 / 3), parabolic(-1 / 9), 0),
 }
 
 
 class TestExactRank:
-    """Both moduli counts against 2(2mn - r) with r ranked exactly over the rationals."""
+    """Both moduli counts against the torus cohomology ranked exactly over the rationals."""
 
     def test_elimination(self):
         assert exact_rank([[1, 2], [2, 4]]) == 1
@@ -1486,17 +1506,27 @@ class TestExactRank:
             assert np.array_equal(g.T @ C @ g, C)
         for g in (np.atleast_2d(a0), np.atleast_2d(b0)):
             assert np.array_equal(g.T @ g, np.eye(len(g)))
-        assert exact_count(a0, b0, A0, B0) == want
-        assert fermionic_moduli_count(a0, b0, A0, B0) == want
-        assert fermionic_moduli_count_bruteforce(a0, b0, A0, B0) == want
+        h0, h1, h2 = exact_cohomology(a0, b0, A0, B0)
+        assert h1 == want == 2 * h0
+        assert fermionic_moduli_count(a0, b0, A0, B0) == 2 * h0
+        assert fermionic_moduli_count_bruteforce(a0, b0, A0, B0) == h1
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_fermionic_sector_representatives(self, k):
+        # the four osp(1|2) fermionic sectors: eps * parabolic bodies with a0 = eps
+        pair = sector_representatives(enumerate_sectors_osp12().fermionic_sectors)[k]
+        (a0, A0), (b0, B0) = ((U.coeffs[0, :1, :1], U.coeffs[0, 1:, 1:]) for U in (pair.U1, pair.U2))
+        assert exact_cohomology(a0, b0, A0, B0) == (1, 2, 1)
+        assert pair.moduli == fermionic_moduli_count(a0, b0, A0, B0) == 2
+        assert fermionic_moduli_count_bruteforce(a0, b0, A0, B0) == 2
 
     @pytest.mark.parametrize("k", range(1, 45))
     def test_dyadic_hyperbolic_family(self, k):
         # A0 = diag(2^k, 2^-k), B0 = diag(2^(k+1), 2^-(k+1)): Ahat is regular at
         # every k.  Both routes count it up to k = 36 and raise from k = 37 to 44.
-        # From k = 45 they go silently wrong, which no test pins
+        # From k = 45 both give 2, silently wrong, which no test pins
         A0, B0 = np.diag([2.0 ** k, 2.0 ** -k]), np.diag([2.0 ** (k + 1), 2.0 ** -(k + 1)])
-        assert exact_count(1.0, 1.0, A0, B0) == 0
+        assert exact_cohomology(1.0, 1.0, A0, B0) == (0, 0, 0)
         for count in (fermionic_moduli_count, fermionic_moduli_count_bruteforce):
             if k <= 36:
                 assert count(1.0, 1.0, A0, B0) == 0

@@ -537,6 +537,15 @@ class TestImmutableAlgebra:
             assert not arr.flags.writeable
         assert build() is alg and check_closure(alg).passed
 
+    def test_zero_dimensional_rejected(self, osp12):
+        # no generators: check_closure would divide by the zero slab size
+        with pytest.raises(ValueError, match="at least one generator"):
+            SuperAlgebra(labels=(), parities=(), f=np.zeros((0, 0, 0)), eta=np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="at least one generator"):
+            dataclasses.replace(osp12, labels=(), parities=(), f=np.zeros((0, 0, 0)), eta=np.zeros((0, 0)), rep=None)
+        with pytest.raises(ValueError, match="at least one generator"):
+            SuperAlgebra.from_json_dict({**osp12.to_json_dict(), "labels": [], "parities": [], "f": [], "eta": []})
+
     def test_replace_is_a_new_algebra(self, osp12):
         copy = dataclasses.replace(osp12)
         assert copy != osp12 and copy == copy and len({osp12, copy}) == 2
