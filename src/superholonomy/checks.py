@@ -16,6 +16,7 @@ from .group import (
     ahat,
     commuting_bodies,
     fermionic_moduli_count,
+    integers_from_random,
     rotation,
     sp_from_random,
     torus_cohomology,
@@ -73,15 +74,17 @@ def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
 
     Each sample draws phi and its sp(2) generator's S as one random(5) call
     (the stream of uniform(0, 2 pi) then uniform(-0.7, 0.7, (2, 2))) and its
-    sign as integers(2); the maps, exponentials, operators and determinants
-    are then one stacked call each.
+    sign as one float32 draw, which reads what integers(2) reads (see
+    integers_from_random); the maps, exponentials, operators and
+    determinants are then one stacked call each.
     """
-    draws, flips = np.empty((samples, 5)), np.empty(samples)
-    for k in range(samples):
-        rng.random(out=draws[k])
-        flips[k] = rng.integers(2, dtype=np.int32)
+    draws, half = np.empty((samples, 5)), np.empty((samples, 1), dtype=np.float32)
+    for d, h in zip(draws, half):
+        rng.random(out=d)
+        rng.random(out=h, dtype=np.float32)
     phi = uniform_from_random(draws[:, 0], 0.0, 2 * np.pi)
-    A0 = _real_expm(sp_from_random(draws[:, 1:].reshape(-1, 2, 2), 0.7)) * (2.0 * flips - 1.0)[:, None, None]
+    flips = 2.0 * integers_from_random(half[:, 0], 2) - 1.0
+    A0 = _real_expm(sp_from_random(draws[:, 1:].reshape(-1, 2, 2), 0.7)) * flips[:, None, None]
     c, s = np.cos(phi), np.sin(phi)
     a0 = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     det = np.linalg.det(ahat(a0, A0))

@@ -415,6 +415,17 @@ def uniform_from_random(u, lo: float, hi: float):
     return lo + (hi - lo) * u
 
 
+def integers_from_random(h, high: int):
+    """rng.integers(high) values from raw float32 draws h = rng.random(dtype=np.float32), high = 2**j, 1 <= j <= 24.
+
+    Both read one 32-bit half u of the generator's 64-bit output, the second
+    half buffered for the next 32-bit draw of either kind; integers gives
+    u >> (32 - j) and random (u >> 8) 2^-24, so the value is floor(high h),
+    exactly.  Returns an int64 array of h's shape.
+    """
+    return (np.asarray(h) * high).astype(np.int64)
+
+
 def sp_from_random(u: np.ndarray, scale: float) -> np.ndarray:
     """C (S + S^T), S = rng.uniform(-scale, scale, shape) read from its raw draws u = rng.random(shape).
 
@@ -423,15 +434,6 @@ def sp_from_random(u: np.ndarray, scale: float) -> np.ndarray:
     """
     S = uniform_from_random(u, -scale, scale)
     return symplectic_form(u.shape[-1]) @ (S + np.swapaxes(S, -1, -2))
-
-
-def coins(rng, k: int) -> list:
-    """k draws of rng.integers(2), the stream of one integers(2, size=k) call.
-
-    Both take one 32-bit draw per value; k scalar int32 calls cost about a
-    third of the sized call.
-    """
-    return [rng.integers(2, dtype=np.int32) for _ in range(k)]
 
 
 def random_sp(two_n: int, rng) -> np.ndarray:
@@ -444,15 +446,20 @@ def commuting_bodies(m: int, n: int, rngs):
 
     The stream contract: each sample reads only its own generator (the CLI
     spawns one per sample from SeedSequence(seed)), in this fixed order of
-    calls: random((m, m)) for K, integers(4) for the kind, random((2n, 2n))
-    for S when the kind draws one (0 or 3), random(2) and two integers(2) for
-    t and its signs, random(2) and four integers(2) for u, its signs and the
-    two overall signs, random((m, m)) for L and random((2n, 2n)) for the
-    conjugating sp(2n) generator.  The moduli and report JSON bytes depend on
-    that order, so only call shapes that read the same stream may change:
-    random(k) reads what uniform(lo, hi, k) reads, and k calls of
-    integers(2), of either integer dtype, what one call of size k reads.  A
-    generator repeated in rngs continues its stream, as in a one-sample loop.
+    draws: the m*m doubles of K, one 32-bit draw for the kind, the 4n^2
+    doubles of S when the kind draws one (0 or 3), two doubles for t, two
+    32-bit draws for t's signs, two doubles for u, four 32-bit draws for u's
+    signs and the two overall signs, the m*m doubles of L and the 4n^2 of
+    the conjugating sp(2n) generator P.  The moduli and report JSON bytes
+    depend on that order, so only call shapes that read the same stream may
+    change: random(k) reads what uniform(lo, hi, k) reads, adjacent random
+    calls what one call of their total size reads, and k float32 draws read
+    what k integers(2**j) calls read, of either integer dtype, or one call of
+    size k (see integers_from_random).  Each sample makes seven calls:
+    random into its row of doubles K | S t | u | L P for K, [S] t, u and
+    L P, and float32 draws of sizes 1, 2 and 4 for the kind and the signs.
+    A generator repeated in rngs continues its stream, as in a one-sample
+    loop.
 
     All the arithmetic then runs once over the stack: the uniform maps, the
     kinds as masks, the exponentials, sign flips and conjugations.  Returns
@@ -462,22 +469,25 @@ def commuting_bodies(m: int, n: int, rngs):
     if not rngs:
         raise ValueError("at least one sample is required")
     two_n = 2 * n
-    K, L = np.empty((2, len(rngs), m, m))
-    S, P = np.zeros((2, len(rngs), two_n, two_n))
-    t, u = np.empty((2, len(rngs), 2))
-    kind = np.empty(len(rngs), dtype=np.int64)
-    bits = np.empty((len(rngs), 6))
-    for k, rng in enumerate(rngs):
-        rng.random(out=K[k])
-        kind[k] = rng.integers(4, dtype=np.int32)
-        if kind[k] % 3 == 0:
-            rng.random(out=S[k])
-        rng.random(out=t[k])
-        bits[k, :2] = coins(rng, 2)
-        rng.random(out=u[k])
-        bits[k, 2:] = coins(rng, 4)
-        rng.random(out=L[k])
-        rng.random(out=P[k])
+    # row: K | S t | u | L P, S left zero when the kind draws none; half: the kind and six signs
+    s0 = m * m
+    t0 = s0 + two_n * two_n
+    u0, l0 = t0 + 2, t0 + 4
+    row = np.zeros((len(rngs), l0 + s0 + two_n * two_n))
+    half = np.empty((len(rngs), 7), dtype=np.float32)
+    for r, h, rng in zip(row, half, rngs):
+        rng.random(out=r[:s0])
+        rng.random(out=h[:1], dtype=np.float32)
+        rng.random(out=r[t0 if 0.25 <= h[0] < 0.75 else s0:u0])    # kinds 1 and 2 draw no S
+        rng.random(out=h[1:3], dtype=np.float32)
+        rng.random(out=r[u0:l0])
+        rng.random(out=h[3:], dtype=np.float32)
+        rng.random(out=r[l0:])
+    kind = integers_from_random(half[:, 0], 4)
+    signs = 2.0 * integers_from_random(half[:, 1:], 2) - 1.0
+    K, L = (row[:, i:i + s0].reshape(-1, m, m) for i in (0, l0))
+    S, P = (row[:, i:i + two_n * two_n].reshape(-1, two_n, two_n) for i in (s0, l0 + s0))
+    t, u = row[:, t0:u0], row[:, u0:l0]
     C = symplectic_form(two_n)
     K = uniform_from_random(K, -1.0, 1.0)
     K = K - np.swapaxes(K, -1, -2)
@@ -488,7 +498,6 @@ def commuting_bodies(m: int, n: int, rngs):
     nilpotent[0, 0] = 1.0
     Hs[kind == 1] = C @ nilpotent   # parabolic-type blocks
     Hs[kind == 2] = 0.0             # a vanishing sp(2n) direction
-    signs = 2.0 * bits - 1.0
     t = uniform_from_random(t, 0.2, 1.2) * signs[:, :2]
     u = uniform_from_random(u, 0.2, 1.2) * signs[:, 2:4]
     L = uniform_from_random(L, -1.0, 1.0)
@@ -507,8 +516,14 @@ def sample_commuting_bodies(m: int, n: int, rng):
 
     Both holonomies exponentiate multiples of the same o(m) and sp(2n)
     generators (aligned sectors, where the count is 2(2mn - r)), with
-    random overall sign flips and nilpotent or vanishing directions to
-    exercise rank-deficient cases, plus a random simultaneous conjugation.
+    random overall sign flips and nilpotent or vanishing directions, plus a
+    random simultaneous conjugation.  Rank-deficient pairs (dim H^0 > 0)
+    come only at odd m, where the antisymmetric K has a zero eigenvalue, so
+    exp(uK) keeps an eigenvalue +-1 for the parabolic (kind 1) and vanishing
+    (kind 2) sp(2n) directions to meet.  At even m every draw is regular,
+    with count 0: kinds 1 and 2 keep a nonzero K, whose exponential has no
+    eigenvalue +-1 for a generic draw, kind 3 zeroes K but draws a generic
+    sp(2n) direction, and kind 0 draws both generic.
     """
     return tuple(body[0] for body in commuting_bodies(m, n, [rng]))
 

@@ -594,6 +594,21 @@ def _kron_ahat(a0, A0):
     return np.kron(a0.T, np.eye(len(A0))) - np.kron(np.eye(len(a0)), A0)
 
 
+class RandomOnly:
+    """A seeded Generator that counts its random calls and refuses every other method."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the sampler called Generator.{name}")
+
+
 class TestStacks:
     """The stacked moduli path against the one-matrix forms it replaces."""
 
@@ -674,6 +689,28 @@ class TestStacks:
         shapes.clear()
         assert [pair.moduli for pair in sector_representatives(enumerate_sectors_osp12().fermionic_sectors)] == [2] * 4
         assert shapes == [(4, 2, 2, 2), (2, 4, 4, 2)]
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_seven_random_calls_per_sample(self, m, n):
+        # the kinds that draw S (0 and 3) and those that do not (1 and 2) make the same
+        # seven calls, and the counted generators give the plain generators' bodies
+        rngs = [RandomOnly(s) for s in range(40)]
+        got = commuting_bodies(m, n, rngs)
+        kinds = set()
+        for s in range(40):
+            ref = np.random.default_rng(s)
+            ref.random((m, m))
+            kinds.add(int(ref.integers(4)))
+        assert kinds == {0, 1, 2, 3}
+        assert [rng.calls for rng in rngs] == [7] * 40
+        want = commuting_bodies(m, n, [np.random.default_rng(s) for s in range(40)])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_two_random_calls_per_rotation_sample(self):
+        rng = RandomOnly(8)
+        res = checks.osp22_rotation_det(rng, 37, 1e-10)
+        assert rng.calls == 2 * 37
+        assert res == checks.osp22_rotation_det(np.random.default_rng(8), 37, 1e-10)
 
     def test_shared_generator_keeps_its_stream(self):
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)

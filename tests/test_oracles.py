@@ -55,9 +55,10 @@ from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNot
                                      NonInvertibleError, ParityPatternError, RankUndecidedError, canonical, grade_signs,
                                      graded_inverse, graded_matmul, pattern_mask, random_element, taylor_sum)
 from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, ahat, ahat_det_rank,
-                                 build_nonexp_holonomy, coins, commuting_bodies, enumerate_sectors_osp12,
-                                 fermionic_moduli_count, fermionic_moduli_count_bruteforce, parabolic, rotation,
-                                 sector_representative, sector_representatives, uniform_from_random)
+                                 build_nonexp_holonomy, commuting_bodies, enumerate_sectors_osp12,
+                                 fermionic_moduli_count, fermionic_moduli_count_bruteforce, integers_from_random,
+                                 parabolic, rotation, sector_representative, sector_representatives,
+                                 uniform_from_random)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
 from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0,
                                     SIGMA1, SIGMA2, _osp12_candidate, _osp12_relation_residual,
@@ -1156,7 +1157,7 @@ def _loop_osp22_rotation_det(rng, samples, tol):
 
 class TestRandomSigns:
     """The loop oracle's signs replaced rng.choice([-1.0, 1.0], size), and the
-    library's coins replace them; all read the same values from the same stream."""
+    library's float32 draws replace them; all read the same values from the same stream."""
 
     @pytest.mark.parametrize("size", [None, 1, 2, 5])
     def test_same_values_and_stream_as_choice(self, size):
@@ -1168,12 +1169,20 @@ class TestRandomSigns:
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_coins_read_one_sized_call(self, k):
-        # an odd count leaves half a 64-bit draw buffered for the next call
+    def test_integers_from_random(self, k):
+        # k float32 draws read what k integers(high) calls, or one call of size k, read;
+        # an odd count leaves half a 64-bit draw buffered for the next 32-bit call,
+        # and a double drawn in between leaves it there
         for seed in range(300):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert coins(rng, k) == ref.integers(0, 2, k).tolist()
-            assert rng.integers(4) == ref.integers(4) and rng.random() == ref.random()
+            for high, dtype in itertools.product((2, 4), (np.int32, np.int64)):
+                rng, ref, sized = (np.random.default_rng(seed) for _ in range(3))
+                got = integers_from_random(rng.random(k, dtype=np.float32), high)
+                assert got.dtype == np.int64 and got.shape == (k,)
+                assert got.tolist() == [ref.integers(high, dtype=dtype) for _ in range(k)]
+                assert got.tolist() == sized.integers(0, high, k, dtype=dtype).tolist()
+                assert rng.random() == ref.random() == sized.random()
+                assert integers_from_random(rng.random(dtype=np.float32), high) == ref.integers(high, dtype=dtype)
+                assert rng.integers(4) == ref.integers(4) and rng.random() == ref.random()
 
     def test_uniform_from_random(self):
         for seed in range(100):
