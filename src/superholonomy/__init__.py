@@ -4,21 +4,16 @@ from .grassmann import GrassmannElement, NonInvertibleError, RankUndecidedError
 from .group import (
     GaugeFixResidualError,
     HolonomyPair,
-    HypothesisError,
     OspGroup,
     SectorDescriptor,
     SectorReport,
     SingularGaugeOperatorError,
     ahat,
-    ahat_det_rank,
     build_nonexp_holonomy,
-    commuting_pair_forces_diagonal,
-    det_conjugation_invariance,
     enumerate_sectors_osp12,
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
     gauge_fix_sigma,
-    sample_commuting_bodies,
     sector_representative,
 )
 from .phase import (
@@ -38,10 +33,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ExpmNotConvergedError",
     "GaugeFixResidualError",
-    "GrassmannElement",
     "GradedPolynomial",
+    "GrassmannElement",
     "HolonomyPair",
-    "HypothesisError",
     "NonInvertibleError",
     "OspGroup",
     "ParityPatternError",
@@ -52,15 +46,13 @@ __all__ = [
     "SingularGaugeOperatorError",
     "SuperAlgebra",
     "SuperMatrix",
+    "__version__",
     "ahat",
-    "ahat_det_rank",
     "build_nonexp_holonomy",
     "build_osp",
     "build_osp12",
     "check_closure",
     "commutator",
-    "commuting_pair_forces_diagonal",
-    "det_conjugation_invariance",
     "enumerate_sectors_osp12",
     "exponential_sector_moduli",
     "fermionic_moduli_count",
@@ -69,7 +61,5 @@ __all__ = [
     "gauge_fix_sigma",
     "gauge_fixing_check",
     "osp12_exponential_sector",
-    "sample_commuting_bodies",
     "sector_representative",
-    "__version__",
 ]

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grassmann import EXACT_TOL, graded_inverse, graded_matmul, stack_chunk
+from .grassmann import EXACT_TOL, graded_inverse, graded_matmul, real_expm, stack_chunk
 from .group import (
     SectorReport,
-    _real_expm,
     ahat,
     commuting_bodies,
     fermionic_moduli_count,
@@ -84,7 +83,7 @@ def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
         rng.random(out=h, dtype=np.float32)
     phi = uniform_from_random(draws[:, 0], 0.0, 2 * np.pi)
     flips = 2.0 * integers_from_random(half[:, 0], 2) - 1.0
-    A0 = _real_expm(sp_from_random(draws[:, 1:].reshape(-1, 2, 2), 0.7)) * flips[:, None, None]
+    A0 = real_expm(sp_from_random(draws[:, 1:].reshape(-1, 2, 2), 0.7)) * flips[:, None, None]
     c, s = np.cos(phi), np.sin(phi)
     a0 = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     det = np.linalg.det(ahat(a0, A0))

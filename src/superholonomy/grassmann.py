@@ -10,9 +10,10 @@ floating error.
 Every product, of elements or of matrices over B_N, is one signed subset
 convolution, ``graded_matmul``, on dense coefficient arrays with the monomial
 mask on axis -3, every inverse is ``graded_inverse`` and every exponential
-``graded_expm``.  An even supermatrix, declared by its block size m, is held
-on the two parity blocks of its regular representation (``EvenSplit``), so a
-product is two BLAS calls; every other input takes the pair-table kernel.
+``graded_expm``, or ``real_expm`` for a real matrix.  An even supermatrix,
+declared by its block size m, is held on the two parity blocks of its
+regular representation (``EvenSplit``), so a product is two BLAS calls;
+every other input takes the pair-table kernel.
 All take leading stack axes, as numpy gufuncs do, and give each member of a
 stack its one-matrix result bit for bit.
 GrassmannElement keeps the sparse {mask: coefficient} form as its public
@@ -542,6 +543,20 @@ def scaling_squaring_expm(x: np.ndarray, body: np.ndarray, taylor, square) -> np
     return acc
 
 
+def real_expm(mat: np.ndarray) -> np.ndarray:
+    """exp of a small dense real matrix through the shared scaling-and-squaring loop.
+
+    A stack (..., d, d) is exponentiated in one pass, each member with its
+    own squaring count and its own series length, so each is bit-equal to
+    its one-matrix exponential (see scaling_squaring_expm).
+    """
+    mat = np.asarray(mat, dtype=float)
+    identity = np.broadcast_to(np.eye(mat.shape[-1]), mat.shape)
+    return scaling_squaring_expm(
+        mat, mat, lambda x: taylor_sum(lambda t: np.matmul(t, x), identity, 2, TAYLOR_CUTOFF, 80),
+        lambda a: np.matmul(a, a))
+
+
 def graded_expm(coeffs: np.ndarray, m: int | None, max_terms: int = 80,
                 check: bool = True) -> np.ndarray:
     """exp of a (..., 2^N, d, d) coefficient array with the graded product.
@@ -772,12 +787,3 @@ class GrassmannElement:
             mono = "".join(f"t{i}" for i in idx)
             parts.append(f"{coeff:g}" if not mono else f"{coeff:g}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def random_element(rng, n: int, parity: int | None = None, scale: float = 1.0) -> GrassmannElement:
-    """Random element with uniform coefficients, optionally parity-homogeneous."""
-    terms = {}
-    for mask in range(1 << n):
-        if parity is None or mask.bit_count() & 1 == parity:
-            terms[mask] = rng.uniform(-scale, scale)
-    return GrassmannElement(n, terms)

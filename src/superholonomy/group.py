@@ -22,9 +22,9 @@ from itertools import product
 
 import numpy as np
 
-from .grassmann import (DEFECT_TOL, TAYLOR_CUTOFF, _split_slices, canonical, even_route, grade_signs, graded_expm,
-                        graded_inverse, graded_matmul, matrix_rank, scaling_squaring_expm, stack_chunk, taylor_sum)
-from .supermatrix import SuperMatrix, body_array, commutator, signed_gather, transpose_plan
+from .grassmann import (DEFECT_TOL, MAX_GENERATORS, _split_slices, canonical, even_route, grade_signs, graded_expm,
+                        graded_inverse, graded_matmul, matrix_rank, real_expm, stack_chunk)
+from .supermatrix import SuperMatrix, body_array, signed_gather, transpose_plan
 from .superlie import (
     OSP12_DIRECTIONS,
     SIGMA1,
@@ -56,10 +56,6 @@ class GaugeFixResidualError(RuntimeError):
         self.residual, self.tol = residual, tol
 
 
-class HypothesisError(ValueError):
-    """An operation's structural hypotheses are violated by the inputs."""
-
-
 def rotation(phi: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
@@ -80,6 +76,10 @@ class OspGroup:
     m: int
     n: int
     ngen: int = 2
+
+    def __post_init__(self):
+        if not 0 <= self.ngen <= MAX_GENERATORS:
+            raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}, got {self.ngen}")
 
     @property
     def two_n(self) -> int:
@@ -171,12 +171,6 @@ class OspGroup:
         return -graded_matmul(at_inv, graded_matmul(np.swapaxes(chi, -1, -2), CA))
 
     # ------------------------------------------------------------------
-    def reflection_component(self) -> SuperMatrix:
-        """A representative of the det(a0) = -1 component of O(m)."""
-        body = np.eye(self.m + self.two_n)
-        body[0, 0] = -1.0
-        return SuperMatrix.from_body(body, self.m, self.two_n, self.ngen)
-
     def sample_stack(self, rngs, components: bool = True) -> np.ndarray:
         """sample_member for each generator of rngs, as one coefficient stack.
 
@@ -189,7 +183,7 @@ class OspGroup:
         """
         alg = self.algebra()
         odd_masks = grade_signs(self.ngen)[:, 0, 0] < 0
-        # random_element's order: generators in basis order, inside each the
+        # the draw order: generators in basis order, inside each the
         # monomials of its parity in mask order; one rng.uniform call of k
         # values reads the stream of k scalar calls
         slots = np.flatnonzero(odd_masks[None, :] == alg.odd_mask[:, None])
@@ -246,24 +240,6 @@ def ahat(a0: np.ndarray, A0: np.ndarray) -> np.ndarray:
     return op.reshape(*op.shape[:-4], m * two_n, m * two_n)
 
 
-def ahat_det_rank(a0: np.ndarray, A0: np.ndarray) -> tuple[float, int]:
-    op = ahat(a0, A0)
-    return float(np.linalg.det(op)), matrix_rank(op)
-
-
-def det_conjugation_invariance(a0: np.ndarray, A0: np.ndarray,
-                               S0: np.ndarray) -> tuple[float, float]:
-    """det(a0^T x I - I x S0 A0 S0^-1) and det(a0^T x I - I x A0).
-
-    The two agree because I (x) S0 conjugates one operator into the other.
-    """
-    S0 = np.atleast_2d(np.asarray(S0, dtype=float))
-    if matrix_rank(S0) < len(S0):
-        raise ValueError("conjugating matrix is singular")
-    conjugated = S0 @ np.atleast_2d(A0) @ np.linalg.inv(S0)
-    return float(np.linalg.det(ahat(a0, conjugated))), float(np.linalg.det(ahat(a0, A0)))
-
-
 # ----------------------------------------------------------------------
 # gauge fixing of the fermion block
 # ----------------------------------------------------------------------
@@ -275,8 +251,7 @@ class GaugeFixResult:
     degrees_solved: tuple[int, ...]
 
 
-def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
-                    S0_seed: SuperMatrix | None = None) -> GaugeFixResult:
+def gauge_fix_sigma(group: OspGroup, U: SuperMatrix) -> GaugeFixResult:
     """Conjugate U into block-diagonal form, annihilating the chi block.
 
     Works degree by degree in the Grassmann grading: at odd degree d the
@@ -288,9 +263,7 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
     the chi block ends above DEFECT_TOL.
     """
     m, two_n, ngen = group.m, group.two_n, group.ngen
-    S = S0_seed if S0_seed is not None else SuperMatrix.identity(m, two_n, ngen)
-    if S0_seed is not None:
-        U = S0_seed @ U @ S0_seed.inverse()
+    S = SuperMatrix.identity(m, two_n, ngen)
     a0, A0 = U.body_blocks()
     op = ahat(a0, A0)
     if matrix_rank(op) < 2 * group.m * group.n:
@@ -318,29 +291,10 @@ def gauge_fix_sigma(group: OspGroup, U: SuperMatrix,
         U = T @ U @ T.inverse()
         S = T @ S
         solved.append(degree)
-    residual = _block_max_abs(U, "chi")
+    residual = float(np.abs(U.block_coeffs("chi")).max(initial=0.0))
     if residual > DEFECT_TOL:
         raise GaugeFixResidualError(residual, DEFECT_TOL)
     return GaugeFixResult(S=S, U_fixed=U, degrees_solved=tuple(solved))
-
-
-def commuting_pair_forces_diagonal(group: OspGroup, U1: SuperMatrix,
-                                   U2: SuperMatrix, tol: float = DEFECT_TOL) -> bool:
-    """With U1 block diagonal and Ahat invertible, U2 must be block diagonal too."""
-    off = max(_block_max_abs(U1, "chi"), _block_max_abs(U1, "xi"))
-    if off > tol:
-        raise HypothesisError("U1 is not block diagonal")
-    a0, A0 = U1.body_blocks()
-    if matrix_rank(ahat(a0, A0)) < 2 * group.m * group.n:
-        raise HypothesisError("det Ahat = 0: the commutant admits fermions")
-    if commutator(U1, U2).max_abs() > tol:
-        raise HypothesisError("holonomies do not commute")
-    fermion_norm = max(_block_max_abs(U2, "chi"), _block_max_abs(U2, "xi"))
-    return fermion_norm < DEFECT_TOL
-
-
-def _block_max_abs(M: SuperMatrix, name: str) -> float:
-    return float(np.abs(M.block_coeffs(name)).max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -396,20 +350,6 @@ def fermionic_moduli_count_bruteforce(a0, b0, A0, B0):
     return h0 + h2
 
 
-def _real_expm(mat: np.ndarray) -> np.ndarray:
-    """Small dense exponential through the shared scaling-and-squaring loop.
-
-    A stack (..., d, d) is exponentiated in one pass, each member with its
-    own squaring count and its own series length, so each is bit-equal to
-    its one-matrix exponential (see scaling_squaring_expm).
-    """
-    mat = np.asarray(mat, dtype=float)
-    identity = np.broadcast_to(np.eye(mat.shape[-1]), mat.shape)
-    return scaling_squaring_expm(
-        mat, mat, lambda x: taylor_sum(lambda t: np.matmul(t, x), identity, 2, TAYLOR_CUTOFF, 80),
-        lambda a: np.matmul(a, a))
-
-
 def uniform_from_random(u, lo: float, hi: float):
     """rng.uniform(lo, hi, shape) from its raw draws u = rng.random(shape): lo + (hi - lo) u, bit for bit."""
     return lo + (hi - lo) * u
@@ -436,13 +376,19 @@ def sp_from_random(u: np.ndarray, scale: float) -> np.ndarray:
     return symplectic_form(u.shape[-1]) @ (S + np.swapaxes(S, -1, -2))
 
 
-def random_sp(two_n: int, rng) -> np.ndarray:
-    """A random Sp(2n) element, exp C (S + S^T) with the entries of S uniform in [-0.7, 0.7]."""
-    return _real_expm(sp_from_random(rng.random((two_n, two_n)), 0.7))
-
-
 def commuting_bodies(m: int, n: int, rngs):
-    """sample_commuting_bodies for each generator of rngs, as four stacks.
+    """Commuting bodies (a0, b0, A0, B0), one pair per generator of rngs, as four stacks.
+
+    Both holonomies of a pair exponentiate multiples of the same o(m) and
+    sp(2n) generators (aligned sectors, where the count is 2(2mn - r)), with
+    random overall sign flips and nilpotent or vanishing directions, plus a
+    random simultaneous conjugation.  Rank-deficient pairs (dim H^0 > 0)
+    come only at odd m, where the antisymmetric K has a zero eigenvalue, so
+    exp(uK) keeps an eigenvalue +-1 for the parabolic (kind 1) and vanishing
+    (kind 2) sp(2n) directions to meet.  At even m every draw is regular,
+    with count 0: kinds 1 and 2 keep a nonzero K, whose exponential has no
+    eigenvalue +-1 for a generic draw, kind 3 zeroes K but draws a generic
+    sp(2n) direction, and kind 0 draws both generic.
 
     The stream contract: each sample reads only its own generator (the CLI
     spawns one per sample from SeedSequence(seed)), in this fixed order of
@@ -502,30 +448,13 @@ def commuting_bodies(m: int, n: int, rngs):
     u = uniform_from_random(u, 0.2, 1.2) * signs[:, 2:4]
     L = uniform_from_random(L, -1.0, 1.0)
     # the o(m) generators u1 K, u2 K, L - L^T and the sp(2n) ones t1 Hs, t2 Hs, C (P + P^T)
-    so = _real_expm(np.concatenate([u[..., None, None] * K[:, None], (L - np.swapaxes(L, -1, -2))[:, None]], 1))
-    sp = _real_expm(np.concatenate([t[..., None, None] * Hs[:, None], sp_from_random(P, 0.7)[:, None]], 1))
+    so = real_expm(np.concatenate([u[..., None, None] * K[:, None], (L - np.swapaxes(L, -1, -2))[:, None]], 1))
+    sp = real_expm(np.concatenate([t[..., None, None] * Hs[:, None], sp_from_random(P, 0.7)[:, None]], 1))
     flips = signs[:, 4:, None, None]
     P, Q = so[:, 2:], sp[:, 2:]
     a = P @ (flips * so[:, :2]) @ np.swapaxes(P, -1, -2)
     A = Q @ (flips * sp[:, :2]) @ np.linalg.inv(Q)
     return a[:, 0], a[:, 1], A[:, 0], A[:, 1]
-
-
-def sample_commuting_bodies(m: int, n: int, rng):
-    """Commuting (a0, b0, A0, B0) drawn from one abelian direction.
-
-    Both holonomies exponentiate multiples of the same o(m) and sp(2n)
-    generators (aligned sectors, where the count is 2(2mn - r)), with
-    random overall sign flips and nilpotent or vanishing directions, plus a
-    random simultaneous conjugation.  Rank-deficient pairs (dim H^0 > 0)
-    come only at odd m, where the antisymmetric K has a zero eigenvalue, so
-    exp(uK) keeps an eigenvalue +-1 for the parabolic (kind 1) and vanishing
-    (kind 2) sp(2n) directions to meet.  At even m every draw is regular,
-    with count 0: kinds 1 and 2 keep a nonzero K, whose exponential has no
-    eigenvalue +-1 for a generic draw, kind 3 zeroes K but draws a generic
-    sp(2n) direction, and kind 0 draws both generic.
-    """
-    return tuple(body[0] for body in commuting_bodies(m, n, [rng]))
 
 
 # ----------------------------------------------------------------------
@@ -539,8 +468,9 @@ class HolonomyPair:
     Fermionic moduli require both Kronecker operators to degenerate; the
     stored count comes from the degree-1 kernel/orbit computation, which is
     also correct for sectors where only one side degenerates.  residual is
-    the largest member_residual of U1 and U2 and commutator coefficient,
-    which make bounds by DEFECT_TOL.
+    the largest of U1's and U2's member_residual and of the coefficients of
+    their commutator, at most DEFECT_TOL in every pair that make or
+    from_stack returns.
     """
 
     U1: SuperMatrix
@@ -714,7 +644,7 @@ def _sector_stack(group: OspGroup, descs, p: np.ndarray) -> np.ndarray:
         p1, p2 = p[k]
         U[k, :, 0, 0, 0] = desc.a0, desc.b0
         if desc.family == "hyperbolic":
-            U[k, :, 0, 1:, 1:] = desc.eps1 * _real_expm(p1 * SIGMA1), desc.eps2 * _real_expm(p2 * SIGMA1)
+            U[k, :, 0, 1:, 1:] = desc.eps1 * real_expm(p1 * SIGMA1), desc.eps2 * real_expm(p2 * SIGMA1)
         elif desc.family == "parabolic":
             U[k, :, 0, 1:, 1:] = desc.eps1 * parabolic(p1), desc.eps2 * parabolic(p2)
         else:
@@ -740,16 +670,6 @@ class NonExpFamily:
     U2: list[SuperMatrix]
     target_body_1: np.ndarray
     target_body_2: np.ndarray
-
-    def connection(self, which: int = 1) -> list[SuperMatrix]:
-        """U^-1 dU by central differences on the interior grid points."""
-        samples = self.U1 if which == 1 else self.U2
-        h = float(self.grid[1] - self.grid[0])
-        out = []
-        for j in range(1, len(samples) - 1):
-            dU = (samples[j + 1] - samples[j - 1]) * (1.0 / (2 * h))
-            out.append(samples[j].inverse() @ dU)
-        return out
 
 
 def build_nonexp_holonomy(cal_a1: float, cal_a2: float,
@@ -780,5 +700,5 @@ def build_nonexp_holonomy(cal_a1: float, cal_a2: float,
     U1, U2 = ([SuperMatrix.from_coeffs(1, 2, u) for u in stack] for stack in U)
     target = np.zeros((2, 3, 3))
     target[:, 0, 0] = 1.0
-    target[:, 1:, 1:] = -_real_expm((2.0 * math.pi * amps)[:, None, None] * sigma)
+    target[:, 1:, 1:] = -real_expm((2.0 * math.pi * amps)[:, None, None] * sigma)
     return NonExpFamily(grid=grid, U1=U1, U2=U2, target_body_1=target[0], target_body_2=target[1])

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .grassmann import DEFECT_TOL, EXACT_TOL, canonical, grade_signs, graded_matmul, matrix_rank, stack_chunk
-from .supermatrix import SuperMatrix, body_array, graded_form, supertranspose_coeffs, symplectic_form
+from .supermatrix import graded_form, supertranspose_coeffs, symplectic_form
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -258,11 +258,6 @@ class SuperAlgebra:
         out = self._graded_coeffs(coeffs) @ self.generators
         return canonical(out.reshape(*out.shape[:-1], d, d))
 
-    def rep_supermatrices(self, ngen: int) -> list[SuperMatrix]:
-        """Generators as supermatrices; odd generators use the odd pattern."""
-        return [SuperMatrix.from_coeffs(self.block_m, self.block_n, body_array(mat, ngen), par)
-                for mat, par in zip(self.rep, self.parities)]
-
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
         def triples(arr):
@@ -325,36 +320,8 @@ def _structure_constants_from_rep(rep: Sequence[np.ndarray], parities: Sequence[
 # osp(1|2) with the explicit 3x3 sigma-matrix representation
 # ----------------------------------------------------------------------
 
-def _osp12_candidate(t_sign: float, mu1: float) -> tuple[list[np.ndarray], dict]:
-    """J_a = lam_a * diag(0, sigma_a), Q_alpha = mu_alpha * q_alpha.
-
-    The top-left entry of the J's must vanish (otherwise {Q,Q} cannot close
-    onto them), and the normalizations are pinned by the J-Q relations:
-    lam_1 = 1 from the diagonal generator, lam_2 = -lam_0 = t from the other
-    two, and mu_2 = t*mu_1 with t^2 = 1.
-    """
-    lam = np.array([-t_sign, 1.0, t_sign])
-    mu = np.array([mu1, t_sign * mu1])
-    C = EPS2
-    sigmas = [SIGMA0, SIGMA1, SIGMA2]
-    rep = []
-    for a in range(3):
-        mat = np.zeros((3, 3))
-        mat[1:, 1:] = lam[a] * sigmas[a]
-        rep.append(mat)
-    for alpha in range(2):
-        c_vec = np.zeros((2, 1))
-        c_vec[alpha, 0] = 1.0
-        mat = np.zeros((3, 3))
-        mat[0:1, 1:] = -mu[alpha] * (c_vec.T @ C)
-        mat[1:, 0:1] = mu[alpha] * c_vec
-        rep.append(mat)
-    info = {"lambda": lam.tolist(), "mu": mu.tolist()}
-    return rep, info
-
-
-def _osp12_relation_residual(rep: list[np.ndarray], eps_scale: float) -> float:
-    """Exactness of the three defining relation families for a candidate.
+def _osp12_relation_residual(rep, eps_scale: float) -> float:
+    """Exactness of the three defining relation families for the five generators rep.
 
     Each family is one stack of residual matrices over all index pairs:
     (3, 3, 3, 3) for [J_a, J_b], (3, 2, 3, 3) for [J_a, Q_alpha] and
@@ -379,7 +346,7 @@ def _osp12_relation_residual(rep: list[np.ndarray], eps_scale: float) -> float:
 
 @lru_cache(maxsize=None)
 def build_osp12() -> SuperAlgebra:
-    """osp(1|2) from its 3x3 representation, normalizations fitted then verified.
+    """osp(1|2) from its 3x3 representation, verified against its defining relations.
 
     The result is cached and shared, which its immutability makes safe.
 
@@ -387,16 +354,22 @@ def build_osp12() -> SuperAlgebra:
         [J_a, J_b]     = eps_ab^c J_c
         [J_a, Q_alpha] = (sigma_a)_alpha^beta Q_beta
         {Q_alpha, Q_beta} = (sigma^a)_alpha_beta J_a
-    with indices moved by eta = diag(-1, 1, 1) and C = eps.  Requiring all
-    three to hold exactly forces |lam_a| = 1 and scales the antisymmetric
-    eps symbol to eps_012 = 2; the discrete sign choices are searched and the
-    selected convention is recorded.
+    with indices moved by eta = diag(-1, 1, 1) and C = eps.  The generators
+    are J_a = lam_a diag(0, sigma_a) and Q_alpha with column mu_alpha e_alpha
+    and row -mu_alpha (C)_alpha.  The J's top-left entry must vanish (else
+    {Q, Q} cannot close onto them); the J-Q relations force lam_1 = 1,
+    lam_2 = -lam_0 = t and mu_2 = t mu_1 with t^2 = 1, and all three hold
+    exactly, with eps_012 = 2, for t = 1 and either sign of mu_1 (t = -1
+    leaves a residual of 4).  The convention is lam = (-1, 1, 1), mu = (1, 1),
+    recorded in conventions; a residual above EXACT_TOL raises.
     """
-    candidates = (_osp12_candidate(t_sign, mu1) for t_sign in (1.0, -1.0) for mu1 in (1.0, -1.0))
-    rep, info = next((c for c in candidates if _osp12_relation_residual(c[0], eps_scale=2.0) <= EXACT_TOL),
-                     (None, None))
-    if rep is None:
-        raise RuntimeError("no normalization satisfies the defining relations exactly")
+    lam, mu = np.array([-1.0, 1.0, 1.0]), np.array([1.0, 1.0])
+    rep = np.zeros((5, 3, 3))
+    rep[:3, 1:, 1:] = lam[:, None, None] * np.array([SIGMA0, SIGMA1, SIGMA2])
+    rep[3:, 0, 1:] = -mu[:, None] * EPS2
+    rep[3:, 1:, 0] = mu[:, None] * np.eye(2)
+    if _osp12_relation_residual(rep, eps_scale=2.0) > EXACT_TOL:
+        raise RuntimeError("the osp(1|2) representation does not satisfy the defining relations exactly")
     parities = [0, 0, 0, 1, 1]
     f, gram = _structure_constants_from_rep(rep, parities, m=1)
     eta_target = np.zeros((5, 5))
@@ -411,8 +384,8 @@ def build_osp12() -> SuperAlgebra:
         conventions={
             "epsilon_012": 2.0,
             "supertrace_normalization": float(k),
-            "J_scale": info["lambda"],
-            "Q_scale": info["mu"],
+            "J_scale": lam.tolist(),
+            "Q_scale": mu.tolist(),
             "sigma_upper": "eta^{ab} (sigma_b C)_{alpha beta}",
             "C_12": 1.0,
         },

@@ -378,12 +378,3 @@ def _check_pattern(m: int, n: int, coeffs: np.ndarray, parity: int):
 def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     return x @ y - y @ x
 
-
-def random_supermatrix(rng, m: int, n: int, ngen: int, parity: int = 0,
-                       scale: float = 1.0) -> SuperMatrix:
-    """Random homogeneous-parity supermatrix for property sweeps: a uniform coefficient in [-scale,
-    scale] on every monomial the pattern allows, entries in row-major order, monomials in mask order."""
-    drawn = (pattern_mask(ngen, m + n, m) == bool(parity)).transpose(1, 2, 0)
-    coeffs = np.zeros(drawn.shape)
-    coeffs[drawn] = rng.uniform(-scale, scale, int(drawn.sum()))
-    return SuperMatrix.from_coeffs(m, n, coeffs.transpose(2, 0, 1), parity)

@@ -9,19 +9,18 @@ import time
 
 import numpy as np
 
+from random_inputs import random_sp
 from superholonomy import checks
+from superholonomy.grassmann import real_expm
 from superholonomy.group import (
     OspGroup,
     SingularGaugeOperatorError,
-    ahat_det_rank,
+    ahat,
     build_nonexp_holonomy,
-    det_conjugation_invariance,
     enumerate_sectors_osp12,
     gauge_fix_sigma,
-    random_sp,
     rotation,
     sector_representative,
-    _real_expm,
 )
 from superholonomy.phase import check_closure, exponential_sector_moduli, osp12_exponential_sector
 from superholonomy.superlie import OSP12_DIRECTIONS, SIGMA1, build_osp, build_osp12
@@ -84,11 +83,13 @@ def test_04_determinant_conjugation_invariance():
         if k % 3 == 0:
             a0, A0 = np.array([[1.0]]), np.array([[1.0, 0.6], [0.0, 1.0]])
         elif k % 3 == 1:
-            a0, A0 = np.array([[-1.0]]), _real_expm(0.8 * SIGMA1)
+            a0, A0 = np.array([[-1.0]]), real_expm(0.8 * SIGMA1)
         else:
             a0, A0 = rotation(rng.uniform(0.2, 3.0)), random_sp(2, rng)
-        S0 = random_sp(A0.shape[0], rng)
-        d1, d2 = det_conjugation_invariance(a0, A0, S0)
+        # I (x) S0 conjugates one Kronecker operator into the other
+        S0 = random_sp(2, rng)
+        d1 = np.linalg.det(ahat(a0, S0 @ A0 @ np.linalg.inv(S0)))
+        d2 = np.linalg.det(ahat(a0, A0))
         scale = max(abs(d1), abs(d2), 1.0)
         worst_rel = max(worst_rel, abs(d1 - d2) / scale)
     report(4, "det Ahat invariant under 100 symplectic conjugations",
@@ -103,7 +104,7 @@ def test_05_gauge_fixing_recursion():
     while regular_done < 100:
         U = group.sample_member(rng)
         a0, A0 = U.body_blocks()
-        det, _ = ahat_det_rank(a0, A0)
+        det = np.linalg.det(ahat(a0, A0))
         if abs(det) < 1e-6:
             continue
         result = gauge_fix_sigma(group, U)
@@ -167,8 +168,8 @@ def test_10_criterion_equivalence():
     agree = 0
     for c, sigma in OSP12_DIRECTIONS.values():
         phase_det = exponential_sector_moduli(alg, c).det
-        A0 = _real_expm(0.8 * sigma)
-        group_det, _ = ahat_det_rank(np.array([[1.0]]), A0)
+        A0 = real_expm(0.8 * sigma)
+        group_det = np.linalg.det(ahat(np.array([[1.0]]), A0))
         if (abs(phase_det) < 1e-10) == (abs(group_det) < 1e-10):
             agree += 1
     report(10, "fermion-block criterion matches det Ahat on exponentials",

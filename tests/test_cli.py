@@ -400,6 +400,14 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.decode().strip() == "False"
 
 
+def test_export_list_resolves_once_in_sorted_order():
+    names = superholonomy.__all__
+    assert names == sorted(set(names))
+    namespace = {}
+    exec("from superholonomy import *", namespace)
+    assert all(namespace[name] is getattr(superholonomy, name) for name in names)
+
+
 @pytest.mark.parametrize("argv, digest", SAMPLED_JSON_SHA256)
 def test_sampled_json_bytes_pinned(argv, digest):
     res = subprocess.run([sys.executable, "-m", "superholonomy.cli", *argv, "--format", "json"],

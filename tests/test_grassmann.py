@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from superholonomy.grassmann import (
-    GrassmannElement,
-    NonInvertibleError,
-    merge_sign,
-    random_element,
-)
+from random_inputs import random_element
+from superholonomy.grassmann import GrassmannElement, NonInvertibleError, merge_sign
 
 
 def t(i, n=2):

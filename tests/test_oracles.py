@@ -50,22 +50,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from random_inputs import random_element, random_supermatrix
 from superholonomy import checks, grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
                                      NonInvertibleError, ParityPatternError, RankUndecidedError, canonical, grade_signs,
-                                     graded_inverse, graded_matmul, pattern_mask, random_element, taylor_sum)
-from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _real_expm, ahat, ahat_det_rank,
-                                 build_nonexp_holonomy, commuting_bodies, enumerate_sectors_osp12,
-                                 fermionic_moduli_count, fermionic_moduli_count_bruteforce, integers_from_random,
-                                 parabolic, rotation, sector_representative, sector_representatives,
-                                 uniform_from_random)
+                                     graded_inverse, graded_matmul, matrix_rank, pattern_mask, real_expm, taylor_sum)
+from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, ahat, build_nonexp_holonomy, commuting_bodies,
+                                 enumerate_sectors_osp12, fermionic_moduli_count, fermionic_moduli_count_bruteforce,
+                                 integers_from_random, parabolic, rotation, sector_representative,
+                                 sector_representatives, uniform_from_random)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
-from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0,
-                                    SIGMA1, SIGMA2, _osp12_candidate, _osp12_relation_residual,
-                                    _structure_constants_from_rep, build_osp, build_osp12)
+from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0, SIGMA1, SIGMA2,
+                                    _osp12_relation_residual, _structure_constants_from_rep, build_osp, build_osp12)
 from superholonomy.supermatrix import (SuperMatrix, array_to_gmat, body_array, gmat_mul, graded_expm, graded_form,
-                                      random_supermatrix, signed_gather, supertranspose_coeffs, symplectic_form,
-                                      transpose_plan)
+                                      signed_gather, supertranspose_coeffs, symplectic_form, transpose_plan)
 
 
 @lru_cache(maxsize=None)
@@ -386,11 +384,11 @@ class TestStacks:
         stack = np.array([gen, np.zeros_like(gen)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            graded, real = graded_expm(stack, 1), _real_expm(stack[:, 0])
+            graded, real = graded_expm(stack, 1), real_expm(stack[:, 0])
         assert bit_equal(graded[1], SuperMatrix.identity(1, 2, 2).coeffs)
         assert bit_equal(real[1], np.eye(3))
         assert bit_equal(graded[0], graded_expm(gen, 1))
-        assert bit_equal(real[0], _real_expm(gen[0]))
+        assert bit_equal(real[0], real_expm(gen[0]))
 
 
 class TestOneMemberSeries:
@@ -409,10 +407,10 @@ class TestOneMemberSeries:
     def test_real_expm(self):
         rng = np.random.default_rng(44)
         mats = np.array([scale * rng.uniform(-1.0, 1.0, (4, 4)) for scale in (0.0, 0.05, 1.0, 4.0)])
-        stacked = _real_expm(mats)
+        stacked = real_expm(mats)
         for k, mat in enumerate(mats):
-            assert bit_equal(_real_expm(mat), stacked[k])
-            assert bit_equal(_real_expm(mat), _real_expm(mat[None])[0])
+            assert bit_equal(real_expm(mat), stacked[k])
+            assert bit_equal(real_expm(mat), real_expm(mat[None])[0])
 
     def test_short_series_raises(self):
         gen = expm_generators(np.random.default_rng(45), 2, 2, 6)[2]
@@ -454,9 +452,9 @@ class TestStoppedMembers:
         large *= 4.0 / np.abs(large).sum(axis=0).max()
         mats = np.array([np.zeros((3, 3)), nilpotent, large])
         for stack in (mats, np.array([mats, mats[::-1]])):
-            stacked = _real_expm(stack)
+            stacked = real_expm(stack)
             for k in np.ndindex(stack.shape[:-2]):
-                assert bit_equal(stacked[k], _real_expm(stack[k]))
+                assert bit_equal(stacked[k], real_expm(stack[k]))
 
     def test_stopped_sum_is_not_written(self):
         # member 0 stops at its 1e-32 first term, then its terms grow to 1e100;
@@ -795,7 +793,8 @@ class TestAlgebraLoops:
     @pytest.mark.parametrize("eps_scale", [1.0, 2.0, -2.0, 3.0])
     @pytest.mark.parametrize("t_sign, mu1", itertools.product((1.0, -1.0), repeat=2))
     def test_osp12_relation_residual_matches_loop(self, t_sign, mu1, eps_scale):
-        rep, _ = _osp12_candidate(t_sign, mu1)
+        # the sign choices lam = (-t, 1, t), mu = (mu1, t mu1) scale build_osp12's (-1, 1, 1), (1, 1)
+        rep = [s * R for s, R in zip((t_sign, 1.0, t_sign, mu1, t_sign * mu1), build_osp12().rep)]
         assert _osp12_relation_residual(rep, eps_scale) == loop_osp12_relation_residual(rep, eps_scale)
 
     @pytest.mark.parametrize("tamper", [
@@ -1132,7 +1131,7 @@ def _loop_commuting_bodies(m, n, rngs):
     """commuting_bodies with the draws taken sample by sample; returns the four stacks and the kinds."""
     draws = [_loop_commuting_draws(m, n, rng) for rng in rngs]
     so_gens, sp_gens, signs, kinds = (np.array(x) for x in zip(*draws))
-    so, sp = _real_expm(so_gens), _real_expm(sp_gens)
+    so, sp = real_expm(so_gens), real_expm(sp_gens)
     signs = signs[:, :, None, None]
     P, Q = so[:, 2:], sp[:, 2:]
     a = P @ (signs * so[:, :2]) @ np.swapaxes(P, -1, -2)
@@ -1145,7 +1144,7 @@ def _loop_osp22_rotation_det(rng, samples, tol):
     draws = [(rng.uniform(0.0, 2 * np.pi), rng.uniform(-0.7, 0.7, (2, 2)), random_signs(rng))
              for _ in range(samples)]
     phi, S, signs = (np.array(x) for x in zip(*draws))
-    A0 = _real_expm(symplectic_form(2) @ (S + np.swapaxes(S, -1, -2))) * signs[:, None, None]
+    A0 = real_expm(symplectic_form(2) @ (S + np.swapaxes(S, -1, -2))) * signs[:, None, None]
     c, s = np.cos(phi), np.sin(phi)
     a0 = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     det = np.linalg.det(ahat(a0, A0))
@@ -1234,7 +1233,7 @@ def _loop_sector_representative(desc, ngen, params=None):
     group = OspGroup(1, 1, ngen)
     p1, p2 = params if params is not None else SECTOR_PARAMS[desc.family]
     if desc.family == "hyperbolic":
-        A0, B0 = desc.eps1 * _real_expm(p1 * SIGMA1), desc.eps2 * _real_expm(p2 * SIGMA1)
+        A0, B0 = desc.eps1 * real_expm(p1 * SIGMA1), desc.eps2 * real_expm(p2 * SIGMA1)
     elif desc.family == "parabolic":
         A0, B0 = desc.eps1 * parabolic(p1), desc.eps2 * parabolic(p2)
     else:
@@ -1257,7 +1256,8 @@ def _loop_sector_representative(desc, ngen, params=None):
                        np.abs(A.T @ C @ A - C).max())
     residual = max(residual, (pair[0] @ pair[1] - pair[1] @ pair[0]).max_abs())
     (a0, A0), (b0, B0) = pair[0].body_blocks(), pair[1].body_blocks()
-    fields = (*ahat_det_rank(a0, A0)[::-1], *ahat_det_rank(b0, B0)[::-1],
+    Ah, Bh = ahat(a0, A0), ahat(b0, B0)
+    fields = (matrix_rank(Ah), float(np.linalg.det(Ah)), matrix_rank(Bh), float(np.linalg.det(Bh)),
               fermionic_moduli_count_bruteforce(a0, b0, A0, B0), residual)
     return pair[0], pair[1], fields
 

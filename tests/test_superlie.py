@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from random_inputs import random_element
 from superholonomy.checks import JACOBI_ALGEBRAS
-from superholonomy.grassmann import STACK_BYTES, GrassmannElement, canonical, grade_signs, random_element, stack_chunk
+from superholonomy.grassmann import STACK_BYTES, GrassmannElement, canonical, grade_signs, stack_chunk
 from superholonomy.phase import check_closure
 from superholonomy.superlie import (
     EPS2,
@@ -19,7 +20,7 @@ from superholonomy.superlie import (
     build_osp12,
     graded_form,
 )
-from superholonomy.supermatrix import SuperMatrix, supertranspose_coeffs
+from superholonomy.supermatrix import SuperMatrix, body_array, supertranspose_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,8 @@ class TestOsp12Relations:
         # the supermatrix supertrace reproduces the full bilinear form, even
         # block diag(-1,1,1) and odd block antisymmetric, with one scale
         k = osp12.conventions["supertrace_normalization"]
-        mats = osp12.rep_supermatrices(2)
+        # the generators as supermatrices over B_2, the odd ones on the odd pattern
+        mats = [SuperMatrix.from_coeffs(1, 2, body_array(mat, 2), par) for mat, par in zip(osp12.rep, osp12.parities)]
         for i in range(5):
             for j in range(5):
                 val = (mats[i] @ mats[j]).supertrace()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from random_inputs import random_supermatrix
 from superholonomy.grassmann import GrassmannElement, NonInvertibleError, graded_inverse
 from superholonomy.supermatrix import (
     ExpmNotConvergedError,
@@ -14,7 +15,6 @@ from superholonomy.supermatrix import (
     commutator,
     gmat_mul,
     gmat_to_array,
-    random_supermatrix,
 )
 
 
