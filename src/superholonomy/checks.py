@@ -93,14 +93,14 @@ def osp22_rotation_det(rng, samples: int, tol: float) -> dict:
             "passed": bool(worst <= tol and count == 4)}
 
 
-def moduli_counts(m: int, n: int, rngs) -> dict:
-    """Closed-form 2 dim H^0 against the degree-1 oracle dim H^0 + dim H^2, one body pair per generator.
+def moduli_counts(m: int, n: int, seed: int, samples: int) -> dict:
+    """Closed-form 2 dim H^0 against the degree-1 oracle dim H^0 + dim H^2 on commuting_bodies(m, n, seed, samples).
 
     Each pair is the (fermionic_moduli_count, fermionic_moduli_count_bruteforce) pair of its
     bodies, both read off one torus_cohomology call, so a mismatch is a pair where the duality
     dim H^2 = dim H^0, rank [-Bhat, Ahat] = rank [Ahat; Bhat], fails.
     """
-    h0, h2 = torus_cohomology(*commuting_bodies(m, n, rngs))
+    h0, h2 = torus_cohomology(*commuting_bodies(m, n, seed, samples))
     counts = list(zip((2 * h0).tolist(), (h0 + h2).tolist()))
     mismatches = sum(closed != brute for closed, brute in counts)
     return {"counts": counts, "mismatches": mismatches, "passed": mismatches == 0}

@@ -79,11 +79,6 @@ def _group_name(ns) -> str:
     return f"osp({ns.m}|{2 * ns.n})"
 
 
-def _seeded_rngs(ns, samples: int):
-    # deterministic per-sample seeding: independent children of one seed sequence
-    return (np.random.default_rng(s) for s in np.random.SeedSequence(ns.seed).spawn(samples))
-
-
 def _status(passed: bool) -> str:
     return "pass" if passed else "FAIL"
 
@@ -173,7 +168,7 @@ def cmd_sectors(ns):
 
 
 def cmd_moduli(ns):
-    res = checks.moduli_counts(ns.m, ns.n, _seeded_rngs(ns, ns.samples))
+    res = checks.moduli_counts(ns.m, ns.n, ns.seed, ns.samples)
     rows = [{"sample": k, "closed_form": closed, "bruteforce": brute}
             for k, (closed, brute) in enumerate(res["counts"])]
     data = {"command": "moduli", "group": _group_name(ns), "samples": ns.samples,
@@ -222,7 +217,7 @@ def cmd_closure(ns):
 
 def cmd_report(ns):
     """Aggregate run: jacobi + membership + sectors + moduli + closure."""
-    moduli = checks.moduli_counts(1, 1, _seeded_rngs(ns, min(ns.samples, 50)))
+    moduli = checks.moduli_counts(1, 1, ns.seed, min(ns.samples, 50))
     closure = check_closure(build_osp12(), tol=EXACT_TOL)
     exp_sector = osp12_exponential_sector(samples=8, seed=ns.seed)
     results = {

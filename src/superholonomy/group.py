@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -376,8 +376,83 @@ def sp_from_random(u: np.ndarray, scale: float) -> np.ndarray:
     return symplectic_form(u.shape[-1]) @ (S + np.swapaxes(S, -1, -2))
 
 
-def commuting_bodies(m: int, n: int, rngs):
-    """Commuting bodies (a0, b0, A0, B0), one pair per generator of rngs, as four stacks.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the hashmix constants of its
+# entropy mixing (INIT_A, MULT_A) and of generate_state (INIT_B, MULT_B), the
+# multipliers of its mix (MIX_MULT_L, MIX_MULT_R), and its pool of four 32-bit words
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_MULT_L, _SEED_MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_SEED_POOL = 4
+# PCG_DEFAULT_MULTIPLIER_128, PCG64's LCG multiplier (O'Neill, "PCG: A Family of Simple
+# Fast Space-Efficient Statistically Good Algorithms for Random Number Generation",
+# HMC-CS-2014-0905)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _spawned_words(seed: int, samples: int, words: int) -> np.ndarray:
+    """(samples, words) uint64: row k is the first words raw outputs of PCG64(SeedSequence(seed).spawn(samples)[k]).
+
+    Bit for bit, with no SeedSequence, PCG64 or Generator per child.  Child k's entropy is
+    the seed's 32-bit words, zero-padded to the pool, then its spawn key k; only that last
+    word differs between children.  So the seed's words are mixed once in Python ints, and
+    the key word's mixing and generate_state(4, uint64) run over all children at once in
+    uint32 arrays.  PCG64 seeds from the four uint64 words by its two-step srandom in
+    Python ints mod 2^128; one bit generator, its public state set per child, reads each
+    row in one random_raw call.  A negative seed raises ValueError, as SeedSequence does.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_SEED_POOL - len(entropy))
+
+    def steps(const, mult):
+        # the (before, after) constants of successive hashmix calls
+        while True:
+            before, const = const, const * mult & _MASK32
+            yield before, const
+
+    def columns(step_pairs):
+        return (np.array(c, dtype=np.uint32)[:, None] for c in zip(*step_pairs))
+
+    def hashmix(value, step):
+        # ints, or uint32 arrays that wrap as numpy's uint32_t does
+        before, const = step
+        value = (value ^ before) * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = ((_SEED_MIX_MULT_L * x & _MASK32) - _SEED_MIX_MULT_R * y) & _MASK32
+        return r ^ r >> 16
+
+    mixing = steps(_SEED_INIT_A, _SEED_MULT_A)
+    pool = [hashmix(w, next(mixing)) for w in entropy[:_SEED_POOL]]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], next(mixing)))
+    for w in entropy[_SEED_POOL:]:
+        pool = [mix(p, hashmix(w, next(mixing))) for p in pool]
+    # the spawn key, last, one row per pool word and one column per child
+    key = np.arange(samples, dtype=np.uint32)
+    pool = mix(np.array(pool, dtype=np.uint32)[:, None], hashmix(key, columns(islice(mixing, _SEED_POOL))))
+    # generate_state(4, uint64): eight 32-bit words from pool[i % 4], paired low word first
+    generate = columns(islice(steps(_SEED_INIT_B, _SEED_MULT_B), 8))
+    state = hashmix(np.concatenate([pool, pool]), generate).astype(np.uint64)
+    inner = {}
+    outer = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": inner}
+    bit_generator, rows = np.random.PCG64(0), []
+    # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from 0 with initstate added between
+    for s0, s1, i0, i1 in (state[0::2] | state[1::2] << 32).T.tolist():
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        inner["state"], inner["inc"] = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128, inc
+        bit_generator.state = outer
+        rows.append(bit_generator.random_raw(words))
+    return np.stack(rows)
+
+
+def commuting_bodies(m: int, n: int, seed: int, samples: int):
+    """Commuting bodies (a0, b0, A0, B0), one pair per child of SeedSequence(seed).spawn(samples), as four stacks.
 
     Both holonomies of a pair exponentiate multiples of the same o(m) and
     sp(2n) generators (aligned sectors, where the count is 2(2mn - r)), with
@@ -390,56 +465,44 @@ def commuting_bodies(m: int, n: int, rngs):
     eigenvalue +-1 for a generic draw, kind 3 zeroes K but draws a generic
     sp(2n) direction, and kind 0 draws both generic.
 
-    The stream contract: each sample reads only its own generator (the CLI
-    spawns one per sample from SeedSequence(seed)), in this fixed order of
-    draws: the m*m doubles of K, one 32-bit draw for the kind, the 4n^2
-    doubles of S when the kind draws one (0 or 3), two doubles for t, two
-    32-bit draws for t's signs, two doubles for u, four 32-bit draws for u's
-    signs and the two overall signs, the m*m doubles of L and the 4n^2 of
-    the conjugating sp(2n) generator P.  The moduli and report JSON bytes
-    depend on that order, so only call shapes that read the same stream may
-    change: random(k) reads what uniform(lo, hi, k) reads, adjacent random
-    calls what one call of their total size reads, and k float32 draws read
-    what k integers(2**j) calls read, of either integer dtype, or one call of
-    size k (see integers_from_random).  Each sample makes seven calls:
-    random into its row of doubles K | S t | u | L P for K, [S] t, u and
-    L P, and float32 draws of sizes 1, 2 and 4 for the kind and the signs.
-    A generator repeated in rngs continues its stream, as in a one-sample
-    loop.
+    The stream contract: sample k reads only the raw 64-bit words w of
+    PCG64(child k) (see _spawned_words), in this fixed order:
+    K(m^2) . A . [S(4n^2)] . t(2) . B . u(2) . C . D . L(m^2) . P(4n^2),
+    2m^2 + 8n^2 + 8 words, what default_rng(child k) reads when it makes
+    these draws one uniform or integers call at a time.  A double is (w >> 11) 2^-53, as
+    Generator.random reads it, mapped to [lo, hi) as uniform(lo, hi) maps it;
+    K and L are o(m) draws, S the sp(2n) direction, t and u the multiples and
+    P the conjugating sp(2n) generator.  The seven 32-bit draws are the halves
+    low(A), high(A), low(B), high(B), low(C), high(C), low(D), as a Generator
+    buffers the second half of each word for the next 32-bit draw: the kind is
+    low(A) >> 30, and the signs of t, of u and of the two overall flips are the
+    top bits of the other six, what integers(4) and integers(2) return.  Kinds
+    1 and 2 draw no S, so their later words move up by 4n^2.  The moduli and
+    report JSON bytes depend on that layout.
 
     All the arithmetic then runs once over the stack: the uniform maps, the
     kinds as masks, the exponentials, sign flips and conjugations.  Returns
-    (a0, b0, A0, B0) of shapes (S, m, m) and (S, 2n, 2n).
+    (a0, b0, A0, B0) of shapes (samples, m, m) and (samples, 2n, 2n).
     """
-    rngs = list(rngs)
-    if not rngs:
+    if samples < 1:
         raise ValueError("at least one sample is required")
-    two_n = 2 * n
-    # row: K | S t | u | L P, S left zero when the kind draws none; half: the kind and six signs
-    s0 = m * m
-    t0 = s0 + two_n * two_n
-    u0, l0 = t0 + 2, t0 + 4
-    row = np.zeros((len(rngs), l0 + s0 + two_n * two_n))
-    half = np.empty((len(rngs), 7), dtype=np.float32)
-    for r, h, rng in zip(row, half, rngs):
-        rng.random(out=r[:s0])
-        rng.random(out=h[:1], dtype=np.float32)
-        rng.random(out=r[t0 if 0.25 <= h[0] < 0.75 else s0:u0])    # kinds 1 and 2 draw no S
-        rng.random(out=h[1:3], dtype=np.float32)
-        rng.random(out=r[u0:l0])
-        rng.random(out=h[3:], dtype=np.float32)
-        rng.random(out=r[l0:])
-    kind = integers_from_random(half[:, 0], 4)
-    signs = 2.0 * integers_from_random(half[:, 1:], 2) - 1.0
-    K, L = (row[:, i:i + s0].reshape(-1, m, m) for i in (0, l0))
-    S, P = (row[:, i:i + two_n * two_n].reshape(-1, two_n, two_n) for i in (s0, l0 + s0))
-    t, u = row[:, t0:u0], row[:, u0:l0]
+    two_n, s0, q = 2 * n, m * m, 4 * n * n
+    words = _spawned_words(seed, samples, 2 * s0 + 2 * q + 8)
+    kind = (words[:, s0] & _MASK32) >> 30
+    # t B u C D L P, its place fixed by whether the kind drew S (0 and 3) or not (1 and 2)
+    rest = np.where((kind % 3 == 0)[:, None], words[:, s0 + 1 + q:], words[:, s0 + 1:-q])
+    a, b, c, d = words[:, s0], rest[:, 2], rest[:, 5], rest[:, 6]
+    signs = 2.0 * (np.stack([a >> 63, b >> 31, b >> 63, c >> 31, c >> 63, d >> 31], axis=-1) & 1) - 1.0
+    head, rest = ((w >> 11) * 2.0 ** -53 for w in (words, rest))
+    K, L = (x.reshape(-1, m, m) for x in (head[:, :s0], rest[:, 7:7 + s0]))
+    S, P = (x.reshape(-1, two_n, two_n) for x in (head[:, s0 + 1:s0 + 1 + q], rest[:, 7 + s0:]))
+    t, u = rest[:, :2], rest[:, 3:5]
     C = symplectic_form(two_n)
     K = uniform_from_random(K, -1.0, 1.0)
     K = K - np.swapaxes(K, -1, -2)
     if m > 1:
         K[kind == 3] = 0.0          # a pure sp(2n) direction
-    Hs = sp_from_random(S, 0.8)
+    Hs = sp_from_random(S, 0.8)     # kinds 1 and 2 replace it below
     nilpotent = np.zeros((two_n, two_n))
     nilpotent[0, 0] = 1.0
     Hs[kind == 1] = C @ nilpotent   # parabolic-type blocks

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -10,7 +9,8 @@ import pytest
 
 import superholonomy
 from superholonomy import cli
-from superholonomy.cli import _seeded_rngs, main
+from superholonomy.cli import main
+from superholonomy.group import _spawned_words
 
 
 def run(capsys, *args):
@@ -272,12 +272,12 @@ class TestModuli:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_seeds_share_no_sample(self):
-        # a generator's first draw identifies its stream: seed 0 and seed 1
-        # must not reuse each other's per-sample streams
-        def first_draws(seed):
-            return {rng.random() for rng in _seeded_rngs(argparse.Namespace(seed=seed), 50)}
+        # a stream's first word identifies it: seed 0 and seed 1 must not
+        # reuse each other's per-sample streams
+        def first_words(seed):
+            return set(_spawned_words(seed, 50, 1)[:, 0].tolist())
 
-        zero, one = first_draws(0), first_draws(1)
+        zero, one = first_words(0), first_words(1)
         assert len(zero) == len(one) == 50
         assert not zero & one
 

@@ -402,9 +402,7 @@ class TestModuliCount:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
     def test_closed_form_equals_bruteforce(self, m, n):
-        rng = np.random.default_rng(40 + m * 10 + n)
-        for _ in range(60):
-            bodies = [body[0] for body in commuting_bodies(m, n, [rng])]
+        for bodies in zip(*commuting_bodies(m, n, 40 + m * 10 + n, 60)):
             assert fermionic_moduli_count(*bodies) == fermionic_moduli_count_bruteforce(*bodies)
 
 
@@ -661,12 +659,10 @@ class TestStacks:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
     def test_moduli_counts_equal_per_sample_loop(self, m, n):
-        seeds = np.random.SeedSequence(90 + 10 * m + n).spawn(25)
-        counts = moduli_counts(m, n, (np.random.default_rng(s) for s in seeds))["counts"]
-        loop = []
-        for s in seeds:
-            bodies = [body[0] for body in commuting_bodies(m, n, [np.random.default_rng(s)])]
-            loop.append((fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies)))
+        seed = 90 + 10 * m + n
+        counts = moduli_counts(m, n, seed, 25)["counts"]
+        loop = [(fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies))
+                for bodies in zip(*commuting_bodies(m, n, seed, 25))]
         assert counts == loop
         assert all(type(x) is int for pair in loop for x in pair)
 
@@ -675,7 +671,7 @@ class TestStacks:
         # the stacked joint rank against each pair's [Ahat; Bhat] and the
         # untransposed constraint [-Bhat, Ahat], each ranked on its own; the
         # (1|2), (1|4) and (3|4) draws include singular pairs, (2|2)'s do not
-        bodies = commuting_bodies(m, n, [np.random.default_rng(s) for s in range(40)])
+        bodies = commuting_bodies(m, n, 40, 40)
         h0, h2 = torus_cohomology(*bodies)
         d = 2 * m * n
         for k, (a0, b0, A0, B0) in enumerate(zip(*bodies)):
@@ -694,41 +690,17 @@ class TestStacks:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        res = moduli_counts(1, 2, [np.random.default_rng(s) for s in range(50)])
+        res = moduli_counts(1, 2, 0, 50)
         assert res["passed"] and shapes == [(2, 50, 8, 4)]
         shapes.clear()
         assert [pair.moduli for pair in sector_representatives(enumerate_sectors_osp12().fermionic_sectors)] == [2] * 4
         assert shapes == [(4, 2, 2, 2), (2, 4, 4, 2)]
-
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
-    def test_seven_random_calls_per_sample(self, m, n):
-        # the kinds that draw S (0 and 3) and those that do not (1 and 2) make the same
-        # seven calls, and the counted generators give the plain generators' bodies
-        rngs = [RandomOnly(s) for s in range(40)]
-        got = commuting_bodies(m, n, rngs)
-        kinds = set()
-        for s in range(40):
-            ref = np.random.default_rng(s)
-            ref.random((m, m))
-            kinds.add(int(ref.integers(4)))
-        assert kinds == {0, 1, 2, 3}
-        assert [rng.calls for rng in rngs] == [7] * 40
-        want = commuting_bodies(m, n, [np.random.default_rng(s) for s in range(40)])
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_two_random_calls_per_rotation_sample(self):
         rng = RandomOnly(8)
         res = checks.osp22_rotation_det(rng, 37, 1e-10)
         assert rng.calls == 2 * 37
         assert res == checks.osp22_rotation_det(np.random.default_rng(8), 37, 1e-10)
-
-    def test_shared_generator_keeps_its_stream(self):
-        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        stacks = commuting_bodies(2, 1, [rng] * 4)
-        for k in range(4):
-            for stacked, single in zip(stacks, commuting_bodies(2, 1, [ref])):
-                assert np.array_equal(stacked[k], single[0])
-        assert rng.random() == ref.random()
 
 
 def _sample_member_loop(group, rng, components=True):

@@ -55,10 +55,10 @@ from superholonomy import checks, grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
                                      NonInvertibleError, ParityPatternError, RankUndecidedError, canonical, grade_signs,
                                      graded_inverse, graded_matmul, matrix_rank, pattern_mask, real_expm, taylor_sum)
-from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, ahat, build_nonexp_holonomy, commuting_bodies,
-                                 enumerate_sectors_osp12, fermionic_moduli_count, fermionic_moduli_count_bruteforce,
-                                 integers_from_random, parabolic, rotation, sector_representative,
-                                 sector_representatives, uniform_from_random)
+from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _spawned_words, ahat, build_nonexp_holonomy,
+                                 commuting_bodies, enumerate_sectors_osp12, fermionic_moduli_count,
+                                 fermionic_moduli_count_bruteforce, integers_from_random, parabolic, rotation,
+                                 sector_representative, sector_representatives, uniform_from_random)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
 from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0, SIGMA1, SIGMA2,
                                     _osp12_relation_residual, _structure_constants_from_rep, build_osp, build_osp12)
@@ -1199,23 +1199,41 @@ class TestRandomSigns:
         assert np.array_equal(np.abs(C) @ np.abs(C).T, np.eye(4))
 
 
+class TestSpawnedWords:
+    """The batched spawn against numpy's SeedSequence children and their PCG64 streams."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 50, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
+    def test_equal_pcg64_of_each_child(self, seed, samples):
+        # 2^130 + 5 has five 32-bit words, one more than SeedSequence's pool:
+        # its fifth word goes through the third mixing loop
+        got = _spawned_words(seed, samples, 11)
+        want = [np.random.PCG64(c).random_raw(11) for c in np.random.SeedSequence(seed).spawn(samples)]
+        assert got.dtype == np.uint64 and got.shape == (samples, 11)
+        assert np.array_equal(got, want)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            _spawned_words(-1, 3, 5)
+
+
 class TestSamplingLoops:
     """The stacked samplers against the per-sample loops they replaced, bit for bit."""
 
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 2)])
     def test_commuting_bodies_equal_loop(self, m, n):
-        seeds = np.random.SeedSequence([m, n, 20]).spawn(60)
-        got = commuting_bodies(m, n, (np.random.default_rng(s) for s in seeds))
-        want, kinds = _loop_commuting_bodies(m, n, [np.random.default_rng(s) for s in seeds])
-        assert set(kinds.tolist()) == {0, 1, 2, 3}
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
-        # one generator four times: its stream continues from sample to sample
-        rng, ref = np.random.default_rng([m, n]), np.random.default_rng([m, n])
-        got = commuting_bodies(m, n, [rng] * 4)
-        want, _ = _loop_commuting_bodies(m, n, [ref] * 4)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert rng.random() == ref.random()
+        # the word layout against the generator calls it stands for, one
+        # default_rng per child; the kinds that draw S (0 and 3) and those that
+        # do not (1 and 2) all occur, and 2^130 + 5 has five seed words
+        for seed in (20 + 10 * m + n, 2**130 + 5):
+            got = commuting_bodies(m, n, seed, 60)
+            children = np.random.SeedSequence(seed).spawn(60)
+            want, kinds = _loop_commuting_bodies(m, n, [np.random.default_rng(c) for c in children])
+            assert set(kinds.tolist()) == {0, 1, 2, 3}
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
 
     @pytest.mark.parametrize("samples", [1, 7, 100])
     def test_rotation_det_equals_loop(self, samples):
