@@ -24,6 +24,7 @@ from superholonomy.group import (
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
     gauge_fix_sigma,
+    integers_from_random,
     parabolic,
     rotation,
     sector_representative,
@@ -695,6 +696,39 @@ class TestStacks:
         shapes.clear()
         assert [pair.moduli for pair in sector_representatives(enumerate_sectors_osp12().fermionic_sectors)] == [2] * 4
         assert shapes == [(4, 2, 2, 2), (2, 4, 4, 2)]
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_seven_random_calls_per_sample(self, m, n):
+        # the word layout commuting_bodies reads is what a child's generator reads in
+        # seven random calls: doubles into K | S t | u | L P, float32 halves for the
+        # kind and the six signs; the kinds that draw S (0 and 3) and those that do
+        # not (1 and 2) alike
+        s0, q = m * m, 4 * n * n
+        words = group_module._spawned_words(40 + m + n, 40, 2 * s0 + 2 * q + 8)
+        kinds = set()
+        for w, child in zip(words, np.random.SeedSequence(40 + m + n).spawn(40)):
+            rng = RandomOnly(child)
+            row, half = np.zeros(2 * s0 + 2 * q + 4), np.empty(7, dtype=np.float32)
+            rng.random(out=row[:s0])
+            rng.random(out=half[:1], dtype=np.float32)
+            kind = int(integers_from_random(half[0], 4))
+            draws_s = kind in (0, 3)
+            rng.random(out=row[s0 if draws_s else s0 + q:s0 + q + 2])
+            rng.random(out=half[1:3], dtype=np.float32)
+            rng.random(out=row[s0 + q + 2:s0 + q + 4])
+            rng.random(out=half[3:], dtype=np.float32)
+            rng.random(out=row[s0 + q + 4:])
+            assert rng.calls == 7
+            kinds.add(kind)
+            rest = w[s0 + 1 + q:] if draws_s else w[s0 + 1:-q]
+            K, S, t, u, LP = ((x >> np.uint64(11)) * 2.0 ** -53
+                              for x in (w[:s0], w[s0 + 1:s0 + 1 + q], rest[:2], rest[3:5], rest[7:]))
+            assert np.array_equal(row, np.concatenate([K, S if draws_s else np.zeros(q), t, u, LP]))
+            halves = [int(x) >> shift & 0xFFFFFFFF for x in (w[s0], rest[2], rest[5]) for shift in (0, 32)]
+            halves.append(int(rest[6]) & 0xFFFFFFFF)
+            assert np.array_equal(half, np.array([(h >> 8) * 2.0 ** -24 for h in halves], dtype=np.float32))
+            assert kind == halves[0] >> 30
+        assert kinds == {0, 1, 2, 3}
 
     def test_two_random_calls_per_rotation_sample(self):
         rng = RandomOnly(8)
