@@ -318,27 +318,44 @@ def _even_split(n: int, d: int, m: int) -> EvenSplit:
     return EvenSplit(n, d, m)
 
 
+def even_pattern(m: int, *arrays: np.ndarray, check: bool = True) -> int:
+    """N of square (..., 2^N, d, d) arrays, one N and d >= 1, on the even (m|d-m) pattern; else raises.
+
+    ParityPatternError names the first entry (i, j) off the pattern, row-major
+    in the first member that has one, with its coefficients by 1-based
+    monomial, as the JSON wire format writes them.  check False skips that
+    scan for a caller that vouches for the pattern, as SuperMatrix does.
+    """
+    size, d = arrays[0].shape[-3], arrays[0].shape[-1]
+    if not 0 <= m <= d or not d or any(a.shape[-3:] != (size, d, d) for a in arrays):
+        raise ValueError(f"an even ({m}|{d - m}) pattern needs square (2^N, {d}, {d}) arrays with d >= 1, "
+                         f"got shapes {[a.shape for a in arrays]}")
+    n = size.bit_length() - 1
+    if not check:
+        return n
+    off = _off_pattern(n, d, m)
+    for a in arrays:
+        if a.reshape(-1, size * d * d)[:, off].any():
+            members = a.reshape(-1, size, d, d)
+            k, i, j = np.argwhere(((members != 0.0) & pattern_mask(n, d, m)).any(axis=1))[0]
+            coeffs = {tuple(g + 1 for g in range(n) if q >> g & 1): float(members[k, q, i, j])
+                      for q in np.flatnonzero(members[k, :, i, j])}
+            raise ParityPatternError(f"entry ({i}, {j}) must be {'odd' if (i >= m) != (j >= m) else 'even'} "
+                                     f"on the even ({m}|{d - m}) pattern, got coefficients {coeffs}")
+    return n
+
+
 def even_route(m: int | None, *arrays: np.ndarray, check: bool = True) -> EvenSplit | None:
     """The split plan for even (m|d-m) arrays, or None for the pair table.
 
-    m None declares no pattern.  Otherwise every array must be a square
-    (..., 2^N, d, d) stack, of one N and d, on the even pattern: anything
-    else raises, so an array is never cut to its pattern silently.  check
-    False skips the scan of the pattern's zeros for a caller that vouches
-    for them, as SuperMatrix does, having checked its pattern when built.
-    The plan is returned for 1 <= N and 2^N d <= SPLIT_MAX.
+    m None declares no pattern.  Otherwise the arrays are checked by
+    ``even_pattern`` (check as there), and the plan is returned for 1 <= N
+    and 2^N d <= SPLIT_MAX.
     """
     if m is None:
         return None
-    size, d = arrays[0].shape[-3], arrays[0].shape[-1]
-    if not 0 <= m <= d or any(a.shape[-3:] != (size, d, d) for a in arrays):
-        raise ValueError(f"an even ({m}|{d - m}) pattern needs square (2^N, {d}, {d}) arrays, "
-                         f"got shapes {[a.shape for a in arrays]}")
-    n = size.bit_length() - 1
-    off = _off_pattern(n, d, m)
-    if check and any(a.reshape(-1, size * d * d)[:, off].any() for a in arrays):
-        raise ParityPatternError(f"array breaks the even ({m}|{d - m}) parity pattern")
-    return _even_split(n, d, m) if 1 <= n and size * d <= SPLIT_MAX else None
+    n, d = even_pattern(m, *arrays, check=check), arrays[0].shape[-1]
+    return _even_split(n, d, m) if 1 <= n and (1 << n) * d <= SPLIT_MAX else None
 
 
 def _split_slices(fn, x: np.ndarray, *rest: np.ndarray) -> np.ndarray:

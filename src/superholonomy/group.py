@@ -141,16 +141,16 @@ class OspGroup:
         the residual is taken on the split slots; off them both sides are 0.
         """
         H = self.H_matrix()
-        even, trusted, parity = self.m, isinstance(M, SuperMatrix), 0
+        trusted = isinstance(M, SuperMatrix)
         if trusted:
             H._check_compatible(M)
-            even, parity, M = (None if M.parity else even), M.parity, M.coeffs
+            M = M.coeffs
         elif np.shape(M)[-3:] != H.coeffs.shape:
             raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (*H.coeffs.shape, np.shape(M)))
-        st_h = signed_gather(M, transpose_plan(self.m, self.m + self.two_n, parity, graded=True))
+        st_h = signed_gather(M, transpose_plan(self.m, self.m + self.two_n, graded=True))
         st_h = st_h if trusted else canonical(st_h)
-        split = even_route(even, st_h, M, check=not trusted)
-        if split is None:       # odd parity, or the pair table above SPLIT_MAX
+        split = even_route(self.m, M, st_h, check=not trusted)
+        if split is None:       # the pair table above SPLIT_MAX
             worst = np.abs(canonical(graded_matmul(st_h, M) - H.coeffs)).max(axis=(-3, -2, -1), initial=0.0)
         else:
             worst = _split_slices(lambda a, b: np.abs(canonical(canonical(split.regular(a) @ split.pack(b))
@@ -557,8 +557,6 @@ class HolonomyPair:
         for U in (U1, U2):
             if (U.m, U.n) != (group.m, group.two_n):
                 raise ValueError(f"expected block sizes ({group.m},{group.two_n}), got ({U.m},{U.n})")
-        if U1.parity or U2.parity:      # an odd matrix has no invertible body
-            raise ValueError("holonomies are not group members")
         return cls.from_stack(group, np.stack([U1.coeffs, U2.coeffs])[None], [label])[0]
 
     @classmethod

@@ -113,7 +113,7 @@ class TestMembership:
             M = group.sample_member(np.random.default_rng([seed, ngen]))
             row = group.sample_stack([np.random.default_rng([seed, ngen])])[0]
             want = SuperMatrix.from_coeffs(m, 2 * n, row)
-            assert np.array_equal(M.coeffs, want.coeffs) and (M.m, M.n, M.parity) == (m, 2 * n, 0)
+            assert np.array_equal(M.coeffs, want.coeffs) and (M.m, M.n) == (m, 2 * n)
             assert np.array_equal(canonical(np.array(M.coeffs)), M.coeffs)
             assert not (M.coeffs * pattern_mask(ngen, m + 2 * n, m)).any()
             assert not M.coeffs.flags.writeable
@@ -496,9 +496,6 @@ class TestHolonomyPair:
             HolonomyPair.from_stack(g12, U, ["a", "b", "c"])
         with pytest.raises(ValueError, match="do not commute"):
             HolonomyPair.from_stack(g12, U[[0, 2]], ["a", "c"])
-        odd = SuperMatrix.from_coeffs(1, 2, np.zeros((4, 3, 3)), parity=1)
-        with pytest.raises(ValueError, match="not group members"):
-            HolonomyPair.make(g12, SuperMatrix.from_coeffs(1, 2, good), odd)
         pair, = HolonomyPair.from_stack(g12, U[:1], ["a"])
         assert pair == HolonomyPair.make(g12, *(SuperMatrix.from_coeffs(1, 2, u) for u in U[0]), label="a")
 

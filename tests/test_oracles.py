@@ -22,7 +22,7 @@ per-pair and per-triple loops that fit one bracket and test one index at a
 time.
 
 The builders that take coefficient arrays (the non-exponential family,
-``random_supermatrix`` and the odd constraint rows of
+``random_coeffs`` and the odd constraint rows of
 ``gauge_fixing_check``) are checked bit for bit against the element and
 polynomial routes they replaced.
 
@@ -50,7 +50,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from random_inputs import random_element, random_supermatrix
+from random_inputs import random_coeffs, random_element, random_supermatrix
 from superholonomy import checks, grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
                                      NonInvertibleError, ParityPatternError, RankUndecidedError, canonical, grade_signs,
@@ -62,8 +62,8 @@ from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _spawned_wor
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
 from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0, SIGMA1, SIGMA2,
                                     _osp12_relation_residual, _structure_constants_from_rep, build_osp, build_osp12)
-from superholonomy.supermatrix import (SuperMatrix, array_to_gmat, body_array, gmat_mul, graded_expm, graded_form,
-                                      signed_gather, supertranspose_coeffs, symplectic_form, transpose_plan)
+from superholonomy.supermatrix import (SuperMatrix, array_to_gmat, body_array, gmat_mul, gmat_to_array, graded_expm,
+                                      graded_form, signed_gather, supertranspose_coeffs, symplectic_form, transpose_plan)
 
 
 @lru_cache(maxsize=None)
@@ -148,13 +148,16 @@ class TestRegularRepresentation:
     @pytest.mark.parametrize("ngen", GENERATORS)
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_product_both_parities(self, m, n, ngen):
+        # odd patterns exist only as arrays, under the pair-table kernel; an
+        # even pair is declared even, as SuperMatrix @ declares it
         rng = np.random.default_rng([m, n, ngen, 1])
         for px in (0, 1):
             for py in (0, 1):
-                x = random_supermatrix(rng, m, n, ngen, parity=px)
-                y = random_supermatrix(rng, m, n, ngen, parity=py)
-                xy = x @ y
-                assert xy.parity == (px + py) % 2
+                x = random_coeffs(rng, m, n, ngen, px)
+                y = random_coeffs(rng, m, n, ngen, py)
+                xy = graded_matmul(x, y, None if px or py else m)
+                # block parity adds mod 2: xy is zero off the (px + py) pattern
+                assert not xy[pattern_mask(ngen, m + n, m) != bool((px + py) % 2)].any()
                 err = np.abs(left_regular(xy) - left_regular(x) @ left_regular(y)).max()
                 assert err <= 1e-12
 
@@ -178,15 +181,16 @@ class TestRegularRepresentation:
             assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
     def test_supertranspose_reversal_both_parities(self):
-        # (XY)^st = (-1)^{|X||Y|} Y^st X^st, compared through L
+        # (XY)^st = (-1)^{|X||Y|} Y^st X^st for the kernel's products, compared
+        # through L, with the block-sign transpose of each parity
         rng = np.random.default_rng(4)
         for px in (0, 1):
             for py in (0, 1):
-                x = random_supermatrix(rng, 2, 2, 3, parity=px)
-                y = random_supermatrix(rng, 2, 2, 3, parity=py)
+                x = random_coeffs(rng, 2, 2, 3, px)
+                y = random_coeffs(rng, 2, 2, 3, py)
                 sign = -1.0 if px and py else 1.0
-                lhs = left_regular((x @ y).supertranspose())
-                rhs = sign * left_regular(y.supertranspose() @ x.supertranspose())
+                lhs = left_regular(block_supertranspose(graded_matmul(x, y), 2, (px + py) % 2))
+                rhs = sign * left_regular(graded_matmul(block_supertranspose(y, 2, py), block_supertranspose(x, 2, px)))
                 assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -229,7 +233,7 @@ class TestDictLoopOracle:
         def sparse_matrix():
             rows = [[sparse_element(rng, ngen, 6, parity=(i >= m) ^ (j >= m)) for j in range(d)]
                     for i in range(d)]
-            return SuperMatrix(m, n, rows, ngen=ngen)
+            return SuperMatrix.from_coeffs(m, n, gmat_to_array(rows, ngen))
 
         for _ in range(5):
             x, y = sparse_matrix(), sparse_matrix()
@@ -875,12 +879,12 @@ def element_nonexp_samples(cal_a1, cal_a2, grid_points):
     return [path(phi, amp) for amp in (cal_a1, cal_a2) for phi in grid]
 
 
-def element_random_supermatrix(rng, m, n, ngen, parity=0, scale=1.0):
-    """random_supermatrix drawn entry by entry as random_element values."""
+def element_random_coeffs(rng, m, n, ngen, parity=0, scale=1.0):
+    """random_coeffs drawn entry by entry as random_element values."""
     d = m + n
     rows = [[random_element(rng, ngen, parity=((i >= m) ^ (j >= m)) ^ parity, scale=scale)
              for j in range(d)] for i in range(d)]
-    return SuperMatrix(m, n, rows, parity=parity, ngen=ngen)
+    return gmat_to_array(rows, ngen)
 
 
 def polynomial_odd_rows(alg, even_values):
@@ -914,10 +918,8 @@ class TestElementRoutes:
         for seed in range(4):
             rng, ref = np.random.default_rng([seed, ngen]), np.random.default_rng([seed, ngen])
             for _ in range(3):
-                got = random_supermatrix(rng, m, n, ngen, parity, scale)
-                want = element_random_supermatrix(ref, m, n, ngen, parity, scale)
-                assert got.parity == want.parity == parity
-                assert np.array_equal(got.coeffs, want.coeffs)
+                got = random_coeffs(rng, m, n, ngen, parity, scale)
+                assert np.array_equal(got, element_random_coeffs(ref, m, n, ngen, parity, scale))
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("m, n", [(0, 0)] + OSP_SIZES)      # (0, 0): the explicit osp(1|2)
@@ -936,7 +938,10 @@ class TestElementRoutes:
 # ----------------------------------------------------------------------
 
 def block_supertranspose(coeffs, m, parity=0):
-    """The graded transpose by block signs: a transposed copy, two signed block scalings, canonical."""
+    """The graded transpose by block signs: a transposed copy, two signed block scalings, canonical.
+
+    On the odd pattern (parity 1) the off-diagonal signs flip, which is what
+    makes (XY)^st = (-1)^{|X||Y|} Y^st X^st hold for both parities."""
     sign = -1.0 if parity else 1.0
     out = np.swapaxes(coeffs, -1, -2).copy()
     out[..., :m, m:] *= sign
@@ -947,11 +952,10 @@ def block_supertranspose(coeffs, m, parity=0):
 def defect_by_body_product(group, M):
     """max |M^st H M - H| with M^st H a kernel product of the transpose and H."""
     H = group.H_matrix().coeffs
-    even, parity, trusted = group.m, 0, isinstance(M, SuperMatrix)
-    if trusted:
-        even, parity, M = (None if M.parity else even), M.parity, M.coeffs
-    st_h = graded_matmul(block_supertranspose(M, group.m, parity), H)
-    residual = canonical(graded_matmul(st_h, M, even, check=not trusted) - H)
+    trusted = isinstance(M, SuperMatrix)
+    M = M.coeffs if trusted else M
+    st_h = graded_matmul(block_supertranspose(M, group.m), H)
+    residual = canonical(graded_matmul(st_h, M, group.m, check=not trusted) - H)
     worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
     return float(worst) if worst.ndim == 0 else worst
 
@@ -959,11 +963,10 @@ def defect_by_body_product(group, M):
 def defect_on_full_array(group, M):
     """max |M^st H M - H| by the gather, with the residual over the whole (2^N, d, d) array."""
     H = group.H_matrix().coeffs
-    even, parity, trusted = group.m, 0, isinstance(M, SuperMatrix)
-    if trusted:
-        even, parity, M = (None if M.parity else even), M.parity, M.coeffs
-    st_h = signed_gather(M, transpose_plan(group.m, M.shape[-1], parity, graded=True))
-    residual = canonical(graded_matmul(st_h if trusted else canonical(st_h), M, even, check=not trusted) - H)
+    trusted = isinstance(M, SuperMatrix)
+    M = M.coeffs if trusted else M
+    st_h = signed_gather(M, transpose_plan(group.m, M.shape[-1], graded=True))
+    residual = canonical(graded_matmul(st_h if trusted else canonical(st_h), M, group.m, check=not trusted) - H)
     worst = np.abs(residual).max(axis=(-3, -2, -1), initial=0.0)
     return float(worst) if worst.ndim == 0 else worst
 
@@ -989,14 +992,17 @@ class TestMembershipGather:
     @pytest.mark.parametrize("m, n", GATHER_SIZES)
     @pytest.mark.parametrize("parity", [0, 1])
     def test_plan_equals_block_signs(self, m, n, parity):
+        # the plan is the even transpose's; its gather reads no pattern, so on
+        # odd arrays (parity 1), which membership_defect gathers before its
+        # scan refuses them, it is still the even block-sign transpose
         d = m + 2 * n
         for ngen in (0, 1, 3):
-            x = random_supermatrix(np.random.default_rng([m, n, ngen, parity]), m, 2 * n, ngen, parity).coeffs
+            x = random_coeffs(np.random.default_rng([m, n, ngen, parity]), m, 2 * n, ngen, parity)
             stack = np.array([x, 2.0 * x, -x])
             for arr in (x, stack, x[0]):
-                assert bit_equal(supertranspose_coeffs(arr, m, parity), block_supertranspose(arr, m, parity))
-                gathered = canonical(signed_gather(arr, transpose_plan(m, d, parity, graded=True)))
-                assert bit_equal(gathered, canonical(block_supertranspose(arr, m, parity) @ graded_form(m, 2 * n)))
+                assert bit_equal(supertranspose_coeffs(arr, m), block_supertranspose(arr, m))
+                gathered = canonical(signed_gather(arr, transpose_plan(m, d, graded=True)))
+                assert bit_equal(gathered, canonical(block_supertranspose(arr, m) @ graded_form(m, 2 * n)))
 
     @pytest.mark.parametrize("m, n", GATHER_SIZES)
     @pytest.mark.parametrize("ngen", [3, 4, 5, 6, 7])
@@ -1033,12 +1039,16 @@ class TestMembershipGather:
 
     @pytest.mark.parametrize("m, n", GATHER_SIZES)
     def test_odd_parity(self, m, n):
+        # an odd array is no member: the defect refuses it, naming M's first
+        # entry off the even pattern, as from_coeffs refuses to build it
         group = OspGroup(m, n, 4)
         rng = np.random.default_rng([m, n, 2])
         for _ in range(3):
-            M = random_supermatrix(rng, m, 2 * n, 4, parity=1)
-            assert group.membership_defect(M) == defect_by_body_product(group, M) > 0.0
-            assert group.membership_defect(M) == defect_on_full_array(group, M)
+            M = random_coeffs(rng, m, 2 * n, 4, 1)
+            for call in (group.membership_defect, lambda x: group.membership_defect(x[None]),
+                         lambda x: SuperMatrix.from_coeffs(m, 2 * n, x)):
+                with pytest.raises(ParityPatternError, match=r"^entry \(0, 0\) must be even on the even"):
+                    call(M)
 
     def test_table_route(self):
         group = OspGroup(2, 1, 8)

@@ -7,7 +7,7 @@ import pytest
 
 from random_inputs import random_element
 from superholonomy.checks import JACOBI_ALGEBRAS
-from superholonomy.grassmann import STACK_BYTES, GrassmannElement, canonical, grade_signs, stack_chunk
+from superholonomy.grassmann import STACK_BYTES, GrassmannElement, canonical, grade_signs, graded_matmul, stack_chunk
 from superholonomy.phase import check_closure
 from superholonomy.superlie import (
     EPS2,
@@ -85,12 +85,18 @@ class TestOsp12Relations:
         # the supermatrix supertrace reproduces the full bilinear form, even
         # block diag(-1,1,1) and odd block antisymmetric, with one scale
         k = osp12.conventions["supertrace_normalization"]
-        # the generators as supermatrices over B_2, the odd ones on the odd pattern
-        mats = [SuperMatrix.from_coeffs(1, 2, body_array(mat, 2), par) for mat, par in zip(osp12.rep, osp12.parities)]
+        # the generators as coefficient arrays over B_2, the odd ones on the
+        # odd pattern; a product of equal parities is even, a SuperMatrix, and
+        # one of mixed parities is odd, with zero diagonal blocks and eta 0
+        mats = [body_array(mat, 2) for mat in osp12.rep]
         for i in range(5):
             for j in range(5):
-                val = (mats[i] @ mats[j]).supertrace()
-                assert abs(val[0] - k * osp12.eta[i, j]) < 1e-12
+                prod = graded_matmul(mats[i], mats[j])
+                if osp12.parities[i] == osp12.parities[j]:
+                    val = SuperMatrix.from_coeffs(1, 2, prod).supertrace()
+                    assert abs(val[0] - k * osp12.eta[i, j]) < 1e-12
+                else:
+                    assert not np.diagonal(prod, axis1=1, axis2=2).any() and osp12.eta[i, j] == 0.0
 
 
 class TestBuildOsp:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from random_inputs import random_supermatrix
-from superholonomy.grassmann import GrassmannElement, NonInvertibleError, graded_inverse
+from random_inputs import random_coeffs, random_supermatrix
+from superholonomy.grassmann import GrassmannElement, NonInvertibleError, graded_expm, graded_inverse, graded_matmul
 from superholonomy.supermatrix import (
     ExpmNotConvergedError,
     ParityPatternError,
@@ -18,27 +18,51 @@ from superholonomy.supermatrix import (
 )
 
 
-def t(i, n=2):
-    return GrassmannElement.theta(i, n)
-
-
 def sample_osp12_like(rng, ngen=2):
     """Even supermatrix with the (1,2) block pattern and invertible body."""
     m = random_supermatrix(rng, 1, 2, ngen, scale=0.4)
     return m + SuperMatrix.identity(1, 2, ngen)
 
 
+def graded_trace(coeffs, m, parity):
+    """The graded trace on the even (parity 0) or odd (1) pattern: the row view's diagonal, the lower
+    block signed on the even pattern only."""
+    rows = array_to_gmat(coeffs)
+    signs = [1.0 if i < m or parity else -1.0 for i in range(len(rows))]
+    return sum((rows[i][i] * signs[i] for i in range(len(rows))), GrassmannElement.zero(rows[0][0].n)).dense()
+
+
 class TestConstruction:
     def test_parity_pattern_enforced(self):
-        rows = [[GrassmannElement.one(2) for _ in range(3)] for _ in range(3)]
+        ones = gmat_to_array([[GrassmannElement.one(2) for _ in range(3)] for _ in range(3)], 2)
         with pytest.raises(ParityPatternError):
-            SuperMatrix(1, 2, rows)
+            SuperMatrix.from_coeffs(1, 2, ones)
 
-    def test_odd_pattern_accepts_swapped_roles(self):
-        z = GrassmannElement.zero(2)
-        rows = [[t(1), z, z], [z, t(2), z], [z, z, t(1)]]
-        sm = SuperMatrix(1, 2, rows, parity=1)
-        assert sm.parity == 1
+    def test_pattern_error_names_the_entry(self):
+        # from_coeffs and the declared kernel share one scan and one message:
+        # the first bad entry in row-major order, with all its coefficients
+        x = np.array(SuperMatrix.identity(1, 2, 2).coeffs)
+        x[[0, 1, 3], 0, 1] = 0.5, 0.25, -2.0      # xi entry (0, 1): 0.5 + 0.25 t1 - 2 t1t2, two even terms
+        x[1, 2, 2] = 1.0                            # a later bad entry, not named
+        eye = SuperMatrix.identity(1, 2, 2).coeffs
+        want = "entry (0, 1) must be odd on the even (1|2) pattern, got coefficients {(): 0.5, (1,): 0.25, (1, 2): -2.0}"
+        for call in (lambda: SuperMatrix.from_coeffs(1, 2, x), lambda: graded_matmul(x, eye, 1),
+                     lambda: graded_matmul(eye, x, 1), lambda: graded_matmul(np.array([eye, x]), eye, 1)):
+            with pytest.raises(ParityPatternError) as info:
+                call()
+            assert str(info.value) == want
+
+    @pytest.mark.parametrize("build", ["identity", "zero", "from_body", "from_coeffs", "from_json_dict"])
+    @pytest.mark.parametrize("m, n, ngen, message", [
+        (-1, 3, 2, "block sizes"), (2, -1, 2, "block sizes"), (0, 0, 2, "block sizes"),
+        (1, 2, 17, "generator count"), (1, 2, -1, "generator count")])
+    def test_every_constructor_checks_its_sizes(self, build, m, n, ngen, message):
+        d = max(m + n, 0)
+        args = {"identity": (m, n, ngen), "zero": (m, n, ngen), "from_body": (np.eye(d), m, n, ngen),
+                "from_coeffs": (m, n, np.zeros((1 << ngen if ngen >= 0 else 0, d, d))),
+                "from_json_dict": ({"m": m, "n": n, "N": ngen, "entries": []},)}[build]
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            getattr(SuperMatrix, build)(*args)
 
     def test_from_coeffs_rejects_nan_body(self):
         coeffs = np.zeros((4, 3, 3))
@@ -107,20 +131,19 @@ class TestSupertranspose:
         assert not st.block_coeffs("xi").any()
 
     def test_graded_reversal_rule(self):
-        # (XY)^st = (-1)^{|X||Y|} Y^st X^st for homogeneous X, Y
+        # (XY)^st = Y^st X^st for even X, Y; the odd cases, with the sign
+        # (-1)^{|X||Y|}, run on arrays in test_oracles.TestRegularRepresentation
         rng = np.random.default_rng(7)
         for _ in range(200):
-            px, py = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            x = random_supermatrix(rng, 1, 2, 2, parity=px)
-            y = random_supermatrix(rng, 1, 2, 2, parity=py)
-            sign = -1.0 if px and py else 1.0
+            x = random_supermatrix(rng, 1, 2, 2)
+            y = random_supermatrix(rng, 1, 2, 2)
             lhs = (x @ y).supertranspose()
-            rhs = (y.supertranspose() @ x.supertranspose()) * sign
+            rhs = y.supertranspose() @ x.supertranspose()
             assert lhs.diff(rhs) <= 1e-13
 
     def test_involution_up_to_sign_on_even(self):
         rng = np.random.default_rng(8)
-        x = random_supermatrix(rng, 1, 2, 2, parity=0)
+        x = random_supermatrix(rng, 1, 2, 2)
         st2 = x.supertranspose().supertranspose()
         # double supertranspose flips the sign of both odd blocks
         assert np.allclose(st2.body(), x.body())
@@ -133,27 +156,28 @@ class TestSupertrace:
         assert np.array_equal(SuperMatrix.identity(1, 2, 2).supertrace(), want)
 
     def test_graded_cyclicity(self):
+        # str(XY) = (-1)^{|X||Y|} str(YX): odd factors are kernel arrays, an
+        # even pair also SuperMatrix products and supertraces
         rng = np.random.default_rng(9)
         for _ in range(200):
             px, py = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            x = random_supermatrix(rng, 2, 2, 3, parity=px)
-            y = random_supermatrix(rng, 2, 2, 3, parity=py)
+            x = random_coeffs(rng, 2, 2, 3, px)
+            y = random_coeffs(rng, 2, 2, 3, py)
             sign = -1.0 if px and py else 1.0
-            lhs = (x @ y).supertrace()
-            rhs = (y @ x).supertrace() * sign
+            lhs = graded_trace(graded_matmul(x, y), 2, (px + py) % 2)
+            rhs = graded_trace(graded_matmul(y, x), 2, (px + py) % 2) * sign
             assert np.abs(lhs - rhs).max() <= 1e-13
+            if not px and not py:
+                X, Y = SuperMatrix.from_coeffs(2, 2, x), SuperMatrix.from_coeffs(2, 2, y)
+                assert np.abs((X @ Y).supertrace() - (Y @ X).supertrace()).max() <= 1e-13
 
-    @pytest.mark.parametrize("parity", [0, 1])
-    def test_matches_row_view_sum(self, parity):
-        # the diagonal of the rows, the lower block signed on the even pattern
-        rng = np.random.default_rng([parity, 15])
-        sign = -1.0 if parity == 0 else 1.0
+    def test_matches_row_view_sum(self):
+        # the diagonal of the rows, the lower block signed
+        rng = np.random.default_rng([0, 15])
         for _ in range(20):
-            x = random_supermatrix(rng, 2, 2, 3, parity=parity)
-            want = sum((x.rows[i][i] * (1.0 if i < 2 else sign) for i in range(4)),
-                       GrassmannElement.zero(3))
+            x = random_supermatrix(rng, 2, 2, 3)
             assert x.supertrace().shape == (8,)
-            assert np.abs(x.supertrace() - want.dense()).max() <= 1e-15
+            assert np.abs(x.supertrace() - graded_trace(x.coeffs, 2, 0)).max() <= 1e-15
 
 
 class TestInverse:
@@ -225,7 +249,7 @@ class TestExp:
         body[1, 1], body[2, 2] = 0.4, -0.4   # 1-norm 0.4: no squaring
         x = SuperMatrix.from_body(body, 1, 2, 2)
         with pytest.raises(ExpmNotConvergedError):
-            x.expm(max_terms=2)
+            graded_expm(x.coeffs, x.m, max_terms=2)
 
     def test_exp_inverse(self):
         rng = np.random.default_rng(13)
@@ -257,8 +281,8 @@ class TestJson:
     def test_entries_in_row_col_monomial_order(self):
         # the order and values of a loop over the row view, monomials sorted
         rng = np.random.default_rng(16)
-        for parity in (0, 1):
-            x = random_supermatrix(rng, 2, 2, 3, parity=parity)
+        for _ in range(2):
+            x = random_supermatrix(rng, 2, 2, 3)
             want = [{"row": i, "col": j, "monomial": list(idx), "value": c}
                     for i, row in enumerate(x.rows) for j, e in enumerate(row)
                     for idx, c in e.monomials()]
@@ -272,8 +296,6 @@ class TestJson:
             SuperMatrix.from_json_dict({"m": m, "n": n, "N": 2, "entries": []})
         with pytest.raises(ValueError, match="block sizes must be non-negative"):
             SuperMatrix.from_coeffs(m, n, np.zeros((4, 2, 2)))
-        with pytest.raises(ValueError, match="block sizes must be non-negative"):
-            SuperMatrix(m, n, [[GrassmannElement.zero(2)] * 2] * 2)
 
     @pytest.mark.parametrize("ngen", [-1, 17, 64, 10**6])
     def test_generator_count_checked_before_allocating(self, ngen):
@@ -319,11 +341,14 @@ class TestJson:
             SuperMatrix.from_json_dict(data)
 
 
-def test_empty_matrix_needs_generator_count():
-    with pytest.raises(ValueError, match="generator count"):
-        SuperMatrix(0, 0, [])
-    empty = SuperMatrix(0, 0, [], ngen=2)
-    assert empty.coeffs.shape == (4, 0, 0)
+def test_empty_matrix_refused():
+    # no (0|0) SuperMatrix is built (see test_every_constructor_checks_its_sizes),
+    # and the kernel refuses a (0|0) array declared even
+    empty = np.zeros((4, 0, 0))
+    for call in (lambda: graded_matmul(empty, empty, 0), lambda: graded_inverse(empty, 0),
+                 lambda: graded_expm(empty, 0)):
+        with pytest.raises(ValueError, match=r"^an even \(0\|0\) pattern needs square"):
+            call()
 
 
 def test_commutator_of_commuting_matrices_vanishes():
