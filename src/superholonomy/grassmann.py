@@ -102,6 +102,12 @@ SPLIT_BYTES = 1 << 20
 # 4.5 MB here; a 200-op OSp(1|2) sweep at N = 6 to 8 ran no faster with
 # 1 MB chunks, which added 40 MB of peak RSS
 STACK_BYTES = 1 << 17
+# a supermatrix holds at most this many coefficients, 2^N (m+n)^2 (128 MiB of
+# float64), checked before anything is allocated: the kernels keep several
+# temporaries of an operand's size, so a larger one exhausts memory rather
+# than computing.  The builders' largest, OSp(m|2n) with m + 2n <= 8 over
+# B_16, holds 2^22
+MAX_COEFFS = 1 << 24
 
 
 def matrix_rank(mat: np.ndarray):
@@ -245,6 +251,7 @@ class EvenSplit:
     L @ s is x y in split form for s the split y: one matmul.  L's nonzeros
     and their sources in [x, -x] come in aligned runs of ``run`` =
     gcd(m, d - m) columns, which it moves as one item of ``unit`` each.
+    ``identity`` is the (2, h, w) split identity, packed once, read-only.
     """
 
     def __init__(self, n: int, d: int, m: int):
@@ -280,7 +287,11 @@ class EvenSplit:
         self.dst, self.src = dst[on][order] // self.run, src[on][order] // self.run
         self.unit = np.dtype(float) if self.run == 1 else np.dtype((np.void, 8 * self.run))
         self.h = h
-        for arr in (self.packed, self.real, self.written, self.dst, self.src):
+        # the identity's slots, where every exponential's series starts
+        eye = np.zeros((size, d, d))
+        eye[0] = np.eye(d)
+        self.identity = self.pack(eye)
+        for arr in (self.packed, self.real, self.written, self.dst, self.src, self.identity):
             arr.flags.writeable = False
 
     # gathers take axis 1 of a (members, coefficients) view and scatters
@@ -546,7 +557,9 @@ def scaling_squaring_expm(x: np.ndarray, body: np.ndarray, taylor, square) -> np
     Matrix Anal. Appl. 26, 2005).  Soul parts are nilpotent, so they only
     lengthen the series by finitely many orders.  A small member gets no
     extra squarings, which would only add rounding, so every member is
-    bit-equal to its one-matrix exponential.
+    bit-equal to its one-matrix exponential: while every member still
+    squares the stack's square(a) is taken as it is, after that a finished
+    member keeps its value.
     """
     norm = np.abs(body).sum(axis=-2).max(axis=-1, initial=0.0)
     squarings = np.ceil(np.log2(np.fmax(norm, 0.5) / 0.5)).astype(int)
@@ -556,7 +569,8 @@ def scaling_squaring_expm(x: np.ndarray, body: np.ndarray, taylor, square) -> np
 
     acc = taylor(x * per_member(0.5 ** squarings))
     for k in range(int(squarings.max(initial=0))):
-        acc = np.where(per_member(squarings > k), square(acc), acc)
+        squares = squarings > k
+        acc = square(acc) if squares.all() else np.where(per_member(squares), square(acc), acc)
     return acc
 
 
@@ -583,7 +597,7 @@ def graded_expm(coeffs: np.ndarray, m: int | None, max_terms: int = 80,
     way.  For coeffs declared even (m|d-m) (see ``even_route``) and 2^N d <=
     SPLIT_MAX, the sum runs in split form, each step one matmul by the
     blocks of L of the scaled generator, built once per call (stacks in
-    slices of SPLIT_BYTES), an
+    slices of SPLIT_BYTES), from the split's read-only identity, an
     exponential's action in the sense of Al-Mohy and Higham (SIAM J. Sci.
     Comput. 33, 2011); otherwise each step is the kernel.  The squarings
     are ``graded_matmul``.  Every member of a stack is bit-equal to its
@@ -594,13 +608,13 @@ def graded_expm(coeffs: np.ndarray, m: int | None, max_terms: int = 80,
         raise ValueError("non-finite Grassmann coefficient")
 
     def taylor(x):
-        identity = np.zeros(x.shape)
-        identity[..., 0, :, :] = np.eye(x.shape[-1])
         if split is None:
+            identity = np.zeros(x.shape)
+            identity[..., 0, :, :] = np.eye(x.shape[-1])
             return canonical(taylor_sum(lambda t: _convolve(t, x), identity, 3, COEFF_CUTOFF, max_terms))
         L = split.regular(x)
-        return canonical(split.unpack(taylor_sum(lambda t: L @ t, split.pack(identity), 3, COEFF_CUTOFF,
-                                                 max_terms)))
+        identity = np.broadcast_to(split.identity, (*x.shape[:-3], *split.shape))
+        return canonical(split.unpack(taylor_sum(lambda t: L @ t, identity, 3, COEFF_CUTOFF, max_terms)))
 
     def expm(part):
         return scaling_squaring_expm(part, part[..., 0, :, :], taylor,

@@ -22,8 +22,8 @@ from itertools import islice, product
 
 import numpy as np
 
-from .grassmann import (DEFECT_TOL, MAX_GENERATORS, _split_slices, canonical, even_route, grade_signs, graded_expm,
-                        graded_inverse, graded_matmul, matrix_rank, real_expm, stack_chunk)
+from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, MAX_GENERATORS, _split_slices, canonical, even_route, grade_signs,
+                        graded_expm, graded_inverse, graded_matmul, matrix_rank, real_expm, stack_chunk)
 from .supermatrix import SuperMatrix, body_array, signed_gather, transpose_plan
 from .superlie import (
     OSP12_DIRECTIONS,
@@ -132,6 +132,19 @@ class OspGroup:
         H = self.H_matrix().coeffs
         return even_route(self.m, H, check=False).pack(H)
 
+    @cached_property
+    def _draw_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        # sample_stack's slots in its draw order, generators in basis order
+        # and inside each the monomials of its parity in mask order, as flat
+        # positions in the (2^N, dim) table embed takes; and each slot's
+        # factor, 0.5 on an even generator's soul and 1 elsewhere (both exact)
+        alg = self.algebra()
+        odd_masks = grade_signs(self.ngen)[:, 0, 0] < 0
+        generator, mask = np.nonzero(odd_masks[None, :] == alg.odd_mask[:, None])
+        positions, factor = mask * alg.dim + generator, np.where(alg.even_mask[generator] & (mask > 0), 0.5, 1.0)
+        positions.flags.writeable = factor.flags.writeable = False
+        return positions, factor
+
     def membership_defect(self, M):
         """Largest coefficient of M^st H M - H: one signed gather of M (transpose_plan), one product.
 
@@ -151,10 +164,12 @@ class OspGroup:
         st_h = st_h if trusted else canonical(st_h)
         split = even_route(self.m, M, st_h, check=not trusted)
         if split is None:       # the pair table above SPLIT_MAX
-            worst = np.abs(canonical(graded_matmul(st_h, M) - H.coeffs)).max(axis=(-3, -2, -1), initial=0.0)
+            worst = np.abs(graded_matmul(st_h, M) - H.coeffs).max(axis=(-3, -2, -1), initial=0.0)
         else:
-            worst = _split_slices(lambda a, b: np.abs(canonical(canonical(split.regular(a) @ split.pack(b))
-                                                                - self._H_slots)).max(axis=(-3, -2, -1)), st_h, M)
+            worst = _split_slices(lambda a, b: np.abs(canonical(split.regular(a) @ split.pack(b))
+                                                      - self._H_slots).max(axis=(-3, -2, -1)), st_h, M)
+        # a residual below COEFF_CUTOFF is zero, so the worst is 0 when every one is
+        worst = np.where(worst < COEFF_CUTOFF, 0.0, worst)
         return float(worst) if worst.ndim == 0 else worst
 
     # ------------------------------------------------------------------
@@ -176,37 +191,39 @@ class OspGroup:
 
         Every sample's draws are taken first, in sample_member's order (its
         coefficients, then the reflection coin), so a generator repeated in
-        rngs gives the stream of the one-sample loop.  The exponentials and
-        reflections then run over the stack in chunks of at most
-        STACK_BYTES of coefficients, so the temporaries do not grow with the
-        pool.  Returns (S, 2^N, d, d).
+        rngs gives the stream of the one-sample loop.  They are written, even
+        souls halved, straight into the (S, 2^N, dim) table embed takes, at
+        the group's cached draw plan.  The exponentials and reflections then
+        run over the stack in chunks of at most STACK_BYTES of coefficients,
+        so the temporaries do not grow with the pool; a lone chunk is
+        returned as it is.  Returns (S, 2^N, d, d).
         """
-        alg = self.algebra()
-        odd_masks = grade_signs(self.ngen)[:, 0, 0] < 0
-        # the draw order: generators in basis order, inside each the
-        # monomials of its parity in mask order; one rng.uniform call of k
-        # values reads the stream of k scalar calls
-        slots = np.flatnonzero(odd_masks[None, :] == alg.odd_mask[:, None])
+        alg, (positions, factor) = self.algebra(), self._draw_plan
         rngs = list(rngs)
-        table = np.zeros((len(rngs), alg.dim, 1 << self.ngen))
+        size, d = 1 << self.ngen, self.m + self.two_n
+        table = np.zeros((len(rngs), size, alg.dim))
         flat = table.reshape(len(rngs), -1)
         flips = np.zeros(len(rngs), dtype=bool)
         for k, rng in enumerate(rngs):
-            flat[k, slots] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(slots))
+            # one rng.uniform call of k values reads the stream of k scalar calls
+            flat[k, positions] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(positions)) * factor
             flips[k] = components and rng.random() < 0.5
-        table[:, alg.even_mask, 1:] *= 0.5      # halve the even souls
-        canonical(table)               # and zero what falls below COEFF_CUTOFF
-        d = self.m + self.two_n
-        members = np.empty((len(rngs), 1 << self.ngen, d, d))
-        chunk = stack_chunk(members.shape[1:])
-        for start in range(0, len(rngs), chunk):
-            part = slice(start, start + chunk)
+        canonical(table)               # zero what falls below COEFF_CUTOFF
+
+        def members_of(part):
             # the algebra's generators keep the even pattern, and so do sums of them
-            block = graded_expm(alg.embed(table[part].swapaxes(1, 2)), self.m, check=False)
-            flip = flips[part]
-            # the reflection diag(-1, 1, ...) negates row 0 of every coefficient
-            block[flip, :, 0] = canonical(-block[flip, :, 0])
-            members[part] = block
+            block = graded_expm(alg.embed(table[part]), self.m, check=False)
+            flip = np.flatnonzero(flips[part])
+            if flip.size:   # the reflection diag(-1, 1, ...) negates row 0 of every coefficient
+                block[flip, :, 0] = canonical(-block[flip, :, 0])
+            return block
+
+        chunk = stack_chunk((size, d, d))
+        if len(rngs) <= chunk:
+            return members_of(slice(None))
+        members = np.empty((len(rngs), size, d, d))
+        for start in range(0, len(rngs), chunk):
+            members[start:start + chunk] = members_of(slice(start, start + chunk))
         return members
 
     def sample_member(self, rng, components: bool = True) -> SuperMatrix:

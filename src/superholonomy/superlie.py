@@ -36,6 +36,15 @@ EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 MAX_OSP_SIZE = 8
 
 
+@lru_cache(maxsize=None)
+def _off_parity(n: int, parities: tuple[int, ...]) -> np.ndarray:
+    """Flat positions in a (2^n, dim) coefficient table of the monomials whose parity differs from their
+    generator's: a gather by them is cheaper than the boolean mask."""
+    out = np.flatnonzero((grade_signs(n)[:, 0] < 0) != np.array(parities, dtype=bool))
+    out.flags.writeable = False
+    return out
+
+
 def pair_signs(parities: Sequence[int]) -> np.ndarray:
     """(-1)^{|i||j|} for every pair of generators: -1 on odd-odd pairs."""
     p = np.asarray(parities)
@@ -169,11 +178,10 @@ class SuperAlgebra:
         size = coeffs.shape[-2] if coeffs.ndim >= 2 else 0
         if coeffs.shape[-1:] != (self.dim,) or size < 1 or size & (size - 1):
             raise ValueError(f"expected a (..., 2^N, {self.dim}) coefficient array, got shape {coeffs.shape}")
-        # True where monomial q's parity differs from generator i's, (2^N, dim)
-        wrong = (grade_signs(size.bit_length() - 1)[:, :, 0] < 0) != self.odd_mask
-        bad = ((coeffs != 0.0) & wrong).reshape(-1, self.dim).any(axis=0)
-        if bad.any():
-            i = int(np.argmax(bad))
+        off = _off_parity(size.bit_length() - 1, self.parities)
+        wrong = coeffs.reshape(-1, size * self.dim)[:, off].any(axis=0)
+        if wrong.any():
+            i = int((off[wrong] % self.dim).min())
             raise ValueError(f"coefficient {i} must have Grassmann parity {self.parities[i]}")
         return coeffs
 

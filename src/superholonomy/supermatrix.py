@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 # ExpmNotConvergedError, ParityPatternError and graded_expm are imported from here too
-from .grassmann import (MAX_GENERATORS, ExpmNotConvergedError, GrassmannElement, ParityPatternError,
+from .grassmann import (MAX_COEFFS, MAX_GENERATORS, ExpmNotConvergedError, GrassmannElement, ParityPatternError,
                         canonical, even_pattern, graded_expm, graded_inverse, graded_matmul, monomial_mask)
 
 GMatrix = list[list[GrassmannElement]]
@@ -316,6 +316,9 @@ def _check_dims(m: int, n: int, ngen: int):
         raise ValueError(f"block sizes must be non-negative and not both zero, got ({m}, {n})")
     if not 0 <= ngen <= MAX_GENERATORS:
         raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}, got {ngen}")
+    if (m + n) ** 2 << ngen > MAX_COEFFS:
+        raise ValueError(f"a ({m}|{n}) supermatrix over B_{ngen} holds {(m + n) ** 2 << ngen} coefficients, "
+                         f"above MAX_COEFFS = {MAX_COEFFS}")
 
 
 def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:

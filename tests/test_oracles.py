@@ -55,10 +55,11 @@ from superholonomy import checks, grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
                                      NonInvertibleError, ParityPatternError, RankUndecidedError, canonical, grade_signs,
                                      graded_inverse, graded_matmul, matrix_rank, pattern_mask, real_expm, taylor_sum)
-from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, OspGroup, _spawned_words, ahat, build_nonexp_holonomy,
-                                 commuting_bodies, enumerate_sectors_osp12, fermionic_moduli_count,
-                                 fermionic_moduli_count_bruteforce, integers_from_random, parabolic, rotation,
-                                 sector_representative, sector_representatives, uniform_from_random)
+from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, SAMPLE_SCALE, OspGroup, _spawned_words, ahat,
+                                 build_nonexp_holonomy, commuting_bodies, enumerate_sectors_osp12,
+                                 fermionic_moduli_count, fermionic_moduli_count_bruteforce, integers_from_random,
+                                 parabolic, rotation, sector_representative, sector_representatives,
+                                 uniform_from_random)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
 from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0, SIGMA1, SIGMA2,
                                     _osp12_relation_residual, _structure_constants_from_rep, build_osp, build_osp12)
@@ -470,6 +471,36 @@ class TestStoppedMembers:
             one = taylor_sum(lambda t: t @ step[k], identity[k], 2, 1e-22, 80)
             assert bit_equal(stacked[k], one)
         assert bit_equal(stacked[0], identity[0] + 1e8 * identity[0])
+
+
+class TestSquaringCounts:
+    """Stacks whose members all square at first, then stop at different counts, keep their one-matrix bytes."""
+
+    # body 1-norms 0.8, 1.5 and 3: 1, 2 and 3 squarings
+    NORMS = np.array([0.8, 1.5, 3.0])
+    SQUARINGS = [1, 2, 3]
+
+    def test_real_expm(self):
+        mats = np.random.default_rng(48).uniform(-1.0, 1.0, (3, 4, 4))
+        mats *= (self.NORMS / np.abs(mats).sum(axis=-2).max(axis=-1))[:, None, None]
+        assert np.ceil(np.log2(np.abs(mats).sum(axis=-2).max(axis=-1) / 0.5)).tolist() == self.SQUARINGS
+        for stack in (mats, mats[::-1], np.array([mats, mats[::-1]])):
+            stacked = real_expm(stack)
+            for k in np.ndindex(stack.shape[:-2]):
+                assert bit_equal(stacked[k], real_expm(stack[k]))
+
+    @pytest.mark.parametrize("m, n, ngen, route", [(1, 2, 4, 1), (2, 2, 6, 2),       # split
+                                                   (1, 2, 4, None), (2, 2, 8, 2)])   # table
+    def test_graded_expm(self, m, n, ngen, route):
+        gen = random_supermatrix(np.random.default_rng([m, n, ngen, 49]), m, 2 * n, ngen).coeffs
+        gens = self.NORMS[:, None, None, None] * gen / np.abs(gen[0]).sum(axis=0).max()
+        body = np.abs(gens[:, 0]).sum(axis=-2).max(axis=-1)
+        assert np.ceil(np.log2(body / 0.5)).tolist() == self.SQUARINGS
+        assert (grassmann.even_route(route, gen) is None) == (route is None or ngen == 8)
+        for stack in (gens, gens[::-1], np.array([gens, gens[::-1]])):
+            stacked = graded_expm(stack, route)
+            for k in np.ndindex(stack.shape[:-3]):
+                assert bit_equal(stacked[k], graded_expm(stack[k], route))
 
 
 def count_calls(monkeypatch, name):
@@ -1026,6 +1057,27 @@ class TestMembershipGather:
             if noise >= 1e-9:
                 assert defects.min() > 0.0
 
+    @pytest.mark.parametrize("m, n, ngen", [(1, 1, 4), (2, 2, 6), (2, 1, 8)])     # split, split, table
+    def test_worst_below_the_cutoff_reads_zero(self, m, n, ngen):
+        # noise of 1e-15 on the bodies leaves residuals below COEFF_CUTOFF,
+        # some of them nonzero, so the worst reads 0; noise of 1e-3 on every
+        # coefficient gives the largest residual
+        group = OspGroup(m, n, ngen)
+        rng = np.random.default_rng([m, n, ngen, 5])
+        members = [group.sample_member(rng) for _ in range(3)]
+        H = group.H_matrix().coeffs
+        for noise, souls in ((1e-15, 0.0), (1e-3, 1.0)):
+            raw = [M.coeffs + noise * random_supermatrix(rng, m, 2 * n, ngen).coeffs
+                   * np.where(np.arange(1 << ngen) == 0, 1.0, souls)[:, None, None] for M in members]
+            defects = same_defects(group, raw)
+            assert np.array_equal(defects, [defect_on_full_array(group, M) for M in raw])
+            if noise < COEFF_CUTOFF:
+                assert defects.tolist() == [0.0] * 3
+                st_h = signed_gather(raw[0], transpose_plan(m, m + 2 * n, graded=True))
+                assert 0.0 < np.abs(graded_matmul(st_h, raw[0], m) - H).max() < COEFF_CUTOFF
+            else:
+                assert defects.min() > 1e-4
+
     @pytest.mark.parametrize("m, n", GATHER_SIZES)
     def test_raw_entries_below_the_cutoff(self, m, n):
         # a raw stack's M^st H drops coefficients below COEFF_CUTOFF, as the
@@ -1097,6 +1149,102 @@ class TestMembershipGather:
         monkeypatch.setattr(grassmann, "SPLIT_BYTES", 1)
         assert np.array_equal(group.membership_defect(grid), whole)
 
+
+
+# ----------------------------------------------------------------------
+# the draw plan and the parity refusal against the steps they replaced
+# ----------------------------------------------------------------------
+
+def loop_sample_stack(group, rngs, components=True):
+    """sample_stack one sample at a time by the steps the draw plan replaced: the slot scan over the
+    (dim, 2^N) mask, the draws, the even souls halved afterwards, embed of the swapped table and the
+    reflection by a boolean mask."""
+    alg = group.algebra()
+    odd_masks = grade_signs(group.ngen)[:, 0, 0] < 0
+    slots = np.flatnonzero(odd_masks[None, :] == alg.odd_mask[:, None])
+    members = []
+    for rng in rngs:
+        table = np.zeros((1, alg.dim, 1 << group.ngen))
+        table.reshape(1, -1)[0, slots] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(slots))
+        flip = np.array([components and rng.random() < 0.5])
+        table[:, alg.even_mask, 1:] *= 0.5
+        canonical(table)
+        block = graded_expm(alg.embed(table.swapaxes(1, 2)), group.m, check=False)
+        block[flip, :, 0] = canonical(-block[flip, :, 0])
+        members.append(block[0])
+    return np.array(members)
+
+
+class TestDrawPlan:
+    """sample_stack and sample_member, drawn at the cached plan, equal the scanning loop bit for bit."""
+
+    @pytest.mark.parametrize("m, n", GATHER_SIZES)
+    @pytest.mark.parametrize("ngen", [0, 1, 2, 6, 8])
+    def test_stack_and_member_equal_the_loop(self, m, n, ngen):
+        group = OspGroup(m, n, ngen)
+        for components in (True, False):
+            seeds = [[m, n, ngen, k, components] for k in range(3)]
+            rngs, ref = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+            # the first generator comes twice: its second sample reads on in its stream
+            stack = group.sample_stack(rngs + rngs[:1], components)
+            assert bit_equal(stack, loop_sample_stack(group, ref + ref[:1], components))
+            member = group.sample_member(rngs[1], components)
+            assert bit_equal(member.coeffs, loop_sample_stack(group, ref[1:2], components)[0])
+            for rng, r in zip(rngs, ref):
+                assert rng.random() == r.random()
+
+    def test_stack_across_chunks(self):
+        # OSp(2|2) over B_7: 8 members a chunk, so 11 run as 8 and a short 3
+        group = OspGroup(2, 1, 7)
+        assert grassmann.stack_chunk((1 << 7, 4, 4)) == 8
+        rngs, ref = ([np.random.default_rng([7, k]) for k in range(10)] for _ in range(2))
+        stack = group.sample_stack(rngs + rngs[:1])
+        assert bit_equal(stack, loop_sample_stack(group, ref + ref[:1]))
+        for rng, r in zip(rngs, ref):
+            assert rng.random() == r.random()
+
+
+def two_mask_refusal(alg, coeffs):
+    """The parity refusal of embed and bracket by the two-mask scan it replaced: the message naming
+    the first generator with a nonzero coefficient of the other parity, or None."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    size = coeffs.shape[-2]
+    wrong = (grade_signs(size.bit_length() - 1)[:, :, 0] < 0) != alg.odd_mask
+    bad = ((coeffs != 0.0) & wrong).reshape(-1, alg.dim).any(axis=0)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return f"coefficient {i} must have Grassmann parity {alg.parities[i]}"
+
+
+class TestParityRefusal:
+    @pytest.mark.parametrize("build", [build_osp12, lambda: build_osp(2, 1), lambda: build_osp(1, 2)])
+    @pytest.mark.parametrize("ngen", range(7))
+    def test_same_message_as_the_two_mask_scan(self, build, ngen):
+        alg = build()
+        rng = np.random.default_rng([alg.dim, ngen])
+        wrong = (grade_signs(ngen)[:, :, 0] < 0) != alg.odd_mask
+        good = rng.uniform(-1.0, 1.0, (3, 1 << ngen, alg.dim)) * ~wrong
+        named = set()
+        for trial in range(12):
+            bad = good.copy()
+            # one to three off-parity coefficients in random members, a signed
+            # zero (no refusal) or a NaN among them
+            for _ in range(rng.integers(1, 4)):
+                k, (q, i) = rng.integers(3), np.argwhere(wrong)[rng.integers(wrong.sum())]
+                bad[k, q, i] = (-0.0, np.nan, rng.uniform(-1.0, 1.0))[trial % 3]
+            # contiguous, transposed (a (..., dim, 2^N) array's swapped view) and one member
+            for x in (bad, np.swapaxes(np.ascontiguousarray(np.swapaxes(bad, 1, 2)), 1, 2), bad[0]):
+                want = two_mask_refusal(alg, x)
+                named.add(want)
+                if want is None:
+                    assert alg.embed(x).shape[-2:] == alg.rep[0].shape
+                    continue
+                for call in (alg.embed, lambda c: alg.bracket(c, good[0]), lambda c: alg.bracket(good[0], c)):
+                    with pytest.raises(ValueError) as info:
+                        call(x)
+                    assert str(info.value) == want
+        assert None in named and len(named) > 2
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 from random_inputs import random_coeffs, random_supermatrix
-from superholonomy.grassmann import GrassmannElement, NonInvertibleError, graded_expm, graded_inverse, graded_matmul
+from superholonomy.grassmann import (MAX_COEFFS, GrassmannElement, NonInvertibleError, graded_expm, graded_inverse,
+                                     graded_matmul)
 from superholonomy.supermatrix import (
     ExpmNotConvergedError,
     ParityPatternError,
     SuperMatrix,
+    _check_dims,
     array_to_gmat,
     body_array,
     commutator,
@@ -63,6 +65,24 @@ class TestConstruction:
                 "from_json_dict": ({"m": m, "n": n, "N": ngen, "entries": []},)}[build]
         with pytest.raises(ValueError, match=f"^{message} must be"):
             getattr(SuperMatrix, build)(*args)
+
+    @pytest.mark.parametrize("build, args", [
+        ("from_json_dict", ({"m": 1000000, "n": 0, "N": 16, "entries": []},)),   # was a 466 PiB MemoryError
+        ("from_json_dict", ({"m": 10**10, "n": 0, "N": 0, "entries": []},)),     # was numpy's "array is too big"
+        ("identity", (3000, 3000, 16)),                                            # was a 17.2 TiB MemoryError
+        ("zero", (3000, 3000, 16))])
+    def test_oversized_matrix_refused_before_allocating(self, build, args):
+        with pytest.raises(ValueError, match=r"supermatrix over B_\d+ holds \d+ coefficients, above MAX_COEFFS"):
+            getattr(SuperMatrix, build)(*args)
+
+    def test_size_bound_is_max_coeffs(self):
+        # checked on the sizes alone: a matrix at the bound would take 128 MiB
+        assert 64 ** 2 << 12 == MAX_COEFFS
+        _check_dims(64, 0, 12)
+        _check_dims(32, 32, 12)
+        for m, n, ngen in ((65, 0, 12), (32, 33, 12), (64, 0, 13)):
+            with pytest.raises(ValueError, match=r"above MAX_COEFFS = 16777216$"):
+                _check_dims(m, n, ngen)
 
     def test_from_coeffs_rejects_nan_body(self):
         coeffs = np.zeros((4, 3, 3))
