@@ -196,13 +196,14 @@ class OspGroup:
         the group's cached draw plan.  The exponentials and reflections then
         run over the stack in chunks of at most STACK_BYTES of coefficients,
         so the temporaries do not grow with the pool; a lone chunk is
-        returned as it is.  Returns (S, 2^N, d, d).
+        returned as it is.  Returns (S, 2^N, d, d); an empty rngs gives an
+        empty stack.
         """
         alg, (positions, factor) = self.algebra(), self._draw_plan
         rngs = list(rngs)
         size, d = 1 << self.ngen, self.m + self.two_n
         table = np.zeros((len(rngs), size, alg.dim))
-        flat = table.reshape(len(rngs), -1)
+        flat = table.reshape(len(rngs), size * alg.dim)
         flips = np.zeros(len(rngs), dtype=bool)
         for k, rng in enumerate(rngs):
             # one rng.uniform call of k values reads the stream of k scalar calls

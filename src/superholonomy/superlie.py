@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
-from .grassmann import DEFECT_TOL, EXACT_TOL, canonical, grade_signs, graded_matmul, matrix_rank, stack_chunk
+from .grassmann import (DEFECT_TOL, EXACT_TOL, STACK_BYTES, canonical, grade_signs, graded_matmul, matrix_rank,
+                        stack_chunk)
 from .supermatrix import graded_form, supertranspose_coeffs, symplectic_form
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -34,6 +35,12 @@ EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # build_osp keeps the defining representation at desk scale: m + 2n <= this
 MAX_OSP_SIZE = 8
+# check_jacobi's contraction plan is built for at most this many pairs of
+# nonzeros of f (osp(2|6), the largest build_osp size, has 19,620), else the
+# chunked dense sweep runs: a call gathers two float64 factors a pair, 4
+# STACK_BYTES in all at the bound, about what the sweep's chunks take, and the
+# plan holds three int64 a pair
+PLAN_PAIRS = STACK_BYTES // 4
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +56,66 @@ def pair_signs(parities: Sequence[int]) -> np.ndarray:
     """(-1)^{|i||j|} for every pair of generators: -1 on odd-odd pairs."""
     p = np.asarray(parities)
     return np.where(np.outer(p, p) == 1, -1.0, 1.0)
+
+
+def _join(key_a: np.ndarray, counts_b: np.ndarray, order_b: np.ndarray | None = None):
+    """Positions (p, q) of every pair with key_a[p] == key_b[q], p ascending and q in key_b's stable
+    order within p, from counts_b, the bincount of key_b, and order_b, its stable argsort (None where
+    key_b is already sorted)."""
+    reps = counts_b.take(key_a)
+    # each p's run of q starts at key_a[p]'s block of order_b
+    block = np.cumsum(counts_b) - counts_b
+    p, shift = np.repeat([np.arange(len(key_a)), block.take(key_a) - np.cumsum(reps) + reps], reps, axis=1)
+    q = shift + np.arange(len(p))
+    return p, q if order_b is None else order_b.take(q)
+
+
+def _contraction_plan(f: np.ndarray, odd: np.ndarray):
+    """check_jacobi's plan over the nonzero pattern of f, or None above PLAN_PAIRS pairs.
+
+    The three Jacobi terms f[j,k,l] f[i,l,m], f[i,j,l] f[l,k,m] and
+    f[i,k,l] f[j,l,m], of signs +1, -1 and -(-1)^{|i||j|}, each pair two
+    nonzeros that share l, listed term by term.  Returns the flat positions
+    nz of the nonzeros and, per pair, a left index into (f[nz], -f[nz]),
+    which carries the sign, a right index into f[nz] and the number of its
+    output (i, j, k, m) among the plan's outputs.  Only the pattern is read,
+    so the plan holds for any f of that pattern.
+    """
+    dim = len(f)
+    nz = np.flatnonzero(f != 0)
+    x0, x1, x2 = np.unravel_index(nz, f.shape)      # nz ascending, so x0 is sorted
+    first, mid, last = (np.bincount(x, minlength=dim) for x in (x0, x1, x2))
+    if int(last @ (2 * mid + first)) > PLAN_PAIRS:
+        return None
+    size, head = len(nz), nz // dim
+    # terms 1 and 3 pair A = (., ., l) with B = (., l, .), term 2 with B = (l, ., .)
+    p1, q1 = _join(x2, mid, np.argsort(x1, kind="stable"))
+    p2, q2 = _join(x2, first)
+    n1, n2 = len(p1), len(p2)
+    # each output (i, j, k, m) = i dim^3 + j dim^2 + k dim + m is one part from
+    # A and one from B: (B0, A0, A1, B2), (A0, A1, B1, B2) and (A0, B0, A1, B2)
+    out = np.empty(2 * n1 + n2, dtype=np.int64)
+    np.add((x0 * dim ** 3 + x2).take(q1), (head * dim).take(p1), out=out[:n1])
+    np.add((head * dim ** 2).take(p2), (nz % dim ** 2).take(q2), out=out[n1:n1 + n2])
+    np.add((x0 * dim ** 3 + x1 * dim).take(p1), (x0 * dim ** 2 + x2).take(q1), out=out[n1 + n2:])
+    # -(-1)^{|i||j|} is -1 unless i and j are both odd
+    left = np.concatenate((p1, p2 + size, p1 + size * ~(odd.take(x0.take(p1)) & odd.take(x0.take(q1)))))
+    right = np.concatenate((q1, q2, q1))
+    # each pair's output numbered by rank; a value sort of (output, place)
+    # packed in one int64 is cheaper than an argsort
+    bits = len(out).bit_length()
+    out <<= bits
+    out |= np.arange(len(out))
+    packed = np.sort(out)
+    ranked = packed >> bits
+    # a new output at the first pair, if any, and wherever the sorted output changes
+    new = np.concatenate((ranked[:1] >= 0, ranked[1:] != ranked[:-1]))
+    group = np.empty_like(out)
+    group[packed & ((1 << bits) - 1)] = np.cumsum(new) - 1
+    plan = nz, left, right, group
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 @dataclass
@@ -196,13 +263,32 @@ class SuperAlgebra:
         products = graded_matmul(self._graded_coeffs(x)[..., :, None], self._graded_coeffs(y)[..., None, :])
         return canonical(np.einsum("...qij,ijk->...qk", products, self.f))
 
+    @cached_property
+    def _jacobi_plan(self):
+        # built once per algebra from f's pattern: f is read-only, and a
+        # changed copy is a new instance with its own plan
+        return _contraction_plan(self.f, self.odd_mask)
+
     def check_jacobi(self, tol: float = EXACT_TOL) -> JacobiReport:
         """Residual of [X,[Y,Z}} - [[X,Y},Z} - (-1)^{|X||Y|}[Y,[X,Z}} on the basis.
 
-        The residual r[i, j, k, m] is swept over i in chunks of at most
-        STACK_BYTES of (dim, dim, dim) slabs, at least one slab, so no dim^4
-        array is allocated (10.7 MB at osp(2|6)).  Each chunk is three matrix
-        products, every entry of each one dot product over l."""
+        While f's nonzeros make at most PLAN_PAIRS products, the residual is
+        taken over them alone, by the algebra's cached contraction plan
+        (_contraction_plan): each call gathers f's values, multiplies each
+        pair with its sign and sums each entry r[i, j, k, m] over its pairs in
+        plan order by bincount.  A builder's f holds 0, +-1, +-2 and +-4, so
+        every sum is exact in any order.  Above that, as for a dense f, r is swept over i in chunks of
+        at most STACK_BYTES of (dim, dim, dim) slabs, at least one slab, so no
+        dim^4 array is allocated (10.7 MB at dim 34).  Each chunk is three
+        matrix products, every entry of each one dot product over l."""
+        plan = self._jacobi_plan
+        if plan is not None:
+            nz, left, right, group = plan
+            values = self.f.take(nz)
+            products = np.concatenate((values, -values)).take(left)
+            products *= values.take(right)
+            sums = np.bincount(group, products)       # each output's pairs in plan order
+            return JacobiReport(self.dim, float(np.abs(sums, out=sums).max(initial=0.0)), tol)
         f, dim = self.f, self.dim
         signs = self.pair_signs[:, :, None, None]
         step = stack_chunk((dim, dim, dim))

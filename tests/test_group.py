@@ -784,6 +784,15 @@ class TestStackedMembership:
         assert single == _sample_member_loop(group, ref, components)
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("ngen", [0, 2, 8])
+    def test_empty_sample_stack(self, ngen):
+        # no generators, no members: the empty stack of the usual shape, on
+        # the split route (B_2) and above SPLIT_MAX (B_8), drawing nothing
+        group = OspGroup(2, 1, ngen)
+        stack = group.sample_stack([])
+        assert stack.shape == (0, 1 << ngen, 4, 4) and stack.dtype == np.float64
+        assert group.sample_stack(iter([]), components=False).shape == stack.shape
+
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
     @pytest.mark.parametrize("ngen", [2, 6, 8])
     def test_reflection_is_the_body_product(self, m, n, ngen):

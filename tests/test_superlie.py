@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from random_inputs import random_element
+from superholonomy import superlie
 from superholonomy.checks import JACOBI_ALGEBRAS
 from superholonomy.grassmann import STACK_BYTES, GrassmannElement, canonical, grade_signs, graded_matmul, stack_chunk
 from superholonomy.phase import check_closure
 from superholonomy.superlie import (
     EPS2,
     MAX_OSP_SIZE,
+    PLAN_PAIRS,
     SIGMA0,
     SIGMA1,
     SIGMA2,
@@ -307,19 +309,38 @@ def _einsum_jacobi_residual(alg):
 OSP_SIZES = [(m, n) for n in range(1, MAX_OSP_SIZE // 2) for m in range(1, MAX_OSP_SIZE - 2 * n + 1)]
 
 
+def _dense_algebra(dim, seed=0):
+    """An algebra with the parities and eta of a builder's, f every entry a random integer in [-2, 2]:
+    every product and sum is exact, so each route's residual is the einsums' bit for bit."""
+    base = next(build_osp(m, n) for m, n in OSP_SIZES if build_osp(m, n).dim == dim)
+    f = np.random.default_rng(seed).integers(-2, 3, (dim,) * 3).astype(float)
+    return SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
+
+
+# dense f is swept in chunks: all slabs in one (dim 8), several with a short
+# last one (dim 19) and one slab per chunk (dim 23)
+DENSE_DIMS = (8, 19, 23)
+
+
 class TestJacobiMatchesEinsum:
-    """The chunked sweep against three einsums, on every size build_osp
-    accepts, plain and with one odd-odd-even entry of f tampered.  Together
-    the sizes run every chunk shape: all slabs in one chunk (dim 5 and 8),
-    several chunks with a short last one (dim 12 to 19) and one slab per
-    chunk (dim 23 up)."""
+    """Both routes of check_jacobi against three einsums.  Every size build_osp
+    accepts, plain and with one odd-odd-even entry of f tampered, takes the
+    contraction plan; a dense f above PLAN_PAIRS pairs takes the chunked sweep,
+    whose sizes run every chunk shape."""
 
     def test_sizes_cover_every_chunk_shape(self):
-        steps = {alg.dim: stack_chunk((alg.dim,) * 3) for alg in (build_osp(m, n) for m, n in OSP_SIZES)}
-        assert len(steps) == 12
+        steps = {dim: stack_chunk((dim,) * 3) for dim in DENSE_DIMS}
         assert steps[8] >= 8                    # one chunk of all slabs
         assert steps[19] == 2                   # nine chunks of two and a short one
-        assert all(step == 1 for dim, step in steps.items() if dim > 19)
+        assert steps[23] == 1
+        assert all(3 * dim ** 5 > PLAN_PAIRS for dim in DENSE_DIMS)
+
+    @pytest.mark.parametrize("m,n", OSP_SIZES)
+    def test_every_builder_size_takes_the_plan(self, m, n):
+        alg = build_osp(m, n)
+        nz, left, right, group = alg._jacobi_plan
+        assert len(nz) == np.count_nonzero(alg.f) and len(left) == len(right) == len(group) <= PLAN_PAIRS
+        assert not any(arr.flags.writeable for arr in alg._jacobi_plan)
 
     @pytest.mark.parametrize("tamper", [False, True])
     @pytest.mark.parametrize("m,n", OSP_SIZES)
@@ -333,10 +354,50 @@ class TestJacobiMatchesEinsum:
         assert residual == _einsum_jacobi_residual(alg)
         assert (residual > 0.1) if tamper else (residual == 0.0)
 
+    @pytest.mark.parametrize("dim", (5,) + DENSE_DIMS)
+    def test_dense_same_residual(self, dim):
+        # dim 5 has 3 * 5^5 pairs, under PLAN_PAIRS: the plan also takes a dense f
+        alg = _dense_algebra(dim)
+        residual = alg.check_jacobi().max_residual
+        assert (alg._jacobi_plan is None) == (dim > 5)
+        assert residual == _einsum_jacobi_residual(alg) and residual >= 1.0
+
+    @pytest.mark.parametrize("entries", [(), ((0, 1, 2),)])
+    def test_plan_without_pairs(self, entries):
+        # f = 0, and one nonzero whose l is no first or middle index: no pair, residual 0
+        base = build_osp(2, 1)
+        f = np.zeros_like(base.f)
+        for idx in entries:
+            f[idx] = 1.0
+        alg = SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
+        assert alg.check_jacobi().max_residual == 0.0 == _einsum_jacobi_residual(alg)
+        assert len(alg._jacobi_plan[1]) == 0
+
+    def test_plan_is_not_shared_by_a_copy(self):
+        alg = build_osp(2, 1)
+        assert alg.check_jacobi().max_residual == 0.0      # builds alg's plan
+        f_new = alg.f.copy()
+        zero = tuple(np.argwhere(alg.f == 0)[0])
+        f_new[zero] = 1.0
+        copy = dataclasses.replace(alg, f=f_new)
+        residual = copy.check_jacobi().max_residual
+        assert residual == _einsum_jacobi_residual(copy) and residual >= 1.0
+        assert len(copy._jacobi_plan[0]) == len(alg._jacobi_plan[0]) + 1
+
+    def test_plan_built_once(self, monkeypatch):
+        calls = []
+        real = superlie._contraction_plan
+        monkeypatch.setattr(superlie, "_contraction_plan", lambda *args: (calls.append(1), real(*args))[1])
+        alg = dataclasses.replace(build_osp(2, 2))
+        first = alg.check_jacobi()
+        plan = alg._jacobi_plan
+        assert alg.check_jacobi() == first and alg._jacobi_plan is plan
+        assert calls == [1]
+
     @pytest.mark.parametrize("size", [(2, 2), (2, 3)])
     def test_working_memory_bound(self, size):
-        # about three chunks of at most STACK_BYTES, or of one dim^3 slab where
-        # that is larger; the whole residual would hold dim^4 doubles
+        # a warm call gathers two float64 factors a pair, 4 STACK_BYTES in all at
+        # PLAN_PAIRS; the whole residual would hold dim^4 doubles
         alg = build_osp(*size)
         alg.check_jacobi()
         tracemalloc.start()
@@ -346,6 +407,20 @@ class TestJacobiMatchesEinsum:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * STACK_BYTES + 4 * 8 * alg.dim ** 3, (alg.dim, peak)
+
+    def test_dense_working_memory_bound(self):
+        # the first call on a dense f, its route chosen from the pattern included:
+        # about three sweep chunks of STACK_BYTES, and no list of its 3 dim^5 pairs
+        alg = _dense_algebra(19, seed=1)
+        tracemalloc.start()
+        try:
+            residual = alg.check_jacobi().max_residual
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert alg._jacobi_plan is None
+        assert peak <= 4 * STACK_BYTES + 4 * 8 * alg.dim ** 3, peak
+        assert residual > 1e-3
 
 
 class TestNonFiniteAlgebra:
