@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -21,7 +20,7 @@ from . import checks
 from .group import OspGroup, enumerate_sectors_osp12, sector_representatives
 from .phase import check_closure, exponential_sector_moduli, osp12_exponential_sector
 from .grassmann import DEFECT_TOL, EXACT_TOL, MAX_GENERATORS
-from .superlie import MAX_OSP_SIZE, OSP12_DIRECTIONS, build_osp, build_osp12
+from .superlie import MAX_OSP_SIZE, OSP12_DIRECTIONS, build_osp, build_osp12, check_tolerance
 
 # commands whose --m/--n build the osp(m|2n) algebra (moduli only samples bodies)
 ALGEBRA_COMMANDS = ("jacobi", "membership", "closure")
@@ -65,8 +64,11 @@ def _validate(ns: argparse.Namespace) -> None:
         raise UsageError(f"generator count must be in 0..{MAX_GENERATORS}")
     if ns.command == "sectors" and (ns.m, ns.n) == (1, 1) and ns.ngen < 1:
         raise UsageError("sectors builds its fermionic representatives on theta1: --N must be at least 1")
-    if "tol" in ns and not (math.isfinite(ns.tol) and ns.tol > 0):
-        raise UsageError("tolerance must be finite and positive")
+    if "tol" in ns:
+        try:
+            check_tolerance(ns.tol)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if ns.command in EXACT_COMMANDS and ns.tol > EXACT_TOL:
         raise UsageError(f"{ns.command} takes a tolerance of at most {EXACT_TOL:g}")
     if "samples" in ns and ns.samples < 1:

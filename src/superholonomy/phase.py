@@ -20,6 +20,7 @@ off the structure constants.  Closure is checked on F by contraction;
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, FORWARD_ROUNDING, canonical, graded_expm, graded_matmul,
                         matrix_rank, merge_sign, stack_chunk)
-from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, check_forms
+from .superlie import OSP12_DIRECTIONS, PLAN_PAIRS, SuperAlgebra, _join, build_osp12, check_forms, check_tolerance
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
 
@@ -379,6 +380,128 @@ def _pinv(basis: np.ndarray) -> np.ndarray:
     return vt.T @ (s[:, None] * u.T)
 
 
+def _inverse_forms(alg: SuperAlgebra, eta: np.ndarray, name: str = "eta") -> np.ndarray:
+    """W, the fundamental brackets {x_I, y_J} = W_IJ: eta^-1 on the even generators, C^-1 on the odd."""
+    W = np.zeros((alg.dim, alg.dim))
+    try:
+        W[alg.even_idx[:, None], alg.even_idx] = np.linalg.inv(eta)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} is singular on the even generators") from None
+    W[alg.odd_idx[:, None], alg.odd_idx] = np.linalg.inv(alg.eta_odd)
+    return W
+
+
+def _rhs_plan(F: np.ndarray, W: np.ndarray, odd: np.ndarray):
+    """check_closure's right-hand-side plan over the nonzero patterns of F and W, or None above
+    PLAN_PAIRS terms.
+
+    The coefficient of x_I y_J in {G^k, G^L} is T1 - T2 with
+        T1[k, I, J, L] = sum_M FtW[k, J, M] (-1)^{|I||M| + |J||L|} F[I, M, L]
+        T2[k, I, J, L] = sum_M FW[k, I, M] F[M, J, L]
+    over the dense first-stage products FtW[k] = F_k^T W and FW[k] = F_k W.
+    Each term pairs a structural nonzero of FtW or FW (from the patterns of F
+    and W) with a nonzero of F that shares M, listed with M ascending within
+    each output, the order of a dot product over M.  Returns, per T1 term, a
+    flat index into FtW, a flat index into F, its sign (+-1.0) and its
+    output's slot; per T2 term, a flat index into FW, one into F and its
+    slot; the slots' flat positions within their chunk of check_closure's
+    slab loop; and the first slot of every chunk, with the slot count last.
+    Only the patterns are read, so the plan holds for any F and W of these
+    patterns.
+    """
+    dim = len(F)
+    nz = np.flatnonzero(F)
+    x0, x1, x2 = np.unravel_index(nz, F.shape)      # nz ascending, so x0 is sorted
+    Fb, Wb = (F != 0).astype(float), (W != 0).astype(float)
+    # the patterns of FtW[k, J, M] and FW[k, I, M], each flat index ending in M
+    ftw = np.flatnonzero(Fb.transpose(2, 1, 0) @ Wb)
+    fw = np.flatnonzero(Fb.transpose(2, 0, 1) @ Wb)
+    ftw_m, fw_m = ftw % dim, fw % dim
+    first, mid = np.bincount(x0, minlength=dim), np.bincount(x1, minlength=dim)
+    if int(np.bincount(ftw_m, minlength=dim) @ mid + np.bincount(fw_m, minlength=dim) @ first) > PLAN_PAIRS:
+        return None
+    # T1 pairs FtW[k, J, M] with F[I, M, L], T2 pairs FW[k, I, M] with F[M, J, L]
+    p1, q1 = _join(ftw_m, mid, np.argsort(x1, kind="stable"))
+    p2, q2 = _join(fw_m, first)
+    n1 = len(p1)
+    # each output (k, I, J, L) = k dim^3 + I dim^2 + J dim + L, one part from each side
+    out = np.empty(n1 + len(p2), dtype=np.int64)
+    kj = ftw // dim
+    np.add((kj // dim * dim ** 3 + kj % dim * dim).take(p1), (x0 * dim ** 2 + x2).take(q1), out=out[:n1])
+    np.add((fw // dim * dim ** 2).take(p2), (nz % dim ** 2).take(q2), out=out[n1:])
+    # (-1)^{|I||M| + |J||L|}: -1 where exactly one of the pairs is odd-odd
+    flip = (odd.take(x0) & odd.take(x1)).take(q1) ^ (odd.take(kj % dim).take(p1) & odd.take(x2).take(q1))
+    # each output numbered by rank in one stable sort, the kind the T1 join already
+    # runs: np.unique's sort kernels would add about 0.3 MB of resident code
+    order = np.argsort(out, kind="stable")
+    ranked = out.take(order)
+    new = np.concatenate((ranked[:1] >= 0, ranked[1:] != ranked[:-1]))
+    slot = np.empty_like(out)
+    slot[order] = np.cumsum(new) - 1
+    outputs = ranked[new]
+    span = stack_chunk((dim, dim, dim)) * dim ** 3
+    bounds = np.searchsorted(outputs, np.arange(0, dim ** 4, span)).tolist() + [len(outputs)]
+    plan = ftw.take(p1), nz.take(q1), 1.0 - 2.0 * flip, slot[:n1], fw.take(p2), nz.take(q2), slot[n1:], outputs % span
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan + (bounds,)
+
+
+# check_closure's right-hand-side plan per algebra, for the nonzero pattern of
+# its own W: (that pattern as bytes, _rhs_plan or None).  f is read-only and
+# dataclasses.replace makes a new instance, which is hashed by identity, so a
+# plan cannot go stale, and it goes with its algebra.
+_RHS_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray, own: bool):
+    """The cached _rhs_plan for alg's own W, built from F and W on alg's first call without an
+    override, or None for the dense route: an override whose W has another pattern, or one that
+    comes before that first call."""
+    entry = _RHS_PLANS.get(alg)
+    if entry is None:
+        if not own:
+            return None
+        entry = _RHS_PLANS[alg] = (W != 0).tobytes(), _rhs_plan(F, W, alg.odd_mask)
+    pattern, plan = entry
+    return plan if own or (W != 0).tobytes() == pattern else None
+
+
+def _planned_rhs(plan, F: np.ndarray, FtW: np.ndarray, FW: np.ndarray):
+    """Each chunk's slice and its (chunk, dim^2, dim) right-hand sides from the plan: every output
+    summed over its terms by bincount, T1 and T2 apart, then scattered into zeros."""
+    ftw_at, f1_at, sign, slot1, fw_at, f2_at, slot2, local, bounds = plan
+    t1 = FtW.take(ftw_at)
+    t1 *= F.take(f1_at)
+    t1 *= sign         # by +-1, exact
+    t2 = FW.take(fw_at)
+    t2 *= F.take(f2_at)
+    sums = np.bincount(slot1, t1, len(local))
+    sums -= np.bincount(slot2, t2, len(local))
+    dim = len(F)
+    step = stack_chunk((dim, dim, dim))
+    for c, k0 in enumerate(range(0, dim, step)):
+        rhs = np.zeros((min(step, dim - k0), dim * dim, dim))
+        rhs.put(local[bounds[c]:bounds[c + 1]], sums[bounds[c]:bounds[c + 1]])
+        yield slice(k0, k0 + step), rhs
+
+
+def _dense_rhs(F: np.ndarray, FtW: np.ndarray, FW: np.ndarray, graded_sign: np.ndarray):
+    """_planned_rhs's chunks from stacked matrix products, each slab's product as it would be done
+    alone, so the result does not depend on the chunk size."""
+    dim = len(F)
+    F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]
+    signed_rows = (graded_sign[:, :, None] * F).transpose(1, 0, 2).reshape(dim, dim * dim)
+    step = stack_chunk((dim, dim, dim))     # slabs per chunk, one dim^3 rhs each
+    for k0 in range(0, dim, step):
+        ks = slice(k0, k0 + step)
+        # coefficient of x_I y_J in {G^k, G^L}, indexed [k, I, J, L]
+        rhs = (FtW[ks] @ signed_rows).reshape(-1, dim, dim, dim).transpose(0, 2, 1, 3).copy()
+        rhs *= graded_sign
+        rhs -= (FW[ks] @ F_rows).reshape(-1, dim, dim, dim)
+        yield ks, rhs.reshape(-1, dim * dim, dim)
+
+
 def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
                   eta_override: np.ndarray | None = None) -> ClosureReport:
     """Brackets of the constraints close linearly onto the constraints.
@@ -389,55 +512,62 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
 
         {x_I y_J, x_M y_N} = -W_JM x_I y_N + (-1)^{|J||L| + |M||N|} W_IN x_M y_J
 
-    Each {G^K, .} slab is fitted to the span of the G's by least squares
-    over all dim^2 coefficients (a coefficient outside the span meets a
-    zero basis row and stays in the residual).  Every slab has the same
-    (dim^2, dim) basis, so it is factorized once: one SVD pseudo-inverse
-    with lstsq's own cutoff eps * max(shape), which gives the same
-    minimum-norm fit on a rank-deficient basis.  The slabs then run in
-    chunks of at most STACK_BYTES of right-hand sides (dim^3 doubles per
-    slab, at least one slab), each chunk a few stacked matrix products
-    that do every slab's product as it would be done alone, so the result
-    does not depend on the chunk size; a batch of all dim slabs at once
-    would hold dim^4 doubles.  In terms of the lowered G~_I = eta_IA G^A the
-    induced coefficients (basis order) must reproduce (-1)^{|I||J|} f_IJ^K
-    up to one global measured factor kappa.  A finite, symmetric,
-    invertible n_even x n_even eta_override detunes the bracket to show the
-    check has teeth.
+    Each {G^k, .} slab's right-hand sides, the coefficients of x_I y_J in
+    {G^k, G^L}, are T1 - T2 over the first-stage products FtW[k] = F_k^T W
+    and FW[k] = F_k W, two dense stacked matrix products (_rhs_plan has the
+    sums).  While those sums have at most PLAN_PAIRS nonzero terms, as for
+    every build_osp algebra (at most 13,080, at osp(2|6)), they are taken over
+    those terms alone by a plan over the nonzero patterns of F and W, built
+    on the algebra's first call without an eta_override and kept for it in
+    _RHS_PLANS.  An eta_override whose W has the algebra's own pattern, such
+    as a diagonal detuning, shares that plan once it is built; any other
+    override takes the dense route.  A call gathers the terms' factors,
+    multiplies them with their signs, sums T1 and T2 apart by bincount, each
+    output's terms in the order of a dot product over M, and scatters the
+    sums into zeroed chunks.  On the dense route, as for a dense f above
+    PLAN_PAIRS, each chunk is a few stacked matrix products over all dim^2
+    entries of a slab.  Where every product of the sums is exact, as for the
+    builders' F (0, +-1, +-2 and +-4) and their tampered copies, both routes
+    give the same bits, since a dot product over M adds in M order; for
+    other F a BLAS kernel that fuses multiply-adds can differ from the plan
+    in the last bits.
+
+    Each slab is fitted to the span of the G's by least squares over all
+    dim^2 coefficients (a coefficient outside the span meets a zero basis row
+    and stays in the residual).  Every slab has the same (dim^2, dim) basis,
+    so it is factorized once: one SVD pseudo-inverse with lstsq's own cutoff
+    eps * max(shape), which gives the same minimum-norm fit on a
+    rank-deficient basis.  The slabs run in chunks of at most STACK_BYTES of
+    right-hand sides (dim^3 doubles per slab, at least one slab); a batch of
+    all dim slabs at once would hold dim^4 doubles.  In terms of the lowered
+    G~_I = eta_IA G^A the induced coefficients (basis order) must reproduce
+    (-1)^{|I||J|} f_IJ^K up to one global measured factor kappa.  A finite,
+    symmetric, invertible n_even x n_even eta_override detunes the bracket
+    to show the check has teeth.  A tol that is not finite and positive
+    raises ValueError.
     """
-    ev, od, eta, C = alg.even_idx, alg.odd_idx, alg.eta_even, alg.eta_odd
-    if eta_override is not None:
+    check_tolerance(tol)
+    if eta_override is None:
+        W = _inverse_forms(alg, alg.eta_even)
+    else:
         eta = np.asarray(eta_override, dtype=float)
         if eta.shape != alg.eta_even.shape:
             raise ValueError(f"eta_override has shape {eta.shape}, not {alg.eta_even.shape}")
-        check_forms(eta, C)
+        check_forms(eta, alg.eta_odd)
+        W = _inverse_forms(alg, eta, "eta_override")
     F = constraint_tensor(alg)
+    plan = _closure_plan(alg, F, W, eta_override is None)
     dim = F.shape[0]
-    W = np.zeros((dim, dim))
-    try:
-        W[ev[:, None], ev] = np.linalg.inv(eta)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{'eta' if eta_override is None else 'eta_override'} "
-                         "is singular on the even generators") from None
-    W[od[:, None], od] = np.linalg.inv(C)
     graded_sign = alg.pair_signs
     basis = F.reshape(dim * dim, dim)
     pinv = _pinv(basis)
-    F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]
-    signed_rows = (graded_sign[:, :, None] * F).transpose(1, 0, 2).reshape(dim, dim * dim)
     # F_k.T @ W and F_k @ W for every slab k, each the same product as alone
     FtW = F.transpose(2, 1, 0) @ W
     FW = F.transpose(2, 0, 1) @ W
-    step = stack_chunk((dim, dim, dim))     # slabs per chunk, one dim^3 rhs each
+    chunks = _dense_rhs(F, FtW, FW, graded_sign) if plan is None else _planned_rhs(plan, F, FtW, FW)
     induced = np.empty((dim, dim, dim))
     max_unexplained = 0.0
-    for k0 in range(0, dim, step):
-        ks = slice(k0, k0 + step)
-        # coefficient of x_I y_J in {G^k, G^L}, indexed [k, I, J, L]
-        rhs = (FtW[ks] @ signed_rows).reshape(-1, dim, dim, dim).transpose(0, 2, 1, 3).copy()
-        rhs *= graded_sign
-        rhs -= (FW[ks] @ F_rows).reshape(-1, dim, dim, dim)
-        rhs = rhs.reshape(-1, dim * dim, dim)
+    for ks, rhs in chunks:
         coeffs = pinv @ rhs
         induced[ks] = coeffs.transpose(0, 2, 1)
         fit = basis @ coeffs

@@ -8,6 +8,7 @@ invariant bilinear form.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -35,11 +36,12 @@ EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # build_osp keeps the defining representation at desk scale: m + 2n <= this
 MAX_OSP_SIZE = 8
-# check_jacobi's contraction plan is built for at most this many pairs of
-# nonzeros of f (osp(2|6), the largest build_osp size, has 19,620), else the
-# chunked dense sweep runs: a call gathers two float64 factors a pair, 4
-# STACK_BYTES in all at the bound, about what the sweep's chunks take, and the
-# plan holds three int64 a pair
+# check_jacobi's contraction plan and check_closure's right-hand-side plan are
+# each built for at most this many products of nonzeros (osp(2|6), the largest
+# build_osp size, has 19,620 and 13,080), else the chunked dense route runs: a
+# call gathers two float64 factors a product, 4 STACK_BYTES in all at the
+# bound, about what the dense chunks take, and a plan holds three or four
+# 8-byte entries a product
 PLAN_PAIRS = STACK_BYTES // 4
 
 
@@ -131,6 +133,12 @@ class JacobiReport:
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return f"super Jacobi: dim={self.dim} max residual={self.max_residual:.3e} tol={self.tol:.1e} [{status}]"
+
+
+def check_tolerance(tol: float):
+    """Raise ValueError unless tol is finite and positive: an infinite one passes any input, NaN none."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
 
 
 def check_forms(eta: np.ndarray, C: np.ndarray):
@@ -280,7 +288,9 @@ class SuperAlgebra:
         every sum is exact in any order.  Above that, as for a dense f, r is swept over i in chunks of
         at most STACK_BYTES of (dim, dim, dim) slabs, at least one slab, so no
         dim^4 array is allocated (10.7 MB at dim 34).  Each chunk is three
-        matrix products, every entry of each one dot product over l."""
+        matrix products, every entry of each one dot product over l.  A tol
+        that is not finite and positive raises ValueError."""
+        check_tolerance(tol)
         plan = self._jacobi_plan
         if plan is not None:
             nz, left, right, group = plan

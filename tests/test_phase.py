@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
 import pytest
 
+from superholonomy import phase
 from superholonomy.grassmann import STACK_BYTES, GrassmannElement, matrix_rank, real_expm
 from superholonomy.group import ahat
 from superholonomy.phase import (
@@ -21,6 +24,7 @@ from superholonomy.phase import (
 )
 from superholonomy.superlie import (
     OSP12_DIRECTIONS,
+    PLAN_PAIRS,
     SIGMA0,
     SIGMA1,
     SIGMA2,
@@ -357,6 +361,23 @@ def _with_spectator(alg, mix=False):
     return SuperAlgebra(labels=alg.labels + ("Z",), parities=alg.parities + (0,), f=f, eta=eta)
 
 
+def _perturbed_eta(alg, seed=0):
+    """alg's even eta block plus a small dense symmetric perturbation: a non-diagonal eta_override
+    whose inverse W has a nonzero pattern other than alg's own."""
+    R = np.random.default_rng(seed).uniform(-0.05, 0.05, alg.eta_even.shape)
+    eta = alg.eta_even + (R + R.T)
+    assert np.count_nonzero(np.linalg.inv(eta)) > np.count_nonzero(np.linalg.inv(alg.eta_even))
+    return eta
+
+
+def _dense_closure_algebra(base, seed=0):
+    """base's parities and eta with a dense graded-antisymmetric f of integers in [-4, 4]: every entry
+    of F is nonzero where it is read, and every product and sum of the builders' W is exact."""
+    f = np.random.default_rng(seed).integers(-2, 3, (base.dim,) * 3).astype(float)
+    f -= base.pair_signs[:, :, None] * f.transpose(1, 0, 2)
+    return SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
+
+
 CLOSURE_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
 
 
@@ -406,6 +427,12 @@ class TestClosureMatchesLstsq:
     def test_same_report_detuned(self, alg, eta):
         report = self._compare(alg, eta)
         assert not report.passed
+
+    def test_same_report_new_pattern(self):
+        # a non-diagonal osp(2|4) override: its W has a pattern of its own, so
+        # check_closure takes the dense route
+        alg = build_osp(2, 2)
+        assert not self._compare(alg, _perturbed_eta(alg)).passed
 
     @pytest.mark.parametrize("mix", [False, True])
     def test_rank_deficient_basis(self, alg, mix):
@@ -494,9 +521,53 @@ class TestClosureMatchesSlabLoop:
     def test_bit_identical_detuned(self, alg, eta):
         self._compare(alg, eta)
 
+    def test_bit_identical_new_pattern(self):
+        alg = build_osp(2, 2)
+        self._compare(alg, _perturbed_eta(alg))
+
     @pytest.mark.parametrize("mix", [False, True])
     def test_bit_identical_rank_deficient(self, alg, mix):
         self._compare(_with_spectator(alg, mix))
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2)])
+    def test_bit_identical_dense_f(self, size):
+        # dim 5 and 8 on the plan, many terms an output; dim 14 on the dense route
+        self._compare(_dense_closure_algebra(build_osp12() if size == (1, 1) else build_osp(*size)))
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1)])
+    def test_bit_identical_inexact_sums(self, size):
+        # a dense f of 0, +-1, +-2, +-4, then eta scaled by 1.3, which keeps W's
+        # pattern and so takes the plan the first call built: every product is
+        # exact but the sums round, so the plan must add each output's terms
+        # in M order, as a dot product does, and subtract T2 from T1 after
+        base = build_osp12() if size == (1, 1) else build_osp(*size)
+        f = np.random.default_rng(5).choice([0.0, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0], (base.dim,) * 3)
+        alg = SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
+        self._compare(alg)
+        self._compare(alg, 1.3 * alg.eta_even)
+        assert phase._RHS_PLANS[alg][1] is not None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1)])
+    def test_inexact_products_within_ulps(self, size, seed):
+        # a dense f of non-dyadic values makes the products inexact: a BLAS
+        # kernel that fuses each multiply-add rounds once where the plan rounds
+        # the product and then the sum, so the plan and the slab loop may part
+        # in the last bits (up to 8 eps of the report's scale at dims 5 and 8
+        # under OpenBLAS's Haswell, SkylakeX and Zen kernels, none under
+        # Sandybridge's); every number stays within 16 eps of that scale
+        base = build_osp12() if size == (1, 1) else build_osp(*size)
+        f = np.random.default_rng(seed).uniform(-1.0, 1.0, (base.dim,) * 3) * (np.sqrt(2) / 3)
+        f -= base.pair_signs[:, :, None] * f.transpose(1, 0, 2)
+        alg = SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
+        kappa, unexplained, prop, induced = _slab_loop_closure(alg)
+        report = check_closure(alg)
+        assert phase._RHS_PLANS[alg][1] is not None
+        tol = 16 * np.finfo(float).eps * max(np.abs(induced).max(), unexplained, prop)
+        assert abs(report.kappa - kappa) <= tol
+        assert abs(report.max_unexplained - unexplained) <= tol
+        assert abs(report.proportionality_residual - prop) <= tol
+        assert np.abs(report.induced - induced).max() <= tol
 
     @staticmethod
     def _compare(alg, eta=None):
@@ -506,6 +577,7 @@ class TestClosureMatchesSlabLoop:
         assert report.max_unexplained == unexplained
         assert report.proportionality_residual == prop
         assert np.array_equal(report.induced, induced)
+        assert np.array_equal(np.signbit(report.induced), np.signbit(induced))
 
     @pytest.mark.parametrize("size", [(2, 2), (2, 3)])
     def test_working_memory_bound(self, size):
@@ -520,6 +592,91 @@ class TestClosureMatchesSlabLoop:
         finally:
             tracemalloc.stop()
         assert peak <= 14 * 8 * alg.dim ** 3 + 4 * STACK_BYTES, (alg.dim, peak)
+
+
+class TestClosurePlan:
+    """check_closure's right-hand-side plan: built once per algebra on its first call without an
+    eta_override, shared by an override of the same W pattern, and not built above PLAN_PAIRS terms;
+    an override of another pattern takes the dense route.  Every call == the slab loop, the signs
+    of zeros included."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # every plan the builder returns, None for the dense route
+        built = []
+        real = phase._rhs_plan
+        monkeypatch.setattr(phase, "_rhs_plan", lambda *args: (built.append(real(*args)), built[-1])[1])
+        return built
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        # the route each call took, "plan" or "dense"
+        taken = []
+        for name, route in (("_planned_rhs", "plan"), ("_dense_rhs", "dense")):
+            real = getattr(phase, name)
+            monkeypatch.setattr(phase, name, lambda *args, real=real, route=route: (taken.append(route), real(*args))[1])
+        return taken
+
+    _compare = staticmethod(TestClosureMatchesSlabLoop._compare)
+
+    @pytest.mark.parametrize("size", [None] + OSP_SIZES)
+    def test_every_builder_size_takes_the_plan(self, size):
+        alg = build_osp12() if size is None else build_osp(*size)
+        check_closure(alg)
+        pattern, plan = phase._RHS_PLANS[alg]
+        ftw_at, f1_at, sign, slot1, fw_at, f2_at, slot2, local, bounds = plan
+        assert len(ftw_at) == len(f1_at) == len(sign) == len(slot1) and len(fw_at) == len(f2_at) == len(slot2)
+        assert pattern == (np.linalg.inv(alg.eta) != 0).tobytes() and set(sign) <= {-1.0, 1.0}
+        assert len(slot1) + len(slot2) <= PLAN_PAIRS and bounds[-1] == len(local)
+        assert not any(arr.flags.writeable for arr in plan[:-1])
+
+    def test_one_build_per_algebra(self, builds, routes):
+        alg = dataclasses.replace(build_osp(2, 2))       # a new instance, no plan yet
+        for _ in range(3):
+            self._compare(alg)
+        assert len(builds) == 1 and builds[0] is phase._RHS_PLANS[alg][1] is not None
+        assert routes == ["plan"] * 3
+
+    def test_diagonal_detuning_shares_the_build(self, builds, routes):
+        alg = dataclasses.replace(build_osp12())
+        self._compare(alg, np.diag([-1.0, 1.3, 1.0]))  # before the first plain call: dense
+        self._compare(alg)
+        self._compare(alg, np.diag([-1.0, 1.3, 1.0]))
+        self._compare(alg, np.diag([-1.2, 1.0, 1.0]))
+        assert len(builds) == 1 and routes == ["dense", "plan", "plan", "plan"]
+
+    def test_tampered_copy_gets_its_own_build(self, builds):
+        alg = dataclasses.replace(build_osp(2, 1))
+        self._compare(alg)
+        tampered = _tampered(alg)
+        self._compare(tampered)
+        assert len(builds) == 2
+        assert phase._RHS_PLANS[tampered][1] is builds[1] is not phase._RHS_PLANS[alg][1]
+
+    def test_new_pattern_takes_the_dense_route(self, builds, routes):
+        alg = dataclasses.replace(build_osp(2, 2))
+        self._compare(alg)
+        cached = phase._RHS_PLANS[alg]
+        eta = _perturbed_eta(alg)
+        for _ in range(2):
+            self._compare(alg, eta)
+        assert len(builds) == 1 and phase._RHS_PLANS[alg] is cached
+        assert routes == ["plan", "dense", "dense"]
+
+    def test_dense_f_takes_the_dense_route(self, builds, routes):
+        alg = _dense_closure_algebra(build_osp(1, 2))
+        for _ in range(2):
+            self._compare(alg)
+        assert builds == [None] and routes == ["dense", "dense"]
+
+    def test_plan_goes_with_its_algebra(self):
+        alg = dataclasses.replace(build_osp(2, 1))
+        check_closure(alg)
+        gone, held = weakref.ref(alg), len(phase._RHS_PLANS)
+        assert phase._RHS_PLANS[alg][1] is not None
+        del alg
+        gc.collect()
+        assert gone() is None and len(phase._RHS_PLANS) == held - 1
 
 
 class TestClosure:
@@ -552,6 +709,12 @@ class TestClosure:
     def test_bad_eta_override_rejected(self, alg, eta, message):
         with pytest.raises(ValueError, match=message):
             check_closure(alg, eta_override=eta)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_vacuous_tolerance_rejected(self, tol):
+        # an infinite tol would pass any f, NaN none
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            check_closure(build_osp(2, 1), tol=tol)
 
     def test_algebra_from_json_feeds_phase_space(self, alg):
         # the serialized algebra (no matrix representation) is enough for

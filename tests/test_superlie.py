@@ -286,6 +286,12 @@ class TestJacobi:
     def test_explicit_osp12_passes(self, osp12):
         assert osp12.check_jacobi(tol=1e-12).passed
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_vacuous_tolerance_rejected(self, tol):
+        # an infinite tol would pass any f, NaN none
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            build_osp(2, 1).check_jacobi(tol=tol)
+
     def test_perturbation_detected(self, osp12):
         f_bad = osp12.f.copy()
         f_bad[0, 1, 2] += 0.1
