@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -307,6 +308,22 @@ class GradedPolynomial:
 # flatness constraints
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _constraint_gather(parities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """constraint_tensor's plan for one parity tuple: per flat entry of F, the flat position in f it
+    copies (dim^3, one past f's end, where F is held at zero) and its sign, -1.0 where the entry is
+    the swapped (odd, even -> odd) one."""
+    dim = len(parities)
+    par = np.array(parities, dtype=bool)
+    i, j, k = par[:, None, None], par[:, None], par
+    at = np.arange(dim ** 3).reshape((dim,) * 3)
+    swap = (i > j) & k
+    src = np.where((k == (i ^ j)) & (j >= i), at, np.where(swap, at.transpose(1, 0, 2), dim ** 3)).ravel()
+    sign = np.where(swap, -1.0, 1.0).ravel()
+    src.flags.writeable = sign.flags.writeable = False
+    return src, sign
+
+
 def constraint_tensor(alg: SuperAlgebra) -> np.ndarray:
     """F[I, J, K] with G^K = F[I, J, K] x_I y_J, in the algebra's basis order.
 
@@ -316,13 +333,14 @@ def constraint_tensor(alg: SuperAlgebra) -> np.ndarray:
     so F copies f on the (even, even -> even), (odd, odd -> even) and
     (even, odd -> odd) blocks and F[beta, a, alpha] = -f[a, beta, alpha]
     carries the psi_1 A_2 term.  No other entry of f is read, so constants
-    that are not graded-antisymmetric give the same constraints.
+    that are not graded-antisymmetric give the same constraints.  F is one
+    signed gather from f by a plan that depends only on the parities
+    (_constraint_gather), so it is read from f on every call.
     """
-    par = alg.odd_mask
-    i, j, k = par[:, None, None], par[:, None], par
-    # copied where |K| = |I| + |J| and not (odd, even); swapped on (odd, even -> odd)
-    F = np.where((k == (i ^ j)) & (j >= i), alg.f, 0.0)
-    return np.negative(alg.f.transpose(1, 0, 2), out=F, where=(i > j) & k)
+    src, sign = _constraint_gather(alg.parities)
+    F = np.append(alg.f, 0.0).take(src)
+    F *= sign          # by +-1, exact, the signs of zeros included
+    return F.reshape(alg.f.shape)
 
 
 def flatness_constraints(alg: SuperAlgebra, ctx: PhaseSpace | None = None
@@ -380,14 +398,27 @@ def _pinv(basis: np.ndarray) -> np.ndarray:
     return vt.T @ (s[:, None] * u.T)
 
 
+@lru_cache(maxsize=None)
+def _form_slots(parities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in a (dim, dim) W of its even-even and its odd-odd block, each row-major."""
+    dim = len(parities)
+    par = np.array(parities, dtype=bool)
+    slots = tuple((idx[:, None] * dim + idx).ravel() for idx in (np.flatnonzero(~par), np.flatnonzero(par)))
+    for arr in slots:
+        arr.flags.writeable = False
+    return slots
+
+
 def _inverse_forms(alg: SuperAlgebra, eta: np.ndarray, name: str = "eta") -> np.ndarray:
-    """W, the fundamental brackets {x_I, y_J} = W_IJ: eta^-1 on the even generators, C^-1 on the odd."""
+    """W, the fundamental brackets {x_I, y_J} = W_IJ: eta^-1 on the even generators, C^-1 on the odd,
+    put at the slots of _form_slots."""
+    even, odd = _form_slots(alg.parities)
     W = np.zeros((alg.dim, alg.dim))
     try:
-        W[alg.even_idx[:, None], alg.even_idx] = np.linalg.inv(eta)
+        W.put(even, np.linalg.inv(eta))
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} is singular on the even generators") from None
-    W[alg.odd_idx[:, None], alg.odd_idx] = np.linalg.inv(alg.eta_odd)
+    W.put(odd, np.linalg.inv(alg.eta_odd))
     return W
 
 
@@ -455,14 +486,13 @@ _RHS_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray, own: bool):
-    """The cached _rhs_plan for alg's own W, built from F and W on alg's first call without an
-    override, or None for the dense route: an override whose W has another pattern, or one that
-    comes before that first call."""
+    """The cached _rhs_plan for alg's own W, built from F and that W on alg's first call, with or
+    without an override, or None for the dense route: a W of another nonzero pattern.  An algebra
+    whose own eta is singular has no W of its own, and raises ValueError here."""
     entry = _RHS_PLANS.get(alg)
     if entry is None:
-        if not own:
-            return None
-        entry = _RHS_PLANS[alg] = (W != 0).tobytes(), _rhs_plan(F, W, alg.odd_mask)
+        own_W = W if own else _inverse_forms(alg, alg.eta_even)
+        entry = _RHS_PLANS[alg] = (own_W != 0).tobytes(), _rhs_plan(F, own_W, alg.odd_mask)
     pattern, plan = entry
     return plan if own or (W != 0).tobytes() == pattern else None
 
@@ -517,20 +547,20 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
     and FW[k] = F_k W, two dense stacked matrix products (_rhs_plan has the
     sums).  While those sums have at most PLAN_PAIRS nonzero terms, as for
     every build_osp algebra (at most 13,080, at osp(2|6)), they are taken over
-    those terms alone by a plan over the nonzero patterns of F and W, built
-    on the algebra's first call without an eta_override and kept for it in
-    _RHS_PLANS.  An eta_override whose W has the algebra's own pattern, such
-    as a diagonal detuning, shares that plan once it is built; any other
-    override takes the dense route.  A call gathers the terms' factors,
-    multiplies them with their signs, sums T1 and T2 apart by bincount, each
-    output's terms in the order of a dot product over M, and scatters the
-    sums into zeroed chunks.  On the dense route, as for a dense f above
-    PLAN_PAIRS, each chunk is a few stacked matrix products over all dim^2
-    entries of a slab.  Where every product of the sums is exact, as for the
-    builders' F (0, +-1, +-2 and +-4) and their tampered copies, both routes
-    give the same bits, since a dot product over M adds in M order; for
-    other F a BLAS kernel that fuses multiply-adds can differ from the plan
-    in the last bits.
+    those terms alone by a plan over the nonzero patterns of F and of the
+    algebra's own W, built on its first call, with or without an
+    eta_override, and kept for it in _RHS_PLANS.  An eta_override whose W
+    has the algebra's own pattern, such as a diagonal detuning, shares that
+    plan; any other override takes the dense route.  A call gathers the
+    terms' factors, multiplies them with their signs, sums T1 and T2 apart
+    by bincount, each output's terms in the order of a dot product over M,
+    and scatters the sums into zeroed chunks.  On the dense route, as for a
+    dense f above PLAN_PAIRS, each chunk is a few stacked matrix products
+    over all dim^2 entries of a slab.  Where every product of the sums is
+    exact, as for the builders' F (0, +-1, +-2 and +-4) and their tampered
+    copies, both routes give the same bits, since a dot product over M adds
+    in M order; for other F a BLAS kernel that fuses multiply-adds can
+    differ from the plan in the last bits.
 
     Each slab is fitted to the span of the G's by least squares over all
     dim^2 coefficients (a coefficient outside the span meets a zero basis row
@@ -606,15 +636,18 @@ def exponential_sector_moduli(alg: SuperAlgebra, c: Sequence[float]) -> EfmRepor
 
     The direction is eta-null when |c eta^-1 c| is rounding next to its
     scale |c|^2 |eta^-1| (Frobenius norm), so the flag does not depend on
-    the length of c.
+    the length of c.  Both quadratic forms take c scaled by the power of two
+    that brings its largest entry into [1/2, 1), exactly, so neither form
+    overflows or underflows with the length of c.
     """
     c_vec = alg.even_components(c)
     block = alg._ff_block(c_vec)
     det = float(np.linalg.det(block))
     rank = matrix_rank(block)
     eta_inv = np.linalg.inv(alg.eta_even)
-    scale = float(c_vec @ c_vec) * np.linalg.norm(eta_inv)
-    null = bool(abs(c_vec @ eta_inv @ c_vec) <= DEFECT_TOL * scale)
+    unit = np.ldexp(c_vec, -np.frexp(np.abs(c_vec).max(initial=0.0))[1])
+    scale = float(unit @ unit) * np.linalg.norm(eta_inv)
+    null = bool(abs(unit @ eta_inv @ unit) <= DEFECT_TOL * scale)
     return EfmReport(det=det, rank=rank, moduli=2 * (alg.n_odd - rank), direction_is_null=null)
 
 

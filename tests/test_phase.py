@@ -405,6 +405,87 @@ def test_constraint_tensor_matches_block_reference(size, tamper):
     assert np.array_equal(np.signbit(F), np.signbit(_ix_constraint_tensor(alg)))
 
 
+def _random_parity_algebra(rng, dim):
+    """Random parities in random order and a random f with about a third of its entries 0.0 and a
+    third -0.0: constraint_tensor reads no form, so eta is zero."""
+    parities = tuple(int(p) for p in rng.integers(0, 2, dim))
+    f = rng.uniform(-1.0, 1.0, (dim,) * 3)
+    f[rng.random(f.shape) < 1 / 3] = 0.0
+    f[rng.random(f.shape) < 1 / 3] = -0.0
+    return SuperAlgebra(labels=tuple(f"T{i}" for i in range(dim)), parities=parities, f=f,
+                        eta=np.zeros((dim, dim)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_constraint_tensor_matches_block_reference_on_random_parities(seed):
+    rng = np.random.default_rng(seed)
+    alg = _random_parity_algebra(rng, int(rng.integers(1, 9)))
+    assert np.signbit(alg.f[alg.f == 0]).any()
+    F = constraint_tensor(alg)
+    assert np.array_equal(F, _ix_constraint_tensor(alg))
+    assert np.array_equal(np.signbit(F), np.signbit(_ix_constraint_tensor(alg)))
+
+
+def test_constraint_tensor_plan_is_per_parity_tuple():
+    # a tampered copy has its algebra's parities, so it shares the gather
+    # plan, but its F is read from its own f
+    alg = build_osp(2, 1)
+    tampered = _tampered(alg)
+    assert phase._constraint_gather(alg.parities) is phase._constraint_gather(tampered.parities)
+    F, F_bad = constraint_tensor(alg), constraint_tensor(tampered)
+    assert np.array_equal(F_bad, _ix_constraint_tensor(tampered))
+    # the tampered f[a, beta, alpha] and its swapped copy F[beta, a, alpha]
+    a, beta, alpha = alg.even_indices[0], alg.odd_indices[0], alg.odd_indices[-1]
+    assert np.argwhere(F != F_bad).tolist() == [[a, beta, alpha], [beta, a, alpha]]
+    assert not any(arr.flags.writeable for arr in phase._constraint_gather(alg.parities))
+
+
+def _ix_inverse_forms(alg, eta):
+    """Reference route: W block by block through np.ix_."""
+    par = np.asarray(alg.parities)
+    ev, od = par == 0, par == 1
+    W = np.zeros((alg.dim, alg.dim))
+    W[np.ix_(ev, ev)] = np.linalg.inv(eta)
+    W[np.ix_(od, od)] = np.linalg.inv(alg.eta[np.ix_(od, od)])
+    return W
+
+
+def _interleaved_algebra(seed):
+    """Three even and four odd generators in a shuffled order, with a random symmetric eta and a
+    random antisymmetric C, both invertible; f is zero, which W does not read."""
+    rng = np.random.default_rng(seed)
+    parities = tuple(int(p) for p in rng.permutation([0, 0, 0, 1, 1, 1, 1]))
+    par = np.array(parities, dtype=bool)
+    eta = np.zeros((7, 7))
+    R = rng.uniform(-1.0, 1.0, (3, 3))
+    eta[np.ix_(~par, ~par)] = R + R.T + 4 * np.eye(3)
+    R = rng.uniform(-1.0, 1.0, (4, 4))
+    eta[np.ix_(par, par)] = R - R.T + np.kron(np.eye(2), [[0.0, 3.0], [-3.0, 0.0]])
+    return SuperAlgebra(labels=tuple(f"T{i}" for i in range(7)), parities=parities, f=np.zeros((7,) * 3),
+                        eta=eta)
+
+
+@pytest.mark.parametrize("source", [None, (2, 1), (1, 2), (2, 2), (2, 3), "interleaved"])
+def test_inverse_forms_matches_ix_reference(source):
+    alg = {None: build_osp12, "interleaved": lambda: _interleaved_algebra(0)}.get(
+        source, lambda: build_osp(*source))()
+    # the algebra's own eta, a diagonal detuning of one entry and a dense perturbation
+    detuned = alg.eta_even.copy()
+    detuned[0, 0] *= 1.3
+    R = np.random.default_rng(1).uniform(-0.05, 0.05, detuned.shape)
+    for eta in (alg.eta_even, detuned, alg.eta_even + (R + R.T)):
+        W, expected = phase._inverse_forms(alg, eta), _ix_inverse_forms(alg, eta)
+        assert np.array_equal(W, expected)
+        assert np.array_equal(np.signbit(W), np.signbit(expected))
+
+
+def test_inverse_forms_singular_eta_message():
+    alg = build_osp12()
+    for args, message in (((), "eta"), (("eta_override",), "eta_override")):
+        with pytest.raises(ValueError, match=f"^{message} is singular on the even generators$"):
+            phase._inverse_forms(alg, np.diag([0.0, 1.0, 1.0]), *args)
+
+
 def test_closure_rejects_asymmetric_algebra_forms(alg):
     # the algebra's own even eta and C get PhaseSpace.create's checks too
     for (i, j) in ((0, 1), (3, 4)):
@@ -594,11 +675,17 @@ class TestClosureMatchesSlabLoop:
         assert peak <= 14 * 8 * alg.dim ** 3 + 4 * STACK_BYTES, (alg.dim, peak)
 
 
+def _report_bytes(report):
+    """Every number of a ClosureReport as bytes, the signs of zeros included."""
+    return (np.array([report.dim, report.kappa, report.max_unexplained, report.proportionality_residual,
+                      report.tol]).tobytes(), report.induced.tobytes())
+
+
 class TestClosurePlan:
-    """check_closure's right-hand-side plan: built once per algebra on its first call without an
-    eta_override, shared by an override of the same W pattern, and not built above PLAN_PAIRS terms;
-    an override of another pattern takes the dense route.  Every call == the slab loop, the signs
-    of zeros included."""
+    """check_closure's right-hand-side plan: built once per algebra from its own W on its first
+    call, with or without an eta_override, shared by an override of the same W pattern, and not
+    built above PLAN_PAIRS terms; an override of another pattern takes the dense route.  Every
+    call == the slab loop, the signs of zeros included."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -639,11 +726,39 @@ class TestClosurePlan:
 
     def test_diagonal_detuning_shares_the_build(self, builds, routes):
         alg = dataclasses.replace(build_osp12())
-        self._compare(alg, np.diag([-1.0, 1.3, 1.0]))  # before the first plain call: dense
+        self._compare(alg, np.diag([-1.0, 1.3, 1.0]))  # before the first plain call
         self._compare(alg)
         self._compare(alg, np.diag([-1.0, 1.3, 1.0]))
         self._compare(alg, np.diag([-1.2, 1.0, 1.0]))
-        assert len(builds) == 1 and routes == ["dense", "plan", "plan", "plan"]
+        assert len(builds) == 1 and routes == ["plan"] * 4
+
+    @pytest.mark.parametrize("size", [None, (2, 1), (2, 2)])
+    def test_route_does_not_depend_on_call_order(self, size, builds, routes):
+        # an override before the first plain call builds the algebra's own
+        # plan, the one a plain call first would build, and the reports of
+        # either order are the same bits
+        base = build_osp12() if size is None else build_osp(*size)
+        detuned = base.eta_even.copy()
+        detuned[0, 0] *= 1.3
+        reports = []
+        for order in ((detuned, None), (None, detuned)):
+            alg = dataclasses.replace(base)
+            by_eta = {eta is None: check_closure(alg, eta_override=eta) for eta in order}
+            reports.append([_report_bytes(by_eta[plain]) for plain in (True, False)])
+        assert reports[0] == reports[1]
+        assert len(builds) == 2 and routes == ["plan"] * 4
+        assert all(np.array_equal(a, b) for a, b in zip(*builds))
+
+    def test_singular_own_eta_refused_before_an_override(self, builds):
+        # the plan needs the algebra's own W, and the lowering its own eta
+        base = build_osp12()
+        eta = base.eta.copy()
+        eta[0, 0] = 0.0
+        alg = dataclasses.replace(base, eta=eta)
+        for override in (None, base.eta_even):
+            with pytest.raises(ValueError, match="^eta is singular on the even generators$"):
+                check_closure(alg, eta_override=override)
+        assert builds == [] and alg not in phase._RHS_PLANS
 
     def test_tampered_copy_gets_its_own_build(self, builds):
         alg = dataclasses.replace(build_osp(2, 1))
@@ -742,13 +857,18 @@ class TestExponentialSectorModuli:
         assert abs(report.det + 1.0) < 1e-12 and report.moduli == 0
         assert not report.direction_is_null
 
-    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e200, 1e-200, 2.0 ** -600, 2.0 ** 500])
     def test_null_flag_ignores_scale(self, alg, scale):
-        # so2 at 1e-6 has det 1e-12 and rank 2: small, not eta-null
+        # so2 at 1e-6 has det 1e-12 and rank 2: small, not eta-null.  c.c and
+        # c eta^-1 c would overflow at 1e200 and underflow at 1e-200 and
+        # 2^-600; det = +-s^2 itself overflows at 1e200
         for name, (c, _) in OSP12_DIRECTIONS.items():
-            report = exponential_sector_moduli(alg, scale * np.asarray(c))
+            scaled = scale * np.asarray(c)
+            with np.errstate(over="ignore"):
+                report = exponential_sector_moduli(alg, scaled)
+                det = np.linalg.det(alg.ff_block(scaled))
             assert report.direction_is_null == (name == "parabolic"), (name, scale)
-            assert report.rank == exponential_sector_moduli(alg, c).rank, (name, scale)
+            assert report.rank == exponential_sector_moduli(alg, c).rank and report.det == det, (name, scale)
 
     def test_criterion_matches_group_side(self, alg):
         # det(c^a f block) = 0 iff det(a0 x I - I x A0) = 0 for exponentials
