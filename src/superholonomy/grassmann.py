@@ -102,6 +102,13 @@ SPLIT_BYTES = 1 << 20
 # 4.5 MB here; a 200-op OSp(1|2) sweep at N = 6 to 8 ran no faster with
 # 1 MB chunks, which added 40 MB of peak RSS
 STACK_BYTES = 1 << 17
+# check_jacobi and check_closure sum over the products of nonzeros that a
+# pair plan lists (``superlie.pair_plan``) while there are at most this many
+# (osp(2|6), the largest build_osp size, has 19,620 and 13,080), else over
+# dense chunks: a call gathers two float64 factors a product, 4 STACK_BYTES
+# in all at the bound, about what the dense chunks take, and a plan holds
+# four 8-byte entries a product
+PLAN_PAIRS = STACK_BYTES // 4
 # a supermatrix holds at most this many coefficients, 2^N (m+n)^2 (128 MiB of
 # float64), checked before anything is allocated: the kernels keep several
 # temporaries of an operand's size, so a larger one exhausts memory rather

@@ -29,7 +29,7 @@ import numpy as np
 
 from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, FORWARD_ROUNDING, canonical, graded_expm, graded_matmul,
                         matrix_rank, merge_sign, stack_chunk)
-from .superlie import OSP12_DIRECTIONS, PLAN_PAIRS, SuperAlgebra, _join, build_osp12, check_forms, check_tolerance
+from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, check_forms, check_tolerance, pair_plan, pair_sums
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
 
@@ -418,96 +418,73 @@ def _inverse_forms(alg: SuperAlgebra, eta: np.ndarray, name: str = "eta") -> np.
         W.put(even, np.linalg.inv(eta))
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} is singular on the even generators") from None
-    W.put(odd, np.linalg.inv(alg.eta_odd))
+    try:
+        W.put(odd, np.linalg.inv(alg.eta_odd))
+    except np.linalg.LinAlgError:
+        raise ValueError("C is singular on the odd generators") from None
     return W
 
 
-def _rhs_plan(F: np.ndarray, W: np.ndarray, odd: np.ndarray):
-    """check_closure's right-hand-side plan over the nonzero patterns of F and W, or None above
-    PLAN_PAIRS terms.
-
-    The coefficient of x_I y_J in {G^k, G^L} is T1 - T2 with
-        T1[k, I, J, L] = sum_M FtW[k, J, M] (-1)^{|I||M| + |J||L|} F[I, M, L]
-        T2[k, I, J, L] = sum_M FW[k, I, M] F[M, J, L]
-    over the dense first-stage products FtW[k] = F_k^T W and FW[k] = F_k W.
-    Each term pairs a structural nonzero of FtW or FW (from the patterns of F
-    and W) with a nonzero of F that shares M, listed with M ascending within
-    each output, the order of a dot product over M.  Returns, per T1 term, a
-    flat index into FtW, a flat index into F, its sign (+-1.0) and its
-    output's slot; per T2 term, a flat index into FW, one into F and its
-    slot; the slots' flat positions within their chunk of check_closure's
-    slab loop; and the first slot of every chunk, with the slot count last.
-    Only the patterns are read, so the plan holds for any F and W of these
-    patterns.
-    """
-    dim = len(F)
-    nz = np.flatnonzero(F)
-    x0, x1, x2 = np.unravel_index(nz, F.shape)      # nz ascending, so x0 is sorted
-    Fb, Wb = (F != 0).astype(float), (W != 0).astype(float)
-    # the patterns of FtW[k, J, M] and FW[k, I, M], each flat index ending in M
-    ftw = np.flatnonzero(Fb.transpose(2, 1, 0) @ Wb)
-    fw = np.flatnonzero(Fb.transpose(2, 0, 1) @ Wb)
-    ftw_m, fw_m = ftw % dim, fw % dim
-    first, mid = np.bincount(x0, minlength=dim), np.bincount(x1, minlength=dim)
-    if int(np.bincount(ftw_m, minlength=dim) @ mid + np.bincount(fw_m, minlength=dim) @ first) > PLAN_PAIRS:
-        return None
-    # T1 pairs FtW[k, J, M] with F[I, M, L], T2 pairs FW[k, I, M] with F[M, J, L]
-    p1, q1 = _join(ftw_m, mid, np.argsort(x1, kind="stable"))
-    p2, q2 = _join(fw_m, first)
-    n1 = len(p1)
-    # each output (k, I, J, L) = k dim^3 + I dim^2 + J dim + L, one part from each side
-    out = np.empty(n1 + len(p2), dtype=np.int64)
-    kj = ftw // dim
-    np.add((kj // dim * dim ** 3 + kj % dim * dim).take(p1), (x0 * dim ** 2 + x2).take(q1), out=out[:n1])
-    np.add((fw // dim * dim ** 2).take(p2), (nz % dim ** 2).take(q2), out=out[n1:])
-    # (-1)^{|I||M| + |J||L|}: -1 where exactly one of the pairs is odd-odd
-    flip = (odd.take(x0) & odd.take(x1)).take(q1) ^ (odd.take(kj % dim).take(p1) & odd.take(x2).take(q1))
-    # each output numbered by rank in one stable sort, the kind the T1 join already
-    # runs: np.unique's sort kernels would add about 0.3 MB of resident code
-    order = np.argsort(out, kind="stable")
-    ranked = out.take(order)
-    new = np.concatenate((ranked[:1] >= 0, ranked[1:] != ranked[:-1]))
-    slot = np.empty_like(out)
-    slot[order] = np.cumsum(new) - 1
-    outputs = ranked[new]
-    span = stack_chunk((dim, dim, dim)) * dim ** 3
-    bounds = np.searchsorted(outputs, np.arange(0, dim ** 4, span)).tolist() + [len(outputs)]
-    plan = ftw.take(p1), nz.take(q1), 1.0 - 2.0 * flip, slot[:n1], fw.take(p2), nz.take(q2), slot[n1:], outputs % span
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan + (bounds,)
-
-
-# check_closure's right-hand-side plan per algebra, for the nonzero pattern of
-# its own W: (that pattern as bytes, _rhs_plan or None).  f is read-only and
+# check_closure's pair plan per algebra, for the nonzero pattern of its own W:
+# (that pattern as bytes, the plan or None).  f is read-only and
 # dataclasses.replace makes a new instance, which is hashed by identity, so a
 # plan cannot go stale, and it goes with its algebra.
 _RHS_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray, own: bool):
-    """The cached _rhs_plan for alg's own W, built from F and that W on alg's first call, with or
-    without an override, or None for the dense route: a W of another nonzero pattern.  An algebra
-    whose own eta is singular has no W of its own, and raises ValueError here."""
+    """The cached plan for alg's own W, built on alg's first call, with or without an override, or
+    None for the dense route: above PLAN_PAIRS terms, or a W of another nonzero pattern.  An algebra
+    whose own eta is singular has no W of its own, and raises ValueError here.
+
+    The coefficient of x_I y_J in {G^k, G^L} is T1 - T2 with
+        T1[k, I, J, L] = sum_M FtW[k, J, M] (-1)^{|I||M| + |J||L|} F[I, M, L]
+        T2[k, I, J, L] = sum_M FW[k, I, M] F[M, J, L]
+    over the dense first-stage products FtW[k] = F_k^T W and FW[k] = F_k W.
+    Each term pairs a structural nonzero of FtW or FW (from the patterns of F
+    and W) with a nonzero of F that shares M, with M ascending within each
+    output, the order of a dot product over M.  The plan is T1's and T2's
+    groups for pair_sums, the outputs' flat positions within their chunk of
+    check_closure's slab loop, and the first output of every chunk, with the
+    output count last.  Only the patterns are read.
+    """
     entry = _RHS_PLANS.get(alg)
     if entry is None:
         own_W = W if own else _inverse_forms(alg, alg.eta_even)
-        entry = _RHS_PLANS[alg] = (own_W != 0).tobytes(), _rhs_plan(F, own_W, alg.odd_mask)
+        dim, odd = alg.dim, alg.odd_mask
+        nz = np.flatnonzero(F)
+        x0, x1, x2 = np.unravel_index(nz, F.shape)
+        Fb, Wb = (F != 0).astype(float), (own_W != 0).astype(float)
+        # the patterns of FtW[k, J, M] and FW[k, I, M], each flat index ending in M
+        ftw = np.flatnonzero(Fb.transpose(2, 1, 0) @ Wb)
+        fw = np.flatnonzero(Fb.transpose(2, 0, 1) @ Wb)
+        kj = ftw // dim
+        # each factor's part of the output (k, I, J, L) = k dim^3 + I dim^2 + J dim + L
+        built = pair_plan((((ftw % dim, kj // dim * dim ** 3 + kj % dim * dim), (x1, x0 * dim ** 2 + x2)),
+                           ((fw % dim, fw // dim * dim ** 2), (x0, nz % dim ** 2))), dim)
+        plan = None
+        if built is not None:
+            ((p1, q1), (p2, q2)), outputs, rank = built
+            # (-1)^{|I||M| + |J||L|}: -1 where exactly one of the pairs is odd-odd
+            flip = (odd.take(x0) & odd.take(x1)).take(q1) ^ (odd.take(kj % dim).take(p1) & odd.take(x2).take(q1))
+            span = stack_chunk((dim, dim, dim)) * dim ** 3
+            t1 = ftw.take(p1), nz.take(q1), 1.0 - 2.0 * flip, rank[:len(p1)]
+            t2 = fw.take(p2), nz.take(q2), np.ones(len(p2)), rank[len(p1):]
+            local = outputs % span
+            for arr in (*t1, *t2, local):
+                arr.flags.writeable = False
+            plan = t1, t2, local, np.searchsorted(outputs, np.arange(0, dim ** 4, span)).tolist() + [len(outputs)]
+        entry = _RHS_PLANS[alg] = (own_W != 0).tobytes(), plan
     pattern, plan = entry
     return plan if own or (W != 0).tobytes() == pattern else None
 
 
 def _planned_rhs(plan, F: np.ndarray, FtW: np.ndarray, FW: np.ndarray):
-    """Each chunk's slice and its (chunk, dim^2, dim) right-hand sides from the plan: every output
-    summed over its terms by bincount, T1 and T2 apart, then scattered into zeros."""
-    ftw_at, f1_at, sign, slot1, fw_at, f2_at, slot2, local, bounds = plan
-    t1 = FtW.take(ftw_at)
-    t1 *= F.take(f1_at)
-    t1 *= sign         # by +-1, exact
-    t2 = FW.take(fw_at)
-    t2 *= F.take(f2_at)
-    sums = np.bincount(slot1, t1, len(local))
-    sums -= np.bincount(slot2, t2, len(local))
+    """Each chunk's slice and its (chunk, dim^2, dim) right-hand sides from the plan: T1's sums less
+    T2's, each summed apart by pair_sums, then scattered into zeros."""
+    t1, t2, local, bounds = plan
+    sums = pair_sums(FtW, F, t1, len(local))
+    sums -= pair_sums(FW, F, t2, len(local))
     dim = len(F)
     step = stack_chunk((dim, dim, dim))
     for c, k0 in enumerate(range(0, dim, step)):
@@ -544,8 +521,8 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
 
     Each {G^k, .} slab's right-hand sides, the coefficients of x_I y_J in
     {G^k, G^L}, are T1 - T2 over the first-stage products FtW[k] = F_k^T W
-    and FW[k] = F_k W, two dense stacked matrix products (_rhs_plan has the
-    sums).  While those sums have at most PLAN_PAIRS nonzero terms, as for
+    and FW[k] = F_k W, two dense stacked matrix products (_closure_plan has
+    the sums).  While those sums have at most PLAN_PAIRS nonzero terms, as for
     every build_osp algebra (at most 13,080, at osp(2|6)), they are taken over
     those terms alone by a plan over the nonzero patterns of F and of the
     algebra's own W, built on its first call, with or without an

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import (DEFECT_TOL, EXACT_TOL, STACK_BYTES, canonical, grade_signs, graded_matmul, matrix_rank,
+from .grassmann import (DEFECT_TOL, EXACT_TOL, PLAN_PAIRS, canonical, grade_signs, graded_matmul, matrix_rank,
                         stack_chunk)
 from .supermatrix import graded_form, supertranspose_coeffs, symplectic_form
 
@@ -36,13 +36,6 @@ EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # build_osp keeps the defining representation at desk scale: m + 2n <= this
 MAX_OSP_SIZE = 8
-# check_jacobi's contraction plan and check_closure's right-hand-side plan are
-# each built for at most this many products of nonzeros (osp(2|6), the largest
-# build_osp size, has 19,620 and 13,080), else the chunked dense route runs: a
-# call gathers two float64 factors a product, 4 STACK_BYTES in all at the
-# bound, about what the dense chunks take, and a plan holds three or four
-# 8-byte entries a product
-PLAN_PAIRS = STACK_BYTES // 4
 
 
 @lru_cache(maxsize=None)
@@ -60,64 +53,49 @@ def pair_signs(parities: Sequence[int]) -> np.ndarray:
     return np.where(np.outer(p, p) == 1, -1.0, 1.0)
 
 
-def _join(key_a: np.ndarray, counts_b: np.ndarray, order_b: np.ndarray | None = None):
-    """Positions (p, q) of every pair with key_a[p] == key_b[q], p ascending and q in key_b's stable
-    order within p, from counts_b, the bincount of key_b, and order_b, its stable argsort (None where
-    key_b is already sorted)."""
-    reps = counts_b.take(key_a)
-    # each p's run of q starts at key_a[p]'s block of order_b
-    block = np.cumsum(counts_b) - counts_b
-    p, shift = np.repeat([np.arange(len(key_a)), block.take(key_a) - np.cumsum(reps) + reps], reps, axis=1)
-    q = shift + np.arange(len(p))
-    return p, q if order_b is None else order_b.take(q)
+def pair_plan(terms, size: int):
+    """The products of nonzeros in a sum of terms, or None above PLAN_PAIRS of them.
 
-
-def _contraction_plan(f: np.ndarray, odd: np.ndarray):
-    """check_jacobi's plan over the nonzero pattern of f, or None above PLAN_PAIRS pairs.
-
-    The three Jacobi terms f[j,k,l] f[i,l,m], f[i,j,l] f[l,k,m] and
-    f[i,k,l] f[j,l,m], of signs +1, -1 and -(-1)^{|i||j|}, each pair two
-    nonzeros that share l, listed term by term.  Returns the flat positions
-    nz of the nonzeros and, per pair, a left index into (f[nz], -f[nz]),
-    which carries the sign, a right index into f[nz] and the number of its
-    output (i, j, k, m) among the plan's outputs.  Only the pattern is read,
-    so the plan holds for any f of that pattern.
+    Each term is two factors, each given over its nonzeros as (key, out):
+    key, in range(size), the index the two factors share and sum over, and
+    out, the nonzero's part of the flat output index.  The pair count is
+    read from the keys' counts alone, before any pair is listed.  Returns,
+    per term, the positions (p, q) of every pair with key_a[p] == key_b[q],
+    p ascending and q in key_b's stable order within p; then the sorted
+    distinct outputs out_a[p] + out_b[q] and, over all the terms' pairs in
+    order, each pair's rank among them, np.unique's (values, inverse).
     """
-    dim = len(f)
-    nz = np.flatnonzero(f != 0)
-    x0, x1, x2 = np.unravel_index(nz, f.shape)      # nz ascending, so x0 is sorted
-    first, mid, last = (np.bincount(x, minlength=dim) for x in (x0, x1, x2))
-    if int(last @ (2 * mid + first)) > PLAN_PAIRS:
+    counts = [np.bincount(key_b, minlength=size) for _, (key_b, _) in terms]
+    reps = [c.take(key_a) for c, ((key_a, _), _) in zip(counts, terms)]
+    if sum(int(r.sum()) for r in reps) > PLAN_PAIRS:
         return None
-    size, head = len(nz), nz // dim
-    # terms 1 and 3 pair A = (., ., l) with B = (., l, .), term 2 with B = (l, ., .)
-    p1, q1 = _join(x2, mid, np.argsort(x1, kind="stable"))
-    p2, q2 = _join(x2, first)
-    n1, n2 = len(p1), len(p2)
-    # each output (i, j, k, m) = i dim^3 + j dim^2 + k dim + m is one part from
-    # A and one from B: (B0, A0, A1, B2), (A0, A1, B1, B2) and (A0, B0, A1, B2)
-    out = np.empty(2 * n1 + n2, dtype=np.int64)
-    np.add((x0 * dim ** 3 + x2).take(q1), (head * dim).take(p1), out=out[:n1])
-    np.add((head * dim ** 2).take(p2), (nz % dim ** 2).take(q2), out=out[n1:n1 + n2])
-    np.add((x0 * dim ** 3 + x1 * dim).take(p1), (x0 * dim ** 2 + x2).take(q1), out=out[n1 + n2:])
-    # -(-1)^{|i||j|} is -1 unless i and j are both odd
-    left = np.concatenate((p1, p2 + size, p1 + size * ~(odd.take(x0.take(p1)) & odd.take(x0.take(q1)))))
-    right = np.concatenate((q1, q2, q1))
-    # each pair's output numbered by rank; a value sort of (output, place)
-    # packed in one int64 is cheaper than an argsort
-    bits = len(out).bit_length()
-    out <<= bits
-    out |= np.arange(len(out))
-    packed = np.sort(out)
-    ranked = packed >> bits
-    # a new output at the first pair, if any, and wherever the sorted output changes
+    pairs, outs = [], []
+    for ((key_a, out_a), (key_b, out_b)), c, r in zip(terms, counts, reps):
+        # each p's run of q starts at key_a[p]'s block of key_b's stable order
+        block = np.cumsum(c) - c
+        p, shift = np.repeat([np.arange(len(key_a)), block.take(key_a) - np.cumsum(r) + r], r, axis=1)
+        q = np.argsort(key_b, kind="stable").take(shift + np.arange(len(p)))
+        pairs.append((p, q))
+        outs.append(out_a.take(p) + out_b.take(q))
+    # outputs ranked by one stable sort: np.unique's sort kernels would add
+    # about 0.3 MB of resident code
+    out = np.concatenate(outs)
+    order = np.argsort(out, kind="stable")
+    ranked = out.take(order)
     new = np.concatenate((ranked[:1] >= 0, ranked[1:] != ranked[:-1]))
-    group = np.empty_like(out)
-    group[packed & ((1 << bits) - 1)] = np.cumsum(new) - 1
-    plan = nz, left, right, group
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+    rank = np.empty_like(out)
+    rank[order] = np.cumsum(new) - 1
+    return pairs, ranked[new], rank
+
+
+def pair_sums(a: np.ndarray, b: np.ndarray, group, size: int) -> np.ndarray:
+    """The (size,) sums over a pair plan's group (a_at, b_at, sign, rank) of a.flat[a_at] b.flat[b_at]
+    sign, each output's pairs added in plan order by bincount."""
+    a_at, b_at, sign, rank = group
+    products = a.take(a_at)
+    products *= b.take(b_at)
+    products *= sign       # by +-1, exact: -(x y) is (-x) y bit for bit
+    return np.bincount(rank, products, size)
 
 
 @dataclass
@@ -273,18 +251,39 @@ class SuperAlgebra:
 
     @cached_property
     def _jacobi_plan(self):
-        # built once per algebra from f's pattern: f is read-only, and a
-        # changed copy is a new instance with its own plan
-        return _contraction_plan(self.f, self.odd_mask)
+        """check_jacobi's pair plan over f's nonzero pattern, or None above PLAN_PAIRS pairs: the
+        flat positions nz of f's nonzeros, one group of pairs over f.flat[nz] (pair_sums) and the
+        output count.  Built once per algebra: f is read-only, and a changed copy is a new instance
+        with its own plan."""
+        f, dim = self.f, self.dim
+        nz = np.flatnonzero(f)
+        x0, x1, x2 = np.unravel_index(nz, f.shape)
+        head = nz // dim
+        # the terms f[j,k,l] f[i,l,m], f[i,j,l] f[l,k,m] and f[i,k,l] f[j,l,m], each factor's
+        # part of the output (i, j, k, m) = i dim^3 + j dim^2 + k dim + m
+        built = pair_plan((((x2, head * dim), (x1, x0 * dim ** 3 + x2)),
+                           ((x2, head * dim ** 2), (x0, nz % dim ** 2)),
+                           ((x2, x0 * dim ** 3 + x1 * dim), (x1, x0 * dim ** 2 + x2))), dim)
+        if built is None:
+            return None
+        ((p1, q1), (p2, q2), (p3, q3)), outputs, rank = built
+        # signs +1, -1 and -(-1)^{|i||j|}, which is -1 unless i and j are both odd
+        odd = self.odd_mask
+        sign = np.concatenate((np.ones(len(p1)), np.full(len(p2), -1.0),
+                               np.where(odd.take(x0.take(p3)) & odd.take(x0.take(q3)), 1.0, -1.0)))
+        group = np.concatenate((p1, p2, p3)), np.concatenate((q1, q2, q3)), sign, rank
+        for arr in (nz, *group):
+            arr.flags.writeable = False
+        return nz, group, len(outputs)
 
     def check_jacobi(self, tol: float = EXACT_TOL) -> JacobiReport:
         """Residual of [X,[Y,Z}} - [[X,Y},Z} - (-1)^{|X||Y|}[Y,[X,Z}} on the basis.
 
         While f's nonzeros make at most PLAN_PAIRS products, the residual is
-        taken over them alone, by the algebra's cached contraction plan
-        (_contraction_plan): each call gathers f's values, multiplies each
-        pair with its sign and sums each entry r[i, j, k, m] over its pairs in
-        plan order by bincount.  A builder's f holds 0, +-1, +-2 and +-4, so
+        taken over them alone, by the algebra's cached pair plan (pair_plan):
+        each call gathers f's values and then each pair's factors, multiplies
+        them with its sign and sums each entry r[i, j, k, m] over its pairs in
+        plan order (pair_sums).  A builder's f holds 0, +-1, +-2 and +-4, so
         every sum is exact in any order.  Above that, as for a dense f, r is swept over i in chunks of
         at most STACK_BYTES of (dim, dim, dim) slabs, at least one slab, so no
         dim^4 array is allocated (10.7 MB at dim 34).  Each chunk is three
@@ -293,11 +292,9 @@ class SuperAlgebra:
         check_tolerance(tol)
         plan = self._jacobi_plan
         if plan is not None:
-            nz, left, right, group = plan
+            nz, group, size = plan
             values = self.f.take(nz)
-            products = np.concatenate((values, -values)).take(left)
-            products *= values.take(right)
-            sums = np.bincount(group, products)       # each output's pairs in plan order
+            sums = pair_sums(values, values, group, size)
             return JacobiReport(self.dim, float(np.abs(sums, out=sums).max(initial=0.0)), tol)
         f, dim = self.f, self.dim
         signs = self.pair_signs[:, :, None, None]

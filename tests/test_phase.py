@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import tracemalloc
+import warnings
 import weakref
 from itertools import product
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from superholonomy import phase
-from superholonomy.grassmann import STACK_BYTES, GrassmannElement, matrix_rank, real_expm
+from superholonomy.grassmann import PLAN_PAIRS, STACK_BYTES, GrassmannElement, matrix_rank, real_expm
 from superholonomy.group import ahat
 from superholonomy.phase import (
     EPS_CYCLES,
@@ -24,7 +25,6 @@ from superholonomy.phase import (
 )
 from superholonomy.superlie import (
     OSP12_DIRECTIONS,
-    PLAN_PAIRS,
     SIGMA0,
     SIGMA1,
     SIGMA2,
@@ -689,10 +689,10 @@ class TestClosurePlan:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        # every plan the builder returns, None for the dense route
+        # every pair plan the shared builder returns, None above PLAN_PAIRS
         built = []
-        real = phase._rhs_plan
-        monkeypatch.setattr(phase, "_rhs_plan", lambda *args: (built.append(real(*args)), built[-1])[1])
+        real = phase.pair_plan
+        monkeypatch.setattr(phase, "pair_plan", lambda *args: (built.append(real(*args)), built[-1])[1])
         return built
 
     @pytest.fixture
@@ -711,17 +711,18 @@ class TestClosurePlan:
         alg = build_osp12() if size is None else build_osp(*size)
         check_closure(alg)
         pattern, plan = phase._RHS_PLANS[alg]
-        ftw_at, f1_at, sign, slot1, fw_at, f2_at, slot2, local, bounds = plan
-        assert len(ftw_at) == len(f1_at) == len(sign) == len(slot1) and len(fw_at) == len(f2_at) == len(slot2)
-        assert pattern == (np.linalg.inv(alg.eta) != 0).tobytes() and set(sign) <= {-1.0, 1.0}
-        assert len(slot1) + len(slot2) <= PLAN_PAIRS and bounds[-1] == len(local)
-        assert not any(arr.flags.writeable for arr in plan[:-1])
+        t1, t2, local, bounds = plan
+        assert all(len(set(map(len, group))) == 1 for group in (t1, t2))
+        assert pattern == (np.linalg.inv(alg.eta) != 0).tobytes() and set(t1[2]) <= {-1.0, 1.0}
+        assert set(t2[2]) <= {1.0}
+        assert len(t1[3]) + len(t2[3]) <= PLAN_PAIRS and bounds[-1] == len(local)
+        assert not any(arr.flags.writeable for arr in (*t1, *t2, local))
 
     def test_one_build_per_algebra(self, builds, routes):
         alg = dataclasses.replace(build_osp(2, 2))       # a new instance, no plan yet
         for _ in range(3):
             self._compare(alg)
-        assert len(builds) == 1 and builds[0] is phase._RHS_PLANS[alg][1] is not None
+        assert len(builds) == 1 and builds[0] is not None and phase._RHS_PLANS[alg][1] is not None
         assert routes == ["plan"] * 3
 
     def test_diagonal_detuning_shares_the_build(self, builds, routes):
@@ -740,14 +741,16 @@ class TestClosurePlan:
         base = build_osp12() if size is None else build_osp(*size)
         detuned = base.eta_even.copy()
         detuned[0, 0] *= 1.3
-        reports = []
+        reports, plans = [], []
         for order in ((detuned, None), (None, detuned)):
             alg = dataclasses.replace(base)
             by_eta = {eta is None: check_closure(alg, eta_override=eta) for eta in order}
             reports.append([_report_bytes(by_eta[plain]) for plain in (True, False)])
+            t1, t2, local, bounds = phase._RHS_PLANS[alg][1]
+            plans.append((*t1, *t2, local, np.array(bounds)))
         assert reports[0] == reports[1]
         assert len(builds) == 2 and routes == ["plan"] * 4
-        assert all(np.array_equal(a, b) for a, b in zip(*builds))
+        assert all(np.array_equal(a, b) for a, b in zip(*plans))
 
     def test_singular_own_eta_refused_before_an_override(self, builds):
         # the plan needs the algebra's own W, and the lowering its own eta
@@ -765,8 +768,8 @@ class TestClosurePlan:
         self._compare(alg)
         tampered = _tampered(alg)
         self._compare(tampered)
-        assert len(builds) == 2
-        assert phase._RHS_PLANS[tampered][1] is builds[1] is not phase._RHS_PLANS[alg][1]
+        assert len(builds) == 2 and None not in builds
+        assert phase._RHS_PLANS[tampered][1] is not phase._RHS_PLANS[alg][1]
 
     def test_new_pattern_takes_the_dense_route(self, builds, routes):
         alg = dataclasses.replace(build_osp(2, 2))
@@ -783,6 +786,23 @@ class TestClosurePlan:
         for _ in range(2):
             self._compare(alg)
         assert builds == [None] and routes == ["dense", "dense"]
+
+    @pytest.mark.parametrize("entries", [(), ((0, 1, 2),)])
+    def test_plan_without_terms(self, entries, builds, routes):
+        # on osp(2|2)'s layout, f = 0, and f[0, 1, 2] = 1 alone, which no term pairs: the plan
+        # lists no T1 or T2 term and the report reads zeros, with no warning
+        base = build_osp(2, 1)
+        f = np.zeros_like(base.f)
+        for idx in entries:
+            f[idx] = 1.0
+        alg = SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_closure(alg)
+        t1, t2, local, _ = phase._RHS_PLANS[alg][1]
+        assert len(t1[0]) == len(t2[0]) == len(local) == 0 and routes == ["plan"] and len(builds) == 1
+        assert report.max_unexplained == report.proportionality_residual == report.kappa == 0.0
+        assert not report.induced.any() and not np.signbit(report.induced).any()
 
     def test_plan_goes_with_its_algebra(self):
         alg = dataclasses.replace(build_osp(2, 1))
@@ -824,6 +844,16 @@ class TestClosure:
     def test_bad_eta_override_rejected(self, alg, eta, message):
         with pytest.raises(ValueError, match=message):
             check_closure(alg, eta_override=eta)
+
+    def test_singular_odd_form_rejected(self):
+        # one odd generator: its 1 x 1 C is antisymmetric, so zero, which the constructor and
+        # the super-Jacobi check accept; closure needs C^-1, plain and with an override
+        alg = SuperAlgebra(labels=("a", "b", "c"), parities=(0, 0, 1), f=np.zeros((3, 3, 3)),
+                           eta=np.diag([1.0, 1.0, 0.0]))
+        assert alg.check_jacobi().passed
+        for override in (None, np.eye(2)):
+            with pytest.raises(ValueError, match="^C is singular on the odd generators$"):
+                check_closure(alg, eta_override=override)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
     def test_vacuous_tolerance_rejected(self, tol):

@@ -8,12 +8,12 @@ import pytest
 from random_inputs import random_element
 from superholonomy import superlie
 from superholonomy.checks import JACOBI_ALGEBRAS
-from superholonomy.grassmann import STACK_BYTES, GrassmannElement, canonical, grade_signs, graded_matmul, stack_chunk
+from superholonomy.grassmann import (PLAN_PAIRS, STACK_BYTES, GrassmannElement, canonical, grade_signs, graded_matmul,
+                                    stack_chunk)
 from superholonomy.phase import check_closure
 from superholonomy.superlie import (
     EPS2,
     MAX_OSP_SIZE,
-    PLAN_PAIRS,
     SIGMA0,
     SIGMA1,
     SIGMA2,
@@ -21,6 +21,7 @@ from superholonomy.superlie import (
     build_osp,
     build_osp12,
     graded_form,
+    pair_plan,
 )
 from superholonomy.supermatrix import SuperMatrix, body_array, supertranspose_coeffs
 
@@ -344,9 +345,12 @@ class TestJacobiMatchesEinsum:
     @pytest.mark.parametrize("m,n", OSP_SIZES)
     def test_every_builder_size_takes_the_plan(self, m, n):
         alg = build_osp(m, n)
-        nz, left, right, group = alg._jacobi_plan
-        assert len(nz) == np.count_nonzero(alg.f) and len(left) == len(right) == len(group) <= PLAN_PAIRS
-        assert not any(arr.flags.writeable for arr in alg._jacobi_plan)
+        nz, group, size = alg._jacobi_plan
+        a_at, b_at, sign, rank = group
+        assert len(nz) == np.count_nonzero(alg.f)
+        assert len(a_at) == len(b_at) == len(sign) == len(rank) <= PLAN_PAIRS and size == rank.max() + 1
+        assert set(sign) <= {-1.0, 1.0}
+        assert not any(arr.flags.writeable for arr in (nz, *group))
 
     @pytest.mark.parametrize("tamper", [False, True])
     @pytest.mark.parametrize("m,n", OSP_SIZES)
@@ -377,7 +381,8 @@ class TestJacobiMatchesEinsum:
             f[idx] = 1.0
         alg = SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
         assert alg.check_jacobi().max_residual == 0.0 == _einsum_jacobi_residual(alg)
-        assert len(alg._jacobi_plan[1]) == 0
+        _, (a_at, _, _, _), size = alg._jacobi_plan
+        assert len(a_at) == 0 == size
 
     def test_plan_is_not_shared_by_a_copy(self):
         alg = build_osp(2, 1)
@@ -392,8 +397,8 @@ class TestJacobiMatchesEinsum:
 
     def test_plan_built_once(self, monkeypatch):
         calls = []
-        real = superlie._contraction_plan
-        monkeypatch.setattr(superlie, "_contraction_plan", lambda *args: (calls.append(1), real(*args))[1])
+        real = superlie.pair_plan
+        monkeypatch.setattr(superlie, "pair_plan", lambda *args: (calls.append(1), real(*args))[1])
         alg = dataclasses.replace(build_osp(2, 2))
         first = alg.check_jacobi()
         plan = alg._jacobi_plan
@@ -427,6 +432,64 @@ class TestJacobiMatchesEinsum:
         assert alg._jacobi_plan is None
         assert peak <= 4 * STACK_BYTES + 4 * 8 * alg.dim ** 3, peak
         assert residual > 1e-3
+
+
+def _brute_pairs(terms):
+    """Every term's pairs (p, q) with equal keys, p ascending and q ascending within p, and every
+    pair's output, term by term, by enumeration."""
+    pairs = [[(p, q) for p in range(len(key_a)) for q in range(len(key_b)) if key_a[p] == key_b[q]]
+             for (key_a, _), (key_b, _) in terms]
+    outputs = [int(out_a[p] + out_b[q]) for ((_, out_a), (_, out_b)), term in zip(terms, pairs) for p, q in term]
+    return pairs, outputs
+
+
+class TestPairPlan:
+    """superlie.pair_plan, the one builder behind check_jacobi's and check_closure's plans, against
+    a brute-force enumeration of pairs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def factor(count, keys):
+            # few output values, so outputs repeat within and across terms
+            return rng.choice(keys, count), rng.integers(0, 40, count)
+
+        terms = [
+            (factor(12, [0, 1, 2, 3]), factor(9, [1, 2, 3, 4])),   # keys 0 and 4 have no partner
+            (factor(0, [0]), factor(5, [0, 1])),                  # an empty factor
+            (factor(6, [5, 6]), factor(10, [2, 5, 6])),
+        ]
+        pairs, outputs, rank = pair_plan(terms, 7)
+        expected, out = _brute_pairs(terms)
+        assert [list(zip(p.tolist(), q.tolist())) for p, q in pairs] == expected
+        assert len(pairs[1][0]) == 0 and len(out) > 0
+        values, inverse = np.unique(out, return_inverse=True)
+        assert np.array_equal(outputs, values) and np.array_equal(rank, inverse)
+
+    def test_no_pairs(self):
+        key, out = np.array([0, 0, 1]), np.array([3, 1, 2])
+        pairs, outputs, rank = pair_plan([((key, out), (key + 2, out))], 3)
+        assert [len(p) + len(q) for p, q in pairs] == [0] and len(outputs) == len(rank) == 0
+
+    def test_cap_from_counts(self):
+        # one key shared by every nonzero makes len(a) len(b) pairs: exactly PLAN_PAIRS are
+        # listed, one row more returns None with no pair list allocated (8 bytes a pair, a few
+        # times over), only the keys' counts
+        def terms(rows):
+            a, b = np.zeros(128, dtype=np.int64), np.zeros(rows, dtype=np.int64)
+            return [((a, a), (b, b))]
+
+        pairs, _, rank = pair_plan(terms(PLAN_PAIRS // 128), 1)
+        assert len(rank) == len(pairs[0][0]) == PLAN_PAIRS
+        above = terms(PLAN_PAIRS // 128 + 1)
+        tracemalloc.start()
+        try:
+            plan = pair_plan(above, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan is None and peak <= 8 * PLAN_PAIRS // 16, peak
 
 
 class TestNonFiniteAlgebra:
