@@ -14,7 +14,6 @@ from .group import (
     fermionic_moduli_count,
     fermionic_moduli_count_bruteforce,
     gauge_fix_sigma,
-    sector_representative,
 )
 from .phase import (
     GradedPolynomial,
@@ -26,7 +25,7 @@ from .phase import (
     osp12_exponential_sector,
 )
 from .superlie import SuperAlgebra, build_osp, build_osp12
-from .supermatrix import ExpmNotConvergedError, ParityPatternError, SuperMatrix, commutator
+from .supermatrix import ExpmNotConvergedError, ParityPatternError, SuperMatrix
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "build_osp",
     "build_osp12",
     "check_closure",
-    "commutator",
     "enumerate_sectors_osp12",
     "exponential_sector_moduli",
     "fermionic_moduli_count",
@@ -61,5 +59,4 @@ __all__ = [
     "gauge_fix_sigma",
     "gauge_fixing_check",
     "osp12_exponential_sector",
-    "sector_representative",
 ]

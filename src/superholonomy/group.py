@@ -550,8 +550,8 @@ class HolonomyPair:
     stored count comes from the degree-1 kernel/orbit computation, which is
     also correct for sectors where only one side degenerates.  residual is
     the largest of U1's and U2's member_residual and of the coefficients of
-    their commutator, at most DEFECT_TOL in every pair that make or
-    from_stack returns.
+    their commutator, at most DEFECT_TOL in every pair that from_stack
+    returns.
     """
 
     U1: SuperMatrix
@@ -567,15 +567,6 @@ class HolonomyPair:
     @property
     def fermionic(self) -> bool:
         return self.moduli > 0
-
-    @classmethod
-    def make(cls, group: OspGroup, U1: SuperMatrix, U2: SuperMatrix,
-             label: str = "") -> "HolonomyPair":
-        """The one-pair case of from_stack."""
-        for U in (U1, U2):
-            if (U.m, U.n) != (group.m, group.two_n):
-                raise ValueError(f"expected block sizes ({group.m},{group.two_n}), got ({U.m},{U.n})")
-        return cls.from_stack(group, np.stack([U1.coeffs, U2.coeffs])[None], [label])[0]
 
     @classmethod
     def from_stack(cls, group: OspGroup, U: np.ndarray, labels) -> list["HolonomyPair"]:
@@ -682,21 +673,13 @@ _SECTOR_PARAMS = {
 }
 
 
-def sector_representative(desc: SectorDescriptor, ngen: int = 2,
-                          params: tuple[float, float] | None = None) -> HolonomyPair:
-    """A concrete commuting pair realizing a sector of the enumeration.
+def sector_representatives(descs, ngen: int = 2, params=None) -> list[HolonomyPair]:
+    """A concrete commuting pair realizing each sector of the enumeration, built as one
+    (k, 2, 2^N, 3, 3) stack.
 
     Fermionic sectors attach chi_k = (0, mu_k)^T with mu_k proportional to a
     shared odd element, theta1, so they need ngen >= 1; first-order
     commutation fixes mu_k ~ sign_k * c_k.  xi_k follows from xi_from_chi.
-    The one-descriptor case of sector_representatives.
-    """
-    return sector_representatives([desc], ngen, None if params is None else [params])[0]
-
-
-def sector_representatives(descs, ngen: int = 2, params=None) -> list[HolonomyPair]:
-    """sector_representative for each descriptor, built as one (k, 2, 2^N, 3, 3) stack.
-
     params is None (each family's _SECTOR_PARAMS) or one (p1, p2) per
     descriptor.  The pairs are built and checked (HolonomyPair.from_stack)
     in chunks of at most STACK_BYTES of coefficients, all four fermionic

@@ -30,6 +30,7 @@ import numpy as np
 from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, FORWARD_ROUNDING, canonical, graded_expm, graded_matmul,
                         matrix_rank, merge_sign, stack_chunk)
 from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, check_forms, check_tolerance, pair_plan, pair_sums
+from .supermatrix import real_array
 
 EPS_CYCLES = np.array([[0.0, 1.0], [-1.0, 0.0]])   # eps_12 = +1
 
@@ -50,7 +51,7 @@ class PhaseSpace:
 
     @classmethod
     def create(cls, eta: np.ndarray, C: np.ndarray) -> "PhaseSpace":
-        eta, C = np.asarray(eta, dtype=float), np.asarray(C, dtype=float)
+        eta, C = real_array(eta, "eta"), real_array(C, "C")
         check_forms(eta, C)
         return cls(n_even=len(eta), n_odd=len(C), eta=tuple(map(tuple, eta)), C=tuple(map(tuple, C)))
 
@@ -425,17 +426,16 @@ def _inverse_forms(alg: SuperAlgebra, eta: np.ndarray, name: str = "eta") -> np.
     return W
 
 
-# check_closure's pair plan per algebra, for the nonzero pattern of its own W:
-# (that pattern as bytes, the plan or None).  f is read-only and
+# check_closure's pair plans per algebra, one per nonzero pattern of a call's W:
+# {that pattern as bytes: the plan or None}.  f is read-only and
 # dataclasses.replace makes a new instance, which is hashed by identity, so a
 # plan cannot go stale, and it goes with its algebra.
 _RHS_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray, own: bool):
-    """The cached plan for alg's own W, built on alg's first call, with or without an override, or
-    None for the dense route: above PLAN_PAIRS terms, or a W of another nonzero pattern.  An algebra
-    whose own eta is singular has no W of its own, and raises ValueError here.
+def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray):
+    """The cached plan for the nonzero patterns of F and W, built on the first call with W's
+    pattern, or None for the dense route: above PLAN_PAIRS terms, as in check_jacobi.
 
     The coefficient of x_I y_J in {G^k, G^L} is T1 - T2 with
         T1[k, I, J, L] = sum_M FtW[k, J, M] (-1)^{|I||M| + |J||L|} F[I, M, L]
@@ -448,13 +448,13 @@ def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray, own: bool):
     check_closure's slab loop, and the first output of every chunk, with the
     output count last.  Only the patterns are read.
     """
-    entry = _RHS_PLANS.get(alg)
-    if entry is None:
-        own_W = W if own else _inverse_forms(alg, alg.eta_even)
+    plans = _RHS_PLANS.setdefault(alg, {})
+    pattern = (W != 0).tobytes()
+    if pattern not in plans:
         dim, odd = alg.dim, alg.odd_mask
         nz = np.flatnonzero(F)
         x0, x1, x2 = np.unravel_index(nz, F.shape)
-        Fb, Wb = (F != 0).astype(float), (own_W != 0).astype(float)
+        Fb, Wb = (F != 0).astype(float), (W != 0).astype(float)
         # the patterns of FtW[k, J, M] and FW[k, I, M], each flat index ending in M
         ftw = np.flatnonzero(Fb.transpose(2, 1, 0) @ Wb)
         fw = np.flatnonzero(Fb.transpose(2, 0, 1) @ Wb)
@@ -474,9 +474,8 @@ def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray, own: bool):
             for arr in (*t1, *t2, local):
                 arr.flags.writeable = False
             plan = t1, t2, local, np.searchsorted(outputs, np.arange(0, dim ** 4, span)).tolist() + [len(outputs)]
-        entry = _RHS_PLANS[alg] = (own_W != 0).tobytes(), plan
-    pattern, plan = entry
-    return plan if own or (W != 0).tobytes() == pattern else None
+        plans[pattern] = plan
+    return plans[pattern]
 
 
 def _planned_rhs(plan, F: np.ndarray, FtW: np.ndarray, FW: np.ndarray):
@@ -525,10 +524,9 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
     the sums).  While those sums have at most PLAN_PAIRS nonzero terms, as for
     every build_osp algebra (at most 13,080, at osp(2|6)), they are taken over
     those terms alone by a plan over the nonzero patterns of F and of the
-    algebra's own W, built on its first call, with or without an
-    eta_override, and kept for it in _RHS_PLANS.  An eta_override whose W
-    has the algebra's own pattern, such as a diagonal detuning, shares that
-    plan; any other override takes the dense route.  A call gathers the
+    call's W, built on the algebra's first call with that W pattern and kept
+    for it in _RHS_PLANS, so a plain call and a diagonal detuning share one
+    build in either order.  A call gathers the
     terms' factors, multiplies them with their signs, sums T1 and T2 apart
     by bincount, each output's terms in the order of a dot product over M,
     and scatters the sums into zeroed chunks.  On the dense route, as for a
@@ -548,22 +546,22 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
     right-hand sides (dim^3 doubles per slab, at least one slab); a batch of
     all dim slabs at once would hold dim^4 doubles.  In terms of the lowered
     G~_I = eta_IA G^A the induced coefficients (basis order) must reproduce
-    (-1)^{|I||J|} f_IJ^K up to one global measured factor kappa.  A finite,
-    symmetric, invertible n_even x n_even eta_override detunes the bracket
-    to show the check has teeth.  A tol that is not finite and positive
-    raises ValueError.
+    (-1)^{|I||J|} f_IJ^K up to one global measured factor kappa; eta^-1 is
+    the algebra's own W, built on every call.  A finite, symmetric,
+    invertible, real n_even x n_even eta_override detunes the bracket to show
+    the check has teeth.  A tol that is not finite and positive raises
+    ValueError.
     """
     check_tolerance(tol)
-    if eta_override is None:
-        W = _inverse_forms(alg, alg.eta_even)
-    else:
-        eta = np.asarray(eta_override, dtype=float)
+    W = own = _inverse_forms(alg, alg.eta_even)
+    if eta_override is not None:
+        eta = real_array(eta_override, "eta_override")
         if eta.shape != alg.eta_even.shape:
             raise ValueError(f"eta_override has shape {eta.shape}, not {alg.eta_even.shape}")
         check_forms(eta, alg.eta_odd)
         W = _inverse_forms(alg, eta, "eta_override")
     F = constraint_tensor(alg)
-    plan = _closure_plan(alg, F, W, eta_override is None)
+    plan = _closure_plan(alg, F, W)
     dim = F.shape[0]
     graded_sign = alg.pair_signs
     basis = F.reshape(dim * dim, dim)
@@ -580,9 +578,9 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
         fit = basis @ coeffs
         fit -= rhs
         max_unexplained = max(max_unexplained, np.abs(fit, out=fit).max(initial=0.0))
-    # compare in lowered form, eta_ia eta_jb induced[a, b, k] eta^-1_kl,
-    # against the graded-signed structure constants
-    induced_lowered = (alg.eta @ (alg.eta @ (induced @ np.linalg.inv(alg.eta))).reshape(dim, -1)
+    # compare in lowered form, eta_ia eta_jb induced[a, b, k] eta^-1_kl with
+    # eta^-1 the own W, against the graded-signed structure constants
+    induced_lowered = (alg.eta @ (alg.eta @ (induced @ own)).reshape(dim, -1)
                        ).reshape(dim, dim, dim)
     target = graded_sign[:, :, None] * alg.f
     denom = float((target * target).sum())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grassmann import (DEFECT_TOL, EXACT_TOL, PLAN_PAIRS, canonical, grade_signs, graded_matmul, matrix_rank,
                         stack_chunk)
-from .supermatrix import graded_form, supertranspose_coeffs, symplectic_form
+from .supermatrix import graded_form, real_array, supertranspose_coeffs, symplectic_form
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -132,10 +132,10 @@ class SuperAlgebra:
     """Basis labels with parities, structure constants and bilinear form.
 
     Immutable, and equal only to itself: the constructor copies f, eta and rep
-    into read-only arrays and conventions into a read-only mapping, checks the
-    forms (finite, eta symmetric on the even generators, antisymmetric on the
-    odd ones and zero between the two) and derives the graded layout below
-    once.  So a builder's cached instance can be shared, and
+    into read-only float arrays (a complex one raises TypeError) and
+    conventions into a read-only mapping, checks the forms (finite, eta
+    symmetric on the even generators, antisymmetric on the odd ones and zero
+    between the two) and derives the graded layout below once.  So a builder's cached instance can be shared, and
     ``dataclasses.replace`` makes a changed copy.  The graded antisymmetry of
     f is ``validate``'s, an explicit call.
     """
@@ -161,7 +161,7 @@ class SuperAlgebra:
     generators: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim, f, eta = len(self.labels), _frozen(self.f), _frozen(self.eta)
+        dim, f, eta = len(self.labels), _frozen(real_array(self.f, "f")), _frozen(real_array(self.eta, "eta"))
         if dim == 0:
             raise ValueError("a super Lie algebra needs at least one generator")
         if len(self.parities) != dim:
@@ -178,7 +178,7 @@ class SuperAlgebra:
         check_forms(eta_even, eta_odd)
         if eta[odd[:, None] != odd].any():
             raise ValueError("eta must vanish between even and odd generators")
-        rep = None if self.rep is None else tuple(_frozen(mat) for mat in self.rep)
+        rep = None if self.rep is None else tuple(_frozen(real_array(mat, "rep")) for mat in self.rep)
         for name, value in dict(
                 labels=tuple(self.labels), parities=tuple(map(int, self.parities)), f=f, eta=eta, rep=rep,
                 conventions=_freeze(self.conventions), even_mask=even, odd_mask=odd,
@@ -224,10 +224,11 @@ class SuperAlgebra:
             raise ValueError(f"parity selection rule violated at ({i},{j},{int(np.argmax(rule[i, j]))})")
 
     def _graded_coeffs(self, coeffs) -> np.ndarray:
-        """coeffs as a float (..., 2^N, dim) array, axis -2 the monomial mask; ValueError for another
-        shape, or at the first generator with a monomial of the other parity: coefficients must match
-        their generators' parity, which keeps every term of the enveloping-algebra element even."""
-        coeffs = np.asarray(coeffs, dtype=float)
+        """coeffs as a float (..., 2^N, dim) array, axis -2 the monomial mask; TypeError for a complex
+        one, ValueError for another shape, or at the first generator with a monomial of the other
+        parity: coefficients must match their generators' parity, which keeps every term of the
+        enveloping-algebra element even."""
+        coeffs = real_array(coeffs, "coefficients")
         size = coeffs.shape[-2] if coeffs.ndim >= 2 else 0
         if coeffs.shape[-1:] != (self.dim,) or size < 1 or size & (size - 1):
             raise ValueError(f"expected a (..., 2^N, {self.dim}) coefficient array, got shape {coeffs.shape}")
@@ -242,7 +243,7 @@ class SuperAlgebra:
         """Bilinear extension of f to coefficient vectors: real (dim,) vectors give the (dim,) abstract
         bracket of basis combinations, odd-odd pairs resolved by the anticommutator; Grassmann-valued
         (2^N, dim) arrays, checked as in embed, give the canonical (2^N, dim) array."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x, y = real_array(x, "coefficients"), real_array(y, "coefficients")
         if x.ndim == y.ndim == 1:
             return np.einsum("i,j,ijk->k", x, y, self.f)
         # every x_i y_j at once, (2^N, dim, dim), then contracted with f
@@ -315,10 +316,10 @@ class SuperAlgebra:
     def even_components(self, c: Sequence[float]) -> np.ndarray:
         """An even direction's components on the even generators.
 
-        c is given either on the even generators or on the whole basis, where
-        its odd components must vanish.
+        c is real, given either on the even generators or on the whole basis,
+        where its odd components must vanish.
         """
-        c = np.asarray(c, dtype=float)
+        c = real_array(c, "direction")
         if not np.isfinite(c).all():
             raise ValueError("direction must be finite")
         if c.shape == (self.dim,):

@@ -66,17 +66,18 @@ def gmat_mul(x: GMatrix, y: GMatrix) -> GMatrix:
 # dense coefficient arrays (2^N, rows, cols)
 # ----------------------------------------------------------------------
 
-def _real(x) -> np.ndarray:
-    """x as a float array; a complex one raises TypeError instead of losing its imaginary part."""
+def real_array(x, name: str = "supermatrix coefficients") -> np.ndarray:
+    """x as a float array, not copied if it is one; a complex one raises TypeError, naming it, instead
+    of losing its imaginary part."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        raise TypeError(f"supermatrix coefficients must be real, got dtype {x.dtype}")
-    return x.astype(float)
+        raise TypeError(f"{name} must be real, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def body_array(mat: np.ndarray, ngen: int) -> np.ndarray:
     """A real matrix as a coefficient array over B_ngen (body only)."""
-    mat = _real(mat)
+    mat = real_array(mat)
     out = np.zeros((1 << ngen, *mat.shape))
     out[0] = mat
     return canonical(out)
@@ -160,7 +161,7 @@ class SuperMatrix:
         _check_dims(m, n, size.bit_length() - 1)
         if np.shape(coeffs) != (size, m + n, m + n) or size & (size - 1):
             raise ValueError(f"expected a (2^N, {m + n}, {m + n}) array, got shape {np.shape(coeffs)}")
-        coeffs = canonical(_real(coeffs))
+        coeffs = canonical(np.array(real_array(coeffs)))
         even_pattern(m, coeffs)
         return cls._wrap(m, n, coeffs)
 
@@ -319,8 +320,3 @@ def _check_dims(m: int, n: int, ngen: int):
     if (m + n) ** 2 << ngen > MAX_COEFFS:
         raise ValueError(f"a ({m}|{n}) supermatrix over B_{ngen} holds {(m + n) ** 2 << ngen} coefficients, "
                          f"above MAX_COEFFS = {MAX_COEFFS}")
-
-
-def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
-    return x @ y - y @ x
-

@@ -19,7 +19,7 @@ from superholonomy.group import (
     enumerate_sectors_osp12,
     gauge_fix_sigma,
     rotation,
-    sector_representative,
+    sector_representatives,
 )
 from superholonomy.phase import check_closure, exponential_sector_moduli, osp12_exponential_sector
 from superholonomy.superlie import OSP12_DIRECTIONS, SIGMA1, build_osp, build_osp12
@@ -113,7 +113,7 @@ def test_05_gauge_fixing_recursion():
     singular_raises = 0
     for k in range(100):
         desc = fermionic[k % len(fermionic)]
-        pair = sector_representative(desc, params=(0.4 + 0.004 * k, 0.9 - 0.003 * k))
+        pair, = sector_representatives([desc], params=[(0.4 + 0.004 * k, 0.9 - 0.003 * k)])
         S = group.sample_member(rng)
         U = S @ pair.U1 @ S.inverse()
         try:

@@ -27,13 +27,12 @@ from superholonomy.group import (
     integers_from_random,
     parabolic,
     rotation,
-    sector_representative,
     sector_representatives,
     torus_cohomology,
 )
 from superholonomy.checks import moduli_counts
 from superholonomy.superlie import SIGMA_PLUS, graded_form, symplectic_form
-from superholonomy.supermatrix import SuperMatrix, body_array, commutator, supertranspose_coeffs
+from superholonomy.supermatrix import SuperMatrix, body_array, supertranspose_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +260,7 @@ class TestGaugeFix:
 
     def test_parabolic_sector_raises(self, g12):
         desc = [s for s in enumerate_sectors_osp12().sectors if s.fermionic][0]
-        pair = sector_representative(desc)
+        pair, = sector_representatives([desc])
         with pytest.raises(SingularGaugeOperatorError):
             gauge_fix_sigma(g12, pair.U1)
 
@@ -294,7 +293,7 @@ def assert_commutant_diagonal(group, U1, U2, tol=DEFECT_TOL):
     """The lemma: with U1 block diagonal and Ahat regular, a U2 commuting with U1 is block diagonal too."""
     assert fermion_norm(U1) <= tol
     assert matrix_rank(ahat(*U1.body_blocks())) == 2 * group.m * group.n
-    assert commutator(U1, U2).max_abs() <= tol
+    assert (U1 @ U2 - U2 @ U1).max_abs() <= tol
     assert fermion_norm(U2) < DEFECT_TOL
 
 
@@ -342,7 +341,7 @@ class TestPairGaugeFixing:
             )
             S = g12.sample_member(rng)
             V1, V2 = S @ U1 @ S.inverse(), S @ U2 @ S.inverse()
-            assert commutator(V1, V2).max_abs() < 1e-10
+            assert (V1 @ V2 - V2 @ V1).max_abs() < 1e-10
             dressed = max(e.max_abs() for row in V2.block("chi") for e in row)
             assert dressed > 1e-3  # the dressing really introduced fermions
             res = gauge_fix_sigma(g12, V1)
@@ -428,9 +427,9 @@ class TestSectors:
     def test_representatives_are_valid_pairs(self, g12):
         report = enumerate_sectors_osp12()
         for desc in report.sectors:
-            pair = sector_representative(desc)
+            pair, = sector_representatives([desc])
             assert g12.is_member(pair.U1, 1e-10) and g12.is_member(pair.U2, 1e-10)
-            assert commutator(pair.U1, pair.U2).max_abs() <= 1e-10
+            assert (pair.U1 @ pair.U2 - pair.U2 @ pair.U1).max_abs() <= 1e-10
             if desc.fermionic:
                 # fermions require BOTH determinant criteria to degenerate
                 assert pair.det_ahat == 0.0 and pair.det_bhat == 0.0
@@ -445,16 +444,16 @@ class TestSectors:
     def test_fermionic_representative_needs_theta1(self):
         report = enumerate_sectors_osp12()
         with pytest.raises(ValueError, match="needs theta1"):
-            sector_representative(report.fermionic_sectors[0], ngen=0)
+            sector_representatives(report.fermionic_sectors[:1], ngen=0)
         bosonic = next(s for s in report.sectors if not s.fermionic)
-        assert sector_representative(bosonic, ngen=0).moduli == 0
+        assert sector_representatives([bosonic], ngen=0)[0].moduli == 0
 
     def test_gauge_fix_verdict_per_sector(self, g12):
         # raises on every fermionic representative; succeeds on all bosonic
         # representatives whose own operator is regular (the sign-mismatched
         # parabolic sectors degenerate on one side only and are already diagonal)
         for desc in enumerate_sectors_osp12().sectors:
-            pair = sector_representative(desc)
+            pair, = sector_representatives([desc])
             if desc.fermionic:
                 for U in (pair.U1, pair.U2):
                     with pytest.raises(SingularGaugeOperatorError):
@@ -481,11 +480,11 @@ class TestHolonomyPair:
         body = np.eye(3)
         body[1:, 1:] = rotation(0.7)
         U2 = SuperMatrix.from_body(body, 1, 2, 2)
-        with pytest.raises(ValueError):
-            HolonomyPair.make(g12, U1, U2)
+        with pytest.raises(ValueError, match="do not commute"):
+            HolonomyPair.from_stack(g12, np.array([[U1.coeffs, U2.coeffs]]), ["a"])
 
     def test_stack_raises_at_the_first_bad_pair(self, g12):
-        # pair 1 is not a member, pair 2 does not commute: make's order of checks
+        # pair 1 is not a member, pair 2 does not commute: the first bad pair's first failed check
         body = np.eye(3)
         body[1:, 1:] = rotation(0.7)
         good = SuperMatrix.from_body(body, 1, 2, 2).coeffs
@@ -497,13 +496,13 @@ class TestHolonomyPair:
         with pytest.raises(ValueError, match="do not commute"):
             HolonomyPair.from_stack(g12, U[[0, 2]], ["a", "c"])
         pair, = HolonomyPair.from_stack(g12, U[:1], ["a"])
-        assert pair == HolonomyPair.make(g12, *(SuperMatrix.from_coeffs(1, 2, u) for u in U[0]), label="a")
+        assert (pair.U1, pair.U2, pair.label) == (*(SuperMatrix.from_coeffs(1, 2, u) for u in U[0]), "a")
 
     def test_metadata(self, g12):
         body = np.eye(3)
         body[1:, 1:] = rotation(0.7)
         U = SuperMatrix.from_body(body, 1, 2, 2)
-        pair = HolonomyPair.make(g12, U, U, label="so2")
+        pair, = HolonomyPair.from_stack(g12, np.array([[U.coeffs, U.coeffs]]), ["so2"])
         assert pair.rank_ahat == 2 and pair.moduli == 0 and not pair.fermionic
 
 

@@ -58,7 +58,7 @@ from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNot
 from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, SAMPLE_SCALE, OspGroup, _spawned_words, ahat,
                                  build_nonexp_holonomy, commuting_bodies, enumerate_sectors_osp12,
                                  fermionic_moduli_count, fermionic_moduli_count_bruteforce, integers_from_random,
-                                 parabolic, rotation, sector_representative, sector_representatives,
+                                 parabolic, rotation, sector_representatives,
                                  uniform_from_random)
 from superholonomy.phase import _odd_constraint_rows, flatness_constraints
 from superholonomy.superlie import (EPS2, MAX_OSP_SIZE, OSP12_DIRECTIONS, SIGMA0, SIGMA1, SIGMA2,
@@ -1405,7 +1405,7 @@ SECTOR_PARAMS = {"hyperbolic": (0.3, 0.7), "parabolic": (0.8, 0.6), "so2": (0.9,
 
 
 def _loop_sector_representative(desc, ngen, params=None):
-    """A sector's pair built one matrix at a time, and its make checks: (U1, U2, fields)."""
+    """A sector's pair built one matrix at a time, and from_stack's checks on it: (U1, U2, fields)."""
     group = OspGroup(1, 1, ngen)
     p1, p2 = params if params is not None else SECTOR_PARAMS[desc.family]
     if desc.family == "hyperbolic":
@@ -1449,7 +1449,7 @@ def assert_pairs_equal_loop(pairs, descs, ngen, params=None):
 
 
 class TestSectorStack:
-    """sector_representatives against the one-matrix build and make's one-pair checks."""
+    """sector_representatives against the one-matrix build and one-pair checks."""
 
     def test_every_sector_in_one_stack(self):
         descs = enumerate_sectors_osp12().sectors
@@ -1470,7 +1470,7 @@ class TestSectorStack:
         pairs = sector_representatives(descs, 3, params)
         assert_pairs_equal_loop(pairs, descs, 3, params)
         for pair, desc, p in zip(pairs, descs, params):
-            one = sector_representative(desc, 3, p)
+            one, = sector_representatives([desc], 3, [p])
             assert (one.U1, one.U2, one.moduli, one.residual) == (pair.U1, pair.U2, pair.moduli, pair.residual)
 
 

@@ -337,7 +337,8 @@ def _slab_loop_closure(alg, eta_override=None):
     induced_lowered = (alg.eta @ (alg.eta @ (induced @ np.linalg.inv(alg.eta))).reshape(dim, -1)
                        ).reshape(dim, dim, dim)
     target = graded_sign[:, :, None] * alg.f
-    kappa = float(np.sum(induced_lowered * target) / np.sum(target * target))
+    denom = np.sum(target * target)
+    kappa = float(np.sum(induced_lowered * target) / denom) if denom else 0.0
     prop = float(np.abs(induced_lowered - kappa * target).max())
     return kappa, float(max_unexplained), prop, induced
 
@@ -511,7 +512,7 @@ class TestClosureMatchesLstsq:
 
     def test_same_report_new_pattern(self):
         # a non-diagonal osp(2|4) override: its W has a pattern of its own, so
-        # check_closure takes the dense route
+        # check_closure builds a plan for it
         alg = build_osp(2, 2)
         assert not self._compare(alg, _perturbed_eta(alg)).passed
 
@@ -626,7 +627,8 @@ class TestClosureMatchesSlabLoop:
         alg = SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
         self._compare(alg)
         self._compare(alg, 1.3 * alg.eta_even)
-        assert phase._RHS_PLANS[alg][1] is not None
+        plan, = _cached_plans(alg)
+        assert plan is not None
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("size", [(1, 1), (2, 1)])
@@ -643,7 +645,8 @@ class TestClosureMatchesSlabLoop:
         alg = SuperAlgebra(labels=base.labels, parities=base.parities, f=f, eta=base.eta)
         kappa, unexplained, prop, induced = _slab_loop_closure(alg)
         report = check_closure(alg)
-        assert phase._RHS_PLANS[alg][1] is not None
+        plan, = _cached_plans(alg)
+        assert plan is not None
         tol = 16 * np.finfo(float).eps * max(np.abs(induced).max(), unexplained, prop)
         assert abs(report.kappa - kappa) <= tol
         assert abs(report.max_unexplained - unexplained) <= tol
@@ -681,11 +684,16 @@ def _report_bytes(report):
                       report.tol]).tobytes(), report.induced.tobytes())
 
 
+def _cached_plans(alg):
+    """check_closure's cached plans for alg, one per W pattern its calls used, in build order."""
+    return list(phase._RHS_PLANS[alg].values())
+
+
 class TestClosurePlan:
-    """check_closure's right-hand-side plan: built once per algebra from its own W on its first
-    call, with or without an eta_override, shared by an override of the same W pattern, and not
-    built above PLAN_PAIRS terms; an override of another pattern takes the dense route.  Every
-    call == the slab loop, the signs of zeros included."""
+    """check_closure's right-hand-side plans: one per algebra and nonzero pattern of the call's W,
+    built on the first call with that pattern, with or without an eta_override, and not built
+    above PLAN_PAIRS terms, where the call takes the dense route.  Every call == the slab loop, the
+    signs of zeros included."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -710,10 +718,10 @@ class TestClosurePlan:
     def test_every_builder_size_takes_the_plan(self, size):
         alg = build_osp12() if size is None else build_osp(*size)
         check_closure(alg)
-        pattern, plan = phase._RHS_PLANS[alg]
-        t1, t2, local, bounds = plan
+        # the plain call's plan is kept under the pattern of the algebra's own W
+        t1, t2, local, bounds = phase._RHS_PLANS[alg][(np.linalg.inv(alg.eta) != 0).tobytes()]
         assert all(len(set(map(len, group))) == 1 for group in (t1, t2))
-        assert pattern == (np.linalg.inv(alg.eta) != 0).tobytes() and set(t1[2]) <= {-1.0, 1.0}
+        assert set(t1[2]) <= {-1.0, 1.0}
         assert set(t2[2]) <= {1.0}
         assert len(t1[3]) + len(t2[3]) <= PLAN_PAIRS and bounds[-1] == len(local)
         assert not any(arr.flags.writeable for arr in (*t1, *t2, local))
@@ -722,7 +730,8 @@ class TestClosurePlan:
         alg = dataclasses.replace(build_osp(2, 2))       # a new instance, no plan yet
         for _ in range(3):
             self._compare(alg)
-        assert len(builds) == 1 and builds[0] is not None and phase._RHS_PLANS[alg][1] is not None
+        plan, = _cached_plans(alg)
+        assert len(builds) == 1 and builds[0] is not None and plan is not None
         assert routes == ["plan"] * 3
 
     def test_diagonal_detuning_shares_the_build(self, builds, routes):
@@ -735,9 +744,9 @@ class TestClosurePlan:
 
     @pytest.mark.parametrize("size", [None, (2, 1), (2, 2)])
     def test_route_does_not_depend_on_call_order(self, size, builds, routes):
-        # an override before the first plain call builds the algebra's own
-        # plan, the one a plain call first would build, and the reports of
-        # either order are the same bits
+        # a diagonal detuning keeps W's pattern: whichever call comes first
+        # builds the one plan both use, and the reports of either order are
+        # the same bits
         base = build_osp12() if size is None else build_osp(*size)
         detuned = base.eta_even.copy()
         detuned[0, 0] *= 1.3
@@ -746,14 +755,14 @@ class TestClosurePlan:
             alg = dataclasses.replace(base)
             by_eta = {eta is None: check_closure(alg, eta_override=eta) for eta in order}
             reports.append([_report_bytes(by_eta[plain]) for plain in (True, False)])
-            t1, t2, local, bounds = phase._RHS_PLANS[alg][1]
+            (t1, t2, local, bounds), = _cached_plans(alg)
             plans.append((*t1, *t2, local, np.array(bounds)))
         assert reports[0] == reports[1]
         assert len(builds) == 2 and routes == ["plan"] * 4
         assert all(np.array_equal(a, b) for a, b in zip(*plans))
 
     def test_singular_own_eta_refused_before_an_override(self, builds):
-        # the plan needs the algebra's own W, and the lowering its own eta
+        # the lowering needs the algebra's own W, built before any plan
         base = build_osp12()
         eta = base.eta.copy()
         eta[0, 0] = 0.0
@@ -769,17 +778,27 @@ class TestClosurePlan:
         tampered = _tampered(alg)
         self._compare(tampered)
         assert len(builds) == 2 and None not in builds
-        assert phase._RHS_PLANS[tampered][1] is not phase._RHS_PLANS[alg][1]
+        assert _cached_plans(tampered)[0] is not _cached_plans(alg)[0]
 
-    def test_new_pattern_takes_the_dense_route(self, builds, routes):
-        alg = dataclasses.replace(build_osp(2, 2))
+    @pytest.mark.parametrize("size, terms", [((1, 2), 11_456), ((2, 2), 20_800), ((2, 3), None)],
+                             ids=["osp14", "osp24", "osp26"])
+    def test_new_pattern_gets_its_own_build(self, size, terms, builds, routes):
+        # a non-diagonal override's W has a pattern of its own: one more build,
+        # kept next to the plain call's, or None above PLAN_PAIRS terms (170,520
+        # at osp(2|6)), and then the dense route
+        alg = dataclasses.replace(build_osp(*size))
         self._compare(alg)
-        cached = phase._RHS_PLANS[alg]
+        own, = _cached_plans(alg)
         eta = _perturbed_eta(alg)
         for _ in range(2):
             self._compare(alg, eta)
-        assert len(builds) == 1 and phase._RHS_PLANS[alg] is cached
-        assert routes == ["plan", "dense", "dense"]
+        assert len(builds) == 2 and builds[0] is not None and _cached_plans(alg)[0] is own
+        if terms is None:
+            assert builds[1] is None and _cached_plans(alg)[1] is None
+            assert routes == ["plan", "dense", "dense"]
+        else:
+            assert len(builds[1][2]) == terms and _cached_plans(alg)[1] is not None
+            assert routes == ["plan"] * 3
 
     def test_dense_f_takes_the_dense_route(self, builds, routes):
         alg = _dense_closure_algebra(build_osp(1, 2))
@@ -790,7 +809,7 @@ class TestClosurePlan:
     @pytest.mark.parametrize("entries", [(), ((0, 1, 2),)])
     def test_plan_without_terms(self, entries, builds, routes):
         # on osp(2|2)'s layout, f = 0, and f[0, 1, 2] = 1 alone, which no term pairs: the plan
-        # lists no T1 or T2 term and the report reads zeros, with no warning
+        # lists no T1 or T2 term and the report reads zeros, with no warning, as the slab loop does
         base = build_osp(2, 1)
         f = np.zeros_like(base.f)
         for idx in entries:
@@ -799,8 +818,9 @@ class TestClosurePlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = check_closure(alg)
-        t1, t2, local, _ = phase._RHS_PLANS[alg][1]
-        assert len(t1[0]) == len(t2[0]) == len(local) == 0 and routes == ["plan"] and len(builds) == 1
+            self._compare(alg)
+        (t1, t2, local, _), = _cached_plans(alg)
+        assert len(t1[0]) == len(t2[0]) == len(local) == 0 and routes == ["plan"] * 2 and len(builds) == 1
         assert report.max_unexplained == report.proportionality_residual == report.kappa == 0.0
         assert not report.induced.any() and not np.signbit(report.induced).any()
 
@@ -808,7 +828,7 @@ class TestClosurePlan:
         alg = dataclasses.replace(build_osp(2, 1))
         check_closure(alg)
         gone, held = weakref.ref(alg), len(phase._RHS_PLANS)
-        assert phase._RHS_PLANS[alg][1] is not None
+        assert _cached_plans(alg)[0] is not None
         del alg
         gc.collect()
         assert gone() is None and len(phase._RHS_PLANS) == held - 1
@@ -854,6 +874,19 @@ class TestClosure:
         for override in (None, np.eye(2)):
             with pytest.raises(ValueError, match="^C is singular on the odd generators$"):
                 check_closure(alg, eta_override=override)
+        assert alg not in phase._RHS_PLANS
+
+    def test_complex_eta_override_rejected(self, alg):
+        # kept as its real part, this override would pass with kappa 1.0
+        with pytest.raises(TypeError, match="^eta_override must be real, got dtype complex128$"):
+            check_closure(alg, eta_override=np.diag([-1.0, 1.0, 1.0]) + 0.1j * np.eye(3))
+
+    @pytest.mark.parametrize("form", ["eta", "C"])
+    def test_complex_phase_space_form_rejected(self, alg, form):
+        forms = {"eta": alg.eta_even, "C": alg.eta_odd}
+        forms[form] = forms[form] * (1.0 + 0.5j)
+        with pytest.raises(TypeError, match=f"^{form} must be real, got dtype complex128$"):
+            PhaseSpace.create(**forms)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
     def test_vacuous_tolerance_rejected(self, tol):

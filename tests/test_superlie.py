@@ -9,8 +9,9 @@ from random_inputs import random_element
 from superholonomy import superlie
 from superholonomy.checks import JACOBI_ALGEBRAS
 from superholonomy.grassmann import (PLAN_PAIRS, STACK_BYTES, GrassmannElement, canonical, grade_signs, graded_matmul,
-                                    stack_chunk)
-from superholonomy.phase import check_closure
+                                    monomial_mask, stack_chunk)
+from superholonomy.group import commuting_bodies
+from superholonomy.phase import PhaseSpace, check_closure, gauge_fixing_check
 from superholonomy.superlie import (
     EPS2,
     MAX_OSP_SIZE,
@@ -506,6 +507,70 @@ class TestNonFiniteAlgebra:
         data["f"][0]["value"] = float("nan")
         with pytest.raises(ValueError, match="finite"):
             SuperAlgebra.from_json_dict(data)
+
+
+class TestComplexInputRefused:
+    """A complex array raises TypeError at every float cast of caller input, where numpy would keep
+    its real part with only a ComplexWarning; a float array passes uncopied."""
+
+    @pytest.mark.parametrize("field", ["f", "eta", "rep"])
+    def test_constructor(self, osp12, field):
+        # f[0, 1, 2] + 0.5j, the first nonzero of f, would be stored as 2.0
+        arr = np.array(getattr(osp12, field), dtype=complex)
+        arr.flat[np.flatnonzero(arr)[0]] += 0.5j
+        with pytest.raises(TypeError, match=f"^{field} must be real, got dtype complex128$"):
+            dataclasses.replace(osp12, **{field: tuple(arr) if field == "rep" else arr})
+
+    def test_even_components(self, osp12):
+        with pytest.raises(TypeError, match="^direction must be real, got dtype complex128$"):
+            osp12.even_components([1.0, 0.0, 0.5j])
+
+    def test_embed(self, osp12):
+        coeffs = np.zeros((4, osp12.dim), dtype=complex)
+        coeffs[0, 0] = 1.0 + 0.5j
+        with pytest.raises(TypeError, match="^coefficients must be real, got dtype complex128$"):
+            osp12.embed(coeffs)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 5)])
+    def test_bracket(self, osp12, shape):
+        x = np.zeros(shape)
+        x[..., 0] = 1.0
+        for args in ((x * 1j, x), (x, x * 1j)):
+            with pytest.raises(TypeError, match="^coefficients must be real, got dtype complex128$"):
+                osp12.bracket(*args)
+
+    def test_real_input_not_copied(self, osp12):
+        coeffs = np.zeros((4, osp12.dim))
+        c = np.array([1.0, 0.0, 0.0])
+        assert osp12._graded_coeffs(coeffs) is coeffs and osp12.even_components(c) is c
+
+
+def _quadratic_gauge_condition():
+    # the so2 direction of osp(1|2) pairs r = 2 conditions; psi_1 psi_2 is quadratic
+    alg = build_osp12()
+    ctx = PhaseSpace.from_algebra(alg)
+    return gauge_fixing_check(alg, (1.0, 0.0, 0.0), [ctx.psi(1, 0) * ctx.psi(2, 0)] * 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a: dataclasses.replace(a, f=a.f[:4]), r"^f and eta have shapes \(4, 5, 5\) and \(5, 5\), not "),
+    (lambda a: dataclasses.replace(a, eta=a.eta[:4]), r"^f and eta have shapes \(5, 5, 5\) and \(4, 5\), not "),
+    (lambda a: a.even_components([1.0, 0.0]), "^direction has wrong length$"),
+    (lambda a: dataclasses.replace(a, rep=None).embed(np.zeros((2, 5))), "^algebra carries no matrix representation$"),
+    (lambda a: SuperMatrix.from_coeffs(1, 2, np.zeros((4, 3, 4))),
+     r"^expected a \(2\^N, 3, 3\) array, got shape \(4, 3, 4\)$"),
+    (lambda a: SuperMatrix.identity(1, 2, 2) @ SuperMatrix.identity(1, 2, 3),
+     "^supermatrix dimensions or generator counts differ$"),
+    (lambda a: commuting_bodies(1, 1, 0, 0), "^at least one sample is required$"),
+    (lambda a: GrassmannElement(2, {4: 1.0}), "^monomial mask 0x4 outside B_2$"),
+    (lambda a: monomial_mask([3], 2), r"^generator index 3 outside 1\.\.2$"),
+    (lambda a: _quadratic_gauge_condition(), "^gauge conditions must be linear in the psi's$"),
+], ids=["f shape", "eta shape", "direction length", "embed without rep", "from_coeffs shape", "matmul across N",
+        "no samples", "mask outside B_N", "generator outside B_N", "quadratic gauge condition"])
+def test_validation_raises(osp12, call, message):
+    # each argument check raises ValueError with its message
+    with pytest.raises(ValueError, match=message):
+        call(osp12)
 
 
 class TestFfBlock:
