@@ -63,7 +63,8 @@ COEFF_CUTOFF = 1e-14
 # a real Taylor series stops at a term below this, far under rounding
 TAYLOR_CUTOFF = 1e-22
 # a singular value of an (r, c) matrix at most RANK_ROUNDING max(r, c) eps
-# sigma_max is zero (``matrix_rank``).  A backward-stable SVD gives the exact
+# sigma_max is zero (``counted_values``, read by ``matrix_rank`` and by
+# check_closure's Gram fit).  A backward-stable SVD gives the exact
 # singular values of A + E, ||E||_2 <= p(r, c) u ||A||_2, so each is off by at
 # most ||E||_2 (Golub and Van Loan, Matrix Computations, 4th ed., 5.4.1);
 # numpy takes p = max(r, c).  The ranked matrices come out of exponentials and
@@ -72,7 +73,7 @@ TAYLOR_CUTOFF = 1e-22
 # OSp(1|2) to OSp(5|6), 8.9 max(r, c) eps sigma_max.  32 is 3.6 times that
 RANK_ROUNDING = 32
 # within this factor above that bound float64 cannot tell amplified rounding
-# from a true singular value, and matrix_rank raises RankUndecidedError.
+# from a true singular value, and counted_values raises RankUndecidedError.
 # Sampled regular bodies sit above 1.8e7 max(r, c) eps sigma_max
 RANK_MARGIN = 256
 # a product of factors, such as the determinant of gauge_fixing_check's
@@ -117,19 +118,27 @@ PLAN_PAIRS = STACK_BYTES // 4
 MAX_COEFFS = 1 << 24
 
 
-def matrix_rank(mat: np.ndarray):
-    """The one rank rule: singular values above RANK_ROUNDING * max(r, c) * eps times the largest, and
-    RankUndecidedError at the first one within RANK_MARGIN times that.  A stack (..., r, c) is ranked
-    member by member by one SVD call, an int array (...); a matrix gives an int."""
-    mat = np.asarray(mat)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    bound = RANK_ROUNDING * max(mat.shape[-2:]) * np.finfo(float).eps * svals[..., :1]
+_EPS = float(np.finfo(float).eps)
+
+
+def counted_values(svals: np.ndarray, shape) -> np.ndarray:
+    """The one rank rule on the singular values svals (..., k), largest first, of a matrix of shape
+    (..., r, c): a mask of those above RANK_ROUNDING * max(r, c) * eps times the largest, and
+    RankUndecidedError at the first one within RANK_MARGIN times that."""
+    bound = RANK_ROUNDING * max(shape[-2:]) * _EPS * svals[..., :1]
     counted = svals > bound
     undecided = counted & (svals <= RANK_MARGIN * bound)
     if undecided.any():
         member = tuple(np.argwhere(undecided)[0][:-1])
         raise RankUndecidedError(float(svals[member][undecided[member]][-1]), float(bound[member][0]))
-    ranks = counted.sum(-1)
+    return counted
+
+
+def matrix_rank(mat: np.ndarray):
+    """The rank under the one rank rule, counted_values, from one SVD call.  A stack (..., r, c) is
+    ranked member by member, an int array (...); a matrix gives an int."""
+    mat = np.asarray(mat)
+    ranks = counted_values(np.linalg.svd(mat, compute_uv=False), mat.shape).sum(-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 

@@ -576,9 +576,13 @@ class HolonomyPair:
         determinants and ranks and the brute-force counts are one stacked call
         each, each member its one-pair value.  Raises ValueError at the first
         pair, in stack order, that is not a pair of commuting members within
-        DEFECT_TOL.
+        DEFECT_TOL, and before any product when U is not a stack of the group's (m, 2n) blocks.
         """
         m, two_n = group.m, group.two_n
+        d = m + two_n
+        if np.ndim(U) != 5 or np.shape(U)[1:] != (2, 1 << group.ngen, d, d):
+            raise ValueError(f"expected block sizes ({m},{two_n}) over B_{group.ngen}: "
+                             f"a (k, 2, {1 << group.ngen}, {d}, {d}) stack, got {np.shape(U)}")
         member = group.member_residual(U)
         # member_residual has checked the even pattern
         comm = np.abs(canonical(graded_matmul(U[:, 0], U[:, 1], m, check=False)

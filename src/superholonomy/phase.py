@@ -23,12 +23,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, FORWARD_ROUNDING, canonical, graded_expm, graded_matmul,
-                        matrix_rank, merge_sign, stack_chunk)
+from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, EXACT_TOL, FORWARD_ROUNDING, canonical, counted_values, graded_expm,
+                        graded_matmul, matrix_rank, merge_sign, stack_chunk)
 from .superlie import OSP12_DIRECTIONS, SuperAlgebra, build_osp12, check_forms, check_tolerance, pair_plan, pair_sums
 from .supermatrix import real_array
 
@@ -389,16 +389,6 @@ class ClosureReport:
         )
 
 
-def _pinv(basis: np.ndarray) -> np.ndarray:
-    """np.linalg.pinv(basis, rcond=eps * max(basis.shape)), lstsq's own cutoff, taken by pinv's own
-    steps on a real 2-d matrix, so the same bits, without its conjugate copy, checks and wrapping."""
-    u, s, vt = np.linalg.svd(basis, full_matrices=False)
-    large = s > np.finfo(float).eps * max(basis.shape) * s[:1]
-    s = np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    return vt.T @ (s[:, None] * u.T)
-
-
 @lru_cache(maxsize=None)
 def _form_slots(parities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions in a (dim, dim) W of its even-even and its odd-odd block, each row-major."""
@@ -410,91 +400,168 @@ def _form_slots(parities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return slots
 
 
-def _inverse_forms(alg: SuperAlgebra, eta: np.ndarray, name: str = "eta") -> np.ndarray:
+def _inverse_forms(alg: SuperAlgebra, eta: np.ndarray, name: str = "eta", own: np.ndarray | None = None
+                   ) -> np.ndarray:
     """W, the fundamental brackets {x_I, y_J} = W_IJ: eta^-1 on the even generators, C^-1 on the odd,
-    put at the slots of _form_slots."""
+    put at the slots of _form_slots.  Given own, the algebra's own W, C^-1 is copied from it, so an
+    override inverts only its eta."""
     even, odd = _form_slots(alg.parities)
-    W = np.zeros((alg.dim, alg.dim))
+    W = np.zeros((alg.dim, alg.dim)) if own is None else own.copy()
     try:
         W.put(even, np.linalg.inv(eta))
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} is singular on the even generators") from None
-    try:
-        W.put(odd, np.linalg.inv(alg.eta_odd))
-    except np.linalg.LinAlgError:
-        raise ValueError("C is singular on the odd generators") from None
+    if own is None:
+        try:
+            W.put(odd, np.linalg.inv(alg.eta_odd))
+        except np.linalg.LinAlgError:
+            raise ValueError("C is singular on the odd generators") from None
     return W
 
 
-# check_closure's pair plans per algebra, one per nonzero pattern of a call's W:
-# {that pattern as bytes: the plan or None}.  f is read-only and
-# dataclasses.replace makes a new instance, which is hashed by identity, so a
-# plan cannot go stale, and it goes with its algebra.
+def _gram_pinv(B: np.ndarray) -> np.ndarray:
+    """G+ for the Gram matrix G = B^T B of the constraint basis's nonzero rows B, under the one rank
+    rule.  G is symmetric positive semi-definite, so its eigenvalues (eigh) are its singular values;
+    each entry of G is a dot product over B's rows, whose rounding is at most about rows * eps times
+    the largest eigenvalue (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.5),
+    so counted_values runs at B's shape.  An eigenvalue within RANK_MARGIN of its bound raises
+    RankUndecidedError rather than fit to rounding.  The builders' G is diagonal with integer
+    entries, so V is a signed permutation and G+ holds the reciprocals alone, on any BLAS kernel."""
+    w, V = np.linalg.eigh(B.T @ B)
+    # eigh sorts ascending, so the eigenvalues the rule drops come first
+    dropped = len(w) - np.count_nonzero(counted_values(w[::-1], B.shape))
+    V = V[:, dropped:]
+    return (V / w[dropped:]) @ V.T
+
+
+class _ClosurePlan(NamedTuple):
+    """check_closure's sums over nonzero terms (_closure_plan): pair_sums groups for T1 and T2,
+    whose outputs, the right-hand sides v, come in plan order, and for raw = B^T v, flat
+    [K, (k, L)]; each of the first n_on outputs' flat place in its k-chunk's residual, and per
+    chunk its outputs' slice and its columns of coeffs; the output count."""
+    t1: tuple
+    t2: tuple
+    raw: tuple
+    local: np.ndarray
+    chunks: list
+    n_on: int
+    size: int
+
+
+# check_closure's plans per algebra, one per nonzero pattern of a call's W:
+# {that pattern as bytes: (the basis's nonzero rows, the plan or None)}.  f is
+# read-only and dataclasses.replace makes a new instance, which is hashed by
+# identity, so a plan cannot go stale, and it goes with its algebra.
 _RHS_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray):
-    """The cached plan for the nonzero patterns of F and W, built on the first call with W's
-    pattern, or None for the dense route: above PLAN_PAIRS terms, as in check_jacobi.
+    """The cached entry for the nonzero patterns of F and W, built on the first call with W's pattern
+    (_build_closure_plan)."""
+    plans = _RHS_PLANS.get(alg)
+    if plans is None:
+        plans = _RHS_PLANS[alg] = {}
+    pattern = (W != 0).tobytes()
+    entry = plans.get(pattern)
+    if entry is None:
+        entry = plans[pattern] = _build_closure_plan(alg, F, W)
+    return entry
 
-    The coefficient of x_I y_J in {G^k, G^L} is T1 - T2 with
+
+def _build_closure_plan(alg: SuperAlgebra, F: np.ndarray, W: np.ndarray):
+    """The nonzero rows r = I dim + J of the basis F.reshape(dim^2, dim), which make B, and the
+    _ClosurePlan, or None for the dense route: above PLAN_PAIRS products in either stage, as in
+    check_jacobi.
+
+    The coefficient v of x_I y_J in {G^k, G^L} is T1 - T2 with
         T1[k, I, J, L] = sum_M FtW[k, J, M] (-1)^{|I||M| + |J||L|} F[I, M, L]
         T2[k, I, J, L] = sum_M FW[k, I, M] F[M, J, L]
     over the dense first-stage products FtW[k] = F_k^T W and FW[k] = F_k W.
     Each term pairs a structural nonzero of FtW or FW (from the patterns of F
     and W) with a nonzero of F that shares M, with M ascending within each
-    output, the order of a dot product over M.  The plan is T1's and T2's
-    groups for pair_sums, the outputs' flat positions within their chunk of
-    check_closure's slab loop, and the first output of every chunk, with the
-    output count last.  Only the patterns are read.
+    output, the order of a dot product over M.  The fit's raw = B^T v pairs
+    each output (k, r, L) with each nonzero (r, K) of the basis, r ascending
+    within each entry of raw.  The outputs on a nonzero row come first, in
+    flat order and so grouped by k-chunk, then those on a zero row.  Only
+    the patterns are read.
     """
-    plans = _RHS_PLANS.setdefault(alg, {})
-    pattern = (W != 0).tobytes()
-    if pattern not in plans:
-        dim, odd = alg.dim, alg.odd_mask
-        nz = np.flatnonzero(F)
-        x0, x1, x2 = np.unravel_index(nz, F.shape)
-        Fb, Wb = (F != 0).astype(float), (W != 0).astype(float)
-        # the patterns of FtW[k, J, M] and FW[k, I, M], each flat index ending in M
-        ftw = np.flatnonzero(Fb.transpose(2, 1, 0) @ Wb)
-        fw = np.flatnonzero(Fb.transpose(2, 0, 1) @ Wb)
-        kj = ftw // dim
-        # each factor's part of the output (k, I, J, L) = k dim^3 + I dim^2 + J dim + L
-        built = pair_plan((((ftw % dim, kj // dim * dim ** 3 + kj % dim * dim), (x1, x0 * dim ** 2 + x2)),
-                           ((fw % dim, fw // dim * dim ** 2), (x0, nz % dim ** 2))), dim)
-        plan = None
-        if built is not None:
-            ((p1, q1), (p2, q2)), outputs, rank = built
-            # (-1)^{|I||M| + |J||L|}: -1 where exactly one of the pairs is odd-odd
-            flip = (odd.take(x0) & odd.take(x1)).take(q1) ^ (odd.take(kj % dim).take(p1) & odd.take(x2).take(q1))
-            span = stack_chunk((dim, dim, dim)) * dim ** 3
-            t1 = ftw.take(p1), nz.take(q1), 1.0 - 2.0 * flip, rank[:len(p1)]
-            t2 = fw.take(p2), nz.take(q2), np.ones(len(p2)), rank[len(p1):]
-            local = outputs % span
-            for arr in (*t1, *t2, local):
-                arr.flags.writeable = False
-            plan = t1, t2, local, np.searchsorted(outputs, np.arange(0, dim ** 4, span)).tolist() + [len(outputs)]
-        plans[pattern] = plan
-    return plans[pattern]
+    dim, odd = alg.dim, alg.odd_mask
+    nz = np.flatnonzero(F)
+    x0, x1, x2 = np.unravel_index(nz, F.shape)
+    rows = np.flatnonzero(np.bincount(nz // dim, minlength=dim * dim))
+    rows.flags.writeable = False
+    Fb, Wb = (F != 0).astype(float), (W != 0).astype(float)
+    # the patterns of FtW[k, J, M] and FW[k, I, M], each flat index ending in M
+    ftw = np.flatnonzero(Fb.transpose(2, 1, 0) @ Wb)
+    fw = np.flatnonzero(Fb.transpose(2, 0, 1) @ Wb)
+    kj = ftw // dim
+    # each factor's part of the output (k, I, J, L) = k dim^3 + I dim^2 + J dim + L
+    built = pair_plan((((ftw % dim, kj // dim * dim ** 3 + kj % dim * dim), (x1, x0 * dim ** 2 + x2)),
+                       ((fw % dim, fw // dim * dim ** 2), (x0, nz % dim ** 2))), dim)
+    if built is None:
+        return rows, None
+    ((p1, q1), (p2, q2)), outputs, rank = built
+    k, r = outputs // dim ** 3, outputs // dim % dim ** 2
+    kl = k * dim + outputs % dim
+    # each factor's part of raw's flat index K dim^2 + k dim + L
+    raw_built = pair_plan((((r, kl), (nz // dim, nz % dim * dim ** 2)),), dim ** 2)
+    if raw_built is None:
+        return rows, None
+    ((p3, q3),), raw_at, raw_rank = raw_built
+    # each output's row of B, -1 on a zero row, and its place in plan order
+    row_of = np.full(dim * dim, -1)
+    row_of[rows] = np.arange(len(rows))
+    at = row_of.take(r)
+    order = np.argsort(at < 0, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    n_on = int(np.count_nonzero(at >= 0))
+    # (-1)^{|I||M| + |J||L|}: -1 where exactly one of the pairs is odd-odd
+    flip = (odd.take(x0) & odd.take(x1)).take(q1) ^ (odd.take(kj % dim).take(p1) & odd.take(x2).take(q1))
+    t1 = ftw.take(p1), nz.take(q1), 1.0 - 2.0 * flip, place.take(rank[:len(p1)])
+    t2 = fw.take(p2), nz.take(q2), None, place.take(rank[len(p1):])
+    t3 = place.take(p3), nz.take(q3), None, raw_at.take(raw_rank)
+    # the residual of a k-chunk [k0, k0 + width) is (rows, width dim), [r, (k - k0, L)]
+    step = stack_chunk((max(len(rows), 1), dim))
+    k0 = k // step * step
+    local = (at * np.minimum(step, dim - k0) * dim + kl - k0 * dim).take(order[:n_on])
+    starts = np.searchsorted(k.take(order[:n_on]), np.arange(0, dim, step)).tolist() + [n_on]
+    chunks = [(slice(b0, b1), slice(c * step * dim, (c + 1) * step * dim))
+              for c, (b0, b1) in enumerate(zip(starts, starts[1:]))]
+    for arr in (*t1, *t2, *t3, local):
+        if arr is not None:
+            arr.flags.writeable = False
+    return rows, _ClosurePlan(t1, t2, t3, local, chunks, n_on, len(outputs))
 
 
-def _planned_rhs(plan, F: np.ndarray, FtW: np.ndarray, FW: np.ndarray):
-    """Each chunk's slice and its (chunk, dim^2, dim) right-hand sides from the plan: T1's sums less
-    T2's, each summed apart by pair_sums, then scattered into zeros."""
-    t1, t2, local, bounds = plan
-    sums = pair_sums(FtW, F, t1, len(local))
-    sums -= pair_sums(FW, F, t2, len(local))
+def _rhs_sums(plan: _ClosurePlan, F: np.ndarray, FtW: np.ndarray, FW: np.ndarray) -> np.ndarray:
+    """The right-hand sides at the plan's outputs, in plan order: T1's sums less T2's, each summed
+    apart by pair_sums."""
+    sums = pair_sums(FtW, F, plan.t1, plan.size)
+    sums -= pair_sums(FW, F, plan.t2, plan.size)
+    return sums
+
+
+def _planned_fit(plan: _ClosurePlan, F: np.ndarray, FtW: np.ndarray, FW: np.ndarray, B: np.ndarray,
+                 pinv: np.ndarray):
+    """coeffs [K, (k, L)] and the largest residual from the plan's sums: raw = B^T v by pair_sums,
+    coeffs = G+ raw, and B coeffs - v on B's nonzero rows, one k-chunk at a time, with each chunk's
+    outputs subtracted at their places; an output on a zero row is its own residual."""
     dim = len(F)
-    step = stack_chunk((dim, dim, dim))
-    for c, k0 in enumerate(range(0, dim, step)):
-        rhs = np.zeros((min(step, dim - k0), dim * dim, dim))
-        rhs.put(local[bounds[c]:bounds[c + 1]], sums[bounds[c]:bounds[c + 1]])
-        yield slice(k0, k0 + step), rhs
+    sums = _rhs_sums(plan, F, FtW, FW)
+    coeffs = pinv @ pair_sums(sums, F, plan.raw, dim ** 3).reshape(dim, dim * dim)
+    worst = np.abs(sums[plan.n_on:]).max(initial=0.0)
+    for outs, cols in plan.chunks:
+        res = B @ coeffs[:, cols]
+        flat = res.reshape(-1)
+        flat[plan.local[outs]] -= sums[outs]
+        worst = max(worst, np.abs(flat, out=flat).max(initial=0.0))
+    return coeffs, worst
 
 
 def _dense_rhs(F: np.ndarray, FtW: np.ndarray, FW: np.ndarray, graded_sign: np.ndarray):
-    """_planned_rhs's chunks from stacked matrix products, each slab's product as it would be done
-    alone, so the result does not depend on the chunk size."""
+    """Each chunk's slice and its (chunk, dim^2, dim) right-hand sides from stacked matrix products,
+    each slab's product as it would be done alone, so the result does not depend on the chunk size."""
     dim = len(F)
     F_rows = F.reshape(dim, dim * dim)                                     # [M, (N, L)]
     signed_rows = (graded_sign[:, :, None] * F).transpose(1, 0, 2).reshape(dim, dim * dim)
@@ -508,6 +575,25 @@ def _dense_rhs(F: np.ndarray, FtW: np.ndarray, FW: np.ndarray, graded_sign: np.n
         yield ks, rhs.reshape(-1, dim * dim, dim)
 
 
+def _dense_fit(F: np.ndarray, FtW: np.ndarray, FW: np.ndarray, graded_sign: np.ndarray, rows: np.ndarray,
+               B: np.ndarray, pinv: np.ndarray):
+    """_planned_fit's coeffs and residual from _dense_rhs's chunks: the same G+ and the same residual
+    rule, raw = B^T v and B coeffs - v on B's nonzero rows, and v on the zero rows as it is."""
+    dim = len(F)
+    zero_rows = np.ones(dim * dim, dtype=bool)
+    zero_rows[rows] = False
+    coeffs = np.empty((dim, dim, dim))
+    worst = 0.0
+    for ks, rhs in _dense_rhs(F, FtW, FW, graded_sign):
+        v = rhs[:, rows].transpose(1, 0, 2).reshape(len(rows), -1)         # [r, (k, L)]
+        fit = pinv @ (B.T @ v)
+        coeffs[:, ks] = fit.reshape(dim, -1, dim)
+        fit = B @ fit
+        fit -= v
+        worst = max(worst, np.abs(fit).max(initial=0.0), np.abs(rhs[:, zero_rows]).max(initial=0.0))
+    return coeffs.reshape(dim, dim * dim), worst
+
+
 def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
                   eta_override: np.ndarray | None = None) -> ClosureReport:
     """Brackets of the constraints close linearly onto the constraints.
@@ -518,39 +604,42 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
 
         {x_I y_J, x_M y_N} = -W_JM x_I y_N + (-1)^{|J||L| + |M||N|} W_IN x_M y_J
 
-    Each {G^k, .} slab's right-hand sides, the coefficients of x_I y_J in
+    Each {G^k, .} slab's right-hand sides v, the coefficients of x_I y_J in
     {G^k, G^L}, are T1 - T2 over the first-stage products FtW[k] = F_k^T W
-    and FW[k] = F_k W, two dense stacked matrix products (_closure_plan has
-    the sums).  While those sums have at most PLAN_PAIRS nonzero terms, as for
-    every build_osp algebra (at most 13,080, at osp(2|6)), they are taken over
-    those terms alone by a plan over the nonzero patterns of F and of the
-    call's W, built on the algebra's first call with that W pattern and kept
-    for it in _RHS_PLANS, so a plain call and a diagonal detuning share one
-    build in either order.  A call gathers the
-    terms' factors, multiplies them with their signs, sums T1 and T2 apart
-    by bincount, each output's terms in the order of a dot product over M,
-    and scatters the sums into zeroed chunks.  On the dense route, as for a
-    dense f above PLAN_PAIRS, each chunk is a few stacked matrix products
-    over all dim^2 entries of a slab.  Where every product of the sums is
-    exact, as for the builders' F (0, +-1, +-2 and +-4) and their tampered
-    copies, both routes give the same bits, since a dot product over M adds
-    in M order; for other F a BLAS kernel that fuses multiply-adds can
-    differ from the plan in the last bits.
+    and FW[k] = F_k W, two dense stacked matrix products (_build_closure_plan
+    has the sums).  Each slab is fitted to the span of the G's, the columns
+    of the basis F.reshape(dim^2, dim), by least squares through the Gram
+    matrix G = B^T B of B, the basis's nonzero rows: coeffs = G+ B^T v, with
+    G+ from one eigh of G under the one rank rule (_gram_pinv), so a
+    rank-deficient basis gets the minimum-norm fit and an eigenvalue float64
+    cannot place raises RankUndecidedError.  The residual B coeffs - v is
+    taken on B's rows; a coefficient on a zero row of the basis is its own
+    residual, as the fit is zero there.  The builders' B has orthogonal
+    integer columns and their v is dyadic, so every step of their fit is
+    exact and they read residuals 0.0 and kappa 1.0 on any BLAS kernel.
+    For other f the fit rounds as lstsq's does, to within a few eps of the
+    report's scale.
 
-    Each slab is fitted to the span of the G's by least squares over all
-    dim^2 coefficients (a coefficient outside the span meets a zero basis row
-    and stays in the residual).  Every slab has the same (dim^2, dim) basis,
-    so it is factorized once: one SVD pseudo-inverse with lstsq's own cutoff
-    eps * max(shape), which gives the same minimum-norm fit on a
-    rank-deficient basis.  The slabs run in chunks of at most STACK_BYTES of
-    right-hand sides (dim^3 doubles per slab, at least one slab); a batch of
-    all dim slabs at once would hold dim^4 doubles.  In terms of the lowered
-    G~_I = eta_IA G^A the induced coefficients (basis order) must reproduce
-    (-1)^{|I||J|} f_IJ^K up to one global measured factor kappa; eta^-1 is
-    the algebra's own W, built on every call.  A finite, symmetric,
-    invertible, real n_even x n_even eta_override detunes the bracket to show
-    the check has teeth.  A tol that is not finite and positive raises
-    ValueError.
+    While v's sums and B^T v have at most PLAN_PAIRS nonzero terms each, as
+    for every build_osp algebra (at most 13,080 and 7,314, at osp(2|6)), they are
+    taken over those terms alone by a plan over the nonzero patterns of F
+    and of the call's W, built on the algebra's first call with that W
+    pattern and kept for it in _RHS_PLANS, so a plain call and a diagonal
+    detuning share one build in either order.  A call gathers the terms'
+    factors, multiplies them with their signs, sums T1 and T2 apart by
+    bincount, each output's terms in the order of a dot product over M,
+    and sums B^T v over the outputs the same way.  On the dense route, as
+    for a dense f above PLAN_PAIRS, v is built a chunk of slabs at a time
+    by a few stacked matrix products over all dim^2 entries of a slab, and
+    B^T v by one product.  Both routes' residuals run in k-chunks of at
+    most STACK_BYTES, at least one slab; a batch of all dim slabs at once
+    would hold dim^4 doubles.  In terms of the lowered G~_I = eta_IA G^A
+    the induced coefficients (basis order) must reproduce (-1)^{|I||J|}
+    f_IJ^K up to one global measured factor kappa; eta^-1 is the
+    algebra's own W, built on every call.  A finite, symmetric,
+    invertible, real n_even x n_even eta_override detunes the bracket to
+    show the check has teeth; its W takes C^-1 from the own W.  A tol
+    that is not finite and positive raises ValueError.
     """
     check_tolerance(tol)
     W = own = _inverse_forms(alg, alg.eta_even)
@@ -559,33 +648,28 @@ def check_closure(alg: SuperAlgebra, tol: float = EXACT_TOL,
         if eta.shape != alg.eta_even.shape:
             raise ValueError(f"eta_override has shape {eta.shape}, not {alg.eta_even.shape}")
         check_forms(eta, alg.eta_odd)
-        W = _inverse_forms(alg, eta, "eta_override")
+        W = _inverse_forms(alg, eta, "eta_override", own)
     F = constraint_tensor(alg)
-    plan = _closure_plan(alg, F, W)
+    rows, plan = _closure_plan(alg, F, W)
     dim = F.shape[0]
-    graded_sign = alg.pair_signs
-    basis = F.reshape(dim * dim, dim)
-    pinv = _pinv(basis)
+    B = F.reshape(dim * dim, dim).take(rows, 0)
+    pinv = _gram_pinv(B)
     # F_k.T @ W and F_k @ W for every slab k, each the same product as alone
     FtW = F.transpose(2, 1, 0) @ W
     FW = F.transpose(2, 0, 1) @ W
-    chunks = _dense_rhs(F, FtW, FW, graded_sign) if plan is None else _planned_rhs(plan, F, FtW, FW)
-    induced = np.empty((dim, dim, dim))
-    max_unexplained = 0.0
-    for ks, rhs in chunks:
-        coeffs = pinv @ rhs
-        induced[ks] = coeffs.transpose(0, 2, 1)
-        fit = basis @ coeffs
-        fit -= rhs
-        max_unexplained = max(max_unexplained, np.abs(fit, out=fit).max(initial=0.0))
+    if plan is None:
+        coeffs, max_unexplained = _dense_fit(F, FtW, FW, alg.pair_signs, rows, B, pinv)
+    else:
+        coeffs, max_unexplained = _planned_fit(plan, F, FtW, FW, B, pinv)
+    induced = coeffs.reshape(dim, dim, dim).transpose(1, 2, 0)      # [k, L, K]
     # compare in lowered form, eta_ia eta_jb induced[a, b, k] eta^-1_kl with
     # eta^-1 the own W, against the graded-signed structure constants
-    induced_lowered = (alg.eta @ (alg.eta @ (induced @ own)).reshape(dim, -1)
-                       ).reshape(dim, dim, dim)
-    target = graded_sign[:, :, None] * alg.f
-    denom = float((target * target).sum())
-    kappa = float((induced_lowered * target).sum() / denom) if denom else 0.0
-    prop_residual = float(np.abs(induced_lowered - kappa * target).max())
+    lowered = (alg.eta @ (alg.eta @ (induced @ own)).reshape(dim, -1)).reshape(dim, dim, dim)
+    target = alg.pair_signs[:, :, None] * alg.f
+    denom = float(np.vdot(target, target))
+    kappa = float(np.vdot(lowered, target) / denom) if denom else 0.0
+    lowered -= kappa * target
+    prop_residual = float(np.abs(lowered, out=lowered).max())
     return ClosureReport(dim=dim, kappa=kappa, max_unexplained=float(max_unexplained),
                          proportionality_residual=prop_residual, induced=induced, tol=tol)
 

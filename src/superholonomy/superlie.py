@@ -90,11 +90,14 @@ def pair_plan(terms, size: int):
 
 def pair_sums(a: np.ndarray, b: np.ndarray, group, size: int) -> np.ndarray:
     """The (size,) sums over a pair plan's group (a_at, b_at, sign, rank) of a.flat[a_at] b.flat[b_at]
-    sign, each output's pairs added in plan order by bincount."""
+    sign, each output's pairs added in plan order by bincount; a group whose every sign is +1 holds
+    None for them.  b is float: the products start from its gather, so an a that is bincount's
+    int zeros of no pairs still multiplies in place."""
     a_at, b_at, sign, rank = group
-    products = a.take(a_at)
-    products *= b.take(b_at)
-    products *= sign       # by +-1, exact: -(x y) is (-x) y bit for bit
+    products = b.take(b_at)
+    products *= a.take(a_at)   # x y is y x bit for bit
+    if sign is not None:
+        products *= sign       # by +-1, exact: -(x y) is (-x) y bit for bit
     return np.bincount(rank, products, size)
 
 

@@ -498,6 +498,21 @@ class TestHolonomyPair:
         pair, = HolonomyPair.from_stack(g12, U[:1], ["a"])
         assert (pair.U1, pair.U2, pair.label) == (*(SuperMatrix.from_coeffs(1, 2, u) for u in U[0]), "a")
 
+    @pytest.mark.parametrize("group, message", [
+        (OspGroup(1, 1, 2),
+         r"^expected block sizes \(1,2\) over B_2: a \(k, 2, 4, 3, 3\) stack, got \(1, 2, 4, 5, 5\)$"),
+        (OspGroup(1, 2, 3),
+         r"^expected block sizes \(1,4\) over B_3: a \(k, 2, 8, 5, 5\) stack, got \(1, 2, 4, 5, 5\)$"),
+    ], ids=["osp12", "osp14_B3"])
+    def test_stack_of_other_blocks_rejected(self, group, message):
+        # an OSp(1|4) pair over B_2: named by the group's block sizes before any product, where
+        # numpy's matmul would raise about a core dimension
+        U = OspGroup(1, 2, 2).sample_member(np.random.default_rng(0)).coeffs
+        with pytest.raises(ValueError, match=message):
+            HolonomyPair.from_stack(group, np.array([[U, U]]), ["a"])
+        with pytest.raises(ValueError, match=r"^expected block sizes"):
+            HolonomyPair.from_stack(group, U, ["a"])
+
     def test_metadata(self, g12):
         body = np.eye(3)
         body[1:, 1:] = rotation(0.7)
