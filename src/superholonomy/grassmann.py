@@ -11,9 +11,12 @@ Every product, of elements or of matrices over B_N, is one signed subset
 convolution, ``graded_matmul``, on dense coefficient arrays with the monomial
 mask on axis -3, every inverse is ``graded_inverse`` and every exponential
 ``graded_expm``, or ``real_expm`` for a real matrix.  An even supermatrix,
-declared by its block size m, is held on the two parity blocks of its
-regular representation (``EvenSplit``), so a product is two BLAS calls;
-every other input takes the pair-table kernel.
+declared by its block size m, runs on index plans of its parity classes
+(``EvenSplit``): a product is one batched matmul of two gathered operands,
+from N = 4 on with the top N // 2 generators in the right one
+(``split_point``), and each step of an inverse or exponential series one
+matmul by the two parity blocks of its regular representation; every other
+input takes the pair-table kernel.
 All take leading stack axes, as numpy gufuncs do, and give each member of a
 stack its one-matrix result bit for bit.
 GrassmannElement keeps the sparse {mask: coefficient} form as its public
@@ -23,7 +26,7 @@ view.  Coefficients are finite: NaN and infinities raise ValueError.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -52,6 +55,24 @@ TABLE_MAX_N = 6
 # 0.5-0.56x (1.2x for (1|2)) and the product 0.87-2.4x, exp still
 # 1.8-4.7x.  At N = 1-4 the product ran 0.82-1.29x and exp 1.5-2.3x
 SPLIT_MAX = 512
+# Under the cap, a one-shot product (graded_matmul, SuperMatrix @, the
+# squarings of graded_expm) and membership_defect take split point
+# a = N // 2 from this many generators on (``split_point``), else a = 0, the
+# blocks of L: the left operand then spans the low N - a generators and the
+# right one is gathered over the top a, so the operands hold about
+# 2^(3N/2) d^2 floats where L holds 2^(2N-1) d^2 (8,192 against 32,768 for
+# OSp(2|2) at N = 6) for the same multiplications, and the fill that built L
+# was most of a product.  The series of _neumann and graded_expm keep a = 0:
+# they reuse one L for N - 1 to about 12 steps, and a balanced step, which
+# regathers its right operand, took 11-16 us against 6.5 for L @ t (OSp(2|2),
+# N = 6).  Against a = 0 with M^st H built, OSp(1|2), (2|2), (1|4) and
+# (2|4) members, one OpenBLAS thread on a 2-core Xeon, best of 9 interleaved
+# rounds: products ran 0.99-1.28x as fast at N = 4, 0.99-1.21x at 5,
+# 1.30-1.56x at 6 and 1.60-2.03x at 7, and membership_defect 1.30-1.50x,
+# 1.06-1.73x, 1.35-1.77x and 1.97-2.04x.  At N = 2 and 3, a = 1 tied with
+# a = 0 within 12% either way, so a stays 0 there and those products keep
+# their bits
+BALANCED_MIN_N = 4
 
 # The numerical policy: what is zero, when a matrix loses rank, how small a
 # residual must be and how much memory a stack may take.  Every module reads
@@ -64,9 +85,11 @@ COEFF_CUTOFF = 1e-14
 TAYLOR_CUTOFF = 1e-22
 # a singular value of an (r, c) matrix at most RANK_ROUNDING max(r, c) eps
 # sigma_max is zero (``counted_values``, read by ``matrix_rank`` and by
-# check_closure's Gram fit).  A backward-stable SVD gives the exact
-# singular values of A + E, ||E||_2 <= p(r, c) u ||A||_2, so each is off by at
-# most ||E||_2 (Golub and Van Loan, Matrix Computations, 4th ed., 5.4.1);
+# check_closure's Gram fit), or RANK_ROUNDING max(r, c) eps max(sigma_max,
+# scale) for a matrix formed from operands of size scale, whose rounding a
+# cancellation keeps.  A backward-stable SVD gives the exact singular
+# values of A + E, ||E||_2 <= p(r, c) u ||A||_2, so each is off by at most
+# ||E||_2 (Golub and Van Loan, Matrix Computations, 4th ed., 5.4.1);
 # numpy takes p = max(r, c).  The ranked matrices come out of exponentials and
 # conjugations, which adds rounding: conjugated parabolic 2 x 2 bodies reach
 # 1.9 eps sigma_max and the zero singular values of sampled commuting bodies,
@@ -92,10 +115,10 @@ DEFECT_TOL = 1e-10
 # representations have entries 0, +-1, +-2, so Jacobi, closure, graded
 # antisymmetry and the defining relations hold to rounding of O(1) products
 EXACT_TOL = 1e-12
-# a stack's L blocks are built in slices of at most this many bytes: four
-# OSp(2|2) members at N = 6, one at 7.  The CLI's 200-op OSp(2|2) membership
-# sweep at N = 6 peaked at 38.3 MB in 1 MiB slices and 44.8 MB unsliced,
-# and 256 KiB slices ran 40% slower
+# a stack's L blocks, and a one-shot product's operands, are built in slices
+# of at most this many bytes: four OSp(2|2) members' L at N = 6, one at 7.
+# The CLI's 200-op OSp(2|2) membership sweep at N = 6 peaked at 38.3 MB in
+# 1 MiB slices and 44.8 MB unsliced, and 256 KiB slices ran 40% slower
 SPLIT_BYTES = 1 << 20
 # a stacked sweep takes its ops in chunks of at most this many bytes of
 # coefficients (``stack_chunk``), so its memory does not grow with the op
@@ -121,11 +144,17 @@ MAX_COEFFS = 1 << 24
 _EPS = float(np.finfo(float).eps)
 
 
-def counted_values(svals: np.ndarray, shape) -> np.ndarray:
+def counted_values(svals: np.ndarray, shape, scale=None) -> np.ndarray:
     """The one rank rule on the singular values svals (..., k), largest first, of a matrix of shape
     (..., r, c): a mask of those above RANK_ROUNDING * max(r, c) * eps times the largest, and
-    RankUndecidedError at the first one within RANK_MARGIN times that."""
-    bound = RANK_ROUNDING * max(shape[-2:]) * _EPS * svals[..., :1]
+    RankUndecidedError at the first one within RANK_MARGIN times that.
+
+    scale, a float or an array over the stack, is the size of the operands the matrix was formed
+    from, as ||a|| + ||b|| for a difference a - b: their rounding survives a cancellation, so the
+    bound is relative to max(sigma_max, scale), and a matrix that cancels to rounding counts 0.
+    """
+    top = svals[..., :1] if scale is None else np.maximum(svals[..., :1], np.asarray(scale)[..., None])
+    bound = RANK_ROUNDING * max(shape[-2:]) * _EPS * top
     counted = svals > bound
     undecided = counted & (svals <= RANK_MARGIN * bound)
     if undecided.any():
@@ -134,11 +163,11 @@ def counted_values(svals: np.ndarray, shape) -> np.ndarray:
     return counted
 
 
-def matrix_rank(mat: np.ndarray):
-    """The rank under the one rank rule, counted_values, from one SVD call.  A stack (..., r, c) is
-    ranked member by member, an int array (...); a matrix gives an int."""
+def matrix_rank(mat: np.ndarray, scale=None):
+    """The rank under the one rank rule, counted_values (scale as there), from one SVD call.  A stack
+    (..., r, c) is ranked member by member, an int array (...); a matrix gives an int."""
     mat = np.asarray(mat)
-    ranks = counted_values(np.linalg.svd(mat, compute_uv=False), mat.shape).sum(-1)
+    ranks = counted_values(np.linalg.svd(mat, compute_uv=False), mat.shape, scale).sum(-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -253,86 +282,183 @@ def _off_pattern(n: int, d: int, m: int) -> np.ndarray:
     return out
 
 
-class EvenSplit:
-    """Index plan of the even (m|d-m) pattern over B_n, n >= 1 (see SPLIT_MAX).
+def _parity_classes(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class [|q| odd] ^ [j >= m] of each pair (q, j) of a mask of B_n and a column, as a (2^n, d)
+    bool array, and the pair's rank in its class in flat order q d + j."""
+    cls = (grade_signs(n)[:, 0] < 0) ^ (np.arange(d) >= m)
+    rank = np.empty(cls.shape, dtype=np.intp)
+    for c in (False, True):
+        where = np.flatnonzero(cls == c)
+        rank.flat[where] = np.arange(len(where))
+    return cls, rank
 
-    Each parity class V_c holds h = 2^(n-1) d of the pairs (q, j), in flat
-    order q d + j.  An even array (..., 2^n, d, d) is held split as
-    (..., 2, h, w), w = max(m, d - m), the half the pattern does not force
-    to zero: slot [c, r, k] is its entry at row V_c[r] and column k (c = 0)
-    or m + k (c = 1), and a slot past the m or d - m columns of its class
-    pads: it reads a coefficient the pattern holds at zero and is not
-    written back.
-    ``regular(x)`` is (..., 2, h, h), the blocks L0 and L1 of L(x), so
-    L @ s is x y in split form for s the split y: one matmul.  L's nonzeros
-    and their sources in [x, -x] come in aligned runs of ``run`` =
-    gcd(m, d - m) columns, which it moves as one item of ``unit`` each.
-    ``identity`` is the (2, h, w) split identity, packed once, read-only.
+
+class EvenSplit:
+    """Index plan of products of even (m|d-m) arrays over B_n, n >= 1, at split point 0 <= a < n.
+
+    A monomial is P|p, P on the top a generators and p on the low n - a, and
+    the low pairs (p, j), j a column, fall in the parity classes
+    V_c = {(p, j) : |p| + [j >= m] = c mod 2}, h = 2^(n-a-1) d each.  As
+    merge_sign(P|p, Q|q) = merge_sign(P|p, q) merge_sign(P, Q), x y is one
+    matmul (2, h, 2^a h) @ (2, 2^a h, w) a member (``multiply``):
+    - the left operand (``regular``) holds merge_sign(P|p, q) x[P|p, i, j] at
+      row (c, (r, i)), (r, i) in V_c, and column (P, (q, j)), (q, j) in
+      V_(c + |P|), p = r - q;
+    - the right operand holds merge_sign(P, Q) y[Q|q, j, k] at row
+      (P, (q, j)) and column (R, k), Q = R - P, where column class c holds the
+      (R, k) with |R| + [k >= m] = c;
+    - the result holds (x y)[R|r, i, k] at row (c, (r, i)) and column (R, k);
+      ``pack`` gathers an array into that layout and ``unpack`` writes it out.
+    Every other slot is zero.  For a >= 1 a column class holds w = 2^(a-1) d
+    columns.  At a = 0 it holds m or d - m, w = max(m, d - m), and a slot past
+    them pads; the left operand is then the blocks L0 and L1 of L(x), and the
+    right operand is the result's layout, the split form, which the series of
+    ``_neumann`` and ``graded_expm`` step by L @ t.  Operand slots and their
+    sources in [x, -x, y, -y] come in aligned runs of ``run`` = gcd(m, d - m)
+    columns, moved as one item of ``unit`` each.  ``identity`` is the
+    identity in the result's layout, packed once, read-only.
     """
 
-    def __init__(self, n: int, d: int, m: int):
-        size = 1 << n
-        self.n, self.d, self.flat = n, d, size * d * d
-        h = size * d // 2
-        cls = (grade_signs(n)[:, 0] < 0) ^ (np.arange(d) >= m)          # class of (q, j)
-        rank = np.empty((size, d), dtype=np.intp)
-        rows = []
-        for c in (False, True):
-            rows.append(np.flatnonzero(cls == c))
-            rank.flat[rows[-1]] = np.arange(h)
-        slot = np.arange(max(m, d - m))
-        col = np.array([slot, m + slot])
-        pad = col >= np.array([[m], [d]])
-        zero = _off_pattern(n, d, m)[0]
-        packed = np.where(pad[:, None, :], zero, np.array(rows)[:, :, None] * d + col[:, None, :])
-        self.shape, self.packed = packed.shape, packed.ravel()
-        # the slots that are no pad, and the coefficients unpack writes from them
-        self.real = np.flatnonzero(~np.broadcast_to(pad[:, None, :], packed.shape))
-        self.written = self.packed[self.real]
-        # pair k of the table puts sign x_p[i, j] at L[(r, i), (q, j)], which
-        # lies in block [(q, j) in V1] when (i, j) is on the pattern; a run
-        # of columns j is planned by its first
+    def __init__(self, n: int, d: int, m: int, a: int = 0):
+        size, low, top = 1 << n, 1 << (n - a), 1 << a
+        self.n, self.d, self.m, self.a, self.flat = n, d, m, a, size * d * d
+        cls, rank = _parity_classes(n - a, d, m)             # rows (r, i) and inner pairs (q, j)
+        col_cls, col_rank = _parity_classes(a, d, m)         # result columns (R, k)
+        h = low * d // 2
+        w = max(np.count_nonzero(col_cls), np.count_nonzero(~col_cls))
+        self.left_shape, self.right_shape, self.shape = (2, h, top * h), (2, top * h, w), (2, h, w)
+        self.left_items = left_items = 2 * h * top * h
+        self.items = left_items + 2 * top * h * w
         self.run = math.gcd(m, d - m)
-        first = np.arange(0, d, self.run)
-        left, right, starts = _pair_table(n)
-        r = np.repeat(np.arange(size), np.diff(np.append(starts, len(left))))
-        on = ~pattern_mask(n, d, m)[left % size][..., first]
-        dst = (cls[right][:, None, first] * h + rank[r][:, :, None]) * h + rank[right][:, None, first]
-        src = (left[:, None, None] * d + np.arange(d)[:, None]) * d + first
-        order = np.argsort(dst[on])
-        self.dst, self.src = dst[on][order] // self.run, src[on][order] // self.run
         self.unit = np.dtype(float) if self.run == 1 else np.dtype((np.void, 8 * self.run))
-        self.h = h
-        # the identity's slots, where every exponential's series starts
-        eye = np.zeros((size, d, d))
-        eye[0] = np.eye(d)
-        self.identity = self.pack(eye)
-        for arr in (self.packed, self.real, self.written, self.dst, self.src, self.identity):
+        first = np.arange(0, d, self.run)                    # a run of columns is planned by its first
+        odd = grade_signs(a)[:, 0, 0] < 0                    # |P| odd
+        shifted = np.arange(top) << (n - a)                  # P as a mask of B_n
+        # left operand: low pair (p, q) into r (signed in [x, -x]), P, row column i, columns j
+        signed_p, q, starts = _pair_table(n - a)
+        r = np.repeat(np.arange(low), np.diff(np.append(starts, len(q))))
+        neg = (signed_p >= low)[:, None] ^ (odd & (grade_signs(n - a)[q, 0, 0] < 0)[:, None])
+        on = [cls[q][:, None, None, first] == (cls[r][:, None, :, None] ^ odd[:, None, None])]
+        dst = [((cls[r] * h + rank[r])[:, None, :, None] * top + np.arange(top)[:, None, None]) * h
+               + rank[q][:, None, None, first]]
+        src = [((neg * size + (shifted | (signed_p % low)[:, None]))[:, :, None, None] * d
+                + np.arange(d)[:, None]) * d + first]
+        # right operand: top pair (P, Q) into R (signed in [y, -y]), low mask q, row column j, columns k
+        signed_P, Q, starts = _pair_table(a)
+        R = np.repeat(np.arange(top), np.diff(np.append(starts, len(Q))))
+        P, c = signed_P % top, col_cls[R][:, first]
+        on.append(cls[:, :, None] == (c[:, None, None, :] ^ odd[P][:, None, None, None]))
+        dst.append(left_items + (((c * top + P[:, None])[:, None, None, :] * h + rank[:, :, None]) * w
+                                 + col_rank[R][:, None, None, first]))
+        src.append(2 * self.flat + (((((signed_P >= top) * size)[:, None] + ((Q << (n - a))[:, None] | np.arange(low)))
+                                     [:, :, None, None] * d + np.arange(d)[:, None]) * d + first))
+        dst, src = (np.concatenate([part[keep] for part, keep in zip(parts, on)]) for parts in (dst, src))
+        order = np.argsort(dst)
+        self.dst, self.src = dst[order] // self.run, src[order] // self.run
+        cut = np.searchsorted(self.dst, left_items // self.run)
+        self.regular_plan = self.dst[:cut], self.src[:cut]
+        # result slots (c, (r, i), (R, k)) and the coefficients [R|r, i, k] they
+        # hold; a pad slot reads the first coefficient off the pattern, at mask
+        # 1, where every column of a run is zero
+        keep = cls[:, :, None, None] == col_cls[:, first]
+        slot = ((cls * h + rank)[:, :, None, None] * w + col_rank[:, first])[keep] // self.run
+        coeff = ((((shifted[:, None] | np.arange(low)[:, None, None, None]) * d + np.arange(d)[:, None, None]) * d
+                  + first)[keep] // self.run)
+        packed = np.full(math.prod(self.shape) // self.run, d * d // self.run)
+        packed[slot] = coeff
+        real = np.sort(slot)
+        # the result holds one float a coefficient or pad, so pack and unpack
+        # move floats: on it runs saved less than their extra views cost
+        self.packed, self.real, self.written = ((part[:, None] * self.run + np.arange(self.run)).ravel()
+                                                for part in (packed, real, packed[real]))
+        for arr in (self.dst, self.src, *self.regular_plan, self.packed, self.real, self.written):
             arr.flags.writeable = False
 
-    # gathers take axis 1 of a (members, coefficients) view and scatters
-    # write a flat array: numpy's fancy indexing after an Ellipsis ran two
-    # to four times slower
+    @cached_property
+    def one_shot(self) -> EvenSplit:
+        """The plan of this pattern at the split point of a one-shot product, split_point(n)."""
+        return _even_split(self.n, self.d, self.m, split_point(self.n))
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        eye = np.zeros((1 << self.n, self.d, self.d))
+        eye[0] = np.eye(self.d)
+        out = self.pack(eye)
+        out.flags.writeable = False
+        return out
+
+    def regular(self, x: np.ndarray) -> np.ndarray:
+        """The left operand (..., 2, h, 2^a h) of x; at a = 0 the blocks of L(x)."""
+        members = x.reshape(-1, self.flat)
+        out = _fill(np.concatenate((members, -members), axis=1, dtype=float), *self.regular_plan,
+                    self.left_items, self.unit)
+        return out.reshape(*x.shape[:-3], *self.left_shape)
+
     def pack(self, x: np.ndarray) -> np.ndarray:
-        return np.take(x.reshape(-1, self.flat), self.packed, axis=1).reshape(*x.shape[:-3], *self.shape)
+        """x in the result's layout (..., 2, h, w), one gather; at a = 0 the split form."""
+        return x.reshape(-1, self.flat).take(self.packed, axis=1).reshape(*x.shape[:-3], *self.shape)
 
     def unpack(self, s: np.ndarray) -> np.ndarray:
-        """The (..., 2^n, d, d) array of a split one."""
+        """The (..., 2^n, d, d) array of a result."""
         slots = s.reshape(-1, self.packed.size)
         if len(self.real) < self.packed.size:
-            slots = np.take(slots, self.real, axis=1)
+            slots = slots.take(self.real, axis=1)
         out = np.zeros(len(slots) * self.flat)
         out[_flat_positions(self.written, len(slots), self.flat)] = slots.ravel()
         return out.reshape(*s.shape[:-3], 1 << self.n, self.d, self.d)
 
-    def regular(self, x: np.ndarray) -> np.ndarray:
-        members = x.reshape(-1, self.flat)
-        block = 2 * self.h * self.h
-        L = np.zeros(len(members) * block)
-        signed = np.concatenate((members, -members), axis=1, dtype=float).view(self.unit)
-        L.view(self.unit)[_flat_positions(self.dst, len(members), block // self.run)] = np.take(
-            signed, self.src, axis=1).ravel()
-        return L.reshape(*x.shape[:-3], 2, self.h, self.h)
+    def multiply(self, source: np.ndarray, plan=None, clean: bool = False) -> np.ndarray:
+        """The results (members, 2, h, w) of the operands filled from the rows of source by plan
+        (dst, src, unit), this plan's own by default, whose source rows are [x, -x, y, -y]: one
+        take, one scatter, one matmul.  clean makes the left operand canonical first."""
+        dst, src, unit = plan or (self.dst, self.src, self.unit)
+        both = _fill(source, dst, src, self.items, unit).reshape(len(source), self.items)
+        left = both[:, :self.left_items]
+        if clean:
+            canonical(left)
+        return left.reshape(-1, *self.left_shape) @ both[:, self.left_items:].reshape(-1, *self.right_shape)
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x y, canonical, stacks broadcast as in a numpy gufunc.  At a = 0, L(x) @ y in split form."""
+        if not self.a:
+            out = self.regular(x) @ self.pack(y)
+        else:
+            if x.shape[:-3] != y.shape[:-3]:
+                stack = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+                x, y = (np.broadcast_to(v, stack + v.shape[-3:]) for v in (x, y))
+            xs, ys = x.reshape(-1, self.flat), y.reshape(-1, self.flat)
+            out = self.multiply(np.concatenate((xs, -xs, ys, -ys), axis=1, dtype=float)).reshape(
+                *x.shape[:-3], *self.shape)
+        return self.unpack(canonical(out))
+
+    def gathered(self, index: np.ndarray, sign: np.ndarray):
+        """A plan for multiply of x y from source rows [y, -y], x = sign * y.flat[index] in each
+        mask's (d, d) block (see supermatrix.transpose_plan): x is never built.  index transposes,
+        so x's runs of columns are no runs of y: the plan moves one float an item, and its
+        operands are those of the plan's own for x and y, value for value."""
+        offsets = np.arange(self.run)
+        dst, src = ((part[:, None] * self.run + offsets).ravel() for part in (self.dst, self.src))
+        left = dst < self.left_items
+        entry = src[left] % (self.d * self.d)
+        neg = (src[left] >= self.flat) ^ (sign[entry] < 0)
+        src[left] = neg * self.flat + src[left] % self.flat - entry + index[entry]
+        src[~left] -= 2 * self.flat
+        for arr in (dst, src):
+            arr.flags.writeable = False
+        return dst, src, np.dtype(float)
+
+
+def _fill(source: np.ndarray, dst: np.ndarray, src: np.ndarray, width: int, unit: np.dtype) -> np.ndarray:
+    """Zeroed rows of width floats, flat, holding item src of each row of source at their item dst.
+
+    source is a C-contiguous (members, k) float array; an item is one unit.  Gathers take axis 1
+    of it, by the method (np.take adds a dispatch), and the scatter writes a flat array: numpy's
+    fancy indexing after an Ellipsis ran two to four times slower.
+    """
+    out = np.zeros(len(source) * width)
+    out.view(unit)[_flat_positions(dst, len(source), width * 8 // unit.itemsize)] = source.view(unit).take(
+        src, axis=1).ravel()
+    return out
 
 
 def _flat_positions(index: np.ndarray, members: int, width: int) -> np.ndarray:
@@ -341,8 +467,13 @@ def _flat_positions(index: np.ndarray, members: int, width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _even_split(n: int, d: int, m: int) -> EvenSplit:
-    return EvenSplit(n, d, m)
+def _even_split(n: int, d: int, m: int, a: int = 0) -> EvenSplit:
+    return EvenSplit(n, d, m, a)
+
+
+def split_point(n: int) -> int:
+    """The split point of a one-shot product over B_n (see SPLIT_MAX): n // 2 from BALANCED_MIN_N on, else 0."""
+    return n // 2 if n >= BALANCED_MIN_N else 0
 
 
 def even_pattern(m: int, *arrays: np.ndarray, check: bool = True) -> int:
@@ -385,14 +516,15 @@ def even_route(m: int | None, *arrays: np.ndarray, check: bool = True) -> EvenSp
     return _even_split(n, d, m) if 1 <= n and (1 << n) * d <= SPLIT_MAX else None
 
 
-def _split_slices(fn, x: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """fn(x, *rest) over x's stack in slices whose split L's fit SPLIT_BYTES.
+def _split_slices(fn, width: int, x: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """fn(x, *rest) over x's stack in slices of members whose width floats each fit SPLIT_BYTES.
 
-    fn must treat members independently, so each gets its one-matrix
-    result; rest is broadcast against x's stack.
+    width is what a split plan's operands take a member: L for the loops at
+    a = 0, both operands for a product.  fn must treat members
+    independently, so each gets its one-matrix result; rest is broadcast
+    against x's stack.
     """
-    size, d = x.shape[-3], x.shape[-1]
-    per = max(1, SPLIT_BYTES // (x.itemsize * (size * d) ** 2 // 2))
+    per = max(1, SPLIT_BYTES // (x.itemsize * width))
     if x.ndim == 3 or math.prod(x.shape[:-3]) <= per:
         return fn(x, *rest)
     shape = np.broadcast_shapes(*(a.shape[:-3] for a in (x, *rest)))
@@ -401,15 +533,15 @@ def _split_slices(fn, x: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     return out.reshape(*shape, *out.shape[1:])
 
 
-def _split_product(split: EvenSplit, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return split.unpack(split.regular(x) @ split.pack(y))
-
-
-def _convolve(x: np.ndarray, y: np.ndarray, split: EvenSplit | None = None) -> np.ndarray:
-    """sum over disjoint (p, q) of merge_sign(p, q) x_p @ y_q into slot p | q of axis -3."""
+def _split_matmul(split: EvenSplit, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """graded_matmul of even arrays on split's pattern, by its one-shot plan."""
     # the split route takes no shortcut: a member's gemm must not depend on its stack
-    if split is not None:
-        return _split_slices(lambda a, b: _split_product(split, a, b), x, y)
+    plan = split.one_shot
+    return _split_slices(plan.product, plan.items, x, y)
+
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum over disjoint (p, q) of merge_sign(p, q) x_p @ y_q into slot p | q of axis -3."""
     if not x[..., 1:, :, :].any():      # no soul in the stack: only the pairs (0, q) contribute
         return np.matmul(x[..., :1, :, :], y)
     if not y[..., 1:, :, :].any():
@@ -457,15 +589,17 @@ def graded_matmul(x: np.ndarray, y: np.ndarray, m: int | None = None, check: boo
     numpy gufunc, and each member gets exactly its one-matrix result.
     Element products are the case a = b = c = 1.  With m, both factors are
     declared even (m|d-m) square arrays (see ``even_route`` for m and
-    check), and up to SPLIT_MAX the product is one matmul by the blocks of
-    L(x).  Otherwise a factor with no soul in any member is a plain matmul
+    check), and up to SPLIT_MAX the product is one matmul of operands
+    gathered at the split point split_point(N) (see EvenSplit), the blocks
+    of L(x) below BALANCED_MIN_N generators.  Otherwise a factor with no soul in any member is a plain matmul
     of its body; up to TABLE_MAX_N generators one cached pair table does
     the rest in a few batched numpy calls, and above it the last generator
     is split off recursively, with the table as the base case.  The result is
     canonical: coefficients below COEFF_CUTOFF are zeroed, as
     GrassmannElement does.
     """
-    return canonical(_convolve(x, y, even_route(m, x, y, check=check)))
+    split = even_route(m, x, y, check=check)
+    return canonical(_convolve(x, y)) if split is None else _split_matmul(split, x, y)
 
 
 def _neumann(split: EvenSplit, x: np.ndarray) -> np.ndarray:
@@ -499,7 +633,7 @@ def _invert(x: np.ndarray, m: int | None) -> np.ndarray:
         return _body_inverse(x)[..., None, :, :]
     if m is not None and size * x.shape[-1] <= SPLIT_MAX:
         split = _even_split(size.bit_length() - 1, x.shape[-1], m)
-        return _split_slices(lambda part: _neumann(split, part), x)
+        return _split_slices(lambda part: _neumann(split, part), split.left_items, x)
     # x = x0 + x1 theta_n and y = y0 + y1 theta_n with x y = 1: x0 y0 = 1 and
     # x0 y1 + x1 y0^ = 0, so y1 = -y0 x1 y0^ with ^ the grade involution
     half = size >> 1
@@ -630,13 +764,15 @@ def graded_expm(coeffs: np.ndarray, m: int | None, max_terms: int = 80,
             return canonical(taylor_sum(lambda t: _convolve(t, x), identity, 3, COEFF_CUTOFF, max_terms))
         L = split.regular(x)
         identity = np.broadcast_to(split.identity, (*x.shape[:-3], *split.shape))
-        return canonical(split.unpack(taylor_sum(lambda t: L @ t, identity, 3, COEFF_CUTOFF, max_terms)))
+        return split.unpack(canonical(taylor_sum(lambda t: L @ t, identity, 3, COEFF_CUTOFF, max_terms)))
+
+    def square(a):
+        return canonical(_convolve(a, a)) if split is None else _split_matmul(split, a, a)
 
     def expm(part):
-        return scaling_squaring_expm(part, part[..., 0, :, :], taylor,
-                                     lambda a: canonical(_convolve(a, a, split)))
+        return scaling_squaring_expm(part, part[..., 0, :, :], taylor, square)
 
-    return _split_slices(expm, coeffs) if split else expm(coeffs)
+    return _split_slices(expm, split.left_items, coeffs) if split else expm(coeffs)
 
 
 class GrassmannElement:

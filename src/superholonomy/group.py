@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from itertools import islice, product
 
 import numpy as np
 
-from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, MAX_GENERATORS, _split_slices, canonical, even_route, grade_signs,
-                        graded_expm, graded_inverse, graded_matmul, matrix_rank, real_expm, stack_chunk)
+from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, MAX_GENERATORS, _split_slices, canonical, even_pattern, even_route,
+                        grade_signs, graded_expm, graded_inverse, graded_matmul, matrix_rank, real_expm, stack_chunk)
 from .supermatrix import SuperMatrix, body_array, signed_gather, transpose_plan
 from .superlie import (
     OSP12_DIRECTIONS,
@@ -127,12 +127,6 @@ class OspGroup:
         return float(worst) if worst.ndim == 0 else worst
 
     @cached_property
-    def _H_slots(self) -> np.ndarray:
-        # H in split form, read by membership_defect on the split route only
-        H = self.H_matrix().coeffs
-        return even_route(self.m, H, check=False).pack(H)
-
-    @cached_property
     def _draw_plan(self) -> tuple[np.ndarray, np.ndarray]:
         # sample_stack's slots in its draw order, generators in basis order
         # and inside each the monomials of its parity in mask order, as flat
@@ -146,12 +140,15 @@ class OspGroup:
         return positions, factor
 
     def membership_defect(self, M):
-        """Largest coefficient of M^st H M - H: one signed gather of M (transpose_plan), one product.
+        """Largest coefficient of M^st H M - H: one product, its left factor M^st H read from M by
+        transpose_plan's signed gather.
 
         M is a SuperMatrix, giving a float, or an even coefficient stack
         (..., 2^N, m+2n, m+2n), giving an array of shape (...) whose members
         equal the one-matrix defects, as in matrix_rank.  On the split route
-        the residual is taken on the split slots; off them both sides are 0.
+        the gather is composed into the one-shot plan's (EvenSplit.gathered),
+        so M^st H is never built, and the residual is taken on the result's
+        slots; off them both sides are 0.
         """
         H = self.H_matrix()
         trusted = isinstance(M, SuperMatrix)
@@ -160,17 +157,19 @@ class OspGroup:
             M = M.coeffs
         elif np.shape(M)[-3:] != H.coeffs.shape:
             raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (*H.coeffs.shape, np.shape(M)))
-        st_h = signed_gather(M, transpose_plan(self.m, self.m + self.two_n, graded=True))
-        st_h = st_h if trusted else canonical(st_h)
-        split = even_route(self.m, M, st_h, check=not trusted)
-        if split is None:       # the pair table above SPLIT_MAX
+        else:
+            even_pattern(self.m, M)
+        plan = _membership_plan(self.m, self.two_n, self.ngen)
+        if plan is None:       # the pair table above SPLIT_MAX
+            st_h = signed_gather(M, transpose_plan(self.m, self.m + self.two_n, graded=True))
+            st_h = st_h if trusted else canonical(st_h)
             worst = np.abs(graded_matmul(st_h, M) - H.coeffs).max(axis=(-3, -2, -1), initial=0.0)
         else:
-            worst = _split_slices(lambda a, b: np.abs(canonical(split.regular(a) @ split.pack(b))
-                                                      - self._H_slots).max(axis=(-3, -2, -1)), st_h, M)
+            worst = _split_slices(partial(_split_defects, plan, clean=not trusted), plan[0].items, M)
         # a residual below COEFF_CUTOFF is zero, so the worst is 0 when every one is
-        worst = np.where(worst < COEFF_CUTOFF, 0.0, worst)
-        return float(worst) if worst.ndim == 0 else worst
+        if worst.ndim == 0:
+            return 0.0 if worst < COEFF_CUTOFF else float(worst)
+        return np.where(worst < COEFF_CUTOFF, 0.0, worst)
 
     # ------------------------------------------------------------------
     def xi_from_chi(self, a: np.ndarray, A: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -235,6 +234,31 @@ class OspGroup:
         member is canonical and on the even pattern as it comes.
         """
         return SuperMatrix._wrap(self.m, self.two_n, self.sample_stack([rng], components)[0])
+
+
+@lru_cache(maxsize=None)
+def _membership_plan(m: int, two_n: int, ngen: int):
+    """membership_defect's split route for OSp(m|two_n) over B_ngen: the one-shot product plan, its
+    sources with the left factor read as M^st H through transpose_plan, and H in the result's
+    layout; None above SPLIT_MAX.  Built once per size, as the CLI makes a group per command."""
+    H = body_array(graded_form(m, two_n), ngen)
+    split = even_route(m, H, check=False)
+    if split is None:
+        return None
+    plan = split.one_shot
+    H_slots = plan.pack(H)
+    H_slots.flags.writeable = False
+    return plan, plan.gathered(*transpose_plan(m, m + two_n, graded=True)), H_slots
+
+
+def _split_defects(route, M: np.ndarray, clean: bool) -> np.ndarray:
+    """Each member's largest |(M^st H M)_slot - H_slot| on route = _membership_plan(...); clean makes
+    the left operand canonical, as an untrusted stack's M^st H would be."""
+    plan, gathered, H_slots = route
+    members = M.reshape(-1, plan.flat)
+    out = canonical(plan.multiply(np.concatenate((members, -members), axis=1, dtype=float), gathered, clean))
+    out -= H_slots
+    return np.abs(out, out=out).reshape(len(members), -1).max(axis=1).reshape(M.shape[:-3])
 
 
 # ----------------------------------------------------------------------
@@ -328,18 +352,22 @@ def torus_cohomology(a0, b0, A0, B0, check: bool = True):
     dim H^2 = d - rank [-Bhat, Ahat].  The constraint is ranked as its transpose
     [-Bhat^T; Ahat^T], the same singular values and max(r, c), so both ranks are one
     matrix_rank call on a (2, ..., 2d, d) stack.  Leading axes are a stack of body pairs, as
-    in ahat: the two dimensions are then int arrays over it, and ints for one pair.  check
+    in ahat: the two dimensions are then int arrays over it, and ints for one pair.  Each pair is
+    ranked at the scale max(||a0|| + ||A0||, ||b0|| + ||B0||) (Frobenius norms, see
+    counted_values): a central pair, whose Ahat and Bhat cancel to rounding, ranks 0.  check
     raises ValueError when the bodies do not commute within DEFECT_TOL.
     """
+    a0, b0, A0, B0 = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (a0, b0, A0, B0))
     if check:
-        a0, b0 = np.atleast_2d(a0), np.atleast_2d(b0)
-        A0, B0 = np.atleast_2d(A0), np.atleast_2d(B0)
         if max(np.abs(a0 @ b0 - b0 @ a0).max(), np.abs(A0 @ B0 - B0 @ A0).max()) > DEFECT_TOL:
             raise ValueError("holonomy bodies do not commute")
     Ah, Bh = np.broadcast_arrays(ahat(a0, A0), ahat(b0, B0))
     AhT, BhT = np.swapaxes(Ah, -1, -2), np.swapaxes(Bh, -1, -2)
+    # Ahat = a0^T (x) I - I (x) A0 is a difference: its rounding is that of ||a0|| + ||A0||
+    norms = [np.sqrt(np.square(x).sum(axis=(-2, -1))) for x in (a0, A0, b0, B0)]
+    scale = np.maximum(norms[0] + norms[1], norms[2] + norms[3])
     dims = Ah.shape[-1] - matrix_rank(np.stack([np.concatenate([Ah, Bh], axis=-2),
-                                                np.concatenate([-BhT, AhT], axis=-2)]))
+                                                np.concatenate([-BhT, AhT], axis=-2)]), scale)
     return tuple(dims.tolist()) if dims.ndim == 1 else tuple(dims)
 
 

@@ -339,7 +339,7 @@ def constraint_tensor(alg: SuperAlgebra) -> np.ndarray:
     (_constraint_gather), so it is read from f on every call.
     """
     src, sign = _constraint_gather(alg.parities)
-    F = np.append(alg.f, 0.0).take(src)
+    F = np.concatenate((alg.f.ravel(), (0.0,))).take(src)
     F *= sign          # by +-1, exact, the signs of zeros included
     return F.reshape(alg.f.shape)
 

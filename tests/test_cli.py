@@ -64,16 +64,17 @@ SECTORS_JSON_SHA256 = [
 
 # sha256 of fresh-process `--format json` stdout of the commands that draw per
 # sample (moduli, membership, report, and sectors at (2, 1)), two seeds each:
-# the per-sample streams and every number computed from them
+# the per-sample streams and every number computed from them.  At m = 1 the
+# central draws (kind 2) count 2d, ranked at their bodies' scale
 SAMPLED_JSON_SHA256 = [
     (("moduli", "--seed", "0"),
-     "0e64b64482a3ede52a29168e11fb5b920d26d127ae5bff0395a3fa0bf69a1412"),
+     "d87468d781417ce3a75a0f98047d342f76bcdf2134bb4ebea91d298054050f75"),
     (("moduli", "--seed", "11"),
-     "32aa0ea62e70a8feb48c71563c1576d8e45dcea7cd81c21cfbdc525e08d48544"),
+     "e9e291c5066ce9ea52df0ebef086d192b5e928a027c3749c54cfd6e066bad99e"),
     (("moduli", "--m", "1", "--n", "2", "--samples", "50", "--seed", "0"),
-     "3bb9e98be31a31af440c27c34164b8a61de1ab5b98367ce005cdb6b87fbbf8a5"),
+     "28f4a10912e941da41612d294bbc7814ef29c9fb13b362ed8cb5a18d64eeef76"),
     (("moduli", "--m", "1", "--n", "2", "--samples", "50", "--seed", "11"),
-     "a11a8ac86bb0f8aa6f1909e023e4ef33148f580c16a18892c3f0e90359407a79"),
+     "b61ca2314a97f36daec88a6aefa6fc9d9eb774c6531a0324852110d7f1bfb586"),
     (("moduli", "--m", "3", "--n", "2", "--seed", "0"),
      "c6560355105d39bd87df5cd6025c900e9259ec264471a92a7199a516d5e06a02"),
     (("moduli", "--m", "3", "--n", "2", "--seed", "11"),

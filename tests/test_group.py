@@ -406,6 +406,58 @@ class TestModuliCount:
             assert fermionic_moduli_count(*bodies) == fermionic_moduli_count_bruteforce(*bodies)
 
 
+def central_mask(bodies):
+    """The pairs of commuting_bodies whose bodies are +-1 and +-I up to rounding (kind 2 at m = 1)."""
+    return np.all([np.abs(np.abs(x) - np.eye(x.shape[-1])).max(axis=(-2, -1)) < 1e-12 for x in bodies], axis=0)
+
+
+class TestRankScale:
+    """The rank rule's zero bound is relative to the size of the operands that formed the matrix."""
+
+    @pytest.mark.parametrize("m, n, seed, samples, central", [(1, 2, 0, 500, 115), (1, 1, 11, 50, 8),
+                                                               (1, 2, 11, 50, 8)])
+    def test_central_draws_count_2d(self, m, n, seed, samples, central):
+        # Ahat = a0^T (x) I - I (x) A0 cancels to rounding on a central pair:
+        # ranked against its own sigma_max every rounding value counted, and
+        # the pair read 0 on both routes; at the bodies' scale it ranks 0
+        bodies = commuting_bodies(m, n, seed, samples)
+        mask = central_mask(bodies)
+        assert mask.sum() == central
+        d = 2 * m * n
+        closed, brute = fermionic_moduli_count(*bodies), fermionic_moduli_count_bruteforce(*bodies)
+        assert closed[mask].tolist() == brute[mask].tolist() == [2 * d] * central
+        assert (closed[~mask] < 2 * d).all() and np.array_equal(closed, brute)
+
+    @pytest.mark.parametrize("count", [fermionic_moduli_count, fermionic_moduli_count_bruteforce])
+    def test_exactly_and_nearly_central(self, count):
+        one = np.eye(1)
+        assert count(one, one, np.eye(2), np.eye(2)) == 4
+        assert count(-one, one, -np.eye(4), np.eye(4)) == 8
+        R = rotation(2 * math.pi)          # I up to 2.4e-16
+        assert count(one, one, R, R) == 4
+        # singular values of 1e-9 lie far above rounding at scale 2: not a loosened rule
+        R = rotation(2 * math.pi - 1e-9)
+        assert count(one, one, R, R) == 0
+
+    def test_cancelled_matrix_ranks_zero(self):
+        rounding = 1e-16 * np.random.default_rng(7).uniform(-1.0, 1.0, (3, 4, 4))
+        assert matrix_rank(rounding).tolist() == [4, 4, 4]
+        assert matrix_rank(rounding, 2.0).tolist() == [0, 0, 0]
+        assert matrix_rank(rounding[0], 2.0) == 0 and matrix_rank(np.zeros((4, 4)), 2.0) == 0
+        # the scale of each member of a stack: the second is counted at its own
+        assert matrix_rank(rounding, np.array([2.0, 1e-15, 2.0])).tolist() == [0, 4, 0]
+        # a scale below sigma_max leaves the rule as it was
+        mats = np.random.default_rng(8).uniform(-1.0, 1.0, (4, 5, 3))
+        assert np.array_equal(matrix_rank(mats, 1e-3), matrix_rank(mats))
+
+    def test_undecided_at_the_scale(self):
+        bound = RANK_ROUNDING * 2 * np.finfo(float).eps * 8.0
+        assert matrix_rank(np.diag([1.0, 0.5 * bound]), 8.0) == 1
+        with pytest.raises(RankUndecidedError) as info:
+            matrix_rank(np.diag([1.0, 2 * bound]), 8.0)
+        assert (info.value.sigma_min, info.value.bound) == (2 * bound, bound)
+
+
 class TestSectors:
     def test_counts(self):
         report = enumerate_sectors_osp12()
@@ -681,15 +733,17 @@ class TestStacks:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
     def test_torus_cohomology_equals_per_pair_ranks(self, m, n):
         # the stacked joint rank against each pair's [Ahat; Bhat] and the
-        # untransposed constraint [-Bhat, Ahat], each ranked on its own; the
-        # (1|2), (1|4) and (3|4) draws include singular pairs, (2|2)'s do not
+        # untransposed constraint [-Bhat, Ahat], each ranked on its own at the
+        # pair's scale; the (1|2), (1|4) and (3|4) draws include singular
+        # pairs, central ones among them at m = 1, (2|2)'s do not
         bodies = commuting_bodies(m, n, 40, 40)
         h0, h2 = torus_cohomology(*bodies)
         d = 2 * m * n
         for k, (a0, b0, A0, B0) in enumerate(zip(*bodies)):
             Ah, Bh = ahat(a0, A0), ahat(b0, B0)
-            assert d - h0[k] == matrix_rank(np.concatenate([Ah, Bh]))
-            assert d - h2[k] == matrix_rank(np.concatenate([-Bh, Ah], axis=1))
+            scale = max(np.linalg.norm(a0) + np.linalg.norm(A0), np.linalg.norm(b0) + np.linalg.norm(B0))
+            assert d - h0[k] == matrix_rank(np.concatenate([Ah, Bh]), scale)
+            assert d - h2[k] == matrix_rank(np.concatenate([-Bh, Ah], axis=1), scale)
             assert torus_cohomology(a0, b0, A0, B0) == (h0[k], h2[k])
 
     def test_one_svd_call_per_sweep(self, monkeypatch):

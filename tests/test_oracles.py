@@ -529,6 +529,19 @@ def count_regular(monkeypatch):
     return calls
 
 
+def count_products(monkeypatch):
+    """Log the split point and first factor's shape of every product by a split plan."""
+    calls = []
+    original = grassmann.EvenSplit.product
+
+    def counted(self, x, y):
+        calls.append((self.a, x.shape))
+        return original(self, x, y)
+
+    monkeypatch.setattr(grassmann.EvenSplit, "product", counted)
+    return calls
+
+
 class TestRegularPaths:
     """Even arrays run on the parity blocks of L while 2^N d <= SPLIT_MAX, on the kernel above.
 
@@ -603,8 +616,10 @@ class TestRegularPaths:
         else:
             assert len(kernel) >= 10 and not regular
         regular.clear()
+        products = count_products(monkeypatch)
         graded_matmul(x, x, m)
-        assert regular == ([x.shape] if under else [])
+        # one product by the balanced plan, which builds no L
+        assert not regular and products == ([(grassmann.split_point(ngen), x.shape)] if under else [])
 
     @pytest.mark.parametrize("ngen", [2, 6])
     def test_sliced_stack_equals_unsliced(self, monkeypatch, ngen):
@@ -718,6 +733,115 @@ class TestRunBuild:
             L = left_regular(stack[0])
             assert np.array_equal(blocks[0, 0], L[np.ix_(v0, v0)])
             assert np.array_equal(blocks[0, 1], L[np.ix_(v1, v1)])
+
+
+# (n, d, m) for the split point's oracle: (0|d), (d|0), m = d - m, m != d - m
+# in runs of 1 and, where 2^n d <= SPLIT_MAX allows d = 6, in runs of 2
+SPLIT_POINT_SHAPES = ([(n, d, m) for n in range(1, 7) for d, m in ((4, 0), (4, 4), (4, 2), (3, 1), (6, 2), (6, 4))]
+                      + [(7, 4, 0), (7, 4, 4), (7, 4, 2), (7, 4, 1), (8, 2, 0), (8, 2, 2), (8, 2, 1),
+                         (9, 1, 0), (9, 1, 1)])
+
+
+def sparse_even(rng, n, d, m, terms):
+    """(2^n, d, d) coefficients on the even (m|d-m) pattern, at most terms monomials an entry."""
+    out = np.zeros((1 << n, d, d))
+    allowed = ~pattern_mask(n, d, m)
+    for i, j in np.ndindex(d, d):
+        masks = np.flatnonzero(allowed[:, i, j])
+        pick = rng.choice(masks, min(terms, len(masks)), replace=False)
+        out[pick, i, j] = rng.uniform(-1.0, 1.0, len(pick))
+    return out
+
+
+def dict_matmul(x, y):
+    """x y by dict_product entry by entry, and each entry's sum of |term pair| products."""
+    n, d = x.shape[0].bit_length() - 1, x.shape[1]
+    gx, gy = array_to_gmat(x), array_to_gmat(y)
+    out, scale = np.zeros(x.shape), np.zeros(x.shape)
+    for i, k in np.ndindex(d, d):
+        column = [gy[j][k] for j in range(d)]
+        out[:, i, k] = dict_product(gx[i], column, n).dense()
+        for e, f in zip(gx[i], column):
+            for p, a in e.terms.items():
+                for q, b in f.terms.items():
+                    if not p & q:
+                        scale[p | q, i, k] += abs(a * b)
+    return out, scale
+
+
+class TestSplitPoint:
+    """One-shot products at split point a: the top a generators go into the right operand."""
+
+    @pytest.mark.parametrize("n, d, m", SPLIT_POINT_SHAPES)
+    def test_every_split_point_equals_dict_product(self, n, d, m):
+        rng = np.random.default_rng([n, d, m, 43])
+        terms = 1 << n if n <= 5 else 12
+        x, y = sparse_even(rng, n, d, m, terms), sparse_even(rng, n, d, m, terms)
+        want, scale = dict_matmul(x, y)
+        tol = 16 * np.finfo(float).eps * scale.max()
+        got = graded_matmul(x, y, m)
+        assert np.abs(got - want).max() <= tol and not got[pattern_mask(n, d, m)].any()
+        for a in range(n):
+            split = grassmann.EvenSplit(n, d, m, a)
+            assert split.run == math.gcd(m, d - m)
+            assert np.abs(split.product(x, y) - want).max() <= tol
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_split_point_rule(self, n):
+        assert grassmann.split_point(n) == (n // 2 if n >= 4 else 0)
+        split = grassmann.even_route(1, np.zeros((1 << n, 1, 1)))
+        plan = split.one_shot
+        assert (plan.n, plan.a) == (n, grassmann.split_point(n)) and split.a == 0
+        # a balanced plan's operands hold about 2^(3n/2) d^2 floats where L holds 2^(2n-1) d^2
+        if plan.a:
+            assert plan.items < split.left_items
+
+    @pytest.mark.parametrize("n, d, m", [(4, 4, 2), (5, 6, 2), (6, 4, 2), (6, 3, 1), (7, 4, 0), (8, 2, 1),
+                                         (9, 1, 1)])
+    def test_stacks_equal_members(self, n, d, m):
+        rng = np.random.default_rng([n, d, m, 44])
+        x, y = even_stack(rng, n, d, m), even_stack(rng, n, d, m)
+        whole = graded_matmul(x, y, m)
+        grid = graded_matmul(x[:, None], y[None, :2], m)
+        for k in range(len(x)):
+            assert bit_equal(whole[k], graded_matmul(x[k], y[k], m))
+            for j in range(2):
+                assert bit_equal(grid[k, j], graded_matmul(x[k], y[j], m))
+        assert bit_equal(graded_matmul(x[0], y, m)[1], graded_matmul(x[0], y[1], m))
+
+    @pytest.mark.parametrize("n, d, m", [shape for shape in SPLIT_SHAPES if shape[0] <= 3])
+    def test_below_four_generators_is_the_split_form(self, n, d, m):
+        # a = 0 below BALANCED_MIN_N: the product is today's L @ t, bit for bit
+        stack = even_stack(np.random.default_rng([n, d, m, 45]), n, d, m)
+        split = grassmann.even_route(m, stack)
+        want = canonical(split.unpack(split.regular(stack) @ split.pack(stack[::-1])))
+        assert bit_equal(graded_matmul(stack, stack[::-1], m), want)
+        assert bit_equal(graded_matmul(stack[0], stack[2], m), want[0])
+
+    @pytest.mark.parametrize("m, n, ngen", [(2, 1, 4), (2, 1, 6), (1, 2, 5), (2, 2, 5), (1, 1, 7)])
+    def test_fused_defect_equals_gathered_product(self, m, n, ngen):
+        # M^st H is read through transpose_plan inside the plan: the defect is
+        # the product's of the gathered transpose, bit for bit, and within
+        # rounding of the pair table's
+        group = OspGroup(m, n, ngen)
+        d, H = m + 2 * n, group.H_matrix().coeffs
+        rng = np.random.default_rng([m, n, ngen, 46])
+        members = np.array([group.sample_member(rng).coeffs for _ in range(2)])
+        near = members[0] + 1e-6 * random_supermatrix(rng, m, 2 * n, ngen).coeffs
+        # below the cutoff: the raw left operand would add 2 e, above COEFF_CUTOFF
+        tiny = np.array(SuperMatrix.identity(m, 2 * n, ngen).coeffs)
+        tiny[3, 0, 0] = 0.9 * COEFF_CUTOFF
+        stack = np.array([members[0], near, tiny, members[1]])
+        plan = transpose_plan(m, d, graded=True)
+        got = group.membership_defect(stack)
+        st_h = canonical(signed_gather(stack, plan))
+        split_route = np.abs(canonical(graded_matmul(st_h, stack, m)) - H).max(axis=(-3, -2, -1))
+        assert bit_equal(got, np.where(split_route < COEFF_CUTOFF, 0.0, split_route))
+        table = np.abs(graded_matmul(st_h, stack) - H).max(axis=(-3, -2, -1))
+        assert np.abs(got - table).max() <= 1e-14 and got[2] == 0.0 and got[1] > 1e-7
+        for k, M in enumerate(stack):
+            assert group.membership_defect(M) == got[k]
+        assert group.membership_defect(SuperMatrix.from_coeffs(m, 2 * n, members[1])) == got[3]
 
 
 # ----------------------------------------------------------------------
