@@ -627,17 +627,18 @@ def _body_inverse(x: np.ndarray) -> np.ndarray:
         raise NonInvertibleError("singular body; no inverse exists") from exc
 
 
-def _invert(x: np.ndarray, m: int | None) -> np.ndarray:
+def _invert(x: np.ndarray, m: int | None, split: EvenSplit | None) -> np.ndarray:
+    """x^-1 on split, even_route's plan for x, or by splitting off the last generator."""
+    if split is not None:
+        return _split_slices(lambda part: _neumann(split, part), split.left_items, x)
     size = x.shape[-3]
     if size == 1:
         return _body_inverse(x)[..., None, :, :]
-    if m is not None and size * x.shape[-1] <= SPLIT_MAX:
-        split = _even_split(size.bit_length() - 1, x.shape[-1], m)
-        return _split_slices(lambda part: _neumann(split, part), split.left_items, x)
     # x = x0 + x1 theta_n and y = y0 + y1 theta_n with x y = 1: x0 y0 = 1 and
     # x0 y1 + x1 y0^ = 0, so y1 = -y0 x1 y0^ with ^ the grade involution
     half = size >> 1
-    y0 = _invert(x[..., :half, :, :], m)
+    x0 = x[..., :half, :, :]
+    y0 = _invert(x0, m, even_route(m, x0, check=False))
     out = np.empty_like(x)
     out[..., :half, :, :] = y0
     out[..., half:, :, :] = -_convolve(
@@ -660,8 +661,7 @@ def graded_inverse(x: np.ndarray, m: int | None, check: bool = True) -> np.ndarr
     result is two-sided and canonical, member by member the one-matrix
     inverse.
     """
-    even_route(m, x, check=check)
-    return canonical(_invert(x, m))
+    return canonical(_invert(x, m, even_route(m, x, check=check)))
 
 
 def taylor_sum(step, identity: np.ndarray, member_ndim: int, cutoff: float,
@@ -827,58 +827,8 @@ class GrassmannElement:
     def zero(cls, n: int) -> "GrassmannElement":
         return cls(n, {})
 
-    @classmethod
-    def one(cls, n: int) -> "GrassmannElement":
-        return cls(n, {0: 1.0})
-
-    @classmethod
-    def theta(cls, index: int, n: int) -> "GrassmannElement":
-        """Generator theta_index with 1-based index."""
-        if not 1 <= index <= n:
-            raise ValueError(f"generator index {index} outside 1..{n}")
-        return cls(n, {1 << (index - 1): 1.0})
-
-    @classmethod
-    def monomial(cls, indices: Iterable[int], n: int, coeff: Scalar = 1.0) -> "GrassmannElement":
-        """Monomial from strictly increasing 1-based generator indices."""
-        return cls(n, {monomial_mask(indices, n): float(coeff)})
-
-    # ------------------------------------------------------------------
-    # structure
-    # ------------------------------------------------------------------
-    @property
-    def body(self) -> float:
-        """Coefficient of the empty monomial."""
-        return self.terms.get(0, 0.0)
-
-    def soul(self) -> "GrassmannElement":
-        return GrassmannElement(self.n, {m: c for m, c in self.terms.items() if m})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self, parity: int) -> bool:
-        """True when every monomial has length = parity mod 2 (zero passes)."""
-        return all(mask.bit_count() & 1 == parity for mask in self.terms)
-
-    def parity(self) -> int | None:
-        """0 / 1 for homogeneous elements, None for mixed or zero."""
-        if not self.terms:
-            return None
-        parities = {mask.bit_count() & 1 for mask in self.terms}
-        return parities.pop() if len(parities) == 1 else None
-
-    def degree(self) -> int:
-        """Largest monomial length present (-1 for the zero element)."""
-        return max((m.bit_count() for m in self.terms), default=-1)
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def graded_component(self, degree: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.n, {m: c for m, c in self.terms.items() if m.bit_count() == degree}
-        )
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -903,17 +853,6 @@ class GrassmannElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "GrassmannElement":
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
-
-    def __rsub__(self, other) -> "GrassmannElement":
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
-
-    def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.n, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other) -> "GrassmannElement":
         if isinstance(other, (int, float)):
             return GrassmannElement(self.n, {m: c * other for m, c in self.terms.items()})
@@ -922,19 +861,6 @@ class GrassmannElement:
             return NotImplemented
         out = graded_matmul(self.dense()[:, None, None], o.dense()[:, None, None])
         return GrassmannElement.from_dense(out[:, 0, 0])
-
-    def __rmul__(self, other) -> "GrassmannElement":
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
-
-    def __truediv__(self, other) -> "GrassmannElement":
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
 
     def inverse(self) -> "GrassmannElement":
         """Multiplicative inverse through ``graded_inverse``; needs a nonzero body."""
@@ -951,10 +877,6 @@ class GrassmannElement:
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def isclose(self, other, tol: float = EXACT_TOL) -> bool:
-        o = self._coerce(other)
-        return (self - o).max_abs() <= tol
 
     def monomials(self) -> Iterator[tuple[tuple[int, ...], float]]:
         """Pairs of (1-based increasing index tuple, coefficient), sorted."""

@@ -105,20 +105,16 @@ class OspGroup:
         return SuperMatrix.from_body(self.H, self.m, self.two_n, self.ngen)
 
     # ------------------------------------------------------------------
-    def is_member(self, M: SuperMatrix, tol: float = DEFECT_TOL) -> bool:
-        """M^st H M = H plus the body conditions a0 in O(m), A0 in Sp(2n), all within tol."""
-        if (M.m, M.n) != (self.m, self.two_n):
-            raise ValueError(
-                f"expected block sizes ({self.m},{self.two_n}), got ({M.m},{M.n})"
-            )
-        return self.member_residual(M) <= tol
-
     def member_residual(self, M):
         """The largest of membership_defect and the body residuals a0^T a0 - I and A0^T C A0 - C.
 
         M is a SuperMatrix, giving a float, or an even coefficient stack,
-        giving an array over the stack, as in membership_defect.
+        giving an array over the stack, as in membership_defect.  M is a
+        member when this is at most DEFECT_TOL.  A SuperMatrix of other block
+        sizes raises ValueError.
         """
+        if isinstance(M, SuperMatrix) and (M.m, M.n) != (self.m, self.two_n):
+            raise ValueError(f"expected block sizes ({self.m},{self.two_n}), got ({M.m},{M.n})")
         body = M.coeffs[0] if isinstance(M, SuperMatrix) else M[..., 0, :, :]
         a0, A0 = body[..., :self.m, :self.m], body[..., self.m:, self.m:]
         orthogonal = np.abs(np.swapaxes(a0, -1, -2) @ a0 - np.eye(self.m)).max(axis=(-2, -1))
@@ -572,39 +568,30 @@ def commuting_bodies(m: int, n: int, seed: int, samples: int):
 
 @dataclass
 class HolonomyPair:
-    """Two commuting group elements with the determinant/rank metadata.
+    """Two commuting group elements and their count of fermionic moduli.
 
-    Fermionic moduli require both Kronecker operators to degenerate; the
-    stored count comes from the degree-1 kernel/orbit computation, which is
-    also correct for sectors where only one side degenerates.  residual is
-    the largest of U1's and U2's member_residual and of the coefficients of
-    their commutator, at most DEFECT_TOL in every pair that from_stack
-    returns.
+    moduli is the degree-1 kernel/orbit count,
+    fermionic_moduli_count_bruteforce, which is also correct for sectors
+    where only one Kronecker operator degenerates.  residual is the largest
+    of U1's and U2's member_residual and of the coefficients of their
+    commutator, at most DEFECT_TOL in every pair that from_stack returns.
     """
 
     U1: SuperMatrix
     U2: SuperMatrix
     label: str
-    det_ahat: float
-    det_bhat: float
-    rank_ahat: int
-    rank_bhat: int
     moduli: int
     residual: float
-
-    @property
-    def fermionic(self) -> bool:
-        return self.moduli > 0
 
     @classmethod
     def from_stack(cls, group: OspGroup, U: np.ndarray, labels) -> list["HolonomyPair"]:
         """One pair per (U1, U2) of an even (k, 2, 2^N, d, d) coefficient stack.
 
-        The membership and commutator checks, the two Kronecker operators'
-        determinants and ranks and the brute-force counts are one stacked call
-        each, each member its one-pair value.  Raises ValueError at the first
-        pair, in stack order, that is not a pair of commuting members within
-        DEFECT_TOL, and before any product when U is not a stack of the group's (m, 2n) blocks.
+        The membership and commutator checks and the brute-force counts are
+        one stacked call each, each member its one-pair value.  Raises
+        ValueError at the first pair, in stack order, that is not a pair of
+        commuting members within DEFECT_TOL, and before any product when U is
+        not a stack of the group's (m, 2n) blocks.
         """
         m, two_n = group.m, group.two_n
         d = m + two_n
@@ -621,13 +608,9 @@ class HolonomyPair:
             if comm[k] > DEFECT_TOL:
                 raise ValueError(f"holonomies do not commute (defect {comm[k]:.3e})")
         a0, A0 = U[:, :, 0, :m, :m], U[:, :, 0, m:, m:]
-        ops = ahat(a0, A0)
-        dets, ranks = np.linalg.det(ops), matrix_rank(ops)
         moduli = fermionic_moduli_count_bruteforce(a0[:, 0], a0[:, 1], A0[:, 0], A0[:, 1])
         return [cls(U1=SuperMatrix._wrap(m, two_n, U[k, 0]), U2=SuperMatrix._wrap(m, two_n, U[k, 1]),
-                    label=label, det_ahat=float(dets[k, 0]), det_bhat=float(dets[k, 1]),
-                    rank_ahat=int(ranks[k, 0]), rank_bhat=int(ranks[k, 1]), moduli=int(moduli[k]),
-                    residual=float(max(member[k].max(), comm[k])))
+                    label=label, moduli=int(moduli[k]), residual=float(max(member[k].max(), comm[k])))
                 for k, label in enumerate(labels)]
 
 

@@ -127,15 +127,6 @@ class GradedPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def parity(self) -> int | None:
-        if not self.terms:
-            return None
-        ps = {mask.bit_count() & 1 for _, mask in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
     def parity_part(self, parity: int) -> "GradedPolynomial":
         return GradedPolynomial(
             self.ctx,
@@ -158,17 +149,6 @@ class GradedPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return GradedPolynomial(self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = self.ctx.scalar(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return GradedPolynomial(self.ctx, {k: c * other for k, c in self.terms.items()})
@@ -181,11 +161,6 @@ class GradedPolynomial:
                 key = (tuple(a + b for a, b in zip(e1, e2)), m1 | m2)
                 out[key] = out.get(key, 0.0) + merge_sign(m1, m2) * c1 * c2
         return GradedPolynomial(self.ctx, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
 
     # ------------------------------------------------------------------
     def d_even(self, slot: int) -> "GradedPolynomial":
@@ -283,26 +258,6 @@ class GradedPolynomial:
 
     def __hash__(self):
         return hash((self.ctx, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (exps, mask), c in sorted(self.terms.items()):
-            factors = []
-            for slot, e in enumerate(exps):
-                if e:
-                    k, a = divmod(slot, self.ctx.n_even)
-                    factors.append(f"A{k + 1}^{a}" + (f"^{e}" if e > 1 else ""))
-            rest = mask
-            while rest:
-                low = rest & -rest
-                slot = low.bit_length() - 1
-                k, al = divmod(slot, self.ctx.n_odd)
-                factors.append(f"psi{k + 1}^{al}")
-                rest ^= low
-            bits.append(f"{c:g}*" + "*".join(factors) if factors else f"{c:g}")
-        return " + ".join(bits).replace("+ -", "- ")
 
 
 # ----------------------------------------------------------------------

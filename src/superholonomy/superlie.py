@@ -19,7 +19,7 @@ import numpy as np
 
 from .grassmann import (DEFECT_TOL, EXACT_TOL, PLAN_PAIRS, canonical, grade_signs, graded_matmul, matrix_rank,
                         stack_chunk)
-from .supermatrix import graded_form, real_array, supertranspose_coeffs, symplectic_form
+from .supermatrix import _json_number, graded_form, real_array, supertranspose_coeffs, symplectic_form
 
 SIGMA0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -373,16 +373,18 @@ class SuperAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuperAlgebra":
-        """Inverse of to_json_dict; malformed or inconsistent input raises ValueError."""
+        """Inverse of to_json_dict; a repeated index sums its values, as SuperMatrix entries do, and
+        malformed or inconsistent input, a value that is not an int or float included, raises ValueError."""
         labels, parities, arrays = tuple(data["labels"]), tuple(data["parities"]), {}
         dim = len(labels)
         for name, rank in (("f", 3), ("eta", 2)):
             arr = np.zeros((dim,) * rank)
             for entry in data[name]:
                 idx = tuple(entry["index"])
-                if len(idx) != rank or not all(isinstance(v, (int, np.integer)) and 0 <= v < dim for v in idx):
+                if len(idx) != rank or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                               and 0 <= v < dim for v in idx):
                     raise ValueError(f"{name} index {list(idx)} is not {rank} integers in [0, {dim})")
-                arr[idx] = entry["value"]
+                arr[idx] += _json_number(entry["value"], f"{name} value")
             arrays[name] = arr
         alg = cls(labels=labels, parities=parities, f=arrays["f"], eta=arrays["eta"],
                   conventions=data.get("conventions", {}))

@@ -131,7 +131,7 @@ def supertranspose_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class SuperMatrix:
-    """Immutable even (m+n) x (m+n) matrix over B_N, built by from_coeffs, identity, zero, from_body or JSON.
+    """Immutable even (m+n) x (m+n) matrix over B_N, built by from_coeffs, identity, from_body or JSON.
 
     ``coeffs`` is a read-only float array of shape (2^N, m+n, m+n) in
     canonical form (no coefficient below COEFF_CUTOFF); ``rows`` is the same
@@ -171,11 +171,6 @@ class SuperMatrix:
         return cls._wrap(m, n, body_array(np.eye(m + n), ngen))
 
     @classmethod
-    def zero(cls, m: int, n: int, ngen: int) -> "SuperMatrix":
-        _check_dims(m, n, ngen)
-        return cls._wrap(m, n, np.zeros((1 << ngen, m + n, m + n)))
-
-    @classmethod
     def from_body(cls, body: np.ndarray, m: int, n: int, ngen: int) -> "SuperMatrix":
         """A real (m+n, m+n) matrix over B_ngen; odd blocks have no body, so it must be block diagonal."""
         _check_dims(m, n, ngen)
@@ -207,30 +202,12 @@ class SuperMatrix:
         b = self.body()
         return b[: self.m, : self.m], b[self.m :, self.m :]
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max(initial=0.0))
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
     def _check_compatible(self, other: "SuperMatrix"):
         if (self.m, self.n, self.ngen) != (other.m, other.n, other.ngen):
             raise ValueError("supermatrix dimensions or generator counts differ")
-
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        self._check_compatible(other)
-        return SuperMatrix._wrap(self.m, self.n, canonical(self.coeffs + other.coeffs))
-
-    def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        self._check_compatible(other)
-        return SuperMatrix._wrap(self.m, self.n, canonical(self.coeffs - other.coeffs))
-
-    def __mul__(self, scalar) -> "SuperMatrix":
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return SuperMatrix._wrap(self.m, self.n, canonical(self.coeffs * scalar))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_compatible(other)
@@ -241,11 +218,6 @@ class SuperMatrix:
     def supertranspose(self) -> "SuperMatrix":
         """Graded transpose through ``supertranspose_coeffs``."""
         return SuperMatrix._wrap(self.m, self.n, supertranspose_coeffs(self.coeffs, self.m))
-
-    def supertrace(self) -> np.ndarray:
-        """Graded trace tr(a) - tr(A), a canonical (2^N,) array."""
-        signs = np.where(np.arange(self.m + self.n) < self.m, 1.0, -1.0)
-        return canonical(np.diagonal(self.coeffs, axis1=1, axis2=2) @ signs)
 
     def inverse(self) -> "SuperMatrix":
         """Two-sided inverse through ``graded_inverse``.
@@ -265,10 +237,6 @@ class SuperMatrix:
     # ------------------------------------------------------------------
     # comparisons / io
     # ------------------------------------------------------------------
-    def diff(self, other: "SuperMatrix") -> float:
-        """Largest absolute coefficient of self - other."""
-        return (self - other).max_abs()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperMatrix):
             return NotImplemented
@@ -300,7 +268,7 @@ class SuperMatrix:
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"entry ({i}, {j}) outside a {d}x{d} supermatrix")
             mask = monomial_mask([_json_int(g, "monomial index") for g in entry["monomial"]], ngen)
-            coeffs[mask, i, j] += float(entry["value"])
+            coeffs[mask, i, j] += _json_number(entry["value"], "value")
         return cls.from_coeffs(m, n, coeffs)
 
 
@@ -309,6 +277,13 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_number(value, name: str) -> float:
+    """A real field of the wire format: a string, bool or anything but an int or float raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _check_dims(m: int, n: int, ngen: int):

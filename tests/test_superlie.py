@@ -86,7 +86,7 @@ class TestOsp12Relations:
             assert mat[0, 0] == 0.0
 
     def test_graded_trace_of_generator_products(self, osp12):
-        # the supermatrix supertrace reproduces the full bilinear form, even
+        # the supertrace tr(a) - tr(A) reproduces the full bilinear form, even
         # block diag(-1,1,1) and odd block antisymmetric, with one scale
         k = osp12.conventions["supertrace_normalization"]
         # the generators as coefficient arrays over B_2, the odd ones on the
@@ -97,8 +97,8 @@ class TestOsp12Relations:
             for j in range(5):
                 prod = graded_matmul(mats[i], mats[j])
                 if osp12.parities[i] == osp12.parities[j]:
-                    val = SuperMatrix.from_coeffs(1, 2, prod).supertrace()
-                    assert abs(val[0] - k * osp12.eta[i, j]) < 1e-12
+                    body = SuperMatrix.from_coeffs(1, 2, prod).body()
+                    assert abs(body[0, 0] - body[1, 1] - body[2, 2] - k * osp12.eta[i, j]) < 1e-12
                 else:
                     assert not np.diagonal(prod, axis1=1, axis2=2).any() and osp12.eta[i, j] == 0.0
 
@@ -161,10 +161,10 @@ class TestBracket:
             yc[2, 3:] = rng.uniform(-1, 1, 2)
             X = SuperMatrix.from_coeffs(1, 2, osp12.embed(xc))
             Y = SuperMatrix.from_coeffs(1, 2, osp12.embed(yc))
-            matrix_side = X @ Y - Y @ X
+            matrix_side = (X @ Y).coeffs - (Y @ X).coeffs
             coeff_side = osp12.bracket(xc, yc)
             recon = SuperMatrix.from_coeffs(1, 2, osp12.embed(coeff_side))
-            assert matrix_side.diff(recon) < 1e-12
+            assert np.abs(matrix_side - recon.coeffs).max() < 1e-12
 
     def test_parity_violation_rejected(self, osp12):
         bad = np.zeros((4, 5))
@@ -654,7 +654,7 @@ class TestJson:
 
     @pytest.mark.parametrize("field, index", [
         ("f", [-1, 0, 1]), ("f", [0, 5, 1]), ("f", [0, 1]), ("f", [0, 1, 2, 3]),
-        ("eta", [0, -1]), ("eta", [5, 0]), ("eta", [0.0, 1]),
+        ("eta", [0, -1]), ("eta", [5, 0]), ("eta", [0.0, 1]), ("f", [True, 1, 2]),
     ])
     def test_rejects_bad_index(self, osp12, field, index):
         data = osp12.to_json_dict()
@@ -671,6 +671,27 @@ class TestJson:
         data["parities"] = parities
         with pytest.raises(ValueError, match=match):
             SuperAlgebra.from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["f", "eta"])
+    @pytest.mark.parametrize("value", ["2", True, None])
+    def test_rejects_non_number_value(self, osp12, field, value):
+        # a str value used to load as its float, and True as 1.0
+        data = osp12.to_json_dict()
+        data[field][0]["value"] = value
+        with pytest.raises(ValueError, match=f"^{field} value must be a number"):
+            SuperAlgebra.from_json_dict(data)
+
+    def test_repeated_index_sums(self, osp12):
+        # as SuperMatrix entries do: eta[0, 0] = -1 split into -3 and 2, where the last used to win
+        data = osp12.to_json_dict()
+        entry = next(e for e in data["eta"] if e["index"] == [0, 0])
+        assert entry["value"] == -1.0
+        entry["value"] = -3.0
+        data["eta"].append({"index": [0, 0], "value": 2.0})
+        again = SuperAlgebra.from_json_dict(data)
+        assert np.array_equal(again.eta, osp12.eta) and np.array_equal(again.f, osp12.f)
+        entry["value"] = 5.0
+        assert SuperAlgebra.from_json_dict(data).eta[0, 0] == 7.0
 
     def test_validates_structure_constants(self, osp12):
         data = osp12.to_json_dict()
