@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -110,17 +110,26 @@ class OspGroup:
 
         M is a SuperMatrix, giving a float, or an even coefficient stack,
         giving an array over the stack, as in membership_defect.  M is a
-        member when this is at most DEFECT_TOL.  A SuperMatrix of other block
-        sizes raises ValueError.
+        member when this is at most DEFECT_TOL.  M of another shape raises
+        membership_defect's ValueError before any product.
         """
-        if isinstance(M, SuperMatrix) and (M.m, M.n) != (self.m, self.two_n):
-            raise ValueError(f"expected block sizes ({self.m},{self.two_n}), got ({M.m},{M.n})")
+        self._check_shape(M)
         body = M.coeffs[0] if isinstance(M, SuperMatrix) else M[..., 0, :, :]
         a0, A0 = body[..., :self.m, :self.m], body[..., self.m:, self.m:]
         orthogonal = np.abs(np.swapaxes(a0, -1, -2) @ a0 - np.eye(self.m)).max(axis=(-2, -1))
         symplectic = np.abs(np.swapaxes(A0, -1, -2) @ self.C @ A0 - self.C).max(axis=(-2, -1))
         worst = np.maximum(self.membership_defect(M), np.maximum(orthogonal, symplectic))
         return float(worst) if worst.ndim == 0 else worst
+
+    def _check_shape(self, M):
+        # a SuperMatrix of the group's block sizes over B_N, or a (..., 2^N, d, d) stack
+        shape = self.H_matrix().coeffs.shape
+        if isinstance(M, SuperMatrix):
+            if (M.m, M.n, M.ngen) != (self.m, self.two_n, self.ngen):
+                raise ValueError(f"expected block sizes ({self.m},{self.two_n}) over B_{self.ngen}, "
+                                 f"got ({M.m},{M.n}) over B_{M.ngen}")
+        elif np.shape(M)[-3:] != shape:
+            raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (*shape, np.shape(M)))
 
     @cached_property
     def _draw_plan(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +156,10 @@ class OspGroup:
         slots; off them both sides are 0.
         """
         H = self.H_matrix()
+        self._check_shape(M)
         trusted = isinstance(M, SuperMatrix)
         if trusted:
-            H._check_compatible(M)
             M = M.coeffs
-        elif np.shape(M)[-3:] != H.coeffs.shape:
-            raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (*H.coeffs.shape, np.shape(M)))
         else:
             even_pattern(self.m, M)
         plan = _membership_plan(self.m, self.two_n, self.ngen)
@@ -181,7 +188,7 @@ class OspGroup:
         return -graded_matmul(at_inv, graded_matmul(np.swapaxes(chi, -1, -2), CA))
 
     # ------------------------------------------------------------------
-    def sample_stack(self, rngs, components: bool = True) -> np.ndarray:
+    def sample_stack(self, rngs) -> np.ndarray:
         """sample_member for each generator of rngs, as one coefficient stack.
 
         Every sample's draws are taken first, in sample_member's order (its
@@ -203,7 +210,7 @@ class OspGroup:
         for k, rng in enumerate(rngs):
             # one rng.uniform call of k values reads the stream of k scalar calls
             flat[k, positions] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(positions)) * factor
-            flips[k] = components and rng.random() < 0.5
+            flips[k] = rng.random() < 0.5
         canonical(table)               # zero what falls below COEFF_CUTOFF
 
         def members_of(part):
@@ -222,14 +229,14 @@ class OspGroup:
             members[start:start + chunk] = members_of(slice(start, start + chunk))
         return members
 
-    def sample_member(self, rng, components: bool = True) -> SuperMatrix:
-        """exp of a random enveloping-algebra element, optionally reflected.
+    def sample_member(self, rng) -> SuperMatrix:
+        """exp of a random enveloping-algebra element, reflected on a coin toss.
 
         Algebra coefficients are uniform in [-SAMPLE_SCALE, SAMPLE_SCALE],
         even souls halved; the one-sample case of sample_stack, whose
         member is canonical and on the even pattern as it comes.
         """
-        return SuperMatrix._wrap(self.m, self.two_n, self.sample_stack([rng], components)[0])
+        return SuperMatrix._wrap(self.m, self.two_n, self.sample_stack([rng])[0])
 
 
 @lru_cache(maxsize=None)
@@ -418,83 +425,8 @@ def sp_from_random(u: np.ndarray, scale: float) -> np.ndarray:
     return symplectic_form(u.shape[-1]) @ (S + np.swapaxes(S, -1, -2))
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): the hashmix constants of its
-# entropy mixing (INIT_A, MULT_A) and of generate_state (INIT_B, MULT_B), the
-# multipliers of its mix (MIX_MULT_L, MIX_MULT_R), and its pool of four 32-bit words
-_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
-_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SEED_MIX_MULT_L, _SEED_MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_SEED_POOL = 4
-# PCG_DEFAULT_MULTIPLIER_128, PCG64's LCG multiplier (O'Neill, "PCG: A Family of Simple
-# Fast Space-Efficient Statistically Good Algorithms for Random Number Generation",
-# HMC-CS-2014-0905)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _spawned_words(seed: int, samples: int, words: int) -> np.ndarray:
-    """(samples, words) uint64: row k is the first words raw outputs of PCG64(SeedSequence(seed).spawn(samples)[k]).
-
-    Bit for bit, with no SeedSequence, PCG64 or Generator per child.  Child k's entropy is
-    the seed's 32-bit words, zero-padded to the pool, then its spawn key k; only that last
-    word differs between children.  So the seed's words are mixed once in Python ints, and
-    the key word's mixing and generate_state(4, uint64) run over all children at once in
-    uint32 arrays.  PCG64 seeds from the four uint64 words by its two-step srandom in
-    Python ints mod 2^128; one bit generator, its public state set per child, reads each
-    row in one random_raw call.  A negative seed raises ValueError, as SeedSequence does.
-    """
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (_SEED_POOL - len(entropy))
-
-    def steps(const, mult):
-        # the (before, after) constants of successive hashmix calls
-        while True:
-            before, const = const, const * mult & _MASK32
-            yield before, const
-
-    def columns(step_pairs):
-        return (np.array(c, dtype=np.uint32)[:, None] for c in zip(*step_pairs))
-
-    def hashmix(value, step):
-        # ints, or uint32 arrays that wrap as numpy's uint32_t does
-        before, const = step
-        value = (value ^ before) * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = ((_SEED_MIX_MULT_L * x & _MASK32) - _SEED_MIX_MULT_R * y) & _MASK32
-        return r ^ r >> 16
-
-    mixing = steps(_SEED_INIT_A, _SEED_MULT_A)
-    pool = [hashmix(w, next(mixing)) for w in entropy[:_SEED_POOL]]
-    for src in range(_SEED_POOL):
-        for dst in range(_SEED_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], next(mixing)))
-    for w in entropy[_SEED_POOL:]:
-        pool = [mix(p, hashmix(w, next(mixing))) for p in pool]
-    # the spawn key, last, one row per pool word and one column per child
-    key = np.arange(samples, dtype=np.uint32)
-    pool = mix(np.array(pool, dtype=np.uint32)[:, None], hashmix(key, columns(islice(mixing, _SEED_POOL))))
-    # generate_state(4, uint64): eight 32-bit words from pool[i % 4], paired low word first
-    generate = columns(islice(steps(_SEED_INIT_B, _SEED_MULT_B), 8))
-    state = hashmix(np.concatenate([pool, pool]), generate).astype(np.uint64)
-    inner = {}
-    outer = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": inner}
-    bit_generator, rows = np.random.PCG64(0), []
-    # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from 0 with initstate added between
-    for s0, s1, i0, i1 in (state[0::2] | state[1::2] << 32).T.tolist():
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        inner["state"], inner["inc"] = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128, inc
-        bit_generator.state = outer
-        rows.append(bit_generator.random_raw(words))
-    return np.stack(rows)
-
-
 def commuting_bodies(m: int, n: int, seed: int, samples: int):
-    """Commuting bodies (a0, b0, A0, B0), one pair per child of SeedSequence(seed).spawn(samples), as four stacks.
+    """Commuting bodies (a0, b0, A0, B0), one pair per block of PCG64(seed)'s raw words, as four stacks.
 
     Both holonomies of a pair exponentiate multiples of the same o(m) and
     sp(2n) generators (aligned sectors, where the count is 2(2mn - r)), with
@@ -507,11 +439,12 @@ def commuting_bodies(m: int, n: int, seed: int, samples: int):
     eigenvalue +-1 for a generic draw, kind 3 zeroes K but draws a generic
     sp(2n) direction, and kind 0 draws both generic.
 
-    The stream contract: sample k reads only the raw 64-bit words w of
-    PCG64(child k) (see _spawned_words), in this fixed order:
+    The stream contract: one random_raw(samples W) call of PCG64(seed) gives
+    W = 2m^2 + 8n^2 + 8 raw 64-bit words a sample, and sample k reads only
+    its block w = words kW ... kW + W - 1, in this fixed order:
     K(m^2) . A . [S(4n^2)] . t(2) . B . u(2) . C . D . L(m^2) . P(4n^2),
-    2m^2 + 8n^2 + 8 words, what default_rng(child k) reads when it makes
-    these draws one uniform or integers call at a time.  A double is (w >> 11) 2^-53, as
+    what Generator(PCG64(seed).advance(kW)) reads when it makes these draws
+    one uniform or integers call at a time.  A double is (w >> 11) 2^-53, as
     Generator.random reads it, mapped to [lo, hi) as uniform(lo, hi) maps it;
     K and L are o(m) draws, S the sp(2n) direction, t and u the multiples and
     P the conjugating sp(2n) generator.  The seven 32-bit draws are the halves
@@ -529,8 +462,8 @@ def commuting_bodies(m: int, n: int, seed: int, samples: int):
     if samples < 1:
         raise ValueError("at least one sample is required")
     two_n, s0, q = 2 * n, m * m, 4 * n * n
-    words = _spawned_words(seed, samples, 2 * s0 + 2 * q + 8)
-    kind = (words[:, s0] & _MASK32) >> 30
+    words = np.random.PCG64(seed).random_raw(samples * (2 * s0 + 2 * q + 8)).reshape(samples, -1)
+    kind = words[:, s0] >> 30 & 3
     # t B u C D L P, its place fixed by whether the kind drew S (0 and 3) or not (1 and 2)
     rest = np.where((kind % 3 == 0)[:, None], words[:, s0 + 1 + q:], words[:, s0 + 1:-q])
     a, b, c, d = words[:, s0], rest[:, 2], rest[:, 5], rest[:, 6]

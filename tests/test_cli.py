@@ -5,12 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import superholonomy
 from superholonomy import cli
 from superholonomy.cli import main
-from superholonomy.group import _spawned_words
 
 
 def run(capsys, *args):
@@ -68,17 +68,17 @@ SECTORS_JSON_SHA256 = [
 # central draws (kind 2) count 2d, ranked at their bodies' scale
 SAMPLED_JSON_SHA256 = [
     (("moduli", "--seed", "0"),
-     "d87468d781417ce3a75a0f98047d342f76bcdf2134bb4ebea91d298054050f75"),
+     "9569f968215b23b625428293b16fe74069bd3e93db899d16fe14ee7fe36a62f9"),
     (("moduli", "--seed", "11"),
-     "e9e291c5066ce9ea52df0ebef086d192b5e928a027c3749c54cfd6e066bad99e"),
+     "cd260cbf2936b1feba8dd1e826dcab0f0a3d3df9b67b3f8aa510e3919e28e584"),
     (("moduli", "--m", "1", "--n", "2", "--samples", "50", "--seed", "0"),
-     "28f4a10912e941da41612d294bbc7814ef29c9fb13b362ed8cb5a18d64eeef76"),
+     "0bb49bca0f6d386c2c2d79da182e35b2342e93346459ca6bf4723f3f70175b28"),
     (("moduli", "--m", "1", "--n", "2", "--samples", "50", "--seed", "11"),
-     "b61ca2314a97f36daec88a6aefa6fc9d9eb774c6531a0324852110d7f1bfb586"),
+     "b672d30de2144a5c4a7101b291db88a8116b9fe5501c9f19eae760a77989b291"),
     (("moduli", "--m", "3", "--n", "2", "--seed", "0"),
-     "c6560355105d39bd87df5cd6025c900e9259ec264471a92a7199a516d5e06a02"),
+     "a9f4360ef1c44094eb7a6982943b8a9ecfb65353de1804099799b34343357017"),
     (("moduli", "--m", "3", "--n", "2", "--seed", "11"),
-     "515c6bf16f77e94d4abad98b2d2ae4885f00dc45645b2163d1dd3ec49eae9f6c"),
+     "c8fbde1ed754c3243005bf7fdc3af4e01cf83252bdd90b0432505591b120cd41"),
     (("membership", "--samples", "200", "--seed", "0"),
      "71ca2bf85e73f2cb54151631f39eeebb5eda23a51f3eeb0cb299c74e0bc1f1fb"),
     (("membership", "--samples", "200", "--seed", "11"),
@@ -274,10 +274,11 @@ class TestModuli:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_seeds_share_no_sample(self):
-        # a stream's first word identifies it: seed 0 and seed 1 must not
-        # reuse each other's per-sample streams
+        # a block's first word identifies it: seed 0 and seed 1 must not reuse
+        # each other's samples, sample k reading PCG64(seed) from word k W on,
+        # W = 18 words a (1|2) sample
         def first_words(seed):
-            return set(_spawned_words(seed, 50, 1)[:, 0].tolist())
+            return {int(np.random.PCG64(seed).advance(18 * k).random_raw()) for k in range(50)}
 
         zero, one = first_words(0), first_words(1)
         assert len(zero) == len(one) == 50

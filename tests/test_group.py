@@ -77,17 +77,24 @@ class TestMembership:
         assert g12.member_residual(SuperMatrix.from_body(body, 1, 2, 2)) > DEFECT_TOL
 
     def test_wrong_shape_raises(self, g12):
-        # refused by its block sizes, before the body residuals' matmul meets a (2|2) body
-        with pytest.raises(ValueError, match=r"^expected block sizes \(1,2\), got \(2,2\)$"):
-            g12.member_residual(SuperMatrix.identity(2, 2, 2))
+        # both methods refuse by block sizes or N, before the body residuals'
+        # matmul meets a (2|2) body or the defect's gather plan runs
+        for method in (g12.member_residual, g12.membership_defect):
+            with pytest.raises(ValueError, match=r"^expected block sizes \(1,2\) over B_2, got \(2,2\) over B_2$"):
+                method(SuperMatrix.identity(2, 2, 2))
+            with pytest.raises(ValueError, match=r"^expected block sizes \(1,2\) over B_2, got \(1,2\) over B_3$"):
+                method(SuperMatrix.identity(1, 2, 3))
+            with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 4, 3, 3\) stack, got \(2, 4, 4, 4\)$"):
+                method(np.zeros((2, 4, 4, 4)))
 
     @pytest.mark.parametrize("shape", [(32, 4, 4), (3, 32, 4, 4), (64, 5, 5), (2, 64, 4, 5), (64, 4), (4, 4)])
     def test_stack_of_wrong_shape_raises(self, shape):
         # OSp(2|2) over B_6 wants (..., 64, 4, 4): a stack at N = 5, with d = 5
-        # or without the mask axis must not reach the gather plan
+        # or without the mask axis must not reach the gather plan or a product
         group = OspGroup(2, 1, 6)
-        with pytest.raises(ValueError, match=r"expected a \(\.\.\., 64, 4, 4\) stack"):
-            group.membership_defect(np.zeros(shape))
+        for method in (group.member_residual, group.membership_defect):
+            with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 64, 4, 4\) stack"):
+                method(np.zeros(shape))
 
     def test_sampled_members(self, g12, g22):
         rng = np.random.default_rng(31)
@@ -252,7 +259,7 @@ class TestGaugeFix:
         group = OspGroup(1, 1, 4)
         rng = np.random.default_rng(38)
         for _ in range(5):
-            U = group.sample_member(rng, components=False)
+            U = _sample_member_loop(group, rng, components=False)
             res = gauge_fix_sigma(group, U)
             assert res.degrees_solved == (1, 3)
             chi_norm = max(e.max_abs() for row in res.U_fixed.block("chi") for e in row)
@@ -415,8 +422,8 @@ def central_mask(bodies):
 class TestRankScale:
     """The rank rule's zero bound is relative to the size of the operands that formed the matrix."""
 
-    @pytest.mark.parametrize("m, n, seed, samples, central", [(1, 2, 0, 500, 115), (1, 1, 11, 50, 8),
-                                                               (1, 2, 11, 50, 8)])
+    @pytest.mark.parametrize("m, n, seed, samples, central", [(1, 2, 0, 500, 142), (1, 1, 11, 50, 12),
+                                                               (1, 2, 11, 50, 10)])
     def test_central_draws_count_2d(self, m, n, seed, samples, central):
         # Ahat = a0^T (x) I - I (x) A0 cancels to rounding on a central pair:
         # ranked against its own sigma_max every rounding value counted, and
@@ -768,15 +775,17 @@ class TestStacks:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2)])
     def test_seven_random_calls_per_sample(self, m, n):
-        # the word layout commuting_bodies reads is what a child's generator reads in
-        # seven random calls: doubles into K | S t | u | L P, float32 halves for the
-        # kind and the six signs; the kinds that draw S (0 and 3) and those that do
-        # not (1 and 2) alike
+        # the block of words commuting_bodies reads for sample k is what a
+        # generator on PCG64(seed) advanced by k W words reads in seven random
+        # calls: doubles into K | S t | u | L P, float32 halves for the kind and
+        # the six signs; the kinds that draw S (0 and 3) and those that do not
+        # (1 and 2) alike
         s0, q = m * m, 4 * n * n
-        words = group_module._spawned_words(40 + m + n, 40, 2 * s0 + 2 * q + 8)
+        W = 2 * s0 + 2 * q + 8
+        words = np.random.PCG64(40 + m + n).random_raw(40 * W).reshape(40, W)
         kinds = set()
-        for w, child in zip(words, np.random.SeedSequence(40 + m + n).spawn(40)):
-            rng = RandomOnly(child)
+        for k, w in enumerate(words):
+            rng = RandomOnly(np.random.PCG64(40 + m + n).advance(k * W))
             row, half = np.zeros(2 * s0 + 2 * q + 4), np.empty(7, dtype=np.float32)
             rng.random(out=row[:s0])
             rng.random(out=half[:1], dtype=np.float32)
@@ -845,15 +854,14 @@ class TestStackedMembership:
     """The stacked sampler and membership sweep against the per-op loops."""
 
     @pytest.mark.parametrize("m,n,ngen", [(1, 1, 2), (2, 1, 2), (2, 1, 6), (2, 2, 6)])
-    @pytest.mark.parametrize("components", [True, False])
-    def test_sample_stack_equals_loop(self, m, n, ngen, components):
+    def test_sample_stack_equals_loop(self, m, n, ngen):
         group = OspGroup(m, n, ngen)
         rng, ref = np.random.default_rng(m + 10 * ngen), np.random.default_rng(m + 10 * ngen)
-        stack = group.sample_stack([rng] * 5, components)
-        single = group.sample_member(rng, components)
+        stack = group.sample_stack([rng] * 5)
+        single = group.sample_member(rng)
         for member in stack:
-            assert np.array_equal(member, _sample_member_loop(group, ref, components).coeffs)
-        assert single == _sample_member_loop(group, ref, components)
+            assert np.array_equal(member, _sample_member_loop(group, ref).coeffs)
+        assert single == _sample_member_loop(group, ref)
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("ngen", [0, 2, 8])
@@ -863,18 +871,18 @@ class TestStackedMembership:
         group = OspGroup(2, 1, ngen)
         stack = group.sample_stack([])
         assert stack.shape == (0, 1 << ngen, 4, 4) and stack.dtype == np.float64
-        assert group.sample_stack(iter([]), components=False).shape == stack.shape
+        assert group.sample_stack(iter([])).shape == stack.shape
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
     @pytest.mark.parametrize("ngen", [2, 6, 8])
     def test_reflection_is_the_body_product(self, m, n, ngen):
         # a member's coefficients come before its coin, so the same seed gives
-        # the same member with and without the reflection component
+        # the loop's unreflected member, or its reflection
         group = OspGroup(m, n, ngen)
         R = reflection(group).coeffs
         flipped = 0
         for seed in range(6):
-            plain = group.sample_stack([np.random.default_rng(seed)], components=False)[0]
+            plain = _sample_member_loop(group, np.random.default_rng(seed), components=False).coeffs
             member = group.sample_stack([np.random.default_rng(seed)])[0]
             if not np.array_equal(member, plain):
                 # the same bits, signs of zeros included

@@ -55,7 +55,7 @@ from superholonomy import checks, grassmann
 from superholonomy.grassmann import (COEFF_CUTOFF, EXACT_TOL, SPLIT_MAX, ExpmNotConvergedError, GrassmannElement,
                                      NonInvertibleError, ParityPatternError, RankUndecidedError, canonical, grade_signs,
                                      graded_inverse, graded_matmul, pattern_mask, real_expm, taylor_sum)
-from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, SAMPLE_SCALE, OspGroup, _spawned_words, ahat,
+from superholonomy.group import (NONEXP_NGEN, NONEXP_PSI, SAMPLE_SCALE, OspGroup, ahat,
                                  build_nonexp_holonomy, commuting_bodies, enumerate_sectors_osp12,
                                  fermionic_moduli_count, fermionic_moduli_count_bruteforce, integers_from_random,
                                  parabolic, rotation, sector_representatives,
@@ -1279,7 +1279,7 @@ class TestMembershipGather:
 # the draw plan and the parity refusal against the steps they replaced
 # ----------------------------------------------------------------------
 
-def loop_sample_stack(group, rngs, components=True):
+def loop_sample_stack(group, rngs):
     """sample_stack one sample at a time by the steps the draw plan replaced: the slot scan over the
     (dim, 2^N) mask, the draws, the even souls halved afterwards, embed of the swapped table and the
     reflection by a boolean mask."""
@@ -1290,7 +1290,7 @@ def loop_sample_stack(group, rngs, components=True):
     for rng in rngs:
         table = np.zeros((1, alg.dim, 1 << group.ngen))
         table.reshape(1, -1)[0, slots] = rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, len(slots))
-        flip = np.array([components and rng.random() < 0.5])
+        flip = np.array([rng.random() < 0.5])
         table[:, alg.even_mask, 1:] *= 0.5
         canonical(table)
         block = graded_expm(alg.embed(table.swapaxes(1, 2)), group.m, check=False)
@@ -1306,16 +1306,15 @@ class TestDrawPlan:
     @pytest.mark.parametrize("ngen", [0, 1, 2, 6, 8])
     def test_stack_and_member_equal_the_loop(self, m, n, ngen):
         group = OspGroup(m, n, ngen)
-        for components in (True, False):
-            seeds = [[m, n, ngen, k, components] for k in range(3)]
-            rngs, ref = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
-            # the first generator comes twice: its second sample reads on in its stream
-            stack = group.sample_stack(rngs + rngs[:1], components)
-            assert bit_equal(stack, loop_sample_stack(group, ref + ref[:1], components))
-            member = group.sample_member(rngs[1], components)
-            assert bit_equal(member.coeffs, loop_sample_stack(group, ref[1:2], components)[0])
-            for rng, r in zip(rngs, ref):
-                assert rng.random() == r.random()
+        seeds = [[m, n, ngen, k, 1] for k in range(3)]
+        rngs, ref = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+        # the first generator comes twice: its second sample reads on in its stream
+        stack = group.sample_stack(rngs + rngs[:1])
+        assert bit_equal(stack, loop_sample_stack(group, ref + ref[:1]))
+        member = group.sample_member(rngs[1])
+        assert bit_equal(member.coeffs, loop_sample_stack(group, ref[1:2])[0])
+        for rng, r in zip(rngs, ref):
+            assert rng.random() == r.random()
 
     def test_stack_across_chunks(self):
         # OSp(2|2) over B_7: 8 members a chunk, so 11 run as 8 and a short 3
@@ -1481,41 +1480,35 @@ class TestRandomSigns:
         assert np.array_equal(np.abs(C) @ np.abs(C).T, np.eye(4))
 
 
-class TestSpawnedWords:
-    """The batched spawn against numpy's SeedSequence children and their PCG64 streams."""
-
-    @pytest.mark.parametrize("samples", [1, 2, 50, 200])
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
-    def test_equal_pcg64_of_each_child(self, seed, samples):
-        # 2^130 + 5 has five 32-bit words, one more than SeedSequence's pool:
-        # its fifth word goes through the third mixing loop
-        got = _spawned_words(seed, samples, 11)
-        want = [np.random.PCG64(c).random_raw(11) for c in np.random.SeedSequence(seed).spawn(samples)]
-        assert got.dtype == np.uint64 and got.shape == (samples, 11)
-        assert np.array_equal(got, want)
-
-    def test_negative_seed_raises(self):
-        with pytest.raises(ValueError):
-            np.random.SeedSequence(-1)
-        with pytest.raises(ValueError):
-            _spawned_words(-1, 3, 5)
-
-
 class TestSamplingLoops:
     """The stacked samplers against the per-sample loops they replaced, bit for bit."""
 
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 2)])
     def test_commuting_bodies_equal_loop(self, m, n):
-        # the word layout against the generator calls it stands for, one
-        # default_rng per child; the kinds that draw S (0 and 3) and those that
-        # do not (1 and 2) all occur, and 2^130 + 5 has five seed words
+        # the word layout against the generator calls it stands for, sample k
+        # drawn by a Generator on PCG64(seed) advanced past the k blocks of W
+        # words before it; the kinds that draw S (0 and 3) and those that do
+        # not (1 and 2) all occur, and 2^130 + 5 has five 32-bit seed words
+        W = 2 * m * m + 8 * n * n + 8
         for seed in (20 + 10 * m + n, 2**130 + 5):
             got = commuting_bodies(m, n, seed, 60)
-            children = np.random.SeedSequence(seed).spawn(60)
-            want, kinds = _loop_commuting_bodies(m, n, [np.random.default_rng(c) for c in children])
+            rngs = [np.random.Generator(np.random.PCG64(seed).advance(k * W)) for k in range(60)]
+            want, kinds = _loop_commuting_bodies(m, n, rngs)
             assert set(kinds.tolist()) == {0, 1, 2, 3}
             for g, w in zip(got, want):
                 assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2)])
+    def test_fewer_samples_are_a_prefix(self, m, n):
+        # sample k reads the same block whatever the sample count
+        full = commuting_bodies(m, n, 7, 60)
+        for k in (1, 2, 31, 59):
+            for g, w in zip(commuting_bodies(m, n, 7, k), full):
+                assert g.tobytes() == w[:k].tobytes()
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            commuting_bodies(1, 1, -1, 3)
 
     @pytest.mark.parametrize("samples", [1, 7, 100])
     def test_rotation_det_equals_loop(self, samples):
