@@ -1,6 +1,9 @@
 """OSp(m|2n) group calculus and the moduli of commuting holonomy pairs.
 
-Membership is the graded-form condition M^st H M = H with H = diag(I_m, C).
+Membership is the graded-form condition M^st H M = H with H = diag(I_m, C),
+and OspGroup.membership_defect, the largest coefficient of M^st H M - H, is
+its one measure: odd blocks have no body, so the body block of M^st H M - H
+is blockdiag(a0^T a0 - I, A0^T C A0 - C) and the souls are the rest.
 For a holonomy with body blocks (a0, A0), the linear operator
 
     sigma -> sigma a0 - A0 sigma,   vectorized as  Ahat = a0^T (x) I - I (x) A0,
@@ -24,7 +27,7 @@ import numpy as np
 
 from .grassmann import (COEFF_CUTOFF, DEFECT_TOL, MAX_GENERATORS, _split_slices, canonical, even_pattern, even_route,
                         grade_signs, graded_expm, graded_inverse, graded_matmul, matrix_rank, real_expm, stack_chunk)
-from .supermatrix import SuperMatrix, body_array, signed_gather, transpose_plan
+from .supermatrix import SuperMatrix, body_array, real_array, signed_gather, transpose_plan
 from .superlie import (
     OSP12_DIRECTIONS,
     SIGMA1,
@@ -89,47 +92,22 @@ class OspGroup:
     def C(self) -> np.ndarray:
         return symplectic_form(self.two_n)
 
-    @property
-    def H(self) -> np.ndarray:
-        return graded_form(self.m, self.two_n)
-
     def algebra(self) -> SuperAlgebra:
         return build_osp(self.m, self.n)
 
-    def H_matrix(self) -> SuperMatrix:
-        return self._H_matrix
-
-    @cached_property
-    def _H_matrix(self) -> SuperMatrix:
-        # built once per group: SuperMatrix is immutable, so every caller may share it
-        return SuperMatrix.from_body(self.H, self.m, self.two_n, self.ngen)
-
-    # ------------------------------------------------------------------
-    def member_residual(self, M):
-        """The largest of membership_defect and the body residuals a0^T a0 - I and A0^T C A0 - C.
-
-        M is a SuperMatrix, giving a float, or an even coefficient stack,
-        giving an array over the stack, as in membership_defect.  M is a
-        member when this is at most DEFECT_TOL.  M of another shape raises
-        membership_defect's ValueError before any product.
-        """
-        self._check_shape(M)
-        body = M.coeffs[0] if isinstance(M, SuperMatrix) else M[..., 0, :, :]
-        a0, A0 = body[..., :self.m, :self.m], body[..., self.m:, self.m:]
-        orthogonal = np.abs(np.swapaxes(a0, -1, -2) @ a0 - np.eye(self.m)).max(axis=(-2, -1))
-        symplectic = np.abs(np.swapaxes(A0, -1, -2) @ self.C @ A0 - self.C).max(axis=(-2, -1))
-        worst = np.maximum(self.membership_defect(M), np.maximum(orthogonal, symplectic))
-        return float(worst) if worst.ndim == 0 else worst
-
     def _check_shape(self, M):
-        # a SuperMatrix of the group's block sizes over B_N, or a (..., 2^N, d, d) stack
-        shape = self.H_matrix().coeffs.shape
+        """The coefficients of M, a SuperMatrix of the group's block sizes over B_N or a real
+        (..., 2^N, d, d) array, converted once (supermatrix.real_array: a complex M raises
+        TypeError); any other M raises ValueError."""
         if isinstance(M, SuperMatrix):
             if (M.m, M.n, M.ngen) != (self.m, self.two_n, self.ngen):
                 raise ValueError(f"expected block sizes ({self.m},{self.two_n}) over B_{self.ngen}, "
                                  f"got ({M.m},{M.n}) over B_{M.ngen}")
-        elif np.shape(M)[-3:] != shape:
-            raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (*shape, np.shape(M)))
+            return M.coeffs
+        M, d = real_array(M, "M"), self.m + self.two_n
+        if M.shape[-3:] != (1 << self.ngen, d, d):
+            raise ValueError("expected a (..., %d, %d, %d) stack, got %s" % (1 << self.ngen, d, d, M.shape))
+        return M
 
     @cached_property
     def _draw_plan(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,30 +123,31 @@ class OspGroup:
         return positions, factor
 
     def membership_defect(self, M):
-        """Largest coefficient of M^st H M - H: one product, its left factor M^st H read from M by
-        transpose_plan's signed gather.
+        """Largest coefficient of M^st H M - H, the group's one membership measure: M is a member when
+        it is at most DEFECT_TOL.
 
-        M is a SuperMatrix, giving a float, or an even coefficient stack
-        (..., 2^N, m+2n, m+2n), giving an array of shape (...) whose members
-        equal the one-matrix defects, as in matrix_rank.  On the split route
-        the gather is composed into the one-shot plan's (EvenSplit.gathered),
-        so M^st H is never built, and the residual is taken on the result's
-        slots; off them both sides are 0.
+        Its mask-0 block is blockdiag(a0^T a0 - I, A0^T C A0 - C), as odd
+        blocks have no body, so it reads the body conditions and every soul
+        at once.  One product, its left factor M^st H read from M by
+        transpose_plan's signed gather.  M is a SuperMatrix, giving a float,
+        or an even coefficient stack (..., 2^N, m+2n, m+2n), giving an array
+        of shape (...) whose members equal the one-matrix defects, as in
+        matrix_rank; _check_shape refuses any other M before any product.
+        On the split route the gather is composed into the one-shot plan's
+        (EvenSplit.gathered), so M^st H is never built, and the residual is
+        taken on the result's slots; off them both sides are 0.
         """
-        H = self.H_matrix()
-        self._check_shape(M)
         trusted = isinstance(M, SuperMatrix)
-        if trusted:
-            M = M.coeffs
-        else:
+        M = self._check_shape(M)
+        if not trusted:
             even_pattern(self.m, M)
-        plan = _membership_plan(self.m, self.two_n, self.ngen)
+        plan, gathered, H = _membership_plan(self.m, self.two_n, self.ngen)
         if plan is None:       # the pair table above SPLIT_MAX
             st_h = signed_gather(M, transpose_plan(self.m, self.m + self.two_n, graded=True))
             st_h = st_h if trusted else canonical(st_h)
-            worst = np.abs(graded_matmul(st_h, M) - H.coeffs).max(axis=(-3, -2, -1), initial=0.0)
+            worst = np.abs(graded_matmul(st_h, M) - H).max(axis=(-3, -2, -1), initial=0.0)
         else:
-            worst = _split_slices(partial(_split_defects, plan, clean=not trusted), plan[0].items, M)
+            worst = _split_slices(partial(_split_defects, plan, gathered, H, clean=not trusted), plan.items, M)
         # a residual below COEFF_CUTOFF is zero, so the worst is 0 when every one is
         if worst.ndim == 0:
             return 0.0 if worst < COEFF_CUTOFF else float(worst)
@@ -241,23 +220,24 @@ class OspGroup:
 
 @lru_cache(maxsize=None)
 def _membership_plan(m: int, two_n: int, ngen: int):
-    """membership_defect's split route for OSp(m|two_n) over B_ngen: the one-shot product plan, its
-    sources with the left factor read as M^st H through transpose_plan, and H in the result's
-    layout; None above SPLIT_MAX.  Built once per size, as the CLI makes a group per command."""
+    """membership_defect's route for OSp(m|two_n) over B_ngen, built once per size, as the CLI makes a
+    group per command: (plan, gathered, H).  On the split route the one-shot product plan, its sources
+    with the left factor read as M^st H through transpose_plan, and H in the result's slots; above
+    SPLIT_MAX (None, None, H) with H the (2^N, d, d) coefficient array the pair table's product meets."""
     H = body_array(graded_form(m, two_n), ngen)
+    H.flags.writeable = False
     split = even_route(m, H, check=False)
     if split is None:
-        return None
+        return None, None, H
     plan = split.one_shot
     H_slots = plan.pack(H)
     H_slots.flags.writeable = False
     return plan, plan.gathered(*transpose_plan(m, m + two_n, graded=True)), H_slots
 
 
-def _split_defects(route, M: np.ndarray, clean: bool) -> np.ndarray:
-    """Each member's largest |(M^st H M)_slot - H_slot| on route = _membership_plan(...); clean makes
+def _split_defects(plan, gathered, H_slots: np.ndarray, M: np.ndarray, clean: bool) -> np.ndarray:
+    """Each member's largest |(M^st H M)_slot - H_slot| on _membership_plan's split route; clean makes
     the left operand canonical, as an untrusted stack's M^st H would be."""
-    plan, gathered, H_slots = route
     members = M.reshape(-1, plan.flat)
     out = canonical(plan.multiply(np.concatenate((members, -members), axis=1, dtype=float), gathered, clean))
     out -= H_slots
@@ -506,7 +486,7 @@ class HolonomyPair:
     moduli is the degree-1 kernel/orbit count,
     fermionic_moduli_count_bruteforce, which is also correct for sectors
     where only one Kronecker operator degenerates.  residual is the largest
-    of U1's and U2's member_residual and of the coefficients of their
+    of U1's and U2's membership_defect and of the coefficients of their
     commutator, at most DEFECT_TOL in every pair that from_stack returns.
     """
 
@@ -520,19 +500,22 @@ class HolonomyPair:
     def from_stack(cls, group: OspGroup, U: np.ndarray, labels) -> list["HolonomyPair"]:
         """One pair per (U1, U2) of an even (k, 2, 2^N, d, d) coefficient stack.
 
-        The membership and commutator checks and the brute-force counts are
-        one stacked call each, each member its one-pair value.  Raises
-        ValueError at the first pair, in stack order, that is not a pair of
-        commuting members within DEFECT_TOL, and before any product when U is
-        not a stack of the group's (m, 2n) blocks.
+        Membership is group.membership_defect over the whole stack, whose
+        body block holds a0^T a0 - I and A0^T C A0 - C; it, the commutator
+        check and the brute-force counts are one stacked call each, each
+        member its one-pair value.  Raises ValueError at the first pair, in
+        stack order, that is not a pair of commuting members within
+        DEFECT_TOL, and before any product when U is not a stack of the
+        group's (m, 2n) blocks; a complex U raises TypeError.
         """
         m, two_n = group.m, group.two_n
         d = m + two_n
-        if np.ndim(U) != 5 or np.shape(U)[1:] != (2, 1 << group.ngen, d, d):
+        U = real_array(U, "U")
+        if U.ndim != 5 or U.shape[1:] != (2, 1 << group.ngen, d, d):
             raise ValueError(f"expected block sizes ({m},{two_n}) over B_{group.ngen}: "
-                             f"a (k, 2, {1 << group.ngen}, {d}, {d}) stack, got {np.shape(U)}")
-        member = group.member_residual(U)
-        # member_residual has checked the even pattern
+                             f"a (k, 2, {1 << group.ngen}, {d}, {d}) stack, got {U.shape}")
+        member = group.membership_defect(U)
+        # membership_defect has checked the even pattern
         comm = np.abs(canonical(graded_matmul(U[:, 0], U[:, 1], m, check=False)
                                 - graded_matmul(U[:, 1], U[:, 0], m, check=False))).max(axis=(-3, -2, -1))
         for k in range(len(U)):

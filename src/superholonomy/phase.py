@@ -752,8 +752,9 @@ def gauge_fixing_check(alg: SuperAlgebra, c: Sequence[float],
         pairing_ok = bool(abs(pairing_det) > FORWARD_ROUNDING * np.finfo(float).eps * scale)
     # the fixed surface and the pulled-back quadratic constraint
     stacked = np.vstack([g_ind, chi_rows])
-    _, _, vt = np.linalg.svd(stacked)
-    kernel = vt[matrix_rank(stacked):].T
+    # one factorization: the null space and, under the one rank rule, the rank
+    _, svals, vt = np.linalg.svd(stacked)
+    kernel = vt[np.count_nonzero(counted_values(svals, stacked.shape)):].T
     free = kernel.shape[1]
     # G^a restricted to the psi's: psi_1^alpha psi_2^beta F[alpha, beta, a]
     F_odd = constraint_tensor(alg)[np.ix_(alg.odd_idx, alg.odd_idx, alg.even_idx)]

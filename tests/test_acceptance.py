@@ -191,7 +191,7 @@ def test_12_nonexponential_family():
         np.abs(fam.U2[-1].body() - fam.target_body_2).max(),
     )
     group = OspGroup(1, 1, 2)
-    members = all(group.member_residual(u) <= 1e-9 for u in fam.U1 + fam.U2)
+    members = all(group.membership_defect(u) <= 1e-9 for u in fam.U1 + fam.U2)
     report(12, "non-exponential family: U(0) = Id exactly, U(2pi) hits the target",
            exact_start and end_err <= 1e-8 and members,
            f"endpoint body error {end_err:.2e}, 2 x 65 grid members")

@@ -210,7 +210,7 @@ class TestSectors:
         for entry in data["fermionic_representatives"]:
             U1 = SuperMatrix.from_json_dict(entry["U1"])
             U2 = SuperMatrix.from_json_dict(entry["U2"])
-            assert group.member_residual(U1) <= 1e-10 and group.member_residual(U2) <= 1e-10
+            assert group.membership_defect(U1) <= 1e-10 and group.membership_defect(U2) <= 1e-10
 
     def test_enumerates_once(self, capsys, monkeypatch):
         # the report printed is the one checks.osp12_sector_counts reads

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import superholonomy
-from random_inputs import random_element, random_sp
+from random_inputs import random_coeffs, random_element, random_sp
 from superholonomy import checks, grassmann
 from superholonomy import group as group_module
 from superholonomy.grassmann import (COEFF_CUTOFF, DEFECT_TOL, RANK_MARGIN, RANK_ROUNDING, GrassmannElement,
@@ -32,7 +32,7 @@ from superholonomy.group import (
 )
 from superholonomy.checks import moduli_counts
 from superholonomy.superlie import SIGMA_PLUS, graded_form, symplectic_form
-from superholonomy.supermatrix import SuperMatrix, body_array, supertranspose_coeffs
+from superholonomy.supermatrix import SuperMatrix, body_array, signed_gather, supertranspose_coeffs, transpose_plan
 
 
 @pytest.fixture(scope="module")
@@ -60,48 +60,120 @@ class TestGeneratorCount:
 
     def test_range_ends_build(self):
         assert OspGroup(1, 1, 0).sample_member(np.random.default_rng(0)).coeffs.shape == (1, 3, 3)
-        assert OspGroup(1, 1, 16).H_matrix().coeffs.shape == (1 << 16, 3, 3)
+        # the group's stack shape at N = 16, read before any product
+        with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 65536, 3, 3\) stack, got \(4, 3, 3\)$"):
+            OspGroup(1, 1, 16).membership_defect(np.zeros((4, 3, 3)))
 
 
 class TestMembership:
     def test_identity(self, g12):
-        assert g12.member_residual(SuperMatrix.identity(1, 2, 2)) <= DEFECT_TOL
+        assert g12.membership_defect(SuperMatrix.identity(1, 2, 2)) <= DEFECT_TOL
 
     def test_disconnected_component(self, g12):
         # diag(-1, I) satisfies the graded-form condition
-        assert g12.member_residual(reflection(g12)) <= DEFECT_TOL
+        assert g12.membership_defect(reflection(g12)) <= DEFECT_TOL
 
     def test_perturbed_identity_rejected(self, g12):
         body = np.eye(3)
         body[1, 1] += 0.1
-        assert g12.member_residual(SuperMatrix.from_body(body, 1, 2, 2)) > DEFECT_TOL
+        assert g12.membership_defect(SuperMatrix.from_body(body, 1, 2, 2)) > DEFECT_TOL
 
     def test_wrong_shape_raises(self, g12):
-        # both methods refuse by block sizes or N, before the body residuals'
-        # matmul meets a (2|2) body or the defect's gather plan runs
-        for method in (g12.member_residual, g12.membership_defect):
-            with pytest.raises(ValueError, match=r"^expected block sizes \(1,2\) over B_2, got \(2,2\) over B_2$"):
-                method(SuperMatrix.identity(2, 2, 2))
-            with pytest.raises(ValueError, match=r"^expected block sizes \(1,2\) over B_2, got \(1,2\) over B_3$"):
-                method(SuperMatrix.identity(1, 2, 3))
-            with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 4, 3, 3\) stack, got \(2, 4, 4, 4\)$"):
-                method(np.zeros((2, 4, 4, 4)))
+        # refused by block sizes or N before the gather plan runs
+        with pytest.raises(ValueError, match=r"^expected block sizes \(1,2\) over B_2, got \(2,2\) over B_2$"):
+            g12.membership_defect(SuperMatrix.identity(2, 2, 2))
+        with pytest.raises(ValueError, match=r"^expected block sizes \(1,2\) over B_2, got \(1,2\) over B_3$"):
+            g12.membership_defect(SuperMatrix.identity(1, 2, 3))
+        with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 4, 3, 3\) stack, got \(2, 4, 4, 4\)$"):
+            g12.membership_defect(np.zeros((2, 4, 4, 4)))
+        # a nested list is converted before its shape is read
+        with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 4, 3, 3\) stack, got \(2, 4, 4, 4\)$"):
+            g12.membership_defect(np.zeros((2, 4, 4, 4)).tolist())
 
     @pytest.mark.parametrize("shape", [(32, 4, 4), (3, 32, 4, 4), (64, 5, 5), (2, 64, 4, 5), (64, 4), (4, 4)])
     def test_stack_of_wrong_shape_raises(self, shape):
         # OSp(2|2) over B_6 wants (..., 64, 4, 4): a stack at N = 5, with d = 5
         # or without the mask axis must not reach the gather plan or a product
         group = OspGroup(2, 1, 6)
-        for method in (group.member_residual, group.membership_defect):
-            with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 64, 4, 4\) stack"):
-                method(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"^expected a \(\.\.\., 64, 4, 4\) stack"):
+            group.membership_defect(np.zeros(shape))
+
+    @pytest.mark.parametrize("ngen", [2, 8])
+    def test_nested_list_equals_its_array(self, ngen):
+        # OSp(2|2): 2^N d = 16 on the split route, 1024 > SPLIT_MAX on the pair table
+        group = OspGroup(2, 1, ngen)
+        rng = np.random.default_rng([ngen, 41])
+        members = [group.sample_member(rng).coeffs for _ in range(2)]
+        stack = np.array(members + [M + 1e-6 * random_coeffs(rng, 2, 2, ngen) for M in members])
+        defects = group.membership_defect(stack)
+        assert defects.tobytes() == group.membership_defect(stack.tolist()).tobytes()
+        assert group.membership_defect(stack[2].tolist()) == defects[2] > 0.0
+
+    def test_complex_stack_raises(self, g12):
+        M = SuperMatrix.identity(1, 2, 2).coeffs
+        with pytest.raises(TypeError, match=r"^M must be real, got dtype complex128$"):
+            g12.membership_defect(M + 0j)
+        with pytest.raises(TypeError, match=r"^M must be real, got dtype complex128$"):
+            g12.membership_defect((M + 1e-3j).tolist())
+
+    @pytest.mark.parametrize("ngen", [2, 8])
+    @pytest.mark.parametrize("broken", ["orthogonal", "symplectic"])
+    def test_body_conditions_are_read(self, ngen, broken):
+        # a body off O(2) x Sp(2) by 1e-6 in one block, the other block in its
+        # group: the defect is that block's residual, 2e-6 + 1e-12, as a
+        # SuperMatrix and as a raw stack, on the split route (B_2) and the
+        # pair table (B_8)
+        group = OspGroup(2, 1, ngen)
+        a0, A0 = rotation(0.3), parabolic(0.7)
+        if broken == "orthogonal":
+            a0 = (1 + 1e-6) * a0
+        else:
+            A0 = (1 + 1e-6) * A0
+        C = symplectic_form(2)
+        body_residual = max(np.abs(a0.T @ a0 - np.eye(2)).max(), np.abs(A0.T @ C @ A0 - C).max())
+        M = SuperMatrix.from_body(scipy.linalg.block_diag(a0, A0), 2, 2, ngen)
+        good = SuperMatrix.from_body(scipy.linalg.block_diag(rotation(0.3), parabolic(0.7)), 2, 2, ngen)
+        defects = group.membership_defect(np.array([M.coeffs, good.coeffs]))
+        assert group.membership_defect(M) == defects[0] > DEFECT_TOL and defects[1] <= DEFECT_TOL
+        assert defects[0] == pytest.approx(body_residual, abs=1e-15)
+
+    @pytest.mark.parametrize("ngen", [2, 8])
+    def test_body_block_is_the_body_residuals(self, ngen):
+        # membership_defect is the largest coefficient of the residual its
+        # route takes, M^st H M - H with M^st H the signed gather; its mask-0
+        # block is blockdiag(a0^T a0 - I, A0^T C A0 - C).  Each entry of the
+        # two is a dot product of length d over the same body factors, summed
+        # in another order (the split route's gemm or numpy's matmul), so each
+        # lies within gamma_d |x|^T |y| of the exact sum, gamma_d ~ d u
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        # 3.1), and the two within 2 gamma_d |x|^T |y| <= d eps |x|^T |y|,
+        # eps = 2u: a few eps on these O(1) bodies, and the bound below is
+        # twice it.  Subtracting H is exact: where H is +-1 the entry lies
+        # within a factor 2 of it (Sterbenz), elsewhere H is 0.  An entry below
+        # COEFF_CUTOFF reads 0.  Half the members have bodies perturbed by
+        # 1e-6, so the block holds entries above the cutoff as well as rounding
+        group, m, d = OspGroup(2, 1, ngen), 2, 4
+        rng = np.random.default_rng([ngen, 42])
+        H = body_array(graded_form(2, 2), ngen)
+        plan = transpose_plan(m, d, graded=True)
+        members = [group.sample_member(rng).coeffs for _ in range(4)]
+        for M in members + [M + 1e-6 * body_array(random_coeffs(rng, 2, 2, 0)[0], ngen) for M in members]:
+            st_h = canonical(signed_gather(M, plan))
+            R = graded_matmul(st_h, M, m if ngen == 2 else None) - H
+            worst = np.abs(R).max()
+            assert group.membership_defect(M) == (worst if worst >= COEFF_CUTOFF else 0.0)
+            a0, A0, C = M[0, :m, :m], M[0, m:, m:], symplectic_form(2)
+            want = scipy.linalg.block_diag(a0.T @ a0 - np.eye(m), A0.T @ C @ A0 - C)
+            bound = 2 * d * np.finfo(float).eps * (np.abs(st_h[0]) @ np.abs(M[0]))
+            assert np.all(np.abs(R[0] - want) <= np.where(R[0] == 0.0, COEFF_CUTOFF, 0.0) + bound)
+            assert not R[0][:m, m:].any() and not R[0][m:, :m].any()
 
     def test_sampled_members(self, g12, g22):
         rng = np.random.default_rng(31)
         for group in (g12, g22):
             for _ in range(10):
                 M = group.sample_member(rng)
-                assert group.member_residual(M) <= 1e-9
+                assert group.membership_defect(M) <= 1e-9
 
     def test_sampled_members_exact_to_cutoff(self):
         # the exponential's series is summed raw and canonicalized once, so
@@ -139,7 +211,7 @@ class TestMembership:
                 M = pool[x].inverse()
             else:
                 M = pool[x] @ pool[y] @ pool[x].inverse()
-            assert g12.member_residual(M) <= 1e-9
+            assert g12.membership_defect(M) <= 1e-9
 
 
 class TestXiFromChi:
@@ -250,8 +322,8 @@ class TestGaugeFix:
             chi_norm = max(e.max_abs() for row in res.U_fixed.block("chi") for e in row)
             assert chi_norm < 1e-10
             assert np.abs((res.S @ U @ res.S.inverse()).coeffs - res.U_fixed.coeffs).max() < 1e-12
-            assert g12.member_residual(res.U_fixed) <= 1e-9
-            assert g12.member_residual(res.S) <= 1e-9
+            assert g12.membership_defect(res.U_fixed) <= 1e-9
+            assert g12.membership_defect(res.S) <= 1e-9
 
     def test_recursion_with_higher_degrees(self):
         # N = 4 souls make the degree-1 solve feed a degree-3 correction,
@@ -264,7 +336,7 @@ class TestGaugeFix:
             assert res.degrees_solved == (1, 3)
             chi_norm = max(e.max_abs() for row in res.U_fixed.block("chi") for e in row)
             assert chi_norm < 1e-10
-            assert group.member_residual(res.U_fixed) <= 1e-8
+            assert group.membership_defect(res.U_fixed) <= 1e-8
 
     def test_parabolic_sector_raises(self, g12):
         desc = [s for s in enumerate_sectors_osp12().sectors if s.fermionic][0]
@@ -488,7 +560,7 @@ class TestSectors:
         report = enumerate_sectors_osp12()
         for desc in report.sectors:
             pair, = sector_representatives([desc])
-            assert g12.member_residual(pair.U1) <= 1e-10 and g12.member_residual(pair.U2) <= 1e-10
+            assert g12.membership_defect(pair.U1) <= 1e-10 and g12.membership_defect(pair.U2) <= 1e-10
             assert np.abs((pair.U1 @ pair.U2).coeffs - (pair.U2 @ pair.U1).coeffs).max() <= 1e-10
             ops = [ahat(*U.body_blocks()) for U in (pair.U1, pair.U2)]
             dets = [np.linalg.det(op) for op in ops]
@@ -575,6 +647,13 @@ class TestHolonomyPair:
         with pytest.raises(ValueError, match=r"^expected block sizes"):
             HolonomyPair.from_stack(group, U, ["a"])
 
+    def test_nested_list_and_complex_stack(self, g12):
+        # U is converted once: a nested list gives the array's pairs, a complex U is named
+        U = np.array([[SuperMatrix.from_body(np.diag([s, 1.0, 1.0]), 1, 2, 2).coeffs] * 2 for s in (1.0, -1.0)])
+        assert HolonomyPair.from_stack(g12, U.tolist(), ["a", "b"]) == HolonomyPair.from_stack(g12, U, ["a", "b"])
+        with pytest.raises(TypeError, match=r"^U must be real, got dtype complex128$"):
+            HolonomyPair.from_stack(g12, U + 0j, ["a", "b"])
+
     def test_metadata(self, g12):
         body = np.eye(3)
         body[1:, 1:] = rotation(0.7)
@@ -595,7 +674,7 @@ class TestNonExponentialFamily:
     def test_membership_along_path(self, g12):
         fam = build_nonexp_holonomy(0.3, 0.1, grid_points=16)
         for u in fam.U1 + fam.U2:
-            assert g12.member_residual(u) <= 1e-9
+            assert g12.membership_defect(u) <= 1e-9
 
     def test_target_is_outside_the_exponential_image(self):
         fam = build_nonexp_holonomy(0.35, 0.1, grid_points=8)

@@ -824,7 +824,7 @@ class TestSplitPoint:
         # the product's of the gathered transpose, bit for bit, and within
         # rounding of the pair table's
         group = OspGroup(m, n, ngen)
-        d, H = m + 2 * n, group.H_matrix().coeffs
+        d, H = m + 2 * n, body_array(graded_form(m, 2 * n), ngen)
         rng = np.random.default_rng([m, n, ngen, 46])
         members = np.array([group.sample_member(rng).coeffs for _ in range(2)])
         near = members[0] + 1e-6 * random_supermatrix(rng, m, 2 * n, ngen).coeffs
@@ -1106,7 +1106,7 @@ def block_supertranspose(coeffs, m, parity=0):
 
 def defect_by_body_product(group, M):
     """max |M^st H M - H| with M^st H a kernel product of the transpose and H."""
-    H = group.H_matrix().coeffs
+    H = body_array(graded_form(group.m, group.two_n), group.ngen)
     trusted = isinstance(M, SuperMatrix)
     M = M.coeffs if trusted else M
     st_h = graded_matmul(block_supertranspose(M, group.m), H)
@@ -1117,7 +1117,7 @@ def defect_by_body_product(group, M):
 
 def defect_on_full_array(group, M):
     """max |M^st H M - H| by the gather, with the residual over the whole (2^N, d, d) array."""
-    H = group.H_matrix().coeffs
+    H = body_array(graded_form(group.m, group.two_n), group.ngen)
     trusted = isinstance(M, SuperMatrix)
     M = M.coeffs if trusted else M
     st_h = signed_gather(M, transpose_plan(group.m, M.shape[-1], graded=True))
@@ -1189,7 +1189,7 @@ class TestMembershipGather:
         group = OspGroup(m, n, ngen)
         rng = np.random.default_rng([m, n, ngen, 5])
         members = [group.sample_member(rng) for _ in range(3)]
-        H = group.H_matrix().coeffs
+        H = body_array(graded_form(m, 2 * n), ngen)
         for noise, souls in ((1e-15, 0.0), (1e-3, 1.0)):
             raw = [M.coeffs + noise * random_supermatrix(rng, m, 2 * n, ngen).coeffs
                    * np.where(np.arange(1 << ngen) == 0, 1.0, souls)[:, None, None] for M in members]
@@ -1259,7 +1259,7 @@ class TestMembershipGather:
         # OSp(2|4) at N = 5: d = 6, runs of 2 and padded slots; OSp(1|2): runs of 1
         group = OspGroup(m, n, ngen)
         d = m + 2 * n
-        split = grassmann.even_route(m, group.H_matrix().coeffs)
+        split = grassmann.even_route(m, body_array(graded_form(m, 2 * n), ngen))
         assert split.run == run and split.shape[-1] == max(m, d - m)
         rng = np.random.default_rng([m, n, ngen, 4])
         members = [group.sample_member(rng) for _ in range(3)]
@@ -1541,14 +1541,8 @@ def _loop_sector_representative(desc, ngen, params=None):
             coeffs[1, 2, 0] = sign * p
             coeffs[:, :1, 1:] = group.xi_from_chi(coeffs[:, :1, :1], coeffs[:, 1:, 1:], coeffs[:, 1:, :1])
         pair.append(SuperMatrix.from_coeffs(1, 2, coeffs))
-    residual = 0.0
-    for U in pair:
-        a, A = U.body()[:1, :1], U.body()[1:, 1:]
-        C = symplectic_form(2)
-        residual = max(residual, defect_by_body_product(group, U), np.abs(a.T @ a - np.eye(1)).max(),
-                       np.abs(A.T @ C @ A - C).max())
     commutator = canonical((pair[0] @ pair[1]).coeffs - (pair[1] @ pair[0]).coeffs)
-    residual = max(residual, np.abs(commutator).max())
+    residual = max(*(defect_by_body_product(group, U) for U in pair), np.abs(commutator).max())
     (a0, A0), (b0, B0) = pair[0].body_blocks(), pair[1].body_blocks()
     return pair[0], pair[1], (fermionic_moduli_count_bruteforce(a0, b0, A0, B0), residual)
 
